@@ -11,7 +11,7 @@ scan-suite  run the full acceptance battery
 Exit codes: 0 success, 2 validation error, 3 numerical-sanity failure.
 Reports embed the artifact version and a hash of the canonical config, and
 rerunning with the same seed reproduces them byte for byte except for
-``runtime_ms``.  ``XPCHAOS_THREADS`` caps evaluation parallelism.
+``runtime_ms``.
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ from .groups import (FREE_GROUP, FREE_PRODUCT, TORUS, GroupAlgebraElement,
                      GroupDescriptor, adjoint, project_mean_zero,
                      random_group_elements)
 from .harness import EnsembleSpec, scan
-from .norms import (NumericalSanityError, lp_norm, lp_norm_torus_even,
-                    lp_norm_torus_grid)
-
-VERIFY_EXPERIMENTS = ("naor", "torus", "ztorus", "xp-linear", "rosenthal",
-                      "riesz", "free-identities")
+from .norms import NumericalSanityError, lp_norm, lp_norm_torus_grid
 
 
 def _config_hash(params: dict) -> str:
@@ -91,7 +87,7 @@ def _resolve(args: argparse.Namespace, config: dict, keys: list[str]) -> dict:
         flag_value = getattr(args, key.replace("-", "_"), None)
         if flag_value is not None:
             resolved[key] = flag_value
-        elif key in config:
+        elif config.get(key) is not None:
             resolved[key] = config[key]
     return resolved
 
@@ -99,39 +95,40 @@ def _resolve(args: argparse.Namespace, config: dict, keys: list[str]) -> dict:
 # -- verify -------------------------------------------------------------------
 
 
-def _experiment_params(name: str, opts: dict) -> tuple[str, dict]:
-    """Translate a CLI experiment name into a harness scan call."""
-    n = int(opts.get("n", 4))
-    ks = _parse_k(str(opts.get("k", 1)), n)
-    p = float(opts.get("p", 4))
-    params: dict = {"n": n, "p": p, "ks": ks}
-    if name == "naor":
-        params.update({"family": "hypercube", "ps": [p],
-                       "derivative": opts.get("derivative") or "walsh"})
-        return "naor", params
-    if name == "ztorus":
-        params.update({"family": "cyclic", "modulus": int(opts.get("modulus", 4)),
-                       "ps": [p], "derivative": opts.get("derivative") or "absorbent"})
-        return "naor", params
-    if name == "torus":
-        params.update({"family": "torus", "bound": int(opts.get("bound", 2)),
-                       "ps": [p], "derivative": opts.get("derivative") or "euclidean"})
-        return "naor", params
-    if name == "xp-linear":
-        params["d"] = int(opts.get("d", 4))
-        return "xp_linear", params
-    if name == "rosenthal":
-        return "rosenthal", params
-    if name == "riesz":
-        family = opts.get("family") or "cyclic"
-        params = {"n": n, "p": p, "family": family,
-                  "modulus": int(opts.get("modulus", 4)),
-                  "bound": int(opts.get("bound", 2))}
-        return "riesz_equivalence", params
-    if name == "free-identities":
-        params = {"rank": n, "modulus": int(opts.get("modulus", 0)) or None}
-        return "free_identities", params
-    raise ValueError(f"unknown experiment {name!r}; valid: {', '.join(VERIFY_EXPERIMENTS)}")
+#: what the naor verbs read from the options; "ps" repeats --p as a list
+_NAOR = {"n": 4, "p": 4.0, "ks": "1", "ps": 4.0}
+
+#: verify verb -> (scan experiment, params the verb fixes, params read from the
+#: options, with their defaults)
+VERIFY_VERBS = {
+    "naor": ("naor", {"family": "hypercube"}, {**_NAOR, "derivative": "walsh"}),
+    "torus": ("naor", {"family": "torus"}, {**_NAOR, "bound": 2, "derivative": "euclidean"}),
+    "ztorus": ("naor", {"family": "cyclic"}, {**_NAOR, "modulus": 4, "derivative": "absorbent"}),
+    "xp-linear": ("xp_linear", {}, {"n": 4, "p": 4.0, "ks": "1", "d": 4}),
+    "rosenthal": ("rosenthal", {}, {"n": 4, "p": 4.0, "ks": "1"}),
+    "riesz": ("riesz_equivalence", {},
+              {"n": 4, "p": 4.0, "family": "cyclic", "modulus": 4, "bound": 2}),
+    "free-identities": ("free_identities", {}, {"rank": 4, "modulus": None}),
+}
+
+#: params read from an option of another name
+_PARAM_OPTIONS = {"rank": "n", "ks": "k", "ps": "p"}
+
+
+def _experiment_params(verb: str, opts: dict) -> tuple[str, dict]:
+    """Translate a verify verb and its options into a harness scan call."""
+    experiment, fixed, defaults = VERIFY_VERBS[verb]
+    params = dict(fixed)
+    for key, default in defaults.items():
+        value = opts.get(_PARAM_OPTIONS.get(key, key), default)
+        if key == "ks":
+            value = _parse_k(str(value), params["n"])
+        elif key == "ps":
+            value = [float(value)]
+        elif default is not None:
+            value = type(default)(value)
+        params[key] = value
+    return experiment, params
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -142,8 +139,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     experiment, params = _experiment_params(args.experiment, opts)
     trials = int(opts.get("trials", 100))
     seed = int(opts.get("seed", 0))
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     ensemble = EnsembleSpec(kind=opts.get("ensemble", "gaussian"),
                             sparsity=int(opts.get("sparsity", 8)),
                             degree=int(opts.get("degree", 2)))
@@ -241,16 +236,13 @@ def _load_element(path: str) -> GroupAlgebraElement:
 def _cmd_norm(args: argparse.Namespace) -> int:
     f = _load_element(args.infile)
     p = float(args.p)
-    if args.method == "exact":
-        value = lp_norm_torus_even(f, int(p)) if f.group.kind == TORUS \
-            else lp_norm(f, p)
-        method = "exact"
-    elif args.method == "grid":
+    method = args.method
+    if method == "exact" and f.group.kind == TORUS and not (p >= 2 and p % 2 == 0):
+        method = "grid"  # torus norms are exact only at even p; say what ran
+    if method == "grid":
         value = lp_norm_torus_grid(f, p, args.oversample)
-        method = "grid"
     else:
         value = lp_norm(f, p, oversample=args.oversample)
-        method = "auto"
     print(json.dumps({"norm": value, "p": p, "method": method}, sort_keys=True))
     return 0
 
@@ -331,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run an inequality experiment")
-    verify.add_argument("experiment", choices=VERIFY_EXPERIMENTS)
+    verify.add_argument("experiment", choices=VERIFY_VERBS)
     verify.add_argument("--n", type=int)
     verify.add_argument("--k", type=str, help="a value, a..b, or 'all'")
     verify.add_argument("--p", type=float)

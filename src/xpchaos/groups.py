@@ -335,11 +335,16 @@ def evaluate_on_dual(f: GroupAlgebraElement) -> DualEvaluation:
     group = f.group
     if group.kind != FINITE_ABELIAN:
         raise ValueError(f"dual evaluation needs a finite abelian group, got {group.kind}")
-    tensor = np.zeros(group.moduli, dtype=complex)
+    values = np.fft.ifftn(coefficient_tensor(f)) * group.dual_size
+    return DualEvaluation(group, values.ravel())
+
+
+def coefficient_tensor(f: GroupAlgebraElement) -> np.ndarray:
+    """The coefficients of a finite abelian element as a dense tensor over its moduli."""
+    tensor = np.zeros(f.group.moduli, dtype=complex)
     for key, value in f.coeffs.items():
         tensor[key] += value
-    values = np.fft.ifftn(tensor) * group.dual_size
-    return DualEvaluation(group, values.ravel())
+    return tensor
 
 
 def fourier_coefficients(v: DualEvaluation) -> GroupAlgebraElement:

@@ -2,8 +2,9 @@
 
 Every experiment produces a :class:`RatioReport` whose witness re-evaluates
 to the recorded numbers, and every scan is deterministic for a fixed seed:
-random inputs are pre-generated sequentially from the seed and only their
-evaluation is (optionally) parallelized, capped by ``XPCHAOS_THREADS``.
+random inputs are drawn sequentially from the seed.  Each scan experiment is
+one :class:`Experiment` record in :data:`EXPERIMENTS`, which drives both
+:func:`scan` and :func:`reevaluate_witness`.
 
 The inequalities under scan carry implicit constants, so no experiment
 asserts a specific bound; the harness records empirical maxima and the test
@@ -14,10 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -27,8 +26,9 @@ import numpy as np
 from . import operators
 from .cocycles import BasisVector, LengthCocycle, build_cocycle
 from .groups import (FINITE_ABELIAN, TORUS, GroupAlgebraElement, GroupDescriptor,
-                     adjoint, element_inverse)
-from .norms import (lp_norm, schatten_norm, sign_patterns, square_function_norm)
+                     adjoint, coefficient_tensor, element_inverse)
+from .norms import (lp_norm, schatten_norm, sign_average_power, sign_patterns,
+                    square_function_norm)
 
 SIGN_ENUMERATION_CAP = 14
 MONTE_CARLO_SIGNS = 2 ** 14
@@ -36,19 +36,10 @@ MONTE_CARLO_SIGNS = 2 ** 14
 DERIVATIVE_CHOICES = ("walsh", "euclidean", "absorbent", "gradient")
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("XPCHAOS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _finite(p: float) -> float:
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -131,13 +122,6 @@ class RatioReport:
 # -- balanced truncation averages -------------------------------------------
 
 
-def _coefficient_tensor(f: GroupAlgebraElement) -> np.ndarray:
-    tensor = np.zeros(f.group.moduli, dtype=complex)
-    for key, value in f.coeffs.items():
-        tensor[key] += value
-    return tensor
-
-
 def _subset_power_lattice(values: np.ndarray, moduli: tuple[int, ...], p: float) -> np.ndarray:
     """mean_x |E_S f(x)|^p for ALL subsets S at once.
 
@@ -175,7 +159,7 @@ def _abelian_subset_norm_powers(f: GroupAlgebraElement, subsets: Sequence[tuple[
     """||E_S f||_p^p for every subset from a single dual evaluation."""
     moduli = f.group.moduli
     n = len(moduli)
-    tensor = _coefficient_tensor(f)
+    tensor = coefficient_tensor(f)
     out = {p: np.empty(len(subsets)) for p in ps}
     others = [p for p in ps if p != 2]
     lattices = {}
@@ -214,7 +198,7 @@ def _abelian_flip_norm_sum(f: GroupAlgebraElement, p: float, derivative: str) ->
     sides = (f,) if derivative == "walsh" else (f, adjoint(f))
     total = 0.0
     for side in sides:
-        values = np.fft.ifftn(_coefficient_tensor(side)) * side.group.dual_size
+        values = np.fft.ifftn(coefficient_tensor(side)) * side.group.dual_size
         for axis in range(side.group.n_components):
             flipped = values - values.mean(axis=axis, keepdims=True)
             total += float(np.mean((factor * np.abs(flipped)) ** p))
@@ -258,7 +242,9 @@ def _derivative_norm_sum(f: GroupAlgebraElement, cocycle: LengthCocycle, p: floa
     raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
 
 
-def _validate_mean_zero(f: GroupAlgebraElement, cocycle: LengthCocycle) -> None:
+def _validate_input(f: GroupAlgebraElement, cocycle: LengthCocycle) -> None:
+    if not f.coeffs:
+        raise ValueError("the input must be nonzero")
     if any(cocycle.psi(key) == 0 for key in f.coeffs):
         raise ValueError("the input must be mean-zero (no coefficients of zero length)")
 
@@ -271,7 +257,9 @@ def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
     lhs(p, k) averages ||E_S f||_p^p over the k-subsets; rhs(p, k) is
     (k/n) * sum_j (derivative term)_j + (k/n)^(p/2) * ||f||_p^p.
     """
-    _validate_mean_zero(f, cocycle)
+    _validate_input(f, cocycle)
+    for p in ps:
+        _finite(p)
     n = f.group.n_components
     for k in ks:
         if not 1 <= k <= n:
@@ -300,37 +288,28 @@ def naor_ratio(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float, k: int,
     lhs, rhs = profile[p][k]
     params = {"experiment_family": cocycle.family, "n": f.group.n_components,
               "p": p, "k": k, "derivative": derivative}
-    witness = {"f": f.to_json(), "k": k, "p": p, "derivative": derivative,
-               "family": cocycle.family,
-               "weights": list(cocycle.weights) if cocycle.weights else None}
     ratio = lhs / rhs
-    return RatioReport("naor_ratio", params, lhs, rhs, ratio, ratio, witness,
+    return RatioReport("naor", params, lhs, rhs, ratio, ratio,
+                       _element_witness(f, cocycle, k=k, p=p, derivative=derivative),
                        trials=1, seed=None,
                        runtime_ms=1e3 * (time.perf_counter() - start))
+
+
+def _element_witness(f: GroupAlgebraElement, cocycle: LengthCocycle, **fields) -> dict:
+    return {"f": f.to_json(), **fields, "family": cocycle.family,
+            "weights": list(cocycle.weights) if cocycle.weights else None}
 
 
 # -- matrix and scalar linear models -----------------------------------------
 
 
-def _sign_average_norm_power(mats: np.ndarray, p: float, rng: np.random.Generator | None,
-                             exhaustive: bool) -> tuple[float, bool]:
-    """E_eps ||sum_j eps_j x_j||_p^p over the leading axis of ``mats``."""
+def _sign_average(mats: np.ndarray, p: float, rng: np.random.Generator) -> tuple[float, bool]:
+    """E_eps ||sum_j eps_j x_j||_p^p, exhaustive up to the sign cap; Monte Carlo flag."""
     n = mats.shape[0]
-    if exhaustive:
-        signs = sign_patterns(n)
-        monte_carlo = False
-    else:
-        if rng is None:
-            raise ValueError("Monte Carlo sign sampling needs an rng")
-        signs = rng.choice((1.0, -1.0), size=(MONTE_CARLO_SIGNS, n))
-        monte_carlo = True
-    combos = np.tensordot(signs, mats, axes=1)
-    if p == 2:
-        powers = np.sum(np.abs(combos) ** 2, axis=(1, 2))
-    else:
-        singular = np.linalg.svd(combos, compute_uv=False)
-        powers = np.sum(singular ** p, axis=1)
-    return float(np.mean(powers)), monte_carlo
+    if n <= SIGN_ENUMERATION_CAP:
+        return sign_average_power(mats, p, sign_patterns(n)), False
+    signs = rng.choice((1.0, -1.0), size=(MONTE_CARLO_SIGNS, n))
+    return sign_average_power(mats, p, signs), True
 
 
 def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
@@ -342,6 +321,7 @@ def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
     Sign expectations are exhaustive up to 14 signs, Monte Carlo beyond.
     """
     start = time.perf_counter()
+    _finite(p)
     if p < 2:
         warnings.warn("p < 2 is outside the theorem range; computing anyway")
     mats = np.stack([np.asarray(x, dtype=complex) for x in xs])
@@ -349,27 +329,23 @@ def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
-    monte_carlo = False
-    lhs_terms = []
-    for subset in itertools.combinations(range(n), k):
-        value, used_mc = _sign_average_norm_power(
-            mats[list(subset)], p, rng, exhaustive=k <= SIGN_ENUMERATION_CAP)
-        monte_carlo |= used_mc
-        lhs_terms.append(value)
-    lhs = float(np.mean(lhs_terms))
+    lhs = float(np.mean([_sign_average(mats[list(subset)], p, rng)[0]
+                         for subset in itertools.combinations(range(n), k)]))
     norm_sum = sum(schatten_norm(x, p) ** p for x in mats)
-    full_avg, used_mc = _sign_average_norm_power(
-        mats, p, rng, exhaustive=n <= SIGN_ENUMERATION_CAP)
-    monte_carlo |= used_mc
+    # a k-subset average is sampled only when the full n-sign one is (k <= n)
+    full_avg, monte_carlo = _sign_average(mats, p, rng)
     rhs = (k / n) * norm_sum + (k / n) ** (p / 2) * full_avg
     ratio = lhs / rhs
     params = {"n": n, "d": mats.shape[1], "p": p, "k": k,
               "trace_convention": "unnormalized"}
-    witness = {"matrices": [_matrix_to_json(x) for x in mats], "k": k, "p": p}
-    return RatioReport("xp_linear_ratio", params, lhs, rhs, ratio, ratio, witness,
-                       trials=1, seed=seed,
+    return RatioReport("xp_linear", params, lhs, rhs, ratio, ratio,
+                       _xp_witness(mats, k, p), trials=1, seed=seed,
                        runtime_ms=1e3 * (time.perf_counter() - start),
                        monte_carlo=monte_carlo)
+
+
+def _xp_witness(mats: Sequence[np.ndarray], k: int, p: float) -> dict:
+    return {"matrices": [_matrix_to_json(x) for x in mats], "k": k, "p": p}
 
 
 def _matrix_to_json(x: np.ndarray) -> dict:
@@ -430,7 +406,7 @@ def riesz_equivalence_ratio(f: GroupAlgebraElement, p: float,
     The symbol normalization sum_u |symbol(g)|^2 = 4 pi^2 makes the quotient
     exactly 1 at p = 2.
     """
-    _validate_mean_zero(f, cocycle)
+    _validate_input(f, cocycle)
     support = list(f.coeffs.keys())
     inverse_support = [element_inverse(f.group, g) for g in support]
     basis = cocycle.basis_for_support(support + inverse_support)
@@ -533,6 +509,43 @@ def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
 # -- scan driver ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Row:
+    """One candidate outcome of a trial; ``score`` ranks it within a scan."""
+
+    score: float
+    lhs: float
+    rhs: float
+    ratio: float
+    p: float | None = None
+    k: int | None = None
+    monte_carlo: bool = False
+    extra: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One scan experiment.
+
+    ``bind(params, ensemble, seed)`` resolves a scan call into ``sample(rng)``
+    (one input), ``evaluate(x)`` (its candidate rows, in a fixed order) and
+    ``witness(x, row)``; ``from_witness(witness, seed)`` recomputes a winner's
+    row and ``summary(rows)`` adds report fields that depend on every row.
+    """
+
+    bind: Callable[[dict, EnsembleSpec, int], tuple[Callable, Callable, Callable]]
+    from_witness: Callable[[dict, int | None], Row]
+    summary: Callable[[list[Row]], dict] = lambda rows: {}
+
+
+def _p(params: dict, default: float) -> float:
+    return _finite(float(params.get("p", default)))
+
+
+def _ks(params: dict) -> list[int]:
+    return [int(k) for k in params.get("ks", [params.get("k", 1)])]
+
+
 def _naor_family(params: dict) -> tuple[GroupDescriptor, LengthCocycle, str]:
     family = params.get("family", "hypercube")
     n = int(params["n"])
@@ -556,97 +569,80 @@ def _naor_family(params: dict) -> tuple[GroupDescriptor, LengthCocycle, str]:
     return group, cocycle, derivative
 
 
-def _run_naor_scan(ensemble: EnsembleSpec, trials: int, seed: int, params: dict) -> dict:
+def _load_element(witness: dict) -> tuple[GroupAlgebraElement, LengthCocycle]:
+    f = GroupAlgebraElement.from_json(witness["f"])
+    return f, build_cocycle(witness["family"], f.group, witness.get("weights"))
+
+
+def _report_row(report: RatioReport, k: int | None = None) -> Row:
+    return Row(report.ratio, report.lhs, report.rhs, report.ratio, k=k,
+               monte_carlo=report.monte_carlo)
+
+
+def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, derivative = _naor_family(params)
-    n = group.n_components
-    ps = [float(p) for p in params.get("ps", [params.get("p", 4)])]
-    ks = [int(k) for k in params.get("ks", [params.get("k", 1)])]
-    rng = np.random.default_rng(seed)
-    inputs = [sample_element(group, cocycle, ensemble, rng) for _ in range(trials)]
+    ps = [_finite(float(p)) for p in params.get("ps", [params.get("p", 4)])]
+    ks = _ks(params)
 
     def evaluate(f):
-        return naor_profile(f, cocycle, ps, ks, derivative)
-
-    profiles = _parallel_map(evaluate, inputs)
-    best = None
-    max_by_p = {p: 0.0 for p in ps}
-    for f, profile in zip(inputs, profiles):
+        profile = naor_profile(f, cocycle, ps, ks, derivative)
+        rows = []
         for p in ps:
             for k in ks:
                 lhs, rhs = profile[p][k]
-                ratio = lhs / rhs
-                max_by_p[p] = max(max_by_p[p], ratio)
-                if best is None or ratio > best[0]:
-                    best = (ratio, lhs, rhs, f, p, k)
-    ratio, lhs, rhs, f, p, k = best
-    witness = {"f": f.to_json(), "k": k, "p": p, "derivative": derivative,
-               "family": cocycle.family,
-               "weights": list(cocycle.weights) if cocycle.weights else None}
-    return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "witness": witness,
-            "extra": {"max_ratio_by_p": {str(p): v for p, v in max_by_p.items()}}}
+                rows.append(Row(lhs / rhs, lhs, rhs, lhs / rhs, p=p, k=k))
+        return rows
+
+    return (lambda rng: sample_element(group, cocycle, ensemble, rng), evaluate,
+            lambda f, row: _element_witness(f, cocycle, k=row.k, p=row.p,
+                                            derivative=derivative))
 
 
-def _run_xp_scan(ensemble: EnsembleSpec, trials: int, seed: int, params: dict) -> dict:
-    n = int(params["n"])
-    d = int(params.get("d", 4))
-    p = float(params.get("p", 4))
-    ks = [int(k) for k in params.get("ks", [params.get("k", 1)])]
-    rng = np.random.default_rng(seed)
-    inputs = [[_complex_normal(rng, (d, d)) for _ in range(n)] for _ in range(trials)]
-    best = None
-    monte_carlo = False
-    for mats in inputs:
-        for k in ks:
-            report = xp_linear_ratio(mats, p, k, seed=seed)
-            monte_carlo |= report.monte_carlo
-            if best is None or report.ratio > best[0]:
-                best = (report.ratio, report.lhs, report.rhs, mats, k)
-    ratio, lhs, rhs, mats, k = best
-    witness = {"matrices": [_matrix_to_json(x) for x in mats], "k": k, "p": p}
-    return {"lhs": lhs, "rhs": rhs, "ratio": ratio, "witness": witness,
-            "monte_carlo": monte_carlo}
+def _max_ratio_by_p(rows: list[Row]) -> dict:
+    peaks: dict[float, float] = {}
+    for row in rows:
+        peaks[row.p] = max(peaks.get(row.p, 0.0), row.ratio)
+    return {"max_ratio_by_p": {str(p): v for p, v in peaks.items()}}
 
 
-def _run_rosenthal_scan(ensemble: EnsembleSpec, trials: int, seed: int, params: dict) -> dict:
-    n = int(params["n"])
-    p = float(params.get("p", 4))
-    ks = [int(k) for k in params.get("ks", [params.get("k", 1)])]
-    rng = np.random.default_rng(seed)
-    inputs = [_complex_normal(rng, n) for _ in range(trials)]
-    best = None
-    for coeffs in inputs:
-        for k in ks:
-            result = rosenthal_linear_ratio(coeffs, p, k)
-            spread = max(result["lhs_over_rhs"], result["rhs_over_lhs"])
-            if best is None or spread > best[0]:
-                best = (spread, result, coeffs, k)
-    spread, result, coeffs, k = best
-    witness = {"coeffs": [{"re": z.real, "im": z.imag} for z in coeffs], "k": k, "p": p}
-    return {"lhs": result["lhs"], "rhs": result["rhs"],
-            "ratio": result["lhs_over_rhs"], "witness": witness,
-            "extra": {"lhs_over_rhs": result["lhs_over_rhs"],
+def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
+    n, d, p, ks = int(params["n"]), int(params.get("d", 4)), _p(params, 4), _ks(params)
+    return (lambda rng: [_complex_normal(rng, (d, d)) for _ in range(n)],
+            lambda mats: [_report_row(xp_linear_ratio(mats, p, k, seed=seed), k)
+                          for k in ks],
+            lambda mats, row: _xp_witness(mats, row.k, p))
+
+
+def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
+    n, p, ks = int(params["n"]), _p(params, 4), _ks(params)
+    return (lambda rng: _complex_normal(rng, n),
+            lambda coeffs: [_rosenthal_row(coeffs, p, k) for k in ks],
+            lambda coeffs, row: {"coeffs": [{"re": z.real, "im": z.imag} for z in coeffs],
+                                 "k": row.k, "p": p})
+
+
+def _rosenthal_row(coeffs: Sequence[complex], p: float, k: int) -> Row:
+    result = rosenthal_linear_ratio(coeffs, p, k)
+    spread = max(result["lhs_over_rhs"], result["rhs_over_lhs"])
+    return Row(spread, result["lhs"], result["rhs"], result["lhs_over_rhs"], k=k,
+               extra={"lhs_over_rhs": result["lhs_over_rhs"],
                       "rhs_over_lhs": result["rhs_over_lhs"],
-                      "two_sided_spread": spread}}
+                      "two_sided_spread": spread})
 
 
-def _run_riesz_scan(ensemble: EnsembleSpec, trials: int, seed: int, params: dict) -> dict:
+def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, _ = _naor_family(params)
-    p = float(params.get("p", 2))
-    rng = np.random.default_rng(seed)
-    inputs = [sample_element(group, cocycle, ensemble, rng) for _ in range(trials)]
-    best = None
-    for f in inputs:
-        result = riesz_equivalence_ratio(f, p, cocycle)
-        spread = max(result["ratio"], result["inverse_ratio"])
-        if best is None or spread > best[0]:
-            best = (spread, result, f)
-    spread, result, f = best
-    witness = {"f": f.to_json(), "p": p, "family": cocycle.family,
-               "weights": list(cocycle.weights) if cocycle.weights else None}
-    return {"lhs": result["lhs"], "rhs": result["rhs"], "ratio": result["ratio"],
-            "witness": witness,
-            "extra": {"inverse_ratio": result["inverse_ratio"],
-                      "two_sided_spread": spread}}
+    p = _p(params, 2)
+    return (lambda rng: sample_element(group, cocycle, ensemble, rng),
+            lambda f: [_riesz_row(f, cocycle, p)],
+            lambda f, row: _element_witness(f, cocycle, p=p))
+
+
+def _riesz_row(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float) -> Row:
+    result = riesz_equivalence_ratio(f, p, cocycle)
+    spread = max(result["ratio"], result["inverse_ratio"])
+    return Row(spread, result["lhs"], result["rhs"], result["ratio"],
+               extra={"inverse_ratio": result["inverse_ratio"], "two_sided_spread": spread})
 
 
 def free_identity_deviation(f: GroupAlgebraElement) -> float:
@@ -678,7 +674,7 @@ def _element_distance(a: GroupAlgebraElement, b: GroupAlgebraElement) -> float:
     return max(abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) for k in keys)
 
 
-def _run_free_identities(ensemble: EnsembleSpec, trials: int, seed: int, params: dict) -> dict:
+def _free_identities(params: dict, ensemble: EnsembleSpec, seed: int):
     rank = int(params.get("rank", 2))
     modulus = params.get("modulus")
     if modulus:
@@ -687,88 +683,84 @@ def _run_free_identities(ensemble: EnsembleSpec, trials: int, seed: int, params:
     else:
         group = GroupDescriptor.free_group(rank)
         cocycle = build_cocycle("free_word", group)
-    rng = np.random.default_rng(seed)
-    inputs = [sample_element(group, cocycle, ensemble, rng) for _ in range(trials)]
-    tolerance = 1e-12
-    best = None
-    for f in inputs:
-        deviation = free_identity_deviation(f)
-        if best is None or deviation > best[0]:
-            best = (deviation, f)
-    deviation, f = best
-    witness = {"f": f.to_json()}
-    return {"lhs": deviation, "rhs": tolerance, "ratio": deviation / tolerance,
-            "witness": witness}
+    return (lambda rng: sample_element(group, cocycle, ensemble, rng),
+            lambda f: [_free_row(f)],
+            lambda f, row: {"f": f.to_json()})
 
 
-_EXPERIMENTS: dict[str, Callable] = {
-    "naor": _run_naor_scan,
-    "xp_linear": _run_xp_scan,
-    "rosenthal": _run_rosenthal_scan,
-    "riesz_equivalence": _run_riesz_scan,
-    "free_identities": _run_free_identities,
+def _free_row(f: GroupAlgebraElement) -> Row:
+    deviation = free_identity_deviation(f)
+    return Row(deviation, deviation, 1e-12, deviation / 1e-12)
+
+
+#: every scan experiment by name; the records reach the public single-run
+#: functions through module globals at call time, so module wrappers see them
+EXPERIMENTS: dict[str, Experiment] = {
+    "naor": Experiment(_naor, lambda w, seed: _report_row(naor_ratio(
+        *_load_element(w), w["p"], w["k"], w["derivative"])), _max_ratio_by_p),
+    "xp_linear": Experiment(_xp_linear, lambda w, seed: _report_row(xp_linear_ratio(
+        [_matrix_from_json(x) for x in w["matrices"]], w["p"], w["k"], seed=seed))),
+    "rosenthal": Experiment(_rosenthal, lambda w, seed: _rosenthal_row(
+        [complex(z["re"], z["im"]) for z in w["coeffs"]], w["p"], w["k"])),
+    "riesz_equivalence": Experiment(_riesz, lambda w, seed: _riesz_row(
+        *_load_element(w), w["p"])),
+    "free_identities": Experiment(_free_identities, lambda w, seed: _free_row(
+        GroupAlgebraElement.from_json(w["f"]))),
 }
+
+
+def _experiment(name: str) -> Experiment:
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}; valid: {sorted(EXPERIMENTS)}")
+    return EXPERIMENTS[name]
 
 
 def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 100,
          seed: int = 0, **params) -> RatioReport:
-    """Run a named experiment over a random ensemble; deterministic per seed."""
-    if experiment not in _EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}; "
-                         f"valid: {sorted(_EXPERIMENTS)}")
+    """Run a named experiment over a random ensemble; deterministic per seed.
+
+    The reported row is the first strict maximum of the experiment's score,
+    in trial order and then in the order ``evaluate`` lists the rows.
+    """
+    record = _experiment(experiment)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ensemble = ensemble or EnsembleSpec()
     start = time.perf_counter()
-    outcome = _EXPERIMENTS[experiment](ensemble, trials, seed, params)
+    sample, evaluate, witness = record.bind(params, ensemble, seed)
+    rng = np.random.default_rng(seed)
+    rows: list[Row] = []
+    best = winner = None
+    for _ in range(trials):
+        x = sample(rng)
+        for row in evaluate(x):
+            rows.append(row)
+            if best is None or row.score > best.score:
+                best, winner = row, x
+    report_witness = witness(winner, best)
     runtime_ms = 1e3 * (time.perf_counter() - start)
     report_params = dict(params)
     report_params["ensemble"] = ensemble.to_json()
     return RatioReport(
         experiment=experiment,
         params=report_params,
-        lhs=float(outcome["lhs"]),
-        rhs=float(outcome["rhs"]),
-        ratio=float(outcome["ratio"]),
-        max_ratio=float(outcome["ratio"]),
-        witness=outcome.get("witness"),
+        lhs=float(best.lhs),
+        rhs=float(best.rhs),
+        ratio=float(best.ratio),
+        max_ratio=float(best.ratio),
+        witness=report_witness,
         trials=trials,
         seed=seed,
         runtime_ms=runtime_ms,
-        monte_carlo=bool(outcome.get("monte_carlo", False)),
-        extra=outcome.get("extra", {}),
+        monte_carlo=any(row.monte_carlo for row in rows),
+        extra={**best.extra, **record.summary(rows)},
     )
 
 
 def reevaluate_witness(report: RatioReport | dict) -> dict:
     """Recompute (lhs, rhs, ratio) from a report's stored witness."""
     data = report.to_json() if isinstance(report, RatioReport) else report
-    experiment = data["experiment"]
-    witness = data["witness"]
-    if witness is None:
+    if data["witness"] is None:
         raise ValueError("report has no witness")
-    if experiment in ("naor", "naor_ratio"):
-        f = GroupAlgebraElement.from_json(witness["f"])
-        cocycle = build_cocycle(witness["family"], f.group, witness.get("weights"))
-        rerun = naor_ratio(f, cocycle, witness["p"], witness["k"], witness["derivative"])
-        return {"lhs": rerun.lhs, "rhs": rerun.rhs, "ratio": rerun.ratio}
-    if experiment in ("xp_linear", "xp_linear_ratio"):
-        mats = [_matrix_from_json(x) for x in witness["matrices"]]
-        rerun = xp_linear_ratio(mats, witness["p"], witness["k"], seed=data.get("seed"))
-        return {"lhs": rerun.lhs, "rhs": rerun.rhs, "ratio": rerun.ratio}
-    if experiment == "rosenthal":
-        coeffs = [complex(z["re"], z["im"]) for z in witness["coeffs"]]
-        result = rosenthal_linear_ratio(coeffs, witness["p"], witness["k"])
-        return {"lhs": result["lhs"], "rhs": result["rhs"],
-                "ratio": result["lhs_over_rhs"]}
-    if experiment == "riesz_equivalence":
-        f = GroupAlgebraElement.from_json(witness["f"])
-        cocycle = build_cocycle(witness["family"], f.group, witness.get("weights"))
-        result = riesz_equivalence_ratio(f, witness["p"], cocycle)
-        return {"lhs": result["lhs"], "rhs": result["rhs"],
-                "ratio": result["ratio"]}
-    if experiment == "free_identities":
-        f = GroupAlgebraElement.from_json(witness["f"])
-        deviation = free_identity_deviation(f)
-        return {"lhs": deviation, "rhs": 1e-12, "ratio": deviation / 1e-12}
-    raise ValueError(f"cannot re-evaluate experiment {experiment!r}")
+    row = _experiment(data["experiment"]).from_witness(data["witness"], data.get("seed"))
+    return {"lhs": row.lhs, "rhs": row.rhs, "ratio": row.ratio}

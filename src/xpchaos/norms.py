@@ -191,6 +191,17 @@ def sign_patterns(n: int) -> np.ndarray:
     return np.array(list(itertools.product((1.0, -1.0), repeat=n)))
 
 
+def sign_average_power(mats: np.ndarray, p: float, signs: np.ndarray) -> float:
+    """Mean of ||sum_j eps_j x_j||_p^p over the rows eps of ``signs``, in one batch."""
+    combos = np.tensordot(signs, mats, axes=1)
+    if p == 2:
+        powers = np.sum(np.abs(combos) ** 2, axis=(1, 2))
+    else:
+        singular = np.linalg.svd(combos, compute_uv=False)
+        powers = np.sum(singular ** p, axis=1)
+    return float(np.mean(powers))
+
+
 def khintchine_ratio(xs: Sequence[MatrixOperand], p: float) -> float:
     """E_eps ||sum eps_j x_j||_p^p over max(column, row square function)^p.
 
@@ -204,12 +215,7 @@ def khintchine_ratio(xs: Sequence[MatrixOperand], p: float) -> float:
     n = len(mats)
     if n > 16:
         raise ValueError("sign enumeration is capped at n = 16")
-    stacked = np.stack(mats)
-    total = 0.0
-    for signs in sign_patterns(n):
-        combo = np.tensordot(signs, stacked, axes=1)
-        total += schatten_norm(combo, p) ** p
-    average = total / 2 ** n
+    average = sign_average_power(np.stack(mats), p, sign_patterns(n))
     denom = max(square_function_norm(mats, p, "column"),
                 square_function_norm(mats, p, "row"))
     return float(average / denom ** p)

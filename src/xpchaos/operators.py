@@ -238,7 +238,7 @@ def conditional_expectation_two_point(f: GroupAlgebraElement, j: int) -> GroupAl
     derivatives.
     """
     group = f.group
-    if group.kind != FINITE_ABELIAN or group.moduli[0] % 2:
+    if group.kind != FINITE_ABELIAN or any(m % 2 for m in group.moduli):
         raise ValueError("needs an even cyclic product group")
     _component_range(group, j)
     m = group.moduli[j - 1] // 2

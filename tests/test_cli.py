@@ -6,6 +6,7 @@ import pytest
 
 from xpchaos.cli import main
 from xpchaos.groups import GroupAlgebraElement, GroupDescriptor
+from xpchaos.norms import lp_norm_torus_grid
 from xpchaos.words import ReducedWord
 
 
@@ -35,6 +36,11 @@ class TestVerify:
         code = run(["verify", "naor", "--n", "6", "--k", "9", "--p", "4",
                     "--trials", "5", "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+    def test_non_finite_p_exit_code(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["verify", "naor", "--n", "3", "--p", "nan", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unknown_experiment_exit_code(self):
         assert run(["verify", "nonsense"]) == 2
@@ -142,6 +148,15 @@ class TestNormAndApply:
         grid = json.loads(capsys.readouterr().out)
         assert exact["norm"] == pytest.approx(6 ** 0.25)
         assert grid["norm"] == pytest.approx(exact["norm"], abs=1e-8)
+
+    def test_norm_exact_at_non_even_p_uses_grid(self, tmp_path, capsys):
+        group = GroupDescriptor.torus(2, 2)
+        f = GroupAlgebraElement(group, {(1, 0): 1.0, (0, 2): 0.5 - 1j, (-1, 1): 2.0})
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(f.to_json()))
+        assert run(["norm", "--in", str(path), "--p", "3.5", "--method", "exact"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"norm": lp_norm_torus_grid(f, 3.5, 4), "p": 3.5, "method": "grid"}
 
     def test_norm_missing_file(self, tmp_path):
         assert run(["norm", "--in", str(tmp_path / "nope.json"), "--p", "2"]) == 2

@@ -80,6 +80,18 @@ class TestNaorRatio:
         with pytest.raises(ValueError):
             naor_ratio(f, cocycle, 2, 1, "walsh")
 
+    def test_zero_element_rejected(self):
+        group, cocycle = hypercube_pair(3)
+        with pytest.raises(ValueError, match="nonzero"):
+            naor_ratio(GroupAlgebraElement.zero(group), cocycle, 2, 1, "walsh")
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_p_rejected(self, p):
+        group, cocycle = hypercube_pair(3)
+        f = GroupAlgebraElement.lam(group, (1, 0, 0))
+        with pytest.raises(ValueError, match="finite"):
+            naor_ratio(f, cocycle, p, 1, "walsh")
+
     def test_k_out_of_range(self):
         group, cocycle = hypercube_pair(3)
         f = GroupAlgebraElement.lam(group, (1, 0, 0))
@@ -168,6 +180,10 @@ class TestXpLinear:
     def test_trace_convention_recorded(self):
         report = xp_linear_ratio([np.eye(2), np.eye(2)], 4, 1)
         assert report.params["trace_convention"] == "unnormalized"
+
+    def test_non_finite_p_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            xp_linear_ratio([np.eye(2), np.eye(2)], math.nan, 1)
 
 
 class TestRosenthal:
@@ -260,6 +276,8 @@ class TestRieszEquivalence:
         cocycle = build_cocycle("cyclic_word", group)
         with pytest.raises(ValueError):
             riesz_equivalence_ratio(GroupAlgebraElement.lam(group, (0,)), 2, cocycle)
+        with pytest.raises(ValueError, match="nonzero"):
+            riesz_equivalence_ratio(GroupAlgebraElement.zero(group), 2, cocycle)
 
     def test_adjoint_side_uses_inverse_support_directions(self):
         """The row square function must see the directions of supp(f)^{-1}."""
@@ -305,10 +323,32 @@ class TestScan:
             ("xp_linear", dict(n=4, d=3, p=4, ks=[2])),
             ("rosenthal", dict(n=5, p=4, ks=[2, 4])),
             ("riesz_equivalence", dict(n=2, p=4, family="cyclic", modulus=4)),
+            ("free_identities", dict(rank=2, modulus=None)),
+            ("free_identities", dict(rank=2, modulus=4)),
         ]:
             report = scan(experiment, EnsembleSpec("gaussian"), trials=3, seed=5, **params)
             rerun = reevaluate_witness(report)
             assert rerun["ratio"] == pytest.approx(report.ratio, abs=1e-9)
+
+    def test_single_run_reports_reevaluate(self):
+        group, cocycle = hypercube_pair(3)
+        f = GroupAlgebraElement(group, {(1, 0, 0): 1.0, (1, 1, 0): 0.5j})
+        rng = np.random.default_rng(17)
+        mats = [rng.standard_normal((2, 2)) for _ in range(3)]
+        for name, report in [("naor", naor_ratio(f, cocycle, 4, 2, "walsh")),
+                             ("xp_linear", xp_linear_ratio(mats, 4, 2))]:
+            assert report.experiment == name
+            assert reevaluate_witness(report)["ratio"] == report.ratio
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("naor", dict(n=3, ps=[4, math.nan], ks=[1], family="hypercube")),
+        ("xp_linear", dict(n=3, d=2, p=math.nan, ks=[1])),
+        ("rosenthal", dict(n=3, p=math.inf, ks=[1])),
+        ("riesz_equivalence", dict(n=2, p=math.nan, family="cyclic", modulus=4)),
+    ])
+    def test_non_finite_p_rejected(self, experiment, params):
+        with pytest.raises(ValueError, match="finite"):
+            scan(experiment, EnsembleSpec("gaussian"), trials=2, seed=0, **params)
 
     def test_free_identities_scan(self):
         report = scan("free_identities", EnsembleSpec(sparsity=6), trials=5, seed=1,
@@ -345,19 +385,6 @@ class TestScan:
             report = naor_ratio(f, cocycle, 4, 2, "gradient")
             curves[tuple(weights)] = report.ratio
         assert all(np.isfinite(v) for v in curves.values())
-
-
-class TestParallelism:
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        kwargs = dict(n=5, ps=[2, 4], ks=[1, 3, 5], derivative="walsh",
-                      family="hypercube")
-        monkeypatch.setenv("XPCHAOS_THREADS", "1")
-        serial = scan("naor", EnsembleSpec("gaussian"), trials=6, seed=2, **kwargs).to_json()
-        monkeypatch.setenv("XPCHAOS_THREADS", "4")
-        threaded = scan("naor", EnsembleSpec("gaussian"), trials=6, seed=2, **kwargs).to_json()
-        serial.pop("runtime_ms")
-        threaded.pop("runtime_ms")
-        assert serial == threaded
 
 
 class TestEnsembles:

@@ -135,6 +135,10 @@ class TestAbsorbentDerivative:
             expected = lam(group, g) if g[0] == m else GroupAlgebraElement.zero(group)
             assert one_sided.allclose(expected, 1e-12)
             assert two_sided.allclose(expected, 1e-12)
+        for moduli in ([3, 2], [2, 3]):
+            with pytest.raises(ValueError, match="even cyclic"):
+                conditional_expectation_two_point(
+                    lam(GroupDescriptor.finite_abelian(moduli), (1, 1)), 2)
 
     def test_absorbency_exhaustive(self):
         """d_u o d_j = d_u for every u in the j-th slice, all families."""
