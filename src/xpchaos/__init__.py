@@ -25,10 +25,11 @@ from .operators import (MultiplierOp, GradientVector, directional_derivative,
                         free_hilbert_transform, conditional_expectation_two_point)
 from .norms import (MatrixOperand, NumericalSanityError, lp_norm,
                     lp_norm_abelian, lp_norm_torus_even, lp_norm_torus_grid,
-                    schatten_norm, square_function_norm, khintchine_ratio,
-                    sign_patterns)
+                    schatten_norm, schatten_powers, square_function_norm,
+                    khintchine_ratio, sign_patterns)
 from .harness import (SigmaModel, RatioReport, EnsembleSpec, naor_ratio,
-                      naor_profile, xp_linear_ratio, rosenthal_linear_ratio,
+                      naor_profile, xp_linear_profile, xp_linear_ratio,
+                      rosenthal_linear_ratio,
                       moment_checks, riesz_equivalence_ratio, scan,
                       reevaluate_witness, sample_element)
 

@@ -13,6 +13,7 @@ suite asserts only the analytically exact p = 2 closures.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import time
@@ -27,8 +28,8 @@ from . import operators
 from .cocycles import BasisVector, LengthCocycle, build_cocycle
 from .groups import (FINITE_ABELIAN, TORUS, GroupAlgebraElement, GroupDescriptor,
                      adjoint, coefficient_tensor, element_inverse)
-from .norms import (lp_norm, schatten_norm, sign_average_power, sign_patterns,
-                    square_function_norm)
+from .norms import (SIGN_BLOCK_ROWS, half_sign_patterns, lp_norm, schatten_powers,
+                    sign_average_power, sign_combinations, square_function_norm)
 
 SIGN_ENUMERATION_CAP = 14
 MONTE_CARLO_SIGNS = 2 ** 14
@@ -303,40 +304,82 @@ def _element_witness(f: GroupAlgebraElement, cocycle: LengthCocycle, **fields) -
 # -- matrix and scalar linear models -----------------------------------------
 
 
-def _sign_average(mats: np.ndarray, p: float, rng: np.random.Generator) -> tuple[float, bool]:
-    """E_eps ||sum_j eps_j x_j||_p^p, exhaustive up to the sign cap; Monte Carlo flag."""
-    n = mats.shape[0]
-    if n <= SIGN_ENUMERATION_CAP:
-        return sign_average_power(mats, p, sign_patterns(n)), False
-    signs = rng.choice((1.0, -1.0), size=(MONTE_CARLO_SIGNS, n))
-    return sign_average_power(mats, p, signs), True
+def _subset_blocks(n: int, k: int, rows: int):
+    """The k-subsets of range(n) in lexicographic order, as index arrays.
 
-
-def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
-                    seed: int | None = None) -> RatioReport:
-    """The balanced sign-average inequality for matrix tuples.
-
-    lhs averages E_eps ||sum_{j in S} eps_j x_j||_p^p over k-subsets; rhs is
-    (k/n) sum_j ||x_j||_p^p + (k/n)^(p/2) E_eps ||sum_j eps_j x_j||_p^p.
-    Sign expectations are exhaustive up to 14 signs, Monte Carlo beyond.
+    Blocks hold about SIGN_BLOCK_ROWS // rows subsets (at least one), so a
+    block times a sign table of ``rows`` rows stays near SIGN_BLOCK_ROWS rows;
+    each block's indices are built only when it is reached.
     """
-    start = time.perf_counter()
+    subsets = itertools.combinations(range(n), k)
+    step = max(1, SIGN_BLOCK_ROWS // rows)
+    while block := list(itertools.islice(subsets, step)):
+        yield np.array(block, dtype=np.intp)
+
+
+def _subset_sign_averages(mats: np.ndarray, p: float, k: int) -> np.ndarray:
+    """Exact E_eps ||sum_{j in S} eps_j x_j||_p^p for every k-subset S, in order."""
+    signs = half_sign_patterns(k)
+    return np.concatenate([
+        schatten_powers(sign_combinations(signs, mats[block]), p).mean(axis=1)
+        for block in _subset_blocks(len(mats), k, len(signs))])
+
+
+def _random_signs(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.choice((1.0, -1.0), size=(MONTE_CARLO_SIGNS, n))
+
+
+def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
+                      seed: int | None = None) -> dict[int, tuple[float, float, bool]]:
+    """(lhs, rhs, monte_carlo) of the balanced sign-average inequality for each k.
+
+    lhs(k) averages E_eps ||sum_{j in S} eps_j x_j||_p^p over the k-subsets;
+    rhs(k) is (k/n) sum_j ||x_j||_p^p + (k/n)^(p/2) E_eps ||sum_j eps_j x_j||_p^p.
+    Sign expectations are exhaustive up to 14 signs and Monte Carlo beyond,
+    and the full n-sign average is computed once for every k.  Draw order:
+    the full average is the first draw from ``default_rng(seed)``; each k
+    above the cap restarts its per-subset draws from the state after it, so
+    a row depends only on (xs, p, k, seed).
+    """
     _finite(p)
     if p < 2:
         warnings.warn("p < 2 is outside the theorem range; computing anyway")
     mats = np.stack([np.asarray(x, dtype=complex) for x in xs])
     n = mats.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ValueError(f"k must lie in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
-    lhs = float(np.mean([_sign_average(mats[list(subset)], p, rng)[0]
-                         for subset in itertools.combinations(range(n), k)]))
-    norm_sum = sum(schatten_norm(x, p) ** p for x in mats)
     # a k-subset average is sampled only when the full n-sign one is (k <= n)
-    full_avg, monte_carlo = _sign_average(mats, p, rng)
-    rhs = (k / n) * norm_sum + (k / n) ** (p / 2) * full_avg
+    monte_carlo = n > SIGN_ENUMERATION_CAP
+    if monte_carlo:
+        full_avg = sign_average_power(mats, p, _random_signs(rng, n))
+    else:
+        full_avg = float(_subset_sign_averages(mats, p, n)[0])
+    norm_sum = float(np.sum(schatten_powers(mats, p)))
+    out = {}
+    for k in ks:
+        if k <= SIGN_ENUMERATION_CAP:
+            lhs = float(np.mean(_subset_sign_averages(mats, p, k)))
+        else:
+            draws = copy.deepcopy(rng)
+            lhs = float(np.mean([sign_average_power(mats[list(s)], p, _random_signs(draws, k))
+                                 for s in itertools.combinations(range(n), k)]))
+        out[k] = (lhs, (k / n) * norm_sum + (k / n) ** (p / 2) * full_avg, monte_carlo)
+    return out
+
+
+def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
+                    seed: int | None = None) -> RatioReport:
+    """The balanced sign-average inequality for matrix tuples at one k.
+
+    See :func:`xp_linear_profile` for the two sides and the sign draws.
+    """
+    start = time.perf_counter()
+    mats = np.stack([np.asarray(x, dtype=complex) for x in xs])
+    lhs, rhs, monte_carlo = xp_linear_profile(mats, p, [k], seed)[k]
     ratio = lhs / rhs
-    params = {"n": n, "d": mats.shape[1], "p": p, "k": k,
+    params = {"n": mats.shape[0], "d": mats.shape[1], "p": p, "k": k,
               "trace_convention": "unnormalized"}
     return RatioReport("xp_linear", params, lhs, rhs, ratio, ratio,
                        _xp_witness(mats, k, p), trials=1, seed=seed,
@@ -358,20 +401,23 @@ def _matrix_from_json(data: dict) -> np.ndarray:
 
 def rosenthal_linear_ratio(a: Sequence[complex], p: float, k: int) -> dict:
     """Two-sided scalar model: exact lhs by exhaustive (eps, S) enumeration."""
+    _finite(p)
     coeffs = np.array([complex(x) for x in a])
     n = len(coeffs)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     if k > SIGN_ENUMERATION_CAP:
         raise ValueError("exhaustive enumeration is capped at k = 14")
-    signs = sign_patterns(k)
-    total = 0.0
-    count = 0
-    for subset in itertools.combinations(range(n), k):
-        sums = signs @ coeffs[list(subset)]
-        total += float(np.mean(np.abs(sums) ** p))
-        count += 1
-    lhs = (total / count) ** (1.0 / p)
+    if not np.any(coeffs):
+        raise ValueError("the coefficient vector must be nonzero")
+    signs = half_sign_patterns(k)
+    means = []
+    for block in _subset_blocks(n, k, len(signs)):
+        # |sum_j eps_j a_j|^2 from the real and imaginary parts separately
+        sq = (coeffs.real[block] @ signs.T) ** 2 + (coeffs.imag[block] @ signs.T) ** 2
+        means.append(np.mean(sq ** (p / 2), axis=1))
+    total = sum(np.concatenate(means).tolist())           # in subset order
+    lhs = (total / math.comb(n, k)) ** (1.0 / p)
     kn = k / n
     rhs = (kn * np.sum(np.abs(coeffs) ** p)) ** (1.0 / p) \
         + math.sqrt(kn * float(np.sum(np.abs(coeffs) ** 2)))
@@ -574,8 +620,8 @@ def _load_element(witness: dict) -> tuple[GroupAlgebraElement, LengthCocycle]:
     return f, build_cocycle(witness["family"], f.group, witness.get("weights"))
 
 
-def _report_row(report: RatioReport, k: int | None = None) -> Row:
-    return Row(report.ratio, report.lhs, report.rhs, report.ratio, k=k,
+def _report_row(report: RatioReport) -> Row:
+    return Row(report.ratio, report.lhs, report.rhs, report.ratio,
                monte_carlo=report.monte_carlo)
 
 
@@ -605,12 +651,26 @@ def _max_ratio_by_p(rows: list[Row]) -> dict:
     return {"max_ratio_by_p": {str(p): v for p, v in peaks.items()}}
 
 
+def _trial_seed(seed: int, trial: int) -> int:
+    """Monte Carlo sign seed of one scan trial, independent of the input draws."""
+    return int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
+
+
 def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
     n, d, p, ks = int(params["n"]), int(params.get("d", 4)), _p(params, 4), _ks(params)
-    return (lambda rng: [_complex_normal(rng, (d, d)) for _ in range(n)],
-            lambda mats: [_report_row(xp_linear_ratio(mats, p, k, seed=seed), k)
-                          for k in ks],
-            lambda mats, row: _xp_witness(mats, row.k, p))
+    trials = itertools.count()
+
+    def sample(rng):
+        return [_complex_normal(rng, (d, d)) for _ in range(n)], _trial_seed(seed, next(trials))
+
+    def evaluate(x):
+        mats, sign_seed = x
+        profile = xp_linear_profile(mats, p, ks, sign_seed)
+        return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=mc)
+                for k in ks for lhs, rhs, mc in [profile[k]]]
+
+    return (sample, evaluate,
+            lambda x, row: {**_xp_witness(x[0], row.k, p), "sign_seed": x[1]})
 
 
 def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
@@ -699,7 +759,8 @@ EXPERIMENTS: dict[str, Experiment] = {
     "naor": Experiment(_naor, lambda w, seed: _report_row(naor_ratio(
         *_load_element(w), w["p"], w["k"], w["derivative"])), _max_ratio_by_p),
     "xp_linear": Experiment(_xp_linear, lambda w, seed: _report_row(xp_linear_ratio(
-        [_matrix_from_json(x) for x in w["matrices"]], w["p"], w["k"], seed=seed))),
+        [_matrix_from_json(x) for x in w["matrices"]], w["p"], w["k"],
+        seed=w.get("sign_seed", seed)))),
     "rosenthal": Experiment(_rosenthal, lambda w, seed: _rosenthal_row(
         [complex(z["re"], z["im"]) for z in w["coeffs"]], w["p"], w["k"])),
     "riesz_equivalence": Experiment(_riesz, lambda w, seed: _riesz_row(

@@ -11,7 +11,7 @@ rescales both sides identically.
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -22,15 +22,28 @@ from .groups import (FINITE_ABELIAN, TORUS, GroupAlgebraElement, adjoint,
 #: dense complex matrices stand in for the finite-dimensional operands
 MatrixOperand = np.ndarray
 
+#: sign rows contracted per numpy batch in sign averages; bounds their
+#: working set without changing their values
+SIGN_BLOCK_ROWS = 2 ** 13
+
 
 class NumericalSanityError(RuntimeError):
     """A PSD structure was violated beyond tolerance; signals a bug."""
 
 
+def _check_p(p: float, low: float = 1) -> None:
+    """Reject an exponent below ``low`` or not finite (NaN fails every ``<``)."""
+    if not (math.isfinite(p) and p >= low):
+        raise ValueError(f"p must be finite and >= {low}, got {p}")
+
+
+def _is_even(p: float) -> bool:
+    return p >= 2 and p == int(p) and int(p) % 2 == 0
+
+
 def lp_norm_abelian(f: GroupAlgebraElement, p: float) -> float:
     """((1/|G^|) sum_x |f(x)|^p)^(1/p) through the dual evaluation."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     if f.group.kind != FINITE_ABELIAN:
         raise ValueError("lp_norm_abelian needs a finite abelian group")
     if not f.coeffs:
@@ -56,7 +69,8 @@ def lp_norm_torus_even(f: GroupAlgebraElement, p: float, oversample: int = 4) ->
     """
     if f.group.kind != TORUS:
         raise ValueError("lp_norm_torus_even needs a torus polynomial")
-    if p < 2 or p != int(p) or int(p) % 2:
+    _check_p(p)
+    if not _is_even(p):
         return lp_norm_torus_grid(f, p, oversample)
     if not f.coeffs:
         return 0.0
@@ -96,8 +110,7 @@ def lp_norm_torus_grid(f: GroupAlgebraElement, p: float, oversample: int = 4) ->
     The grid has ``oversample * (2*bound + 1)`` points per axis, which makes
     the quadrature exact (up to rounding) for even ``p <= 6``.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_p(p)
     if oversample < 4:
         raise ValueError(f"oversample must be >= 4, got {oversample}")
     if f.group.kind != TORUS:
@@ -118,15 +131,40 @@ def lp_norm(f: GroupAlgebraElement, p: float, oversample: int = 4) -> float:
                      "use the combinatorial operator-identity suite instead")
 
 
+def _squared_moduli(stack: np.ndarray) -> np.ndarray:
+    """sum_ij |x_ij|^2 per matrix, read through the real and imaginary views."""
+    return (np.einsum("...ij,...ij->...", stack.real, stack.real)
+            + np.einsum("...ij,...ij->...", stack.imag, stack.imag))
+
+
+def schatten_powers(stack: np.ndarray, p: float) -> np.ndarray:
+    """||x||_p^p = sum_i s_i(x)^p for each matrix x of a stack (..., m, n).
+
+    p = 2 is the sum of squared moduli.  At an even p = 2q the power is
+    tr(G^q) for the smaller Gram matrix G of x, taken as the trace of
+    G^(q//2) G^(q - q//2), so no SVD runs; at p = 4 that is the squared
+    Frobenius norm of G.  Other p use the batched SVD.
+    """
+    _check_p(p)
+    stack = np.asarray(stack, dtype=complex)
+    if p == 2:
+        return _squared_moduli(stack)
+    if _is_even(p):
+        if stack.shape[-2] < stack.shape[-1]:
+            stack = np.swapaxes(stack, -2, -1)     # same singular values
+        gram = np.conj(np.swapaxes(stack, -2, -1)) @ stack
+        q = int(p) // 2
+        half = np.linalg.matrix_power(gram, q // 2)
+        if q % 2:
+            return np.einsum("...ij,...ji->...", half, half @ gram).real
+        return _squared_moduli(half)
+    singular_values = np.linalg.svd(stack, compute_uv=False)
+    return np.sum(singular_values ** p, axis=-1)
+
+
 def schatten_norm(x: MatrixOperand, p: float) -> float:
     """(sum_i s_i^p)^(1/p) over the singular values of a dense matrix."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    x = np.asarray(x, dtype=complex)
-    if p == 2:
-        return float(np.linalg.norm(x))
-    singular_values = np.linalg.svd(x, compute_uv=False)
-    return float(np.sum(singular_values ** p) ** (1.0 / p))
+    return float(schatten_powers(x, p) ** (1.0 / p))
 
 
 def psd_eigenvalues(gram: MatrixOperand) -> np.ndarray:
@@ -147,6 +185,7 @@ def square_function_norm(components: Sequence, p: float, side: str = "column",
     (column) or sum xx* (row) and take the Schatten norm of the PSD square
     root.
     """
+    _check_p(p)
     if side not in ("column", "row"):
         raise ValueError(f"side must be 'column' or 'row', got {side!r}")
     components = list(components)
@@ -161,7 +200,7 @@ def square_function_norm(components: Sequence, p: float, side: str = "column",
             pointwise = np.sqrt(np.sum(np.abs(rows) ** 2, axis=0))
             return float(np.mean(pointwise ** p) ** (1.0 / p))
         if group.kind == TORUS:
-            if p >= 2 and p == int(p) and int(p) % 2 == 0:
+            if _is_even(p):
                 square = None
                 for c in components:
                     term = convolve(c, adjoint(c))
@@ -187,35 +226,55 @@ def square_function_norm(components: Sequence, p: float, side: str = "column",
 
 
 def sign_patterns(n: int) -> np.ndarray:
-    """All 2^n sign vectors in deterministic (lexicographic) order."""
-    return np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    """All 2^n sign vectors in lexicographic order, +1 before -1.
+
+    Row r holds the bits of r, most significant first, with bit 1 as -1.
+    The first 2^(n-1) rows are those with eps_1 = +1; since the norms are
+    even (||-X|| = ||X||), a mean over them equals the mean over all rows.
+    """
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits
+
+
+def half_sign_patterns(n: int) -> np.ndarray:
+    """The 2^(n-1) rows of :func:`sign_patterns` with eps_1 = +1 (n >= 1)."""
+    return sign_patterns(n)[: 2 ** (n - 1)]
+
+
+def sign_combinations(signs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_j eps_j x_j for each row eps of ``signs``, over stacks (..., k, m, n).
+
+    The result has shape (..., rows, m, n).  The signs are real, so the
+    contraction is one real matrix product on the (re, im) view of the
+    matrices.
+    """
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    flat = mats.reshape(*mats.shape[:-2], -1).view(np.float64)
+    return (signs @ flat).view(complex).reshape(
+        *mats.shape[:-3], len(signs), *mats.shape[-2:])
 
 
 def sign_average_power(mats: np.ndarray, p: float, signs: np.ndarray) -> float:
-    """Mean of ||sum_j eps_j x_j||_p^p over the rows eps of ``signs``, in one batch."""
-    combos = np.tensordot(signs, mats, axes=1)
-    if p == 2:
-        powers = np.sum(np.abs(combos) ** 2, axis=(1, 2))
-    else:
-        singular = np.linalg.svd(combos, compute_uv=False)
-        powers = np.sum(singular ** p, axis=1)
-    return float(np.mean(powers))
+    """Mean of ||sum_j eps_j x_j||_p^p over the rows eps of ``signs``, in row blocks."""
+    powers = [schatten_powers(sign_combinations(signs[lo:lo + SIGN_BLOCK_ROWS], mats), p)
+              for lo in range(0, len(signs), SIGN_BLOCK_ROWS)]
+    return float(np.mean(np.concatenate(powers)))
 
 
 def khintchine_ratio(xs: Sequence[MatrixOperand], p: float) -> float:
     """E_eps ||sum eps_j x_j||_p^p over max(column, row square function)^p.
 
-    Exhaustive over the 2^n sign vectors; n is capped at 16.
+    Exhaustive over the 2^n sign vectors (the half with eps_1 = +1 suffices);
+    n is capped at 16.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    _check_p(p, 2)
     mats = [np.asarray(x, dtype=complex) for x in xs]
     if len({m.shape for m in mats}) != 1:
         raise ValueError("dimension mismatch between operands")
     n = len(mats)
     if n > 16:
         raise ValueError("sign enumeration is capped at n = 16")
-    average = sign_average_power(np.stack(mats), p, sign_patterns(n))
+    average = sign_average_power(np.stack(mats), p, half_sign_patterns(n))
     denom = max(square_function_norm(mats, p, "column"),
                 square_function_norm(mats, p, "row"))
     return float(average / denom ** p)

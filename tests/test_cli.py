@@ -161,6 +161,19 @@ class TestNormAndApply:
     def test_norm_missing_file(self, tmp_path):
         assert run(["norm", "--in", str(tmp_path / "nope.json"), "--p", "2"]) == 2
 
+    @pytest.mark.parametrize("method", ["auto", "exact", "grid"])
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_norm_non_finite_p_exit_code(self, tmp_path, capsys, method, p):
+        elements = [GroupAlgebraElement.lam(GroupDescriptor.finite_abelian([4, 4]), (1, 0)),
+                    GroupAlgebraElement(GroupDescriptor.torus(2, 2), {(1, 0): 1.0})]
+        for index, f in enumerate(elements):
+            if method == "grid" and f.group.kind != "torus":
+                continue
+            path = tmp_path / f"f{index}.json"
+            path.write_text(json.dumps(f.to_json()))
+            assert run(["norm", "--in", str(path), "--p", p, "--method", method]) == 2
+            assert capsys.readouterr().out == ""
+
     def test_apply_riesz_symbol(self, tmp_path, capsys):
         group = GroupDescriptor.torus(2, 5)
         f = GroupAlgebraElement.lam(group, (3, 4))

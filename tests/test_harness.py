@@ -1,5 +1,6 @@
 """Experiment harness: inequality sides, exact closures, scans, witnesses."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor,
-                     build_cocycle, moment_checks, naor_profile, naor_ratio,
+                     build_cocycle, harness, moment_checks, naor_profile, naor_ratio,
                      reevaluate_witness, riesz_equivalence_ratio,
                      rosenthal_linear_ratio, sample_element, scan,
-                     schatten_norm, xp_linear_ratio)
+                     schatten_norm, xp_linear_profile, xp_linear_ratio)
 from xpchaos.harness import SigmaModel
 
 
@@ -186,6 +187,129 @@ class TestXpLinear:
             xp_linear_ratio([np.eye(2), np.eye(2)], math.nan, 1)
 
 
+def _loop_schatten_power(x, p):
+    return float(np.sum(np.linalg.svd(x, compute_uv=False) ** p))
+
+
+def _loop_sign_average(mats, p):
+    """E_eps ||sum_j eps_j x_j||_p^p: every sign vector, one SVD each."""
+    powers = [_loop_schatten_power(sum(e * x for e, x in zip(eps, mats)), p)
+              for eps in itertools.product((1.0, -1.0), repeat=len(mats))]
+    return sum(powers) / len(powers)
+
+
+def _loop_xp_sides(mats, p, k):
+    """The per-subset loop the batched exhaustive xp_linear replaces."""
+    n = len(mats)
+    subsets = list(itertools.combinations(range(n), k))
+    lhs = sum(_loop_sign_average([mats[j] for j in s], p) for s in subsets) / len(subsets)
+    rhs = (k / n) * sum(_loop_schatten_power(x, p) for x in mats) \
+        + (k / n) ** (p / 2) * _loop_sign_average(mats, p)
+    return lhs, rhs
+
+
+def _loop_rosenthal_sides(coeffs, p, k):
+    n = len(coeffs)
+    total, count = 0.0, 0
+    for s in itertools.combinations(range(n), k):
+        sums = [sum(e * coeffs[j] for e, j in zip(eps, s))
+                for eps in itertools.product((1.0, -1.0), repeat=k)]
+        total += sum(abs(z) ** p for z in sums) / len(sums)
+        count += 1
+    kn = k / n
+    rhs = (kn * sum(abs(a) ** p for a in coeffs)) ** (1 / p) \
+        + math.sqrt(kn * sum(abs(a) ** 2 for a in coeffs))
+    return (total / count) ** (1 / p), rhs
+
+
+class TestBatchedSignAveragesMatchLoops:
+    """The batched sign averages against the plain per-subset, per-pattern loops."""
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 6])
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_xp_linear_exhaustive(self, n, p):
+        rng = np.random.default_rng(100 + n)
+        mats = [rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+                for _ in range(n)]
+        profile = xp_linear_profile(mats, p, list(range(1, n + 1)), seed=0)
+        for k in range(1, n + 1):
+            lhs, rhs = _loop_xp_sides(mats, p, k)
+            assert profile[k][0] == pytest.approx(lhs, rel=1e-12, abs=0)
+            assert profile[k][1] == pytest.approx(rhs, rel=1e-12, abs=0)
+            assert not profile[k][2]
+            report = xp_linear_ratio(mats, p, k)
+            assert (report.lhs, report.rhs) == profile[k][:2]
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 6])
+    @pytest.mark.parametrize("n", [1, 5, 8])
+    def test_rosenthal(self, n, p):
+        rng = np.random.default_rng(200 + n)
+        coeffs = list(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for k in range(1, n + 1):
+            lhs, rhs = _loop_rosenthal_sides(coeffs, p, k)
+            result = rosenthal_linear_ratio(coeffs, p, k)
+            assert result["lhs"] == pytest.approx(lhs, rel=1e-12, abs=0)
+            assert result["rhs"] == pytest.approx(rhs, rel=1e-12, abs=0)
+
+    def test_blocks_cover_every_subset_in_order(self, monkeypatch):
+        monkeypatch.setattr(harness, "SIGN_BLOCK_ROWS", 4)
+        blocks = list(harness._subset_blocks(6, 3, 2))
+        assert [len(b) for b in blocks] == [2] * 10
+        assert [tuple(s) for b in blocks for s in b] == list(
+            itertools.combinations(range(6), 3))
+
+
+class TestXpLinearProfile:
+    def test_monte_carlo_rows_depend_only_on_their_own_k(self):
+        rng = np.random.default_rng(21)
+        mats = [rng.standard_normal((2, 2)) for _ in range(16)]
+        profile = xp_linear_profile(mats, 4, [2, 15, 16], seed=3)
+        for k in (2, 15, 16):
+            alone = xp_linear_profile(mats, 4, [k], seed=3)[k]
+            assert alone == profile[k]
+            report = xp_linear_ratio(mats, 4, k, seed=3)
+            assert (report.lhs, report.rhs, report.monte_carlo) == profile[k]
+        # one full n-sign average feeds every rhs
+        norm_sum = sum(schatten_norm(x, 4) ** 4 for x in mats)
+        implied = [(profile[k][1] - (k / 16) * norm_sum) / (k / 16) ** 2 for k in (2, 15, 16)]
+        assert implied == pytest.approx([implied[0]] * 3, rel=1e-12)
+        assert all(row[2] for row in profile.values())
+
+    def test_scan_calls_the_profile_once_per_trial(self, monkeypatch):
+        calls = []
+        original = harness.xp_linear_profile
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "xp_linear_profile", counting)
+        scan("xp_linear", trials=2, seed=4, n=4, d=2, p=4, ks=[1, 2, 4])
+        assert len(calls) == 2 and all(list(c[2]) == [1, 2, 4] for c in calls)
+
+    def test_monte_carlo_scan_draws_new_signs_per_trial(self, monkeypatch):
+        seeds = []
+        original = harness.xp_linear_profile
+
+        def recording(mats, p, ks, seed):
+            seeds.append(seed)
+            return original(mats, p, ks, seed)
+
+        monkeypatch.setattr(harness, "xp_linear_profile", recording)
+        n, d, seed = 16, 2, 9
+        report = scan("xp_linear", trials=3, seed=seed, n=n, d=d, p=4, ks=[16])
+        assert report.monte_carlo
+        assert len(set(seeds)) == 3  # every trial has its own sign sample
+        assert report.witness["sign_seed"] in seeds
+        assert reevaluate_witness(report)["ratio"] == pytest.approx(report.ratio, abs=1e-9)
+        # the sign seeds do not consume the scan's draws: the inputs are unchanged
+        rng = np.random.default_rng(seed)
+        drawn = [[harness._complex_normal(rng, (d, d)) for _ in range(n)] for _ in range(3)]
+        winner = seeds.index(report.witness["sign_seed"])
+        witness_mats = [harness._matrix_from_json(x) for x in report.witness["matrices"]]
+        assert all(np.array_equal(a, b) for a, b in zip(witness_mats, drawn[winner]))
+
+
 class TestRosenthal:
     def test_single_basis_coefficient(self):
         for n, k, p in [(4, 2, 4), (5, 3, 2), (6, 6, 6)]:
@@ -206,6 +330,16 @@ class TestRosenthal:
         result = rosenthal_linear_ratio([1.0, 2.0, 3.0], 4, 2)
         assert result["lhs_over_rhs"] == pytest.approx(result["lhs"] / result["rhs"])
         assert result["rhs_over_lhs"] == pytest.approx(result["rhs"] / result["lhs"])
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            rosenthal_linear_ratio([0, 0, 0], 4, 2)
+
+    def test_zero_witness_fails_to_reevaluate(self):
+        report = scan("rosenthal", trials=1, seed=0, n=3, p=4, ks=[2]).to_json()
+        report["witness"]["coeffs"] = [{"re": 0.0, "im": 0.0}] * 3
+        with pytest.raises(ValueError, match="nonzero"):
+            reevaluate_witness(report)
 
 
 class TestMoments:

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xpchaos import GroupAlgebraElement, GroupDescriptor, adjoint
-from xpchaos.norms import (NumericalSanityError, khintchine_ratio, lp_norm,
-                           lp_norm_abelian, lp_norm_torus_even,
+from xpchaos.norms import (NumericalSanityError, half_sign_patterns, khintchine_ratio,
+                           lp_norm, lp_norm_abelian, lp_norm_torus_even,
                            lp_norm_torus_grid, psd_eigenvalues, schatten_norm,
+                           schatten_powers, sign_average_power, sign_combinations,
                            sign_patterns, square_function_norm)
 from xpchaos.operators import truncate
 from xpchaos.words import ReducedWord
@@ -157,6 +160,49 @@ class TestSchattenNorms:
         with pytest.raises(ValueError):
             schatten_norm(np.eye(2), 0.5)
 
+    def test_powers_match_svd_at_every_route(self):
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        singular_values = np.linalg.svd(stack, compute_uv=False)
+        for p in (1, 2, 2.5, 3, 4, 6, 8):
+            np.testing.assert_allclose(schatten_powers(stack, p),
+                                       np.sum(singular_values ** p, axis=-1), rtol=1e-12)
+
+
+def _random_stack(seed, batch, rows, cols):
+    rng = np.random.default_rng(seed)
+    shape = (batch, rows, cols)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(1, 4),
+       rows=st.integers(1, 5), cols=st.integers(1, 5), p=st.sampled_from([2, 4, 6, 8, 10]))
+def test_schatten_powers_even_p_equal_svd_sum(seed, batch, rows, cols, p):
+    """At even p the trace route equals the SVD sum on square and rectangular stacks."""
+    stack = _random_stack(seed, batch, rows, cols)
+    svd_sum = np.sum(np.linalg.svd(stack, compute_uv=False) ** p, axis=-1)
+    np.testing.assert_allclose(schatten_powers(stack, p), svd_sum, rtol=1e-10)
+
+
+class TestNonFiniteP:
+    """NaN passes every ``p < 1`` comparison, so each guard checks finiteness."""
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_norms_reject(self, p):
+        abelian = GroupAlgebraElement.lam(GroupDescriptor.finite_abelian([4, 4]), (1, 0))
+        torus = GroupAlgebraElement(GroupDescriptor.torus(2, 2), {(1, 0): 1.0, (0, 1): 0.5})
+        calls = [lambda: lp_norm(abelian, p), lambda: lp_norm_abelian(abelian, p),
+                 lambda: lp_norm(torus, p), lambda: lp_norm_torus_even(torus, p),
+                 lambda: lp_norm_torus_grid(torus, p), lambda: schatten_norm(np.eye(2), p),
+                 lambda: schatten_powers(np.eye(2)[None], p),
+                 lambda: square_function_norm([abelian, abelian], p),
+                 lambda: square_function_norm([torus], p),
+                 lambda: khintchine_ratio([np.eye(2), np.eye(2)], p)]
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
 
 class TestSquareFunctionNorms:
     def test_single_component_reduces_to_lp(self):
@@ -241,3 +287,30 @@ class TestKhintchineRatio:
         assert patterns.shape == (8, 3)
         assert patterns[0].tolist() == [1.0, 1.0, 1.0]
         assert patterns[-1].tolist() == [-1.0, -1.0, -1.0]
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_sign_patterns_equal_lexicographic_product(self, n):
+        expected = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+        patterns = sign_patterns(n)
+        assert patterns.shape == expected.shape and patterns.dtype == expected.dtype
+        assert np.array_equal(patterns, expected)
+        if n:
+            assert np.array_equal(half_sign_patterns(n), expected[: 2 ** (n - 1)])
+            assert np.all(half_sign_patterns(n)[:, 0] == 1.0)
+
+    def test_half_table_gives_the_full_average(self):
+        rng = np.random.default_rng(12)
+        mats = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        for p in (2, 3, 4):
+            assert sign_average_power(mats, p, half_sign_patterns(5)) == pytest.approx(
+                sign_average_power(mats, p, sign_patterns(5)), rel=1e-12)
+
+    def test_sign_combinations_match_tensordot(self):
+        rng = np.random.default_rng(13)
+        mats = rng.standard_normal((2, 4, 3, 2)) + 1j * rng.standard_normal((2, 4, 3, 2))
+        signs = sign_patterns(4)
+        combos = sign_combinations(signs, mats)
+        assert combos.shape == (2, 16, 3, 2)
+        for b in range(2):
+            np.testing.assert_allclose(combos[b], np.tensordot(signs, mats[b], axes=1),
+                                       rtol=0, atol=1e-14)
