@@ -14,11 +14,12 @@ suite asserts only the analytically exact p = 2 closures.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -26,20 +27,25 @@ import numpy as np
 
 from . import operators
 from .cocycles import BasisVector, LengthCocycle, build_cocycle
-from .groups import (FINITE_ABELIAN, TORUS, GroupAlgebraElement, GroupDescriptor,
-                     adjoint, coefficient_tensor, element_inverse)
+from .groups import (FINITE_ABELIAN, PRUNE_TOL, TORUS, GroupAlgebraElement,
+                     GroupDescriptor, adjoint, coefficient_tensor, element_inverse)
 from .norms import (SIGN_BLOCK_ROWS, half_sign_patterns, lp_norm, schatten_powers,
                     sign_average_power, sign_combinations, square_function_norm)
 
 SIGN_ENUMERATION_CAP = 14
 MONTE_CARLO_SIGNS = 2 ** 14
+#: largest subset lattice (16 bytes per entry of the mean-extended value
+#: tensor) that ``naor_profile`` allocates; p = 2 needs no lattice
+LATTICE_MAX_BYTES = 2 ** 30
 
 DERIVATIVE_CHOICES = ("walsh", "euclidean", "absorbent", "gradient")
 
 
-def _finite(p: float) -> float:
+def _finite(p: float, low: float | None = None) -> float:
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p}")
+    if low is not None and p < low:
+        raise ValueError(f"p must be >= {low}, got {p}")
     return p
 
 
@@ -104,118 +110,114 @@ class RatioReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "max_ratio": self.max_ratio,
-            "witness": self.witness,
-            "trials": self.trials,
-            "seed": self.seed,
-            "runtime_ms": self.runtime_ms,
-            "monte_carlo": self.monte_carlo,
-            "extra": self.extra,
-        }
+        return {item.name: getattr(self, item.name) for item in fields(self)}
 
 
 # -- balanced truncation averages -------------------------------------------
 
 
-def _subset_power_lattice(values: np.ndarray, moduli: tuple[int, ...], p: float) -> np.ndarray:
-    """mean_x |E_S f(x)|^p for ALL subsets S at once.
+def _abs_power(z: np.ndarray, p: float) -> np.ndarray:
+    """|z|^p elementwise; an even p is taken as (re^2 + im^2)^(p/2), with no square root."""
+    if p % 2 == 0:
+        return (z.real * z.real + z.imag * z.imag) ** (p // 2)
+    return np.abs(z) ** p
 
-    The S-truncation is the conditional expectation onto functions of the
-    coordinates in S, so its values arise by averaging the value tensor over
-    the other axes.  Two lattice passes: first extend each axis with its mean
-    (index m_j = "coordinate averaged out"), then reduce each axis to the
-    pair (dropped, kept) while averaging |.|^p over kept coordinates.  The
-    result is indexed by the 0/1 indicator of S.
+
+def _extend_with_means(values: np.ndarray) -> np.ndarray:
+    """The value tensor with each axis extended by its mean along that axis.
+
+    E_S f averages the values over the axes outside S, so the extended tensor
+    holds every E_S f: index m_j on axis j means "coordinate averaged out".
+    Means are sums of slices, as numpy reduces short axes slowly.
     """
-    extended = values
-    for axis, _ in enumerate(moduli):
-        mean = extended.mean(axis=axis, keepdims=True)
-        extended = np.concatenate([extended, mean], axis=axis)
-    powers = np.abs(extended) ** p
-    for axis, m in enumerate(moduli):
-        kept = powers.take(range(m), axis=axis).mean(axis=axis, keepdims=True)
-        dropped = powers.take([m], axis=axis)
-        powers = np.concatenate([dropped, kept], axis=axis)
+    for axis, m in enumerate(values.shape):
+        values = np.concatenate([values, sum(np.split(values, m, axis=axis)) / m], axis=axis)
+    return values
+
+
+def _power_lattice(extended: np.ndarray, p: float) -> np.ndarray:
+    """mean_x |E_S f(x)|^p for ALL subsets S at once, indexed by the indicator of S.
+
+    Each axis of the extended tensor is reduced to the pair (dropped, kept),
+    averaging |.|^p over kept coordinates.
+    """
+    powers = _abs_power(extended, p)
+    for axis, size in enumerate(extended.shape):
+        *kept, dropped = np.split(powers, size, axis=axis)
+        powers = np.concatenate([dropped, sum(kept) / (size - 1)], axis=axis)
     return powers
 
 
-def _parseval_lattice(coeff_sq: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+def _parseval_lattice(coeff_sq: np.ndarray) -> np.ndarray:
     """sum of kept |coefficients|^2 for all subsets (Parseval at p = 2)."""
     lattice = coeff_sq
-    for axis, _ in enumerate(moduli):
+    for axis in range(coeff_sq.ndim):
         dropped = lattice.take([0], axis=axis)
         kept = lattice.sum(axis=axis, keepdims=True)
         lattice = np.concatenate([dropped, kept], axis=axis)
     return lattice
 
 
-def _abelian_subset_norm_powers(f: GroupAlgebraElement, subsets: Sequence[tuple[int, ...]],
-                                ps: Sequence[float]) -> dict[float, np.ndarray]:
-    """||E_S f||_p^p for every subset from a single dual evaluation."""
-    moduli = f.group.moduli
-    n = len(moduli)
-    tensor = coefficient_tensor(f)
-    out = {p: np.empty(len(subsets)) for p in ps}
-    others = [p for p in ps if p != 2]
-    lattices = {}
-    if others:
-        values = np.fft.ifftn(tensor) * f.group.dual_size
-        for p in others:
-            lattices[p] = _subset_power_lattice(values, moduli, p)
-    if 2 in ps:
-        lattices[2] = _parseval_lattice(np.abs(tensor) ** 2, moduli)
-    for idx, subset in enumerate(subsets):
-        indicator = tuple(1 if j in subset else 0 for j in range(1, n + 1))
-        for p in ps:
-            out[p][idx] = float(lattices[p][indicator])
-    return out
+@functools.lru_cache(maxsize=64)
+def _lattice_index(n: int, k: int) -> np.ndarray:
+    """Flat lattice index of each k-subset of [n], in order; j in S sets bit 2^(n-j)."""
+    index = np.array([sum(1 << (n - 1 - j) for j in subset)
+                      for subset in itertools.combinations(range(n), k)], dtype=np.intp)
+    index.flags.writeable = False       # shared by every caller through the cache
+    return index
 
 
-def _subset_norm_powers(f: GroupAlgebraElement, subsets: Sequence[tuple[int, ...]],
-                        ps: Sequence[float]) -> dict[float, np.ndarray]:
-    if f.group.kind == FINITE_ABELIAN:
-        return _abelian_subset_norm_powers(f, subsets, ps)
-    out = {p: np.empty(len(subsets)) for p in ps}
-    for idx, subset in enumerate(subsets):
-        truncated = operators.truncate(f, subset)
-        for p in ps:
-            out[p][idx] = lp_norm(truncated, p) ** p
-    return out
+def _check_lattice_size(group: GroupDescriptor, ps: Sequence[float]) -> None:
+    """Refuse a subset lattice above LATTICE_MAX_BYTES before it is allocated."""
+    size = 16 * math.prod(m + 1 for m in group.moduli)     # moduli is () off finite groups
+    if any(p != 2 for p in ps) and size > LATTICE_MAX_BYTES:
+        raise ValueError(f"the subset lattice needs {size} bytes, above {LATTICE_MAX_BYTES = }")
 
 
-def _abelian_flip_norm_sum(f: GroupAlgebraElement, p: float, derivative: str) -> float:
-    """Fast path for the walsh/absorbent sums on finite abelian groups.
+def _abelian_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
+                   ks: tuple[int, ...], derivative: str):
+    """(p, lhs by k, derivative sum, ||f||_p^p) for each p, on a finite abelian group.
 
-    The absorbent derivative is id minus the single-axis conditional
-    expectation, so its values come straight from the value tensor.
+    All come from one dual evaluation of f: the subset lattice, whose all-kept
+    corner is ||f||_p^p (p = 2 takes the Parseval lattice instead), and the
+    walsh/absorbent sums over each axis's values minus their mean along it.
+    f* takes the conjugate values of f: its absorbent half equals the f half.
     """
-    factor = 2.0 if derivative == "walsh" else 1.0
-    sides = (f,) if derivative == "walsh" else (f, adjoint(f))
-    total = 0.0
-    for side in sides:
-        values = np.fft.ifftn(coefficient_tensor(side)) * side.group.dual_size
-        for axis in range(side.group.n_components):
-            flipped = values - values.mean(axis=axis, keepdims=True)
-            total += float(np.mean((factor * np.abs(flipped)) ** p))
-    return total
+    n = f.group.n_components
+    flips = derivative in ("walsh", "absorbent")
+    tensor = coefficient_tensor(f)
+    if flips or set(ps) != {2}:
+        values = np.fft.ifftn(tensor) * f.group.dual_size
+        extended = _extend_with_means(values) if set(ps) != {2} else None
+    sums = dict.fromkeys(ps, 0.0)
+    for axis in range(n if flips else 0):
+        flipped = values - values.mean(axis=axis, keepdims=True)
+        for p in ps:
+            sums[p] += float(np.mean(_abs_power(flipped, p)))
+    for p in ps:
+        lattice = (_power_lattice(extended, p) if p != 2
+                   else _parseval_lattice(np.abs(tensor) ** 2)).ravel()
+        deriv_sum = ((2.0 ** p if derivative == "walsh" else 2.0) * sums[p] if flips
+                     else _derivative_norm_sum(f, cocycle, p, derivative))
+        yield (p, {k: float(np.mean(lattice[_lattice_index(n, k)])) for k in ks},
+               deriv_sum, float(lattice[-1]))
+
+
+def _generic_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
+                   ks: tuple[int, ...], derivative: str):
+    """(p, lhs by k, derivative sum, ||f||_p^p) for each p, through the operators."""
+    n = f.group.n_components
+    truncated = {k: [operators.truncate(f, s) for s in itertools.combinations(range(1, n + 1), k)]
+                 for k in ks}
+    for p in ps:
+        yield (p, {k: float(np.mean([lp_norm(t, p) ** p for t in truncated[k]])) for k in ks},
+               _derivative_norm_sum(f, cocycle, p, derivative), lp_norm(f, p) ** p)
 
 
 def _derivative_norm_sum(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float,
                          derivative: str) -> float:
     """sum_j of the derivative term of the right-hand side."""
     n = f.group.n_components
-    if f.group.kind == FINITE_ABELIAN and derivative in ("walsh", "absorbent"):
-        if derivative == "walsh" and any(m != 2 for m in f.group.moduli):
-            raise ValueError("the walsh derivative needs a hypercube group")
-        return _abelian_flip_norm_sum(f, p, derivative)
-    if derivative == "walsh":
-        return sum(lp_norm(operators.walsh_derivative(f, j), p) ** p for j in range(1, n + 1))
     if derivative == "euclidean":
         if cocycle.family != "euclidean":
             if f.group.kind != TORUS:
@@ -246,7 +248,14 @@ def _derivative_norm_sum(f: GroupAlgebraElement, cocycle: LengthCocycle, p: floa
 def _validate_input(f: GroupAlgebraElement, cocycle: LengthCocycle) -> None:
     if not f.coeffs:
         raise ValueError("the input must be nonzero")
-    if any(cocycle.psi(key) == 0 for key in f.coeffs):
+    if f.group.is_abelian:              # look the keys up in the table of nonzero lengths
+        shape, low = _key_box(f.group)
+        flat = np.ravel_multi_index((np.array(list(f.coeffs)) - low).T, shape)
+        zero_length = not np.isin(flat, _mean_zero_keys(f.group, cocycle.family,
+                                                         cocycle.weights)[0]).all()
+    else:
+        zero_length = any(cocycle.psi(key) == 0 for key in f.coeffs)
+    if zero_length:
         raise ValueError("the input must be mean-zero (no coefficients of zero length)")
 
 
@@ -256,28 +265,27 @@ def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
     """(lhs, rhs) of the truncation-average inequality for each (p, k).
 
     lhs(p, k) averages ||E_S f||_p^p over the k-subsets; rhs(p, k) is
-    (k/n) * sum_j (derivative term)_j + (k/n)^(p/2) * ||f||_p^p.
+    (k/n) * sum_j (derivative term)_j + (k/n)^(p/2) * ||f||_p^p.  On finite
+    abelian groups all of them come from one dual evaluation of f.
     """
-    _validate_input(f, cocycle)
     for p in ps:
-        _finite(p)
+        _finite(p, 1)
+    if derivative not in DERIVATIVE_CHOICES:
+        raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
+    if derivative == "walsh" and (f.group.kind != FINITE_ABELIAN or set(f.group.moduli) != {2}):
+        raise ValueError("the walsh derivative needs a hypercube group")
+    _check_lattice_size(f.group, ps)
+    _validate_input(f, cocycle)
     n = f.group.n_components
     for k in ks:
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in [1, {n}], got {k}")
-    subsets = [s for k in sorted(set(ks))
-               for s in itertools.combinations(range(1, n + 1), k)]
-    sizes = np.array([len(s) for s in subsets])
-    norm_powers = _subset_norm_powers(f, subsets, list(ps))
+    terms = _abelian_terms if f.group.kind == FINITE_ABELIAN else _generic_terms
     out: dict[float, dict[int, tuple[float, float]]] = {}
-    for p in ps:
-        deriv_sum = _derivative_norm_sum(f, cocycle, p, derivative)
-        full_norm = lp_norm(f, p) ** p
-        out[p] = {}
-        for k in ks:
-            lhs = float(np.mean(norm_powers[p][sizes == k]))
-            rhs = (k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm
-            out[p][k] = (lhs, rhs)
+    for p, lhs, deriv_sum, full_norm in terms(f, cocycle, list(ps), tuple(sorted(set(ks))),
+                                              derivative):
+        out[p] = {k: (lhs[k], (k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm)
+                  for k in ks}
     return out
 
 
@@ -373,10 +381,14 @@ def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
                     seed: int | None = None) -> RatioReport:
     """The balanced sign-average inequality for matrix tuples at one k.
 
-    See :func:`xp_linear_profile` for the two sides and the sign draws.
+    See :func:`xp_linear_profile` for the two sides and the sign draws.  An
+    unseeded Monte Carlo run draws its seed from fresh entropy and reports it.
     """
     start = time.perf_counter()
     mats = np.stack([np.asarray(x, dtype=complex) for x in xs])
+    if seed is None and len(mats) > SIGN_ENUMERATION_CAP:
+        # a concrete seed in the report lets its witness re-evaluate exactly
+        seed = int(np.random.SeedSequence().generate_state(1)[0])
     lhs, rhs, monte_carlo = xp_linear_profile(mats, p, [k], seed)[k]
     ratio = lhs / rhs
     params = {"n": mats.shape[0], "d": mats.shape[1], "p": p, "k": k,
@@ -453,22 +465,14 @@ def riesz_equivalence_ratio(f: GroupAlgebraElement, p: float,
     exactly 1 at p = 2.
     """
     _validate_input(f, cocycle)
-    support = list(f.coeffs.keys())
-    inverse_support = [element_inverse(f.group, g) for g in support]
-    basis = cocycle.basis_for_support(support + inverse_support)
-    transforms = []
-    transforms_star = []
-    f_star = adjoint(f)
-    for u in basis:
-        rf = operators.riesz_transform(f, u, cocycle)
-        if rf.coeffs:
-            transforms.append(rf)
-        rf_star = operators.riesz_transform(f_star, u, cocycle)
-        if rf_star.coeffs:
-            transforms_star.append(rf_star)
-    column = square_function_norm(transforms, p) if transforms else 0.0
-    row = square_function_norm(transforms_star, p) if transforms_star else 0.0
-    normalized = max(column, row) / (2 * math.pi)
+    inverses = [element_inverse(f.group, g) for g in f.coeffs]
+    basis = cocycle.basis_for_support([*f.coeffs, *inverses])
+    sides = []
+    for side in (f, adjoint(f)):        # column, then row square function
+        transforms = [rf for u in basis
+                      if (rf := operators.riesz_transform(side, u, cocycle)).coeffs]
+        sides.append(square_function_norm(transforms, p) if transforms else 0.0)
+    normalized = max(sides) / (2 * math.pi)
     lhs = lp_norm(f, p)
     return {"lhs": lhs, "rhs": normalized, "ratio": lhs / normalized,
             "inverse_ratio": normalized / lhs, "num_directions": len(basis)}
@@ -492,50 +496,63 @@ class EnsembleSpec:
     word_length: int = 3
 
     def to_json(self) -> dict:
-        return {"kind": self.kind, "sparsity": self.sparsity,
-                "degree": self.degree, "word_length": self.word_length}
+        return {item.name: getattr(self, item.name) for item in fields(self)}
 
 
 def _complex_normal(rng: np.random.Generator, size) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2)
 
 
-def _abelian_keys(group: GroupDescriptor) -> list[tuple]:
+def _key_box(group: GroupDescriptor) -> tuple[tuple[int, ...], int]:
+    """Shape and lowest coordinate of the box of keys of an abelian group."""
     if group.kind == FINITE_ABELIAN:
-        return [key for key in itertools.product(*(range(m) for m in group.moduli))]
-    box = range(-group.bound, group.bound + 1)
-    return [key for key in itertools.product(box, repeat=group.rank)]
+        return group.moduli, 0
+    return (2 * group.bound + 1,) * group.rank, -group.bound
+
+
+@functools.lru_cache(maxsize=32)
+def _mean_zero_keys(group: GroupDescriptor, family: str,
+                    weights: tuple[float, ...] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Box positions (ascending) and psi lengths of the keys of nonzero length."""
+    cocycle = LengthCocycle(family, group, weights)
+    shape, low = _key_box(group)
+    keys = itertools.product(*(range(low, low + m) for m in shape))
+    lengths = np.fromiter((cocycle.psi(key) for key in keys), dtype=float,
+                          count=math.prod(shape))
+    flat = np.flatnonzero(lengths)
+    lengths = lengths[flat]
+    flat.flags.writeable = lengths.flags.writeable = False
+    return flat, lengths
 
 
 def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
                    spec: EnsembleSpec, rng: np.random.Generator) -> GroupAlgebraElement:
-    """Draw one mean-zero random element according to the ensemble spec."""
+    """Draw one mean-zero random element according to the ensemble spec.
+
+    Abelian keys of nonzero length are found once per (group, family, weights).
+    """
     if group.is_abelian:
-        keys = [key for key in _abelian_keys(group) if cocycle.psi(key) != 0]
-        if spec.kind == "gaussian":
-            chosen = keys
-        elif spec.kind == "sparse":
-            count = min(spec.sparsity, len(keys))
-            idx = rng.choice(len(keys), size=count, replace=False)
-            chosen = [keys[i] for i in sorted(idx)]
-        elif spec.kind == "chaos_degree":
-            chosen = [key for key in keys if cocycle.psi(key) <= spec.degree]
-        elif spec.kind == "linear_span":
+        if spec.kind == "linear_span":      # each unit key, then its inverse if distinct
             n = group.n_components
-            chosen = []
-            for j in range(n):
-                if group.kind == FINITE_ABELIAN:
-                    m = group.moduli[j]
-                    chosen.append(tuple(1 if i == j else 0 for i in range(n)))
-                    if m > 2:
-                        chosen.append(tuple(m - 1 if i == j else 0 for i in range(n)))
-                else:
-                    chosen.append(tuple(1 if i == j else 0 for i in range(n)))
-                    chosen.append(tuple(-1 if i == j else 0 for i in range(n)))
+            units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+            keys = list(dict.fromkeys(key for unit in units
+                                      for key in (unit, element_inverse(group, unit))))
+            return GroupAlgebraElement(group, dict(zip(keys, _complex_normal(rng, len(keys)))))
+        flat, lengths = _mean_zero_keys(group, cocycle.family, cocycle.weights)
+        if spec.kind == "gaussian":
+            chosen = flat
+        elif spec.kind == "sparse":
+            idx = rng.choice(len(flat), size=min(spec.sparsity, len(flat)), replace=False)
+            chosen = flat[np.sort(idx)]
+        elif spec.kind == "chaos_degree":
+            chosen = flat[lengths <= spec.degree]
         else:
             raise ValueError(f"unknown ensemble kind {spec.kind!r}")
-        coeffs = dict(zip(chosen, _complex_normal(rng, len(chosen))))
-        return GroupAlgebraElement(group, coeffs)
+        shape, low = _key_box(group)
+        keys = (np.stack(np.unravel_index(chosen, shape), axis=-1) + low).tolist()
+        values = _complex_normal(rng, len(keys)).tolist()
+        return GroupAlgebraElement(group, {tuple(key): v for key, v in zip(keys, values)
+                                           if abs(v) > PRUNE_TOL}, _canonical=True)
     # free kinds: random reduced walks; the pool may be smaller than the
     # requested sparsity for tiny ranks, so cap the draw attempts
     from .groups import random_group_elements
@@ -627,17 +644,14 @@ def _report_row(report: RatioReport) -> Row:
 
 def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, derivative = _naor_family(params)
-    ps = [_finite(float(p)) for p in params.get("ps", [params.get("p", 4)])]
+    ps = [_finite(float(p), 1) for p in params.get("ps", [params.get("p", 4)])]
     ks = _ks(params)
+    _check_lattice_size(group, ps)
 
     def evaluate(f):
         profile = naor_profile(f, cocycle, ps, ks, derivative)
-        rows = []
-        for p in ps:
-            for k in ks:
-                lhs, rhs = profile[p][k]
-                rows.append(Row(lhs / rhs, lhs, rhs, lhs / rhs, p=p, k=k))
-        return rows
+        return [Row(lhs / rhs, lhs, rhs, lhs / rhs, p=p, k=k)
+                for p in ps for k in ks for lhs, rhs in [profile[p][k]]]
 
     return (lambda rng: sample_element(group, cocycle, ensemble, rng), evaluate,
             lambda f, row: _element_witness(f, cocycle, k=row.k, p=row.p,
@@ -707,18 +721,12 @@ def _riesz_row(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float) -> Row:
 
 def free_identity_deviation(f: GroupAlgebraElement) -> float:
     """Max deviation over the free-operator identity battery for one input."""
-    group = f.group
-    n = group.n_components
-    deviation = 0.0
+    n = f.group.n_components
     signs = tuple(1 if i % 2 == 0 else -1 for i in range(n))
-    flipped = operators.free_hilbert_transform(f, signs)
-    twice = operators.free_hilbert_transform(flipped, signs)
-    deviation = max(deviation, _element_distance(twice, f))
-    total = None
-    for j in range(1, n + 1):
-        term = operators.absorbent_derivative(f, j)
-        total = term if total is None else total + term
-    deviation = max(deviation, _element_distance(total, f))
+    twice = operators.free_hilbert_transform(operators.free_hilbert_transform(f, signs), signs)
+    total = sum((operators.absorbent_derivative(f, j) for j in range(2, n + 1)),
+                operators.absorbent_derivative(f, 1))
+    deviation = max(_element_distance(twice, f), _element_distance(total, f))
     for size in range(1, n + 1):
         subset = tuple(range(1, size + 1))
         direct = operators.truncate(f, subset)
@@ -800,22 +808,12 @@ def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 10
                 best, winner = row, x
     report_witness = witness(winner, best)
     runtime_ms = 1e3 * (time.perf_counter() - start)
-    report_params = dict(params)
-    report_params["ensemble"] = ensemble.to_json()
     return RatioReport(
-        experiment=experiment,
-        params=report_params,
-        lhs=float(best.lhs),
-        rhs=float(best.rhs),
-        ratio=float(best.ratio),
-        max_ratio=float(best.ratio),
-        witness=report_witness,
-        trials=trials,
-        seed=seed,
-        runtime_ms=runtime_ms,
-        monte_carlo=any(row.monte_carlo for row in rows),
-        extra={**best.extra, **record.summary(rows)},
-    )
+        experiment=experiment, params={**params, "ensemble": ensemble.to_json()},
+        lhs=float(best.lhs), rhs=float(best.rhs), ratio=float(best.ratio),
+        max_ratio=float(best.ratio), witness=report_witness, trials=trials, seed=seed,
+        runtime_ms=runtime_ms, monte_carlo=any(row.monte_carlo for row in rows),
+        extra={**best.extra, **record.summary(rows)})
 
 
 def reevaluate_witness(report: RatioReport | dict) -> dict:

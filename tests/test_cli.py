@@ -42,6 +42,17 @@ class TestVerify:
         assert run(["verify", "naor", "--n", "3", "--p", "nan", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_p_below_one_exit_code(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["verify", "naor", "--n", "3", "--p", "0.5", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_oversized_lattice_exit_code(self, tmp_path):
+        """A hypercube n = 22 lattice at p = 4 is refused before the first sample."""
+        out = tmp_path / "r.json"
+        assert run(["verify", "naor", "--n", "22", "--p", "4", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_experiment_exit_code(self):
         assert run(["verify", "nonsense"]) == 2
 

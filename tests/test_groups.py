@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xpchaos import (GroupAlgebraElement, GroupDescriptor, adjoint,
                      build_cocycle, convolve, evaluate_on_dual,
@@ -154,6 +156,20 @@ class TestAdjoint:
             norm_before = sum(abs(v) ** 2 for v in f.coeffs.values())
             norm_after = sum(abs(v) ** 2 for v in adjoint(f).coeffs.values())
             assert norm_before == pytest.approx(norm_after, abs=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1), support=st.integers(1, 10))
+def test_adjoint_takes_the_conjugate_dual_values(moduli, seed, support):
+    """On abelian groups f* evaluates to the complex conjugate of f at every dual point."""
+    group = GroupDescriptor.finite_abelian(moduli)
+    rng = np.random.default_rng(seed)
+    f = GroupAlgebraElement(group, {
+        tuple(int(rng.integers(m)) for m in moduli): complex(*rng.standard_normal(2))
+        for _ in range(support)})
+    np.testing.assert_allclose(evaluate_on_dual(adjoint(f)).values,
+                               np.conj(evaluate_on_dual(f).values), rtol=0, atol=1e-12)
 
 
 class TestTrace:

@@ -1,18 +1,20 @@
 """Experiment harness: inequality sides, exact closures, scans, witnesses."""
 
 import itertools
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor,
-                     build_cocycle, harness, moment_checks, naor_profile, naor_ratio,
-                     reevaluate_witness, riesz_equivalence_ratio,
+from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor, adjoint,
+                     build_cocycle, harness, lp_norm, moment_checks, naor_profile,
+                     naor_ratio, operators, reevaluate_witness, riesz_equivalence_ratio,
                      rosenthal_linear_ratio, sample_element, scan,
                      schatten_norm, xp_linear_profile, xp_linear_ratio)
-from xpchaos.harness import SigmaModel
+from xpchaos.harness import LATTICE_MAX_BYTES, SigmaModel
 
 
 def hypercube_pair(n):
@@ -137,6 +139,131 @@ class TestNaorRatio:
             naor_ratio(f, cocycle, 2, 1, "euclidean")
 
 
+def _no_fft(*args, **kwargs):
+    raise AssertionError("an FFT ran before the input was checked")
+
+
+class TestNaorInputChecks:
+    """Every input check runs before the dual evaluation does."""
+
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    def test_bad_p_rejected_before_any_fft(self, p, monkeypatch):
+        group, cocycle = hypercube_pair(3)
+        f = GroupAlgebraElement.lam(group, (1, 0, 0))
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        with pytest.raises(ValueError, match="p must be"):
+            naor_profile(f, cocycle, [4, p], [1], "walsh")
+
+    def test_walsh_rejected_off_the_hypercube(self, monkeypatch):
+        group = GroupDescriptor.finite_abelian([4, 4])
+        cocycle = build_cocycle("cyclic_word", group)
+        f = GroupAlgebraElement.lam(group, (1, 0))
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        for p in (2, 4):
+            with pytest.raises(ValueError, match="hypercube"):
+                naor_profile(f, cocycle, [p], [1], "walsh")
+
+    def test_unknown_derivative_rejected(self):
+        group, cocycle = hypercube_pair(3)
+        f = GroupAlgebraElement.lam(group, (1, 0, 0))
+        with pytest.raises(ValueError, match="unknown derivative"):
+            naor_profile(f, cocycle, [4], [1], "flip")
+
+    @pytest.mark.parametrize("group, family", [
+        (GroupDescriptor.hypercube(3), "cyclic_word"),
+        (GroupDescriptor.finite_abelian([6, 6]), "cyclic_word"),
+        (GroupDescriptor.torus(2, 2), "torus_word")])
+    def test_coefficient_at_the_identity_rejected(self, group, family):
+        cocycle = build_cocycle(family, group)
+        unit = (1,) + (0,) * (group.n_components - 1)
+        f = GroupAlgebraElement(group, {group.identity(): 0.5, unit: 1.0})
+        with pytest.raises(ValueError, match="mean-zero"):
+            naor_profile(f, cocycle, [4], [1], "absorbent")
+
+
+class TestLatticeGuard:
+    def test_large_lattice_refused_before_allocation(self, monkeypatch):
+        group, cocycle = hypercube_pair(22)
+        f = GroupAlgebraElement(group, {tuple(int(i == j) for i in range(22)): 1.0 + j
+                                        for j in range(6)})
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
+                naor_profile(f, cocycle, [2, 4], [2], "walsh")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_p2_is_exempt_and_the_budget_is_the_extended_tensor(self, monkeypatch):
+        group, cocycle = hypercube_pair(3)
+        f = GroupAlgebraElement.lam(group, (1, 1, 0))
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 3 ** 3 - 1)
+        assert naor_profile(f, cocycle, [2], [1, 2], "walsh")[2][2][0] == pytest.approx(1 / 3)
+        with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
+            naor_profile(f, cocycle, [4], [1], "walsh")
+        with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
+            scan("naor", trials=1, family="hypercube", n=3, ps=[4], ks=[1])
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 3 ** 3)
+        naor_profile(f, cocycle, [4], [1], "walsh")
+
+    def test_every_lattice_up_to_n14_fits(self):
+        assert 16 * 3 ** 14 <= LATTICE_MAX_BYTES < 16 * 3 ** 22
+
+
+def _reference_profile(f, cocycle, p, k, derivative):
+    """The generic operator path the one-evaluation abelian route replaced."""
+    n = f.group.n_components
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    lhs = sum(lp_norm(operators.truncate(f, s), p) ** p for s in subsets) / len(subsets)
+    if derivative == "walsh":
+        deriv = sum(lp_norm(operators.walsh_derivative(f, j), p) ** p for j in range(1, n + 1))
+    else:
+        deriv = sum(lp_norm(operators.absorbent_derivative(side, j), p) ** p
+                    for j in range(1, n + 1) for side in (f, adjoint(f)))
+    return lhs, (k / n) * deriv + (k / n) ** (p / 2) * lp_norm(f, p) ** p
+
+
+_ABELIAN_CASES = {
+    "cube1": (GroupDescriptor.hypercube(1), "cyclic_word", None),
+    "cube3": (GroupDescriptor.hypercube(3), "cyclic_word", None),
+    "cube6": (GroupDescriptor.hypercube(6), "cyclic_word", None),
+    "z4^3": (GroupDescriptor.finite_abelian([4] * 3), "cyclic_word", None),
+    "z6^2": (GroupDescriptor.finite_abelian([6] * 2), "cyclic_word", None),
+    "wcube4": (GroupDescriptor.hypercube(4), "weighted_cube", [0.5, 1.0, 2.0, 3.5]),
+}
+
+
+class TestAbelianProfileMatchesOperatorPath:
+    @pytest.mark.parametrize("case, derivative", [
+        (case, derivative) for case in _ABELIAN_CASES for derivative in ("walsh", "absorbent")
+        if derivative == "absorbent" or not case.startswith("z")])
+    def test_every_p_and_k(self, case, derivative):
+        group, family, weights = _ABELIAN_CASES[case]
+        cocycle = build_cocycle(family, group, weights)
+        f = sample_element(group, cocycle, EnsembleSpec("gaussian"), np.random.default_rng(21))
+        ps, ks = [2, 3, 4, 6], list(range(1, group.n_components + 1))
+        profile = naor_profile(f, cocycle, ps, ks, derivative)
+        for p in ps:
+            for k in ks:
+                expected = _reference_profile(f, cocycle, p, k, derivative)
+                assert profile[p][k] == pytest.approx(expected, rel=1e-12)
+
+    def test_one_dual_evaluation_per_profile(self, monkeypatch):
+        calls = []
+        real_ifftn = np.fft.ifftn
+        monkeypatch.setattr(np.fft, "ifftn",
+                            lambda *args, **kwargs: calls.append(1) or real_ifftn(*args, **kwargs))
+        group, cocycle = hypercube_pair(5)
+        f = sample_element(group, cocycle, EnsembleSpec("gaussian"), np.random.default_rng(22))
+        for ps in ([2, 3, 4, 6], [2]):
+            for derivative in ("walsh", "absorbent"):
+                calls.clear()
+                naor_profile(f, cocycle, ps, [1, 2, 5], derivative)
+                assert len(calls) == 1
+
+
 class TestXpLinear:
     def test_p2_closure(self):
         rng = np.random.default_rng(5)
@@ -168,6 +295,15 @@ class TestXpLinear:
         xs = [np.eye(2), np.eye(2)]
         with pytest.warns(UserWarning):
             xp_linear_ratio(xs, 1.5, 1)
+
+    def test_unseeded_monte_carlo_report_reevaluates(self):
+        rng = np.random.default_rng(23)
+        xs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(15)]
+        report = xp_linear_ratio(xs, 4, 2)
+        assert report.monte_carlo and isinstance(report.seed, int)
+        rerun = reevaluate_witness(report.to_json())
+        for key in ("lhs", "rhs", "ratio"):
+            assert rerun[key] == pytest.approx(getattr(report, key), rel=1e-9)
 
     def test_monte_carlo_above_sign_cap(self):
         rng = np.random.default_rng(11)
@@ -521,7 +657,53 @@ class TestScan:
         assert all(np.isfinite(v) for v in curves.values())
 
 
+def _reference_sample(group, cocycle, spec, rng):
+    """The per-key psi sampler that the cached key table replaced."""
+    if group.kind == "finite_abelian":
+        box = itertools.product(*(range(m) for m in group.moduli))
+    else:
+        box = itertools.product(range(-group.bound, group.bound + 1), repeat=group.rank)
+    keys = [key for key in box if cocycle.psi(key) != 0]
+    n = group.n_components
+    if spec.kind == "gaussian":
+        chosen = keys
+    elif spec.kind == "sparse":
+        idx = rng.choice(len(keys), size=min(spec.sparsity, len(keys)), replace=False)
+        chosen = [keys[i] for i in sorted(idx)]
+    elif spec.kind == "chaos_degree":
+        chosen = [key for key in keys if cocycle.psi(key) <= spec.degree]
+    else:
+        chosen = []
+        for j in range(n):
+            chosen.append(tuple(1 if i == j else 0 for i in range(n)))
+            inverse = group.moduli[j] - 1 if group.kind == "finite_abelian" else -1
+            if inverse != 1:
+                chosen.append(tuple(inverse if i == j else 0 for i in range(n)))
+    values = (rng.standard_normal(len(chosen)) + 1j * rng.standard_normal(len(chosen))) / math.sqrt(2)
+    return GroupAlgebraElement(group, dict(zip(chosen, values)))
+
+
 class TestEnsembles:
+    @pytest.mark.parametrize("group, family, weights", [
+        (GroupDescriptor.hypercube(7), "cyclic_word", None),
+        (GroupDescriptor.finite_abelian([6] * 3), "cyclic_word", None),
+        (GroupDescriptor.torus(2, 2), "torus_word", None),
+        (GroupDescriptor.torus(2, 2), "euclidean", None),
+        (GroupDescriptor.hypercube(4), "weighted_cube", [0.2, 0.3, 0.6, 1.5])])
+    @pytest.mark.parametrize("spec", [
+        EnsembleSpec("gaussian"), EnsembleSpec("sparse", sparsity=5),
+        EnsembleSpec("chaos_degree", degree=2), EnsembleSpec("linear_span")],
+        ids=lambda spec: spec.kind)
+    def test_draws_match_the_per_key_reference(self, group, family, weights, spec):
+        cocycle = build_cocycle(family, group, weights)
+        rng, reference_rng = np.random.default_rng(24), np.random.default_rng(24)
+        for _ in range(3):
+            f = sample_element(group, cocycle, spec, rng)
+            expected = _reference_sample(group, cocycle, spec, reference_rng)
+            assert list(f.coeffs) == list(expected.coeffs)
+            assert json.dumps(f.to_json()) == json.dumps(expected.to_json())
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_mean_zero_and_support_shapes(self):
         rng = np.random.default_rng(14)
         group, cocycle = hypercube_pair(5)
