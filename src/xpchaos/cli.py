@@ -27,12 +27,11 @@ import numpy as np
 
 from . import __version__, operators
 from .acceptance import run_all
-from .cocycles import (FAMILIES, BasisVector, build_cocycle, completeness_defect,
-                       conditional_negativity_check, gram_matrix)
-from .groups import (FREE_GROUP, FREE_PRODUCT, TORUS, GroupAlgebraElement,
-                     GroupDescriptor, adjoint, project_mean_zero,
-                     random_group_elements)
-from .harness import EnsembleSpec, scan
+from .cocycles import (COCYCLE_FAMILIES, BasisVector, build_cocycle, cocycle_family,
+                       completeness_defect, conditional_negativity_check, gram_matrix)
+from .groups import (TORUS, GroupAlgebraElement, GroupDescriptor, adjoint,
+                     project_mean_zero, random_group_elements)
+from .harness import DERIVATIVE_CHOICES, ENSEMBLE_KINDS, EnsembleSpec, scan
 from .norms import NumericalSanityError, lp_norm, lp_norm_torus_grid
 
 
@@ -161,23 +160,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _build_cli_cocycle(opts: dict):
     family = opts.get("family", "cyclic_word")
+    record = cocycle_family(family)
     n = int(opts.get("n", 2))
-    modulus = int(opts.get("modulus", 4))
-    bound = int(opts.get("bound", 3))
+    group = record.cli_group(n, int(opts.get("modulus", 4)), int(opts.get("bound", 3)))
     weights = opts.get("weights")
-    if family in ("euclidean", "torus_word"):
-        group = GroupDescriptor.torus(n, bound)
-    elif family in ("cyclic_word", "odd_cyclic_word"):
-        group = GroupDescriptor.finite_abelian([modulus] * n)
-    elif family == "free_word":
-        group = GroupDescriptor.free_group(n)
-    elif family == "free_product_word":
-        group = GroupDescriptor.free_product(n, modulus)
-    elif family == "weighted_cube":
-        group = GroupDescriptor.hypercube(n)
+    if record.takes_weights:
         weights = weights or [1.0] * n
-    else:
-        raise ValueError(f"unknown cocycle family {family!r}; valid: {FAMILIES}")
     return build_cocycle(family, group, weights)
 
 
@@ -248,22 +236,18 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _default_family(group: GroupDescriptor) -> str:
-    if group.kind == TORUS:
-        return "torus_word"
-    if group.kind == FREE_GROUP:
-        return "free_word"
-    if group.kind == FREE_PRODUCT:
-        return "free_product_word"
-    if group.moduli[0] % 2 == 0:
-        return "cyclic_word"
-    return "odd_cyclic_word"
+    """The family ``apply`` uses on ``group`` when ``--family`` is not given."""
+    for name, record in COCYCLE_FAMILIES.items():
+        if record.cli_default and record.fits(group):
+            return name
+    raise ValueError(f"no cocycle family fits the group {group.to_json()}; pass --family")
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     f = _load_element(args.infile)
-    family = args.family or _default_family(f.group)
     needs_cocycle = args.op in ("derivative", "riesz", "laplacian", "heat", "mean-zero")
-    cocycle = build_cocycle(family, f.group) if needs_cocycle else None
+    cocycle = (build_cocycle(args.family or _default_family(f.group), f.group)
+               if needs_cocycle else None)
     if args.op in ("derivative", "riesz"):
         if not args.u:
             raise ValueError(f"--u is required for op {args.op!r}")
@@ -331,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--modulus", type=int, help="cyclic order 2m")
     verify.add_argument("--bound", type=int, help="torus frequency bound")
     verify.add_argument("--family", type=str)
-    verify.add_argument("--derivative", choices=["walsh", "euclidean", "absorbent", "gradient"])
+    verify.add_argument("--derivative", choices=DERIVATIVE_CHOICES)
     verify.add_argument("--trials", type=int)
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--ensemble", choices=["gaussian", "sparse", "chaos_degree", "linear_span"])
+    verify.add_argument("--ensemble", choices=ENSEMBLE_KINDS)
     verify.add_argument("--sparsity", type=int)
     verify.add_argument("--degree", type=int)
     verify.add_argument("--config", type=str, help="JSON config file; flags override")

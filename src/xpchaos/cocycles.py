@@ -7,6 +7,12 @@ exact integers for the integer families; the Gromov form is available both
 from its defining formula ``(psi(g) + psi(h) - psi(g^{-1}h)) / 2`` and from a
 per-family closed form, so the two can be cross-checked exactly.
 
+A family is one :class:`CocycleFamily` record in :data:`COCYCLE_FAMILIES`:
+the group it lives on, how the CLI builds that group, its length and closed
+Gromov form and, where it has a basis, the tag of its basis vectors with
+their pairing, slices and delta expansions.  :class:`LengthCocycle` reads
+its record; no method branches on the family name.
+
 Families
 --------
 ``euclidean``          squared Euclidean length on Z^n (torus polynomials)
@@ -29,15 +35,23 @@ import numpy as np
 
 from . import words
 from .groups import (FINITE_ABELIAN, FREE_GROUP, FREE_PRODUCT, TORUS,
-                     GroupDescriptor, element_inverse, element_product)
+                     GroupDescriptor, canonical_key, element_inverse, element_product)
 from .words import ReducedWord
 
 #: kernel eigenvalues are accepted down to this floor (symmetric eigensolvers
 #: on the small matrices used here are accurate to ~1e-13)
 PSD_EIG_TOL = -1e-10
 
-FAMILIES = ("euclidean", "torus_word", "cyclic_word", "odd_cyclic_word",
-            "free_word", "free_product_word", "weighted_cube")
+#: basis-vector tag -> (id prefix, the fields its id carries)
+_BASIS_TAGS = {
+    "euclidean": ("Euclidean", ("j",)),
+    "zword": ("ZWord", ("j", "ell")),
+    "z2m": ("Z2mWord", ("j", "ell")),
+    "free": ("FreeWord", ("word",)),
+    "free_prod": ("FreeProdWord", ("word",)),
+    "wcube": ("WeightedCube", ("j",)),
+}
+_TAG_OF_PREFIX = {prefix.lower(): tag for tag, (prefix, _) in _BASIS_TAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -55,6 +69,11 @@ class BasisVector:
     ell: int = 0
     word: ReducedWord | None = None
 
+    def __post_init__(self) -> None:
+        if self.family not in _BASIS_TAGS:
+            raise ValueError(f"unknown basis vector tag {self.family!r}; "
+                             f"valid: {tuple(_BASIS_TAGS)}")
+
     @property
     def component(self) -> int:
         """The coordinate slice in [1, n] this vector belongs to."""
@@ -63,35 +82,60 @@ class BasisVector:
         return self.j
 
     def to_id(self) -> str:
-        if self.family == "euclidean":
-            return f"Euclidean:{self.j}"
-        if self.family == "zword":
-            return f"ZWord:{self.j}:{self.ell}"
-        if self.family == "z2m":
-            return f"Z2mWord:{self.j}:{self.ell}"
-        if self.family == "free":
-            return "FreeWord:" + ";".join(f"{i},{l}" for i, l in self.word.blocks)
-        if self.family == "free_prod":
-            return "FreeProdWord:" + ";".join(f"{i},{l}" for i, l in self.word.blocks)
-        return f"WeightedCube:{self.j}"
+        prefix, fields = _BASIS_TAGS[self.family]
+        if fields == ("word",):
+            return f"{prefix}:" + ";".join(f"{i},{l}" for i, l in self.word.blocks)
+        return ":".join([prefix, *(str(getattr(self, name)) for name in fields)])
 
     @classmethod
     def from_id(cls, text: str) -> "BasisVector":
-        parts = text.split(":")
-        tag = parts[0].lower()
-        if tag == "euclidean":
-            return cls("euclidean", j=int(parts[1]))
-        if tag == "zword":
-            return cls("zword", j=int(parts[1]), ell=int(parts[2]))
-        if tag == "z2mword":
-            return cls("z2m", j=int(parts[1]), ell=int(parts[2]))
-        if tag in ("freeword", "freeprodword"):
-            blocks = tuple(tuple(int(x) for x in pair.split(",")) for pair in parts[1].split(";"))
-            word = ReducedWord(blocks)
-            return cls("free" if tag == "freeword" else "free_prod", word=word)
-        if tag == "weightedcube":
-            return cls("wcube", j=int(parts[1]))
-        raise ValueError(f"cannot parse basis vector id {text!r}")
+        prefix, _, body = text.partition(":")
+        tag = _TAG_OF_PREFIX.get(prefix.lower())
+        fields = _BASIS_TAGS[tag][1] if tag else ()
+        try:
+            if fields == ("word",):
+                pairs = [[int(x) for x in pair.split(",")] for pair in body.split(";")]
+                values = [ReducedWord(tuple((i, l) for i, l in pairs))]
+            else:
+                values = [int(x) for x in body.split(":")]
+        except ValueError:
+            values = []
+        if not fields or len(values) != len(fields):
+            raise ValueError(f"cannot parse basis vector id {text!r}")
+        return cls(tag, **dict(zip(fields, values)))
+
+
+@dataclass(frozen=True)
+class CocycleFamily:
+    """One built-in family; its functions take the cocycle first.
+
+    ``misfit`` is the error for a group ``fits`` refuses; ``cli_group(n,
+    modulus, bound)`` builds the CLI's group, and ``cli_default`` lets the CLI
+    pick the family for a group it fits.  Families with a basis name the
+    ``tag`` of its vectors; ``in_basis`` is the family's own condition on one.
+    """
+
+    fits: Callable[[GroupDescriptor], bool]
+    misfit: str
+    cli_group: Callable[[int, int, int], GroupDescriptor]
+    psi: Callable
+    gromov: Callable
+    tag: str | None = None
+    pairing: Callable | None = None
+    basis_slice: Callable | None = None
+    delta_expansion: Callable | None = None
+    in_basis: Callable = lambda c, u: True
+    half_modulus: Callable[[GroupDescriptor], int] | None = None
+    takes_weights: bool = False
+    gap: Callable = lambda c: 1
+    cli_default: bool = True
+
+
+def cocycle_family(name: str) -> CocycleFamily:
+    """The record of a built-in family."""
+    if name not in COCYCLE_FAMILIES:
+        raise ValueError(f"unknown cocycle family {name!r}; valid: {FAMILIES}")
+    return COCYCLE_FAMILIES[name]
 
 
 class LengthCocycle:
@@ -103,156 +147,74 @@ class LengthCocycle:
 
     def __init__(self, family: str, group: GroupDescriptor,
                  weights: tuple[float, ...] | None = None):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown cocycle family {family!r}; valid: {FAMILIES}")
+        self._spec = cocycle_family(family)
         self.family = family
         self.group = group
         self.weights = weights
         self._validate()
 
     def _validate(self) -> None:
-        f, g = self.family, self.group
-        if f in ("euclidean", "torus_word") and g.kind != TORUS:
-            raise ValueError(f"{f} cocycle needs a torus group")
-        if f == "cyclic_word":
-            if g.kind != FINITE_ABELIAN or len(set(g.moduli)) != 1 or g.moduli[0] % 2:
-                raise ValueError("cyclic_word needs equal even moduli")
-        if f == "odd_cyclic_word":
-            if g.kind != FINITE_ABELIAN or len(set(g.moduli)) != 1 or g.moduli[0] % 2 == 0:
-                raise ValueError("odd_cyclic_word needs equal odd moduli >= 3")
-        if f == "free_word" and g.kind != FREE_GROUP:
-            raise ValueError("free_word needs a free group")
-        if f == "free_product_word" and g.kind != FREE_PRODUCT:
-            raise ValueError("free_product_word needs a free product group")
-        if f == "weighted_cube":
-            if g.kind != FINITE_ABELIAN or any(m != 2 for m in g.moduli):
-                raise ValueError("weighted_cube needs a hypercube group")
-            if self.weights is None or len(self.weights) != len(g.moduli):
-                raise ValueError("weighted_cube needs one weight per coordinate")
-            if any(a <= 0 for a in self.weights):
-                raise ValueError("weights must be positive")
-        elif self.weights is not None:
-            raise ValueError(f"{f} takes no weights")
+        if not self._spec.fits(self.group):
+            raise ValueError(self._spec.misfit)
+        if not self._spec.takes_weights:
+            if self.weights is not None:
+                raise ValueError(f"{self.family} takes no weights")
+        elif self.weights is None or len(self.weights) != len(self.group.moduli):
+            raise ValueError(f"{self.family} needs one weight per coordinate")
+        elif any(a <= 0 for a in self.weights):
+            raise ValueError("weights must be positive")
 
     # -- length -----------------------------------------------------------
 
     @property
     def half_modulus(self) -> int:
         """m for the Z_{2m} families."""
-        if self.family == "cyclic_word":
-            return self.group.moduli[0] // 2
-        if self.family == "free_product_word":
-            return self.group.modulus // 2
-        raise ValueError(f"{self.family} has no half modulus")
+        if self._spec.half_modulus is None:
+            raise ValueError(f"{self.family} has no half modulus")
+        return self._spec.half_modulus(self.group)
 
     def psi(self, g):
         """The length of a group element (exact integer where integral)."""
-        f = self.family
-        if f == "euclidean":
-            return sum(x * x for x in g)
-        if f == "torus_word":
-            return sum(abs(x) for x in g)
-        if f in ("cyclic_word", "odd_cyclic_word"):
-            q = self.group.moduli[0]
-            return sum(min(x % q, q - x % q) for x in g)
-        if f == "free_word":
-            return words.word_length(g)
-        if f == "free_product_word":
-            return words.word_length(g, self.group.modulus)
-        # weighted cube: defining L2(Gamma, mu) expression over the point
-        # masses mu = sum_i alpha_i delta_{w_i}, with w_i the sign vector
-        # flipped at coordinate i
-        total = 0.0
-        for i, alpha in enumerate(self.weights):
-            character_value = -1 if g[i] else 1
-            total += alpha * (1 - character_value) ** 2
-        return total
+        return self._spec.psi(self, g)
 
     @property
     def gap(self):
         """Exact group-wide spectral gap min{psi(g) : psi(g) != 0}."""
-        if self.family == "weighted_cube":
-            return 4 * min(self.weights)
-        return 1
+        return self._spec.gap(self)
 
     # -- basis ------------------------------------------------------------
 
     @property
     def has_basis(self) -> bool:
-        return self.family != "odd_cyclic_word"
+        return self._spec.tag is not None
 
     def _require_basis(self) -> None:
         if not self.has_basis:
             raise ValueError(f"{self.family} exposes no orthonormal basis")
 
+    def _match(self, u: BasisVector) -> None:
+        if u.family != self._spec.tag:
+            self._require_basis()
+            raise ValueError(f"basis family mismatch: {u.family} vector, {self.family} cocycle")
+
+    def require_basis_vector(self, u: BasisVector) -> None:
+        """Refuse a vector outside this cocycle's basis: another family's tag,
+        a component outside [1, n], or a coordinate the family's basis lacks."""
+        self._match(u)
+        if not (self._spec.in_basis(self, u) and 1 <= u.component <= self.group.n_components):
+            raise ValueError(f"{u.to_id()} is not in the basis of the {self.family} "
+                             f"cocycle on {self.group.to_json()}")
+
     def pairing(self, g, u: BasisVector):
         """The inner product <beta(g), u> (the derivative symbol over 2*pi*i)."""
-        self._require_basis()
-        f = self.family
-        if f == "euclidean":
-            if u.family != "euclidean":
-                raise ValueError("basis family mismatch")
-            return g[u.j - 1]
-        if f == "torus_word":
-            if u.family != "zword":
-                raise ValueError("basis family mismatch")
-            gj, ell = g[u.j - 1], u.ell
-            return 1 if gj * ell > 0 and abs(gj) >= abs(ell) else 0
-        if f == "cyclic_word":
-            if u.family != "z2m":
-                raise ValueError("basis family mismatch")
-            m = self.half_modulus
-            gj = g[u.j - 1] % (2 * m)
-            return 1 if u.ell <= gj < u.ell + m else 0
-        if f == "free_word":
-            if u.family != "free":
-                raise ValueError("basis family mismatch")
-            return 1 if words.leq_free(u.word, g) else 0
-        if f == "free_product_word":
-            if u.family != "free_prod":
-                raise ValueError("basis family mismatch")
-            return 1 if words.derivative_set_member(u.word, g, self.half_modulus) else 0
-        if u.family != "wcube":
-            raise ValueError("basis family mismatch")
-        return 2 * math.sqrt(self.weights[u.j - 1]) if g[u.j - 1] else 0.0
+        self._match(u)
+        return self._spec.pairing(self, g, u)
 
     def basis_slice(self, j: int, support: Iterable) -> list[BasisVector]:
         """Basis vectors of the j-th component with a nonzero pairing against
         some element of ``support`` (finite by the indicator structure)."""
         self._require_basis()
-        support = list(support)
-        f = self.family
-        if f == "euclidean":
-            return [BasisVector("euclidean", j=j)]
-        if f == "torus_word":
-            pos = max((g[j - 1] for g in support if g[j - 1] > 0), default=0)
-            neg = min((g[j - 1] for g in support if g[j - 1] < 0), default=0)
-            ells = list(range(1, pos + 1)) + list(range(neg, 0))
-            return [BasisVector("zword", j=j, ell=ell) for ell in ells]
-        if f == "cyclic_word":
-            m = self.half_modulus
-            return [BasisVector("z2m", j=j, ell=ell) for ell in range(1, m + 1)]
-        if f == "free_word":
-            seen: dict[ReducedWord, None] = {}
-            for g in support:
-                for w in words.chain(g):
-                    if w.first_generator == j:
-                        seen.setdefault(w)
-            return [BasisVector("free", word=w) for w in seen]
-        if f == "free_product_word":
-            m = self.half_modulus
-            seen = {}
-            for g in support:
-                if g.is_identity or g.first_generator != j:
-                    continue
-                for r in range(1, g.num_blocks + 1):
-                    gen_r, exp_r = g.blocks[r - 1]
-                    lo, hi = max(1, exp_r - m + 1), min(m, exp_r)
-                    for ell in range(lo, hi + 1):
-                        w = ReducedWord(g.blocks[: r - 1] + ((gen_r, ell),))
-                        seen.setdefault(w)
-            return [BasisVector("free_prod", word=w) for w in seen]
-        return [BasisVector("wcube", j=j)]
+        return self._spec.basis_slice(self, j, list(support))
 
     def basis_for_support(self, support: Iterable) -> list[BasisVector]:
         support = list(support)
@@ -266,27 +228,8 @@ class LengthCocycle:
 
         Enables Gram computations directly from the Gromov form.
         """
-        self._require_basis()
-        n = self.group.n_components
-        if u.family == "euclidean":
-            e_j = tuple(1 if i == u.j - 1 else 0 for i in range(n))
-            return [(e_j, 1)]
-        if u.family == "zword":
-            here = tuple(u.ell if i == u.j - 1 else 0 for i in range(n))
-            sign = 1 if u.ell > 0 else -1
-            prev = tuple(u.ell - sign if i == u.j - 1 else 0 for i in range(n))
-            return [(here, 1), (prev, -1)]
-        if u.family == "z2m":
-            q = self.group.moduli[0]
-            here = tuple(u.ell % q if i == u.j - 1 else 0 for i in range(n))
-            prev = tuple((u.ell - 1) % q if i == u.j - 1 else 0 for i in range(n))
-            return [(here, 1), (prev, -1)]
-        if u.family == "free":
-            return [(u.word, 1), (words.predecessor(u.word), -1)]
-        if u.family == "free_prod":
-            return [(u.word, 1), (words.predecessor(u.word, self.group.modulus), -1)]
-        point = tuple(1 if i == u.j - 1 else 0 for i in range(n))
-        return [(point, 1 / (2 * math.sqrt(self.weights[u.j - 1])))]
+        self.require_basis_vector(u)
+        return self._spec.delta_expansion(self, u)
 
 
 def build_cocycle(family: str, group: GroupDescriptor,
@@ -319,8 +262,8 @@ def _halve(value):
 def gromov_form_defining(cocycle: LengthCocycle, g, h):
     """(psi(g) + psi(h) - psi(g^{-1} h)) / 2, computed exactly."""
     group = cocycle.group
-    g = _canonical(group, g)
-    h = _canonical(group, h)
+    g = canonical_key(group, g)
+    h = canonical_key(group, h)
     gh = element_product(group, element_inverse(group, g), h)
     return _halve(cocycle.psi(g) + cocycle.psi(h) - cocycle.psi(gh))
 
@@ -352,37 +295,7 @@ def gromov_form(cocycle: LengthCocycle, g, h, method: str = "closed"):
     if method != "closed":
         raise ValueError(f"unknown method {method!r}")
     group = cocycle.group
-    g = _canonical(group, g)
-    h = _canonical(group, h)
-    f = cocycle.family
-    if f == "euclidean":
-        return sum(x * y for x, y in zip(g, h))
-    if f == "torus_word":
-        return sum(min(abs(x), abs(y)) for x, y in zip(g, h) if x * y > 0)
-    if f in ("cyclic_word", "odd_cyclic_word"):
-        q = group.moduli[0]
-        total = sum(_cyclic_closed(x, y, q) for x, y in zip(g, h))
-        return int(total) if total == int(total) else total
-    if f == "free_word":
-        return words.word_length(words.meet(g, h))
-    if f == "free_product_word":
-        q = group.modulus
-        acc = 0
-        for (gen1, exp1), (gen2, exp2) in zip(g.blocks, h.blocks):
-            if (gen1, exp1) == (gen2, exp2):
-                acc += min(exp1, q - exp1)
-                continue
-            if gen1 == gen2:
-                acc += _cyclic_closed(exp1, exp2, q)
-            break
-        return acc
-    # weighted cube
-    return 4 * sum(a for bit_g, bit_h, a in zip(g, h, cocycle.weights) if bit_g and bit_h)
-
-
-def _canonical(group: GroupDescriptor, key):
-    from .groups import canonical_key
-    return canonical_key(group, key)
+    return cocycle._spec.gromov(cocycle, canonical_key(group, g), canonical_key(group, h))
 
 
 def gromov_bilinear(cocycle: LengthCocycle, expansion_a, expansion_b,
@@ -409,6 +322,168 @@ def completeness_defect(cocycle: LengthCocycle, g):
     basis = cocycle.basis_for_support([g])
     total = sum(cocycle.pairing(g, u) ** 2 for u in basis)
     return total - cocycle.psi(g)
+
+
+# -- the families ----------------------------------------------------------
+
+
+def _equal_moduli(parity: int) -> Callable[[GroupDescriptor], bool]:
+    """Whether a group is Z_q^n with q of the given parity."""
+    return lambda group: (group.kind == FINITE_ABELIAN and len(set(group.moduli)) == 1
+                          and group.moduli[0] % 2 == parity)
+
+
+def _axis_deltas(c: LengthCocycle, u: BasisVector, *terms) -> list[tuple[object, float]]:
+    """(key, coefficient) for each (x, coefficient), the key holding x at coordinate u.j."""
+    n = c.group.n_components
+    return [(tuple(x if i == u.j - 1 else 0 for i in range(n)), coeff) for x, coeff in terms]
+
+
+def _cyclic_psi(c: LengthCocycle, g) -> int:
+    q = c.group.moduli[0]
+    return sum(min(x % q, q - x % q) for x in g)
+
+
+def _weighted_psi(c: LengthCocycle, g) -> float:
+    # the defining L2(Gamma, mu) expression over the point masses mu = sum_i
+    # alpha_i delta_{w_i}, with w_i the sign vector flipped at coordinate i
+    total = 0.0
+    for i, alpha in enumerate(c.weights):
+        character_value = -1 if g[i] else 1
+        total += alpha * (1 - character_value) ** 2
+    return total
+
+
+def _cyclic_gromov(c: LengthCocycle, g, h):
+    total = sum(_cyclic_closed(x, y, c.group.moduli[0]) for x, y in zip(g, h))
+    return int(total) if total == int(total) else total
+
+
+def _free_product_gromov(c: LengthCocycle, g: ReducedWord, h: ReducedWord) -> int:
+    q = c.group.modulus
+    acc = 0
+    for (gen1, exp1), (gen2, exp2) in zip(g.blocks, h.blocks):
+        if (gen1, exp1) == (gen2, exp2):
+            acc += min(exp1, q - exp1)
+            continue
+        if gen1 == gen2:
+            acc += _cyclic_closed(exp1, exp2, q)
+        break
+    return acc
+
+
+def _zword_slice(c: LengthCocycle, j: int, support: list) -> list[BasisVector]:
+    pos = max((g[j - 1] for g in support if g[j - 1] > 0), default=0)
+    neg = min((g[j - 1] for g in support if g[j - 1] < 0), default=0)
+    ells = list(range(1, pos + 1)) + list(range(neg, 0))
+    return [BasisVector("zword", j=j, ell=ell) for ell in ells]
+
+
+def _free_slice(c: LengthCocycle, j: int, support: list) -> list[BasisVector]:
+    seen: dict[ReducedWord, None] = {}
+    for g in support:
+        for w in words.chain(g):
+            if w.first_generator == j:
+                seen.setdefault(w)
+    return [BasisVector("free", word=w) for w in seen]
+
+
+def _free_product_slice(c: LengthCocycle, j: int, support: list) -> list[BasisVector]:
+    m = c.half_modulus
+    seen = {}
+    for g in support:
+        if g.is_identity or g.first_generator != j:
+            continue
+        for r in range(1, g.num_blocks + 1):
+            gen_r, exp_r = g.blocks[r - 1]
+            lo, hi = max(1, exp_r - m + 1), min(m, exp_r)
+            for ell in range(lo, hi + 1):
+                w = ReducedWord(g.blocks[: r - 1] + ((gen_r, ell),))
+                seen.setdefault(w)
+    return [BasisVector("free_prod", word=w) for w in seen]
+
+
+def _z2m_pairing(c: LengthCocycle, g, u: BasisVector) -> int:
+    q = c.group.moduli[0]
+    return 1 if u.ell <= g[u.j - 1] % q < u.ell + q // 2 else 0
+
+
+def _basis_word(c: LengthCocycle, u: BasisVector) -> bool:
+    """A non-identity reduced word on the generators 1..n."""
+    w = u.word
+    return (not w.is_identity and all(1 <= i <= c.group.rank for i, _ in w.blocks)
+            and canonical_key(c.group, w) == w)
+
+
+#: entries shared by the families of one group kind
+_TORUS = dict(fits=lambda group: group.kind == TORUS,
+              cli_group=lambda n, modulus, bound: GroupDescriptor.torus(n, bound))
+_CYCLIC = dict(psi=_cyclic_psi, gromov=_cyclic_gromov,
+               cli_group=lambda n, modulus, bound: GroupDescriptor.finite_abelian([modulus] * n))
+_WORDS = dict(psi=lambda c, g: words.word_length(g, c.group.word_modulus),
+              delta_expansion=lambda c, u: [(u.word, 1),
+                                            (words.predecessor(u.word, c.group.word_modulus), -1)])
+
+#: every built-in family by name; entries reach public functions such as
+#: ``words.word_length`` through their module at call time, so module
+#: wrappers see those calls
+COCYCLE_FAMILIES: dict[str, CocycleFamily] = {
+    "euclidean": CocycleFamily(
+        **_TORUS, misfit="euclidean cocycle needs a torus group", cli_default=False,
+        psi=lambda c, g: sum(x * x for x in g),
+        gromov=lambda c, g, h: sum(x * y for x, y in zip(g, h)),
+        tag="euclidean", pairing=lambda c, g, u: g[u.j - 1],
+        basis_slice=lambda c, j, support: [BasisVector("euclidean", j=j)],
+        delta_expansion=lambda c, u: _axis_deltas(c, u, (1, 1))),
+    "torus_word": CocycleFamily(
+        **_TORUS, misfit="torus_word cocycle needs a torus group",
+        psi=lambda c, g: sum(abs(x) for x in g),
+        gromov=lambda c, g, h: sum(min(abs(x), abs(y)) for x, y in zip(g, h) if x * y > 0),
+        tag="zword", basis_slice=_zword_slice, in_basis=lambda c, u: u.ell != 0,
+        pairing=lambda c, g, u: (1 if g[u.j - 1] * u.ell > 0 and abs(g[u.j - 1]) >= abs(u.ell)
+                                 else 0),
+        delta_expansion=lambda c, u: _axis_deltas(
+            c, u, (u.ell, 1), (u.ell - (1 if u.ell > 0 else -1), -1))),
+    "cyclic_word": CocycleFamily(
+        **_CYCLIC, fits=_equal_moduli(0), misfit="cyclic_word needs equal even moduli",
+        half_modulus=lambda group: group.moduli[0] // 2,
+        tag="z2m", pairing=_z2m_pairing, in_basis=lambda c, u: 1 <= u.ell <= c.half_modulus,
+        basis_slice=lambda c, j, support: [BasisVector("z2m", j=j, ell=ell)
+                                           for ell in range(1, c.half_modulus + 1)],
+        delta_expansion=lambda c, u: _axis_deltas(
+            c, u, (u.ell % c.group.moduli[0], 1), ((u.ell - 1) % c.group.moduli[0], -1))),
+    "odd_cyclic_word": CocycleFamily(
+        **_CYCLIC, fits=_equal_moduli(1), misfit="odd_cyclic_word needs equal odd moduli >= 3"),
+    "free_word": CocycleFamily(
+        **_WORDS, fits=lambda group: group.kind == FREE_GROUP,
+        misfit="free_word needs a free group",
+        cli_group=lambda n, modulus, bound: GroupDescriptor.free_group(n),
+        gromov=lambda c, g, h: words.word_length(words.meet(g, h)),
+        tag="free", basis_slice=_free_slice, in_basis=_basis_word,
+        pairing=lambda c, g, u: 1 if words.leq_free(u.word, g) else 0),
+    "free_product_word": CocycleFamily(
+        **_WORDS, fits=lambda group: group.kind == FREE_PRODUCT,
+        misfit="free_product_word needs a free product group",
+        cli_group=lambda n, modulus, bound: GroupDescriptor.free_product(n, modulus),
+        half_modulus=lambda group: group.modulus // 2, gromov=_free_product_gromov,
+        tag="free_prod", basis_slice=_free_product_slice,
+        in_basis=lambda c, u: _basis_word(c, u) and u.word.blocks[-1][1] <= c.half_modulus,
+        pairing=lambda c, g, u: 1 if words.derivative_set_member(u.word, g,
+                                                                   c.half_modulus) else 0),
+    "weighted_cube": CocycleFamily(
+        fits=lambda group: group.kind == FINITE_ABELIAN and set(group.moduli) == {2},
+        misfit="weighted_cube needs a hypercube group", takes_weights=True, cli_default=False,
+        gap=lambda c: 4 * min(c.weights),
+        cli_group=lambda n, modulus, bound: GroupDescriptor.hypercube(n), psi=_weighted_psi,
+        gromov=lambda c, g, h: 4 * sum(a for bit_g, bit_h, a in zip(g, h, c.weights)
+                                       if bit_g and bit_h),
+        tag="wcube", basis_slice=lambda c, j, support: [BasisVector("wcube", j=j)],
+        pairing=lambda c, g, u: 2 * math.sqrt(c.weights[u.j - 1]) if g[u.j - 1] else 0.0,
+        delta_expansion=lambda c, u: _axis_deltas(
+            c, u, (1, 1 / (2 * math.sqrt(c.weights[u.j - 1]))))),
+}
+
+FAMILIES = tuple(COCYCLE_FAMILIES)
 
 
 # -- conditional negativity -------------------------------------------------

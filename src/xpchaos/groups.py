@@ -360,38 +360,33 @@ def fourier_coefficients(v: DualEvaluation) -> GroupAlgebraElement:
     return GroupAlgebraElement(group, coeffs, _canonical=True)
 
 
-def _convolve_dense_abelian(f: GroupAlgebraElement, h: GroupAlgebraElement,
-                            group: GroupDescriptor) -> GroupAlgebraElement:
-    moduli = group.moduli
-    ka = np.array(list(f.coeffs.keys()), dtype=np.int64)
-    kb = np.array(list(h.coeffs.keys()), dtype=np.int64)
-    ca = np.array(list(f.coeffs.values()), dtype=complex)
-    cb = np.array(list(h.coeffs.values()), dtype=complex)
-    sums = (ka[:, None, :] + kb[None, :, :]) % np.array(moduli, dtype=np.int64)
-    prods = np.multiply.outer(ca, cb)
-    dense = np.zeros(moduli, dtype=complex)
-    np.add.at(dense, tuple(sums.reshape(-1, len(moduli)).T), prods.ravel())
-    coeffs = {}
-    for key in zip(*np.nonzero(np.abs(dense) > PRUNE_TOL)):
-        coeffs[tuple(int(x) for x in key)] = complex(dense[key])
-    return GroupAlgebraElement(group, coeffs, _canonical=True)
+def key_box(group: GroupDescriptor) -> tuple[tuple[int, ...], int]:
+    """Shape and lowest coordinate of the box of keys of an abelian group."""
+    if group.kind == FINITE_ABELIAN:
+        return group.moduli, 0
+    return (2 * group.bound + 1,) * group.rank, -group.bound
 
 
-def _convolve_dense_torus(f: GroupAlgebraElement, h: GroupAlgebraElement) -> GroupAlgebraElement:
-    rank = f.group.rank
-    bound = f.group.bound + h.group.bound
-    group = GroupDescriptor.torus(rank, bound)
-    ka = np.array(list(f.coeffs.keys()), dtype=np.int64).reshape(-1, rank)
-    kb = np.array(list(h.coeffs.keys()), dtype=np.int64).reshape(-1, rank)
+def _convolve_dense(f: GroupAlgebraElement, h: GroupAlgebraElement,
+                    group: GroupDescriptor) -> GroupAlgebraElement:
+    """Accumulate all pairwise key sums in the dense key box of ``group``.
+
+    Sums wrap around the moduli of a finite abelian box; a torus box is as wide
+    as the two bounds together, so its sums never wrap.
+    """
+    shape, low = key_box(group)
+    ka = np.array(list(f.coeffs.keys()), dtype=np.int64).reshape(-1, len(shape))
+    kb = np.array(list(h.coeffs.keys()), dtype=np.int64).reshape(-1, len(shape))
     ca = np.array(list(f.coeffs.values()), dtype=complex)
     cb = np.array(list(h.coeffs.values()), dtype=complex)
-    sums = ka[:, None, :] + kb[None, :, :] + bound  # shift into [0, 2*bound]
+    sums = (ka[:, None, :] + kb[None, :, :] - low).reshape(-1, len(shape))
     prods = np.multiply.outer(ca, cb)
-    dense = np.zeros((2 * bound + 1,) * rank, dtype=complex)
-    np.add.at(dense, tuple(sums.reshape(-1, rank).T), prods.ravel())
+    dense = np.zeros(shape, dtype=complex)
+    np.add.at(dense.reshape(-1), np.ravel_multi_index(tuple(sums.T), shape, mode="wrap"),
+              prods.ravel())
     coeffs = {}
     for key in zip(*np.nonzero(np.abs(dense) > PRUNE_TOL)):
-        coeffs[tuple(int(x) - bound for x in key)] = complex(dense[key])
+        coeffs[tuple(int(x) + low for x in key)] = complex(dense[key])
     return GroupAlgebraElement(group, coeffs, _canonical=True)
 
 
@@ -404,10 +399,10 @@ def convolve(f: GroupAlgebraElement, h: GroupAlgebraElement) -> GroupAlgebraElem
     group = _join_group(f.group, h.group)
     if not f.coeffs or not h.coeffs:
         return GroupAlgebraElement.zero(group)
-    if group.kind == FINITE_ABELIAN:
-        return _convolve_dense_abelian(f, h, group)
     if group.kind == TORUS:
-        return _convolve_dense_torus(f, h)
+        group = GroupDescriptor.torus(group.rank, f.group.bound + h.group.bound)
+    if group.is_abelian:
+        return _convolve_dense(f, h, group)
     acc: dict = {}
     for a, va in f.coeffs.items():
         for b, vb in h.coeffs.items():

@@ -27,8 +27,9 @@ import numpy as np
 
 from . import operators
 from .cocycles import BasisVector, LengthCocycle, build_cocycle
-from .groups import (FINITE_ABELIAN, PRUNE_TOL, TORUS, GroupAlgebraElement,
-                     GroupDescriptor, adjoint, coefficient_tensor, element_inverse)
+from .groups import (FINITE_ABELIAN, PRUNE_TOL, GroupAlgebraElement,
+                     GroupDescriptor, adjoint, coefficient_tensor, element_inverse,
+                     key_box)
 from .norms import (SIGN_BLOCK_ROWS, half_sign_patterns, lp_norm, schatten_powers,
                     sign_average_power, sign_combinations, square_function_norm)
 
@@ -39,6 +40,7 @@ MONTE_CARLO_SIGNS = 2 ** 14
 LATTICE_MAX_BYTES = 2 ** 30
 
 DERIVATIVE_CHOICES = ("walsh", "euclidean", "absorbent", "gradient")
+ENSEMBLE_KINDS = ("gaussian", "sparse", "chaos_degree", "linear_span")
 
 
 def _finite(p: float, low: float | None = None) -> float:
@@ -219,10 +221,7 @@ def _derivative_norm_sum(f: GroupAlgebraElement, cocycle: LengthCocycle, p: floa
     """sum_j of the derivative term of the right-hand side."""
     n = f.group.n_components
     if derivative == "euclidean":
-        if cocycle.family != "euclidean":
-            if f.group.kind != TORUS:
-                raise ValueError("the euclidean derivative needs a torus group")
-            cocycle = build_cocycle("euclidean", f.group)
+        cocycle = build_cocycle("euclidean", f.group)
         total = 0.0
         for j in range(1, n + 1):
             u = BasisVector("euclidean", j=j)
@@ -249,7 +248,7 @@ def _validate_input(f: GroupAlgebraElement, cocycle: LengthCocycle) -> None:
     if not f.coeffs:
         raise ValueError("the input must be nonzero")
     if f.group.is_abelian:              # look the keys up in the table of nonzero lengths
-        shape, low = _key_box(f.group)
+        shape, low = key_box(f.group)
         flat = np.ravel_multi_index((np.array(list(f.coeffs)) - low).T, shape)
         zero_length = not np.isin(flat, _mean_zero_keys(f.group, cocycle.family,
                                                          cocycle.weights)[0]).all()
@@ -495,6 +494,10 @@ class EnsembleSpec:
     degree: int = 2
     word_length: int = 3
 
+    def __post_init__(self) -> None:
+        if self.kind not in ENSEMBLE_KINDS:
+            raise ValueError(f"unknown ensemble kind {self.kind!r}; valid: {ENSEMBLE_KINDS}")
+
     def to_json(self) -> dict:
         return {item.name: getattr(self, item.name) for item in fields(self)}
 
@@ -503,19 +506,12 @@ def _complex_normal(rng: np.random.Generator, size) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2)
 
 
-def _key_box(group: GroupDescriptor) -> tuple[tuple[int, ...], int]:
-    """Shape and lowest coordinate of the box of keys of an abelian group."""
-    if group.kind == FINITE_ABELIAN:
-        return group.moduli, 0
-    return (2 * group.bound + 1,) * group.rank, -group.bound
-
-
 @functools.lru_cache(maxsize=32)
 def _mean_zero_keys(group: GroupDescriptor, family: str,
                     weights: tuple[float, ...] | None) -> tuple[np.ndarray, np.ndarray]:
     """Box positions (ascending) and psi lengths of the keys of nonzero length."""
     cocycle = LengthCocycle(family, group, weights)
-    shape, low = _key_box(group)
+    shape, low = key_box(group)
     keys = itertools.product(*(range(low, low + m) for m in shape))
     lengths = np.fromiter((cocycle.psi(key) for key in keys), dtype=float,
                           count=math.prod(shape))
@@ -544,11 +540,9 @@ def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
         elif spec.kind == "sparse":
             idx = rng.choice(len(flat), size=min(spec.sparsity, len(flat)), replace=False)
             chosen = flat[np.sort(idx)]
-        elif spec.kind == "chaos_degree":
+        else:                               # chaos_degree
             chosen = flat[lengths <= spec.degree]
-        else:
-            raise ValueError(f"unknown ensemble kind {spec.kind!r}")
-        shape, low = _key_box(group)
+        shape, low = key_box(group)
         keys = (np.stack(np.unravel_index(chosen, shape), axis=-1) + low).tolist()
         values = _complex_normal(rng, len(keys)).tolist()
         return GroupAlgebraElement(group, {tuple(key): v for key, v in zip(keys, values)

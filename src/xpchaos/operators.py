@@ -71,6 +71,7 @@ def _component_range(group: GroupDescriptor, j: int) -> None:
 
 
 def directional_derivative_op(cocycle: LengthCocycle, u: BasisVector) -> MultiplierOp:
+    cocycle.require_basis_vector(u)
     return MultiplierOp(f"d[{u.to_id()}]",
                         lambda key: TWO_PI_I * cocycle.pairing(key, u))
 
@@ -157,6 +158,8 @@ def heat_semigroup(f: GroupAlgebraElement, t: float,
 
 
 def riesz_transform_op(cocycle: LengthCocycle, u: BasisVector) -> MultiplierOp:
+    cocycle.require_basis_vector(u)
+
     def symbol(key):
         psi = cocycle.psi(key)
         if psi == 0:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from xpchaos import build_cocycle, operators
 from xpchaos.cli import main
+from xpchaos.cocycles import FAMILIES
 from xpchaos.groups import GroupAlgebraElement, GroupDescriptor
 from xpchaos.norms import lp_norm_torus_grid
 from xpchaos.words import ReducedWord
@@ -16,6 +18,23 @@ def run(args):
 
 def load(path):
     return json.loads(path.read_text())
+
+
+def write_element(path, f):
+    path.write_text(json.dumps(f.to_json()))
+    return str(path)
+
+
+#: group options of ``check cocycle`` for each family
+FAMILY_OPTIONS = {
+    "euclidean": ["--n", "2", "--bound", "3"],
+    "torus_word": ["--n", "2", "--bound", "3"],
+    "cyclic_word": ["--n", "2", "--modulus", "6"],
+    "odd_cyclic_word": ["--n", "2", "--modulus", "5"],
+    "free_word": ["--n", "2"],
+    "free_product_word": ["--n", "2", "--modulus", "4"],
+    "weighted_cube": ["--n", "3", "--weights", "1,2,0.5"],
+}
 
 
 class TestVerify:
@@ -86,6 +105,14 @@ class TestVerify:
                     "--out", str(out2)]) == 0
         assert load(out2)["params"]["n"] == 5
 
+    def test_unknown_ensemble_in_config_exit_code(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ensemble": "bogus", "trials": 2}))
+        out = tmp_path / "r.json"
+        assert run(["verify", "free-identities", "--config", str(config),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_config_hash_stable_under_rerun(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["verify", "xp-linear", "--n", "4", "--k", "2", "--p", "2",
@@ -140,6 +167,22 @@ class TestCheck:
     def test_unknown_family(self, tmp_path):
         assert run(["check", "cocycle", "--family", "bogus",
                     "--out", str(tmp_path / "c.json")]) == 2
+
+    def test_options_cover_every_family(self):
+        assert set(FAMILY_OPTIONS) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_OPTIONS))
+    def test_every_family_certifies(self, tmp_path, family):
+        out = tmp_path / "cocycle.json"
+        assert run(["check", "cocycle", "--family", family, *FAMILY_OPTIONS[family],
+                    "--sample-size", "10", "--out", str(out)]) == 0
+        report = load(out)
+        assert report["family"] == family and report["passed"]
+        if family == "odd_cyclic_word":
+            assert report["gram_max_abs_error"] is None
+        else:
+            assert report["gram_max_abs_error"] <= 1e-12
+            assert report["completeness_max_abs_error"] <= 1e-12
 
 
 class TestNormAndApply:
@@ -220,6 +263,34 @@ class TestNormAndApply:
         payload = json.loads(capsys.readouterr().out)
         values = {tuple(map(tuple, e["word"])): e["re"] for e in payload["coeffs"]}
         assert values == {((1, 1),): pytest.approx(1.0), ((2, 1),): pytest.approx(-1.0)}
+
+    @pytest.mark.parametrize("group, key, family", [
+        (GroupDescriptor.torus(2, 2), (1, -2), "torus_word"),
+        (GroupDescriptor.finite_abelian([4, 4]), (1, 3), "cyclic_word"),
+        (GroupDescriptor.finite_abelian([5, 5]), (2, 4), "odd_cyclic_word"),
+        (GroupDescriptor.free_group(2), ReducedWord(((1, 2), (2, -1))), "free_word"),
+        (GroupDescriptor.free_product(2, 4), ReducedWord(((1, 3), (2, 2))),
+         "free_product_word")], ids=lambda x: getattr(x, "kind", None))
+    def test_apply_laplacian_default_family(self, tmp_path, capsys, group, key, family):
+        """Without --family, apply uses the word-length family of the input's group."""
+        f = GroupAlgebraElement.lam(group, key, 2.0)
+        assert run(["apply", "--op", "laplacian", "--in",
+                    write_element(tmp_path / "f.json", f)]) == 0
+        result = GroupAlgebraElement.from_json(json.loads(capsys.readouterr().out))
+        assert result == operators.laplacian_power(f, 1.0, build_cocycle(family, group))
+
+    @pytest.mark.parametrize("group, vector", [
+        (GroupDescriptor.torus(2, 2), "ZWord:1"),
+        (GroupDescriptor.finite_abelian([4, 4]), "Z2mWord:5:1"),
+        (GroupDescriptor.finite_abelian([4, 4]), "Z2mWord:1:7"),
+        (GroupDescriptor.torus(2, 2), "ZWord:1:0"),
+    ], ids=lambda x: x if isinstance(x, str) else x.kind)
+    def test_apply_bad_basis_vector_exit_code(self, tmp_path, capsys, group, vector):
+        f = GroupAlgebraElement(group, {(1, 1): 1.0, (2, 1): 0.5})
+        for op in ("derivative", "riesz"):
+            assert run(["apply", "--op", op, "--u", vector,
+                        "--in", write_element(tmp_path / "f.json", f)]) == 2
+            assert capsys.readouterr().out == ""
 
     def test_apply_requires_u_for_riesz(self, tmp_path):
         group = GroupDescriptor.torus(1, 1)

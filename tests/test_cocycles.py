@@ -10,8 +10,9 @@ from xpchaos import (GroupDescriptor, build_cocycle, completeness_defect,
                      conditional_negativity_check, enumerate_words, gram_matrix,
                      gromov_bilinear, gromov_form, spectral_gap,
                      weighted_hypercube)
-from xpchaos import words
-from xpchaos.cocycles import BasisVector
+from xpchaos import operators, words
+from xpchaos.cli import _build_cli_cocycle
+from xpchaos.cocycles import COCYCLE_FAMILIES, FAMILIES, BasisVector
 from xpchaos.words import ReducedWord
 
 
@@ -351,3 +352,83 @@ class TestBasisVectorIds:
 
     def test_component_of_word_vectors(self):
         assert BasisVector("free", word=ReducedWord(((2, -1), (1, 1)))).component == 2
+
+    @pytest.mark.parametrize("text", ["ZWord:1", "Euclidean", "WeightedCube",
+                                      "Z2mWord:1:2:3", "Euclidean:1:2",
+                                      "FreeWord:1", "FreeProdWord:1,2,3"])
+    def test_malformed_id_rejected(self, text):
+        with pytest.raises(ValueError, match="basis vector id"):
+            BasisVector.from_id(text)
+
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            BasisVector("bogus", j=1)
+
+
+class TestVectorsOutsideTheBasis:
+    @pytest.mark.parametrize("cocycle, u", [
+        (cyclic(4), BasisVector("z2m", j=3, ell=1)),
+        (cyclic(4), BasisVector("z2m", j=0, ell=1)),
+        (cyclic(4), BasisVector("z2m", j=1, ell=0)),
+        (cyclic(4), BasisVector("z2m", j=1, ell=3)),
+        (torus_word(), BasisVector("zword", j=1, ell=0)),
+        (torus_word(), BasisVector("zword", j=-1, ell=2)),
+        (build_cocycle("euclidean", GroupDescriptor.torus(2, 3)), BasisVector("euclidean", j=3)),
+        (free(), BasisVector("free", word=ReducedWord())),
+        (free(), BasisVector("free", word=ReducedWord(((3, 1),)))),
+        (free_product(4), BasisVector("free_prod", word=ReducedWord())),
+        (free_product(4), BasisVector("free_prod", word=ReducedWord(((1, 3),)))),
+        (weighted_hypercube([1.0, 2.0]), BasisVector("wcube", j=3)),
+    ], ids=lambda x: x.to_id() if isinstance(x, BasisVector) else None)
+    def test_refused_once_per_multiplier(self, cocycle, u):
+        for build in (operators.directional_derivative_op, operators.riesz_transform_op):
+            with pytest.raises(ValueError, match="basis"):
+                build(cocycle, u)
+        with pytest.raises(ValueError, match="basis"):
+            cocycle.delta_expansion(u)
+
+    def test_delta_expansion_checks_the_family(self):
+        """A cyclic cocycle neither expands nor certifies vectors of another family."""
+        c = cyclic(4)
+        with pytest.raises(ValueError, match="mismatch"):
+            c.delta_expansion(BasisVector("euclidean", j=1))
+        with pytest.raises(ValueError, match="mismatch"):
+            gram_matrix(c, [BasisVector("euclidean", j=1), BasisVector("zword", j=2, ell=1)])
+
+
+#: a group for every family, with a support of nonzero lengths
+FAMILY_CASES = {
+    "euclidean": ({"n": 2, "bound": 2}, [(1, -2), (0, 1)]),
+    "torus_word": ({"n": 2, "bound": 2}, [(1, -2), (-2, 2)]),
+    "cyclic_word": ({"n": 2, "modulus": 6}, [(1, 4), (3, 0)]),
+    "odd_cyclic_word": ({"n": 2, "modulus": 5}, [(1, 4)]),
+    "free_word": ({"n": 2}, [ReducedWord(((1, 2), (2, -1))), ReducedWord(((2, -2),))]),
+    "free_product_word": ({"n": 2, "modulus": 4},
+                          [ReducedWord(((1, 3), (2, 2))), ReducedWord(((2, 1), (1, 1)))]),
+    "weighted_cube": ({"n": 3}, [(1, 0, 1), (0, 1, 0)]),
+}
+
+
+class TestFamilyTable:
+    def test_cases_cover_the_table(self):
+        assert set(FAMILY_CASES) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_CASES))
+    def test_record_is_complete(self, family):
+        options, support = FAMILY_CASES[family]
+        cocycle = _build_cli_cocycle({"family": family, **options})
+        assert cocycle.family == family
+        assert cocycle.has_basis == (COCYCLE_FAMILIES[family].tag is not None)
+        assert all(cocycle.psi(g) != 0 for g in support)
+        if not cocycle.has_basis:
+            with pytest.raises(ValueError, match="no orthonormal basis"):
+                cocycle.basis_for_support(support)
+            return
+        basis = cocycle.basis_for_support(support)
+        assert basis
+        for u in basis:
+            assert u.family == COCYCLE_FAMILIES[family].tag
+            assert BasisVector.from_id(u.to_id()) == u
+            cocycle.require_basis_vector(u)
+        for g in support:
+            assert completeness_defect(cocycle, g) == pytest.approx(0, abs=1e-12)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from xpchaos import (GroupAlgebraElement, GroupDescriptor, adjoint,
                      build_cocycle, convolve, evaluate_on_dual,
                      fourier_coefficients, project_mean_zero, trace)
-from xpchaos.groups import DualEvaluation, element_inverse, element_product
+from xpchaos.groups import DualEvaluation, element_inverse, element_product, key_box
 from xpchaos.words import ReducedWord
 
 
@@ -126,6 +126,41 @@ class TestConvolve:
         group = GroupDescriptor.torus(1, 2)
         f = GroupAlgebraElement(group, {(2,): 1.0})
         assert convolve(f, f).coeffs == {(4,): pytest.approx(1.0)}
+
+    @pytest.mark.parametrize("left, right", [
+        (GroupDescriptor.finite_abelian([3, 4]), GroupDescriptor.finite_abelian([3, 4])),
+        (GroupDescriptor.finite_abelian([2, 5, 2]), GroupDescriptor.finite_abelian([2, 5, 2])),
+        (GroupDescriptor.torus(2, 1), GroupDescriptor.torus(2, 3)),
+        (GroupDescriptor.torus(1, 0), GroupDescriptor.torus(1, 2))])
+    def test_matches_the_pairwise_sum(self, left, right):
+        """Dense products agree with the sum over all pairs of keys; torus boxes never wrap."""
+        rng = np.random.default_rng(12)
+        elements = []
+        for group in (left, right):
+            if group.kind == "torus":
+                box = itertools.product(range(-group.bound, group.bound + 1), repeat=group.rank)
+            else:
+                box = itertools.product(*(range(m) for m in group.moduli))
+            keys = list(box)
+            picked = rng.choice(len(keys), size=min(5, len(keys)), replace=False)
+            elements.append(GroupAlgebraElement(group, {keys[i]: complex(*rng.standard_normal(2))
+                                                        for i in picked}))
+        f, h = elements
+        expected: dict = {}
+        for a, va in f.coeffs.items():
+            for b, vb in h.coeffs.items():
+                key = element_product(f.group, a, b)
+                expected[key] = expected.get(key, 0) + va * vb
+        product = convolve(f, h)
+        if left.kind == "torus":
+            assert product.group.bound == left.bound + right.bound
+        assert set(product.coeffs) == {k for k, v in expected.items() if abs(v) > 1e-14}
+        assert all(product.coeffs[k] == pytest.approx(expected[k], abs=1e-12)
+                   for k in product.coeffs)
+
+    def test_key_box(self):
+        assert key_box(GroupDescriptor.finite_abelian([3, 4])) == ((3, 4), 0)
+        assert key_box(GroupDescriptor.torus(2, 3)) == ((7, 7), -3)
 
 
 class TestAdjoint:

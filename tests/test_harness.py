@@ -725,6 +725,10 @@ class TestEnsembles:
         assert f.support_size == 5
         assert all(not w.is_identity for w in f.coeffs)
 
+    def test_unknown_kind_rejected_on_construction(self):
+        with pytest.raises(ValueError, match="unknown ensemble kind 'bogus'"):
+            EnsembleSpec("bogus")
+
     def test_free_ensemble_small_pool_terminates(self):
         group = GroupDescriptor.free_group(1)
         cocycle = build_cocycle("free_word", group)
