@@ -27,12 +27,13 @@ import numpy as np
 
 from . import __version__, operators
 from .acceptance import run_all
-from .cocycles import (COCYCLE_FAMILIES, BasisVector, build_cocycle, cocycle_family,
-                       completeness_defect, conditional_negativity_check, gram_matrix)
+from .cocycles import (COCYCLE_FAMILIES, FAMILIES, BasisVector, build_cocycle,
+                       cocycle_family, completeness_defect, conditional_negativity_check,
+                       gram_matrix)
 from .groups import (TORUS, GroupAlgebraElement, GroupDescriptor, adjoint,
                      project_mean_zero, random_group_elements)
 from .harness import DERIVATIVE_CHOICES, ENSEMBLE_KINDS, EnsembleSpec, scan
-from .norms import NumericalSanityError, lp_norm, lp_norm_torus_grid
+from .norms import NumericalSanityError, lp_norm, lp_norm_torus_refined
 
 
 def _config_hash(params: dict) -> str:
@@ -224,14 +225,13 @@ def _load_element(path: str) -> GroupAlgebraElement:
 def _cmd_norm(args: argparse.Namespace) -> int:
     f = _load_element(args.infile)
     p = float(args.p)
-    method = args.method
-    if method == "exact" and f.group.kind == TORUS and not (p >= 2 and p % 2 == 0):
-        method = "grid"  # torus norms are exact only at even p; say what ran
-    if method == "grid":
-        value = lp_norm_torus_grid(f, p, args.oversample)
+    payload = {"p": p, "method": args.method}
+    if args.method == "grid" or (f.group.kind == TORUS and not (p >= 2 and p % 2 == 0)):
+        payload["method"] = "grid"  # torus norms are exact only at even p; say what ran
+        payload["norm"], payload["quadrature_gap"] = lp_norm_torus_refined(f, p, args.oversample)
     else:
-        value = lp_norm(f, p, oversample=args.oversample)
-    print(json.dumps({"norm": value, "p": p, "method": method}, sort_keys=True))
+        payload["norm"] = lp_norm(f, p, oversample=args.oversample)
+    print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     apply_cmd.add_argument("--eps", type=str, default="1", help="comma-separated signs")
     apply_cmd.add_argument("--gamma", type=float, default=1.0)
     apply_cmd.add_argument("--t", type=float, default=1.0)
-    apply_cmd.add_argument("--family", type=str)
+    apply_cmd.add_argument("--family", choices=FAMILIES)
     apply_cmd.add_argument("--out", type=str)
     apply_cmd.set_defaults(handler=_cmd_apply)
 

@@ -73,6 +73,14 @@ class BasisVector:
         if self.family not in _BASIS_TAGS:
             raise ValueError(f"unknown basis vector tag {self.family!r}; "
                              f"valid: {tuple(_BASIS_TAGS)}")
+        fields = _BASIS_TAGS[self.family][1]
+        given = {"j": self.j != 0, "ell": self.ell != 0, "word": self.word is not None}
+        well_typed = all(isinstance(self.word, ReducedWord) if name == "word"
+                         else isinstance(getattr(self, name), (int, np.integer))
+                         for name in fields)
+        if not well_typed or any(given[name] for name in given if name not in fields):
+            raise ValueError(f"a {self.family} basis vector takes exactly the fields {fields}; "
+                             f"got j={self.j!r}, ell={self.ell!r}, word={self.word!r}")
 
     @property
     def component(self) -> int:

@@ -321,9 +321,6 @@ class DualEvaluation:
     group: GroupDescriptor
     values: np.ndarray = field(repr=False)
 
-    def tensor(self) -> np.ndarray:
-        return self.values.reshape(self.group.moduli)
-
 
 def evaluate_on_dual(f: GroupAlgebraElement) -> DualEvaluation:
     """Evaluate ``f`` at every dual point: values[x] = sum_g fhat(g) chi_g(x).
@@ -335,13 +332,14 @@ def evaluate_on_dual(f: GroupAlgebraElement) -> DualEvaluation:
     group = f.group
     if group.kind != FINITE_ABELIAN:
         raise ValueError(f"dual evaluation needs a finite abelian group, got {group.kind}")
-    values = np.fft.ifftn(coefficient_tensor(f)) * group.dual_size
+    values = np.fft.ifftn(coefficient_tensor(f, group.moduli)) * group.dual_size
     return DualEvaluation(group, values.ravel())
 
 
-def coefficient_tensor(f: GroupAlgebraElement) -> np.ndarray:
-    """The coefficients of a finite abelian element as a dense tensor over its moduli."""
-    tensor = np.zeros(f.group.moduli, dtype=complex)
+def coefficient_tensor(f: GroupAlgebraElement, grid: tuple[int, ...]) -> np.ndarray:
+    """The coefficients of an abelian element on a grid; key g sits at index g mod
+    grid, so a torus polynomial of bound B needs over 2B points per axis."""
+    tensor = np.zeros(grid, dtype=complex)
     for key, value in f.coeffs.items():
         tensor[key] += value
     return tensor

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import operators
-from .cocycles import BasisVector, LengthCocycle, build_cocycle
+from .cocycles import LengthCocycle, build_cocycle
 from .groups import (FINITE_ABELIAN, PRUNE_TOL, GroupAlgebraElement,
                      GroupDescriptor, adjoint, coefficient_tensor, element_inverse,
                      key_box)
@@ -35,8 +35,9 @@ from .norms import (SIGN_BLOCK_ROWS, half_sign_patterns, lp_norm, schatten_power
 
 SIGN_ENUMERATION_CAP = 14
 MONTE_CARLO_SIGNS = 2 ** 14
-#: largest subset lattice (16 bytes per entry of the mean-extended value
-#: tensor) that ``naor_profile`` allocates; p = 2 needs no lattice
+#: largest grid allocation of ``naor_profile`` (16 bytes per entry of the
+#: mean-extended value tensor, which p = 2 alone does not need, and of the
+#: derivative multiplier stack)
 LATTICE_MAX_BYTES = 2 ** 30
 
 DERIVATIVE_CHOICES = ("walsh", "euclidean", "absorbent", "gradient")
@@ -169,79 +170,100 @@ def _lattice_index(n: int, k: int) -> np.ndarray:
     return index
 
 
-def _check_lattice_size(group: GroupDescriptor, ps: Sequence[float]) -> None:
-    """Refuse a subset lattice above LATTICE_MAX_BYTES before it is allocated."""
-    size = 16 * math.prod(m + 1 for m in group.moduli)     # moduli is () off finite groups
-    if any(p != 2 for p in ps) and size > LATTICE_MAX_BYTES:
-        raise ValueError(f"the subset lattice needs {size} bytes, above {LATTICE_MAX_BYTES = }")
+def _grid_shape(group: GroupDescriptor, ps: Sequence[float]) -> tuple[int, ...]:
+    """Points per axis of a profile's grid: a finite abelian group's moduli, or for
+    a torus polynomial of bound B the most of p*B + 1 at each even p (|.|^p has
+    degree p*B per axis, so its grid mean is exact) and 4(2B + 1) at any other
+    p, as ``lp_norm_torus_grid``.  Over 2B points per axis alias no keys, so
+    E_S f is the mean over the axes outside S."""
+    if group.kind == FINITE_ABELIAN:
+        return group.moduli
+    sides = [int(p) * group.bound + 1 if p % 2 == 0 else 4 * (2 * group.bound + 1) for p in ps]
+    return (max(sides, default=2 * group.bound + 1),) * group.rank
+
+
+def _symbol_blocks(cocycle: LengthCocycle, derivative: str):
+    """(symbol cocycle, [(sign, basis slice)]) of a multiplier derivative, in summation
+    order: euclidean takes e_j of f for each j; gradient takes slice j of ``cocycle``
+    for f (sign 1) and f* (sign -1: D_u f* is minus the conjugate of the multiplier
+    <beta(-g), u> applied to f), over the key box's corners, which pair with every
+    vector that any key of the box pairs with."""
+    if derivative not in ("euclidean", "gradient"):
+        return cocycle, []
+    if derivative == "euclidean":
+        cocycle = build_cocycle("euclidean", cocycle.group)
+    shape, low = key_box(cocycle.group)
+    corners = [(low,) * len(shape), tuple(low + m - 1 for m in shape)]
+    return cocycle, [(sign, basis) for j in range(1, len(shape) + 1)
+                     for sign in ((1,) if derivative == "euclidean" else (1, -1))
+                     if (basis := cocycle.basis_slice(j, corners))]
+
+
+@functools.lru_cache(maxsize=16)
+def _pairing_table(group: GroupDescriptor, family: str, weights: tuple[float, ...] | None,
+                   derivative: str, grid: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """<beta(sign * g), u> at index g mod grid for each (sign, u) of ``_symbol_blocks``,
+    and the first row of each block."""
+    cocycle, blocks = _symbol_blocks(LengthCocycle(family, group, weights), derivative)
+    shape, low = key_box(group)
+    keys = list(itertools.product(*(range(low, low + m) for m in shape)))
+    table = np.zeros((sum(len(basis) for _, basis in blocks), *grid))
+    table[(slice(None), *np.array(keys).T)] = [
+        [cocycle.pairing(g if sign == 1 else element_inverse(group, g), u) for g in keys]
+        for sign, basis in blocks for u in basis]
+    starts = np.cumsum([0] + [len(basis) for _, basis in blocks[:-1]])
+    table.flags.writeable = starts.flags.writeable = False
+    return table, starts
+
+
+def _check_lattice_size(group: GroupDescriptor, cocycle: LengthCocycle, ps: Sequence[float],
+                        derivative: str) -> None:
+    """Refuse the mean-extended value tensor (unless p = 2 alone) and the derivative
+    multiplier stack above LATTICE_MAX_BYTES before they are allocated."""
+    grid = _grid_shape(group, ps)
+    rows = sum(len(basis) for _, basis in _symbol_blocks(cocycle, derivative)[1])
+    size = 16 * (rows * math.prod(grid)
+                 + (math.prod(m + 1 for m in grid) if set(ps) != {2} else 0))
+    if size > LATTICE_MAX_BYTES:
+        raise ValueError(f"the profile's grid tensors need {size} bytes, "
+                         f"above {LATTICE_MAX_BYTES = }")
 
 
 def _abelian_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
                    ks: tuple[int, ...], derivative: str):
-    """(p, lhs by k, derivative sum, ||f||_p^p) for each p, on a finite abelian group.
+    """(p, lhs by k, derivative sum, ||f||_p^p) for each p, on an abelian group.
 
-    All come from one dual evaluation of f: the subset lattice, whose all-kept
-    corner is ||f||_p^p (p = 2 takes the Parseval lattice instead), and the
-    walsh/absorbent sums over each axis's values minus their mean along it.
-    f* takes the conjugate values of f: its absorbent half equals the f half.
+    All come from one batched dual evaluation on the grid of ``_grid_shape``:
+    of f and, for euclidean and gradient, of f times each derivative multiplier,
+    whose squared moduli are summed over a block before the power p/2.  The
+    subset lattice's all-kept corner is ||f||_p^p (p = 2 takes the Parseval
+    lattice).  walsh/absorbent take each axis's values minus their mean along
+    it; f* has the conjugate values of f, so its absorbent half is the f half.
     """
     n = f.group.n_components
+    grid = _grid_shape(f.group, ps)
+    tensor = coefficient_tensor(f, grid)
     flips = derivative in ("walsh", "absorbent")
-    tensor = coefficient_tensor(f)
-    if flips or set(ps) != {2}:
-        values = np.fft.ifftn(tensor) * f.group.dual_size
-        extended = _extend_with_means(values) if set(ps) != {2} else None
+    if not flips:
+        table, starts = _pairing_table(f.group, cocycle.family, cocycle.weights, derivative, grid)
+        tensor = np.concatenate([tensor[None], table * (operators.TWO_PI_I * tensor)])
+    evaluated = np.fft.ifftn(tensor, axes=range(-n, 0)) * math.prod(grid)
+    values, coeffs = (evaluated, tensor) if flips else (evaluated[0], tensor[0])
+    extended = _extend_with_means(values) if set(ps) != {2} else None
     sums = dict.fromkeys(ps, 0.0)
     for axis in range(n if flips else 0):
         flipped = values - values.mean(axis=axis, keepdims=True)
         for p in ps:
             sums[p] += float(np.mean(_abs_power(flipped, p)))
+    blocks = [] if flips else np.add.reduceat(_abs_power(evaluated[1:], 2), starts)
     for p in ps:
+        for block in blocks:
+            sums[p] += float(np.mean(block ** (p // 2 if p % 2 == 0 else p / 2)))
         lattice = (_power_lattice(extended, p) if p != 2
-                   else _parseval_lattice(np.abs(tensor) ** 2)).ravel()
-        deriv_sum = ((2.0 ** p if derivative == "walsh" else 2.0) * sums[p] if flips
-                     else _derivative_norm_sum(f, cocycle, p, derivative))
+                   else _parseval_lattice(np.abs(coeffs) ** 2)).ravel()
         yield (p, {k: float(np.mean(lattice[_lattice_index(n, k)])) for k in ks},
-               deriv_sum, float(lattice[-1]))
-
-
-def _generic_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
-                   ks: tuple[int, ...], derivative: str):
-    """(p, lhs by k, derivative sum, ||f||_p^p) for each p, through the operators."""
-    n = f.group.n_components
-    truncated = {k: [operators.truncate(f, s) for s in itertools.combinations(range(1, n + 1), k)]
-                 for k in ks}
-    for p in ps:
-        yield (p, {k: float(np.mean([lp_norm(t, p) ** p for t in truncated[k]])) for k in ks},
-               _derivative_norm_sum(f, cocycle, p, derivative), lp_norm(f, p) ** p)
-
-
-def _derivative_norm_sum(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float,
-                         derivative: str) -> float:
-    """sum_j of the derivative term of the right-hand side."""
-    n = f.group.n_components
-    if derivative == "euclidean":
-        cocycle = build_cocycle("euclidean", f.group)
-        total = 0.0
-        for j in range(1, n + 1):
-            u = BasisVector("euclidean", j=j)
-            total += lp_norm(operators.directional_derivative(f, u, cocycle), p) ** p
-        return total
-    if derivative == "absorbent":
-        f_star = adjoint(f)
-        return sum(lp_norm(operators.absorbent_derivative(f, j), p) ** p
-                   + lp_norm(operators.absorbent_derivative(f_star, j), p) ** p
-                   for j in range(1, n + 1))
-    if derivative == "gradient":
-        f_star = adjoint(f)
-        total = 0.0
-        for j in range(1, n + 1):
-            for side in (f, f_star):
-                grad = operators.gradient(side, j, cocycle)
-                if grad.components:
-                    total += square_function_norm(grad.elements, p) ** p
-        return total
-    raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
+               (2.0 ** p if derivative == "walsh" else 2.0 if flips else 1.0) * sums[p],
+               float(lattice[-1]))
 
 
 def _validate_input(f: GroupAlgebraElement, cocycle: LengthCocycle) -> None:
@@ -265,24 +287,26 @@ def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
 
     lhs(p, k) averages ||E_S f||_p^p over the k-subsets; rhs(p, k) is
     (k/n) * sum_j (derivative term)_j + (k/n)^(p/2) * ||f||_p^p.  On finite
-    abelian groups all of them come from one dual evaluation of f.
+    abelian groups and torus polynomials all of them come from one batched
+    dual evaluation; free kinds are refused.
     """
     for p in ps:
         _finite(p, 1)
     if derivative not in DERIVATIVE_CHOICES:
         raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
+    if not f.group.is_abelian:
+        raise ValueError(f"naor profiles need an abelian group, got {f.group.kind}")
     if derivative == "walsh" and (f.group.kind != FINITE_ABELIAN or set(f.group.moduli) != {2}):
         raise ValueError("the walsh derivative needs a hypercube group")
-    _check_lattice_size(f.group, ps)
+    _check_lattice_size(f.group, cocycle, ps, derivative)
     _validate_input(f, cocycle)
     n = f.group.n_components
     for k in ks:
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in [1, {n}], got {k}")
-    terms = _abelian_terms if f.group.kind == FINITE_ABELIAN else _generic_terms
     out: dict[float, dict[int, tuple[float, float]]] = {}
-    for p, lhs, deriv_sum, full_norm in terms(f, cocycle, list(ps), tuple(sorted(set(ks))),
-                                              derivative):
+    for p, lhs, deriv_sum, full_norm in _abelian_terms(f, cocycle, list(ps),
+                                                       tuple(sorted(set(ks))), derivative):
         out[p] = {k: (lhs[k], (k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm)
                   for k in ks}
     return out
@@ -640,7 +664,7 @@ def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, derivative = _naor_family(params)
     ps = [_finite(float(p), 1) for p in params.get("ps", [params.get("p", 4)])]
     ks = _ks(params)
-    _check_lattice_size(group, ps)
+    _check_lattice_size(group, cocycle, ps, derivative)
 
     def evaluate(f):
         profile = naor_profile(f, cocycle, ps, ks, derivative)

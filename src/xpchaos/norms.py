@@ -17,10 +17,15 @@ from typing import Sequence
 import numpy as np
 
 from .groups import (FINITE_ABELIAN, TORUS, GroupAlgebraElement, adjoint,
-                     convolve, evaluate_on_dual, trace)
+                     coefficient_tensor, convolve, evaluate_on_dual, trace)
 
 #: dense complex matrices stand in for the finite-dimensional operands
 MatrixOperand = np.ndarray
+
+#: ``lp_norm_torus_refined`` doubles its grid until two successive norms agree
+#: to this relative gap, on grids of at most GRID_REFINE_MAX_POINTS points
+GRID_REFINE_TOL = 1e-8
+GRID_REFINE_MAX_POINTS = 2 ** 22
 
 #: sign rows contracted per numpy batch in sign averages; bounds their
 #: working set without changing their values
@@ -94,13 +99,10 @@ def _torus_grid_values(fs: Sequence[GroupAlgebraElement], oversample: int) -> np
     """Evaluate torus polynomials on a common uniform grid (rows = inputs)."""
     rank = fs[0].group.rank
     bound = max(f.group.bound for f in fs)
-    side = oversample * (2 * bound + 1)
-    grids = np.empty((len(fs), side ** rank), dtype=complex)
+    grid = (oversample * (2 * bound + 1),) * rank
+    grids = np.empty((len(fs), math.prod(grid)), dtype=complex)
     for row, f in enumerate(fs):
-        padded = np.zeros((side,) * rank, dtype=complex)
-        for key, value in f.coeffs.items():
-            padded[tuple(x % side for x in key)] += value
-        grids[row] = (np.fft.ifftn(padded) * side ** rank).ravel()
+        grids[row] = (np.fft.ifftn(coefficient_tensor(f, grid)) * math.prod(grid)).ravel()
     return grids
 
 
@@ -119,6 +121,22 @@ def lp_norm_torus_grid(f: GroupAlgebraElement, p: float, oversample: int = 4) ->
         return 0.0
     values = np.abs(_torus_grid_values([f], oversample)[0])
     return float(np.mean(values ** p) ** (1.0 / p))
+
+
+def lp_norm_torus_refined(f: GroupAlgebraElement, p: float,
+                          oversample: int = 4) -> tuple[float, float | None]:
+    """Grid quadrature doubled from ``oversample`` while two successive norms
+    differ by more than GRID_REFINE_TOL (relative) and the next grid has at
+    most GRID_REFINE_MAX_POINTS points: (last norm, its relative gap to the
+    one before, None when no finer grid fits)."""
+    value, gap = lp_norm_torus_grid(f, p, oversample), None
+    side = 2 * f.group.bound + 1
+    while (gap is None or gap > GRID_REFINE_TOL) \
+            and (2 * oversample * side) ** f.group.rank <= GRID_REFINE_MAX_POINTS:
+        oversample *= 2
+        previous, value = value, lp_norm_torus_grid(f, p, oversample)
+        gap = abs(value - previous) / value if value else 0.0
+    return value, gap
 
 
 def lp_norm(f: GroupAlgebraElement, p: float, oversample: int = 4) -> float:

@@ -1,14 +1,20 @@
 """Command-line interface: reports, exit codes, determinism, config handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from xpchaos import build_cocycle, operators
+import xpchaos
+from xpchaos import build_cocycle, norms, operators
 from xpchaos.cli import main
 from xpchaos.cocycles import FAMILIES
 from xpchaos.groups import GroupAlgebraElement, GroupDescriptor
-from xpchaos.norms import lp_norm_torus_grid
+from xpchaos.norms import lp_norm_torus_grid, lp_norm_torus_refined
 from xpchaos.words import ReducedWord
 
 
@@ -70,6 +76,14 @@ class TestVerify:
         """A hypercube n = 22 lattice at p = 4 is refused before the first sample."""
         out = tmp_path / "r.json"
         assert run(["verify", "naor", "--n", "22", "--p", "4", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_oversized_torus_grid_exit_code(self, tmp_path, monkeypatch):
+        """Rank 8, bound 3 at p = 4 needs a 14^8 extended grid: refused before any FFT."""
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        out = tmp_path / "r.json"
+        assert run(["verify", "torus", "--n", "8", "--bound", "3", "--p", "4",
+                    "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_unknown_experiment_exit_code(self):
@@ -210,7 +224,21 @@ class TestNormAndApply:
         path.write_text(json.dumps(f.to_json()))
         assert run(["norm", "--in", str(path), "--p", "3.5", "--method", "exact"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"norm": lp_norm_torus_grid(f, 3.5, 4), "p": 3.5, "method": "grid"}
+        norm, gap = lp_norm_torus_refined(f, 3.5, 4)
+        assert payload == {"norm": norm, "p": 3.5, "method": "grid", "quadrature_gap": gap}
+        fine = lp_norm_torus_grid(f, 3.5, 256)
+        assert gap <= 1e-8
+        assert abs(norm - fine) < abs(lp_norm_torus_grid(f, 3.5, 4) - fine) / 100
+
+    def test_norm_grid_refinement_stops_at_the_cap(self, tmp_path, capsys, monkeypatch):
+        """Without room for a finer grid the norm is the --oversample grid's, with no gap."""
+        monkeypatch.setattr(norms, "GRID_REFINE_MAX_POINTS", 40 ** 2 - 1)
+        f = GroupAlgebraElement(GroupDescriptor.torus(2, 2), {(1, 0): 1.0, (0, 2): 0.5 - 1j})
+        path = write_element(tmp_path / "f.json", f)
+        assert run(["norm", "--in", path, "--p", "3", "--method", "grid"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "norm": lp_norm_torus_grid(f, 3, 4), "p": 3.0, "method": "grid",
+            "quadrature_gap": None}
 
     def test_norm_missing_file(self, tmp_path):
         assert run(["norm", "--in", str(tmp_path / "nope.json"), "--p", "2"]) == 2
@@ -292,11 +320,31 @@ class TestNormAndApply:
                         "--in", write_element(tmp_path / "f.json", f)]) == 2
             assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("op", ["absorbent", "adjoint"])
+    def test_apply_unknown_family_exit_code(self, tmp_path, capsys, op):
+        f = GroupAlgebraElement.lam(GroupDescriptor.finite_abelian([4, 4]), (1, 0))
+        assert run(["apply", "--op", op, "--family", "bogus",
+                    "--in", write_element(tmp_path / "f.json", f)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_apply_requires_u_for_riesz(self, tmp_path):
         group = GroupDescriptor.torus(1, 1)
         path = tmp_path / "f.json"
         path.write_text(json.dumps(GroupAlgebraElement.lam(group, (1,)).to_json()))
         assert run(["apply", "--op", "riesz", "--in", str(path)]) == 2
+
+
+def _no_fft(*args, **kwargs):
+    raise AssertionError("an FFT ran before the input was checked")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(xpchaos.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "xpchaos", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout.strip() == xpchaos.__version__
 
 
 class TestWitnessRoundTrip:

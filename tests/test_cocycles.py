@@ -364,6 +364,16 @@ class TestBasisVectorIds:
         with pytest.raises(ValueError, match="bogus"):
             BasisVector("bogus", j=1)
 
+    @pytest.mark.parametrize("tag, fields", [
+        ("euclidean", {"j": 1, "word": ReducedWord(((1, 1),))}),
+        ("euclidean", {"j": 1.0}), ("zword", {"j": 1, "ell": "2"}),
+        ("z2m", {"word": ReducedWord(((1, 1),))}), ("wcube", {"j": 1, "ell": 1}),
+        ("free", {"j": 1}), ("free", {"word": ((1, 1),)}),
+        ("free_prod", {}), ("free_prod", {"ell": 1, "word": ReducedWord(((1, 1),))})])
+    def test_malformed_fields_rejected_when_built(self, tag, fields):
+        with pytest.raises(ValueError, match=f"a {tag} basis vector takes exactly"):
+            BasisVector(tag, **fields)
+
 
 class TestVectorsOutsideTheBasis:
     @pytest.mark.parametrize("cocycle, u", [

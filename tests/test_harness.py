@@ -14,7 +14,10 @@ from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor, adjoint
                      naor_ratio, operators, reevaluate_witness, riesz_equivalence_ratio,
                      rosenthal_linear_ratio, sample_element, scan,
                      schatten_norm, xp_linear_profile, xp_linear_ratio)
+from xpchaos.cocycles import BasisVector
 from xpchaos.harness import LATTICE_MAX_BYTES, SigmaModel
+from xpchaos.norms import square_function_norm
+from xpchaos.words import ReducedWord
 
 
 def hypercube_pair(n):
@@ -211,14 +214,57 @@ class TestLatticeGuard:
     def test_every_lattice_up_to_n14_fits(self):
         assert 16 * 3 ** 14 <= LATTICE_MAX_BYTES < 16 * 3 ** 22
 
+    def test_torus_grid_refused_before_allocation(self, monkeypatch):
+        """Rank 8, bound 3 at p = 4 puts 13 points on each axis: 14^8 extended entries."""
+        group = GroupDescriptor.torus(8, 3)
+        cocycle = build_cocycle("torus_word", group)
+        f = GroupAlgebraElement.lam(group, (1,) + (0,) * 7)
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        for derivative in ("euclidean", "absorbent", "gradient"):
+            with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
+                naor_profile(f, cocycle, [4], [1], derivative)
+        with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
+            scan("naor", trials=1, family="torus", n=8, bound=3, ps=[4], ks=[1])
+
+    def test_derivative_stack_counts(self, monkeypatch):
+        """Z_4^2 gradient: 2 slices of 2 vectors for f and f*, 8 rows of 16 points."""
+        group = GroupDescriptor.finite_abelian([4, 4])
+        cocycle = build_cocycle("cyclic_word", group)
+        f = GroupAlgebraElement.lam(group, (1, 2))
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 8 * 16 - 1)
+        with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
+            naor_profile(f, cocycle, [2], [1], "gradient")
+        naor_profile(f, cocycle, [2], [1], "absorbent")
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 8 * 16)
+        naor_profile(f, cocycle, [2], [1], "gradient")
+
+    def test_free_kinds_refused_before_any_work(self, monkeypatch):
+        group = GroupDescriptor.free_group(2)
+        cocycle = build_cocycle("free_word", group)
+        f = GroupAlgebraElement.lam(group, ReducedWord(((1, 1),)))
+        monkeypatch.setattr(cocycle, "psi", lambda g: pytest.fail("psi ran on a free kind"))
+        with pytest.raises(ValueError, match="abelian"):
+            naor_profile(f, cocycle, [4], [1], "absorbent")
+
 
 def _reference_profile(f, cocycle, p, k, derivative):
-    """The generic operator path the one-evaluation abelian route replaced."""
+    """The operator path the one-evaluation route replaced: truncations, derivatives, norms."""
     n = f.group.n_components
     subsets = list(itertools.combinations(range(1, n + 1), k))
     lhs = sum(lp_norm(operators.truncate(f, s), p) ** p for s in subsets) / len(subsets)
     if derivative == "walsh":
         deriv = sum(lp_norm(operators.walsh_derivative(f, j), p) ** p for j in range(1, n + 1))
+    elif derivative == "euclidean":
+        euclid = build_cocycle("euclidean", f.group)
+        deriv = sum(lp_norm(operators.directional_derivative(
+            f, BasisVector("euclidean", j=j), euclid), p) ** p for j in range(1, n + 1))
+    elif derivative == "gradient":
+        deriv = 0.0
+        for j in range(1, n + 1):
+            for side in (f, adjoint(f)):
+                grad = operators.gradient(side, j, cocycle)
+                if grad.components:
+                    deriv += square_function_norm(grad.elements, p) ** p
     else:
         deriv = sum(lp_norm(operators.absorbent_derivative(side, j), p) ** p
                     for j in range(1, n + 1) for side in (f, adjoint(f)))
@@ -234,34 +280,73 @@ _ABELIAN_CASES = {
     "wcube4": (GroupDescriptor.hypercube(4), "weighted_cube", [0.5, 1.0, 2.0, 3.5]),
 }
 
+#: (group, cocycle family, derivative) of every torus case; rank 3 draws sparse inputs
+_TORUS_CASES = [(GroupDescriptor.torus(rank, bound), family, derivative)
+                for rank in (1, 2, 3) for bound in (1, 2, 3)
+                for family in ("torus_word", "euclidean")
+                for derivative in ("euclidean", "absorbent", "gradient")]
+
+
+def _assert_profile_matches(f, cocycle, derivative, lhs_abs=0.0):
+    """Every (p, k) of p = 2, 3, 4, 6 to 1e-12 relative; ``lhs_abs`` allows an
+    lhs off by that fraction of the rhs."""
+    ks = list(range(1, f.group.n_components + 1))
+    profile = naor_profile(f, cocycle, [2, 3, 4, 6], ks, derivative)
+    for p in (2, 3, 4, 6):
+        for k in ks:
+            lhs, rhs = _reference_profile(f, cocycle, p, k, derivative)
+            assert profile[p][k][1] == pytest.approx(rhs, rel=1e-12)
+            assert profile[p][k][0] == pytest.approx(lhs, rel=1e-12, abs=lhs_abs * rhs)
+
 
 class TestAbelianProfileMatchesOperatorPath:
     @pytest.mark.parametrize("case, derivative", [
-        (case, derivative) for case in _ABELIAN_CASES for derivative in ("walsh", "absorbent")
-        if derivative == "absorbent" or not case.startswith("z")])
+        (case, derivative) for case in _ABELIAN_CASES
+        for derivative in ("walsh", "absorbent", "gradient")
+        if derivative != "walsh" or not case.startswith("z")])
     def test_every_p_and_k(self, case, derivative):
         group, family, weights = _ABELIAN_CASES[case]
         cocycle = build_cocycle(family, group, weights)
         f = sample_element(group, cocycle, EnsembleSpec("gaussian"), np.random.default_rng(21))
-        ps, ks = [2, 3, 4, 6], list(range(1, group.n_components + 1))
-        profile = naor_profile(f, cocycle, ps, ks, derivative)
-        for p in ps:
-            for k in ks:
-                expected = _reference_profile(f, cocycle, p, k, derivative)
-                assert profile[p][k] == pytest.approx(expected, rel=1e-12)
+        _assert_profile_matches(f, cocycle, derivative)
+
+    @pytest.mark.parametrize("group, family, derivative", _TORUS_CASES,
+                             ids=lambda x: f"r{x.rank}b{x.bound}" if hasattr(x, "rank") else x)
+    def test_torus_every_p_and_k(self, group, family, derivative):
+        cocycle = build_cocycle(family, group)
+        spec = EnsembleSpec("sparse", sparsity=6) if group.rank == 3 else EnsembleSpec()
+        f = sample_element(group, cocycle, spec, np.random.default_rng(24))
+        # a sparse input's E_S f can vanish: 0 on the operator path, rounding noise on the grid
+        _assert_profile_matches(f, cocycle, derivative, lhs_abs=1e-12)
+
+    def test_torus_grid_rule(self):
+        """p*B + 1 points per axis for even p; a non-even p adds the 4x grid."""
+        torus = GroupDescriptor.torus(2, 3)
+        assert harness._grid_shape(torus, [2]) == (7, 7)
+        assert harness._grid_shape(torus, [4, 6]) == (19, 19)
+        assert harness._grid_shape(torus, [3, 4]) == (28, 28)
+        assert harness._grid_shape(torus, [3, 10]) == (31, 31)
+        assert harness._grid_shape(GroupDescriptor.finite_abelian([4, 6]), [3]) == (4, 6)
 
     def test_one_dual_evaluation_per_profile(self, monkeypatch):
         calls = []
         real_ifftn = np.fft.ifftn
         monkeypatch.setattr(np.fft, "ifftn",
                             lambda *args, **kwargs: calls.append(1) or real_ifftn(*args, **kwargs))
-        group, cocycle = hypercube_pair(5)
-        f = sample_element(group, cocycle, EnsembleSpec("gaussian"), np.random.default_rng(22))
-        for ps in ([2, 3, 4, 6], [2]):
-            for derivative in ("walsh", "absorbent"):
-                calls.clear()
-                naor_profile(f, cocycle, ps, [1, 2, 5], derivative)
-                assert len(calls) == 1
+        torus = GroupDescriptor.torus(2, 2)
+        cases = [(GroupDescriptor.hypercube(5), "cyclic_word", ("walsh", "absorbent", "gradient")),
+                 (GroupDescriptor.finite_abelian([4] * 3), "cyclic_word",
+                  ("absorbent", "gradient")),
+                 (torus, "torus_word", ("euclidean", "absorbent", "gradient")),
+                 (torus, "euclidean", ("euclidean", "absorbent", "gradient"))]
+        for group, family, derivatives in cases:
+            cocycle = build_cocycle(family, group)
+            f = sample_element(group, cocycle, EnsembleSpec("gaussian"), np.random.default_rng(22))
+            for ps in ([2, 3, 4, 6], [2]):
+                for derivative in derivatives:
+                    calls.clear()
+                    naor_profile(f, cocycle, ps, [1, 2], derivative)
+                    assert len(calls) == 1, (group, derivative, ps)
 
 
 class TestXpLinear:

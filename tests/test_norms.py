@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from xpchaos import GroupAlgebraElement, GroupDescriptor, adjoint
 from xpchaos.norms import (NumericalSanityError, half_sign_patterns, khintchine_ratio,
                            lp_norm, lp_norm_abelian, lp_norm_torus_even,
-                           lp_norm_torus_grid, psd_eigenvalues, schatten_norm,
-                           schatten_powers, sign_average_power, sign_combinations,
-                           sign_patterns, square_function_norm)
+                           lp_norm_torus_grid, lp_norm_torus_refined, psd_eigenvalues,
+                           schatten_norm, schatten_powers, sign_average_power,
+                           sign_combinations, sign_patterns, square_function_norm)
 from xpchaos.operators import truncate
 from xpchaos.words import ReducedWord
 
@@ -117,6 +117,15 @@ class TestTorusNorms:
             for p in (2, 4, 6):
                 assert lp_norm_torus_even(f, p) == pytest.approx(
                     lp_norm_torus_grid(f, p), abs=1e-8)
+
+    def test_refined_grid_converges_on_a_kink(self):
+        """|1 + e(x)|^3 = 8|cos(pi x)|^3 has mean 32/(3 pi); the 4x grid misses it."""
+        f = GroupAlgebraElement(GroupDescriptor.torus(1, 1), {(0,): 1.0, (1,): 1.0})
+        exact = (32 / (3 * math.pi)) ** (1 / 3)
+        norm, gap = lp_norm_torus_refined(f, 3)
+        assert gap <= 1e-8
+        assert norm == pytest.approx(exact, rel=1e-9)
+        assert lp_norm_torus_grid(f, 3) != pytest.approx(exact, rel=1e-7)
 
     def test_oversample_validation(self):
         group = GroupDescriptor.torus(1, 1)

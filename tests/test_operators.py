@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xpchaos import (GroupAlgebraElement, GroupDescriptor, build_cocycle,
                      enumerate_words)
@@ -331,6 +333,27 @@ class TestTruncation:
                 both = truncate(truncate(f, s1), s2)
                 meet = tuple(sorted(set(s1) & set(s2)))
                 assert both == truncate(f, meet)
+
+    @settings(max_examples=60, deadline=None)
+    @given(torus=st.booleans(), n=st.integers(1, 3), size=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_idempotent_and_commutes_with_riesz(self, torus, n, size, seed):
+        """E_S E_S = E_S and E_S R_u = R_u E_S on torus and Z_{2m}^n elements."""
+        group = (GroupDescriptor.torus(n, size) if torus
+                 else GroupDescriptor.finite_abelian([2 * size] * n))
+        cocycle = build_cocycle("torus_word" if torus else "cyclic_word", group)
+        rng = np.random.default_rng(seed)
+        keys = [g for g in itertools.product(*(range(-size, size + 1) if torus
+                                               else range(2 * size) for _ in range(n)))
+                if cocycle.psi(g) != 0]
+        f = GroupAlgebraElement(group, dict(zip(
+            keys, rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys)))))
+        subset = tuple(j for j in range(1, n + 1) if rng.random() < 0.5)
+        truncated = truncate(f, subset)
+        assert truncate(truncated, subset) == truncated
+        for u in cocycle.basis_for_support(keys):
+            assert truncate(riesz_transform(f, u, cocycle), subset).allclose(
+                riesz_transform(truncated, u, cocycle), 1e-12)
 
     def test_index_out_of_range(self, torus2):
         group, _ = torus2
