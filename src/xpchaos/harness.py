@@ -26,19 +26,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import operators
-from .cocycles import LengthCocycle, build_cocycle
-from .groups import (FINITE_ABELIAN, PRUNE_TOL, GroupAlgebraElement,
-                     GroupDescriptor, adjoint, coefficient_tensor, element_inverse,
-                     key_box)
-from .norms import (SIGN_BLOCK_ROWS, half_sign_patterns, lp_norm, schatten_powers,
-                    sign_average_power, sign_combinations, square_function_norm)
+from .cocycles import COCYCLE_FAMILIES, LengthCocycle, build_cocycle
+from .groups import (FINITE_ABELIAN, PRUNE_TOL, GroupAlgebraElement, GroupDescriptor,
+                     coefficient_tensor, element_inverse, key_box)
+from .norms import (SIGN_BLOCK_ROWS, half_sign_patterns, schatten_powers,
+                    sign_average_power, sign_combinations)
 
 SIGN_ENUMERATION_CAP = 14
 MONTE_CARLO_SIGNS = 2 ** 14
-#: largest grid allocation of ``naor_profile`` (16 bytes per entry of the
-#: mean-extended value tensor, which p = 2 alone does not need, and of the
-#: derivative multiplier stack)
+#: largest grid allocation of ``naor_profile`` and ``riesz_equivalence_ratio``
+#: (16 bytes per entry of the multiplier stack and of naor's mean-extended value
+#: tensor, which p = 2 alone does not need)
 LATTICE_MAX_BYTES = 2 ** 30
+#: relative margin by which a later scan row must beat the best score to replace it
+SCORE_TIE_RTOL = 1e-12
 
 DERIVATIVE_CHOICES = ("walsh", "euclidean", "absorbent", "gradient")
 ENSEMBLE_KINDS = ("gaussian", "sparse", "chaos_degree", "linear_span")
@@ -183,12 +184,12 @@ def _grid_shape(group: GroupDescriptor, ps: Sequence[float]) -> tuple[int, ...]:
 
 
 def _symbol_blocks(cocycle: LengthCocycle, derivative: str):
-    """(symbol cocycle, [(sign, basis slice)]) of a multiplier derivative, in summation
-    order: euclidean takes e_j of f for each j; gradient takes slice j of ``cocycle``
-    for f (sign 1) and f* (sign -1: D_u f* is minus the conjugate of the multiplier
-    <beta(-g), u> applied to f), over the key box's corners, which pair with every
-    vector that any key of the box pairs with."""
-    if derivative not in ("euclidean", "gradient"):
+    """(symbol cocycle, [(sign, basis slice)]) of a multiplier stack, in summation
+    order: euclidean takes e_j of f for each j; gradient and riesz take slice j of
+    ``cocycle`` for f (sign 1) and f* (sign -1: D_u f* is minus the conjugate of the
+    multiplier <beta(-g), u> applied to f), over the key box's corners, which pair
+    with every vector that any key of the box pairs with."""
+    if derivative not in ("euclidean", "gradient", "riesz"):
         return cocycle, []
     if derivative == "euclidean":
         cocycle = build_cocycle("euclidean", cocycle.group)
@@ -202,15 +203,19 @@ def _symbol_blocks(cocycle: LengthCocycle, derivative: str):
 @functools.lru_cache(maxsize=16)
 def _pairing_table(group: GroupDescriptor, family: str, weights: tuple[float, ...] | None,
                    derivative: str, grid: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """<beta(sign * g), u> at index g mod grid for each (sign, u) of ``_symbol_blocks``,
-    and the first row of each block."""
+    """<beta(sign * g), u>, over sqrt(psi(g)) for riesz, at index g mod grid for each
+    (sign, u) of ``_symbol_blocks``, and the first row of each block."""
     cocycle, blocks = _symbol_blocks(LengthCocycle(family, group, weights), derivative)
     shape, low = key_box(group)
     keys = list(itertools.product(*(range(low, low + m) for m in shape)))
-    table = np.zeros((sum(len(basis) for _, basis in blocks), *grid))
-    table[(slice(None), *np.array(keys).T)] = [
+    symbols = np.array([
         [cocycle.pairing(g if sign == 1 else element_inverse(group, g), u) for g in keys]
-        for sign, basis in blocks for u in basis]
+        for sign, basis in blocks for u in basis], dtype=float)
+    if derivative == "riesz":
+        flat, lengths = _mean_zero_keys(group, family, weights)
+        symbols[:, flat] /= np.sqrt(lengths)      # keys of length 0 pair to 0
+    table = np.zeros((len(symbols), *grid))
+    table[(slice(None), *np.array(keys).T)] = symbols
     starts = np.cumsum([0] + [len(basis) for _, basis in blocks[:-1]])
     table.flags.writeable = starts.flags.writeable = False
     return table, starts
@@ -218,44 +223,52 @@ def _pairing_table(group: GroupDescriptor, family: str, weights: tuple[float, ..
 
 def _check_lattice_size(group: GroupDescriptor, cocycle: LengthCocycle, ps: Sequence[float],
                         derivative: str) -> None:
-    """Refuse the mean-extended value tensor (unless p = 2 alone) and the derivative
-    multiplier stack above LATTICE_MAX_BYTES before they are allocated."""
+    """Refuse the multiplier stack and naor's mean-extended value tensor (unless p = 2
+    alone; riesz has none) above LATTICE_MAX_BYTES before they are allocated."""
     grid = _grid_shape(group, ps)
     rows = sum(len(basis) for _, basis in _symbol_blocks(cocycle, derivative)[1])
-    size = 16 * (rows * math.prod(grid)
-                 + (math.prod(m + 1 for m in grid) if set(ps) != {2} else 0))
+    extended = set(ps) != {2} and derivative != "riesz"
+    size = 16 * (rows * math.prod(grid) + (math.prod(m + 1 for m in grid) if extended else 0))
     if size > LATTICE_MAX_BYTES:
         raise ValueError(f"the profile's grid tensors need {size} bytes, "
                          f"above {LATTICE_MAX_BYTES = }")
+
+
+def _dual_stack(f: GroupAlgebraElement, cocycle: LengthCocycle, derivative: str,
+                grid: tuple[int, ...]):
+    """(coefficient tensor, values, multiplier stack, first row of each block) of f on
+    ``grid``: one batched ``ifftn`` evaluates f and, for a multiplier derivative
+    (euclidean, gradient, riesz), f times each symbol of ``_pairing_table``."""
+    tensor = coefficient_tensor(f, grid)
+    stack, starts = tensor[None], None
+    if derivative not in ("walsh", "absorbent"):
+        table, starts = _pairing_table(f.group, cocycle.family, cocycle.weights, derivative, grid)
+        stack = np.concatenate([stack, table * (operators.TWO_PI_I * tensor)])
+    evaluated = np.fft.ifftn(stack, axes=range(-len(grid), 0)) * math.prod(grid)
+    return tensor, evaluated[0], evaluated[1:], starts
 
 
 def _abelian_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
                    ks: tuple[int, ...], derivative: str):
     """(p, lhs by k, derivative sum, ||f||_p^p) for each p, on an abelian group.
 
-    All come from one batched dual evaluation on the grid of ``_grid_shape``:
-    of f and, for euclidean and gradient, of f times each derivative multiplier,
-    whose squared moduli are summed over a block before the power p/2.  The
-    subset lattice's all-kept corner is ||f||_p^p (p = 2 takes the Parseval
-    lattice).  walsh/absorbent take each axis's values minus their mean along
-    it; f* has the conjugate values of f, so its absorbent half is the f half.
+    All come from the one dual evaluation of ``_dual_stack`` on the grid of
+    ``_grid_shape``; the squared moduli of a multiplier stack are summed over a
+    block before the power p/2.  The subset lattice's all-kept corner is
+    ||f||_p^p (p = 2 takes the Parseval lattice).  walsh/absorbent take each
+    axis's values minus their mean along it; f* has the conjugate values of f,
+    so its absorbent half is the f half.
     """
     n = f.group.n_components
-    grid = _grid_shape(f.group, ps)
-    tensor = coefficient_tensor(f, grid)
-    flips = derivative in ("walsh", "absorbent")
-    if not flips:
-        table, starts = _pairing_table(f.group, cocycle.family, cocycle.weights, derivative, grid)
-        tensor = np.concatenate([tensor[None], table * (operators.TWO_PI_I * tensor)])
-    evaluated = np.fft.ifftn(tensor, axes=range(-n, 0)) * math.prod(grid)
-    values, coeffs = (evaluated, tensor) if flips else (evaluated[0], tensor[0])
+    coeffs, values, stack, starts = _dual_stack(f, cocycle, derivative, _grid_shape(f.group, ps))
+    flips = starts is None
     extended = _extend_with_means(values) if set(ps) != {2} else None
     sums = dict.fromkeys(ps, 0.0)
     for axis in range(n if flips else 0):
         flipped = values - values.mean(axis=axis, keepdims=True)
         for p in ps:
             sums[p] += float(np.mean(_abs_power(flipped, p)))
-    blocks = [] if flips else np.add.reduceat(_abs_power(evaluated[1:], 2), starts)
+    blocks = [] if flips else np.add.reduceat(_abs_power(stack, 2), starts)
     for p in ps:
         for block in blocks:
             sums[p] += float(np.mean(block ** (p // 2 if p % 2 == 0 else p / 2)))
@@ -266,17 +279,17 @@ def _abelian_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[
                float(lattice[-1]))
 
 
-def _validate_input(f: GroupAlgebraElement, cocycle: LengthCocycle) -> None:
+def _validate_input(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
+                    derivative: str) -> None:
+    """Refuse a free kind, an oversized grid, then a zero or not mean-zero input."""
+    if not f.group.is_abelian:
+        raise ValueError(f"dual evaluations need an abelian group, got {f.group.kind}")
+    _check_lattice_size(f.group, cocycle, ps, derivative)
     if not f.coeffs:
         raise ValueError("the input must be nonzero")
-    if f.group.is_abelian:              # look the keys up in the table of nonzero lengths
-        shape, low = key_box(f.group)
-        flat = np.ravel_multi_index((np.array(list(f.coeffs)) - low).T, shape)
-        zero_length = not np.isin(flat, _mean_zero_keys(f.group, cocycle.family,
-                                                         cocycle.weights)[0]).all()
-    else:
-        zero_length = any(cocycle.psi(key) == 0 for key in f.coeffs)
-    if zero_length:
+    shape, low = key_box(f.group)       # look the keys up in the table of nonzero lengths
+    flat = np.ravel_multi_index((np.array(list(f.coeffs)) - low).T, shape)
+    if not np.isin(flat, _mean_zero_keys(f.group, cocycle.family, cocycle.weights)[0]).all():
         raise ValueError("the input must be mean-zero (no coefficients of zero length)")
 
 
@@ -290,16 +303,11 @@ def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
     abelian groups and torus polynomials all of them come from one batched
     dual evaluation; free kinds are refused.
     """
-    for p in ps:
-        _finite(p, 1)
     if derivative not in DERIVATIVE_CHOICES:
         raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
-    if not f.group.is_abelian:
-        raise ValueError(f"naor profiles need an abelian group, got {f.group.kind}")
     if derivative == "walsh" and (f.group.kind != FINITE_ABELIAN or set(f.group.moduli) != {2}):
         raise ValueError("the walsh derivative needs a hypercube group")
-    _check_lattice_size(f.group, cocycle, ps, derivative)
-    _validate_input(f, cocycle)
+    _validate_input(f, cocycle, [_finite(p, 1) for p in ps], derivative)
     n = f.group.n_components
     for k in ks:
         if not 1 <= k <= n:
@@ -484,21 +492,17 @@ def riesz_equivalence_ratio(f: GroupAlgebraElement, p: float,
                             cocycle: LengthCocycle) -> dict:
     """||f||_p against the Riesz square function, normalized by 2*pi.
 
-    The symbol normalization sum_u |symbol(g)|^2 = 4 pi^2 makes the quotient
-    exactly 1 at p = 2.
+    f and every R_u f and R_u f* (the column and row square functions) come from
+    one batched dual evaluation on the grid of ``_grid_shape``.  The symbol
+    normalization sum_u |symbol(g)|^2 = 4 pi^2 makes the quotient 1 at p = 2.
     """
-    _validate_input(f, cocycle)
-    inverses = [element_inverse(f.group, g) for g in f.coeffs]
-    basis = cocycle.basis_for_support([*f.coeffs, *inverses])
-    sides = []
-    for side in (f, adjoint(f)):        # column, then row square function
-        transforms = [rf for u in basis
-                      if (rf := operators.riesz_transform(side, u, cocycle)).coeffs]
-        sides.append(square_function_norm(transforms, p) if transforms else 0.0)
-    normalized = max(sides) / (2 * math.pi)
-    lhs = lp_norm(f, p)
-    return {"lhs": lhs, "rhs": normalized, "ratio": lhs / normalized,
-            "inverse_ratio": normalized / lhs, "num_directions": len(basis)}
+    _validate_input(f, cocycle, [_finite(p, 1)], "riesz")
+    _, values, stack, starts = _dual_stack(f, cocycle, "riesz", _grid_shape(f.group, [p]))
+    squares = np.add.reduceat(_abs_power(stack, 2), starts)     # f and f* blocks alternate
+    sides = [float(np.mean(sum(squares[side::2]) ** (p / 2))) ** (1 / p) for side in (0, 1)]
+    lhs = float(np.mean(_abs_power(values, p))) ** (1 / p)
+    rhs = max(sides) / (2 * math.pi)
+    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "inverse_ratio": rhs / lhs}
 
 
 # -- random ensembles ---------------------------------------------------------
@@ -627,23 +631,21 @@ def _ks(params: dict) -> list[int]:
     return [int(k) for k in params.get("ks", [params.get("k", 1)])]
 
 
+#: truncation family -> (cocycle family whose record builds the group, fixed modulus)
+_TRUNCATION_FAMILIES = {"hypercube": ("cyclic_word", 2), "cyclic": ("cyclic_word", None),
+                        "torus": ("torus_word", None), "weighted_cube": ("weighted_cube", None)}
+
+
 def _naor_family(params: dict) -> tuple[GroupDescriptor, LengthCocycle, str]:
     family = params.get("family", "hypercube")
-    n = int(params["n"])
-    if family == "hypercube":
-        group = GroupDescriptor.hypercube(n)
-        cocycle = build_cocycle("cyclic_word", group)
-    elif family == "cyclic":
-        group = GroupDescriptor.finite_abelian([int(params.get("modulus", 4))] * n)
-        cocycle = build_cocycle("cyclic_word", group)
-    elif family == "torus":
-        group = GroupDescriptor.torus(n, int(params.get("bound", 2)))
-        cocycle = build_cocycle(params.get("cocycle", "torus_word"), group)
-    elif family == "weighted_cube":
-        group = GroupDescriptor.hypercube(n)
-        cocycle = build_cocycle("weighted_cube", group, params["weights"])
-    else:
+    if family not in _TRUNCATION_FAMILIES:
         raise ValueError(f"unknown truncation family {family!r}")
+    name, modulus = _TRUNCATION_FAMILIES[family]
+    record = COCYCLE_FAMILIES[name]
+    group = record.cli_group(int(params["n"]), modulus or int(params.get("modulus", 4)),
+                             int(params.get("bound", 2)))
+    cocycle = build_cocycle(params.get("cocycle", name) if family == "torus" else name, group,
+                            params["weights"] if record.takes_weights else None)
     derivative = params.get("derivative", "absorbent")
     if derivative not in DERIVATIVE_CHOICES:
         raise ValueError(f"unknown derivative choice {derivative!r}")
@@ -724,7 +726,8 @@ def _rosenthal_row(coeffs: Sequence[complex], p: float, k: int) -> Row:
 
 def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, _ = _naor_family(params)
-    p = _p(params, 2)
+    p = _finite(float(params.get("p", 2)), 1)
+    _check_lattice_size(group, cocycle, [p], "riesz")
     return (lambda rng: sample_element(group, cocycle, ensemble, rng),
             lambda f: [_riesz_row(f, cocycle, p)],
             lambda f, row: _element_witness(f, cocycle, p=p))
@@ -761,14 +764,10 @@ def _element_distance(a: GroupAlgebraElement, b: GroupAlgebraElement) -> float:
 
 
 def _free_identities(params: dict, ensemble: EnsembleSpec, seed: int):
-    rank = int(params.get("rank", 2))
     modulus = params.get("modulus")
-    if modulus:
-        group = GroupDescriptor.free_product(rank, int(modulus))
-        cocycle = build_cocycle("free_product_word", group)
-    else:
-        group = GroupDescriptor.free_group(rank)
-        cocycle = build_cocycle("free_word", group)
+    name = "free_product_word" if modulus else "free_word"
+    group = COCYCLE_FAMILIES[name].cli_group(int(params.get("rank", 2)), int(modulus or 0), 0)
+    cocycle = build_cocycle(name, group)
     return (lambda rng: sample_element(group, cocycle, ensemble, rng),
             lambda f: [_free_row(f)],
             lambda f, row: {"f": f.to_json()})
@@ -806,8 +805,8 @@ def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 10
          seed: int = 0, **params) -> RatioReport:
     """Run a named experiment over a random ensemble; deterministic per seed.
 
-    The reported row is the first strict maximum of the experiment's score,
-    in trial order and then in the order ``evaluate`` lists the rows.
+    The reported row is the first maximum, in trial order and then in the order
+    ``evaluate`` lists the rows, of scores equal up to SCORE_TIE_RTOL (relative).
     """
     record = _experiment(experiment)
     if trials < 1:
@@ -822,7 +821,7 @@ def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 10
         x = sample(rng)
         for row in evaluate(x):
             rows.append(row)
-            if best is None or row.score > best.score:
+            if best is None or row.score - best.score > SCORE_TIE_RTOL * abs(best.score):
                 best, winner = row, x
     report_witness = witness(winner, best)
     runtime_ms = 1e3 * (time.perf_counter() - start)

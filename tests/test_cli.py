@@ -86,6 +86,18 @@ class TestVerify:
                     "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--p", "0.5"], ["--p", "nan"], ["--p", "inf"],
+        ["--family", "torus", "--n", "8", "--bound", "3", "--p", "4"]])
+    def test_riesz_refused_before_sampling(self, tmp_path, monkeypatch, args):
+        """A bad p or an oversized torus grid (96 Riesz rows of 13^8 points) exits 2
+        before the first input is drawn."""
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        monkeypatch.setattr(xpchaos.harness, "sample_element", _no_fft)
+        out = tmp_path / "r.json"
+        assert run(["verify", "riesz", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_experiment_exit_code(self):
         assert run(["verify", "nonsense"]) == 2
 

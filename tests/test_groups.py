@@ -207,6 +207,21 @@ def test_adjoint_takes_the_conjugate_dual_values(moduli, seed, support):
                                np.conj(evaluate_on_dual(f).values), rtol=0, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(moduli=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1), supports=st.tuples(st.integers(1, 10), st.integers(1, 10)))
+def test_convolution_is_the_pointwise_product_on_the_dual(moduli, seed, supports):
+    """evaluate_on_dual(f * h) is evaluate_on_dual(f) times evaluate_on_dual(h)."""
+    group = GroupDescriptor.finite_abelian(moduli)
+    rng = np.random.default_rng(seed)
+    f, h = (GroupAlgebraElement(group, {
+        tuple(int(rng.integers(m)) for m in moduli): complex(*rng.standard_normal(2))
+        for _ in range(support)}) for support in supports)
+    np.testing.assert_allclose(evaluate_on_dual(convolve(f, h)).values,
+                               evaluate_on_dual(f).values * evaluate_on_dual(h).values,
+                               rtol=0, atol=1e-10)
+
+
 class TestTrace:
     def test_identity_unitaries(self):
         group = GroupDescriptor.finite_abelian([4])

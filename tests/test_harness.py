@@ -8,12 +8,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor, adjoint,
                      build_cocycle, harness, lp_norm, moment_checks, naor_profile,
                      naor_ratio, operators, reevaluate_witness, riesz_equivalence_ratio,
                      rosenthal_linear_ratio, sample_element, scan,
                      schatten_norm, xp_linear_profile, xp_linear_ratio)
+from xpchaos import groups, norms
 from xpchaos.cocycles import BasisVector
 from xpchaos.harness import LATTICE_MAX_BYTES, SigmaModel
 from xpchaos.norms import square_function_norm
@@ -653,6 +656,128 @@ class TestRieszEquivalence:
         assert result["rhs"] == pytest.approx(expected, rel=1e-12)
 
 
+def _reference_riesz(f, p, cocycle):
+    """The operator path the grid route replaced: a Riesz transform per basis direction
+    of supp(f) and its inverse, then ``square_function_norm`` and ``lp_norm``."""
+    basis = cocycle.basis_for_support([*f.coeffs, *adjoint(f).coeffs])
+    sides = []
+    for side in (f, adjoint(f)):
+        transforms = [rf for u in basis if (rf := operators.riesz_transform(side, u, cocycle)).coeffs]
+        sides.append(square_function_norm(transforms, p))
+    return lp_norm(f, p), max(sides) / (2 * math.pi)
+
+
+#: (group, cocycle family, weights) of the Riesz cases; torus rank 3 draws sparse inputs
+_RIESZ_CASES = {
+    "z4^2": (GroupDescriptor.finite_abelian([4, 4]), "cyclic_word", None),
+    "z6^2": (GroupDescriptor.finite_abelian([6, 6]), "cyclic_word", None),
+    "cube4": (GroupDescriptor.hypercube(4), "cyclic_word", None),
+    "wcube3": (GroupDescriptor.hypercube(3), "weighted_cube", [0.5, 1.0, 2.0]),
+    **{f"t{rank}b{bound}-{family}": (GroupDescriptor.torus(rank, bound), family, None)
+       for rank in (1, 2, 3) for bound in (1, 2, 3) for family in ("torus_word", "euclidean")}}
+
+
+def _riesz_input(group, cocycle, seed):
+    torus3 = group.kind == "torus" and group.rank == 3
+    spec = EnsembleSpec("sparse", sparsity=6) if torus3 else EnsembleSpec()
+    return sample_element(group, cocycle, spec, np.random.default_rng(seed))
+
+
+class TestRieszGridRoute:
+    @pytest.mark.parametrize("case", _RIESZ_CASES)
+    def test_matches_operator_path(self, case):
+        group, family, weights = _RIESZ_CASES[case]
+        cocycle = build_cocycle(family, group, weights)
+        f = _riesz_input(group, cocycle, 31)
+        for p in (2, 3, 4, 6):
+            result = riesz_equivalence_ratio(f, p, cocycle)
+            lhs, rhs = _reference_riesz(f, p, cocycle)
+            assert result["lhs"] == pytest.approx(lhs, rel=1e-12)
+            assert result["rhs"] == pytest.approx(rhs, rel=1e-12)
+            assert result["ratio"] == pytest.approx(lhs / rhs, rel=1e-12)
+            assert result["inverse_ratio"] == pytest.approx(rhs / lhs, rel=1e-12)
+            assert set(result) == {"lhs", "rhs", "ratio", "inverse_ratio"}
+
+    def test_one_dual_evaluation_per_trial(self, monkeypatch):
+        calls = []
+        real_ifftn = np.fft.ifftn
+        monkeypatch.setattr(np.fft, "ifftn",
+                            lambda *args, **kwargs: calls.append(1) or real_ifftn(*args, **kwargs))
+        for module, name in [(groups, "convolve"), (norms, "convolve"),
+                             (operators, "riesz_transform"), (norms, "square_function_norm")]:
+            monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: pytest.fail(
+                f"{name} ran on the grid route"))
+        for group in (GroupDescriptor.finite_abelian([4, 4]), GroupDescriptor.hypercube(4),
+                      GroupDescriptor.torus(2, 2)):
+            cocycle = build_cocycle("torus_word" if group.kind == "torus" else "cyclic_word", group)
+            f = _riesz_input(group, cocycle, 32)
+            for p in (2, 3, 4):
+                calls.clear()
+                riesz_equivalence_ratio(f, p, cocycle)
+                assert len(calls) == 1, (group, p)
+
+    @pytest.mark.parametrize("p", [0.5, math.nan, math.inf])
+    def test_bad_p_rejected_before_any_fft(self, p, monkeypatch):
+        group = GroupDescriptor.finite_abelian([4, 4])
+        cocycle = build_cocycle("cyclic_word", group)
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        with pytest.raises(ValueError, match="p must be"):
+            riesz_equivalence_ratio(GroupAlgebraElement.lam(group, (1, 0)), p, cocycle)
+        with pytest.raises(ValueError, match="p must be"):
+            scan("riesz_equivalence", trials=1, family="cyclic", modulus=4, n=2, p=p)
+
+    def test_free_kinds_refused_before_any_work(self, monkeypatch):
+        group = GroupDescriptor.free_group(2)
+        cocycle = build_cocycle("free_word", group)
+        f = GroupAlgebraElement.lam(group, ReducedWord(((1, 1),)))
+        monkeypatch.setattr(cocycle, "psi", lambda g: pytest.fail("psi ran on a free kind"))
+        with pytest.raises(ValueError, match="abelian"):
+            riesz_equivalence_ratio(f, 4, cocycle)
+
+    def test_oversized_torus_grid_refused_before_allocation(self, monkeypatch):
+        """Rank 8, bound 3 at p = 4: 96 Riesz rows of 13^8 points."""
+        group = GroupDescriptor.torus(8, 3)
+        cocycle = build_cocycle("torus_word", group)
+        f = GroupAlgebraElement.lam(group, (1,) + (0,) * 7)
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
+            riesz_equivalence_ratio(f, 4, cocycle)
+        with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
+            scan("riesz_equivalence", trials=1, family="torus", n=8, bound=3, p=4)
+
+    def test_guard_counts_only_the_stack(self, monkeypatch):
+        """Z_4^2: 2 slices of 2 vectors for f and f*, 8 rows of 16 points; no
+        mean-extended tensor even at p = 4."""
+        group = GroupDescriptor.finite_abelian([4, 4])
+        cocycle = build_cocycle("cyclic_word", group)
+        f = GroupAlgebraElement.lam(group, (1, 2))
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 8 * 16 - 1)
+        with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
+            riesz_equivalence_ratio(f, 4, cocycle)
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 8 * 16)
+        assert riesz_equivalence_ratio(f, 4, cocycle)["ratio"] == pytest.approx(1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(["cyclic", "hypercube", "weighted_cube", "torus_word", "euclidean"]),
+       n=st.integers(1, 3), half=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_riesz_ratio_is_one_at_p2(case, n, half, seed):
+    """||f||_2 equals the Riesz square function at p = 2 on every group it runs on."""
+    rng = np.random.default_rng(seed)
+    if case in ("torus_word", "euclidean"):
+        group, weights = GroupDescriptor.torus(n, half), None
+    elif case == "cyclic":
+        group, weights = GroupDescriptor.finite_abelian([2 * half] * n), None
+    else:
+        group = GroupDescriptor.hypercube(n)
+        weights = rng.uniform(0.1, 3.0, n).tolist() if case == "weighted_cube" else None
+    family = {"cyclic": "cyclic_word", "hypercube": "cyclic_word"}.get(case, case)
+    cocycle = build_cocycle(family, group, weights)
+    spec = EnsembleSpec("sparse", sparsity=int(rng.integers(1, 9)))
+    f = sample_element(group, cocycle, spec, rng)
+    assert riesz_equivalence_ratio(f, 2, cocycle)["ratio"] == pytest.approx(1.0, rel=1e-12)
+
+
 class TestScan:
     def test_single_trial_matches_direct_call(self):
         report = scan("naor", EnsembleSpec("sparse", sparsity=4), trials=1, seed=3,
@@ -705,6 +830,39 @@ class TestScan:
         with pytest.raises(ValueError, match="finite"):
             scan(experiment, EnsembleSpec("gaussian"), trials=2, seed=0, **params)
 
+    def test_tied_riesz_scores_report_the_first_trial(self):
+        """Every Riesz ratio is 1 at p = 2; rounding must not pick the witness."""
+        group = GroupDescriptor.finite_abelian([4, 4])
+        cocycle = build_cocycle("cyclic_word", group)
+        report = scan("riesz_equivalence", EnsembleSpec(), trials=10, seed=5,
+                      family="cyclic", modulus=4, n=2, p=2)
+        first = sample_element(group, cocycle, EnsembleSpec(), np.random.default_rng(5))
+        assert report.witness["f"] == first.to_json()
+
+    @pytest.mark.parametrize("family", ["torus_word", "euclidean"])
+    def test_tied_naor_scores_report_the_first_row(self, family):
+        """On a rank-1 torus the absorbent derivative of f is f: every ratio is 1/3."""
+        group = GroupDescriptor.torus(1, 2)
+        cocycle = build_cocycle(family, group)
+        for seed in range(4):
+            report = scan("naor", EnsembleSpec(), trials=6, seed=seed, family="torus", n=1,
+                          bound=2, cocycle=family, derivative="absorbent", ps=[2, 4], ks=[1])
+            first = sample_element(group, cocycle, EnsembleSpec(), np.random.default_rng(seed))
+            assert report.witness["f"] == first.to_json()
+            assert (report.witness["p"], report.witness["k"]) == (2, 1)
+
+    def test_a_later_row_must_win_by_the_tie_margin(self, monkeypatch):
+        """Scores 1, 1 + 5e-12, 1 + 5.5e-12: the second beats the first by more than
+        SCORE_TIE_RTOL, the third beats the second by less."""
+        scores = iter([1.0, 1.0 + 5e-12, 1.0 + 5.5e-12])
+        record = harness.Experiment(
+            lambda params, ensemble, seed: (
+                lambda rng: next(scores), lambda score: [harness.Row(score, 1.0, 1.0, 1.0)],
+                lambda score, row: {"score": score}),
+            lambda witness, seed: None)
+        monkeypatch.setitem(harness.EXPERIMENTS, "probe", record)
+        assert scan("probe", trials=3).witness == {"score": 1.0 + 5e-12}
+
     def test_free_identities_scan(self):
         report = scan("free_identities", EnsembleSpec(sparsity=6), trials=5, seed=1,
                       rank=2, modulus=None)
@@ -740,6 +898,48 @@ class TestScan:
             report = naor_ratio(f, cocycle, 4, 2, "gradient")
             curves[tuple(weights)] = report.ratio
         assert all(np.isfinite(v) for v in curves.values())
+
+
+class TestFamilyRecords:
+    """Scan params build the same groups and cocycles as the explicit constructors."""
+
+    @pytest.mark.parametrize("params, group, family, weights", [
+        (dict(family="hypercube", n=3, modulus=6, bound=5), GroupDescriptor.hypercube(3),
+         "cyclic_word", None),
+        (dict(n=2), GroupDescriptor.hypercube(2), "cyclic_word", None),
+        (dict(family="cyclic", n=2, modulus=6), GroupDescriptor.finite_abelian([6, 6]),
+         "cyclic_word", None),
+        (dict(family="cyclic", n=3), GroupDescriptor.finite_abelian([4] * 3), "cyclic_word", None),
+        (dict(family="torus", n=2, bound=3), GroupDescriptor.torus(2, 3), "torus_word", None),
+        (dict(family="torus", n=3), GroupDescriptor.torus(3, 2), "torus_word", None),
+        (dict(family="torus", n=2, cocycle="euclidean"), GroupDescriptor.torus(2, 2),
+         "euclidean", None),
+        (dict(family="weighted_cube", n=2, weights=[1, 2]), GroupDescriptor.hypercube(2),
+         "weighted_cube", (1.0, 2.0))])
+    def test_naor_family(self, params, group, family, weights):
+        built_group, cocycle, derivative = harness._naor_family(params)
+        assert built_group == group and cocycle.group == group
+        assert (cocycle.family, cocycle.weights, derivative) == (family, weights, "absorbent")
+
+    @pytest.mark.parametrize("params, error", [
+        (dict(family="bogus", n=2), "unknown truncation family"),
+        (dict(family="torus", n=2, cocycle="cyclic_word"), "equal even moduli"),
+        (dict(family="cyclic", n=2, modulus=5), "equal even moduli"),
+        (dict(family="hypercube", n=2, derivative="flip"), "unknown derivative")])
+    def test_naor_family_refusals(self, params, error):
+        with pytest.raises(ValueError, match=error):
+            harness._naor_family(params)
+
+    @pytest.mark.parametrize("params, group, family", [
+        (dict(rank=3, modulus=None), GroupDescriptor.free_group(3), "free_word"),
+        (dict(), GroupDescriptor.free_group(2), "free_word"),
+        (dict(rank=2, modulus=4), GroupDescriptor.free_product(2, 4), "free_product_word")])
+    def test_free_identities_family(self, params, group, family, monkeypatch):
+        built = []
+        monkeypatch.setattr(harness, "build_cocycle",
+                            lambda *args: built.append(args) or build_cocycle(*args))
+        harness._free_identities(params, EnsembleSpec(), 0)
+        assert built == [(family, group)]
 
 
 def _reference_sample(group, cocycle, spec, rng):
