@@ -107,7 +107,8 @@ VERIFY_VERBS = {
     "xp-linear": ("xp_linear", {}, {"n": 4, "p": 4.0, "ks": "1", "d": 4}),
     "rosenthal": ("rosenthal", {}, {"n": 4, "p": 4.0, "ks": "1"}),
     "riesz": ("riesz_equivalence", {},
-              {"n": 4, "p": 4.0, "family": "cyclic", "modulus": 4, "bound": 2}),
+              {"n": 4, "p": 4.0, "family": "cyclic", "modulus": 4, "bound": 2,
+               "weights": None}),
     "free-identities": ("free_identities", {}, {"rank": 4, "modulus": None}),
 }
 
@@ -116,8 +117,16 @@ _PARAM_OPTIONS = {"rank": "n", "ks": "k", "ps": "p"}
 
 
 def _experiment_params(verb: str, opts: dict) -> tuple[str, dict]:
-    """Translate a verify verb and its options into a harness scan call."""
+    """Translate a verify verb and its options into a harness scan call.
+
+    An option that contradicts a param the verb fixes is refused; weights left
+    out are not passed, so a family that takes weights gets unit weights.
+    """
     experiment, fixed, defaults = VERIFY_VERBS[verb]
+    for key, value in fixed.items():
+        if opts.get(key, value) != value:
+            raise ValueError(f"verify {verb} runs the {key} {value!r}; "
+                             f"--{key} {opts[key]!r} does not apply to it")
     params = dict(fixed)
     for key, default in defaults.items():
         value = opts.get(_PARAM_OPTIONS.get(key, key), default)
@@ -125,6 +134,8 @@ def _experiment_params(verb: str, opts: dict) -> tuple[str, dict]:
             value = _parse_k(str(value), params["n"])
         elif key == "ps":
             value = [float(value)]
+        elif key == "weights" and value is None:
+            continue
         elif default is not None:
             value = type(default)(value)
         params[key] = value
@@ -134,8 +145,10 @@ def _experiment_params(verb: str, opts: dict) -> tuple[str, dict]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     opts = _resolve(args, config, ["n", "k", "p", "d", "modulus", "bound",
-                                   "family", "derivative", "trials", "seed",
+                                   "family", "weights", "derivative", "trials", "seed",
                                    "ensemble", "sparsity", "degree"])
+    if isinstance(opts.get("weights"), str):
+        opts["weights"] = _parse_floats(opts["weights"])
     experiment, params = _experiment_params(args.experiment, opts)
     trials = int(opts.get("trials", 100))
     seed = int(opts.get("seed", 0))
@@ -315,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--modulus", type=int, help="cyclic order 2m")
     verify.add_argument("--bound", type=int, help="torus frequency bound")
     verify.add_argument("--family", type=str)
+    verify.add_argument("--weights", type=str,
+                        help="comma-separated positive weights (weighted_cube; default all 1)")
     verify.add_argument("--derivative", choices=DERIVATIVE_CHOICES)
     verify.add_argument("--trials", type=int)
     verify.add_argument("--seed", type=int)

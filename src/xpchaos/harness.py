@@ -152,16 +152,6 @@ def _power_lattice(extended: np.ndarray, p: float) -> np.ndarray:
     return powers
 
 
-def _parseval_lattice(coeff_sq: np.ndarray) -> np.ndarray:
-    """sum of kept |coefficients|^2 for all subsets (Parseval at p = 2)."""
-    lattice = coeff_sq
-    for axis in range(coeff_sq.ndim):
-        dropped = lattice.take([0], axis=axis)
-        kept = lattice.sum(axis=axis, keepdims=True)
-        lattice = np.concatenate([dropped, kept], axis=axis)
-    return lattice
-
-
 @functools.lru_cache(maxsize=64)
 def _lattice_index(n: int, k: int) -> np.ndarray:
     """Flat lattice index of each k-subset of [n], in order; j in S sets bit 2^(n-j)."""
@@ -248,19 +238,20 @@ def _dual_stack(f: GroupAlgebraElement, cocycle: LengthCocycle, derivative: str,
     return tensor, evaluated[0], evaluated[1:], starts
 
 
-def _abelian_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
-                   ks: tuple[int, ...], derivative: str):
+def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
+                ks: tuple[int, ...], derivative: str):
     """(p, lhs by k, derivative sum, ||f||_p^p) for each p, on an abelian group.
 
     All come from the one dual evaluation of ``_dual_stack`` on the grid of
     ``_grid_shape``; the squared moduli of a multiplier stack are summed over a
     block before the power p/2.  The subset lattice's all-kept corner is
-    ||f||_p^p (p = 2 takes the Parseval lattice).  walsh/absorbent take each
-    axis's values minus their mean along it; f* has the conjugate values of f,
-    so its absorbent half is the f half.
+    ||f||_p^p; at p = 2 the lhs and ||f||_2^2 are the closure of
+    ``_even_sides``.  walsh/absorbent take each axis's values minus their mean
+    along it; f* has the conjugate values of f, so its absorbent half is the f
+    half.
     """
     n = f.group.n_components
-    coeffs, values, stack, starts = _dual_stack(f, cocycle, derivative, _grid_shape(f.group, ps))
+    _, values, stack, starts = _dual_stack(f, cocycle, derivative, _grid_shape(f.group, ps))
     flips = starts is None
     extended = _extend_with_means(values) if set(ps) != {2} else None
     sums = dict.fromkeys(ps, 0.0)
@@ -272,11 +263,113 @@ def _abelian_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[
     for p in ps:
         for block in blocks:
             sums[p] += float(np.mean(block ** (p // 2 if p % 2 == 0 else p / 2)))
-        lattice = (_power_lattice(extended, p) if p != 2
-                   else _parseval_lattice(np.abs(coeffs) ** 2)).ravel()
-        yield (p, {k: float(np.mean(lattice[_lattice_index(n, k)])) for k in ks},
-               (2.0 ** p if derivative == "walsh" else 2.0 if flips else 1.0) * sums[p],
-               float(lattice[-1]))
+        if p == 2:
+            lhs, _, full_norm = _even_sides(f, 2, ks)
+        else:
+            lattice = _power_lattice(extended, p).ravel()
+            lhs = {k: float(np.mean(lattice[_lattice_index(n, k)])) for k in ks}
+            full_norm = float(lattice[-1])
+        yield p, lhs, _derivative_factor(derivative, p) * sums[p], full_norm
+
+
+def _derivative_factor(derivative: str, p: float) -> float:
+    """What multiplies sum_j ||P_j f||_p^p (or a multiplier stack's sum): 2^p for walsh,
+    2 for absorbent (f and f* alike), 1 for a multiplier derivative."""
+    return 2.0 ** p if derivative == "walsh" else 2.0 if derivative == "absorbent" else 1.0
+
+
+#: number of set bits of every byte, for key supports packed 8 coordinates a byte
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=64)
+def _inclusion_odds(n: int, ks: tuple[int, ...]) -> np.ndarray:
+    """C(n - u, k - u) / C(n, k) at row k of ks and column u = 0..n: the share of the
+    k-subsets of [n] that hold a given u-set."""
+    odds = np.array([[math.comb(n - u, k - u) / math.comb(n, k) if u <= k else 0.0
+                      for u in range(n + 1)] for k in ks])
+    odds.flags.writeable = False        # shared by every caller through the cache
+    return odds
+
+
+def _grouped_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) indices of every ordered pair of equal rows, where equal rows
+    are adjacent (as ``np.unique`` sorts them)."""
+    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+    counts = np.diff(np.r_[starts, len(rows)])
+    first, size = np.repeat(starts, counts), np.repeat(counts, counts)   # each row's group
+    left = np.repeat(np.arange(len(rows)), size)
+    offsets = np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
+    return left, np.repeat(first, size) + offsets
+
+
+def _even_sides(f: GroupAlgebraElement, p: float, ks: Sequence[int]):
+    """(lhs by k, sum_j ||P_j f||_p^p, ||f||_p^p) at an even p = 2q, from key pairs.
+
+    |E_S f|^p = (E_S f)^q conj(E_S f)^q, so mean_x |E_S f|^p sums
+    w = Re(prod c_a conj prod c_b) over ordered q-tuples a, b of f's keys with
+    equal sums in the group whose supports (nonzero coordinates) lie in S.  A
+    k-subset holds the union U of a pair's supports with probability
+    C(n - |U|, k - |U|) / C(n, k); ||f||_p^p is sum w; P_j f keeps the keys with
+    g_j != 0, so sum_j ||P_j f||_p^p is sum w |intersection of the supports|.
+    Tuples with the same sum, support union and support intersection (the
+    orderings of one multiset among them) are merged by adding their products
+    before the join.  At p = 2 only equal keys pair: the hypergeometric closure.
+    """
+    n, q = f.group.n_components, int(p) // 2
+    keys = np.array(list(f.coeffs), dtype=np.int64).reshape(len(f.coeffs), n)
+    coeffs = np.array(list(f.coeffs.values()), dtype=complex)
+    masks = np.packbits(keys != 0, axis=1).astype(np.int64)
+    width = masks.shape[1]
+    moduli = np.array(f.group.moduli) if f.group.kind == FINITE_ABELIAN else None
+    sums, prods, unions, inters = keys, coeffs, masks, masks
+    for _ in range(q - 1):              # extend every tuple by every key
+        sums = (sums[:, None] + keys).reshape(-1, n)
+        if moduli is not None:
+            sums %= moduli
+        prods = np.multiply.outer(prods, coeffs).ravel()
+        unions = (unions[:, None] | masks).reshape(-1, width)
+        inters = (inters[:, None] & masks).reshape(-1, width)
+    if q == 1:                          # distinct keys: each pairs with itself alone
+        left = right = np.arange(len(keys))
+    else:                               # rows sorted by sum first, so equal sums are adjacent
+        rows, labels = np.unique(np.hstack([sums, unions, inters]), axis=0, return_inverse=True)
+        labels = labels.ravel()
+        prods = np.bincount(labels, prods.real) + 1j * np.bincount(labels, prods.imag)
+        unions, inters = rows[:, n:n + width], rows[:, n + width:]
+        left, right = _grouped_pairs(rows[:, :n])
+    w = (prods[left] * prods[right].conj()).real
+    union = _BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
+    inter = _BYTE_BITS[inters[left] & inters[right]].sum(axis=1)
+    by_union = np.bincount(union, weights=w, minlength=n + 1)
+    return (dict(zip(ks, (_inclusion_odds(n, tuple(ks)) @ by_union).tolist())),
+            float(w @ inter), float(w.sum()))
+
+
+def _pair_terms(f: GroupAlgebraElement, ps: Sequence[float], ks: tuple[int, ...],
+                derivative: str):
+    """(p, lhs by k, derivative sum, ||f||_p^p) for each even p, walsh or absorbent,
+    from the key pairs of ``_even_sides``: no grid and no subset lattice."""
+    for p in ps:
+        lhs, projections, full_norm = _even_sides(f, p, ks)
+        yield p, lhs, _derivative_factor(derivative, p) * projections, full_norm
+
+
+def _naor_route(f: GroupAlgebraElement, ps: Sequence[float], derivative: str) -> str:
+    """"pairs" or "grid": the route of ``naor_profile``, chosen from the input alone.
+
+    Key pairs need every p even and a walsh or absorbent derivative.  At p = 2q
+    they list s^q q-tuples of the s keys and join at most s^(2q - 1) pairs (a
+    tuple and q - 1 keys of its partner fix the last key); summed over the ps,
+    that bound must not exceed the prod(m_j + 1) entries of the grid's
+    mean-extended tensor.
+    """
+    if derivative not in ("walsh", "absorbent") or any(p % 2 for p in ps):
+        return "grid"
+    s, entries = len(f.coeffs), math.prod(m + 1 for m in _grid_shape(f.group, ps))
+    cap = entries.bit_length()          # s^cap > entries once s >= 2: higher powers decide nothing
+    cost = sum(s ** min(int(p) // 2, cap) + s ** min(int(p) - 1, cap) for p in set(ps))
+    return "pairs" if cost <= entries else "grid"
 
 
 def _validate_input(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
@@ -300,8 +393,9 @@ def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
 
     lhs(p, k) averages ||E_S f||_p^p over the k-subsets; rhs(p, k) is
     (k/n) * sum_j (derivative term)_j + (k/n)^(p/2) * ||f||_p^p.  On finite
-    abelian groups and torus polynomials all of them come from one batched
-    dual evaluation; free kinds are refused.
+    abelian groups and torus polynomials all of them come from the key pairs of
+    ``_pair_terms`` or one batched dual evaluation (``_grid_terms``), as
+    ``_naor_route`` picks; free kinds are refused.
     """
     if derivative not in DERIVATIVE_CHOICES:
         raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
@@ -312,9 +406,12 @@ def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
     for k in ks:
         if not 1 <= k <= n:
             raise ValueError(f"k must lie in [1, {n}], got {k}")
+    ps, ks_sorted = list(ps), tuple(sorted(set(ks)))
+    terms = (_pair_terms(f, ps, ks_sorted, derivative)
+             if _naor_route(f, ps, derivative) == "pairs"
+             else _grid_terms(f, cocycle, ps, ks_sorted, derivative))
     out: dict[float, dict[int, tuple[float, float]]] = {}
-    for p, lhs, deriv_sum, full_norm in _abelian_terms(f, cocycle, list(ps),
-                                                       tuple(sorted(set(ks))), derivative):
+    for p, lhs, deriv_sum, full_norm in terms:
         out[p] = {k: (lhs[k], (k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm)
                   for k in ks}
     return out
@@ -332,7 +429,8 @@ def naor_ratio(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float, k: int,
     return RatioReport("naor", params, lhs, rhs, ratio, ratio,
                        _element_witness(f, cocycle, k=k, p=p, derivative=derivative),
                        trials=1, seed=None,
-                       runtime_ms=1e3 * (time.perf_counter() - start))
+                       runtime_ms=1e3 * (time.perf_counter() - start),
+                       extra={"route": _naor_route(f, [p], derivative)})
 
 
 def _element_witness(f: GroupAlgebraElement, cocycle: LengthCocycle, **fields) -> dict:
@@ -644,8 +742,11 @@ def _naor_family(params: dict) -> tuple[GroupDescriptor, LengthCocycle, str]:
     record = COCYCLE_FAMILIES[name]
     group = record.cli_group(int(params["n"]), modulus or int(params.get("modulus", 4)),
                              int(params.get("bound", 2)))
+    weights = params.get("weights")
+    if record.takes_weights and weights is None:
+        weights = [1.0] * group.n_components
     cocycle = build_cocycle(params.get("cocycle", name) if family == "torus" else name, group,
-                            params["weights"] if record.takes_weights else None)
+                            weights)
     derivative = params.get("derivative", "absorbent")
     if derivative not in DERIVATIVE_CHOICES:
         raise ValueError(f"unknown derivative choice {derivative!r}")
@@ -670,7 +771,8 @@ def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
 
     def evaluate(f):
         profile = naor_profile(f, cocycle, ps, ks, derivative)
-        return [Row(lhs / rhs, lhs, rhs, lhs / rhs, p=p, k=k)
+        extra = {"route": _naor_route(f, ps, derivative)}
+        return [Row(lhs / rhs, lhs, rhs, lhs / rhs, p=p, k=k, extra=extra)
                 for p in ps for k in ks for lhs, rhs in [profile[p][k]]]
 
     return (lambda rng: sample_element(group, cocycle, ensemble, rng), evaluate,

@@ -158,6 +158,44 @@ class TestVerify:
                     "--out", str(out)]) == 0
         assert load(out)["experiment"]
 
+    @pytest.mark.parametrize("verb, family", [
+        ("naor", "hypercube"), ("torus", "torus"), ("ztorus", "cyclic")])
+    def test_fixed_family_cannot_be_overridden(self, tmp_path, capsys, verb, family):
+        out = tmp_path / "r.json"
+        assert run(["verify", verb, "--family", "weighted_cube", "--n", "2",
+                    "--out", str(out)]) == 2
+        assert f"'{family}'" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["verify", verb, "--family", family, "--n", "2", "--trials", "2",
+                    "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("weights, expected", [([], [1.0, 1.0]),
+                                                   (["--weights", "0.5,2"], [0.5, 2.0])])
+    def test_weighted_cube_riesz(self, tmp_path, weights, expected):
+        out = tmp_path / "r.json"
+        assert run(["verify", "riesz", "--family", "weighted_cube", "--n", "2", *weights,
+                    "--trials", "3", "--seed", "4", "--out", str(out)]) == 0
+        report = load(out)
+        assert report["witness"]["weights"] == expected
+        rerun = xpchaos.reevaluate_witness(report)
+        for key in ("lhs", "rhs", "ratio"):
+            assert rerun[key] == pytest.approx(report[key], rel=1e-9)
+
+    def test_weights_refused_off_a_weighted_family(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["verify", "riesz", "--n", "2", "--weights", "1,2", "--out", str(out)]) == 2
+        assert "takes no weights" in capsys.readouterr().err
+
+    def test_naor_reports_name_their_route(self, tmp_path):
+        routes = {}
+        for p in ("4", "3"):
+            out = tmp_path / f"r{p}.json"
+            assert run(["verify", "naor", "--n", "6", "--k", "all", "--p", p,
+                        "--ensemble", "sparse", "--sparsity", "4", "--trials", "3",
+                        "--out", str(out)]) == 0
+            routes[p] = load(out)["extra"]["route"]
+        assert routes == {"4": "pairs", "3": "grid"}
+
 
 class TestCheck:
     def test_cocycle_report_schema(self, tmp_path):

@@ -342,6 +342,7 @@ class TestAbelianProfileMatchesOperatorPath:
                   ("absorbent", "gradient")),
                  (torus, "torus_word", ("euclidean", "absorbent", "gradient")),
                  (torus, "euclidean", ("euclidean", "absorbent", "gradient"))]
+        routes = []
         for group, family, derivatives in cases:
             cocycle = build_cocycle(family, group)
             f = sample_element(group, cocycle, EnsembleSpec("gaussian"), np.random.default_rng(22))
@@ -349,7 +350,49 @@ class TestAbelianProfileMatchesOperatorPath:
                 for derivative in derivatives:
                     calls.clear()
                     naor_profile(f, cocycle, ps, [1, 2], derivative)
-                    assert len(calls) == 1, (group, derivative, ps)
+                    route = harness._naor_route(f, ps, derivative)
+                    routes.append((group.kind, derivative, len(ps), route))
+                    assert len(calls) == {"grid": 1, "pairs": 0}[route], (group, derivative, ps)
+        # only the gaussian hypercube n = 5 at p = 2 (31 keys, each pairing with itself)
+        # takes key pairs, for walsh and absorbent
+        assert [r[:3] for r in routes if r[3] == "pairs"] == [
+            ("finite_abelian", "walsh", 1), ("finite_abelian", "absorbent", 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["hypercube", "z4", "z6", "torus"]), n=st.integers(1, 8),
+       derivative=st.sampled_from(["walsh", "absorbent"]), sparsity=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_key_pairs_match_the_grid(case, n, derivative, sparsity, seed):
+    """The pair route equals the grid route to 1e-12 of the rhs at p = 2, 4, 6, and
+    p = 2 is the hypergeometric closure sum |c_g|^2 C(n - |g|, k - |g|) / C(n, k)."""
+    rng = np.random.default_rng(seed)
+    if case == "hypercube":
+        group = GroupDescriptor.hypercube(n)
+    elif case == "torus":
+        group = GroupDescriptor.torus(1 + n % 3, 1 + n % 2)
+    else:                               # Z_4^1..Z_4^5, Z_6^1..Z_6^4
+        modulus, most = {"z4": (4, 5), "z6": (6, 4)}[case]
+        group = GroupDescriptor.finite_abelian([modulus] * (1 + n % most))
+    if derivative == "walsh" and case != "hypercube":
+        derivative = "absorbent"
+    cocycle = build_cocycle("torus_word" if case == "torus" else "cyclic_word", group)
+    f = sample_element(group, cocycle, EnsembleSpec("sparse", sparsity=sparsity), rng)
+    m = group.n_components
+    ks, ps = tuple(range(1, m + 1)), [2, 4, 6]
+    grid = {p: terms for p, *terms in harness._grid_terms(f, cocycle, ps, ks, derivative)}
+    pairs = {p: terms for p, *terms in harness._pair_terms(f, ps, ks, derivative)}
+    for p in ps:
+        (grid_lhs, grid_deriv, grid_norm), (lhs, deriv, norm) = grid[p], pairs[p]
+        for k in ks:
+            rhs = (k / m) * grid_deriv + (k / m) ** (p / 2) * grid_norm
+            assert abs(lhs[k] - grid_lhs[k]) <= 1e-12 * rhs
+            assert abs((k / m) * (deriv - grid_deriv)
+                       + (k / m) ** (p / 2) * (norm - grid_norm)) <= 1e-12 * rhs
+    for k in ks:
+        closure = sum(abs(c) ** 2 * float(inclusion_probability(m, k, sum(map(bool, g))))
+                      for g, c in f.coeffs.items())
+        assert pairs[2][0][k] == pytest.approx(closure, rel=1e-12)
 
 
 class TestXpLinear:
@@ -915,7 +958,9 @@ class TestFamilyRecords:
         (dict(family="torus", n=2, cocycle="euclidean"), GroupDescriptor.torus(2, 2),
          "euclidean", None),
         (dict(family="weighted_cube", n=2, weights=[1, 2]), GroupDescriptor.hypercube(2),
-         "weighted_cube", (1.0, 2.0))])
+         "weighted_cube", (1.0, 2.0)),
+        (dict(family="weighted_cube", n=3), GroupDescriptor.hypercube(3), "weighted_cube",
+         (1.0, 1.0, 1.0))])
     def test_naor_family(self, params, group, family, weights):
         built_group, cocycle, derivative = harness._naor_family(params)
         assert built_group == group and cocycle.group == group
@@ -925,7 +970,9 @@ class TestFamilyRecords:
         (dict(family="bogus", n=2), "unknown truncation family"),
         (dict(family="torus", n=2, cocycle="cyclic_word"), "equal even moduli"),
         (dict(family="cyclic", n=2, modulus=5), "equal even moduli"),
-        (dict(family="hypercube", n=2, derivative="flip"), "unknown derivative")])
+        (dict(family="hypercube", n=2, derivative="flip"), "unknown derivative"),
+        (dict(family="cyclic", n=2, weights=[1, 2]), "takes no weights"),
+        (dict(family="weighted_cube", n=2, weights=[1]), "one weight per coordinate")])
     def test_naor_family_refusals(self, params, error):
         with pytest.raises(ValueError, match=error):
             harness._naor_family(params)
