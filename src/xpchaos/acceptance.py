@@ -47,8 +47,7 @@ def _abelian_box(moduli):
 
 def criterion_gromov_exactness() -> dict:
     start = time.perf_counter()
-    mismatches = 0
-    checked = 0
+    mismatches = checked = 0
 
     def compare(cocycle, pairs):
         nonlocal mismatches, checked
@@ -222,9 +221,7 @@ def criterion_operator_identities() -> dict:
                     right = operators.directional_derivative(single, u, cocycle)
                     if not left.allclose(right, 1e-12):
                         failures.append(f"absorbency {cocycle.family} {g} {u.to_id()}")
-            if exact_pairings and pairing_square != psi:
-                failures.append(f"laplacian factorization {cocycle.family} at {g}")
-            if not exact_pairings and abs(pairing_square - psi) > 1e-10:
+            if (pairing_square != psi if exact_pairings else abs(pairing_square - psi) > 1e-10):
                 failures.append(f"laplacian factorization {cocycle.family} at {g}")
             if abs(riesz_total - 4 * math.pi ** 2) > 1e-10:
                 failures.append(f"riesz normalization {cocycle.family} at {g}")
@@ -246,10 +243,8 @@ def criterion_operator_identities() -> dict:
             flip = operators.free_hilbert_transform(f, signs)
             if not operators.free_hilbert_transform(flip, signs).allclose(f, 1e-12):
                 failures.append(f"hilbert involution {cocycle.family}")
-            total = None
-            for j in range(1, n + 1):
-                term = operators.absorbent_derivative(f, j)
-                total = term if total is None else total + term
+            total = sum((operators.absorbent_derivative(f, j) for j in range(2, n + 1)),
+                        operators.absorbent_derivative(f, 1))
             if not total.allclose(f, 1e-12):
                 failures.append(f"mean-zero decomposition {cocycle.family}")
             for subset in ((1,), (2,), (1, 2)):
@@ -332,10 +327,9 @@ def criterion_moment_formulas() -> dict:
 
 
 def _scan_series(family: str, ns, trials: int, extra_params: dict,
-                 derivatives) -> tuple[list[dict], dict[int, float], bool, list[str]]:
+                 derivatives) -> tuple[list[dict], dict[int, float], list[str]]:
     rows = []
     p4_max: dict[int, float] = {}
-    witness_ok = True
     failures = []
     for n in ns:
         for derivative in derivatives:
@@ -346,13 +340,12 @@ def _scan_series(family: str, ns, trials: int, extra_params: dict,
                           trials=trials, seed=1000 + n, **params)
             rerun = reevaluate_witness(report)
             if abs(rerun["ratio"] - report.ratio) > 1e-9:
-                witness_ok = False
                 failures.append(f"witness drift {family} n={n} {derivative}")
             p4 = report.extra["max_ratio_by_p"].get("4.0", 0.0)
             p4_max[n] = max(p4_max.get(n, 0.0), p4)
             rows.append({"family": family, "n": n, "derivative": derivative,
                          "max_ratio": report.max_ratio, "p4_max": p4})
-    return rows, p4_max, witness_ok, failures
+    return rows, p4_max, failures
 
 
 def criterion_boundedness_scans(trials: int = 500) -> dict:
@@ -365,7 +358,7 @@ def criterion_boundedness_scans(trials: int = 500) -> dict:
         ("torus", (1, 2), {"bound": 3}, ("euclidean",)),
     ]
     for family, ns, extra, derivatives in series:
-        rows, p4_max, witness_ok, drift = _scan_series(family, ns, trials, extra, derivatives)
+        rows, p4_max, drift = _scan_series(family, ns, trials, extra, derivatives)
         all_rows.extend(rows)
         failures.extend(drift)
         anchor = p4_max[ns[0]]
@@ -387,9 +380,8 @@ def criterion_boundedness_scans(trials: int = 500) -> dict:
 def criterion_even_p_grid_agreement() -> dict:
     rng = np.random.default_rng(17)
     worst = 0.0
-    count = 0
     failures = []
-    while count < 200:
+    for _ in range(200):
         rank = int(rng.integers(1, 3))
         bound = int(rng.integers(1, 4))
         group = GroupDescriptor.torus(rank, bound)
@@ -404,7 +396,6 @@ def criterion_even_p_grid_agreement() -> dict:
             worst = max(worst, gap)
             if gap > 1e-8:
                 failures.append(f"p={p} gap={gap:.2e}")
-        count += 1
     return {"id": 8, "name": "Even-p torus norms: exact vs grid within 1e-8",
             "passed": not failures,
             "details": failures[:5] or f"200 polynomials, worst gap {worst:.2e}"}

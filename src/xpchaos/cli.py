@@ -196,8 +196,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     sample = random_group_elements(cocycle.group, int(opts.get("sample_size", 12)), rng)
     t_grid = _parse_floats(str(opts.get("t", "0.1,1,10")))
     psd = conditional_negativity_check(cocycle, sample, t_grid, seed=int(opts.get("seed", 0)))
-    gram_error = None
-    completeness_error = None
+    gram_error = completeness_error = None
     if cocycle.has_basis:
         support = [g for g in sample if cocycle.psi(g) != 0]
         basis = cocycle.basis_for_support(support)
@@ -256,39 +255,35 @@ def _default_family(group: GroupDescriptor) -> str:
     raise ValueError(f"no cocycle family fits the group {group.to_json()}; pass --family")
 
 
+def _basis(args: argparse.Namespace) -> BasisVector:
+    if not args.u:
+        raise ValueError(f"--u is required for op {args.op!r}")
+    return BasisVector.from_id(args.u)
+
+
+#: apply op -> (whether it needs a cocycle, the op on (f, options, cocycle))
+APPLY_OPS = {
+    "derivative": (True, lambda f, a, c: operators.directional_derivative(f, _basis(a), c)),
+    "riesz": (True, lambda f, a, c: operators.riesz_transform(f, _basis(a), c)),
+    "absorbent": (False, lambda f, a, c: operators.absorbent_derivative(f, a.j)),
+    "walsh": (False, lambda f, a, c: operators.walsh_derivative(f, a.j)),
+    "laplacian": (True, lambda f, a, c: operators.laplacian_power(f, a.gamma, c)),
+    "heat": (True, lambda f, a, c: operators.heat_semigroup(f, a.t, c)),
+    "truncate": (False, lambda f, a, c: operators.truncate(f, _parse_ints(a.S))),
+    "adjoint-truncate": (False, lambda f, a, c: operators.adjoint_truncation(f, _parse_ints(a.S))),
+    "project-as": (False, lambda f, a, c: operators.project_AS(f, _parse_ints(a.S))),
+    "hilbert": (False, lambda f, a, c: operators.free_hilbert_transform(f, _parse_ints(a.eps))),
+    "adjoint": (False, lambda f, a, c: adjoint(f)),
+    "mean-zero": (True, lambda f, a, c: project_mean_zero(f, c)),
+}
+
+
 def _cmd_apply(args: argparse.Namespace) -> int:
     f = _load_element(args.infile)
-    needs_cocycle = args.op in ("derivative", "riesz", "laplacian", "heat", "mean-zero")
+    needs_cocycle, op = APPLY_OPS[args.op]
     cocycle = (build_cocycle(args.family or _default_family(f.group), f.group)
                if needs_cocycle else None)
-    if args.op in ("derivative", "riesz"):
-        if not args.u:
-            raise ValueError(f"--u is required for op {args.op!r}")
-        u = BasisVector.from_id(args.u)
-        result = (operators.directional_derivative(f, u, cocycle) if args.op == "derivative"
-                  else operators.riesz_transform(f, u, cocycle))
-    elif args.op == "absorbent":
-        result = operators.absorbent_derivative(f, args.j)
-    elif args.op == "walsh":
-        result = operators.walsh_derivative(f, args.j)
-    elif args.op == "laplacian":
-        result = operators.laplacian_power(f, args.gamma, cocycle)
-    elif args.op == "heat":
-        result = operators.heat_semigroup(f, args.t, cocycle)
-    elif args.op == "truncate":
-        result = operators.truncate(f, _parse_ints(args.S))
-    elif args.op == "adjoint-truncate":
-        result = operators.adjoint_truncation(f, _parse_ints(args.S))
-    elif args.op == "project-as":
-        result = operators.project_AS(f, _parse_ints(args.S))
-    elif args.op == "hilbert":
-        result = operators.free_hilbert_transform(f, _parse_ints(args.eps))
-    elif args.op == "adjoint":
-        result = adjoint(f)
-    elif args.op == "mean-zero":
-        result = project_mean_zero(f, cocycle)
-    else:
-        raise ValueError(f"unknown operator {args.op!r}")
+    result = op(f, args, cocycle)
     payload = result.to_json()
     if args.out:
         _write_report(payload, args.out)
@@ -363,10 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     norm.set_defaults(handler=_cmd_norm)
 
     apply_cmd = sub.add_parser("apply", help="apply an operator to an element")
-    apply_cmd.add_argument("--op", required=True,
-                           choices=["derivative", "riesz", "absorbent", "walsh",
-                                    "laplacian", "heat", "truncate", "adjoint-truncate",
-                                    "project-as", "hilbert", "adjoint", "mean-zero"])
+    apply_cmd.add_argument("--op", required=True, choices=APPLY_OPS)
     apply_cmd.add_argument("--in", dest="infile", required=True)
     apply_cmd.add_argument("--u", type=str, help="basis vector id, e.g. ZWord:1:2")
     apply_cmd.add_argument("--j", type=int, default=1)

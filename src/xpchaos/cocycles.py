@@ -262,8 +262,6 @@ def _halve(value):
     """Exact halving: ints stay ints when even, otherwise Fractions."""
     if isinstance(value, int):
         return value // 2 if value % 2 == 0 else Fraction(value, 2)
-    if isinstance(value, Fraction):
-        return value / 2
     return value / 2
 
 
@@ -309,11 +307,8 @@ def gromov_form(cocycle: LengthCocycle, g, h, method: str = "closed"):
 def gromov_bilinear(cocycle: LengthCocycle, expansion_a, expansion_b,
                     method: str = "defining"):
     """Bilinear extension of the Gromov form to delta combinations."""
-    total = 0
-    for key_a, coeff_a in expansion_a:
-        for key_b, coeff_b in expansion_b:
-            total = total + coeff_a * coeff_b * gromov_form(cocycle, key_a, key_b, method=method)
-    return total
+    return sum(coeff_a * coeff_b * gromov_form(cocycle, key_a, key_b, method=method)
+               for key_a, coeff_a in expansion_a for key_b, coeff_b in expansion_b)
 
 
 def gram_matrix(cocycle: LengthCocycle, basis: Sequence[BasisVector],

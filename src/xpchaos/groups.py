@@ -250,9 +250,8 @@ class GroupAlgebraElement:
         scalar = complex(scalar)
         if scalar == 0:
             return GroupAlgebraElement.zero(self.group)
-        coeffs = {k: scalar * v for k, v in self.coeffs.items()}
-        return GroupAlgebraElement(self.group, {k: v for k, v in coeffs.items() if abs(v) > PRUNE_TOL},
-                                   _canonical=True)
+        coeffs = {k: scalar * v for k, v in self.coeffs.items() if abs(scalar * v) > PRUNE_TOL}
+        return GroupAlgebraElement(self.group, coeffs, _canonical=True)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)

@@ -28,15 +28,14 @@ import numpy as np
 from . import operators
 from .cocycles import COCYCLE_FAMILIES, LengthCocycle, build_cocycle
 from .groups import (FINITE_ABELIAN, PRUNE_TOL, GroupAlgebraElement, GroupDescriptor,
-                     coefficient_tensor, element_inverse, key_box)
+                     coefficient_tensor, element_inverse, is_mean_zero, key_box)
 from .norms import (SIGN_BLOCK_ROWS, half_sign_patterns, schatten_powers,
                     sign_average_power, sign_combinations)
 
 SIGN_ENUMERATION_CAP = 14
 MONTE_CARLO_SIGNS = 2 ** 14
-#: largest grid allocation of ``naor_profile`` and ``riesz_equivalence_ratio``
-#: (16 bytes per entry of the multiplier stack and of naor's mean-extended value
-#: tensor, which p = 2 alone does not need)
+#: largest allocation of the route of a ``naor_profile`` or ``riesz_equivalence_ratio``
+#: call, as ``_plan`` and ``_pair_route_bytes`` count it
 LATTICE_MAX_BYTES = 2 ** 30
 #: relative margin by which a later scan row must beat the best score to replace it
 SCORE_TIE_RTOL = 1e-12
@@ -211,19 +210,6 @@ def _pairing_table(group: GroupDescriptor, family: str, weights: tuple[float, ..
     return table, starts
 
 
-def _check_lattice_size(group: GroupDescriptor, cocycle: LengthCocycle, ps: Sequence[float],
-                        derivative: str) -> None:
-    """Refuse the multiplier stack and naor's mean-extended value tensor (unless p = 2
-    alone; riesz has none) above LATTICE_MAX_BYTES before they are allocated."""
-    grid = _grid_shape(group, ps)
-    rows = sum(len(basis) for _, basis in _symbol_blocks(cocycle, derivative)[1])
-    extended = set(ps) != {2} and derivative != "riesz"
-    size = 16 * (rows * math.prod(grid) + (math.prod(m + 1 for m in grid) if extended else 0))
-    if size > LATTICE_MAX_BYTES:
-        raise ValueError(f"the profile's grid tensors need {size} bytes, "
-                         f"above {LATTICE_MAX_BYTES = }")
-
-
 def _dual_stack(f: GroupAlgebraElement, cocycle: LengthCocycle, derivative: str,
                 grid: tuple[int, ...]):
     """(coefficient tensor, values, multiplier stack, first row of each block) of f on
@@ -292,13 +278,23 @@ def _inclusion_odds(n: int, ks: tuple[int, ...]) -> np.ndarray:
     return odds
 
 
-def _grouped_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) indices of every ordered pair of equal rows, where equal rows
-    are adjacent (as ``np.unique`` sorts them)."""
-    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
-    counts = np.diff(np.r_[starts, len(rows)])
+def _pair_route_bytes(n: int, tuples: int, pairs: int) -> int:
+    """Bytes of the pair route on n coordinates: a q-tuple holds its sum, packed support
+    union and intersection and a product; a joined pair 2 indices, a weight, 4 masks."""
+    width = -(-n // 8)
+    return 8 * (tuples * (n + 2 * width + 2) + pairs * (4 + 4 * width))
+
+
+def _within_budget(size: int, what: str) -> None:
+    if size > LATTICE_MAX_BYTES:
+        raise ValueError(f"the profile's {what} need {size} bytes, above {LATTICE_MAX_BYTES = }")
+
+
+def _grouped_pairs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) indices of every ordered pair of rows in one group, where the
+    groups of ``counts`` rows start at ``starts`` (as ``np.unique`` sorts them)."""
     first, size = np.repeat(starts, counts), np.repeat(counts, counts)   # each row's group
-    left = np.repeat(np.arange(len(rows)), size)
+    left = np.repeat(np.arange(len(first)), size)
     offsets = np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
     return left, np.repeat(first, size) + offsets
 
@@ -337,7 +333,10 @@ def _even_sides(f: GroupAlgebraElement, p: float, ks: Sequence[int]):
         labels = labels.ravel()
         prods = np.bincount(labels, prods.real) + 1j * np.bincount(labels, prods.imag)
         unions, inters = rows[:, n:n + width], rows[:, n + width:]
-        left, right = _grouped_pairs(rows[:, :n])
+        starts = np.flatnonzero(np.r_[True, np.any(rows[1:, :n] != rows[:-1, :n], axis=1)])
+        counts = np.diff(np.r_[starts, len(rows)])
+        _within_budget(_pair_route_bytes(n, len(sums), int(counts @ counts)), "joined key pairs")
+        left, right = _grouped_pairs(starts, counts)
     w = (prods[left] * prods[right].conj()).real
     union = _BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
     inter = _BYTE_BITS[inters[left] & inters[right]].sum(axis=1)
@@ -355,35 +354,71 @@ def _pair_terms(f: GroupAlgebraElement, ps: Sequence[float], ks: tuple[int, ...]
         yield p, lhs, _derivative_factor(derivative, p) * projections, full_norm
 
 
-def _naor_route(f: GroupAlgebraElement, ps: Sequence[float], derivative: str) -> str:
-    """"pairs" or "grid": the route of ``naor_profile``, chosen from the input alone.
+def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequence[float],
+          derivative: str) -> str:
+    """"pairs" or "grid": the route of a naor (or riesz) profile of ``keys`` keys,
+    once its arrays are known to fit LATTICE_MAX_BYTES, before any is allocated.
 
     Key pairs need every p even and a walsh or absorbent derivative.  At p = 2q
     they list s^q q-tuples of the s keys and join at most s^(2q - 1) pairs (a
     tuple and q - 1 keys of its partner fix the last key); summed over the ps,
     that bound must not exceed the prod(m_j + 1) entries of the grid's
-    mean-extended tensor.
+    mean-extended tensor.  Key pairs count their largest q-tuple list here and their
+    joined pairs in ``_even_sides``, once the sort has counted them; the grid counts
+    its multiplier stack and mean-extended tensor (none at p = 2 alone or riesz).
     """
-    if derivative not in ("walsh", "absorbent") or any(p % 2 for p in ps):
-        return "grid"
-    s, entries = len(f.coeffs), math.prod(m + 1 for m in _grid_shape(f.group, ps))
-    cap = entries.bit_length()          # s^cap > entries once s >= 2: higher powers decide nothing
-    cost = sum(s ** min(int(p) // 2, cap) + s ** min(int(p) - 1, cap) for p in set(ps))
-    return "pairs" if cost <= entries else "grid"
+    if not group.is_abelian:
+        raise ValueError(f"dual evaluations need an abelian group, got {group.kind}")
+    grid = _grid_shape(group, ps)
+    entries = math.prod(m + 1 for m in grid)
+    if derivative in ("walsh", "absorbent") and not any(p % 2 for p in ps):
+        cap = entries.bit_length()      # s^cap > entries once s >= 2: higher powers decide nothing
+        if sum(keys ** min(int(p) // 2, cap) + keys ** min(int(p) - 1, cap)
+               for p in set(ps)) <= entries:
+            tuples = keys ** (int(max(ps)) // 2)
+            _within_budget(_pair_route_bytes(group.n_components, tuples, 0), "key tuples")
+            return "pairs"
+    rows = sum(len(basis) for _, basis in _symbol_blocks(cocycle, derivative)[1])
+    extended = set(ps) != {2} and derivative != "riesz"
+    _within_budget(16 * (rows * math.prod(grid) + (entries if extended else 0)), "grid tensors")
+    return "grid"
 
 
-def _validate_input(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
-                    derivative: str) -> None:
-    """Refuse a free kind, an oversized grid, then a zero or not mean-zero input."""
-    if not f.group.is_abelian:
-        raise ValueError(f"dual evaluations need an abelian group, got {f.group.kind}")
-    _check_lattice_size(f.group, cocycle, ps, derivative)
-    if not f.coeffs:
-        raise ValueError("the input must be nonzero")
-    shape, low = key_box(f.group)       # look the keys up in the table of nonzero lengths
-    flat = np.ravel_multi_index((np.array(list(f.coeffs)) - low).T, shape)
-    if not np.isin(flat, _mean_zero_keys(f.group, cocycle.family, cocycle.weights)[0]).all():
-        raise ValueError("the input must be mean-zero (no coefficients of zero length)")
+def _require_mean_zero(f: GroupAlgebraElement) -> None:
+    """Refuse a zero f or a coefficient at the identity, the one key of length 0
+    under every built-in abelian family."""
+    if not f.coeffs or not is_mean_zero(f):
+        raise ValueError("the input must be nonzero and mean-zero (no identity coefficient)")
+
+
+def _check_ks(ks: Sequence[int], n: int) -> list[int]:
+    """ks, refused when empty or outside [1, n]."""
+    if not ks or not all(1 <= k <= n for k in ks):
+        raise ValueError(f"need a nonempty list of k in [1, {n}], got {list(ks)}")
+    return list(ks)
+
+
+def _naor_sides(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
+                ks: Sequence[int], derivative: str):
+    """(route, profile) of ``naor_profile``."""
+    if derivative not in DERIVATIVE_CHOICES:
+        raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
+    if derivative == "walsh" and (f.group.kind != FINITE_ABELIAN or set(f.group.moduli) != {2}):
+        raise ValueError("the walsh derivative needs a hypercube group")
+    if not ps:
+        raise ValueError("the list of p is empty")
+    ps = [_finite(p, 1) for p in ps]
+    route = _plan(f.group, cocycle, len(f.coeffs), ps, derivative)
+    _require_mean_zero(f)
+    n = f.group.n_components
+    ks_sorted = tuple(sorted(set(_check_ks(ks, n))))
+    terms = (_pair_terms(f, ps, ks_sorted, derivative) if route == "pairs"
+             else _grid_terms(f, cocycle, ps, ks_sorted, derivative))
+    out: dict[float, dict[int, tuple[float, float]]] = {}
+    for p, lhs, deriv_sum, full_norm in terms:
+        out[p] = {k: (lhs[k], (k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm)
+                  for k in ks}
+    return route, out
 
 
 def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
@@ -395,33 +430,16 @@ def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
     (k/n) * sum_j (derivative term)_j + (k/n)^(p/2) * ||f||_p^p.  On finite
     abelian groups and torus polynomials all of them come from the key pairs of
     ``_pair_terms`` or one batched dual evaluation (``_grid_terms``), as
-    ``_naor_route`` picks; free kinds are refused.
+    ``_plan`` picks; free kinds are refused.
     """
-    if derivative not in DERIVATIVE_CHOICES:
-        raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
-    if derivative == "walsh" and (f.group.kind != FINITE_ABELIAN or set(f.group.moduli) != {2}):
-        raise ValueError("the walsh derivative needs a hypercube group")
-    _validate_input(f, cocycle, [_finite(p, 1) for p in ps], derivative)
-    n = f.group.n_components
-    for k in ks:
-        if not 1 <= k <= n:
-            raise ValueError(f"k must lie in [1, {n}], got {k}")
-    ps, ks_sorted = list(ps), tuple(sorted(set(ks)))
-    terms = (_pair_terms(f, ps, ks_sorted, derivative)
-             if _naor_route(f, ps, derivative) == "pairs"
-             else _grid_terms(f, cocycle, ps, ks_sorted, derivative))
-    out: dict[float, dict[int, tuple[float, float]]] = {}
-    for p, lhs, deriv_sum, full_norm in terms:
-        out[p] = {k: (lhs[k], (k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm)
-                  for k in ks}
-    return out
+    return _naor_sides(f, cocycle, ps, ks, derivative)[1]
 
 
 def naor_ratio(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float, k: int,
                derivative: str = "absorbent") -> RatioReport:
     """One balanced truncation-average experiment at a single (p, k)."""
     start = time.perf_counter()
-    profile = naor_profile(f, cocycle, [p], [k], derivative)
+    route, profile = _naor_sides(f, cocycle, [p], [k], derivative)
     lhs, rhs = profile[p][k]
     params = {"experiment_family": cocycle.family, "n": f.group.n_components,
               "p": p, "k": k, "derivative": derivative}
@@ -430,7 +448,7 @@ def naor_ratio(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float, k: int,
                        _element_witness(f, cocycle, k=k, p=p, derivative=derivative),
                        trials=1, seed=None,
                        runtime_ms=1e3 * (time.perf_counter() - start),
-                       extra={"route": _naor_route(f, [p], derivative)})
+                       extra={"route": route})
 
 
 def _element_witness(f: GroupAlgebraElement, cocycle: LengthCocycle, **fields) -> dict:
@@ -483,9 +501,9 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
         warnings.warn("p < 2 is outside the theorem range; computing anyway")
     mats = np.stack([np.asarray(x, dtype=complex) for x in xs])
     n = mats.shape[0]
-    for k in ks:
-        if not 1 <= k <= n:
-            raise ValueError(f"k must lie in [1, {n}], got {k}")
+    _check_ks(ks, n)
+    if not np.any(mats):
+        raise ValueError("the matrix tuple must be nonzero")
     rng = np.random.default_rng(seed)
     # a k-subset average is sampled only when the full n-sign one is (k <= n)
     monte_carlo = n > SIGN_ENUMERATION_CAP
@@ -545,8 +563,7 @@ def rosenthal_linear_ratio(a: Sequence[complex], p: float, k: int) -> dict:
     _finite(p)
     coeffs = np.array([complex(x) for x in a])
     n = len(coeffs)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    _check_ks([k], n)
     if k > SIGN_ENUMERATION_CAP:
         raise ValueError("exhaustive enumeration is capped at k = 14")
     if not np.any(coeffs):
@@ -594,7 +611,8 @@ def riesz_equivalence_ratio(f: GroupAlgebraElement, p: float,
     one batched dual evaluation on the grid of ``_grid_shape``.  The symbol
     normalization sum_u |symbol(g)|^2 = 4 pi^2 makes the quotient 1 at p = 2.
     """
-    _validate_input(f, cocycle, [_finite(p, 1)], "riesz")
+    _plan(f.group, cocycle, len(f.coeffs), [_finite(p, 1)], "riesz")
+    _require_mean_zero(f)
     _, values, stack, starts = _dual_stack(f, cocycle, "riesz", _grid_shape(f.group, [p]))
     squares = np.add.reduceat(_abs_power(stack, 2), starts)     # f and f* blocks alternate
     sides = [float(np.mean(sum(squares[side::2]) ** (p / 2))) ** (1 / p) for side in (0, 1)]
@@ -623,6 +641,9 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}; valid: {ENSEMBLE_KINDS}")
+        for name in ("sparsity", "degree", "word_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_json(self) -> dict:
         return {item.name: getattr(self, item.name) for item in fields(self)}
@@ -647,11 +668,20 @@ def _mean_zero_keys(group: GroupDescriptor, family: str,
     return flat, lengths
 
 
+def _most_keys(group: GroupDescriptor, spec: EnsembleSpec) -> int:
+    """The most keys an abelian draw of ``spec`` can hold."""
+    box = math.prod(key_box(group)[0]) - 1
+    return {"sparse": min(spec.sparsity, box), "linear_span": 2 * group.n_components}.get(
+        spec.kind, box)
+
+
 def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
                    spec: EnsembleSpec, rng: np.random.Generator) -> GroupAlgebraElement:
     """Draw one mean-zero random element according to the ensemble spec.
 
-    Abelian keys of nonzero length are found once per (group, family, weights).
+    Abelian gaussian and sparse draws take the key box's positions other than
+    the identity's (the one key of length 0); chaos_degree draws read the keys'
+    lengths, found once per (group, family, weights).
     """
     if group.is_abelian:
         if spec.kind == "linear_span":      # each unit key, then its inverse if distinct
@@ -660,15 +690,17 @@ def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
             keys = list(dict.fromkeys(key for unit in units
                                       for key in (unit, element_inverse(group, unit))))
             return GroupAlgebraElement(group, dict(zip(keys, _complex_normal(rng, len(keys)))))
-        flat, lengths = _mean_zero_keys(group, cocycle.family, cocycle.weights)
-        if spec.kind == "gaussian":
-            chosen = flat
-        elif spec.kind == "sparse":
-            idx = rng.choice(len(flat), size=min(spec.sparsity, len(flat)), replace=False)
-            chosen = flat[np.sort(idx)]
-        else:                               # chaos_degree
-            chosen = flat[lengths <= spec.degree]
         shape, low = key_box(group)
+        if spec.kind == "chaos_degree":
+            flat, lengths = _mean_zero_keys(group, cocycle.family, cocycle.weights)
+            chosen = flat[lengths <= spec.degree]
+        else:
+            box = math.prod(shape) - 1
+            if box >= np.iinfo(np.intp).max:
+                raise ValueError(f"the key box has {box + 1} positions, past int64")
+            chosen = (np.arange(box) if spec.kind == "gaussian" else
+                      np.sort(rng.choice(box, size=min(spec.sparsity, box), replace=False)))
+            chosen += chosen >= np.ravel_multi_index((-low,) * len(shape), shape)
         keys = (np.stack(np.unravel_index(chosen, shape), axis=-1) + low).tolist()
         values = _complex_normal(rng, len(keys)).tolist()
         return GroupAlgebraElement(group, {tuple(key): v for key, v in zip(keys, values)
@@ -726,7 +758,7 @@ def _p(params: dict, default: float) -> float:
 
 
 def _ks(params: dict) -> list[int]:
-    return [int(k) for k in params.get("ks", [params.get("k", 1)])]
+    return _check_ks([int(k) for k in params.get("ks", [params.get("k", 1)])], int(params["n"]))
 
 
 #: truncation family -> (cocycle family whose record builds the group, fixed modulus)
@@ -767,12 +799,11 @@ def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, derivative = _naor_family(params)
     ps = [_finite(float(p), 1) for p in params.get("ps", [params.get("p", 4)])]
     ks = _ks(params)
-    _check_lattice_size(group, cocycle, ps, derivative)
+    _plan(group, cocycle, _most_keys(group, ensemble), ps, derivative)
 
     def evaluate(f):
-        profile = naor_profile(f, cocycle, ps, ks, derivative)
-        extra = {"route": _naor_route(f, ps, derivative)}
-        return [Row(lhs / rhs, lhs, rhs, lhs / rhs, p=p, k=k, extra=extra)
+        route, profile = _naor_sides(f, cocycle, ps, ks, derivative)
+        return [Row(lhs / rhs, lhs, rhs, lhs / rhs, p=p, k=k, extra={"route": route})
                 for p in ps for k in ks for lhs, rhs in [profile[p][k]]]
 
     return (lambda rng: sample_element(group, cocycle, ensemble, rng), evaluate,
@@ -829,7 +860,7 @@ def _rosenthal_row(coeffs: Sequence[complex], p: float, k: int) -> Row:
 def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, _ = _naor_family(params)
     p = _finite(float(params.get("p", 2)), 1)
-    _check_lattice_size(group, cocycle, [p], "riesz")
+    _plan(group, cocycle, _most_keys(group, ensemble), [p], "riesz")
     return (lambda rng: sample_element(group, cocycle, ensemble, rng),
             lambda f: [_riesz_row(f, cocycle, p)],
             lambda f, row: _element_witness(f, cocycle, p=p))

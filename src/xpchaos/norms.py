@@ -215,22 +215,17 @@ def square_function_norm(components: Sequence, p: float, side: str = "column",
         group = components[0].group
         if group.kind == FINITE_ABELIAN:
             rows = np.stack([evaluate_on_dual(c).values for c in components])
-            pointwise = np.sqrt(np.sum(np.abs(rows) ** 2, axis=0))
-            return float(np.mean(pointwise ** p) ** (1.0 / p))
-        if group.kind == TORUS:
-            if _is_even(p):
-                square = None
-                for c in components:
-                    term = convolve(c, adjoint(c))
-                    square = term if square is None else square + term
-                half = int(p) // 2
-                power = _conv_power(square, half)
-                value = complex(trace(power))
-                return float(max(value.real, 0.0) ** (1.0 / p))
+        elif group.kind == TORUS and _is_even(p):
+            square = sum((convolve(c, adjoint(c)) for c in components[1:]),
+                         convolve(components[0], adjoint(components[0])))
+            value = complex(trace(_conv_power(square, int(p) // 2)))
+            return float(max(value.real, 0.0) ** (1.0 / p))
+        elif group.kind == TORUS:
             rows = _torus_grid_values(components, oversample)
-            pointwise = np.sqrt(np.sum(np.abs(rows) ** 2, axis=0))
-            return float(np.mean(pointwise ** p) ** (1.0 / p))
-        raise ValueError("square functions need abelian or matrix operands")
+        else:
+            raise ValueError("square functions need abelian or matrix operands")
+        pointwise = np.sqrt(np.sum(np.abs(rows) ** 2, axis=0))
+        return float(np.mean(pointwise ** p) ** (1.0 / p))
     mats = [np.asarray(c, dtype=complex) for c in components]
     shape = mats[0].shape
     if any(m.shape != shape for m in mats):

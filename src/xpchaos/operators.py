@@ -141,9 +141,7 @@ def laplacian_power(f: GroupAlgebraElement, gamma: float,
 
     def symbol(key):
         psi = cocycle.psi(key)
-        if psi == 0:
-            return 0.0
-        return float(psi) ** gamma
+        return float(psi) ** gamma if psi != 0 else 0.0
 
     return MultiplierOp(f"laplacian^{gamma}", symbol).apply(f)
 
@@ -162,9 +160,7 @@ def riesz_transform_op(cocycle: LengthCocycle, u: BasisVector) -> MultiplierOp:
 
     def symbol(key):
         psi = cocycle.psi(key)
-        if psi == 0:
-            return 0.0
-        return TWO_PI_I * cocycle.pairing(key, u) / math.sqrt(float(psi))
+        return TWO_PI_I * cocycle.pairing(key, u) / math.sqrt(float(psi)) if psi != 0 else 0.0
 
     return MultiplierOp(f"riesz[{u.to_id()}]", symbol)
 

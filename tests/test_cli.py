@@ -4,16 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import xpchaos
-from xpchaos import build_cocycle, norms, operators
-from xpchaos.cli import main
-from xpchaos.cocycles import FAMILIES
-from xpchaos.groups import GroupAlgebraElement, GroupDescriptor
+from xpchaos import build_cocycle, groups, norms, operators
+from xpchaos.cli import APPLY_OPS, main
+from xpchaos.cocycles import FAMILIES, BasisVector
+from xpchaos.groups import GroupAlgebraElement, GroupDescriptor, adjoint
 from xpchaos.norms import lp_norm_torus_grid, lp_norm_torus_refined
 from xpchaos.words import ReducedWord
 
@@ -185,6 +186,56 @@ class TestVerify:
         out = tmp_path / "r.json"
         assert run(["verify", "riesz", "--n", "2", "--weights", "1,2", "--out", str(out)]) == 2
         assert "takes no weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["naor", "xp-linear", "rosenthal"])
+    def test_empty_k_range_exit_code(self, tmp_path, capsys, verb):
+        out = tmp_path / "r.json"
+        assert run(["verify", verb, "--n", "4", "--k", "3..1", "--trials", "2",
+                    "--out", str(out)]) == 2
+        assert "nonempty list of k" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_matrices_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["verify", "xp-linear", "--n", "3", "--d", "0", "--out", str(out)]) == 2
+        assert "nonzero" in capsys.readouterr().err
+
+    def test_sparse_naor_runs_past_the_grid(self, tmp_path):
+        """Six keys on a hypercube n = 22 take key pairs, whose arrays fit the budget."""
+        from xpchaos import reevaluate_witness
+        out = tmp_path / "r.json"
+        assert run(["verify", "naor", "--n", "22", "--ensemble", "sparse", "--sparsity", "6",
+                    "--p", "4", "--k", "all", "--trials", "10", "--out", str(out)]) == 0
+        report = load(out)
+        assert report["extra"]["route"] == "pairs"
+        rerun = reevaluate_witness(report)
+        assert (rerun["lhs"], rerun["rhs"], rerun["ratio"]) == (
+            report["lhs"], report["rhs"], report["ratio"])
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "22", "--p", "3", "--sparsity", "6"],       # grid: the odd p
+        ["--n", "40", "--p", "4", "--sparsity", "2000"]],   # pairs: 4e6 key tuples
+        ids=["grid", "pairs"])
+    def test_each_route_refused_before_allocation(self, tmp_path, monkeypatch, args):
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            assert run(["verify", "naor", "--ensemble", "sparse", *args,
+                        "--out", str(out)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["63", "70"])
+    def test_key_box_past_int64_exit_code(self, tmp_path, capsys, n):
+        """Sparse draws index the box positions; 2^63 and more of them do not fit."""
+        out = tmp_path / "r.json"
+        assert run(["verify", "naor", "--n", n, "--ensemble", "sparse", "--sparsity", "6",
+                    "--out", str(out)]) == 2
+        assert "past int64" in capsys.readouterr().err
 
     def test_naor_reports_name_their_route(self, tmp_path):
         routes = {}
@@ -376,6 +427,38 @@ class TestNormAndApply:
         assert run(["apply", "--op", op, "--family", "bogus",
                     "--in", write_element(tmp_path / "f.json", f)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("op", sorted(APPLY_OPS))
+    def test_apply_every_op_matches_the_operator(self, tmp_path, capsys, op):
+        """Each op through ``main`` gives what the operator gives when called directly."""
+        cube = GroupDescriptor.hypercube(3)
+        cocycle = build_cocycle("cyclic_word", cube)
+        f = GroupAlgebraElement(cube, {(0, 0, 0): 0.5, (1, 0, 1): 1.0, (0, 1, 1): 2 - 1j,
+                                       (1, 1, 0): -0.5j})
+        mean_zero = GroupAlgebraElement(cube, {key: c for key, c in f.coeffs.items() if any(key)})
+        words = GroupAlgebraElement(GroupDescriptor.free_group(2), {
+            ReducedWord(((1, 1),)): 1.0, ReducedWord(((2, -1), (1, 2))): 2.0 - 1j})
+        u = BasisVector.from_id("Z2mWord:3:1")
+        direct = {
+            "derivative": lambda: operators.directional_derivative(f, u, cocycle),
+            "riesz": lambda: operators.riesz_transform(mean_zero, u, cocycle),
+            "absorbent": lambda: operators.absorbent_derivative(f, 2),
+            "walsh": lambda: operators.walsh_derivative(f, 2),
+            "laplacian": lambda: operators.laplacian_power(f, 0.5, cocycle),
+            "heat": lambda: operators.heat_semigroup(f, 0.3, cocycle),
+            "truncate": lambda: operators.truncate(f, [1, 3]),
+            "adjoint-truncate": lambda: operators.adjoint_truncation(f, [1, 3]),
+            "project-as": lambda: operators.project_AS(words, [1]),
+            "hilbert": lambda: operators.free_hilbert_transform(words, [1, -1]),
+            "adjoint": lambda: adjoint(f),
+            "mean-zero": lambda: groups.project_mean_zero(f, cocycle),
+        }
+        source = {"project-as": words, "hilbert": words, "riesz": mean_zero}.get(op, f)
+        assert run(["apply", "--op", op, "--in", write_element(tmp_path / "f.json", source),
+                    "--u", u.to_id(), "--j", "2", "--gamma", "0.5", "--t", "0.3",
+                    "--S", "1" if op == "project-as" else "1,3", "--eps", "1,-1"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(
+            json.dumps(direct[op]().to_json()))
 
     def test_apply_requires_u_for_riesz(self, tmp_path):
         group = GroupDescriptor.torus(1, 1)

@@ -12,6 +12,7 @@ from xpchaos import (GroupAlgebraElement, GroupDescriptor, adjoint,
                      build_cocycle, convolve, evaluate_on_dual,
                      fourier_coefficients, project_mean_zero, trace)
 from xpchaos.groups import DualEvaluation, element_inverse, element_product, key_box
+from xpchaos.norms import lp_norm, lp_norm_torus_grid
 from xpchaos.words import ReducedWord
 
 
@@ -220,6 +221,34 @@ def test_convolution_is_the_pointwise_product_on_the_dual(moduli, seed, supports
     np.testing.assert_allclose(evaluate_on_dual(convolve(f, h)).values,
                                evaluate_on_dual(f).values * evaluate_on_dual(h).values,
                                rtol=0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1), support=st.integers(1, 12))
+def test_parseval_and_fourier_inversion(moduli, seed, support):
+    """||f||_2^2 is sum |c_g|^2, and the Fourier coefficients of f's dual values are f."""
+    group = GroupDescriptor.finite_abelian(moduli)
+    rng = np.random.default_rng(seed)
+    f = GroupAlgebraElement(group, {
+        tuple(int(rng.integers(m)) for m in moduli): complex(*rng.standard_normal(2))
+        for _ in range(support)})
+    energy = sum(abs(c) ** 2 for c in f.coeffs.values())
+    assert lp_norm(f, 2) ** 2 == pytest.approx(energy, rel=1e-12)
+    assert fourier_coefficients(evaluate_on_dual(f)).allclose(f, tol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.integers(1, 3), bound=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), support=st.integers(1, 8))
+def test_parseval_on_the_torus_grid(rank, bound, seed, support):
+    group = GroupDescriptor.torus(rank, bound)
+    rng = np.random.default_rng(seed)
+    f = GroupAlgebraElement(group, {
+        tuple(int(x) for x in rng.integers(-bound, bound + 1, size=rank)):
+        complex(*rng.standard_normal(2)) for _ in range(support)})
+    energy = sum(abs(c) ** 2 for c in f.coeffs.values())
+    assert lp_norm_torus_grid(f, 2) ** 2 == pytest.approx(energy, rel=1e-12)
 
 
 class TestTrace:

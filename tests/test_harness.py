@@ -17,7 +17,7 @@ from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor, adjoint
                      rosenthal_linear_ratio, sample_element, scan,
                      schatten_norm, xp_linear_profile, xp_linear_ratio)
 from xpchaos import groups, norms
-from xpchaos.cocycles import BasisVector
+from xpchaos.cocycles import BasisVector, LengthCocycle
 from xpchaos.harness import LATTICE_MAX_BYTES, SigmaModel
 from xpchaos.norms import square_function_norm
 from xpchaos.words import ReducedWord
@@ -175,6 +175,14 @@ class TestNaorInputChecks:
         with pytest.raises(ValueError, match="unknown derivative"):
             naor_profile(f, cocycle, [4], [1], "flip")
 
+    @pytest.mark.parametrize("ps, ks, match", [([], [1], "list of p"), ([4], [], "list of k")])
+    def test_empty_ps_or_ks_rejected(self, ps, ks, match, monkeypatch):
+        group, cocycle = hypercube_pair(3)
+        f = GroupAlgebraElement.lam(group, (1, 0, 0))
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        with pytest.raises(ValueError, match=match):
+            naor_profile(f, cocycle, ps, ks, "absorbent")
+
     @pytest.mark.parametrize("group, family", [
         (GroupDescriptor.hypercube(3), "cyclic_word"),
         (GroupDescriptor.finite_abelian([6, 6]), "cyclic_word"),
@@ -189,43 +197,52 @@ class TestNaorInputChecks:
 
 class TestLatticeGuard:
     def test_large_lattice_refused_before_allocation(self, monkeypatch):
+        """An odd p keeps a 6-key hypercube n = 22 element on the grid, whose
+        mean-extended tensor is refused."""
         group, cocycle = hypercube_pair(22)
         f = GroupAlgebraElement(group, {tuple(int(i == j) for i in range(22)): 1.0 + j
                                         for j in range(6)})
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
-                naor_profile(f, cocycle, [2, 4], [2], "walsh")
+            with pytest.raises(ValueError, match="grid tensors.*LATTICE_MAX_BYTES"):
+                naor_profile(f, cocycle, [3, 4], [2], "walsh")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
     def test_p2_is_exempt_and_the_budget_is_the_extended_tensor(self, monkeypatch):
-        group, cocycle = hypercube_pair(3)
-        f = GroupAlgebraElement.lam(group, (1, 1, 0))
-        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 3 ** 3 - 1)
-        assert naor_profile(f, cocycle, [2], [1, 2], "walsh")[2][2][0] == pytest.approx(1 / 3)
+        """Every key of Z_4^2 at coefficient 1 takes the grid: 2 * 15 > 5^2."""
+        group = GroupDescriptor.finite_abelian([4, 4])
+        cocycle = build_cocycle("cyclic_word", group)
+        f = GroupAlgebraElement(group, {key: 1.0 for key in itertools.product(range(4), repeat=2)
+                                        if any(key)})
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 5 ** 2 - 1)
+        route, profile = harness._naor_sides(f, cocycle, [2], [1, 2], "absorbent")
+        assert route == "grid" and profile[2][1][0] == pytest.approx(3)
         with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
-            naor_profile(f, cocycle, [4], [1], "walsh")
+            naor_profile(f, cocycle, [3], [1], "absorbent")
         with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
-            scan("naor", trials=1, family="hypercube", n=3, ps=[4], ks=[1])
-        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 3 ** 3)
-        naor_profile(f, cocycle, [4], [1], "walsh")
+            scan("naor", trials=1, family="cyclic", n=2, modulus=4, ps=[3], ks=[1])
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 5 ** 2)
+        naor_profile(f, cocycle, [3], [1], "absorbent")
 
     def test_every_lattice_up_to_n14_fits(self):
         assert 16 * 3 ** 14 <= LATTICE_MAX_BYTES < 16 * 3 ** 22
 
     def test_torus_grid_refused_before_allocation(self, monkeypatch):
-        """Rank 8, bound 3 at p = 4 puts 13 points on each axis: 14^8 extended entries."""
+        """Rank 8, bound 3 at p = 4 puts 13 points on each axis: 14^8 extended entries.
+        A one-key absorbent input takes key pairs at p = 4, so it is held at p = 3."""
         group = GroupDescriptor.torus(8, 3)
         cocycle = build_cocycle("torus_word", group)
         f = GroupAlgebraElement.lam(group, (1,) + (0,) * 7)
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
-        for derivative in ("euclidean", "absorbent", "gradient"):
+        for derivative in ("euclidean", "gradient"):
             with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
                 naor_profile(f, cocycle, [4], [1], derivative)
+        with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):     # 1 key at p = 4: pairs
+            naor_profile(f, cocycle, [3], [1], "absorbent")
         with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
             scan("naor", trials=1, family="torus", n=8, bound=3, ps=[4], ks=[1])
 
@@ -248,6 +265,122 @@ class TestLatticeGuard:
         monkeypatch.setattr(cocycle, "psi", lambda g: pytest.fail("psi ran on a free kind"))
         with pytest.raises(ValueError, match="abelian"):
             naor_profile(f, cocycle, [4], [1], "absorbent")
+
+
+class TestPlan:
+    """One plan per profile picks the route and counts only that route's arrays."""
+
+    @pytest.mark.parametrize("n", [22, 40])
+    @pytest.mark.parametrize("derivative", ["walsh", "absorbent"])
+    def test_key_pairs_reach_dimension_scale(self, n, derivative, monkeypatch):
+        """A 6-key element on the first 8 of n coordinates: each lhs mixes the n = 8
+        grid lhs by the hypergeometric law of |S & [8]|, and the rhs takes the n = 8
+        derivative sum and norm."""
+        small, small_cocycle = hypercube_pair(8)
+        f8 = sample_element(small, small_cocycle, EnsembleSpec("sparse", sparsity=6),
+                            np.random.default_rng(n))
+        ps = [2, 4, 6]
+        grid = {p: terms for p, *terms in harness._grid_terms(
+            f8, small_cocycle, ps, tuple(range(1, 9)), derivative)}
+        group, cocycle = hypercube_pair(n)
+        f = GroupAlgebraElement(group, {key + (0,) * (n - 8): c for key, c in f8.coeffs.items()})
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        ks = list(range(1, n + 1))
+        route, profile = harness._naor_sides(f, cocycle, ps, ks, derivative)
+        assert route == "pairs"
+        for p in ps:
+            lhs8, deriv, norm = grid[p]
+            for k in ks:
+                lhs, rhs = profile[p][k]
+                expected = (k / n) * deriv + (k / n) ** (p / 2) * norm
+                mixed = sum(math.comb(8, j) * math.comb(n - 8, k - j) / math.comb(n, k) * lhs8[j]
+                            for j in range(1, min(8, k) + 1))
+                assert abs(rhs - expected) <= 1e-12 * expected
+                assert abs(lhs - mixed) <= 1e-12 * rhs
+
+    def test_key_tuples_refused_before_allocation(self, monkeypatch):
+        """2000 keys at p = 4 take pairs on a hypercube n = 40; their 4e6 tuples do not fit."""
+        group, cocycle = hypercube_pair(40)
+        f = GroupAlgebraElement(group, {tuple(int(b) for b in np.binary_repr(i, 40)): 1.0
+                                        for i in range(1, 2001)})
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="key tuples.*LATTICE_MAX_BYTES"):
+                naor_profile(f, cocycle, [4], [1], "absorbent")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_joined_pairs_refused_before_they_are_built(self, monkeypatch):
+        """The 4 unit keys of a hypercube n = 4 at p = 4: 16 tuples fit a budget that
+        the grid fits (3^4 entries), and their 22 joined pairs do not."""
+        group, cocycle = hypercube_pair(4)
+        f = GroupAlgebraElement(group, {tuple(int(i == j) for i in range(4)): 1.0 + j
+                                        for j in range(4)})
+        budget = harness._pair_route_bytes(4, 16, 22)
+        assert harness._pair_route_bytes(4, 16, 0) <= 16 * 3 ** 4 < budget
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 3 ** 4)
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        real_pairs = harness._grouped_pairs
+        monkeypatch.setattr(harness, "_grouped_pairs", _no_fft)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="joined key pairs.*LATTICE_MAX_BYTES"):
+                naor_profile(f, cocycle, [4], [1], "walsh")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        monkeypatch.setattr(harness, "_grouped_pairs", real_pairs)
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", budget)
+        assert harness._naor_sides(f, cocycle, [4], [1], "walsh")[0] == "pairs"
+
+    def test_one_plan_per_profile(self, monkeypatch):
+        """Profiles plan once with their key count; scans plan once more, when they
+        bind, with the most keys the ensemble can draw."""
+        keys = []
+        real_plan = harness._plan
+        monkeypatch.setattr(harness, "_plan", lambda *args: keys.append(args[2]) or real_plan(*args))
+        group, cocycle = hypercube_pair(5)
+        f = GroupAlgebraElement(group, {(1, 0, 0, 0, 0): 1.0, (0, 1, 1, 0, 0): 2.0})
+        naor_profile(f, cocycle, [2, 4], [1, 2], "walsh")
+        naor_ratio(f, cocycle, 4, 2, "walsh")
+        riesz_equivalence_ratio(f, 4, cocycle)
+        assert keys == [2, 2, 2]
+        for spec, most, drawn in [(EnsembleSpec("sparse", sparsity=3), 3, 3),
+                                  (EnsembleSpec("sparse", sparsity=40), 31, 31),
+                                  (EnsembleSpec("gaussian"), 31, 31),
+                                  (EnsembleSpec("linear_span"), 10, 5)]:
+            for experiment in ("naor", "riesz_equivalence"):
+                keys.clear()
+                scan(experiment, spec, trials=2, family="hypercube", n=5, ps=[2, 4])
+                assert keys == [most, drawn, drawn]
+
+    def test_draws_and_checks_read_no_key_table(self, monkeypatch):
+        monkeypatch.setattr(harness, "_mean_zero_keys", _no_fft)
+        monkeypatch.setattr(LengthCocycle, "psi", _no_fft)
+        for params in (dict(family="hypercube", n=10), dict(family="torus", n=2, bound=2)):
+            for spec in (EnsembleSpec("sparse", sparsity=6), EnsembleSpec("gaussian")):
+                report = scan("naor", spec, trials=3, ps=[2, 4], ks=[1, 2], **params)
+                assert reevaluate_witness(report)["ratio"] == pytest.approx(report.ratio, rel=1e-9)
+
+
+@pytest.mark.parametrize("group, family, weights", [
+    *[(GroupDescriptor.hypercube(n), "cyclic_word", None) for n in (1, 3, 6)],
+    (GroupDescriptor.finite_abelian([4] * 3), "cyclic_word", None),
+    (GroupDescriptor.finite_abelian([5] * 2), "odd_cyclic_word", None),
+    (GroupDescriptor.hypercube(4), "weighted_cube", [0.25, 1.0, 2.0, 3.5]),
+    *[(GroupDescriptor.torus(rank, 2), family, None)
+      for rank in (1, 2, 3) for family in ("torus_word", "euclidean")]])
+def test_only_the_identity_has_length_zero(group, family, weights):
+    """Mean-zero is the identity test, and gaussian and sparse draws skip only the
+    identity's box position, because no other key of the box has psi = 0."""
+    cocycle = build_cocycle(family, group, weights)
+    shape, low = groups.key_box(group)
+    box = itertools.product(*(range(low, low + m) for m in shape))
+    assert [key for key in box if cocycle.psi(key) == 0] == [group.identity()]
 
 
 def _reference_profile(f, cocycle, p, k, derivative):
@@ -349,8 +482,7 @@ class TestAbelianProfileMatchesOperatorPath:
             for ps in ([2, 3, 4, 6], [2]):
                 for derivative in derivatives:
                     calls.clear()
-                    naor_profile(f, cocycle, ps, [1, 2], derivative)
-                    route = harness._naor_route(f, ps, derivative)
+                    route = harness._naor_sides(f, cocycle, ps, [1, 2], derivative)[0]
                     routes.append((group.kind, derivative, len(ps), route))
                     assert len(calls) == {"grid": 1, "pairs": 0}[route], (group, derivative, ps)
         # only the gaussian hypercube n = 5 at p = 2 (31 keys, each pairing with itself)
@@ -444,6 +576,13 @@ class TestXpLinear:
         assert np.isfinite(report.ratio)
         exhaustive = xp_linear_ratio(xs[:6], 2, 2, seed=0)
         assert not exhaustive.monte_carlo
+
+    @pytest.mark.parametrize("shape", [(2, 2), (0, 0)])
+    def test_zero_tuple_rejected(self, shape):
+        for call in (lambda xs: xp_linear_ratio(xs, 4, 1),
+                     lambda xs: xp_linear_profile(xs, 4, [1, 2])):
+            with pytest.raises(ValueError, match="nonzero"):
+                call([np.zeros(shape)] * 3)
 
     def test_trace_convention_recorded(self):
         report = xp_linear_ratio([np.eye(2), np.eye(2)], 4, 1)
@@ -1060,6 +1199,12 @@ class TestEnsembles:
     def test_unknown_kind_rejected_on_construction(self):
         with pytest.raises(ValueError, match="unknown ensemble kind 'bogus'"):
             EnsembleSpec("bogus")
+
+    @pytest.mark.parametrize("size", ["sparsity", "degree", "word_length"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_below_one_rejected_on_construction(self, size, value):
+        with pytest.raises(ValueError, match=f"{size} must be >= 1, got {value}"):
+            EnsembleSpec("sparse", **{size: value})
 
     def test_free_ensemble_small_pool_terminates(self):
         group = GroupDescriptor.free_group(1)

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xpchaos import words
 from xpchaos.words import ReducedWord
@@ -35,6 +37,16 @@ class TestReduce:
             assert words.reduce(word.blocks, 2) == word
         for word in words.enumerate_words(2, 3, modulus=4):
             assert words.reduce(word.blocks, 2, modulus=4) == word
+
+
+@settings(max_examples=100, deadline=None)
+@given(modulus=st.sampled_from([None, 2, 4, 6]),
+       raw=st.lists(st.tuples(st.integers(1, 3), st.integers(-7, 7)), max_size=12))
+def test_reduce_is_idempotent(modulus, raw):
+    """A reduced word's blocks reduce to the same word, in the free group and in
+    the free product of Z_modulus."""
+    word = words.reduce(raw, 3, modulus)
+    assert words.reduce(word.blocks, 3, modulus) == word
 
 
 class TestWordLength:
@@ -145,6 +157,21 @@ class TestMeet:
                 product_len = words.word_length(words.concat(inv1, w2))
                 expected = (len1 + words.word_length(w2) - product_len) // 2
                 assert words.word_length(words.meet(w1, w2)) == expected
+
+
+#: raw block lists on three generators
+_BLOCKS = st.lists(st.tuples(st.integers(1, 3), st.integers(-4, 4)), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(prefix=_BLOCKS, tails=st.tuples(_BLOCKS, _BLOCKS))
+def test_meet_length_identity_on_long_words(prefix, tails):
+    """|meet(a, b)| = (|a| + |b| - |a^-1 b|) / 2 on free-group words that share a
+    prefix, longer than the exhaustive test reaches."""
+    a, b = (words.reduce(prefix + tail, 3) for tail in tails)
+    product = words.concat(words.inverse(a), b)
+    expected = words.word_length(a) + words.word_length(b) - words.word_length(product)
+    assert 2 * words.word_length(words.meet(a, b)) == expected
 
 
 class TestDerivativeSetMembership:
