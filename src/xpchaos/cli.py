@@ -42,7 +42,8 @@ def _config_hash(params: dict) -> str:
 
 
 def _write_report(report: dict, out: str) -> None:
-    Path(out).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    """One line of JSON: any indent would send ``json`` to its pure-Python encoder."""
+    Path(out).write_text(json.dumps(report, sort_keys=True) + "\n")
 
 
 def _write_csv(report: dict, path: str) -> None:

@@ -283,15 +283,45 @@ class GroupAlgebraElement:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupAlgebraElement":
+        """Load :meth:`to_json` output.  Entries whose keys name one group element
+        add up, as in the constructor; abelian keys are decoded as one array."""
         group = GroupDescriptor.from_json(data["group"])
-        coeffs = {}
-        for entry in data["coeffs"]:
-            if "word" in entry:
-                key = ReducedWord.from_json(entry["word"])
-            else:
-                key = tuple(int(x) for x in entry["g"])
-            coeffs[key] = complex(entry["re"], entry.get("im", 0.0))
-        return cls(group, coeffs)
+        entries = data["coeffs"]
+        if group.is_free_kind:
+            keys = [canonical_key(group, ReducedWord.from_json(entry["word"]))
+                    for entry in entries]
+        else:
+            keys = _abelian_keys(group, [entry["g"] for entry in entries])
+        acc: dict = {}
+        for key, entry in zip(keys, entries):
+            acc[key] = acc.get(key, 0) + complex(entry["re"], entry.get("im", 0.0))
+        return cls(group, {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}, _canonical=True)
+
+
+def _abelian_keys(group: GroupDescriptor, raw: list) -> list[tuple[int, ...]]:
+    """Canonical keys of raw abelian key lists, as :func:`canonical_key` gives them.
+
+    Coordinates must be JSON integers that fit int64: anything else (1.5, 1e30,
+    2**70, a string) is refused rather than truncated.  Finite abelian keys are
+    reduced mod the moduli; torus keys must lie in the frequency box.
+    """
+    width = group.n_components
+    if not raw:
+        return []
+    try:
+        keys = np.array(raw)
+    except ValueError:  # key lists of unequal lengths
+        keys = np.array(())
+    if keys.dtype.kind != "i" or keys.shape != (len(raw), width):
+        raise ValueError(f"each key must be a list of {width} integers that fit int64")
+    if group.kind == FINITE_ABELIAN:
+        keys = keys % np.array(group.moduli)
+    else:
+        outside = np.any((keys < -group.bound) | (keys > group.bound), axis=1)
+        if outside.any():
+            raise ValueError(f"frequency {tuple(keys[outside][0].tolist())} outside the box "
+                             f"[-{group.bound}, {group.bound}]^n")
+    return list(map(tuple, keys.tolist()))
 
 
 def _sort_key(key):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import xpchaos
-from xpchaos import build_cocycle, groups, norms, operators
+from xpchaos import build_cocycle, cli, groups, norms, operators
 from xpchaos.cli import APPLY_OPS, main
 from xpchaos.cocycles import FAMILIES, BasisVector
 from xpchaos.groups import GroupAlgebraElement, GroupDescriptor, adjoint
@@ -108,9 +109,39 @@ class TestVerify:
                 "--modulus", "4", "--trials", "8", "--seed", "3"]
         assert run(argv + ["--out", str(out1)]) == 0
         assert run(argv + ["--out", str(out2)]) == 0
-        a, b = load(out1), load(out2)
-        assert a.pop("runtime_ms") != b.pop("runtime_ms") or True
-        assert a == b
+        texts = []
+        for out in (out1, out2):
+            text, count = re.subn(r'"runtime_ms": [^,}]+', '"runtime_ms": null', out.read_text())
+            assert count == 1 and text.count("\n") == 1
+            texts.append(text)
+        assert texts[0] == texts[1]
+
+    def test_reports_use_the_c_encoder(self, tmp_path, monkeypatch):
+        """Reports are written without the pure-Python encoder, and each holds the
+        payload its command built."""
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("a report went through the pure-Python JSON encoder")
+
+        written = []
+        write_report = cli._write_report
+
+        def spy(report, out):
+            written.append((report, out))
+            write_report(report, out)
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+        monkeypatch.setattr(cli, "_write_report", spy)
+        f = GroupAlgebraElement(GroupDescriptor.finite_abelian([4, 4]),
+                                {(1, 0): 1.0, (2, 3): 0.5j})
+        assert run(["verify", "naor", "--n", "4", "--k", "all", "--trials", "2",
+                    "--out", str(tmp_path / "v.json")]) == 0
+        assert run(["check", "cocycle", "--family", "cyclic_word", "--n", "2",
+                    "--out", str(tmp_path / "c.json")]) == 0
+        assert run(["apply", "--op", "adjoint", "--in", write_element(tmp_path / "f.json", f),
+                    "--out", str(tmp_path / "a.json")]) == 0
+        assert [Path(out).name for _, out in written] == ["v.json", "c.json", "a.json"]
+        for report, out in written:
+            assert load(Path(out)) == report
 
     def test_csv_summary(self, tmp_path):
         out = tmp_path / "r.json"
@@ -340,6 +371,21 @@ class TestNormAndApply:
         assert json.loads(capsys.readouterr().out) == {
             "norm": lp_norm_torus_grid(f, 3, 4), "p": 3.0, "method": "grid",
             "quadrature_gap": None}
+
+    @pytest.mark.parametrize("group, key", [
+        (GroupDescriptor.hypercube(2), [1.5, 0]),
+        (GroupDescriptor.torus(2, 1), [1, 0.9]),
+        (GroupDescriptor.hypercube(2), [1e30, 0]),
+        (GroupDescriptor.hypercube(2), [2 ** 70, 0]),
+    ], ids=["fraction", "torus-fraction", "1e30", "2^70"])
+    @pytest.mark.parametrize("command", [["norm", "--p", "2"], ["apply", "--op", "adjoint"]],
+                             ids=["norm", "apply"])
+    def test_non_integral_key_exit_code(self, tmp_path, capsys, group, key, command):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"group": group.to_json(),
+                                    "coeffs": [{"g": key, "re": 1.0, "im": 0.0}]}))
+        assert run([*command, "--in", str(path)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_norm_missing_file(self, tmp_path):
         assert run(["norm", "--in", str(tmp_path / "nope.json"), "--p", "2"]) == 2

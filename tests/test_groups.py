@@ -365,6 +365,96 @@ class TestSerialization:
         assert payload["coeffs"] == [{"g": [1, 0], "re": 1.0, "im": 0.0}]
 
 
+    @pytest.mark.parametrize("group, key", [
+        (GroupDescriptor.hypercube(2), [1.5, 0]),
+        (GroupDescriptor.torus(2, 1), [1, 0.9]),
+        (GroupDescriptor.hypercube(2), [1e30, 0]),
+        (GroupDescriptor.hypercube(2), [2 ** 63, 0]),
+        (GroupDescriptor.hypercube(2), [2 ** 70, 0]),
+        (GroupDescriptor.hypercube(2), ["1", 0]),
+        (GroupDescriptor.hypercube(2), [1, 0, 0]),
+        (GroupDescriptor.torus(2, 1), [1]),
+    ], ids=["fraction", "torus-fraction", "1e30", "2^63", "2^70", "string", "long", "short"])
+    def test_keys_must_be_int64_integers(self, group, key):
+        """A coordinate is refused, not truncated, unless it is an int64 integer."""
+        payload = {"group": group.to_json(),
+                   "coeffs": [{"g": [1, 0], "re": 1.0}, {"g": key, "re": 2.0}]}
+        with pytest.raises(ValueError, match="integers that fit int64"):
+            GroupAlgebraElement.from_json(json.loads(json.dumps(payload)))
+
+    def test_torus_keys_outside_the_box_refused(self):
+        group = GroupDescriptor.torus(2, 1)
+        for key in ([1, -2], [-2 ** 63, 0]):
+            payload = {"group": group.to_json(), "coeffs": [{"g": key, "re": 1.0}]}
+            with pytest.raises(ValueError, match="outside the box"):
+                GroupAlgebraElement.from_json(payload)
+
+    @pytest.mark.parametrize("first", [[1, 0], [3, 0], [-1, 2]])
+    def test_entries_of_one_group_element_add(self, first):
+        """Equal raw keys add exactly as keys equal mod m do, at the first one's place."""
+        payload = {"group": GroupDescriptor.hypercube(2).to_json(),
+                   "coeffs": [{"g": [0, 1], "re": 0.5}, {"g": first, "re": 1.0},
+                              {"g": [1, 0], "re": 2.0, "im": -1.0}]}
+        f = GroupAlgebraElement.from_json(payload)
+        assert list(f.coeffs.items()) == [((0, 1), 0.5), ((1, 0), 3 - 1j)]
+
+    def test_entries_that_cancel_are_pruned(self):
+        payload = {"group": GroupDescriptor.finite_abelian([4]).to_json(),
+                   "coeffs": [{"g": [1], "re": 1.0}, {"g": [5], "re": -1.0}]}
+        assert GroupAlgebraElement.from_json(payload).coeffs == {}
+
+
+def _key_strategy(group):
+    if group.kind == "finite_abelian":
+        return st.tuples(*(st.integers(0, m - 1) for m in group.moduli))
+    if group.kind == "torus":
+        return st.tuples(*(st.integers(-group.bound, group.bound) for _ in range(group.rank)))
+    exponents = (st.integers(-3, 3).filter(bool) if group.kind == "free_group"
+                 else st.integers(1, group.modulus - 1))
+    return st.lists(st.tuples(st.integers(1, group.rank), exponents), max_size=4).map(
+        lambda blocks: ReducedWord(tuple(blocks)))
+
+
+_GROUPS = st.one_of(
+    st.lists(st.integers(2, 6), min_size=1, max_size=5).map(GroupDescriptor.finite_abelian),
+    st.builds(GroupDescriptor.torus, st.integers(1, 3), st.integers(0, 3)),
+    st.builds(GroupDescriptor.free_group, st.integers(1, 3)),
+    st.builds(GroupDescriptor.free_product, st.integers(1, 3), st.sampled_from([2, 4, 6])))
+
+_VALUES = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), group=_GROUPS)
+def test_json_round_trip(data, group):
+    """from_json inverts to_json on every kind: same keys, values and key order
+    (the order of the entries)."""
+    f = GroupAlgebraElement(group, data.draw(st.dictionaries(_key_strategy(group), _VALUES,
+                                                              max_size=12)))
+    payload = json.loads(json.dumps(f.to_json()))
+    restored = GroupAlgebraElement.from_json(payload)
+    assert restored == f
+    entries = [ReducedWord.from_json(e["word"]) if "word" in e else tuple(e["g"])
+               for e in payload["coeffs"]]
+    assert list(restored.coeffs) == entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(moduli=st.lists(st.integers(2, 6), min_size=1, max_size=4), data=st.data())
+def test_raw_finite_abelian_keys_load_as_the_constructor_reduces_them(moduli, data):
+    """Keys that are negative or at least m, some equal mod m: from_json gives the
+    constructor's element, key order and sums included."""
+    group = GroupDescriptor.finite_abelian(moduli)
+    raw = data.draw(st.dictionaries(
+        st.tuples(*(st.integers(-3 * m, 3 * m) for m in moduli)), _VALUES, max_size=12))
+    payload = json.loads(json.dumps({
+        "group": group.to_json(),
+        "coeffs": [{"g": list(key), "re": value.real, "im": value.imag}
+                   for key, value in raw.items()]}))
+    assert list(GroupAlgebraElement.from_json(payload).coeffs.items()) == list(
+        GroupAlgebraElement(group, raw).coeffs.items())
+
+
 class TestDescriptors:
     def test_validation(self):
         with pytest.raises(ValueError):

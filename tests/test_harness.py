@@ -992,6 +992,26 @@ class TestScan:
             rerun = reevaluate_witness(report)
             assert rerun["ratio"] == pytest.approx(report.ratio, abs=1e-9)
 
+    @pytest.mark.parametrize("params", [
+        dict(family="hypercube", n=5, ps=[2, 4], ks=[1, 3], derivative="walsh"),
+        dict(family="torus", n=2, bound=2, ps=[3, 4], ks=[1, 2], derivative="euclidean")],
+        ids=["hypercube", "torus"])
+    def test_naor_witness_reevaluates_without_serializing(self, monkeypatch, params):
+        """The rerun reads the (p, k) row from the sides alone: no element is written
+        to JSON again, and the numbers are naor_ratio's to the bit."""
+        data = scan("naor", EnsembleSpec("gaussian"), trials=3, seed=2, **params).to_json()
+        witness = data["witness"]
+        f = GroupAlgebraElement.from_json(witness["f"])
+        cocycle = build_cocycle(witness["family"], f.group, witness["weights"])
+        direct = naor_ratio(f, cocycle, witness["p"], witness["k"], witness["derivative"])
+
+        def refuse(self):
+            raise AssertionError("the witness was serialized again")
+
+        monkeypatch.setattr(GroupAlgebraElement, "to_json", refuse)
+        assert reevaluate_witness(data) == {"lhs": direct.lhs, "rhs": direct.rhs,
+                                            "ratio": direct.ratio}
+
     def test_single_run_reports_reevaluate(self):
         group, cocycle = hypercube_pair(3)
         f = GroupAlgebraElement(group, {(1, 0, 0): 1.0, (1, 1, 0): 0.5j})
