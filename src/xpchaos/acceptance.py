@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import operators, words
+from . import harness, operators, words
 from .cocycles import BasisVector, LengthCocycle, build_cocycle, \
     conditional_negativity_check, completeness_defect, gram_matrix, gromov_bilinear, gromov_form
 from .groups import (GroupAlgebraElement, GroupDescriptor,
@@ -405,6 +405,8 @@ def criterion_even_p_grid_agreement() -> dict:
 
 
 def criterion_linear_model_consistency() -> dict:
+    """The pair routes of naor's walsh lhs on the hypercube's linear span and of the
+    scalar model against the scalar model's exhaustive sign enumeration."""
     rng = np.random.default_rng(23)
     failures = []
     n = 6
@@ -417,11 +419,13 @@ def criterion_linear_model_consistency() -> dict:
         for p in (2, 4):
             profile = naor_profile(f, cocycle, [p], list(range(1, n + 1)), "walsh")
             for k in range(1, n + 1):
-                lhs, _ = profile[p][k]
-                linear = rosenthal_linear_ratio(coeffs, p, k)["lhs"] ** p
-                if abs(lhs - linear) > 1e-10:
-                    failures.append(f"trial={trial} p={p} k={k} gap={abs(lhs - linear):.2e}")
-    return {"id": 9, "name": "Hypercube linear span matches the scalar model (1e-10)",
+                signs = harness._rosenthal_sign_mean(coeffs, p, k)
+                gap = max(abs(profile[p][k][0] - signs),
+                          abs(rosenthal_linear_ratio(coeffs, p, k)["lhs"] ** p - signs))
+                if gap > 1e-10:
+                    failures.append(f"trial={trial} p={p} k={k} gap={gap:.2e}")
+    return {"id": 9, "name": "Linear span and scalar model pairs match the sign enumeration "
+                             "(1e-10)",
             "passed": not failures, "details": failures[:5] or "20 trials, p in {2,4}, all k"}
 
 

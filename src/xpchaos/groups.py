@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import words
-from .words import EMPTY_WORD, ReducedWord
+from .words import EMPTY_WORD, ReducedWord, json_int
 
 #: coefficients below this modulus are pruned to keep canonical form
 PRUNE_TOL = 1e-14
@@ -144,13 +144,16 @@ class GroupDescriptor:
     def from_json(cls, data: Mapping) -> "GroupDescriptor":
         kind = data["kind"]
         if kind == FINITE_ABELIAN:
-            return cls.finite_abelian(data["moduli"])
+            if not isinstance(data["moduli"], list):
+                raise ValueError(f"moduli must be a list, got {data['moduli']!r}")
+            return cls.finite_abelian([json_int(m, "a modulus") for m in data["moduli"]])
         if kind == TORUS:
-            return cls.torus(int(data["rank"]), int(data["bound"]))
+            return cls.torus(json_int(data["rank"], "the rank"), json_int(data["bound"], "the bound"))
         if kind == FREE_GROUP:
-            return cls.free_group(int(data["rank"]))
+            return cls.free_group(json_int(data["rank"], "the rank"))
         if kind == FREE_PRODUCT:
-            return cls.free_product(int(data["rank"]), int(data["modulus"]))
+            return cls.free_product(json_int(data["rank"], "the rank"),
+                                    json_int(data["modulus"], "the modulus"))
         raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -293,9 +296,23 @@ class GroupAlgebraElement:
         else:
             keys = _abelian_keys(group, [entry["g"] for entry in entries])
         acc: dict = {}
-        for key, entry in zip(keys, entries):
-            acc[key] = acc.get(key, 0) + complex(entry["re"], entry.get("im", 0.0))
+        for key, value in zip(keys, _json_values(entries)):
+            acc[key] = acc.get(key, 0) + value
         return cls(group, {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}, _canonical=True)
+
+
+def _json_values(entries: list) -> list[complex]:
+    """complex(re, im) of each entry (im defaults to 0), refused unless both parts
+    are finite JSON numbers: a string, null, NaN or an integer past the float range
+    is not."""
+    refusal = "each coefficient's re and im must be finite numbers"
+    try:
+        values = [complex(entry["re"], entry.get("im", 0.0)) for entry in entries]
+    except (TypeError, OverflowError):
+        raise ValueError(refusal) from None
+    if not np.isfinite(values).all():
+        raise ValueError(refusal)
+    return values
 
 
 def _abelian_keys(group: GroupDescriptor, raw: list) -> list[tuple[int, ...]]:

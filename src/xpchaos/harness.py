@@ -269,13 +269,28 @@ _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
 
 
 @functools.lru_cache(maxsize=64)
-def _inclusion_odds(n: int, ks: tuple[int, ...]) -> np.ndarray:
-    """C(n - u, k - u) / C(n, k) at row k of ks and column u = 0..n: the share of the
-    k-subsets of [n] that hold a given u-set."""
-    odds = np.array([[math.comb(n - u, k - u) / math.comb(n, k) if u <= k else 0.0
-                      for u in range(n + 1)] for k in ks])
+def _inclusion_odds(n: int, cap: int) -> np.ndarray:
+    """C(n - u, k - u) / C(n, k) at row k - 1 for k = 1..n and column u = 0..n: the
+    share of the k-subsets of [n] that hold a given u-set.  Columns past ``cap``, the
+    largest union a profile can form, stay 0.  Each entry is the correctly rounded
+    quotient of the falling factorials k!/(k - u)! and n!/(n - u)!, the same rational."""
+    odds = np.zeros((n, n + 1))
+    for k in range(1, n + 1):
+        falling_k = falling_n = 1
+        for u in range(min(k, cap) + 1):
+            odds[k - 1, u] = falling_k / falling_n
+            falling_k *= k - u
+            falling_n *= n - u
     odds.flags.writeable = False        # shared by every caller through the cache
     return odds
+
+
+def _subset_means(by_union: np.ndarray, cap: int) -> np.ndarray:
+    """The mean over the k-subsets S of the weights of ``by_union`` (summed by union
+    size 0..n) whose union lies in S, at index k - 1 for k = 1..n.  No union is wider
+    than ``cap``.  The table has one shape for every list of k, so a k's mean does
+    not depend on which other k are asked for."""
+    return _inclusion_odds(len(by_union) - 1, cap) @ by_union
 
 
 def _pair_route_bytes(n: int, tuples: int, pairs: int) -> int:
@@ -291,33 +306,28 @@ def _within_budget(size: int, what: str) -> None:
 
 
 def _grouped_pairs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) indices of every ordered pair of rows in one group, where the
-    groups of ``counts`` rows start at ``starts`` (as ``np.unique`` sorts them)."""
-    first, size = np.repeat(starts, counts), np.repeat(counts, counts)   # each row's group
-    left = np.repeat(np.arange(len(first)), size)
-    offsets = np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size)
-    return left, np.repeat(first, size) + offsets
+    """(left, right) indices pairing each row i with the counts[i] rows from starts[i]
+    on, in order."""
+    left = np.repeat(np.arange(len(starts)), counts)
+    offsets = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return left, np.repeat(starts, counts) + offsets
 
 
-def _even_sides(f: GroupAlgebraElement, p: float, ks: Sequence[int]):
-    """(lhs by k, sum_j ||P_j f||_p^p, ||f||_p^p) at an even p = 2q, from key pairs.
+def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, p: float):
+    """(w summed by support union size 0..n, sum w |intersection|, sum w) at an even
+    p = 2q, for the element sum_g c_g g with int64 ``keys`` (one row per key, taken
+    mod ``moduli`` unless None) and complex ``coeffs``.
 
     |E_S f|^p = (E_S f)^q conj(E_S f)^q, so mean_x |E_S f|^p sums
-    w = Re(prod c_a conj prod c_b) over ordered q-tuples a, b of f's keys with
-    equal sums in the group whose supports (nonzero coordinates) lie in S.  A
-    k-subset holds the union U of a pair's supports with probability
-    C(n - |U|, k - |U|) / C(n, k); ||f||_p^p is sum w; P_j f keeps the keys with
-    g_j != 0, so sum_j ||P_j f||_p^p is sum w |intersection of the supports|.
-    Tuples with the same sum, support union and support intersection (the
-    orderings of one multiset among them) are merged by adding their products
-    before the join.  At p = 2 only equal keys pair: the hypergeometric closure.
+    w = Re(prod c_a conj prod c_b) over ordered q-tuples a, b of keys with equal
+    sums in the group whose supports (nonzero coordinates) lie in S.  Tuples with
+    the same sum, support union and support intersection (the orderings of one
+    multiset among them) are merged by adding their products before the join.  At
+    p = 2 only equal keys pair: the hypergeometric closure.
     """
-    n, q = f.group.n_components, int(p) // 2
-    keys = np.array(list(f.coeffs), dtype=np.int64).reshape(len(f.coeffs), n)
-    coeffs = np.array(list(f.coeffs.values()), dtype=complex)
+    n, q = keys.shape[1], int(p) // 2
     masks = np.packbits(keys != 0, axis=1).astype(np.int64)
     width = masks.shape[1]
-    moduli = np.array(f.group.moduli) if f.group.kind == FINITE_ABELIAN else None
     sums, prods, unions, inters = keys, coeffs, masks, masks
     for _ in range(q - 1):              # extend every tuple by every key
         sums = (sums[:, None] + keys).reshape(-1, n)
@@ -329,20 +339,43 @@ def _even_sides(f: GroupAlgebraElement, p: float, ks: Sequence[int]):
     if q == 1:                          # distinct keys: each pairs with itself alone
         left = right = np.arange(len(keys))
     else:                               # rows sorted by sum first, so equal sums are adjacent
-        rows, labels = np.unique(np.hstack([sums, unions, inters]), axis=0, return_inverse=True)
-        labels = labels.ravel()
+        table = np.hstack([sums, unions, inters])
+        order = np.lexsort(table.T[::-1])
+        table = table[order]
+        new = np.r_[True, np.any(table[1:] != table[:-1], axis=1)]
+        labels = np.empty(len(order), dtype=np.intp)
+        labels[order] = np.cumsum(new) - 1
+        rows = table[new]
         prods = np.bincount(labels, prods.real) + 1j * np.bincount(labels, prods.imag)
         unions, inters = rows[:, n:n + width], rows[:, n + width:]
         starts = np.flatnonzero(np.r_[True, np.any(rows[1:, :n] != rows[:-1, :n], axis=1)])
         counts = np.diff(np.r_[starts, len(rows)])
         _within_budget(_pair_route_bytes(n, len(sums), int(counts @ counts)), "joined key pairs")
-        left, right = _grouped_pairs(starts, counts)
+        left, right = _grouped_pairs(np.repeat(starts, counts), np.repeat(counts, counts))
     w = (prods[left] * prods[right].conj()).real
     union = _BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
     inter = _BYTE_BITS[inters[left] & inters[right]].sum(axis=1)
-    by_union = np.bincount(union, weights=w, minlength=n + 1)
-    return (dict(zip(ks, (_inclusion_odds(n, tuple(ks)) @ by_union).tolist())),
-            float(w @ inter), float(w.sum()))
+    return np.bincount(union, weights=w, minlength=n + 1), float(w @ inter), float(w.sum())
+
+
+def _even_sides(f: GroupAlgebraElement, p: float, ks: Sequence[int]):
+    """(lhs by k, sum_j ||P_j f||_p^p, ||f||_p^p) at an even p = 2q, from the key pairs
+    of ``_key_pairs``.
+
+    A k-subset holds the union U of a pair's supports with probability
+    C(n - |U|, k - |U|) / C(n, k).  Each coordinate of U lies in at least two of
+    the 2q supports (in one alone it would make the two sums differ), so no union
+    is wider than q times the widest support.  ||f||_p^p is sum w; P_j f keeps the keys with g_j != 0, so
+    sum_j ||P_j f||_p^p is sum w |intersection of the supports|.
+    """
+    n = f.group.n_components
+    keys = np.array(list(f.coeffs), dtype=np.int64).reshape(len(f.coeffs), n)
+    moduli = np.array(f.group.moduli) if f.group.kind == FINITE_ABELIAN else None
+    by_union, projections, full_norm = _key_pairs(
+        keys, np.array(list(f.coeffs.values()), dtype=complex), moduli, p)
+    widest = int(np.count_nonzero(keys, axis=1).max())
+    means = _subset_means(by_union, min(n, int(p) // 2 * widest))
+    return {k: float(means[k - 1]) for k in ks}, projections, full_norm
 
 
 def _pair_terms(f: GroupAlgebraElement, ps: Sequence[float], ks: tuple[int, ...],
@@ -355,7 +388,7 @@ def _pair_terms(f: GroupAlgebraElement, ps: Sequence[float], ks: tuple[int, ...]
 
 
 def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequence[float],
-          derivative: str) -> str:
+          derivative: str, route: str | None = None) -> str:
     """"pairs" or "grid": the route of a naor (or riesz) profile of ``keys`` keys,
     once its arrays are known to fit LATTICE_MAX_BYTES, before any is allocated.
 
@@ -364,24 +397,31 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
     tuple and q - 1 keys of its partner fix the last key); summed over the ps,
     that bound must not exceed the prod(m_j + 1) entries of the grid's
     mean-extended tensor.  Key pairs count their largest q-tuple list here and their
-    joined pairs in ``_even_sides``, once the sort has counted them; the grid counts
+    joined pairs in ``_key_pairs``, once the sort has counted them; the grid counts
     its multiplier stack and mean-extended tensor (none at p = 2 alone or riesz).
+    A ``route`` named by a witness is taken as long as it can run.
     """
     if not group.is_abelian:
         raise ValueError(f"dual evaluations need an abelian group, got {group.kind}")
     grid = _grid_shape(group, ps)
     entries = math.prod(m + 1 for m in grid)
-    if derivative in ("walsh", "absorbent") and not any(p % 2 for p in ps):
+    pairable = derivative in ("walsh", "absorbent") and not any(p % 2 for p in ps)
+    if route is None:
         cap = entries.bit_length()      # s^cap > entries once s >= 2: higher powers decide nothing
-        if sum(keys ** min(int(p) // 2, cap) + keys ** min(int(p) - 1, cap)
-               for p in set(ps)) <= entries:
-            tuples = keys ** (int(max(ps)) // 2)
-            _within_budget(_pair_route_bytes(group.n_components, tuples, 0), "key tuples")
-            return "pairs"
+        route = "pairs" if pairable and sum(
+            keys ** min(int(p) // 2, cap) + keys ** min(int(p) - 1, cap)
+            for p in set(ps)) <= entries else "grid"
+    elif route not in ("pairs", "grid") or route == "pairs" and not pairable:
+        raise ValueError(f"a {derivative} profile at p in {list(ps)} cannot take "
+                         f"the {route!r} route")
+    if route == "pairs":
+        tuples = keys ** (int(max(ps)) // 2)
+        _within_budget(_pair_route_bytes(group.n_components, tuples, 0), "key tuples")
+        return route
     rows = sum(len(basis) for _, basis in _symbol_blocks(cocycle, derivative)[1])
     extended = set(ps) != {2} and derivative != "riesz"
     _within_budget(16 * (rows * math.prod(grid) + (entries if extended else 0)), "grid tensors")
-    return "grid"
+    return route
 
 
 def _require_mean_zero(f: GroupAlgebraElement) -> None:
@@ -399,8 +439,8 @@ def _check_ks(ks: Sequence[int], n: int) -> list[int]:
 
 
 def _naor_sides(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
-                ks: Sequence[int], derivative: str):
-    """(route, profile) of ``naor_profile``."""
+                ks: Sequence[int], derivative: str, route: str | None = None):
+    """(route, profile) of ``naor_profile``, on ``route`` when a witness names one."""
     if derivative not in DERIVATIVE_CHOICES:
         raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
     if derivative == "walsh" and (f.group.kind != FINITE_ABELIAN or set(f.group.moduli) != {2}):
@@ -408,7 +448,7 @@ def _naor_sides(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[flo
     if not ps:
         raise ValueError("the list of p is empty")
     ps = [_finite(p, 1) for p in ps]
-    route = _plan(f.group, cocycle, len(f.coeffs), ps, derivative)
+    route = _plan(f.group, cocycle, len(f.coeffs), ps, derivative, route)
     _require_mean_zero(f)
     n = f.group.n_components
     ks_sorted = tuple(sorted(set(_check_ks(ks, n))))
@@ -484,17 +524,78 @@ def _random_signs(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.choice((1.0, -1.0), size=(MONTE_CARLO_SIGNS, n))
 
 
+def _same_route(named: str | None, route: str) -> None:
+    """Refuse a witness whose report names another route than its input takes."""
+    if named is not None and named != route:
+        raise ValueError(f"the report names the {named!r} route; its input takes {route!r}")
+
+
+def _xp_route(n: int, p: float) -> str:
+    """"pairs" or "signs": the route of an xp_linear profile, from (n, p) alone.
+
+    Index words take p = 2 and 4 at n <= SIGN_ENUMERATION_CAP: one Gram factor a
+    side, at most n^2 of them, timed faster than the sign tables at every n there,
+    k = 1 included.  From p = 6 on a side needs two or more factors, timed slower
+    than the sign tables at small k, so larger p keeps the sign tables (README).
+    """
+    return "pairs" if p in (2, 4) and n <= SIGN_ENUMERATION_CAP else "signs"
+
+
+def _gram_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, products) of the Gram factors x_a* x_b of a stack of n matrices, merged
+    by key and listed in ascending key order.  A key holds the parity mask of {a, b}
+    (bits a and b unless a = b) above the n bits of their union mask, so x_a* x_b
+    and x_b* x_a share one."""
+    n, _, d = mats.shape
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    keys = (((bits[:, None] ^ bits) << n) | bits[:, None] | bits).ravel()
+    gram = (np.conj(np.swapaxes(mats, 1, 2))[:, None] @ mats).reshape(-1, d, d)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[starts], np.add.reduceat(gram[order], starts)
+
+
+def _gram_pair_means(mats: np.ndarray, p: float) -> np.ndarray:
+    """E_eps ||sum_{j in S} eps_j x_j||_p^p averaged over the k-subsets S, at index
+    k - 1 for k = 1..n, at p = 2q for q = 1 or 2, from index words.
+
+    ||X||_p^p = tr((X* X)^q) expands into words of q Gram factors x_a* x_b, and the
+    sign average keeps the words in which every index occurs an even number of
+    times, so its union holds at most q indices.  A word is a merged Gram factor L
+    on the left and the identity (q = 1) or another merged factor R (q = 2) on the
+    right; they join when their parities are equal and add tr(L R) at the size of
+    their union, which a k-subset holds with the odds of ``_subset_means``.
+    """
+    n, rows, cols = mats.shape
+    if rows < cols:             # the transposes: same singular values, smaller Gram factors
+        mats = np.swapaxes(mats, 1, 2)
+    q = int(p) // 2
+    left_keys, left = _gram_factors(mats)
+    right_keys, right = (left_keys, left) if q == 2 else \
+        (np.zeros(1, dtype=np.int64), np.eye(left.shape[-1], dtype=complex)[None])
+    parity = right_keys >> n
+    starts = np.searchsorted(parity, left_keys >> n)
+    counts = np.searchsorted(parity, left_keys >> n, side="right") - starts
+    li, ri = _grouped_pairs(starts, counts)
+    traces = np.einsum("pij,pji->p", left[li], right[ri]).real
+    unions = (left_keys[li] | right_keys[ri]) & ((1 << n) - 1)
+    sizes = _BYTE_BITS[unions.view(np.uint8).reshape(-1, 8)].sum(axis=1)
+    return _subset_means(np.bincount(sizes, traces, minlength=n + 1), min(n, q))
+
+
 def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
                       seed: int | None = None) -> dict[int, tuple[float, float, bool]]:
     """(lhs, rhs, monte_carlo) of the balanced sign-average inequality for each k.
 
     lhs(k) averages E_eps ||sum_{j in S} eps_j x_j||_p^p over the k-subsets;
     rhs(k) is (k/n) sum_j ||x_j||_p^p + (k/n)^(p/2) E_eps ||sum_j eps_j x_j||_p^p.
-    Sign expectations are exhaustive up to 14 signs and Monte Carlo beyond,
-    and the full n-sign average is computed once for every k.  Draw order:
-    the full average is the first draw from ``default_rng(seed)``; each k
-    above the cap restarts its per-subset draws from the state after it, so
-    a row depends only on (xs, p, k, seed).
+    Where ``_xp_route`` takes index words (p = 2 or 4, n <= 14) every k and the full
+    n-sign average come from ``_gram_pair_means``.  Otherwise sign expectations are
+    exhaustive up to 14 signs and Monte Carlo beyond, and the full n-sign average
+    is computed once for every k.  Draw order: the full average is the first draw
+    from ``default_rng(seed)``; each k above the cap restarts its per-subset draws
+    from the state after it, so a row depends only on (xs, p, k, seed).
     """
     _finite(p)
     if p < 2:
@@ -504,32 +605,38 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
     _check_ks(ks, n)
     if not np.any(mats):
         raise ValueError("the matrix tuple must be nonzero")
-    rng = np.random.default_rng(seed)
+    norm_sum = float(np.sum(schatten_powers(mats, p)))
     # a k-subset average is sampled only when the full n-sign one is (k <= n)
     monte_carlo = n > SIGN_ENUMERATION_CAP
-    if monte_carlo:
-        full_avg = sign_average_power(mats, p, _random_signs(rng, n))
+    if _xp_route(n, p) == "pairs":
+        means = _gram_pair_means(mats, p)
+        lhs, full_avg = {k: float(means[k - 1]) for k in ks}, float(means[-1])
     else:
-        full_avg = float(_subset_sign_averages(mats, p, n)[0])
-    norm_sum = float(np.sum(schatten_powers(mats, p)))
-    out = {}
-    for k in ks:
-        if k <= SIGN_ENUMERATION_CAP:
-            lhs = float(np.mean(_subset_sign_averages(mats, p, k)))
+        rng = np.random.default_rng(seed)
+        if monte_carlo:
+            full_avg = sign_average_power(mats, p, _random_signs(rng, n))
         else:
-            draws = copy.deepcopy(rng)
-            lhs = float(np.mean([sign_average_power(mats[list(s)], p, _random_signs(draws, k))
-                                 for s in itertools.combinations(range(n), k)]))
-        out[k] = (lhs, (k / n) * norm_sum + (k / n) ** (p / 2) * full_avg, monte_carlo)
-    return out
+            full_avg = float(_subset_sign_averages(mats, p, n)[0])
+        lhs = {}
+        for k in ks:
+            if k <= SIGN_ENUMERATION_CAP:
+                lhs[k] = float(np.mean(_subset_sign_averages(mats, p, k)))
+            else:
+                draws = copy.deepcopy(rng)
+                lhs[k] = float(np.mean([
+                    sign_average_power(mats[list(s)], p, _random_signs(draws, k))
+                    for s in itertools.combinations(range(n), k)]))
+    return {k: (lhs[k], (k / n) * norm_sum + (k / n) ** (p / 2) * full_avg, monte_carlo)
+            for k in ks}
 
 
 def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
                     seed: int | None = None) -> RatioReport:
     """The balanced sign-average inequality for matrix tuples at one k.
 
-    See :func:`xp_linear_profile` for the two sides and the sign draws.  An
-    unseeded Monte Carlo run draws its seed from fresh entropy and reports it.
+    See :func:`xp_linear_profile` for the two sides, the sign draws and the route,
+    which the report names.  An unseeded Monte Carlo run draws its seed from fresh
+    entropy and reports it.
     """
     start = time.perf_counter()
     mats = np.stack([np.asarray(x, dtype=complex) for x in xs])
@@ -543,7 +650,7 @@ def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
     return RatioReport("xp_linear", params, lhs, rhs, ratio, ratio,
                        _xp_witness(mats, k, p), trials=1, seed=seed,
                        runtime_ms=1e3 * (time.perf_counter() - start),
-                       monte_carlo=monte_carlo)
+                       monte_carlo=monte_carlo, extra={"route": _xp_route(len(mats), p)})
 
 
 def _xp_witness(mats: Sequence[np.ndarray], k: int, p: float) -> dict:
@@ -558,29 +665,65 @@ def _matrix_from_json(data: dict) -> np.ndarray:
     return np.array(data["re"]) + 1j * np.array(data["im"])
 
 
-def rosenthal_linear_ratio(a: Sequence[complex], p: float, k: int) -> dict:
-    """Two-sided scalar model: exact lhs by exhaustive (eps, S) enumeration."""
-    _finite(p)
-    coeffs = np.array([complex(x) for x in a])
-    n = len(coeffs)
-    _check_ks([k], n)
-    if k > SIGN_ENUMERATION_CAP:
-        raise ValueError("exhaustive enumeration is capped at k = 14")
-    if not np.any(coeffs):
-        raise ValueError("the coefficient vector must be nonzero")
+def _rosenthal_route(n: int, p: float) -> str:
+    """"pairs" or "signs": the route of a rosenthal profile, from (n, p) alone.
+
+    Key pairs need an even p = 2q, at most SIGN_ENUMERATION_CAP tuple steps, and
+    room in LATTICE_MAX_BYTES for the n unit keys' n^q q-tuples and their at most
+    n^(2q - 1) joined pairs.
+    """
+    q = int(p) // 2 if p >= 2 and p % 2 == 0 else 0
+    fits = 1 <= q <= SIGN_ENUMERATION_CAP and \
+        _pair_route_bytes(n, n ** q, n ** (2 * q - 1)) <= LATTICE_MAX_BYTES
+    return "pairs" if fits else "signs"
+
+
+def _rosenthal_sign_mean(coeffs: np.ndarray, p: float, k: int) -> float:
+    """E_S E_eps |sum_{j in S} eps_j a_j|^p over the k-subsets S, by exhaustive
+    (eps, S) enumeration."""
     signs = half_sign_patterns(k)
     means = []
-    for block in _subset_blocks(n, k, len(signs)):
+    for block in _subset_blocks(len(coeffs), k, len(signs)):
         # |sum_j eps_j a_j|^2 from the real and imaginary parts separately
         sq = (coeffs.real[block] @ signs.T) ** 2 + (coeffs.imag[block] @ signs.T) ** 2
         means.append(np.mean(sq ** (p / 2), axis=1))
-    total = sum(np.concatenate(means).tolist())           # in subset order
-    lhs = (total / math.comb(n, k)) ** (1.0 / p)
-    kn = k / n
-    rhs = (kn * np.sum(np.abs(coeffs) ** p)) ** (1.0 / p) \
-        + math.sqrt(kn * float(np.sum(np.abs(coeffs) ** 2)))
-    return {"lhs": float(lhs), "rhs": float(rhs),
-            "lhs_over_rhs": float(lhs / rhs), "rhs_over_lhs": float(rhs / lhs)}
+    return sum(np.concatenate(means).tolist()) / math.comb(len(coeffs), k)  # in subset order
+
+
+def _rosenthal_sides(a: Sequence[complex], p: float, ks: Sequence[int],
+                     named: str | None = None) -> tuple[str, dict[int, dict]]:
+    """(route, result of ``rosenthal_linear_ratio`` by k), refused when a witness
+    names another route.  On key pairs one ``_key_pairs`` call gives every k."""
+    _finite(p)
+    coeffs = np.array([complex(x) for x in a])
+    n = len(coeffs)
+    _check_ks(ks, n)
+    route = _rosenthal_route(n, p)
+    _same_route(named, route)
+    if route == "signs" and max(ks) > SIGN_ENUMERATION_CAP:
+        raise ValueError("exhaustive enumeration is capped at k = 14")
+    if not np.any(coeffs):
+        raise ValueError("the coefficient vector must be nonzero")
+    if route == "pairs":        # naor's walsh lhs of sum_j a_j r_j on the hypercube
+        by_union = _key_pairs(np.eye(n, dtype=np.int64), coeffs, np.full(n, 2), p)[0]
+        means = _subset_means(by_union, min(n, int(p) // 2))
+    power_sum, square_sum = np.sum(np.abs(coeffs) ** p), float(np.sum(np.abs(coeffs) ** 2))
+    out = {}
+    for k in ks:
+        mean = float(means[k - 1]) if route == "pairs" else _rosenthal_sign_mean(coeffs, p, k)
+        lhs = mean ** (1.0 / p)
+        kn = k / n
+        rhs = (kn * power_sum) ** (1.0 / p) + math.sqrt(kn * square_sum)
+        out[k] = {"lhs": float(lhs), "rhs": float(rhs),
+                  "lhs_over_rhs": float(lhs / rhs), "rhs_over_lhs": float(rhs / lhs)}
+    return route, out
+
+
+def rosenthal_linear_ratio(a: Sequence[complex], p: float, k: int) -> dict:
+    """Two-sided scalar model at one k.  The exact lhs comes from the unit keys'
+    pairs at an even p (``_rosenthal_route``), with no cap on k, and otherwise by
+    exhaustive (eps, S) enumeration for k <= 14."""
+    return _rosenthal_sides(a, p, [k])[1][k]
 
 
 def moment_checks(n: int, k: int, p: float) -> dict:
@@ -744,12 +887,12 @@ class Experiment:
 
     ``bind(params, ensemble, seed)`` resolves a scan call into ``sample(rng)``
     (one input), ``evaluate(x)`` (its candidate rows, in a fixed order) and
-    ``witness(x, row)``; ``from_witness(witness, seed)`` recomputes a winner's
-    row and ``summary(rows)`` adds report fields that depend on every row.
+    ``witness(x, row)``; ``from_witness(witness, seed, route)`` recomputes a
+    winner's row on the route its report names (None: the planned one) and ``summary(rows)`` adds report fields that depend on every row.
     """
 
     bind: Callable[[dict, EnsembleSpec, int], tuple[Callable, Callable, Callable]]
-    from_witness: Callable[[dict, int | None], Row]
+    from_witness: Callable[[dict, int | None, str | None], Row]
     summary: Callable[[list[Row]], dict] = lambda rows: {}
 
 
@@ -811,11 +954,12 @@ def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
                                             derivative=derivative))
 
 
-def _naor_row(witness: dict) -> Row:
-    """The witness's (p, k) row, as ``naor_ratio`` computes it but with no report
-    around it, so the element is not serialized again."""
+def _naor_row(witness: dict, route: str | None) -> Row:
+    """The witness's (p, k) row on the named route, as ``naor_ratio`` computes it but
+    with no report around it, so the element is not serialized again."""
     p, k = witness["p"], witness["k"]
-    lhs, rhs = _naor_sides(*_load_element(witness), [p], [k], witness["derivative"])[1][p][k]
+    lhs, rhs = _naor_sides(*_load_element(witness), [p], [k], witness["derivative"],
+                           route)[1][p][k]
     return Row(lhs / rhs, lhs, rhs, lhs / rhs)
 
 
@@ -833,6 +977,7 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
     n, d, p, ks = int(params["n"]), int(params.get("d", 4)), _p(params, 4), _ks(params)
+    route = _xp_route(n, p)
     trials = itertools.count()
 
     def sample(rng):
@@ -841,28 +986,40 @@ def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
     def evaluate(x):
         mats, sign_seed = x
         profile = xp_linear_profile(mats, p, ks, sign_seed)
-        return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=mc)
+        return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=mc, extra={"route": route})
                 for k in ks for lhs, rhs, mc in [profile[k]]]
 
     return (sample, evaluate,
             lambda x, row: {**_xp_witness(x[0], row.k, p), "sign_seed": x[1]})
 
 
+def _xp_row(witness: dict, seed: int | None, named: str | None) -> Row:
+    report = xp_linear_ratio([_matrix_from_json(x) for x in witness["matrices"]],
+                             witness["p"], witness["k"], seed=witness.get("sign_seed", seed))
+    _same_route(named, report.extra["route"])
+    return _report_row(report)
+
+
 def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
     n, p, ks = int(params["n"]), _p(params, 4), _ks(params)
     return (lambda rng: _complex_normal(rng, n),
-            lambda coeffs: [_rosenthal_row(coeffs, p, k) for k in ks],
+            lambda coeffs: _rosenthal_rows(coeffs, p, ks),
             lambda coeffs, row: {"coeffs": [{"re": z.real, "im": z.imag} for z in coeffs],
                                  "k": row.k, "p": p})
 
 
-def _rosenthal_row(coeffs: Sequence[complex], p: float, k: int) -> Row:
-    result = rosenthal_linear_ratio(coeffs, p, k)
-    spread = max(result["lhs_over_rhs"], result["rhs_over_lhs"])
-    return Row(spread, result["lhs"], result["rhs"], result["lhs_over_rhs"], k=k,
-               extra={"lhs_over_rhs": result["lhs_over_rhs"],
-                      "rhs_over_lhs": result["rhs_over_lhs"],
-                      "two_sided_spread": spread})
+def _rosenthal_rows(coeffs: Sequence[complex], p: float, ks: Sequence[int],
+                    named: str | None = None) -> list[Row]:
+    route, results = _rosenthal_sides(coeffs, p, ks, named)
+    rows = []
+    for k in ks:
+        result = results[k]
+        spread = max(result["lhs_over_rhs"], result["rhs_over_lhs"])
+        rows.append(Row(spread, result["lhs"], result["rhs"], result["lhs_over_rhs"], k=k,
+                        extra={"lhs_over_rhs": result["lhs_over_rhs"],
+                               "rhs_over_lhs": result["rhs_over_lhs"],
+                               "two_sided_spread": spread, "route": route}))
+    return rows
 
 
 def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
@@ -922,15 +1079,13 @@ def _free_row(f: GroupAlgebraElement) -> Row:
 #: every scan experiment by name; the records reach the public single-run
 #: functions through module globals at call time, so module wrappers see them
 EXPERIMENTS: dict[str, Experiment] = {
-    "naor": Experiment(_naor, lambda w, seed: _naor_row(w), _max_ratio_by_p),
-    "xp_linear": Experiment(_xp_linear, lambda w, seed: _report_row(xp_linear_ratio(
-        [_matrix_from_json(x) for x in w["matrices"]], w["p"], w["k"],
-        seed=w.get("sign_seed", seed)))),
-    "rosenthal": Experiment(_rosenthal, lambda w, seed: _rosenthal_row(
-        [complex(z["re"], z["im"]) for z in w["coeffs"]], w["p"], w["k"])),
-    "riesz_equivalence": Experiment(_riesz, lambda w, seed: _riesz_row(
+    "naor": Experiment(_naor, lambda w, seed, route: _naor_row(w, route), _max_ratio_by_p),
+    "xp_linear": Experiment(_xp_linear, _xp_row),
+    "rosenthal": Experiment(_rosenthal, lambda w, seed, route: _rosenthal_rows(
+        [complex(z["re"], z["im"]) for z in w["coeffs"]], w["p"], [w["k"]], route)[0]),
+    "riesz_equivalence": Experiment(_riesz, lambda w, seed, route: _riesz_row(
         *_load_element(w), w["p"])),
-    "free_identities": Experiment(_free_identities, lambda w, seed: _free_row(
+    "free_identities": Experiment(_free_identities, lambda w, seed, route: _free_row(
         GroupAlgebraElement.from_json(w["f"]))),
 }
 
@@ -974,9 +1129,11 @@ def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 10
 
 
 def reevaluate_witness(report: RatioReport | dict) -> dict:
-    """Recompute (lhs, rhs, ratio) from a report's stored witness."""
+    """Recompute (lhs, rhs, ratio) from a report's stored witness, on the route
+    the report names in ``extra["route"]``."""
     data = report.to_json() if isinstance(report, RatioReport) else report
     if data["witness"] is None:
         raise ValueError("report has no witness")
-    row = _experiment(data["experiment"]).from_witness(data["witness"], data.get("seed"))
+    row = _experiment(data["experiment"]).from_witness(
+        data["witness"], data.get("seed"), (data.get("extra") or {}).get("route"))
     return {"lhs": row.lhs, "rhs": row.rhs, "ratio": row.ratio}

@@ -44,7 +44,13 @@ class ReducedWord:
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[int]]) -> "ReducedWord":
-        return cls(tuple((int(i), int(l)) for i, l in data))
+        """Load :meth:`to_json` output: a list of [generator, exponent] pairs of JSON
+        integers.  Anything else (a fraction, a string, a bare number) is refused."""
+        if not isinstance(data, list) or not all(
+                isinstance(block, list) and len(block) == 2 for block in data):
+            raise ValueError(f"a word must be a list of [generator, exponent] pairs, got {data!r}")
+        return cls(tuple((json_int(i, "a generator"), json_int(l, "an exponent"))
+                         for i, l in data))
 
     def __str__(self) -> str:
         if not self.blocks:
@@ -53,6 +59,14 @@ class ReducedWord:
 
 
 EMPTY_WORD = ReducedWord()
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer, refused rather than truncated when it is anything else
+    (1.5, "2", true, null)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _normalize_exponent(exponent: int, modulus: int | None) -> int:

@@ -387,6 +387,22 @@ class TestNormAndApply:
         assert run([*command, "--in", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("payload", [
+        {"group": {"kind": "finite_abelian", "moduli": [2, 2]},
+         "coeffs": [{"g": [1, 0], "re": "1"}]},
+        {"group": {"kind": "finite_abelian", "moduli": [2, 2]},
+         "coeffs": [{"g": [1, 0], "re": None, "im": 0.0}]},
+        {"group": {"kind": "free_group", "rank": 2}, "coeffs": [{"word": [[1, 1.5]], "re": 1.0}]},
+        {"group": {"kind": "torus", "rank": 1, "bound": 1.5}, "coeffs": [{"g": [1], "re": 1.0}]},
+    ], ids=["string-re", "null-re", "word-fraction", "torus-bound"])
+    @pytest.mark.parametrize("command", [["norm", "--p", "2"], ["apply", "--op", "adjoint"]],
+                             ids=["norm", "apply"])
+    def test_bad_json_numbers_exit_code(self, tmp_path, capsys, payload, command):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        assert run([*command, "--in", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_norm_missing_file(self, tmp_path):
         assert run(["norm", "--in", str(tmp_path / "nope.json"), "--p", "2"]) == 2
 

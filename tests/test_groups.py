@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -397,6 +398,25 @@ class TestSerialization:
                               {"g": [1, 0], "re": 2.0, "im": -1.0}]}
         f = GroupAlgebraElement.from_json(payload)
         assert list(f.coeffs.items()) == [((0, 1), 0.5), ((1, 0), 3 - 1j)]
+
+    @pytest.mark.parametrize("entry", [{"re": "1"}, {"re": None}, {"re": 1.0, "im": "0"},
+                                       {"re": [1.0]}, {"re": math.nan}, {"re": 1.0, "im": math.inf},
+                                       {"re": 10 ** 400}],
+                             ids=["string", "null", "string-im", "list", "nan", "inf", "huge"])
+    def test_coefficients_must_be_finite_numbers(self, entry):
+        payload = {"group": GroupDescriptor.hypercube(2).to_json(),
+                   "coeffs": [{"g": [1, 0], **entry}]}
+        with pytest.raises(ValueError, match="finite numbers"):
+            GroupAlgebraElement.from_json(payload)
+
+    @pytest.mark.parametrize("group", [
+        {"kind": "torus", "rank": 2, "bound": 1.5}, {"kind": "torus", "rank": "2", "bound": 1},
+        {"kind": "finite_abelian", "moduli": [2, 2.5]}, {"kind": "finite_abelian", "moduli": 4},
+        {"kind": "free_group", "rank": 2.0}, {"kind": "free_product", "rank": 2, "modulus": None},
+    ], ids=["bound", "rank-string", "modulus", "moduli-number", "rank-float", "modulus-null"])
+    def test_descriptor_numbers_must_be_integers(self, group):
+        with pytest.raises(ValueError, match="must be"):
+            GroupDescriptor.from_json(group)
 
     def test_entries_that_cancel_are_pruned(self):
         payload = {"group": GroupDescriptor.finite_abelian([4]).to_json(),

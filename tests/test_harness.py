@@ -270,12 +270,13 @@ class TestLatticeGuard:
 class TestPlan:
     """One plan per profile picks the route and counts only that route's arrays."""
 
-    @pytest.mark.parametrize("n", [22, 40])
+    @pytest.mark.parametrize("n", [22, 40, 1000])
     @pytest.mark.parametrize("derivative", ["walsh", "absorbent"])
     def test_key_pairs_reach_dimension_scale(self, n, derivative, monkeypatch):
         """A 6-key element on the first 8 of n coordinates: each lhs mixes the n = 8
         grid lhs by the hypergeometric law of |S & [8]|, and the rhs takes the n = 8
-        derivative sum and norm."""
+        derivative sum and norm.  The inclusion odds stop at the widest union, so
+        n = 1000 needs no n by n table of binomials."""
         small, small_cocycle = hypercube_pair(8)
         f8 = sample_element(small, small_cocycle, EnsembleSpec("sparse", sparsity=6),
                             np.random.default_rng(n))
@@ -288,13 +289,14 @@ class TestPlan:
         ks = list(range(1, n + 1))
         route, profile = harness._naor_sides(f, cocycle, ps, ks, derivative)
         assert route == "pairs"
+        law = {k: [(j, math.comb(8, j) * math.comb(n - 8, k - j) / math.comb(n, k))
+                   for j in range(1, min(8, k) + 1)] for k in ks}
         for p in ps:
             lhs8, deriv, norm = grid[p]
             for k in ks:
                 lhs, rhs = profile[p][k]
                 expected = (k / n) * deriv + (k / n) ** (p / 2) * norm
-                mixed = sum(math.comb(8, j) * math.comb(n - 8, k - j) / math.comb(n, k) * lhs8[j]
-                            for j in range(1, min(8, k) + 1))
+                mixed = sum(odds * lhs8[j] for j, odds in law[k])
                 assert abs(rhs - expected) <= 1e-12 * expected
                 assert abs(lhs - mixed) <= 1e-12 * rhs
 
@@ -357,6 +359,41 @@ class TestPlan:
                 keys.clear()
                 scan(experiment, spec, trials=2, family="hypercube", n=5, ps=[2, 4])
                 assert keys == [most, drawn, drawn]
+
+    def test_inclusion_odds_match_the_binomials_and_stop_at_the_cap(self):
+        odds = harness._inclusion_odds(9, 4)
+        for k in range(1, 10):
+            assert odds[k - 1].tolist() == [
+                math.comb(9 - u, k - u) / math.comb(9, k) if u <= min(k, 4) else 0.0
+                for u in range(10)]
+
+    def test_witness_reevaluates_on_the_route_its_report_names(self):
+        """A gaussian scan plans the grid for ps [2, 4]; the witness's single p = 2 would
+        plan key pairs, but re-evaluates on the grid to the reported numbers exactly."""
+        report = scan("naor", EnsembleSpec("gaussian"), trials=3, seed=0, family="hypercube",
+                      n=10, ps=[2, 4], ks=[1, 2], derivative="walsh").to_json()
+        assert report["extra"]["route"] == "grid" and report["witness"]["p"] == 2
+        assert reevaluate_witness(report) == {key: report[key] for key in ("lhs", "rhs", "ratio")}
+        f, cocycle = harness._load_element(report["witness"])
+        assert harness._naor_sides(f, cocycle, [2], [1], "walsh")[0] == "pairs"
+
+    def test_named_route_refused_only_when_it_cannot_run(self, monkeypatch):
+        group, cocycle = hypercube_pair(5)
+        f = GroupAlgebraElement(group, {(1, 0, 0, 0, 0): 1.0, (0, 1, 1, 0, 0): 2.0})
+        for route in ("pairs", "grid"):
+            assert harness._naor_sides(f, cocycle, [2, 4], [1, 2], "walsh", route)[0] == route
+        report = naor_ratio(f, cocycle, 3, 2, "walsh").to_json()
+        assert report["extra"]["route"] == "grid"
+        for route, reason in (("pairs", "cannot take the 'pairs' route"),
+                              ("lattice", "cannot take the 'lattice' route")):
+            report["extra"]["route"] = route
+            with pytest.raises(ValueError, match=reason):
+                reevaluate_witness(report)
+        report = naor_ratio(f, cocycle, 4, 2, "walsh").to_json()
+        assert report["extra"]["route"] == "pairs"
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", harness._pair_route_bytes(5, 2, 0) - 1)
+        with pytest.raises(ValueError, match="key tuples.*LATTICE_MAX_BYTES"):
+            reevaluate_witness(report)
 
     def test_draws_and_checks_read_no_key_table(self, monkeypatch):
         monkeypatch.setattr(harness, "_mean_zero_keys", _no_fft)
@@ -714,6 +751,122 @@ class TestXpLinearProfile:
         winner = seeds.index(report.witness["sign_seed"])
         witness_mats = [harness._matrix_from_json(x) for x in report.witness["matrices"]]
         assert all(np.array_equal(a, b) for a, b in zip(witness_mats, drawn[winner]))
+
+
+def _forced_xp_profile(monkeypatch, route, mats, p, ks):
+    monkeypatch.setattr(harness, "_xp_route", lambda n, p: route)
+    return xp_linear_profile(mats, p, ks, seed=0)
+
+
+class TestSignPairRoutes:
+    """Even-p sign averages from index pairings against the sign tables they skip."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 3, 5, 8])
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_xp_pairs_match_sign_tables(self, p, n, shape, monkeypatch):
+        rng = np.random.default_rng(300 + 10 * n + p)
+        mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(n)]
+        ks = list(range(1, n + 1))
+        pairs = _forced_xp_profile(monkeypatch, "pairs", mats, p, ks)
+        signs = _forced_xp_profile(monkeypatch, "signs", mats, p, ks)
+        for k in ks:
+            assert pairs[k][0] == pytest.approx(signs[k][0], rel=1e-12, abs=0)
+            assert pairs[k][1] == pytest.approx(signs[k][1], rel=1e-12, abs=0)
+            assert not pairs[k][2] and not signs[k][2]
+
+    def test_pairs_need_no_numpy_2_popcount(self, monkeypatch):
+        """pyproject allows numpy 1.24, which has no np.bitwise_count."""
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        c = np.arange(1.0, 6.0)
+        assert harness._xp_route(len(c), 4) == "pairs"
+        # ||sum eps_j c_j I_2||_4^4 = 2 (sum eps_j c_j)^4, of mean 2 (3 (sum c^2)^2 - 2 sum c^4)
+        lhs = xp_linear_profile([z * np.eye(2) for z in c], 4, [5])[5][0]
+        assert lhs == pytest.approx(2 * (3 * np.sum(c ** 2) ** 2 - 2 * np.sum(c ** 4)), rel=1e-12)
+
+    @pytest.mark.parametrize("n, p, route", [
+        (14, 2, "pairs"), (14, 4, "pairs"), (6, 4, "pairs"), (1, 2, "pairs"), (1, 4.0, "pairs"),
+        (14, 6, "signs"), (3, 6, "signs"), (14, 8, "signs"), (1, 2e300, "signs"),
+        (14, 3, "signs"), (14, 4.5, "signs"), (15, 4, "signs"), (16, 2, "signs")])
+    def test_xp_route_rule(self, n, p, route):
+        """Index words at p = 2 and 4 for every n up to the sign cap, sign tables else."""
+        assert harness._xp_route(n, p) == route
+
+    @pytest.mark.parametrize("n, p, route", [
+        (14, 2, "pairs"), (14, 6, "pairs"), (40, 4, "pairs"), (14, 3, "signs"),
+        (14, 2.5, "signs"), (1, 2e300, "signs"), (200, 8, "signs")])
+    def test_rosenthal_route_rule(self, n, p, route):
+        assert harness._rosenthal_route(n, p) == route
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_scalar_matrices_match_rosenthal_and_naor(self, p):
+        """At d = 1 the xp_linear lhs is rosenthal's lhs^p and naor's walsh lhs on the
+        hypercube's linear span."""
+        rng = np.random.default_rng(31)
+        n = 8
+        group, cocycle = hypercube_pair(n)
+        f = sample_element(group, cocycle, EnsembleSpec("linear_span"), rng)
+        coeffs = [f.coeffs[tuple(int(i == j) for i in range(n))] for j in range(n)]
+        ks = list(range(1, n + 1))
+        xp = xp_linear_profile([np.array([[z]]) for z in coeffs], p, ks)
+        naor = naor_profile(f, cocycle, [p], ks, "walsh")[p]
+        for k in ks:
+            scalar = rosenthal_linear_ratio(coeffs, p, k)["lhs"] ** p
+            assert xp[k][0] == pytest.approx(scalar, rel=1e-12)
+            assert naor[k][0] == pytest.approx(scalar, rel=1e-12)
+
+    def test_rosenthal_past_the_sign_cap_matches_the_fourth_moment(self):
+        """For fixed S, E|sum_S eps_j a_j|^4 = 2 (sum |a|^2)^2 + |sum a^2|^2 - 2 sum |a|^4;
+        averaged over S, a product of two distinct indices survives with odds
+        k (k - 1) / (n (n - 1)) and a single index with k / n."""
+        rng = np.random.default_rng(41)
+        n, k = 20, 16
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        pair, single = k * (k - 1) / (n * (n - 1)), k / n
+        squares, fourth = np.abs(a) ** 2, np.abs(a) ** 4
+
+        def averaged(x, y):         # E_S (sum_S x)(sum_S y)
+            return pair * (x.sum() * y.sum() - (x * y).sum()) + single * (x * y).sum()
+
+        moment = (2 * averaged(squares, squares) + averaged(a * a, (a * a).conj()).real
+                  - 2 * single * fourth.sum())
+        assert harness._rosenthal_route(n, 4) == "pairs"
+        assert rosenthal_linear_ratio(a, 4, k)["lhs"] ** 4 == pytest.approx(moment, rel=1e-12)
+        with pytest.raises(ValueError, match="capped at k = 14"):
+            rosenthal_linear_ratio(a, 3, k)
+
+    @pytest.mark.parametrize("experiment, params, route", [
+        ("rosenthal", dict(n=14, p=6, ks=[1, 7, 14]), "pairs"),
+        ("rosenthal", dict(n=6, p=3, ks=[2, 5]), "signs"),
+        ("xp_linear", dict(n=14, d=2, p=4, ks=[2, 14]), "pairs"),
+        ("xp_linear", dict(n=5, d=2, p=6, ks=[1, 3]), "signs"),
+        ("xp_linear", dict(n=15, d=2, p=2, ks=[2, 15]), "signs")])
+    def test_reports_name_their_route_and_reevaluate_exactly(self, experiment, params, route):
+        report = scan(experiment, trials=3, seed=5, **params).to_json()
+        assert report["extra"]["route"] == route
+        assert reevaluate_witness(report) == {key: report[key] for key in ("lhs", "rhs", "ratio")}
+        report["extra"]["route"] = "signs" if route == "pairs" else "pairs"
+        with pytest.raises(ValueError, match="names the"):
+            reevaluate_witness(report)
+
+    def test_xp_ratio_names_its_route(self):
+        mats = [np.eye(2) * (j + 1) for j in range(7)]
+        assert xp_linear_ratio(mats, 4, 3).extra == {"route": "pairs"}
+        assert xp_linear_ratio(mats, 3, 3).extra == {"route": "signs"}
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_rows_do_not_depend_on_the_other_ks(self, p):
+        rng = np.random.default_rng(51)
+        n = 9
+        coeffs = list(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        mats = [rng.standard_normal((2, 2)) for _ in range(n)]
+        ks = list(range(1, n + 1))
+        together = harness._rosenthal_sides(coeffs, p, ks)[1]
+        profile = xp_linear_profile(mats, p, ks)
+        for k in ks:
+            assert harness._rosenthal_sides(coeffs, p, [k])[1][k] == together[k]
+            assert xp_linear_profile(mats, p, [k])[k] == profile[k]
+            assert xp_linear_profile(mats, p, [k, 1])[k] == profile[k]
 
 
 class TestRosenthal:

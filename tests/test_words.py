@@ -211,3 +211,11 @@ class TestSerialization:
         word = w((1, 2), (2, -1))
         assert ReducedWord.from_json(word.to_json()) == word
         assert word.to_json() == [[1, 2], [2, -1]]
+
+    @pytest.mark.parametrize("data", [[[1, 1.5]], [[1.0, 1]], [["1", 1]], [[1, True]],
+                                      [[1, None]], [1, 2], [[1, 2, 3]], {"1": 2}],
+                             ids=["fraction", "float-generator", "string", "bool", "null",
+                                  "bare-numbers", "triple", "dict"])
+    def test_non_integral_entries_refused(self, data):
+        with pytest.raises(ValueError):
+            ReducedWord.from_json(data)
