@@ -1,8 +1,9 @@
 """The acceptance battery behind ``scan-suite`` and the acceptance tests.
 
 Each criterion returns a dict with ``id``, ``name``, ``passed``, ``details``
-and ``runtime_ms``; :func:`run_all` executes them in order and appends the
-overall wall-clock budget check.  Tolerances are fixed here, not configurable:
+and ``runtime_ms``, and criterion 7 one ``series`` row per scan it runs;
+:func:`run_all` executes them in order and appends the overall wall-clock
+budget check.  Tolerances are fixed here, not configurable:
 exact identities are compared exactly, floating checks carry the stated
 tolerances.
 """
@@ -336,15 +337,18 @@ def _scan_series(family: str, ns, trials: int, extra_params: dict,
             params = dict(extra_params)
             params.update({"n": n, "ps": [2, 4], "ks": list(range(1, n + 1)),
                            "derivative": derivative, "family": family})
+            start = time.perf_counter()
             report = scan("naor", EnsembleSpec("sparse", sparsity=6),
                           trials=trials, seed=1000 + n, **params)
             rerun = reevaluate_witness(report)
+            runtime_ms = 1e3 * (time.perf_counter() - start)
             if abs(rerun["ratio"] - report.ratio) > 1e-9:
                 failures.append(f"witness drift {family} n={n} {derivative}")
             p4 = report.extra["max_ratio_by_p"].get("4.0", 0.0)
             p4_max[n] = max(p4_max.get(n, 0.0), p4)
-            rows.append({"family": family, "n": n, "derivative": derivative,
-                         "max_ratio": report.max_ratio, "p4_max": p4})
+            rows.append({"family": family, "n": n, "derivative": derivative, "trials": trials,
+                         "max_ratio": report.max_ratio, "p4_max": p4,
+                         "runtime_ms": runtime_ms})
     return rows, p4_max, failures
 
 
@@ -371,7 +375,8 @@ def criterion_boundedness_scans(trials: int = 500) -> dict:
     top = max(row["max_ratio"] for row in all_rows)
     return {"id": 7, "name": "Boundedness scans with reproducible witnesses",
             "passed": not failures,
-            "details": failures[:5] or f"{len(all_rows)} scan series rows, top ratio {top:.4g}"}
+            "details": failures[:5] or f"{len(all_rows)} scan series rows, top ratio {top:.4g}",
+            "series": all_rows}
 
 
 # -- criterion 8: even-p torus norms -------------------------------------------

@@ -21,13 +21,14 @@ import time
 import warnings
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import operators
 from .cocycles import COCYCLE_FAMILIES, LengthCocycle, build_cocycle
-from .groups import (FINITE_ABELIAN, PRUNE_TOL, GroupAlgebraElement, GroupDescriptor,
+from .groups import (FINITE_ABELIAN, PRUNE_TOL, TORUS, GroupAlgebraElement, GroupDescriptor,
                      coefficient_tensor, element_inverse, is_mean_zero, key_box)
 from .norms import (SIGN_BLOCK_ROWS, half_sign_patterns, schatten_powers,
                     sign_average_power, sign_combinations)
@@ -37,6 +38,9 @@ MONTE_CARLO_SIGNS = 2 ** 14
 #: largest allocation of the route of a ``naor_profile`` or ``riesz_equivalence_ratio``
 #: call, as ``_plan`` and ``_pair_route_bytes`` count it
 LATTICE_MAX_BYTES = 2 ** 30
+#: most draws a naor scan evaluates as one batch: on 6-key hypercube n = 10 draws, a
+#: batch of a few dozen is as fast per draw as any larger one, whose memory keeps growing
+SCAN_BATCH_DRAWS = 64
 #: relative margin by which a later scan row must beat the best score to replace it
 SCORE_TIE_RTOL = 1e-12
 
@@ -225,19 +229,19 @@ def _dual_stack(f: GroupAlgebraElement, cocycle: LengthCocycle, derivative: str,
 
 
 def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
-                ks: tuple[int, ...], derivative: str):
+                ks: tuple[int, ...], derivative: str, grid: tuple[int, ...]):
     """(p, lhs by k, derivative sum, ||f||_p^p) for each p, on an abelian group.
 
-    All come from the one dual evaluation of ``_dual_stack`` on the grid of
-    ``_grid_shape``; the squared moduli of a multiplier stack are summed over a
-    block before the power p/2.  The subset lattice's all-kept corner is
-    ||f||_p^p; at p = 2 the lhs and ||f||_2^2 are the closure of
-    ``_even_sides``.  walsh/absorbent take each axis's values minus their mean
+    All come from the one dual evaluation of ``_dual_stack`` on the planned
+    ``grid``; the squared moduli of a multiplier stack are summed over a block
+    before the power p/2.  The subset lattice's all-kept
+    corner is ||f||_p^p; at p = 2 the lhs and ||f||_2^2 are the key-pair closure of
+    ``_pair_terms``.  walsh/absorbent take each axis's values minus their mean
     along it; f* has the conjugate values of f, so its absorbent half is the f
     half.
     """
     n = f.group.n_components
-    _, values, stack, starts = _dual_stack(f, cocycle, derivative, _grid_shape(f.group, ps))
+    _, values, stack, starts = _dual_stack(f, cocycle, derivative, grid)
     flips = starts is None
     extended = _extend_with_means(values) if set(ps) != {2} else None
     sums = dict.fromkeys(ps, 0.0)
@@ -250,7 +254,7 @@ def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[flo
         for block in blocks:
             sums[p] += float(np.mean(block ** (p // 2 if p % 2 == 0 else p / 2)))
         if p == 2:
-            lhs, _, full_norm = _even_sides(f, 2, ks)
+            _, lhs, _, full_norm = _pair_terms([f], [2], ks, derivative)[0][0]
         else:
             lattice = _power_lattice(extended, p).ravel()
             lhs = {k: float(np.mean(lattice[_lattice_index(n, k)])) for k in ks}
@@ -294,10 +298,11 @@ def _subset_means(by_union: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _pair_route_bytes(n: int, tuples: int, pairs: int) -> int:
-    """Bytes of the pair route on n coordinates: a q-tuple holds its sum, packed support
-    union and intersection and a product; a joined pair 2 indices, a weight, 4 masks."""
+    """Bytes of the pair route on n coordinates: a q-tuple holds its element's index, its
+    sum, packed support union and intersection and a product; a joined pair 2 indices,
+    its element's index, a weight and 4 packed masks."""
     width = -(-n // 8)
-    return 8 * (tuples * (n + 2 * width + 2) + pairs * (4 + 4 * width))
+    return 8 * (tuples * (n + 2 * width + 3) + pairs * (5 + 4 * width))
 
 
 def _within_budget(size: int, what: str) -> None:
@@ -309,14 +314,14 @@ def _grouped_pairs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
     """(left, right) indices pairing each row i with the counts[i] rows from starts[i]
     on, in order."""
     left = np.repeat(np.arange(len(starts)), counts)
-    offsets = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return left, np.repeat(starts, counts) + offsets
+    return left, np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
 
 
 def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, p: float):
-    """(w summed by support union size 0..n, sum w |intersection|, sum w) at an even
-    p = 2q, for the element sum_g c_g g with int64 ``keys`` (one row per key, taken
-    mod ``moduli`` unless None) and complex ``coeffs``.
+    """(w summed by support union size 0..n, sum w |intersection|, sum w) of each
+    element of a batch at an even p = 2q, one row per element.  Element t is
+    sum_g c_g g with the s int64 ``keys[t]`` (one row per key, taken mod ``moduli``
+    unless None) and the complex ``coeffs[t]``.
 
     |E_S f|^p = (E_S f)^q conj(E_S f)^q, so mean_x |E_S f|^p sums
     w = Re(prod c_a conj prod c_b) over ordered q-tuples a, b of keys with equal
@@ -324,104 +329,150 @@ def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, 
     the same sum, support union and support intersection (the orderings of one
     multiset among them) are merged by adding their products before the join.  At
     p = 2 only equal keys pair: the hypergeometric closure.
+
+    The tuples of a batch lead with their element's first bin of the union sums,
+    t (n + 1), so one sort, merge and join serve every element.  Each element's
+    tuples and pairs keep the order they have alone, and its sums are taken over
+    its own run of pairs, so they are the same bits alone or in any batch.
     """
-    n, q = keys.shape[1], int(p) // 2
-    masks = np.packbits(keys != 0, axis=1).astype(np.int64)
-    width = masks.shape[1]
+    trials, s, n = keys.shape
+    q = int(p) // 2
+    masks = np.packbits(keys != 0, axis=2).astype(np.int64)
+    width = masks.shape[2]
     sums, prods, unions, inters = keys, coeffs, masks, masks
-    for _ in range(q - 1):              # extend every tuple by every key
-        sums = (sums[:, None] + keys).reshape(-1, n)
+    for _ in range(q - 1):              # extend every tuple by every key of its element
+        sums = (sums[:, :, None] + keys[:, None]).reshape(trials, -1, n)
         if moduli is not None:
             sums %= moduli
-        prods = np.multiply.outer(prods, coeffs).ravel()
-        unions = (unions[:, None] | masks).reshape(-1, width)
-        inters = (inters[:, None] & masks).reshape(-1, width)
+        prods = (prods[:, :, None] * coeffs[:, None]).reshape(trials, -1)
+        unions = (unions[:, :, None] | masks[:, None]).reshape(trials, -1, width)
+        inters = (inters[:, :, None] & masks[:, None]).reshape(trials, -1, width)
+    tuples = prods.size
+    prods = prods.ravel()
+    offsets = np.arange(0, trials * (n + 1), n + 1)    # each element's first bin of by_union
     if q == 1:                          # distinct keys: each pairs with itself alone
-        left = right = np.arange(len(keys))
-    else:                               # rows sorted by sum first, so equal sums are adjacent
-        table = np.hstack([sums, unions, inters])
+        w = (prods * prods.conj()).real
+        union = inter = _BYTE_BITS[masks.reshape(tuples, width)].sum(axis=1)
+        owner = np.repeat(offsets, s)
+    else:                               # rows sorted by (element, sum), so equal sums are adjacent
+        table = np.empty((trials, tuples // trials, n + 1 + 2 * width), dtype=np.int64)
+        table[:, :, 0] = offsets[:, None]
+        table[:, :, 1:n + 1] = sums
+        table[:, :, n + 1:n + 1 + width] = unions
+        table[:, :, n + 1 + width:] = inters
+        table = table.reshape(tuples, -1)
         order = np.lexsort(table.T[::-1])
         table = table[order]
-        new = np.r_[True, np.any(table[1:] != table[:-1], axis=1)]
-        labels = np.empty(len(order), dtype=np.intp)
+        new = np.ones(tuples, dtype=bool)
+        np.any(table[1:] != table[:-1], axis=1, out=new[1:])
+        labels = np.empty(tuples, dtype=np.intp)
         labels[order] = np.cumsum(new) - 1
         rows = table[new]
         prods = np.bincount(labels, prods.real) + 1j * np.bincount(labels, prods.imag)
-        unions, inters = rows[:, n:n + width], rows[:, n + width:]
-        starts = np.flatnonzero(np.r_[True, np.any(rows[1:, :n] != rows[:-1, :n], axis=1)])
-        counts = np.diff(np.r_[starts, len(rows)])
-        _within_budget(_pair_route_bytes(n, len(sums), int(counts @ counts)), "joined key pairs")
+        owners, unions, inters = rows[:, 0], rows[:, n + 1:n + 1 + width], rows[:, n + 1 + width:]
+        edges = np.flatnonzero(np.concatenate(
+            ([True], np.any(rows[1:, :n + 1] != rows[:-1, :n + 1], axis=1), [True])))
+        starts, counts = edges[:-1], edges[1:] - edges[:-1]
+        _within_budget(_pair_route_bytes(n, tuples, int(counts @ counts)), "joined key pairs")
         left, right = _grouped_pairs(np.repeat(starts, counts), np.repeat(counts, counts))
-    w = (prods[left] * prods[right].conj()).real
-    union = _BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
-    inter = _BYTE_BITS[inters[left] & inters[right]].sum(axis=1)
-    return np.bincount(union, weights=w, minlength=n + 1), float(w @ inter), float(w.sum())
+        w = (prods[left] * prods[right].conj()).real
+        union = _BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
+        inter = _BYTE_BITS[inters[left] & inters[right]].sum(axis=1)
+        owner = owners[left]
+    by_union = np.bincount(owner + union, w, minlength=trials * (n + 1))
+    ends = np.searchsorted(owner, offsets[1:]).tolist() + [len(w)]
+    runs = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
+    return (by_union.reshape(trials, n + 1), [float(w[run] @ inter[run]) for run in runs],
+            [float(w[run].sum()) for run in runs])
 
 
-def _even_sides(f: GroupAlgebraElement, p: float, ks: Sequence[int]):
-    """(lhs by k, sum_j ||P_j f||_p^p, ||f||_p^p) at an even p = 2q, from the key pairs
-    of ``_key_pairs``.
+def _pair_terms(fs: Sequence[GroupAlgebraElement], ps: Sequence[float], ks: tuple[int, ...],
+                derivative: str) -> list[list[tuple]]:
+    """[(p, lhs by k, derivative sum, ||f||_p^p) for each even p] for each element of
+    ``fs`` (one group), walsh or absorbent, from ``_key_pairs``: no grid and no
+    subset lattice.  Elements with as many keys share one ``_key_pairs`` call per p.
 
     A k-subset holds the union U of a pair's supports with probability
     C(n - |U|, k - |U|) / C(n, k).  Each coordinate of U lies in at least two of
     the 2q supports (in one alone it would make the two sums differ), so no union
-    is wider than q times the widest support.  ||f||_p^p is sum w; P_j f keeps the keys with g_j != 0, so
-    sum_j ||P_j f||_p^p is sum w |intersection of the supports|.
+    is wider than q times the widest support.  ||f||_p^p is sum w; P_j f keeps the
+    keys with g_j != 0, so sum_j ||P_j f||_p^p is sum w |intersection of the supports|.
     """
-    n = f.group.n_components
-    keys = np.array(list(f.coeffs), dtype=np.int64).reshape(len(f.coeffs), n)
-    moduli = np.array(f.group.moduli) if f.group.kind == FINITE_ABELIAN else None
-    by_union, projections, full_norm = _key_pairs(
-        keys, np.array(list(f.coeffs.values()), dtype=complex), moduli, p)
-    widest = int(np.count_nonzero(keys, axis=1).max())
-    means = _subset_means(by_union, min(n, int(p) // 2 * widest))
-    return {k: float(means[k - 1]) for k in ks}, projections, full_norm
+    group = fs[0].group
+    n = group.n_components
+    moduli = np.array(group.moduli) if group.kind == FINITE_ABELIAN else None
+    by_size: dict[int, list[int]] = {}
+    for i, f in enumerate(fs):
+        by_size.setdefault(len(f.coeffs), []).append(i)
+    out: list[list[tuple]] = [[] for _ in fs]
+    for members in by_size.values():
+        keys = np.array([list(fs[i].coeffs) for i in members], dtype=np.int64)
+        keys = keys.reshape(len(members), -1, n)
+        coeffs = np.array([list(fs[i].coeffs.values()) for i in members], dtype=complex)
+        widest = np.count_nonzero(keys, axis=2).max(axis=1).tolist()
+        for p in ps:
+            by_union, projections, full_norms = _key_pairs(keys, coeffs, moduli, p)
+            factor = _derivative_factor(derivative, p)
+            for row, i in enumerate(members):
+                means = _subset_means(by_union[row], min(n, int(p) // 2 * widest[row]))
+                out[i].append((p, {k: float(means[k - 1]) for k in ks},
+                               factor * projections[row], full_norms[row]))
+    return out
 
 
-def _pair_terms(f: GroupAlgebraElement, ps: Sequence[float], ks: tuple[int, ...],
-                derivative: str):
-    """(p, lhs by k, derivative sum, ||f||_p^p) for each even p, walsh or absorbent,
-    from the key pairs of ``_even_sides``: no grid and no subset lattice."""
-    for p in ps:
-        lhs, projections, full_norm = _even_sides(f, p, ks)
-        yield p, lhs, _derivative_factor(derivative, p) * projections, full_norm
+class Plan(NamedTuple):
+    """A naor (or riesz) profile's route, the grid the grid route evaluates on, and
+    the bytes its arrays need as ``_plan`` prices them."""
+
+    route: str
+    grid: tuple[int, ...]
+    nbytes: int
 
 
 def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequence[float],
-          derivative: str, route: str | None = None) -> str:
-    """"pairs" or "grid": the route of a naor (or riesz) profile of ``keys`` keys,
-    once its arrays are known to fit LATTICE_MAX_BYTES, before any is allocated.
+          derivative: str, route: str | None = None, side: int | None = None) -> Plan:
+    """The plan of a naor (or riesz) profile of ``keys`` keys, once its arrays are
+    known to fit LATTICE_MAX_BYTES, before any is allocated.
 
-    Key pairs need every p even and a walsh or absorbent derivative.  At p = 2q
-    they list s^q q-tuples of the s keys and join at most s^(2q - 1) pairs (a
-    tuple and q - 1 keys of its partner fix the last key); summed over the ps,
-    that bound must not exceed the prod(m_j + 1) entries of the grid's
-    mean-extended tensor.  Key pairs count their largest q-tuple list here and their
-    joined pairs in ``_key_pairs``, once the sort has counted them; the grid counts
-    its multiplier stack and mean-extended tensor (none at p = 2 alone or riesz).
-    A ``route`` named by a witness is taken as long as it can run.
+    Key pairs need a walsh or absorbent derivative and every p even, p = 2q with
+    q <= SIGN_ENUMERATION_CAP tuple steps (one key's tuples never grow, so no cost
+    bound stops a large q).  At p = 2q they list s^q q-tuples of the s keys and join
+    at most s^(2q - 1) pairs (a tuple and q - 1 keys of its partner fix the last
+    key); summed over the ps, that bound must not exceed the prod(m_j + 1) entries
+    of the grid's mean-extended tensor.  Key pairs count their largest q-tuple list
+    here and their joined pairs in ``_key_pairs``, once the sort has counted them;
+    ``nbytes`` prices both at the bound.  The grid counts its multiplier stack and
+    mean-extended tensor (none at p = 2 alone or riesz).  A ``route`` named by a
+    witness is taken as long as it can run, and so is the torus grid ``side`` a scan
+    row names, if it has at least the points per axis that ``_grid_shape`` gives.
     """
     if not group.is_abelian:
         raise ValueError(f"dual evaluations need an abelian group, got {group.kind}")
     grid = _grid_shape(group, ps)
+    if side is not None:
+        if group.kind != TORUS or route != "grid" or type(side) is not int or side < grid[0]:
+            raise ValueError(f"a {route!r} profile at p in {list(ps)} cannot take a grid of "
+                             f"{side!r} points per axis")
+        grid = (side,) * group.rank
     entries = math.prod(m + 1 for m in grid)
-    pairable = derivative in ("walsh", "absorbent") and not any(p % 2 for p in ps)
+    steps = [int(p) // 2 for p in set(ps)]
+    pairable = derivative in ("walsh", "absorbent") and not any(p % 2 for p in ps) and \
+        max(steps) <= SIGN_ENUMERATION_CAP
     if route is None:
-        cap = entries.bit_length()      # s^cap > entries once s >= 2: higher powers decide nothing
         route = "pairs" if pairable and sum(
-            keys ** min(int(p) // 2, cap) + keys ** min(int(p) - 1, cap)
-            for p in set(ps)) <= entries else "grid"
+            keys ** q + keys ** (2 * q - 1) for q in steps) <= entries else "grid"
     elif route not in ("pairs", "grid") or route == "pairs" and not pairable:
         raise ValueError(f"a {derivative} profile at p in {list(ps)} cannot take "
                          f"the {route!r} route")
     if route == "pairs":
-        tuples = keys ** (int(max(ps)) // 2)
-        _within_budget(_pair_route_bytes(group.n_components, tuples, 0), "key tuples")
-        return route
+        n, q = group.n_components, max(steps)
+        _within_budget(_pair_route_bytes(n, keys ** q, 0), "key tuples")
+        return Plan(route, grid, _pair_route_bytes(n, keys ** q, keys ** (2 * q - 1)))
     rows = sum(len(basis) for _, basis in _symbol_blocks(cocycle, derivative)[1])
     extended = set(ps) != {2} and derivative != "riesz"
-    _within_budget(16 * (rows * math.prod(grid) + (entries if extended else 0)), "grid tensors")
-    return route
+    nbytes = 16 * (rows * math.prod(grid) + (entries if extended else 0))
+    _within_budget(nbytes, "grid tensors")
+    return Plan(route, grid, nbytes)
 
 
 def _require_mean_zero(f: GroupAlgebraElement) -> None:
@@ -438,27 +489,48 @@ def _check_ks(ks: Sequence[int], n: int) -> list[int]:
     return list(ks)
 
 
-def _naor_sides(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
-                ks: Sequence[int], derivative: str, route: str | None = None):
-    """(route, profile) of ``naor_profile``, on ``route`` when a witness names one."""
+def _naor_inputs(group: GroupDescriptor, ps: Sequence[float], derivative: str) -> list[float]:
+    """The ps of a naor profile as floats, once an unknown derivative, walsh off the
+    hypercube and an empty list of p have been refused."""
     if derivative not in DERIVATIVE_CHOICES:
         raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
-    if derivative == "walsh" and (f.group.kind != FINITE_ABELIAN or set(f.group.moduli) != {2}):
+    if derivative == "walsh" and (group.kind != FINITE_ABELIAN or set(group.moduli) != {2}):
         raise ValueError("the walsh derivative needs a hypercube group")
     if not ps:
         raise ValueError("the list of p is empty")
-    ps = [_finite(p, 1) for p in ps]
-    route = _plan(f.group, cocycle, len(f.coeffs), ps, derivative, route)
+    return [_finite(p, 1) for p in ps]
+
+
+def _naor_profiles(fs: Sequence[GroupAlgebraElement], plans: Sequence[Plan],
+                   cocycle: LengthCocycle, ps: Sequence[float], ks: Sequence[int],
+                   derivative: str) -> list[dict[float, dict[int, tuple[float, float]]]]:
+    """The profile of each element of a batch, on its plan's route: the elements on
+    key pairs share ``_pair_terms``, those on the grid run one at a time."""
+    n = fs[0].group.n_components
+    ks_sorted = tuple(sorted(set(ks)))
+    paired = [i for i, plan in enumerate(plans) if plan.route == "pairs"]
+    terms = {}
+    if paired:
+        terms = dict(zip(paired, _pair_terms([fs[i] for i in paired], ps, ks_sorted, derivative)))
+    profiles = []
+    for i, (f, plan) in enumerate(zip(fs, plans)):
+        rows = terms[i] if i in terms else _grid_terms(f, cocycle, ps, ks_sorted, derivative,
+                                                       plan.grid)
+        profiles.append({p: {k: (lhs[k], (k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm)
+                             for k in ks} for p, lhs, deriv_sum, full_norm in rows})
+    return profiles
+
+
+def _naor_sides(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
+                ks: Sequence[int], derivative: str, route: str | None = None,
+                side: int | None = None):
+    """(route, profile) of ``naor_profile``, as a batch of one, on ``route`` and the
+    torus grid ``side`` when a witness names them."""
+    ps = _naor_inputs(f.group, ps, derivative)
+    plan = _plan(f.group, cocycle, len(f.coeffs), ps, derivative, route, side)
     _require_mean_zero(f)
-    n = f.group.n_components
-    ks_sorted = tuple(sorted(set(_check_ks(ks, n))))
-    terms = (_pair_terms(f, ps, ks_sorted, derivative) if route == "pairs"
-             else _grid_terms(f, cocycle, ps, ks_sorted, derivative))
-    out: dict[float, dict[int, tuple[float, float]]] = {}
-    for p, lhs, deriv_sum, full_norm in terms:
-        out[p] = {k: (lhs[k], (k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm)
-                  for k in ks}
-    return route, out
+    _check_ks(ks, f.group.n_components)
+    return plan.route, _naor_profiles([f], [plan], cocycle, ps, ks, derivative)[0]
 
 
 def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
@@ -705,8 +777,8 @@ def _rosenthal_sides(a: Sequence[complex], p: float, ks: Sequence[int],
     if not np.any(coeffs):
         raise ValueError("the coefficient vector must be nonzero")
     if route == "pairs":        # naor's walsh lhs of sum_j a_j r_j on the hypercube
-        by_union = _key_pairs(np.eye(n, dtype=np.int64), coeffs, np.full(n, 2), p)[0]
-        means = _subset_means(by_union, min(n, int(p) // 2))
+        by_union = _key_pairs(np.eye(n, dtype=np.int64)[None], coeffs[None], np.full(n, 2), p)[0]
+        means = _subset_means(by_union[0], min(n, int(p) // 2))
     power_sum, square_sum = np.sum(np.abs(coeffs) ** p), float(np.sum(np.abs(coeffs) ** 2))
     out = {}
     for k in ks:
@@ -754,9 +826,9 @@ def riesz_equivalence_ratio(f: GroupAlgebraElement, p: float,
     one batched dual evaluation on the grid of ``_grid_shape``.  The symbol
     normalization sum_u |symbol(g)|^2 = 4 pi^2 makes the quotient 1 at p = 2.
     """
-    _plan(f.group, cocycle, len(f.coeffs), [_finite(p, 1)], "riesz")
+    grid = _plan(f.group, cocycle, len(f.coeffs), [_finite(p, 1)], "riesz").grid
     _require_mean_zero(f)
-    _, values, stack, starts = _dual_stack(f, cocycle, "riesz", _grid_shape(f.group, [p]))
+    _, values, stack, starts = _dual_stack(f, cocycle, "riesz", grid)
     squares = np.add.reduceat(_abs_power(stack, 2), starts)     # f and f* blocks alternate
     sides = [float(np.mean(sum(squares[side::2]) ** (p / 2))) ** (1 / p) for side in (0, 1)]
     lhs = float(np.mean(_abs_power(values, p))) ** (1 / p)
@@ -867,9 +939,9 @@ def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
 # -- scan driver ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Row:
-    """One candidate outcome of a trial; ``score`` ranks it within a scan."""
+class Row(NamedTuple):
+    """One candidate outcome of a trial; ``score`` ranks it within a scan.  A named
+    tuple, the quickest record to build, as a scan builds one per (trial, p, k)."""
 
     score: float
     lhs: float
@@ -878,7 +950,7 @@ class Row:
     p: float | None = None
     k: int | None = None
     monte_carlo: bool = False
-    extra: dict = field(default_factory=dict)
+    extra: Mapping = MappingProxyType({})       # read-only, as every row without extras shares it
 
 
 @dataclass(frozen=True)
@@ -887,13 +959,18 @@ class Experiment:
 
     ``bind(params, ensemble, seed)`` resolves a scan call into ``sample(rng)``
     (one input), ``evaluate(x)`` (its candidate rows, in a fixed order) and
-    ``witness(x, row)``; ``from_witness(witness, seed, route)`` recomputes a
-    winner's row on the route its report names (None: the planned one) and ``summary(rows)`` adds report fields that depend on every row.
+    ``witness(x, row)``.  A ``batched`` record's ``evaluate(draws)`` takes the
+    iterator of the scan's inputs instead and yields each input with its rows, in
+    draw order, so that it can evaluate several inputs at once.
+    ``from_witness(witness, seed, extra)`` recomputes a winner's row on what its
+    report's ``extra`` names (a route, a torus grid; none: the planned one) and
+    ``summary(rows)`` adds report fields that depend on every row.
     """
 
     bind: Callable[[dict, EnsembleSpec, int], tuple[Callable, Callable, Callable]]
-    from_witness: Callable[[dict, int | None, str | None], Row]
+    from_witness: Callable[[dict, int | None, dict], Row]
     summary: Callable[[list[Row]], dict] = lambda rows: {}
+    batched: bool = False
 
 
 def _p(params: dict, default: float) -> float:
@@ -940,26 +1017,49 @@ def _report_row(report: RatioReport) -> Row:
 
 def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, derivative = _naor_family(params)
-    ps = [_finite(float(p), 1) for p in params.get("ps", [params.get("p", 4)])]
+    ps = _naor_inputs(group, [float(p) for p in params.get("ps", [params.get("p", 4)])],
+                      derivative)
     ks = _ks(params)
     _plan(group, cocycle, _most_keys(group, ensemble), ps, derivative)
 
-    def evaluate(f):
-        route, profile = _naor_sides(f, cocycle, ps, ks, derivative)
-        return [Row(lhs / rhs, lhs, rhs, lhs / rhs, p=p, k=k, extra={"route": route})
-                for p in ps for k in ks for lhs, rhs in [profile[p][k]]]
+    def rows(batch: list, plans: list[Plan]):
+        for f, plan, profile in zip(batch, plans,
+                                    _naor_profiles(batch, plans, cocycle, ps, ks, derivative)):
+            extra = {"route": plan.route}
+            if plan.route == "grid" and group.kind == TORUS:
+                extra["grid"] = plan.grid[0]
+            yield f, [Row(lhs / rhs, lhs, rhs, lhs / rhs, p=p, k=k, extra=extra)
+                      for p in ps for k in ks for lhs, rhs in [profile[p][k]]]
+
+    def evaluate(draws):
+        """Each draw with its rows: a batch is the run of at most SCAN_BATCH_DRAWS draws
+        whose planned bytes fit LATTICE_MAX_BYTES together."""
+        batch, plans, size = [], [], 0
+        for f in draws:
+            plan = _plan(group, cocycle, len(f.coeffs), ps, derivative)
+            _require_mean_zero(f)
+            if batch and (size + plan.nbytes > LATTICE_MAX_BYTES
+                          or len(batch) == SCAN_BATCH_DRAWS):
+                yield from rows(batch, plans)
+                batch, plans, size = [], [], 0
+            batch.append(f)
+            plans.append(plan)
+            size += plan.nbytes
+        if batch:
+            yield from rows(batch, plans)
 
     return (lambda rng: sample_element(group, cocycle, ensemble, rng), evaluate,
             lambda f, row: _element_witness(f, cocycle, k=row.k, p=row.p,
                                             derivative=derivative))
 
 
-def _naor_row(witness: dict, route: str | None) -> Row:
-    """The witness's (p, k) row on the named route, as ``naor_ratio`` computes it but
-    with no report around it, so the element is not serialized again."""
+def _naor_row(witness: dict, extra: dict) -> Row:
+    """The witness's (p, k) row on the route and torus grid its report names, as
+    ``naor_ratio`` computes it but with no report around it, so the element is not
+    serialized again."""
     p, k = witness["p"], witness["k"]
     lhs, rhs = _naor_sides(*_load_element(witness), [p], [k], witness["derivative"],
-                           route)[1][p][k]
+                           extra.get("route"), extra.get("grid"))[1][p][k]
     return Row(lhs / rhs, lhs, rhs, lhs / rhs)
 
 
@@ -993,10 +1093,10 @@ def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
             lambda x, row: {**_xp_witness(x[0], row.k, p), "sign_seed": x[1]})
 
 
-def _xp_row(witness: dict, seed: int | None, named: str | None) -> Row:
+def _xp_row(witness: dict, seed: int | None, extra: dict) -> Row:
     report = xp_linear_ratio([_matrix_from_json(x) for x in witness["matrices"]],
                              witness["p"], witness["k"], seed=witness.get("sign_seed", seed))
-    _same_route(named, report.extra["route"])
+    _same_route(extra.get("route"), report.extra["route"])
     return _report_row(report)
 
 
@@ -1079,13 +1179,15 @@ def _free_row(f: GroupAlgebraElement) -> Row:
 #: every scan experiment by name; the records reach the public single-run
 #: functions through module globals at call time, so module wrappers see them
 EXPERIMENTS: dict[str, Experiment] = {
-    "naor": Experiment(_naor, lambda w, seed, route: _naor_row(w, route), _max_ratio_by_p),
+    "naor": Experiment(_naor, lambda w, seed, extra: _naor_row(w, extra), _max_ratio_by_p,
+                       batched=True),
     "xp_linear": Experiment(_xp_linear, _xp_row),
-    "rosenthal": Experiment(_rosenthal, lambda w, seed, route: _rosenthal_rows(
-        [complex(z["re"], z["im"]) for z in w["coeffs"]], w["p"], [w["k"]], route)[0]),
-    "riesz_equivalence": Experiment(_riesz, lambda w, seed, route: _riesz_row(
+    "rosenthal": Experiment(_rosenthal, lambda w, seed, extra: _rosenthal_rows(
+        [complex(z["re"], z["im"]) for z in w["coeffs"]], w["p"], [w["k"]],
+        extra.get("route"))[0]),
+    "riesz_equivalence": Experiment(_riesz, lambda w, seed, extra: _riesz_row(
         *_load_element(w), w["p"])),
-    "free_identities": Experiment(_free_identities, lambda w, seed, route: _free_row(
+    "free_identities": Experiment(_free_identities, lambda w, seed, extra: _free_row(
         GroupAlgebraElement.from_json(w["f"]))),
 }
 
@@ -1110,11 +1212,11 @@ def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 10
     start = time.perf_counter()
     sample, evaluate, witness = record.bind(params, ensemble, seed)
     rng = np.random.default_rng(seed)
+    draws = (sample(rng) for _ in range(trials))
     rows: list[Row] = []
     best = winner = None
-    for _ in range(trials):
-        x = sample(rng)
-        for row in evaluate(x):
+    for x, candidates in evaluate(draws) if record.batched else ((x, evaluate(x)) for x in draws):
+        for row in candidates:
             rows.append(row)
             if best is None or row.score - best.score > SCORE_TIE_RTOL * abs(best.score):
                 best, winner = row, x
@@ -1130,10 +1232,10 @@ def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 10
 
 def reevaluate_witness(report: RatioReport | dict) -> dict:
     """Recompute (lhs, rhs, ratio) from a report's stored witness, on the route
-    the report names in ``extra["route"]``."""
+    the report names in ``extra["route"]`` (and a naor torus grid, ``extra["grid"]``)."""
     data = report.to_json() if isinstance(report, RatioReport) else report
     if data["witness"] is None:
         raise ValueError("report has no witness")
     row = _experiment(data["experiment"]).from_witness(
-        data["witness"], data.get("seed"), (data.get("extra") or {}).get("route"))
+        data["witness"], data.get("seed"), data.get("extra") or {})
     return {"lhs": row.lhs, "rhs": row.rhs, "ratio": row.ratio}

@@ -74,6 +74,15 @@ class TestVerify:
         assert run(["verify", "naor", "--n", "3", "--p", "0.5", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_huge_even_p_on_a_torus_exit_code(self, tmp_path):
+        """One key at p = 2e12 is held off key pairs by the tuple-step cap, and the
+        torus grid of p*B + 1 points per axis is refused before it is built."""
+        out = tmp_path / "r.json"
+        assert run(["verify", "torus", "--n", "1", "--bound", "1", "--p", "2e12",
+                    "--derivative", "absorbent", "--ensemble", "sparse", "--sparsity", "1",
+                    "--trials", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_oversized_lattice_exit_code(self, tmp_path):
         """A hypercube n = 22 lattice at p = 4 is refused before the first sample."""
         out = tmp_path / "r.json"
@@ -555,9 +564,28 @@ class TestWitnessRoundTrip:
 
 
 class TestScanSuite:
-    def test_fast_battery_passes_and_writes(self, tmp_path):
-        out = tmp_path / "suite.json"
-        assert run(["scan-suite", "--fast", "--out", str(out)]) == 0
-        payload = load(out)
+    @pytest.fixture(scope="class")
+    def fast_battery(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("suite") / "suite.json"
+        return run(["scan-suite", "--fast", "--out", str(out)]), load(out)
+
+    def test_fast_battery_passes_and_writes(self, fast_battery):
+        code, payload = fast_battery
+        assert code == 0
         assert len(payload["criteria"]) == 10
         assert all(entry["passed"] for entry in payload["criteria"])
+
+    def test_boundedness_scans_report_every_series(self, fast_battery):
+        """Criterion 7 writes one row per scan: 6 hypercube, 4 cyclic, 2 torus."""
+        criterion = next(entry for entry in fast_battery[1]["criteria"] if entry["id"] == 7)
+        series = criterion["series"]
+        cubes = [("hypercube", n, derivative)
+                 for n in (4, 7, 10) for derivative in ("walsh", "absorbent")]
+        assert [(row["family"], row["n"], row["derivative"]) for row in series] == cubes + [
+            ("cyclic", n, "absorbent") for n in (2, 4, 2, 4)] + [
+            ("torus", n, "euclidean") for n in (1, 2)]
+        for row in series:
+            assert set(row) == {"family", "n", "derivative", "trials", "max_ratio", "p4_max",
+                                "runtime_ms"}
+            assert row["trials"] == 20 and 0 < row["p4_max"] <= row["max_ratio"]
+            assert 0 < row["runtime_ms"] <= criterion["runtime_ms"]

@@ -1,9 +1,12 @@
 """Experiment harness: inequality sides, exact closures, scans, witnesses."""
 
+import dataclasses
 import itertools
 import json
 import math
+import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -282,7 +285,7 @@ class TestPlan:
                             np.random.default_rng(n))
         ps = [2, 4, 6]
         grid = {p: terms for p, *terms in harness._grid_terms(
-            f8, small_cocycle, ps, tuple(range(1, 9)), derivative)}
+            f8, small_cocycle, ps, tuple(range(1, 9)), derivative, small.moduli)}
         group, cocycle = hypercube_pair(n)
         f = GroupAlgebraElement(group, {key + (0,) * (n - 8): c for key, c in f8.coeffs.items()})
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
@@ -394,6 +397,60 @@ class TestPlan:
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", harness._pair_route_bytes(5, 2, 0) - 1)
         with pytest.raises(ValueError, match="key tuples.*LATTICE_MAX_BYTES"):
             reevaluate_witness(report)
+
+    @pytest.mark.parametrize("p", [2e5, 2e12])
+    def test_one_key_at_a_huge_p_takes_the_grid(self, p):
+        """One key's q-tuples never grow, so only the cap of SIGN_ENUMERATION_CAP tuple
+        steps keeps it off key pairs; the grid of Z_2^3 does not grow with p.  A
+        unit-modulus coefficient keeps |f|^p at 1, with no overflow."""
+        group, cocycle = hypercube_pair(3)
+        f = GroupAlgebraElement(group, {(1, 0, 1): complex(0.6, 0.8)})
+        assert harness._plan(group, cocycle, 1, [p], "absorbent").route == "grid"
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            route, profile = harness._naor_sides(f, cocycle, [p], [1, 2, 3], "absorbent")
+        assert time.perf_counter() - start < 0.5
+        assert route == "grid"
+        assert [profile[p][k][0] for k in (1, 2, 3)] == pytest.approx([0, 1 / 3, 1])
+        with pytest.raises(ValueError, match="cannot take the 'pairs' route"):
+            harness._naor_sides(f, cocycle, [p], [1], "absorbent", "pairs")
+
+    def test_tuple_steps_stop_at_the_sign_cap(self):
+        group, cocycle = hypercube_pair(3)
+        cap = harness.SIGN_ENUMERATION_CAP
+        assert harness._plan(group, cocycle, 1, [2 * cap], "walsh").route == "pairs"
+        assert harness._plan(group, cocycle, 1, [2, 2 * cap + 2], "walsh").route == "grid"
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_torus_witness_reevaluates_on_the_grid_its_report_names(self, seed):
+        """ps [2, 3, 6] put 4(2B + 1) = 20 points on each axis of a bound-2 torus; the
+        witness's p alone would take 13 at p = 6, and the report names the 20."""
+        report = scan("naor", EnsembleSpec("gaussian"), trials=3, seed=seed, family="torus",
+                      n=2, bound=2, ps=[2, 3, 6], ks=[1, 2], derivative="absorbent").to_json()
+        assert report["extra"]["route"] == "grid" and report["extra"]["grid"] == 20
+        assert reevaluate_witness(report) == {key: report[key] for key in ("lhs", "rhs", "ratio")}
+
+    def test_named_grid_refused_when_it_cannot_run(self, monkeypatch):
+        report = scan("naor", EnsembleSpec("gaussian"), trials=1, seed=1, family="torus", n=2,
+                      bound=2, ps=[6], ks=[1], derivative="absorbent").to_json()
+        assert report["extra"] == {"route": "grid", "grid": 13,
+                                   "max_ratio_by_p": report["extra"]["max_ratio_by_p"]}
+        for grid, route in ((12, "grid"), (13.0, "grid"), (13, "pairs"), (13, None)):
+            bad = json.loads(json.dumps(report))
+            bad["extra"]["grid"], bad["extra"]["route"] = grid, route
+            with pytest.raises(ValueError, match="cannot take"):
+                reevaluate_witness(bad)
+        report["extra"]["grid"] = 40
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 41 ** 2 - 1)
+        with pytest.raises(ValueError, match="grid tensors.*LATTICE_MAX_BYTES"):
+            reevaluate_witness(report)
+        hypercube = scan("naor", EnsembleSpec("gaussian"), trials=1, seed=1, family="hypercube",
+                         n=3, ps=[3], ks=[1]).to_json()
+        assert "grid" not in hypercube["extra"]
+        hypercube["extra"]["grid"] = 2
+        with pytest.raises(ValueError, match="cannot take a grid"):
+            reevaluate_witness(hypercube)
 
     def test_draws_and_checks_read_no_key_table(self, monkeypatch):
         monkeypatch.setattr(harness, "_mean_zero_keys", _no_fft)
@@ -549,8 +606,9 @@ def test_key_pairs_match_the_grid(case, n, derivative, sparsity, seed):
     f = sample_element(group, cocycle, EnsembleSpec("sparse", sparsity=sparsity), rng)
     m = group.n_components
     ks, ps = tuple(range(1, m + 1)), [2, 4, 6]
-    grid = {p: terms for p, *terms in harness._grid_terms(f, cocycle, ps, ks, derivative)}
-    pairs = {p: terms for p, *terms in harness._pair_terms(f, ps, ks, derivative)}
+    grid = {p: terms for p, *terms in harness._grid_terms(f, cocycle, ps, ks, derivative,
+                                                          harness._grid_shape(group, ps))}
+    pairs = {p: terms for p, *terms in harness._pair_terms([f], ps, ks, derivative)[0]}
     for p in ps:
         (grid_lhs, grid_deriv, grid_norm), (lhs, deriv, norm) = grid[p], pairs[p]
         for k in ks:
@@ -1253,6 +1311,139 @@ class TestScan:
             report = naor_ratio(f, cocycle, 4, 2, "gradient")
             curves[tuple(weights)] = report.ratio
         assert all(np.isfinite(v) for v in curves.values())
+
+
+def _traced_scan(monkeypatch, spec, trials, seed, **params):
+    """A naor scan with every row it ranked, in ranking order."""
+    ranked = []
+    record = harness.EXPERIMENTS["naor"]
+    monkeypatch.setitem(harness.EXPERIMENTS, "naor", dataclasses.replace(
+        record, summary=lambda rows: ranked.extend(rows) or record.summary(rows)))
+    return scan("naor", spec, trials=trials, seed=seed, **params), ranked
+
+
+def _same_numbers(report):
+    return reevaluate_witness(report) == {key: getattr(report, key)
+                                          for key in ("lhs", "rhs", "ratio")}
+
+
+#: relative gap, on the scale of the rhs, allowed between a batched scan row and
+#: ``naor_profile`` of the same draw
+BATCH_RTOL = 1e-14
+
+
+class TestBatchedScans:
+    """naor scans evaluate consecutive key-pair draws as one batch."""
+
+    @pytest.mark.parametrize("ps", [[2, 4], [2, 4, 6]])
+    @pytest.mark.parametrize("family, n, modulus, derivative", [
+        ("hypercube", 4, 2, "walsh"), ("hypercube", 4, 2, "absorbent"),
+        ("hypercube", 7, 2, "walsh"), ("hypercube", 7, 2, "absorbent"),
+        ("hypercube", 10, 2, "walsh"), ("hypercube", 10, 2, "absorbent"),
+        ("cyclic", 4, 4, "absorbent"), ("cyclic", 4, 6, "absorbent")])
+    def test_rows_match_per_trial_profiles(self, monkeypatch, family, n, modulus, derivative, ps):
+        """Trial t's rows are naor_profile of the t-th sample_element draw from
+        default_rng(seed), and the witness re-evaluates to the same bits."""
+        spec, ks, trials = EnsembleSpec("sparse", sparsity=6), list(range(1, n + 1)), 7
+        report, ranked = _traced_scan(monkeypatch, spec, trials, n, family=family, n=n,
+                                      modulus=modulus, ps=ps, ks=ks, derivative=derivative)
+        group = GroupDescriptor.finite_abelian([modulus] * n)
+        cocycle = build_cocycle("cyclic_word", group)
+        rng = np.random.default_rng(n)
+        expected = [(p, k, *naor_profile(f, cocycle, ps, ks, derivative)[p][k])
+                    for f in (sample_element(group, cocycle, spec, rng) for _ in range(trials))
+                    for p in ps for k in ks]
+        assert [(row.p, row.k) for row in ranked] == [row[:2] for row in expected]
+        for row, (_, _, lhs, rhs) in zip(ranked, expected):
+            assert abs(row.lhs - lhs) <= BATCH_RTOL * rhs
+            assert abs(row.rhs - rhs) <= BATCH_RTOL * rhs
+        assert _same_numbers(report)
+
+    @pytest.mark.parametrize("spec", [EnsembleSpec("sparse", sparsity=6), EnsembleSpec("gaussian")],
+                             ids=["sparse", "gaussian"])
+    @pytest.mark.parametrize("params", [
+        dict(family="hypercube", n=7, derivative="walsh"),
+        dict(family="hypercube", n=10, derivative="absorbent"),
+        dict(family="cyclic", modulus=4, n=4), dict(family="cyclic", modulus=6, n=3),
+        dict(family="torus", n=2, bound=2, derivative="absorbent")],
+        ids=["cube7", "cube10", "z4^4", "z6^3", "torus"])
+    def test_every_witness_reevaluates_exactly(self, spec, params):
+        for seed, ps in itertools.product(range(3), ([2, 4], [2, 4, 6])):
+            assert _same_numbers(scan("naor", spec, trials=4, seed=seed, ps=ps, ks=[1, 2],
+                                      **params))
+
+    def test_draws_are_unchanged(self, monkeypatch):
+        """The scan draws trial t as the t-th sample_element call on default_rng(seed)."""
+        drawn = []
+        real_sample = harness.sample_element
+        monkeypatch.setattr(harness, "sample_element",
+                            lambda *args: drawn.append(real_sample(*args)) or drawn[-1])
+        spec = EnsembleSpec("sparse", sparsity=6)
+        report = scan("naor", spec, trials=9, seed=3, family="hypercube", n=7, ps=[2, 4],
+                      ks=[1, 2], derivative="walsh")
+        group, cocycle = hypercube_pair(7)
+        rng = np.random.default_rng(3)
+        replayed = [real_sample(group, cocycle, spec, rng).to_json() for _ in range(9)]
+        assert [f.to_json() for f in drawn] == replayed
+        assert report.witness["f"] in replayed
+
+    def test_split_batches_give_the_same_report(self, monkeypatch):
+        """One join per p serves a short scan; a budget of two trials' planned bytes
+        splits it into batches of 2, 2, 2, 2 and 1, and a cap of 4 draws into 4, 4 and
+        1, each with a byte-identical report."""
+        joins = []
+        real_pairs = harness._key_pairs
+        monkeypatch.setattr(harness, "_key_pairs",
+                            lambda *args: joins.append(len(args[0])) or real_pairs(*args))
+
+        def report():
+            data = scan("naor", EnsembleSpec("sparse", sparsity=6), trials=9, seed=4,
+                        family="hypercube", n=7, ps=[2, 4], ks=list(range(1, 8)),
+                        derivative="absorbent").to_json()
+            data.pop("runtime_ms")
+            return json.dumps(data, sort_keys=True)
+
+        whole = report()
+        assert joins == [9, 9]
+        joins.clear()
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 2 * harness._pair_route_bytes(7, 36, 216))
+        assert report() == whole
+        assert joins == [2, 2] * 4 + [1, 1]
+        joins.clear()
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", LATTICE_MAX_BYTES)
+        monkeypatch.setattr(harness, "SCAN_BATCH_DRAWS", 4)
+        assert report() == whole
+        assert joins == [4, 4, 4, 4, 1, 1]
+
+    def test_mixed_routes_keep_the_first_maximum(self, monkeypatch):
+        """Draws of 2, 6 and 3 keys in turn on a hypercube n = 4: the 6-key draws plan the
+        grid, the others key pairs in batches that mix key counts.  The report is the
+        first maximum of the rows in trial order, as per-trial profiles rank them."""
+        sizes = itertools.cycle([2, 6, 3])
+        real_sample = harness.sample_element
+        monkeypatch.setattr(harness, "sample_element", lambda group, cocycle, spec, rng:
+                            real_sample(group, cocycle, EnsembleSpec("sparse", sparsity=next(sizes)),
+                                        rng))
+        ps, ks = [2, 4], [1, 2, 3, 4]
+        report = scan("naor", EnsembleSpec("sparse", sparsity=6), trials=12, seed=8,
+                      family="hypercube", n=4, ps=ps, ks=ks, derivative="walsh")
+        group, cocycle = hypercube_pair(4)
+        rng = np.random.default_rng(8)
+        best = winner = None
+        routes = set()
+        for trial in range(12):
+            f = real_sample(group, cocycle, EnsembleSpec("sparse", sparsity=(2, 6, 3)[trial % 3]),
+                            rng)
+            route, profile = harness._naor_sides(f, cocycle, ps, ks, "walsh")
+            routes.add((len(f.coeffs), route))
+            for p, k in itertools.product(ps, ks):
+                ratio = profile[p][k][0] / profile[p][k][1]
+                if best is None or ratio - best > harness.SCORE_TIE_RTOL * abs(best):
+                    best, winner = ratio, (f.to_json(), p, k)
+        assert routes == {(2, "pairs"), (6, "grid"), (3, "pairs")}
+        assert report.ratio == best
+        assert (report.witness["f"], report.witness["p"], report.witness["k"]) == winner
+        assert _same_numbers(report)
 
 
 class TestFamilyRecords:
