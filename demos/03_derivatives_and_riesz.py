@@ -64,7 +64,7 @@ print("R_u E_S = 0 when the direction leaves S:", not left.coeffs)
 # -- the dimension-free equivalence at p = 2 ------------------------------------------
 
 for p in (2, 4, 6):
-    ratio = riesz_equivalence_ratio(f4, p, cyc)["ratio"]
+    ratio = riesz_equivalence_ratio(f4, p, cyc).ratio
     print(f"norm / (Riesz square function / 2 pi) at p={p}: {ratio:.6f}")
 
 # -- absorbent derivatives -------------------------------------------------------------

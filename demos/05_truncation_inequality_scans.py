@@ -60,7 +60,7 @@ xp = xp_linear_ratio(mats, p=4, k=3)
 print(f"matrix model n=6, k=3, p=4: ratio {xp.ratio:.4f}")
 
 scalar = rosenthal_linear_ratio([1, 0, 0, 0], p=4, k=2)
-print(f"scalar model, basis vector: lhs^p = {scalar['lhs'] ** 4:.6f} (= k/n = 0.5)")
+print(f"scalar model, basis vector: lhs^p = {scalar.lhs ** 4:.6f} (= k/n = 0.5)")
 
 moments = moment_checks(4, 2, 4)
 print("sign-subset moments:", moments["sigma_moment"], moments["square_moment"],

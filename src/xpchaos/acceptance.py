@@ -302,9 +302,9 @@ def criterion_p2_closures() -> dict:
     cocycle = build_cocycle("cyclic_word", group)
     for trial in range(25):
         f = sample_element(group, cocycle, EnsembleSpec("gaussian"), rng)
-        result = riesz_equivalence_ratio(f, 2, cocycle)
-        if abs(result["ratio"] - 1) > 1e-9:
-            failures.append(f"riesz p2 trial={trial} ratio={result['ratio']}")
+        ratio = riesz_equivalence_ratio(f, 2, cocycle).ratio
+        if abs(ratio - 1) > 1e-9:
+            failures.append(f"riesz p2 trial={trial} ratio={ratio}")
     return {"id": 5, "name": "Exact p=2 closures (matrix model, hypergeometric, Riesz)",
             "passed": not failures, "details": failures[:5] or "all closures hold"}
 
@@ -426,7 +426,7 @@ def criterion_linear_model_consistency() -> dict:
             for k in range(1, n + 1):
                 signs = harness._rosenthal_sign_mean(coeffs, p, k)
                 gap = max(abs(profile[p][k][0] - signs),
-                          abs(rosenthal_linear_ratio(coeffs, p, k)["lhs"] ** p - signs))
+                          abs(rosenthal_linear_ratio(coeffs, p, k).lhs ** p - signs))
                 if gap > 1e-10:
                     failures.append(f"trial={trial} p={p} k={k} gap={gap:.2e}")
     return {"id": 9, "name": "Linear span and scalar model pairs match the sign enumeration "

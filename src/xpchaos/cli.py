@@ -116,14 +116,22 @@ VERIFY_VERBS = {
 #: params read from an option of another name
 _PARAM_OPTIONS = {"rank": "n", "ks": "k", "ps": "p"}
 
+#: options that set a param of the experiment, as against the scan's own options
+_PARAM_FLAGS = ("n", "k", "p", "d", "modulus", "bound", "family", "weights", "derivative")
+
 
 def _experiment_params(verb: str, opts: dict) -> tuple[str, dict]:
     """Translate a verify verb and its options into a harness scan call.
 
-    An option that contradicts a param the verb fixes is refused; weights left
-    out are not passed, so a family that takes weights gets unit weights.
+    An option that contradicts a param the verb fixes, or that sets a param the
+    verb does not read, is refused; weights left out are not passed, so a family
+    that takes weights gets unit weights.
     """
     experiment, fixed, defaults = VERIFY_VERBS[verb]
+    read = {*fixed, *(_PARAM_OPTIONS.get(key, key) for key in defaults)}
+    for key in _PARAM_FLAGS:
+        if key in opts and key not in read:
+            raise ValueError(f"verify {verb} does not read --{key}")
     for key, value in fixed.items():
         if opts.get(key, value) != value:
             raise ValueError(f"verify {verb} runs the {key} {value!r}; "
@@ -145,9 +153,8 @@ def _experiment_params(verb: str, opts: dict) -> tuple[str, dict]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    opts = _resolve(args, config, ["n", "k", "p", "d", "modulus", "bound",
-                                   "family", "weights", "derivative", "trials", "seed",
-                                   "ensemble", "sparsity", "degree"])
+    opts = _resolve(args, config, [*_PARAM_FLAGS, "trials", "seed", "ensemble", "sparsity",
+                                   "degree"])
     if isinstance(opts.get("weights"), str):
         opts["weights"] = _parse_floats(opts["weights"])
     experiment, params = _experiment_params(args.experiment, opts)

@@ -120,6 +120,15 @@ class RatioReport:
         return {item.name: getattr(self, item.name) for item in fields(self)}
 
 
+def _report(experiment: str, params: dict, row: Row, start: float, witness: dict,
+            trials: int = 1, seed: int | None = None) -> RatioReport:
+    """The report of ``row``, a single run's outcome or a scan's winning row with the
+    scan's summary, timed from ``start``."""
+    return RatioReport(experiment, params, float(row.lhs), float(row.rhs), float(row.ratio),
+                       float(row.ratio), witness, trials, seed,
+                       1e3 * (time.perf_counter() - start), row.monte_carlo, dict(row.extra))
+
+
 # -- balanced truncation averages -------------------------------------------
 
 
@@ -263,9 +272,12 @@ def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[flo
 
 
 def _derivative_factor(derivative: str, p: float) -> float:
-    """What multiplies sum_j ||P_j f||_p^p (or a multiplier stack's sum): 2^p for walsh,
-    2 for absorbent (f and f* alike), 1 for a multiplier derivative."""
-    return 2.0 ** p if derivative == "walsh" else 2.0 if derivative == "absorbent" else 1.0
+    """What multiplies sum_j ||P_j f||_p^p (or a multiplier stack's sum): 2^p for walsh
+    (inf past the float range, which the rows refuse), 2 for absorbent (f and f* alike),
+    1 for a multiplier derivative."""
+    if derivative == "walsh":
+        return 2.0 ** p if p < 1024 else math.inf
+    return 2.0 if derivative == "absorbent" else 1.0
 
 
 #: number of set bits of every byte, for key supports packed 8 coordinates a byte
@@ -501,36 +513,48 @@ def _naor_inputs(group: GroupDescriptor, ps: Sequence[float], derivative: str) -
     return [_finite(p, 1) for p in ps]
 
 
-def _naor_profiles(fs: Sequence[GroupAlgebraElement], plans: Sequence[Plan],
-                   cocycle: LengthCocycle, ps: Sequence[float], ks: Sequence[int],
-                   derivative: str) -> list[dict[float, dict[int, tuple[float, float]]]]:
-    """The profile of each element of a batch, on its plan's route: the elements on
-    key pairs share ``_pair_terms``, those on the grid run one at a time."""
-    n = fs[0].group.n_components
+def _naor_rows(fs: Sequence[GroupAlgebraElement], plans: Sequence[Plan],
+               cocycle: LengthCocycle, ps: Sequence[float], ks: Sequence[int],
+               derivative: str):
+    """Each element of a batch with its rows, by p and then k as listed, on its plan's
+    route: the elements on key pairs share ``_pair_terms``, those on the grid run one
+    at a time.  A torus row on the grid names its points per axis.  A p whose sides
+    leave the float range (a huge p overflows or underflows |.|^p) is refused, in one
+    check per (element, p)."""
+    group = fs[0].group
+    n = group.n_components
     ks_sorted = tuple(sorted(set(ks)))
     paired = [i for i, plan in enumerate(plans) if plan.route == "pairs"]
     terms = {}
     if paired:
         terms = dict(zip(paired, _pair_terms([fs[i] for i in paired], ps, ks_sorted, derivative)))
-    profiles = []
     for i, (f, plan) in enumerate(zip(fs, plans)):
-        rows = terms[i] if i in terms else _grid_terms(f, cocycle, ps, ks_sorted, derivative,
-                                                       plan.grid)
-        profiles.append({p: {k: (lhs[k], (k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm)
-                             for k in ks} for p, lhs, deriv_sum, full_norm in rows})
-    return profiles
+        extra = {"route": plan.route}
+        if plan.route == "grid" and group.kind == TORUS:
+            extra["grid"] = plan.grid[0]
+        rows = []
+        for p, by_k, deriv_sum, full_norm in terms[i] if i in terms else _grid_terms(
+                f, cocycle, ps, ks_sorted, derivative, plan.grid):
+            lhs = [by_k[k] for k in ks]
+            rhs = [(k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm for k in ks]
+            if not (min(rhs) > 0 and math.isfinite(sum(lhs) + sum(rhs))):
+                raise ValueError(f"at p = {p} the sides leave the float range "
+                                 f"(an rhs of 0 or a side not finite)")
+            rows += [Row(a / b, a, b, a / b, p=p, k=k, extra=extra)
+                     for k, a, b in zip(ks, lhs, rhs)]
+        yield f, rows
 
 
-def _naor_sides(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
-                ks: Sequence[int], derivative: str, route: str | None = None,
-                side: int | None = None):
-    """(route, profile) of ``naor_profile``, as a batch of one, on ``route`` and the
-    torus grid ``side`` when a witness names them."""
+def _naor_one(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
+              ks: Sequence[int], derivative: str, route: str | None = None,
+              side: int | None = None) -> list[Row]:
+    """The rows of one element, as a batch of one, on ``route`` and the torus grid
+    ``side`` when a witness names them."""
     ps = _naor_inputs(f.group, ps, derivative)
     plan = _plan(f.group, cocycle, len(f.coeffs), ps, derivative, route, side)
     _require_mean_zero(f)
     _check_ks(ks, f.group.n_components)
-    return plan.route, _naor_profiles([f], [plan], cocycle, ps, ks, derivative)[0]
+    return next(_naor_rows([f], [plan], cocycle, ps, ks, derivative))[1]
 
 
 def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
@@ -544,23 +568,21 @@ def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
     ``_pair_terms`` or one batched dual evaluation (``_grid_terms``), as
     ``_plan`` picks; free kinds are refused.
     """
-    return _naor_sides(f, cocycle, ps, ks, derivative)[1]
+    profile: dict = {}
+    for row in _naor_one(f, cocycle, ps, ks, derivative):
+        profile.setdefault(row.p, {})[row.k] = (row.lhs, row.rhs)
+    return profile
 
 
 def naor_ratio(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float, k: int,
                derivative: str = "absorbent") -> RatioReport:
     """One balanced truncation-average experiment at a single (p, k)."""
     start = time.perf_counter()
-    route, profile = _naor_sides(f, cocycle, [p], [k], derivative)
-    lhs, rhs = profile[p][k]
+    (row,) = _naor_one(f, cocycle, [p], [k], derivative)
     params = {"experiment_family": cocycle.family, "n": f.group.n_components,
               "p": p, "k": k, "derivative": derivative}
-    ratio = lhs / rhs
-    return RatioReport("naor", params, lhs, rhs, ratio, ratio,
-                       _element_witness(f, cocycle, k=k, p=p, derivative=derivative),
-                       trials=1, seed=None,
-                       runtime_ms=1e3 * (time.perf_counter() - start),
-                       extra={"route": route})
+    return _report("naor", params, row, start,
+                   _element_witness(f, cocycle, k=k, p=p, derivative=derivative))
 
 
 def _element_witness(f: GroupAlgebraElement, cocycle: LengthCocycle, **fields) -> dict:
@@ -702,6 +724,17 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
             for k in ks}
 
 
+def _xp_rows(mats: Sequence[np.ndarray], p: float, ks: Sequence[int], seed: int | None,
+             named: str | None = None) -> list[Row]:
+    """The rows of ``xp_linear_profile``, one per k, each naming the route; refused
+    when a witness names another route than the input takes."""
+    extra = {"route": _xp_route(len(mats), p)}
+    _same_route(named, extra["route"])
+    profile = xp_linear_profile(mats, p, ks, seed)
+    return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=mc, extra=extra)
+            for k in ks for lhs, rhs, mc in [profile[k]]]
+
+
 def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
                     seed: int | None = None) -> RatioReport:
     """The balanced sign-average inequality for matrix tuples at one k.
@@ -715,14 +748,10 @@ def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
     if seed is None and len(mats) > SIGN_ENUMERATION_CAP:
         # a concrete seed in the report lets its witness re-evaluate exactly
         seed = int(np.random.SeedSequence().generate_state(1)[0])
-    lhs, rhs, monte_carlo = xp_linear_profile(mats, p, [k], seed)[k]
-    ratio = lhs / rhs
+    (row,) = _xp_rows(mats, p, [k], seed)
     params = {"n": mats.shape[0], "d": mats.shape[1], "p": p, "k": k,
               "trace_convention": "unnormalized"}
-    return RatioReport("xp_linear", params, lhs, rhs, ratio, ratio,
-                       _xp_witness(mats, k, p), trials=1, seed=seed,
-                       runtime_ms=1e3 * (time.perf_counter() - start),
-                       monte_carlo=monte_carlo, extra={"route": _xp_route(len(mats), p)})
+    return _report("xp_linear", params, row, start, _xp_witness(mats, k, p), seed=seed)
 
 
 def _xp_witness(mats: Sequence[np.ndarray], k: int, p: float) -> dict:
@@ -762,10 +791,11 @@ def _rosenthal_sign_mean(coeffs: np.ndarray, p: float, k: int) -> float:
     return sum(np.concatenate(means).tolist()) / math.comb(len(coeffs), k)  # in subset order
 
 
-def _rosenthal_sides(a: Sequence[complex], p: float, ks: Sequence[int],
-                     named: str | None = None) -> tuple[str, dict[int, dict]]:
-    """(route, result of ``rosenthal_linear_ratio`` by k), refused when a witness
-    names another route.  On key pairs one ``_key_pairs`` call gives every k."""
+def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int],
+                    named: str | None = None) -> list[Row]:
+    """The rows of the two-sided scalar model, one per k, scored by the larger of
+    lhs/rhs and rhs/lhs; refused when a witness names another route than the input
+    takes.  On key pairs one ``_key_pairs`` call gives every k."""
     _finite(p)
     coeffs = np.array([complex(x) for x in a])
     n = len(coeffs)
@@ -780,22 +810,34 @@ def _rosenthal_sides(a: Sequence[complex], p: float, ks: Sequence[int],
         by_union = _key_pairs(np.eye(n, dtype=np.int64)[None], coeffs[None], np.full(n, 2), p)[0]
         means = _subset_means(by_union[0], min(n, int(p) // 2))
     power_sum, square_sum = np.sum(np.abs(coeffs) ** p), float(np.sum(np.abs(coeffs) ** 2))
-    out = {}
+    rows = []
     for k in ks:
         mean = float(means[k - 1]) if route == "pairs" else _rosenthal_sign_mean(coeffs, p, k)
         lhs = mean ** (1.0 / p)
         kn = k / n
         rhs = (kn * power_sum) ** (1.0 / p) + math.sqrt(kn * square_sum)
-        out[k] = {"lhs": float(lhs), "rhs": float(rhs),
-                  "lhs_over_rhs": float(lhs / rhs), "rhs_over_lhs": float(rhs / lhs)}
-    return route, out
+        lhs_over_rhs, rhs_over_lhs = float(lhs / rhs), float(rhs / lhs)
+        spread = max(lhs_over_rhs, rhs_over_lhs)
+        rows.append(Row(spread, float(lhs), float(rhs), lhs_over_rhs, k=k,
+                        extra={"lhs_over_rhs": lhs_over_rhs, "rhs_over_lhs": rhs_over_lhs,
+                               "two_sided_spread": spread, "route": route}))
+    return rows
 
 
-def rosenthal_linear_ratio(a: Sequence[complex], p: float, k: int) -> dict:
+def _coeffs_witness(coeffs: Sequence[complex], k: int, p: float) -> dict:
+    return {"coeffs": [{"re": z.real, "im": z.imag} for z in coeffs], "k": k, "p": p}
+
+
+def rosenthal_linear_ratio(a: Sequence[complex], p: float, k: int) -> RatioReport:
     """Two-sided scalar model at one k.  The exact lhs comes from the unit keys'
     pairs at an even p (``_rosenthal_route``), with no cap on k, and otherwise by
-    exhaustive (eps, S) enumeration for k <= 14."""
-    return _rosenthal_sides(a, p, [k])[1][k]
+    exhaustive (eps, S) enumeration for k <= 14.  The ratio is lhs/rhs; ``extra``
+    holds it with rhs/lhs, the larger of the two and the route."""
+    start = time.perf_counter()
+    coeffs = [complex(x) for x in a]
+    (row,) = _rosenthal_rows(coeffs, p, [k])
+    return _report("rosenthal", {"n": len(coeffs), "p": p, "k": k}, row, start,
+                   _coeffs_witness(coeffs, k, p))
 
 
 def moment_checks(n: int, k: int, p: float) -> dict:
@@ -818,9 +860,9 @@ def moment_checks(n: int, k: int, p: float) -> dict:
 # -- Riesz transform norm equivalence ----------------------------------------
 
 
-def riesz_equivalence_ratio(f: GroupAlgebraElement, p: float,
-                            cocycle: LengthCocycle) -> dict:
-    """||f||_p against the Riesz square function, normalized by 2*pi.
+def _riesz_rows(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float) -> list[Row]:
+    """The one row of ``riesz_equivalence_ratio``, scored by the larger of the ratio
+    and its inverse.
 
     f and every R_u f and R_u f* (the column and row square functions) come from
     one batched dual evaluation on the grid of ``_grid_shape``.  The symbol
@@ -833,7 +875,20 @@ def riesz_equivalence_ratio(f: GroupAlgebraElement, p: float,
     sides = [float(np.mean(sum(squares[side::2]) ** (p / 2))) ** (1 / p) for side in (0, 1)]
     lhs = float(np.mean(_abs_power(values, p))) ** (1 / p)
     rhs = max(sides) / (2 * math.pi)
-    return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "inverse_ratio": rhs / lhs}
+    ratio, inverse = lhs / rhs, rhs / lhs
+    spread = max(ratio, inverse)
+    return [Row(spread, lhs, rhs, ratio,
+                extra={"inverse_ratio": inverse, "two_sided_spread": spread})]
+
+
+def riesz_equivalence_ratio(f: GroupAlgebraElement, p: float,
+                            cocycle: LengthCocycle) -> RatioReport:
+    """||f||_p against the Riesz square function, normalized by 2*pi.  ``extra``
+    holds the inverse ratio and the larger of the two."""
+    start = time.perf_counter()
+    (row,) = _riesz_rows(f, cocycle, p)
+    params = {"experiment_family": cocycle.family, "n": f.group.n_components, "p": p}
+    return _report("riesz_equivalence", params, row, start, _element_witness(f, cocycle, p=p))
 
 
 # -- random ensembles ---------------------------------------------------------
@@ -958,19 +1013,21 @@ class Experiment:
     """One scan experiment.
 
     ``bind(params, ensemble, seed)`` resolves a scan call into ``sample(rng)``
-    (one input), ``evaluate(x)`` (its candidate rows, in a fixed order) and
-    ``witness(x, row)``.  A ``batched`` record's ``evaluate(draws)`` takes the
-    iterator of the scan's inputs instead and yields each input with its rows, in
-    draw order, so that it can evaluate several inputs at once.
-    ``from_witness(witness, seed, extra)`` recomputes a winner's row on what its
-    report's ``extra`` names (a route, a torus grid; none: the planned one) and
-    ``summary(rows)`` adds report fields that depend on every row.
+    (one input), ``evaluate(draws)``, which yields each input of the iterator
+    ``draws`` with its candidate rows (in a fixed order) and may evaluate several at
+    once, and ``witness(x, row)``.  ``from_witness(witness, seed, extra)`` recomputes
+    a winner's row on what its report's ``extra`` names (a route, a torus grid; none:
+    the planned one).  Both reach the experiment's one rows function, which its
+    single-run function calls too.
     """
 
     bind: Callable[[dict, EnsembleSpec, int], tuple[Callable, Callable, Callable]]
     from_witness: Callable[[dict, int | None, dict], Row]
-    summary: Callable[[list[Row]], dict] = lambda rows: {}
-    batched: bool = False
+
+
+def _each(rows: Callable) -> Callable:
+    """``evaluate`` of an experiment that takes its inputs one at a time."""
+    return lambda draws: ((x, rows(x)) for x in draws)
 
 
 def _p(params: dict, default: float) -> float:
@@ -1010,26 +1067,12 @@ def _load_element(witness: dict) -> tuple[GroupAlgebraElement, LengthCocycle]:
     return f, build_cocycle(witness["family"], f.group, witness.get("weights"))
 
 
-def _report_row(report: RatioReport) -> Row:
-    return Row(report.ratio, report.lhs, report.rhs, report.ratio,
-               monte_carlo=report.monte_carlo)
-
-
 def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, derivative = _naor_family(params)
     ps = _naor_inputs(group, [float(p) for p in params.get("ps", [params.get("p", 4)])],
                       derivative)
     ks = _ks(params)
     _plan(group, cocycle, _most_keys(group, ensemble), ps, derivative)
-
-    def rows(batch: list, plans: list[Plan]):
-        for f, plan, profile in zip(batch, plans,
-                                    _naor_profiles(batch, plans, cocycle, ps, ks, derivative)):
-            extra = {"route": plan.route}
-            if plan.route == "grid" and group.kind == TORUS:
-                extra["grid"] = plan.grid[0]
-            yield f, [Row(lhs / rhs, lhs, rhs, lhs / rhs, p=p, k=k, extra=extra)
-                      for p in ps for k in ks for lhs, rhs in [profile[p][k]]]
 
     def evaluate(draws):
         """Each draw with its rows: a batch is the run of at most SCAN_BATCH_DRAWS draws
@@ -1040,34 +1083,17 @@ def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
             _require_mean_zero(f)
             if batch and (size + plan.nbytes > LATTICE_MAX_BYTES
                           or len(batch) == SCAN_BATCH_DRAWS):
-                yield from rows(batch, plans)
+                yield from _naor_rows(batch, plans, cocycle, ps, ks, derivative)
                 batch, plans, size = [], [], 0
             batch.append(f)
             plans.append(plan)
             size += plan.nbytes
         if batch:
-            yield from rows(batch, plans)
+            yield from _naor_rows(batch, plans, cocycle, ps, ks, derivative)
 
     return (lambda rng: sample_element(group, cocycle, ensemble, rng), evaluate,
             lambda f, row: _element_witness(f, cocycle, k=row.k, p=row.p,
                                             derivative=derivative))
-
-
-def _naor_row(witness: dict, extra: dict) -> Row:
-    """The witness's (p, k) row on the route and torus grid its report names, as
-    ``naor_ratio`` computes it but with no report around it, so the element is not
-    serialized again."""
-    p, k = witness["p"], witness["k"]
-    lhs, rhs = _naor_sides(*_load_element(witness), [p], [k], witness["derivative"],
-                           extra.get("route"), extra.get("grid"))[1][p][k]
-    return Row(lhs / rhs, lhs, rhs, lhs / rhs)
-
-
-def _max_ratio_by_p(rows: list[Row]) -> dict:
-    peaks: dict[float, float] = {}
-    for row in rows:
-        peaks[row.p] = max(peaks.get(row.p, 0.0), row.ratio)
-    return {"max_ratio_by_p": {str(p): v for p, v in peaks.items()}}
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -1077,49 +1103,19 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
     n, d, p, ks = int(params["n"]), int(params.get("d", 4)), _p(params, 4), _ks(params)
-    route = _xp_route(n, p)
     trials = itertools.count()
 
     def sample(rng):
         return [_complex_normal(rng, (d, d)) for _ in range(n)], _trial_seed(seed, next(trials))
 
-    def evaluate(x):
-        mats, sign_seed = x
-        profile = xp_linear_profile(mats, p, ks, sign_seed)
-        return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=mc, extra={"route": route})
-                for k in ks for lhs, rhs, mc in [profile[k]]]
-
-    return (sample, evaluate,
+    return (sample, _each(lambda x: _xp_rows(x[0], p, ks, x[1])),
             lambda x, row: {**_xp_witness(x[0], row.k, p), "sign_seed": x[1]})
-
-
-def _xp_row(witness: dict, seed: int | None, extra: dict) -> Row:
-    report = xp_linear_ratio([_matrix_from_json(x) for x in witness["matrices"]],
-                             witness["p"], witness["k"], seed=witness.get("sign_seed", seed))
-    _same_route(extra.get("route"), report.extra["route"])
-    return _report_row(report)
 
 
 def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
     n, p, ks = int(params["n"]), _p(params, 4), _ks(params)
-    return (lambda rng: _complex_normal(rng, n),
-            lambda coeffs: _rosenthal_rows(coeffs, p, ks),
-            lambda coeffs, row: {"coeffs": [{"re": z.real, "im": z.imag} for z in coeffs],
-                                 "k": row.k, "p": p})
-
-
-def _rosenthal_rows(coeffs: Sequence[complex], p: float, ks: Sequence[int],
-                    named: str | None = None) -> list[Row]:
-    route, results = _rosenthal_sides(coeffs, p, ks, named)
-    rows = []
-    for k in ks:
-        result = results[k]
-        spread = max(result["lhs_over_rhs"], result["rhs_over_lhs"])
-        rows.append(Row(spread, result["lhs"], result["rhs"], result["lhs_over_rhs"], k=k,
-                        extra={"lhs_over_rhs": result["lhs_over_rhs"],
-                               "rhs_over_lhs": result["rhs_over_lhs"],
-                               "two_sided_spread": spread, "route": route}))
-    return rows
+    return (lambda rng: _complex_normal(rng, n), _each(lambda a: _rosenthal_rows(a, p, ks)),
+            lambda a, row: _coeffs_witness(a, row.k, p))
 
 
 def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
@@ -1127,15 +1123,8 @@ def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
     p = _finite(float(params.get("p", 2)), 1)
     _plan(group, cocycle, _most_keys(group, ensemble), [p], "riesz")
     return (lambda rng: sample_element(group, cocycle, ensemble, rng),
-            lambda f: [_riesz_row(f, cocycle, p)],
+            _each(lambda f: _riesz_rows(f, cocycle, p)),
             lambda f, row: _element_witness(f, cocycle, p=p))
-
-
-def _riesz_row(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float) -> Row:
-    result = riesz_equivalence_ratio(f, p, cocycle)
-    spread = max(result["ratio"], result["inverse_ratio"])
-    return Row(spread, result["lhs"], result["rhs"], result["ratio"],
-               extra={"inverse_ratio": result["inverse_ratio"], "two_sided_spread": spread})
 
 
 def free_identity_deviation(f: GroupAlgebraElement) -> float:
@@ -1161,34 +1150,36 @@ def _element_distance(a: GroupAlgebraElement, b: GroupAlgebraElement) -> float:
     return max(abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) for k in keys)
 
 
+def _free_rows(f: GroupAlgebraElement) -> list[Row]:
+    """The one row of a free-identity trial: its deviation over a tolerance of 1e-12."""
+    deviation = free_identity_deviation(f)
+    return [Row(deviation, deviation, 1e-12, deviation / 1e-12)]
+
+
 def _free_identities(params: dict, ensemble: EnsembleSpec, seed: int):
     modulus = params.get("modulus")
     name = "free_product_word" if modulus else "free_word"
     group = COCYCLE_FAMILIES[name].cli_group(int(params.get("rank", 2)), int(modulus or 0), 0)
     cocycle = build_cocycle(name, group)
-    return (lambda rng: sample_element(group, cocycle, ensemble, rng),
-            lambda f: [_free_row(f)],
+    return (lambda rng: sample_element(group, cocycle, ensemble, rng), _each(_free_rows),
             lambda f, row: {"f": f.to_json()})
 
 
-def _free_row(f: GroupAlgebraElement) -> Row:
-    deviation = free_identity_deviation(f)
-    return Row(deviation, deviation, 1e-12, deviation / 1e-12)
-
-
-#: every scan experiment by name; the records reach the public single-run
-#: functions through module globals at call time, so module wrappers see them
+#: every scan experiment by name
 EXPERIMENTS: dict[str, Experiment] = {
-    "naor": Experiment(_naor, lambda w, seed, extra: _naor_row(w, extra), _max_ratio_by_p,
-                       batched=True),
-    "xp_linear": Experiment(_xp_linear, _xp_row),
+    "naor": Experiment(_naor, lambda w, seed, extra: _naor_one(
+        *_load_element(w), [w["p"]], [w["k"]], w["derivative"], extra.get("route"),
+        extra.get("grid"))[0]),
+    "xp_linear": Experiment(_xp_linear, lambda w, seed, extra: _xp_rows(
+        [_matrix_from_json(x) for x in w["matrices"]], w["p"], [w["k"]],
+        w.get("sign_seed", seed), extra.get("route"))[0]),
     "rosenthal": Experiment(_rosenthal, lambda w, seed, extra: _rosenthal_rows(
         [complex(z["re"], z["im"]) for z in w["coeffs"]], w["p"], [w["k"]],
         extra.get("route"))[0]),
-    "riesz_equivalence": Experiment(_riesz, lambda w, seed, extra: _riesz_row(
-        *_load_element(w), w["p"])),
-    "free_identities": Experiment(_free_identities, lambda w, seed, extra: _free_row(
-        GroupAlgebraElement.from_json(w["f"]))),
+    "riesz_equivalence": Experiment(_riesz, lambda w, seed, extra: _riesz_rows(
+        *_load_element(w), w["p"])[0]),
+    "free_identities": Experiment(_free_identities, lambda w, seed, extra: _free_rows(
+        GroupAlgebraElement.from_json(w["f"]))[0]),
 }
 
 
@@ -1204,6 +1195,8 @@ def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 10
 
     The reported row is the first maximum, in trial order and then in the order
     ``evaluate`` lists the rows, of scores equal up to SCORE_TIE_RTOL (relative).
+    Rows are folded as they arrive (the largest ratio at each p of the rows that carry
+    one, and whether any sampled signs), so memory does not grow with ``trials``.
     """
     record = _experiment(experiment)
     if trials < 1:
@@ -1212,22 +1205,20 @@ def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 10
     start = time.perf_counter()
     sample, evaluate, witness = record.bind(params, ensemble, seed)
     rng = np.random.default_rng(seed)
-    draws = (sample(rng) for _ in range(trials))
-    rows: list[Row] = []
     best = winner = None
-    for x, candidates in evaluate(draws) if record.batched else ((x, evaluate(x)) for x in draws):
-        for row in candidates:
-            rows.append(row)
+    peaks: dict[float, float] = {}
+    monte_carlo = False
+    for x, rows in evaluate(sample(rng) for _ in range(trials)):
+        for row in rows:
             if best is None or row.score - best.score > SCORE_TIE_RTOL * abs(best.score):
                 best, winner = row, x
-    report_witness = witness(winner, best)
-    runtime_ms = 1e3 * (time.perf_counter() - start)
-    return RatioReport(
-        experiment=experiment, params={**params, "ensemble": ensemble.to_json()},
-        lhs=float(best.lhs), rhs=float(best.rhs), ratio=float(best.ratio),
-        max_ratio=float(best.ratio), witness=report_witness, trials=trials, seed=seed,
-        runtime_ms=runtime_ms, monte_carlo=any(row.monte_carlo for row in rows),
-        extra={**best.extra, **record.summary(rows)})
+            if row.p is not None:
+                peaks[row.p] = max(peaks.get(row.p, 0.0), row.ratio)
+            monte_carlo = monte_carlo or row.monte_carlo
+    summary = {"max_ratio_by_p": {str(p): v for p, v in peaks.items()}} if peaks else {}
+    return _report(experiment, {**params, "ensemble": ensemble.to_json()},
+                   best._replace(monte_carlo=monte_carlo, extra={**best.extra, **summary}),
+                   start, witness(winner, best), trials, seed)
 
 
 def reevaluate_witness(report: RatioReport | dict) -> dict:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,50 @@ class TestVerify:
         assert run(["verify", "torus", "--n", "1", "--bound", "1", "--p", "2e12",
                     "--derivative", "absorbent", "--ensemble", "sparse", "--sparsity", "1",
                     "--trials", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["naor", "--n", "3", "--p", "1500", "--derivative", "walsh"],
+        ["naor", "--n", "3", "--p", "1500", "--derivative", "absorbent"],
+        ["torus", "--n", "1", "--bound", "1", "--p", "2e5", "--derivative", "absorbent"]],
+        ids=["walsh-overflow", "absorbent-underflow", "torus-underflow"])
+    def test_sides_past_the_float_range_exit_code(self, tmp_path, capsys, args):
+        """2^p overflows past p = 1023 and |c|^p underflows to an rhs of 0."""
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(["verify", *args, "--ensemble", "sparse", "--sparsity", "1",
+                        "--trials", "3", "--out", str(out)]) == 2
+        assert f"at p = {float(args[args.index('--p') + 1])}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_large_p_inside_the_float_range_runs(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["verify", "naor", "--n", "3", "--p", "200", "--derivative", "walsh",
+                    "--ensemble", "sparse", "--sparsity", "1", "--trials", "3",
+                    "--out", str(out)]) == 0
+        assert load(out)["rhs"] > 0
+
+    @pytest.mark.parametrize("verb, option", [
+        ("riesz", ["--derivative", "walsh"]), ("riesz", ["--k", "2"]),
+        ("xp-linear", ["--bound", "3"]), ("xp-linear", ["--derivative", "walsh"]),
+        ("naor", ["--d", "7"]), ("naor", ["--modulus", "6"]), ("naor", ["--bound", "3"]),
+        ("torus", ["--modulus", "6"]), ("ztorus", ["--bound", "3"]),
+        ("rosenthal", ["--d", "3"]), ("rosenthal", ["--family", "cyclic"]),
+        ("free-identities", ["--k", "2"]), ("free-identities", ["--p", "4"])])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_options_the_verb_does_not_read_exit_code(self, tmp_path, capsys, verb, option,
+                                                      source):
+        out = tmp_path / "r.json"
+        args = ["verify", verb, "--trials", "2", "--out", str(out)]
+        if source == "flag":
+            args += option
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({option[0][2:]: option[1]}))
+            args += ["--config", str(config)]
+        assert run(args) == 2
+        assert f"does not read {option[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oversized_lattice_exit_code(self, tmp_path):

@@ -1,6 +1,7 @@
 """Experiment harness: inequality sides, exact closures, scans, witnesses."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -29,6 +30,15 @@ from xpchaos.words import ReducedWord
 def hypercube_pair(n):
     group = GroupDescriptor.hypercube(n)
     return group, build_cocycle("cyclic_word", group)
+
+
+def _route_and_profile(f, cocycle, ps, ks, derivative, route=None):
+    """(route, naor_profile) of one element on ``route`` (none: the planned one)."""
+    rows = harness._naor_one(f, cocycle, ps, ks, derivative, route)
+    profile = {}
+    for row in rows:
+        profile.setdefault(row.p, {})[row.k] = (row.lhs, row.rhs)
+    return rows[0].extra["route"], profile
 
 
 def inclusion_probability(n, k, size):
@@ -222,7 +232,7 @@ class TestLatticeGuard:
         f = GroupAlgebraElement(group, {key: 1.0 for key in itertools.product(range(4), repeat=2)
                                         if any(key)})
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 5 ** 2 - 1)
-        route, profile = harness._naor_sides(f, cocycle, [2], [1, 2], "absorbent")
+        route, profile = _route_and_profile(f, cocycle, [2], [1, 2], "absorbent")
         assert route == "grid" and profile[2][1][0] == pytest.approx(3)
         with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
             naor_profile(f, cocycle, [3], [1], "absorbent")
@@ -290,7 +300,7 @@ class TestPlan:
         f = GroupAlgebraElement(group, {key + (0,) * (n - 8): c for key, c in f8.coeffs.items()})
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
         ks = list(range(1, n + 1))
-        route, profile = harness._naor_sides(f, cocycle, ps, ks, derivative)
+        route, profile = _route_and_profile(f, cocycle, ps, ks, derivative)
         assert route == "pairs"
         law = {k: [(j, math.comb(8, j) * math.comb(n - 8, k - j) / math.comb(n, k))
                    for j in range(1, min(8, k) + 1)] for k in ks}
@@ -340,7 +350,7 @@ class TestPlan:
         assert peak < 2 ** 20
         monkeypatch.setattr(harness, "_grouped_pairs", real_pairs)
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", budget)
-        assert harness._naor_sides(f, cocycle, [4], [1], "walsh")[0] == "pairs"
+        assert _route_and_profile(f, cocycle, [4], [1], "walsh")[0] == "pairs"
 
     def test_one_plan_per_profile(self, monkeypatch):
         """Profiles plan once with their key count; scans plan once more, when they
@@ -378,13 +388,13 @@ class TestPlan:
         assert report["extra"]["route"] == "grid" and report["witness"]["p"] == 2
         assert reevaluate_witness(report) == {key: report[key] for key in ("lhs", "rhs", "ratio")}
         f, cocycle = harness._load_element(report["witness"])
-        assert harness._naor_sides(f, cocycle, [2], [1], "walsh")[0] == "pairs"
+        assert _route_and_profile(f, cocycle, [2], [1], "walsh")[0] == "pairs"
 
     def test_named_route_refused_only_when_it_cannot_run(self, monkeypatch):
         group, cocycle = hypercube_pair(5)
         f = GroupAlgebraElement(group, {(1, 0, 0, 0, 0): 1.0, (0, 1, 1, 0, 0): 2.0})
         for route in ("pairs", "grid"):
-            assert harness._naor_sides(f, cocycle, [2, 4], [1, 2], "walsh", route)[0] == route
+            assert _route_and_profile(f, cocycle, [2, 4], [1, 2], "walsh", route)[0] == route
         report = naor_ratio(f, cocycle, 3, 2, "walsh").to_json()
         assert report["extra"]["route"] == "grid"
         for route, reason in (("pairs", "cannot take the 'pairs' route"),
@@ -409,12 +419,12 @@ class TestPlan:
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            route, profile = harness._naor_sides(f, cocycle, [p], [1, 2, 3], "absorbent")
+            route, profile = _route_and_profile(f, cocycle, [p], [1, 2, 3], "absorbent")
         assert time.perf_counter() - start < 0.5
         assert route == "grid"
         assert [profile[p][k][0] for k in (1, 2, 3)] == pytest.approx([0, 1 / 3, 1])
         with pytest.raises(ValueError, match="cannot take the 'pairs' route"):
-            harness._naor_sides(f, cocycle, [p], [1], "absorbent", "pairs")
+            _route_and_profile(f, cocycle, [p], [1], "absorbent", "pairs")
 
     def test_tuple_steps_stop_at_the_sign_cap(self):
         group, cocycle = hypercube_pair(3)
@@ -576,7 +586,7 @@ class TestAbelianProfileMatchesOperatorPath:
             for ps in ([2, 3, 4, 6], [2]):
                 for derivative in derivatives:
                     calls.clear()
-                    route = harness._naor_sides(f, cocycle, ps, [1, 2], derivative)[0]
+                    route = _route_and_profile(f, cocycle, ps, [1, 2], derivative)[0]
                     routes.append((group.kind, derivative, len(ps), route))
                     assert len(calls) == {"grid": 1, "pairs": 0}[route], (group, derivative, ps)
         # only the gaussian hypercube n = 5 at p = 2 (31 keys, each pairing with itself)
@@ -647,7 +657,7 @@ class TestXpLinear:
         for p, k in [(2, 2), (4, 3)]:
             matrix_report = xp_linear_ratio(xs, p, k)
             scalar = rosenthal_linear_ratio(coeffs, p, k)
-            assert matrix_report.lhs == pytest.approx(scalar["lhs"] ** p, rel=1e-10)
+            assert matrix_report.lhs == pytest.approx(scalar.lhs ** p, rel=1e-10)
 
     def test_p_below_two_warns(self):
         xs = [np.eye(2), np.eye(2)]
@@ -749,8 +759,8 @@ class TestBatchedSignAveragesMatchLoops:
         for k in range(1, n + 1):
             lhs, rhs = _loop_rosenthal_sides(coeffs, p, k)
             result = rosenthal_linear_ratio(coeffs, p, k)
-            assert result["lhs"] == pytest.approx(lhs, rel=1e-12, abs=0)
-            assert result["rhs"] == pytest.approx(rhs, rel=1e-12, abs=0)
+            assert result.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+            assert result.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     def test_blocks_cover_every_subset_in_order(self, monkeypatch):
         monkeypatch.setattr(harness, "SIGN_BLOCK_ROWS", 4)
@@ -869,7 +879,7 @@ class TestSignPairRoutes:
         xp = xp_linear_profile([np.array([[z]]) for z in coeffs], p, ks)
         naor = naor_profile(f, cocycle, [p], ks, "walsh")[p]
         for k in ks:
-            scalar = rosenthal_linear_ratio(coeffs, p, k)["lhs"] ** p
+            scalar = rosenthal_linear_ratio(coeffs, p, k).lhs ** p
             assert xp[k][0] == pytest.approx(scalar, rel=1e-12)
             assert naor[k][0] == pytest.approx(scalar, rel=1e-12)
 
@@ -889,7 +899,7 @@ class TestSignPairRoutes:
         moment = (2 * averaged(squares, squares) + averaged(a * a, (a * a).conj()).real
                   - 2 * single * fourth.sum())
         assert harness._rosenthal_route(n, 4) == "pairs"
-        assert rosenthal_linear_ratio(a, 4, k)["lhs"] ** 4 == pytest.approx(moment, rel=1e-12)
+        assert rosenthal_linear_ratio(a, 4, k).lhs ** 4 == pytest.approx(moment, rel=1e-12)
         with pytest.raises(ValueError, match="capped at k = 14"):
             rosenthal_linear_ratio(a, 3, k)
 
@@ -919,10 +929,10 @@ class TestSignPairRoutes:
         coeffs = list(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         mats = [rng.standard_normal((2, 2)) for _ in range(n)]
         ks = list(range(1, n + 1))
-        together = harness._rosenthal_sides(coeffs, p, ks)[1]
+        together = dict(zip(ks, harness._rosenthal_rows(coeffs, p, ks)))
         profile = xp_linear_profile(mats, p, ks)
         for k in ks:
-            assert harness._rosenthal_sides(coeffs, p, [k])[1][k] == together[k]
+            assert harness._rosenthal_rows(coeffs, p, [k]) == [together[k]]
             assert xp_linear_profile(mats, p, [k])[k] == profile[k]
             assert xp_linear_profile(mats, p, [k, 1])[k] == profile[k]
 
@@ -931,22 +941,22 @@ class TestRosenthal:
     def test_single_basis_coefficient(self):
         for n, k, p in [(4, 2, 4), (5, 3, 2), (6, 6, 6)]:
             result = rosenthal_linear_ratio([1] + [0] * (n - 1), p, k)
-            assert result["lhs"] ** p == pytest.approx(k / n, rel=1e-12)
+            assert result.lhs ** p == pytest.approx(k / n, rel=1e-12)
 
     def test_all_ones_p2(self):
         result = rosenthal_linear_ratio([1] * 6, 2, 4)
-        assert result["lhs"] == pytest.approx(math.sqrt(4))
+        assert result.lhs == pytest.approx(math.sqrt(4))
 
     def test_full_k_p2_is_l2_norm(self):
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         result = rosenthal_linear_ratio(coeffs, 2, 5)
-        assert result["lhs"] == pytest.approx(float(np.linalg.norm(coeffs)))
+        assert result.lhs == pytest.approx(float(np.linalg.norm(coeffs)))
 
     def test_two_sided_fields(self):
         result = rosenthal_linear_ratio([1.0, 2.0, 3.0], 4, 2)
-        assert result["lhs_over_rhs"] == pytest.approx(result["lhs"] / result["rhs"])
-        assert result["rhs_over_lhs"] == pytest.approx(result["rhs"] / result["lhs"])
+        assert result.extra["lhs_over_rhs"] == pytest.approx(result.lhs / result.rhs)
+        assert result.extra["rhs_over_lhs"] == pytest.approx(result.rhs / result.lhs)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -1004,7 +1014,7 @@ class TestRieszEquivalence:
         for _ in range(10):
             f = sample_element(group, cocycle, EnsembleSpec("gaussian"), rng)
             result = riesz_equivalence_ratio(f, 2, cocycle)
-            assert result["ratio"] == pytest.approx(1.0, abs=1e-9)
+            assert result.ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_single_character_all_p(self):
         group = GroupDescriptor.finite_abelian([4, 4])
@@ -1012,7 +1022,7 @@ class TestRieszEquivalence:
         f = GroupAlgebraElement.lam(group, (1, 2))
         for p in (2, 3, 4, 6):
             result = riesz_equivalence_ratio(f, p, cocycle)
-            assert result["ratio"] == pytest.approx(1.0, abs=1e-9)
+            assert result.ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_p4_finite(self):
         group = GroupDescriptor.finite_abelian([4, 4])
@@ -1020,7 +1030,7 @@ class TestRieszEquivalence:
         rng = np.random.default_rng(10)
         f = sample_element(group, cocycle, EnsembleSpec("gaussian"), rng)
         result = riesz_equivalence_ratio(f, 4, cocycle)
-        assert np.isfinite(result["ratio"]) and np.isfinite(result["inverse_ratio"])
+        assert np.isfinite(result.ratio) and np.isfinite(result.extra["inverse_ratio"])
 
     def test_mean_zero_required(self):
         group = GroupDescriptor.finite_abelian([4])
@@ -1046,7 +1056,7 @@ class TestRieszEquivalence:
             parts = [riesz_transform(element, u, cocycle) for u in full_basis]
             sides.append(square_function_norm([x for x in parts if x.coeffs], 4))
         expected = max(sides) / (2 * math.pi)
-        assert result["rhs"] == pytest.approx(expected, rel=1e-12)
+        assert result.rhs == pytest.approx(expected, rel=1e-12)
 
 
 def _reference_riesz(f, p, cocycle):
@@ -1085,11 +1095,11 @@ class TestRieszGridRoute:
         for p in (2, 3, 4, 6):
             result = riesz_equivalence_ratio(f, p, cocycle)
             lhs, rhs = _reference_riesz(f, p, cocycle)
-            assert result["lhs"] == pytest.approx(lhs, rel=1e-12)
-            assert result["rhs"] == pytest.approx(rhs, rel=1e-12)
-            assert result["ratio"] == pytest.approx(lhs / rhs, rel=1e-12)
-            assert result["inverse_ratio"] == pytest.approx(rhs / lhs, rel=1e-12)
-            assert set(result) == {"lhs", "rhs", "ratio", "inverse_ratio"}
+            assert result.lhs == pytest.approx(lhs, rel=1e-12)
+            assert result.rhs == pytest.approx(rhs, rel=1e-12)
+            assert result.ratio == pytest.approx(lhs / rhs, rel=1e-12)
+            assert result.extra["inverse_ratio"] == pytest.approx(rhs / lhs, rel=1e-12)
+            assert set(result.extra) == {"inverse_ratio", "two_sided_spread"}
 
     def test_one_dual_evaluation_per_trial(self, monkeypatch):
         calls = []
@@ -1148,7 +1158,7 @@ class TestRieszGridRoute:
         with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
             riesz_equivalence_ratio(f, 4, cocycle)
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 8 * 16)
-        assert riesz_equivalence_ratio(f, 4, cocycle)["ratio"] == pytest.approx(1.0)
+        assert riesz_equivalence_ratio(f, 4, cocycle).ratio == pytest.approx(1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1168,7 +1178,7 @@ def test_riesz_ratio_is_one_at_p2(case, n, half, seed):
     cocycle = build_cocycle(family, group, weights)
     spec = EnsembleSpec("sparse", sparsity=int(rng.integers(1, 9)))
     f = sample_element(group, cocycle, spec, rng)
-    assert riesz_equivalence_ratio(f, 2, cocycle)["ratio"] == pytest.approx(1.0, rel=1e-12)
+    assert riesz_equivalence_ratio(f, 2, cocycle).ratio == pytest.approx(1.0, rel=1e-12)
 
 
 class TestScan:
@@ -1270,9 +1280,10 @@ class TestScan:
         scores = iter([1.0, 1.0 + 5e-12, 1.0 + 5.5e-12])
         record = harness.Experiment(
             lambda params, ensemble, seed: (
-                lambda rng: next(scores), lambda score: [harness.Row(score, 1.0, 1.0, 1.0)],
+                lambda rng: next(scores),
+                harness._each(lambda score: [harness.Row(score, 1.0, 1.0, 1.0)]),
                 lambda score, row: {"score": score}),
-            lambda witness, seed: None)
+            lambda witness, seed, extra: None)
         monkeypatch.setitem(harness.EXPERIMENTS, "probe", record)
         assert scan("probe", trials=3).witness == {"score": 1.0 + 5e-12}
 
@@ -1299,7 +1310,7 @@ class TestScan:
         for p, k in [(2, 2), (4, 3)]:
             profile = naor_profile(f, cocycle, [p], [k], "walsh")
             scalar = rosenthal_linear_ratio(coeffs, p, k)
-            assert profile[p][k][0] == pytest.approx(scalar["lhs"] ** p, abs=1e-10)
+            assert profile[p][k][0] == pytest.approx(scalar.lhs ** p, abs=1e-10)
 
     def test_weighted_cube_sweep(self):
         group = GroupDescriptor.hypercube(3)
@@ -1317,8 +1328,13 @@ def _traced_scan(monkeypatch, spec, trials, seed, **params):
     """A naor scan with every row it ranked, in ranking order."""
     ranked = []
     record = harness.EXPERIMENTS["naor"]
-    monkeypatch.setitem(harness.EXPERIMENTS, "naor", dataclasses.replace(
-        record, summary=lambda rows: ranked.extend(rows) or record.summary(rows)))
+
+    def bind(*args):
+        sample, evaluate, witness = record.bind(*args)
+        return (sample, lambda draws: ((x, ranked.extend(rows) or rows)
+                                       for x, rows in evaluate(draws)), witness)
+
+    monkeypatch.setitem(harness.EXPERIMENTS, "naor", dataclasses.replace(record, bind=bind))
     return scan("naor", spec, trials=trials, seed=seed, **params), ranked
 
 
@@ -1434,7 +1450,7 @@ class TestBatchedScans:
         for trial in range(12):
             f = real_sample(group, cocycle, EnsembleSpec("sparse", sparsity=(2, 6, 3)[trial % 3]),
                             rng)
-            route, profile = harness._naor_sides(f, cocycle, ps, ks, "walsh")
+            route, profile = _route_and_profile(f, cocycle, ps, ks, "walsh")
             routes.add((len(f.coeffs), route))
             for p, k in itertools.product(ps, ks):
                 ratio = profile[p][k][0] / profile[p][k][1]
@@ -1444,6 +1460,120 @@ class TestBatchedScans:
         assert report.ratio == best
         assert (report.witness["f"], report.witness["p"], report.witness["k"]) == winner
         assert _same_numbers(report)
+
+
+_SPARSE3, _GAUSSIAN = EnsembleSpec("sparse", sparsity=3), EnsembleSpec("gaussian")
+_CUBE4 = dict(family="hypercube", n=4, ps=[2, 4], ks=[1, 2, 3, 4])
+
+#: (experiment, ensemble, params, route, torus grid, sha256 prefix of the witness's
+#: sorted JSON, lhs, rhs, ratio) of 4-trial scans at seed 11, recorded before the
+#: experiments shared one rows function each
+GOLDEN_SCANS = [
+    ("naor", _SPARSE3, dict(_CUBE4, derivative="walsh"), "pairs", None, "1a928822eb6bfd99",
+     4.003455387517903, 27.343743889539667, 0.14641211546197308),
+    ("naor", _GAUSSIAN, dict(_CUBE4, derivative="walsh"), "grid", None, "8a7a3274c06b4f42",
+     18.000302914527786, 157.16490430700657, 0.1145313134245666),
+    ("naor", _SPARSE3, dict(_CUBE4, derivative="absorbent"), "pairs", None, "7cbed3f05e89813b",
+     5.709757065402991, 10.486585555909706, 0.5444819989272164),
+    ("naor", _GAUSSIAN, dict(_CUBE4, derivative="absorbent"), "grid", None, "7af1498171591ed0",
+     1209.876501218606, 3116.6717706782265, 0.3881950331123004),
+    ("naor", _SPARSE3, dict(family="cyclic", n=2, modulus=6, ps=[3], ks=[1, 2],
+                            derivative="absorbent"), "grid", None, "a32d3bac615fa83d",
+     9.23854728148026, 30.14590019469143, 0.30646115132787216),
+    ("naor", _SPARSE3, dict(family="torus", n=2, bound=1, ps=[2, 4], ks=[1, 2],
+                            derivative="euclidean"), "grid", 5, "d6af9573b6f99cba",
+     0.382218416100627, 15.47159666299724, 0.024704523031857634),
+    ("xp_linear", _GAUSSIAN, dict(n=4, d=2, p=4, ks=[1, 2, 3, 4]), "pairs", None,
+     "e8cbe7e11c155b90", 106.07759302504387, 130.80129915152816, 0.810982717397609),
+    ("xp_linear", _GAUSSIAN, dict(n=4, d=2, p=3, ks=[1, 2]), "signs", None,
+     "cd27a87476005e6e", 24.836850439442646, 42.056845410674846, 0.5905542890085277),
+    ("rosenthal", _GAUSSIAN, dict(n=5, p=4, ks=[1, 2, 3, 4, 5]), "pairs", None,
+     "736e051139d3e833", 1.1211394487638866, 2.21100554970769, 0.5070722002086828),
+    ("rosenthal", _GAUSSIAN, dict(n=5, p=3, ks=[1, 2, 3]), "signs", None,
+     "e234e4e7b6472c48", 1.1058501772441298, 2.195716278187934, 0.5036398318988455),
+    ("riesz_equivalence", _GAUSSIAN, dict(family="cyclic", n=2, modulus=4, p=4), None, None,
+     "e625a5dbd1e3c578", 4.944969493723773, 4.4262166963972485, 1.11720004530026),
+    ("free_identities", EnsembleSpec(sparsity=4), dict(rank=2, modulus=4), None, None,
+     "6e6fae2a8f02de5f", 0.0, 1e-12, 0.0),
+]
+
+
+class TestScanOutcomes:
+    @pytest.mark.parametrize("case", GOLDEN_SCANS, ids=lambda case: "-".join(
+        str(part) for part in (case[0], case[2].get("derivative"), case[3]) if part))
+    def test_golden_scans(self, case):
+        experiment, spec, params, route, grid, digest, lhs, rhs, ratio = case
+        report = scan(experiment, spec, trials=4, seed=11, **params)
+        witness = json.dumps(report.witness, sort_keys=True).encode()
+        assert hashlib.sha256(witness).hexdigest()[:16] == digest
+        assert (report.extra.get("route"), report.extra.get("grid")) == (route, grid)
+        for value, expected in ((report.lhs, lhs), (report.rhs, rhs), (report.ratio, ratio)):
+            assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_memory_does_not_grow_with_trials(self):
+        """A scan folds its rows as they arrive instead of keeping them."""
+        params = dict(family="hypercube", n=10, ps=[2, 4], ks=list(range(1, 11)))
+        spec = EnsembleSpec("sparse", sparsity=6)
+        scan("naor", spec, trials=2, seed=0, **params)      # fill the module caches
+        peaks = []
+        for trials in (100, 1000):
+            tracemalloc.start()
+            try:
+                scan("naor", spec, trials=trials, seed=0, **params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+
+def _single_run_reports():
+    rng = np.random.default_rng(61)
+    group, cocycle = hypercube_pair(5)
+    f = sample_element(group, cocycle, EnsembleSpec("sparse", sparsity=4), rng)
+    torus = GroupDescriptor.torus(2, 1)
+    torus_cocycle = build_cocycle("torus_word", torus)
+    g = sample_element(torus, torus_cocycle, EnsembleSpec("gaussian"), rng)
+    z44 = GroupDescriptor.finite_abelian([4, 4])
+    z44_cocycle = build_cocycle("cyclic_word", z44)
+    h = sample_element(z44, z44_cocycle, EnsembleSpec("gaussian"), rng)
+    mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(5)]
+    coeffs = list(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    return {
+        "naor-walsh": naor_ratio(f, cocycle, 4, 2, "walsh"),
+        "naor-torus-grid": naor_ratio(g, torus_cocycle, 3, 1, "euclidean"),
+        "xp-pairs": xp_linear_ratio(mats, 4, 2),
+        "xp-signs": xp_linear_ratio(mats, 3, 2),
+        "rosenthal-pairs": rosenthal_linear_ratio(coeffs, 4, 3),
+        "rosenthal-signs": rosenthal_linear_ratio(coeffs, 3, 3),
+        "riesz-p2": riesz_equivalence_ratio(h, 2, z44_cocycle),
+        "riesz-p4": riesz_equivalence_ratio(g, 4, torus_cocycle),
+    }
+
+
+class TestSingleRunReports:
+    @pytest.mark.parametrize("name", list(_single_run_reports()))
+    def test_witness_reevaluates_through_json(self, name):
+        report = _single_run_reports()[name]
+        data = json.loads(json.dumps(report.to_json()))
+        assert reevaluate_witness(data) == {"lhs": report.lhs, "rhs": report.rhs,
+                                            "ratio": report.ratio}
+
+    def test_two_sided_extras(self):
+        reports = _single_run_reports()
+        for name in ("rosenthal-pairs", "rosenthal-signs"):
+            report = reports[name]
+            assert report.experiment == "rosenthal"
+            assert report.extra["route"] == name.split("-")[1]
+            assert report.ratio == report.extra["lhs_over_rhs"] == report.lhs / report.rhs
+            assert report.extra["rhs_over_lhs"] == report.rhs / report.lhs
+            assert report.extra["two_sided_spread"] == max(report.ratio,
+                                                           report.extra["rhs_over_lhs"])
+        for name in ("riesz-p2", "riesz-p4"):
+            report = reports[name]
+            assert report.experiment == "riesz_equivalence"
+            assert report.extra["inverse_ratio"] == report.rhs / report.lhs
+            assert report.extra["two_sided_spread"] == max(report.ratio,
+                                                           report.extra["inverse_ratio"])
 
 
 class TestFamilyRecords:
