@@ -30,7 +30,7 @@ from . import operators
 from .cocycles import COCYCLE_FAMILIES, LengthCocycle, build_cocycle
 from .groups import (FINITE_ABELIAN, PRUNE_TOL, TORUS, GroupAlgebraElement, GroupDescriptor,
                      coefficient_tensor, element_inverse, is_mean_zero, key_box)
-from .norms import (SIGN_BLOCK_ROWS, half_sign_patterns, schatten_powers,
+from .norms import (SIGN_BLOCK_ROWS, _check_p, half_sign_patterns, schatten_powers,
                     sign_average_power, sign_combinations)
 
 SIGN_ENUMERATION_CAP = 14
@@ -46,14 +46,6 @@ SCORE_TIE_RTOL = 1e-12
 
 DERIVATIVE_CHOICES = ("walsh", "euclidean", "absorbent", "gradient")
 ENSEMBLE_KINDS = ("gaussian", "sparse", "chaos_degree", "linear_span")
-
-
-def _finite(p: float, low: float | None = None) -> float:
-    if not math.isfinite(p):
-        raise ValueError(f"p must be finite, got {p}")
-    if low is not None and p < low:
-        raise ValueError(f"p must be >= {low}, got {p}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -442,7 +434,7 @@ class Plan(NamedTuple):
 
 
 def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequence[float],
-          derivative: str, route: str | None = None, side: int | None = None) -> Plan:
+          derivative: str) -> Plan:
     """The plan of a naor (or riesz) profile of ``keys`` keys, once its arrays are
     known to fit LATTICE_MAX_BYTES, before any is allocated.
 
@@ -454,37 +446,24 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
     of the grid's mean-extended tensor.  Key pairs count their largest q-tuple list
     here and their joined pairs in ``_key_pairs``, once the sort has counted them;
     ``nbytes`` prices both at the bound.  The grid counts its multiplier stack and
-    mean-extended tensor (none at p = 2 alone or riesz).  A ``route`` named by a
-    witness is taken as long as it can run, and so is the torus grid ``side`` a scan
-    row names, if it has at least the points per axis that ``_grid_shape`` gives.
+    mean-extended tensor (none at p = 2 alone or riesz).
     """
     if not group.is_abelian:
         raise ValueError(f"dual evaluations need an abelian group, got {group.kind}")
     grid = _grid_shape(group, ps)
-    if side is not None:
-        if group.kind != TORUS or route != "grid" or type(side) is not int or side < grid[0]:
-            raise ValueError(f"a {route!r} profile at p in {list(ps)} cannot take a grid of "
-                             f"{side!r} points per axis")
-        grid = (side,) * group.rank
     entries = math.prod(m + 1 for m in grid)
     steps = [int(p) // 2 for p in set(ps)]
-    pairable = derivative in ("walsh", "absorbent") and not any(p % 2 for p in ps) and \
-        max(steps) <= SIGN_ENUMERATION_CAP
-    if route is None:
-        route = "pairs" if pairable and sum(
-            keys ** q + keys ** (2 * q - 1) for q in steps) <= entries else "grid"
-    elif route not in ("pairs", "grid") or route == "pairs" and not pairable:
-        raise ValueError(f"a {derivative} profile at p in {list(ps)} cannot take "
-                         f"the {route!r} route")
-    if route == "pairs":
+    if derivative in ("walsh", "absorbent") and not any(p % 2 for p in ps) and \
+            max(steps) <= SIGN_ENUMERATION_CAP and \
+            sum(keys ** q + keys ** (2 * q - 1) for q in steps) <= entries:
         n, q = group.n_components, max(steps)
         _within_budget(_pair_route_bytes(n, keys ** q, 0), "key tuples")
-        return Plan(route, grid, _pair_route_bytes(n, keys ** q, keys ** (2 * q - 1)))
+        return Plan("pairs", grid, _pair_route_bytes(n, keys ** q, keys ** (2 * q - 1)))
     rows = sum(len(basis) for _, basis in _symbol_blocks(cocycle, derivative)[1])
     extended = set(ps) != {2} and derivative != "riesz"
     nbytes = 16 * (rows * math.prod(grid) + (entries if extended else 0))
     _within_budget(nbytes, "grid tensors")
-    return Plan(route, grid, nbytes)
+    return Plan("grid", grid, nbytes)
 
 
 def _require_mean_zero(f: GroupAlgebraElement) -> None:
@@ -510,7 +489,7 @@ def _naor_inputs(group: GroupDescriptor, ps: Sequence[float], derivative: str) -
         raise ValueError("the walsh derivative needs a hypercube group")
     if not ps:
         raise ValueError("the list of p is empty")
-    return [_finite(p, 1) for p in ps]
+    return [_check_p(p) for p in ps]
 
 
 def _naor_rows(fs: Sequence[GroupAlgebraElement], plans: Sequence[Plan],
@@ -546,15 +525,16 @@ def _naor_rows(fs: Sequence[GroupAlgebraElement], plans: Sequence[Plan],
 
 
 def _naor_one(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
-              ks: Sequence[int], derivative: str, route: str | None = None,
-              side: int | None = None) -> list[Row]:
-    """The rows of one element, as a batch of one, on ``route`` and the torus grid
-    ``side`` when a witness names them."""
+              ks: Sequence[int], derivative: str, at: float | None = None) -> list[Row]:
+    """The rows of one element on the plan of ``ps``, as a batch of one: at every p of
+    ``ps``, or at the one p ``at`` among them alone, as a witness replays its report."""
     ps = _naor_inputs(f.group, ps, derivative)
-    plan = _plan(f.group, cocycle, len(f.coeffs), ps, derivative, route, side)
+    if at is not None and at not in ps:
+        raise ValueError(f"the witness's p = {at} is not among its report's ps {ps}")
+    plan = _plan(f.group, cocycle, len(f.coeffs), ps, derivative)
     _require_mean_zero(f)
     _check_ks(ks, f.group.n_components)
-    return next(_naor_rows([f], [plan], cocycle, ps, ks, derivative))[1]
+    return next(_naor_rows([f], [plan], cocycle, ps if at is None else [at], ks, derivative))[1]
 
 
 def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
@@ -618,12 +598,6 @@ def _random_signs(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.choice((1.0, -1.0), size=(MONTE_CARLO_SIGNS, n))
 
 
-def _same_route(named: str | None, route: str) -> None:
-    """Refuse a witness whose report names another route than its input takes."""
-    if named is not None and named != route:
-        raise ValueError(f"the report names the {named!r} route; its input takes {route!r}")
-
-
 def _xp_route(n: int, p: float) -> str:
     """"pairs" or "signs": the route of an xp_linear profile, from (n, p) alone.
 
@@ -670,7 +644,7 @@ def _gram_pair_means(mats: np.ndarray, p: float) -> np.ndarray:
         (np.zeros(1, dtype=np.int64), np.eye(left.shape[-1], dtype=complex)[None])
     parity = right_keys >> n
     starts = np.searchsorted(parity, left_keys >> n)
-    counts = np.searchsorted(parity, left_keys >> n, side="right") - starts
+    counts = np.searchsorted(parity, left_keys >> n, "right") - starts
     li, ri = _grouped_pairs(starts, counts)
     traces = np.einsum("pij,pji->p", left[li], right[ri]).real
     unions = (left_keys[li] | right_keys[ri]) & ((1 << n) - 1)
@@ -691,7 +665,7 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
     from ``default_rng(seed)``; each k above the cap restarts its per-subset draws
     from the state after it, so a row depends only on (xs, p, k, seed).
     """
-    _finite(p)
+    _check_p(p)
     if p < 2:
         warnings.warn("p < 2 is outside the theorem range; computing anyway")
     mats = np.stack([np.asarray(x, dtype=complex) for x in xs])
@@ -724,12 +698,10 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
             for k in ks}
 
 
-def _xp_rows(mats: Sequence[np.ndarray], p: float, ks: Sequence[int], seed: int | None,
-             named: str | None = None) -> list[Row]:
-    """The rows of ``xp_linear_profile``, one per k, each naming the route; refused
-    when a witness names another route than the input takes."""
+def _xp_rows(mats: Sequence[np.ndarray], p: float, ks: Sequence[int],
+             seed: int | None) -> list[Row]:
+    """The rows of ``xp_linear_profile``, one per k, each naming the route."""
     extra = {"route": _xp_route(len(mats), p)}
-    _same_route(named, extra["route"])
     profile = xp_linear_profile(mats, p, ks, seed)
     return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=mc, extra=extra)
             for k in ks for lhs, rhs, mc in [profile[k]]]
@@ -791,17 +763,14 @@ def _rosenthal_sign_mean(coeffs: np.ndarray, p: float, k: int) -> float:
     return sum(np.concatenate(means).tolist()) / math.comb(len(coeffs), k)  # in subset order
 
 
-def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int],
-                    named: str | None = None) -> list[Row]:
+def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[Row]:
     """The rows of the two-sided scalar model, one per k, scored by the larger of
-    lhs/rhs and rhs/lhs; refused when a witness names another route than the input
-    takes.  On key pairs one ``_key_pairs`` call gives every k."""
-    _finite(p)
+    lhs/rhs and rhs/lhs.  On key pairs one ``_key_pairs`` call gives every k."""
+    _check_p(p)
     coeffs = np.array([complex(x) for x in a])
     n = len(coeffs)
     _check_ks(ks, n)
     route = _rosenthal_route(n, p)
-    _same_route(named, route)
     if route == "signs" and max(ks) > SIGN_ENUMERATION_CAP:
         raise ValueError("exhaustive enumeration is capped at k = 14")
     if not np.any(coeffs):
@@ -868,7 +837,7 @@ def _riesz_rows(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float) -> lis
     one batched dual evaluation on the grid of ``_grid_shape``.  The symbol
     normalization sum_u |symbol(g)|^2 = 4 pi^2 makes the quotient 1 at p = 2.
     """
-    grid = _plan(f.group, cocycle, len(f.coeffs), [_finite(p, 1)], "riesz").grid
+    grid = _plan(f.group, cocycle, len(f.coeffs), [_check_p(p)], "riesz").grid
     _require_mean_zero(f)
     _, values, stack, starts = _dual_stack(f, cocycle, "riesz", grid)
     squares = np.add.reduceat(_abs_power(stack, 2), starts)     # f and f* blocks alternate
@@ -938,8 +907,15 @@ def _mean_zero_keys(group: GroupDescriptor, family: str,
     return flat, lengths
 
 
-def _most_keys(group: GroupDescriptor, spec: EnsembleSpec) -> int:
-    """The most keys an abelian draw of ``spec`` can hold."""
+def _most_keys(group: GroupDescriptor, cocycle: LengthCocycle, spec: EnsembleSpec) -> int:
+    """The most keys an abelian draw of ``spec`` can hold: for chaos_degree the keys
+    of length at most the degree, refused when there are none."""
+    if spec.kind == "chaos_degree":
+        lengths = _mean_zero_keys(group, cocycle.family, cocycle.weights)[1]
+        if not (most := int(np.count_nonzero(lengths <= spec.degree))):
+            raise ValueError(f"no key has a length of at most the degree {spec.degree}; "
+                             f"the shortest nonzero length is {lengths.min():g}")
+        return most
     box = math.prod(key_box(group)[0]) - 1
     return {"sparse": min(spec.sparsity, box), "linear_span": 2 * group.n_components}.get(
         spec.kind, box)
@@ -1015,14 +991,13 @@ class Experiment:
     ``bind(params, ensemble, seed)`` resolves a scan call into ``sample(rng)``
     (one input), ``evaluate(draws)``, which yields each input of the iterator
     ``draws`` with its candidate rows (in a fixed order) and may evaluate several at
-    once, and ``witness(x, row)``.  ``from_witness(witness, seed, extra)`` recomputes
-    a winner's row on what its report's ``extra`` names (a route, a torus grid; none:
-    the planned one).  Both reach the experiment's one rows function, which its
-    single-run function calls too.
+    once, and ``witness(x, row)``.  ``from_witness(report)`` recomputes a report's
+    winning row from its witness, on the plan of the report's params.  Both reach the
+    experiment's one rows function, which its single-run function calls too.
     """
 
     bind: Callable[[dict, EnsembleSpec, int], tuple[Callable, Callable, Callable]]
-    from_witness: Callable[[dict, int | None, dict], Row]
+    from_witness: Callable[[dict], Row]
 
 
 def _each(rows: Callable) -> Callable:
@@ -1031,7 +1006,12 @@ def _each(rows: Callable) -> Callable:
 
 
 def _p(params: dict, default: float) -> float:
-    return _finite(float(params.get("p", default)))
+    return _check_p(float(params.get("p", default)))
+
+
+def _naor_ps(params: dict) -> list[float]:
+    """The ps of a naor scan or report: its ``ps``, or its one ``p``."""
+    return [float(p) for p in params.get("ps", [params.get("p", 4)])]
 
 
 def _ks(params: dict) -> list[int]:
@@ -1069,10 +1049,9 @@ def _load_element(witness: dict) -> tuple[GroupAlgebraElement, LengthCocycle]:
 
 def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, derivative = _naor_family(params)
-    ps = _naor_inputs(group, [float(p) for p in params.get("ps", [params.get("p", 4)])],
-                      derivative)
+    ps = _naor_inputs(group, _naor_ps(params), derivative)
     ks = _ks(params)
-    _plan(group, cocycle, _most_keys(group, ensemble), ps, derivative)
+    _plan(group, cocycle, _most_keys(group, cocycle, ensemble), ps, derivative)
 
     def evaluate(draws):
         """Each draw with its rows: a batch is the run of at most SCAN_BATCH_DRAWS draws
@@ -1120,8 +1099,8 @@ def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
 
 def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, _ = _naor_family(params)
-    p = _finite(float(params.get("p", 2)), 1)
-    _plan(group, cocycle, _most_keys(group, ensemble), [p], "riesz")
+    p = _p(params, 2)
+    _plan(group, cocycle, _most_keys(group, cocycle, ensemble), [p], "riesz")
     return (lambda rng: sample_element(group, cocycle, ensemble, rng),
             _each(lambda f: _riesz_rows(f, cocycle, p)),
             lambda f, row: _element_witness(f, cocycle, p=p))
@@ -1167,19 +1146,19 @@ def _free_identities(params: dict, ensemble: EnsembleSpec, seed: int):
 
 #: every scan experiment by name
 EXPERIMENTS: dict[str, Experiment] = {
-    "naor": Experiment(_naor, lambda w, seed, extra: _naor_one(
-        *_load_element(w), [w["p"]], [w["k"]], w["derivative"], extra.get("route"),
-        extra.get("grid"))[0]),
-    "xp_linear": Experiment(_xp_linear, lambda w, seed, extra: _xp_rows(
-        [_matrix_from_json(x) for x in w["matrices"]], w["p"], [w["k"]],
-        w.get("sign_seed", seed), extra.get("route"))[0]),
-    "rosenthal": Experiment(_rosenthal, lambda w, seed, extra: _rosenthal_rows(
-        [complex(z["re"], z["im"]) for z in w["coeffs"]], w["p"], [w["k"]],
-        extra.get("route"))[0]),
-    "riesz_equivalence": Experiment(_riesz, lambda w, seed, extra: _riesz_rows(
-        *_load_element(w), w["p"])[0]),
-    "free_identities": Experiment(_free_identities, lambda w, seed, extra: _free_rows(
-        GroupAlgebraElement.from_json(w["f"]))[0]),
+    "naor": Experiment(_naor, lambda r: _naor_one(
+        *_load_element(w := r["witness"]), _naor_ps(r["params"]), [w["k"]], w["derivative"],
+        w["p"])[0]),
+    "xp_linear": Experiment(_xp_linear, lambda r: _xp_rows(
+        [_matrix_from_json(x) for x in r["witness"]["matrices"]], r["witness"]["p"],
+        [r["witness"]["k"]], r["witness"].get("sign_seed", r.get("seed")))[0]),
+    "rosenthal": Experiment(_rosenthal, lambda r: _rosenthal_rows(
+        [complex(z["re"], z["im"]) for z in r["witness"]["coeffs"]], r["witness"]["p"],
+        [r["witness"]["k"]])[0]),
+    "riesz_equivalence": Experiment(_riesz, lambda r: _riesz_rows(
+        *_load_element(w := r["witness"]), w["p"])[0]),
+    "free_identities": Experiment(_free_identities, lambda r: _free_rows(
+        GroupAlgebraElement.from_json(r["witness"]["f"]))[0]),
 }
 
 
@@ -1222,11 +1201,16 @@ def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 10
 
 
 def reevaluate_witness(report: RatioReport | dict) -> dict:
-    """Recompute (lhs, rhs, ratio) from a report's stored witness, on the route
-    the report names in ``extra["route"]`` (and a naor torus grid, ``extra["grid"]``)."""
+    """Recompute (lhs, rhs, ratio) from a report's stored witness, on the plan of the
+    report's own params; refused when the report names another route (or torus grid)
+    in ``extra`` than the replayed row takes."""
     data = report.to_json() if isinstance(report, RatioReport) else report
     if data["witness"] is None:
         raise ValueError("report has no witness")
-    row = _experiment(data["experiment"]).from_witness(
-        data["witness"], data.get("seed"), data.get("extra") or {})
+    row = _experiment(data["experiment"]).from_witness(data)
+    extra = data.get("extra") or {}
+    for key in ("route", "grid"):
+        if key in extra and extra[key] != row.extra.get(key):
+            raise ValueError(f"the report names the {key} {extra[key]!r}; "
+                             f"its witness replays {row.extra.get(key)!r}")
     return {"lhs": row.lhs, "rhs": row.rhs, "ratio": row.ratio}

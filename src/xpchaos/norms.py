@@ -36,10 +36,11 @@ class NumericalSanityError(RuntimeError):
     """A PSD structure was violated beyond tolerance; signals a bug."""
 
 
-def _check_p(p: float, low: float = 1) -> None:
-    """Reject an exponent below ``low`` or not finite (NaN fails every ``<``)."""
+def _check_p(p: float, low: float = 1) -> float:
+    """p, refused when below ``low`` or not finite (NaN fails every ``>=``)."""
     if not (math.isfinite(p) and p >= low):
         raise ValueError(f"p must be finite and >= {low}, got {p}")
+    return p
 
 
 def _is_even(p: float) -> bool:

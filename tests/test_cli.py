@@ -332,6 +332,35 @@ class TestVerify:
             routes[p] = load(out)["extra"]["route"]
         assert routes == {"4": "pairs", "3": "grid"}
 
+    def test_chaos_degree_plans_for_the_keys_it_draws(self, tmp_path):
+        """A degree-2 draw on a hypercube n = 17 holds 17 + C(17, 2) = 153 keys; planned
+        for the box's 2^17 - 1 keys, the scan was refused its grid tensors."""
+        out = tmp_path / "r.json"
+        assert run(["verify", "naor", "--n", "17", "--ensemble", "chaos_degree", "--degree", "2",
+                    "--p", "4", "--trials", "2", "--out", str(out)]) == 0
+        report = load(out)
+        assert report["extra"]["route"] == "pairs" and len(report["witness"]["f"]["coeffs"]) == 153
+        assert xpchaos.reevaluate_witness(report)["ratio"] == report["ratio"]
+
+    def test_chaos_degree_below_every_length_exit_code(self, tmp_path, capsys):
+        """weighted_cube lengths are 4 times the weight sum, so at unit weights no key
+        has a length of at most 2."""
+        out = tmp_path / "r.json"
+        args = ["verify", "riesz", "--family", "weighted_cube", "--n", "3",
+                "--ensemble", "chaos_degree", "--trials", "2", "--out", str(out)]
+        assert run([*args, "--degree", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "degree 2" in err and "shortest nonzero length is 4" in err
+        assert not out.exists()
+        assert run([*args, "--degree", "4"]) == 0
+
+    @pytest.mark.parametrize("p", ["0", "-2", "0.5"])
+    def test_rosenthal_p_below_one_exit_code(self, tmp_path, capsys, p):
+        out = tmp_path / "r.json"
+        assert run(["verify", "rosenthal", "--p", p, "--trials", "2", "--out", str(out)]) == 2
+        assert "p must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_cocycle_report_schema(self, tmp_path):

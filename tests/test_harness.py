@@ -32,9 +32,9 @@ def hypercube_pair(n):
     return group, build_cocycle("cyclic_word", group)
 
 
-def _route_and_profile(f, cocycle, ps, ks, derivative, route=None):
-    """(route, naor_profile) of one element on ``route`` (none: the planned one)."""
-    rows = harness._naor_one(f, cocycle, ps, ks, derivative, route)
+def _route_and_profile(f, cocycle, ps, ks, derivative):
+    """(planned route, naor_profile) of one element."""
+    rows = harness._naor_one(f, cocycle, ps, ks, derivative)
     profile = {}
     for row in rows:
         profile.setdefault(row.p, {})[row.k] = (row.lhs, row.rhs)
@@ -367,7 +367,8 @@ class TestPlan:
         for spec, most, drawn in [(EnsembleSpec("sparse", sparsity=3), 3, 3),
                                   (EnsembleSpec("sparse", sparsity=40), 31, 31),
                                   (EnsembleSpec("gaussian"), 31, 31),
-                                  (EnsembleSpec("linear_span"), 10, 5)]:
+                                  (EnsembleSpec("linear_span"), 10, 5),
+                                  (EnsembleSpec("chaos_degree", degree=2), 15, 15)]:
             for experiment in ("naor", "riesz_equivalence"):
                 keys.clear()
                 scan(experiment, spec, trials=2, family="hypercube", n=5, ps=[2, 4])
@@ -390,24 +391,6 @@ class TestPlan:
         f, cocycle = harness._load_element(report["witness"])
         assert _route_and_profile(f, cocycle, [2], [1], "walsh")[0] == "pairs"
 
-    def test_named_route_refused_only_when_it_cannot_run(self, monkeypatch):
-        group, cocycle = hypercube_pair(5)
-        f = GroupAlgebraElement(group, {(1, 0, 0, 0, 0): 1.0, (0, 1, 1, 0, 0): 2.0})
-        for route in ("pairs", "grid"):
-            assert _route_and_profile(f, cocycle, [2, 4], [1, 2], "walsh", route)[0] == route
-        report = naor_ratio(f, cocycle, 3, 2, "walsh").to_json()
-        assert report["extra"]["route"] == "grid"
-        for route, reason in (("pairs", "cannot take the 'pairs' route"),
-                              ("lattice", "cannot take the 'lattice' route")):
-            report["extra"]["route"] = route
-            with pytest.raises(ValueError, match=reason):
-                reevaluate_witness(report)
-        report = naor_ratio(f, cocycle, 4, 2, "walsh").to_json()
-        assert report["extra"]["route"] == "pairs"
-        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", harness._pair_route_bytes(5, 2, 0) - 1)
-        with pytest.raises(ValueError, match="key tuples.*LATTICE_MAX_BYTES"):
-            reevaluate_witness(report)
-
     @pytest.mark.parametrize("p", [2e5, 2e12])
     def test_one_key_at_a_huge_p_takes_the_grid(self, p):
         """One key's q-tuples never grow, so only the cap of SIGN_ENUMERATION_CAP tuple
@@ -423,8 +406,6 @@ class TestPlan:
         assert time.perf_counter() - start < 0.5
         assert route == "grid"
         assert [profile[p][k][0] for k in (1, 2, 3)] == pytest.approx([0, 1 / 3, 1])
-        with pytest.raises(ValueError, match="cannot take the 'pairs' route"):
-            _route_and_profile(f, cocycle, [p], [1], "absorbent", "pairs")
 
     def test_tuple_steps_stop_at_the_sign_cap(self):
         group, cocycle = hypercube_pair(3)
@@ -441,26 +422,57 @@ class TestPlan:
         assert report["extra"]["route"] == "grid" and report["extra"]["grid"] == 20
         assert reevaluate_witness(report) == {key: report[key] for key in ("lhs", "rhs", "ratio")}
 
-    def test_named_grid_refused_when_it_cannot_run(self, monkeypatch):
-        report = scan("naor", EnsembleSpec("gaussian"), trials=1, seed=1, family="torus", n=2,
-                      bound=2, ps=[6], ks=[1], derivative="absorbent").to_json()
-        assert report["extra"] == {"route": "grid", "grid": 13,
-                                   "max_ratio_by_p": report["extra"]["max_ratio_by_p"]}
-        for grid, route in ((12, "grid"), (13.0, "grid"), (13, "pairs"), (13, None)):
-            bad = json.loads(json.dumps(report))
-            bad["extra"]["grid"], bad["extra"]["route"] = grid, route
-            with pytest.raises(ValueError, match="cannot take"):
-                reevaluate_witness(bad)
-        report["extra"]["grid"] = 40
-        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 41 ** 2 - 1)
-        with pytest.raises(ValueError, match="grid tensors.*LATTICE_MAX_BYTES"):
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_reevaluation_replays_one_profile_at_the_witness_p(self, monkeypatch, seed):
+        """The witness of a torus scan at ps [2, 3, 6] is evaluated once, at its own p
+        alone, on the 20 points per axis that the scan's ps plan and its report names."""
+        report = scan("naor", EnsembleSpec("gaussian"), trials=3, seed=seed, family="torus",
+                      n=2, bound=2, ps=[2, 3, 6], ks=[1, 2], derivative="absorbent").to_json()
+        calls, ffts = [], []
+        real_terms, real_ifftn = harness._grid_terms, np.fft.ifftn
+        monkeypatch.setattr(harness, "_grid_terms", lambda f, cocycle, ps, ks, derivative, grid:
+                            calls.append((list(ps), ks, grid))
+                            or real_terms(f, cocycle, ps, ks, derivative, grid))
+        monkeypatch.setattr(np.fft, "ifftn", lambda *args, **kwargs:
+                            ffts.append(1) or real_ifftn(*args, **kwargs))
+        assert reevaluate_witness(report) == {key: report[key] for key in ("lhs", "rhs", "ratio")}
+        assert report["extra"]["grid"] == 20
+        assert calls == [([report["witness"]["p"]], (report["witness"]["k"],), (20, 20))]
+        assert len(ffts) == 1
+
+    @pytest.mark.parametrize("experiment, params, key, named", [
+        ("naor", dict(family="hypercube", n=5, ps=[3], ks=[1, 2]), "route", "pairs"),
+        ("naor", dict(family="hypercube", n=5, ps=[3], ks=[1, 2]), "route", "lattice"),
+        ("naor", dict(family="hypercube", n=5, ps=[2], ks=[1, 2]), "route", "grid"),
+        ("naor", dict(family="hypercube", n=3, ps=[3], ks=[1]), "grid", 2),
+        ("naor", dict(family="torus", n=2, bound=2, ps=[6], ks=[1]), "route", "pairs"),
+        ("naor", dict(family="torus", n=2, bound=2, ps=[6], ks=[1]), "route", None),
+        ("naor", dict(family="torus", n=2, bound=2, ps=[6], ks=[1]), "grid", 12),
+        ("naor", dict(family="torus", n=2, bound=2, ps=[6], ks=[1]), "grid", 40),
+        ("xp_linear", dict(n=4, d=2, p=4, ks=[1, 2]), "route", "signs"),
+        ("xp_linear", dict(n=4, d=2, p=3, ks=[1, 2]), "route", "pairs"),
+        ("rosenthal", dict(n=5, p=4, ks=[1, 2]), "route", "signs"),
+        ("rosenthal", dict(n=5, p=3, ks=[1, 2]), "route", "pairs")])
+    def test_report_naming_another_route_or_grid_refused(self, experiment, params, key, named):
+        """The witness replays the plan of its report's params; a report that names
+        another route or torus grid (the torus plans 13 points per axis at p = 6) is
+        refused with one message."""
+        report = scan(experiment, EnsembleSpec("gaussian"), trials=2, seed=1, **params).to_json()
+        assert reevaluate_witness(report) == {name: report[name] for name in ("lhs", "rhs", "ratio")}
+        assert report["extra"].get(key) != named
+        assert report["extra"].get("grid") == (13 if params.get("family") == "torus" else None)
+        report["extra"][key] = named
+        with pytest.raises(ValueError, match=f"the report names the {key} .*; its witness replays"):
             reevaluate_witness(report)
-        hypercube = scan("naor", EnsembleSpec("gaussian"), trials=1, seed=1, family="hypercube",
-                         n=3, ps=[3], ks=[1]).to_json()
-        assert "grid" not in hypercube["extra"]
-        hypercube["extra"]["grid"] = 2
-        with pytest.raises(ValueError, match="cannot take a grid"):
-            reevaluate_witness(hypercube)
+
+    def test_witness_p_outside_the_report_ps_refused(self):
+        """The plan of ps [4] would send an odd p to key pairs."""
+        report = scan("naor", EnsembleSpec("sparse", sparsity=3), trials=2, seed=1,
+                      family="hypercube", n=4, ps=[4], ks=[1, 2]).to_json()
+        assert report["extra"]["route"] == "pairs"
+        report["witness"]["p"] = 3.0
+        with pytest.raises(ValueError, match="not among its report's ps"):
+            reevaluate_witness(report)
 
     def test_draws_and_checks_read_no_key_table(self, monkeypatch):
         monkeypatch.setattr(harness, "_mean_zero_keys", _no_fft)
@@ -1283,7 +1295,7 @@ class TestScan:
                 lambda rng: next(scores),
                 harness._each(lambda score: [harness.Row(score, 1.0, 1.0, 1.0)]),
                 lambda score, row: {"score": score}),
-            lambda witness, seed, extra: None)
+            lambda report: None)
         monkeypatch.setitem(harness.EXPERIMENTS, "probe", record)
         assert scan("probe", trials=3).witness == {"score": 1.0 + 5e-12}
 
@@ -1509,6 +1521,8 @@ class TestScanOutcomes:
         assert (report.extra.get("route"), report.extra.get("grid")) == (route, grid)
         for value, expected in ((report.lhs, lhs), (report.rhs, rhs), (report.ratio, ratio)):
             assert value == pytest.approx(expected, rel=1e-12, abs=0)
+        assert reevaluate_witness(json.loads(json.dumps(report.to_json()))) == {
+            "lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratio}
 
     def test_memory_does_not_grow_with_trials(self):
         """A scan folds its rows as they arrive instead of keeping them."""
