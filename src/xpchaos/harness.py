@@ -644,7 +644,7 @@ def _gram_pair_means(mats: np.ndarray, p: float) -> np.ndarray:
         (np.zeros(1, dtype=np.int64), np.eye(left.shape[-1], dtype=complex)[None])
     parity = right_keys >> n
     starts = np.searchsorted(parity, left_keys >> n)
-    counts = np.searchsorted(parity, left_keys >> n, "right") - starts
+    counts = np.searchsorted(parity, left_keys >> n, side="right") - starts
     li, ri = _grouped_pairs(starts, counts)
     traces = np.einsum("pij,pji->p", left[li], right[ri]).real
     unions = (left_keys[li] | right_keys[ri]) & ((1 << n) - 1)
@@ -895,9 +895,12 @@ def _complex_normal(rng: np.random.Generator, size) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _mean_zero_keys(group: GroupDescriptor, family: str,
                     weights: tuple[float, ...] | None) -> tuple[np.ndarray, np.ndarray]:
-    """Box positions (ascending) and psi lengths of the keys of nonzero length."""
+    """Box positions (ascending) and psi lengths of the keys of nonzero length, refused
+    before any psi call when the box's lengths, and then those kept with their
+    positions, would not fit LATTICE_MAX_BYTES."""
     cocycle = LengthCocycle(family, group, weights)
     shape, low = key_box(group)
+    _within_budget(24 * math.prod(shape), "key lengths")
     keys = itertools.product(*(range(low, low + m) for m in shape))
     lengths = np.fromiter((cocycle.psi(key) for key in keys), dtype=float,
                           count=math.prod(shape))

@@ -342,6 +342,22 @@ class TestVerify:
         assert report["extra"]["route"] == "pairs" and len(report["witness"]["f"]["coeffs"]) == 153
         assert xpchaos.reevaluate_witness(report)["ratio"] == report["ratio"]
 
+    @pytest.mark.parametrize("n", ["28", "40", "63"])
+    def test_chaos_degree_key_lengths_refused_before_allocation(self, tmp_path, capsys, n):
+        """chaos_degree binds count the keys of the box's length table, which is
+        refused before any psi call once it would not fit the budget."""
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            assert run(["verify", "naor", "--n", n, "--ensemble", "chaos_degree",
+                        "--degree", "2", "--p", "4", "--out", str(out)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert "key lengths need" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chaos_degree_below_every_length_exit_code(self, tmp_path, capsys):
         """weighted_cube lengths are 4 times the weight sum, so at unit weights no key
         has a length of at most 2."""
