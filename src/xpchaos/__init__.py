@@ -18,7 +18,7 @@ from .cocycles import (BasisVector, LengthCocycle, build_cocycle,
                        weighted_hypercube, gromov_form, gromov_bilinear,
                        gram_matrix, completeness_defect,
                        conditional_negativity_check, spectral_gap)
-from .operators import (MultiplierOp, GradientVector, directional_derivative,
+from .operators import (GradientVector, directional_derivative,
                         gradient, absorbent_derivative, walsh_derivative,
                         laplacian_power, heat_semigroup, riesz_transform,
                         truncate, adjoint_truncation, project_AS,

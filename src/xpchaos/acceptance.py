@@ -25,7 +25,7 @@ from .groups import (GroupAlgebraElement, GroupDescriptor,
 from .harness import (EnsembleSpec, moment_checks, naor_profile,
                       reevaluate_witness, riesz_equivalence_ratio,
                       rosenthal_linear_ratio, sample_element, scan,
-                      xp_linear_ratio)
+                      xp_linear_profile)
 from .norms import lp_norm_torus_even, lp_norm_torus_grid, schatten_norm
 from .words import ReducedWord
 
@@ -276,9 +276,9 @@ def criterion_p2_closures() -> dict:
             mats = [(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
                     / math.sqrt(2) for _ in range(n)]
             norm_sum = sum(schatten_norm(x, 2) ** 2 for x in mats)
+            profile = xp_linear_profile(mats, 2, list(range(1, n + 1)))
             for k in range(1, n + 1):
-                report = xp_linear_ratio(mats, 2, k)
-                if abs(report.lhs - (k / n) * norm_sum) > 1e-9:
+                if abs(profile[k][0] - (k / n) * norm_sum) > 1e-9:
                     failures.append(f"xp closure n={n} k={k} trial={trial}")
             if failures:
                 break

@@ -250,7 +250,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
         payload["method"] = "grid"  # torus norms are exact only at even p; say what ran
         payload["norm"], payload["quadrature_gap"] = lp_norm_torus_refined(f, p, args.oversample)
     else:
-        payload["norm"] = lp_norm(f, p, oversample=args.oversample)
+        payload["norm"] = lp_norm(f, p)
     print(json.dumps(payload, sort_keys=True))
     return 0
 

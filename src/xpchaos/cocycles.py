@@ -304,19 +304,17 @@ def gromov_form(cocycle: LengthCocycle, g, h, method: str = "closed"):
     return cocycle._spec.gromov(cocycle, canonical_key(group, g), canonical_key(group, h))
 
 
-def gromov_bilinear(cocycle: LengthCocycle, expansion_a, expansion_b,
-                    method: str = "defining"):
-    """Bilinear extension of the Gromov form to delta combinations."""
-    return sum(coeff_a * coeff_b * gromov_form(cocycle, key_a, key_b, method=method)
+def gromov_bilinear(cocycle: LengthCocycle, expansion_a, expansion_b):
+    """Bilinear extension of the defining Gromov form to delta combinations."""
+    return sum(coeff_a * coeff_b * gromov_form_defining(cocycle, key_a, key_b)
                for key_a, coeff_a in expansion_a for key_b, coeff_b in expansion_b)
 
 
-def gram_matrix(cocycle: LengthCocycle, basis: Sequence[BasisVector],
-                method: str = "defining"):
+def gram_matrix(cocycle: LengthCocycle, basis: Sequence[BasisVector]):
     """Gram matrix of basis vectors via their delta expansions (exact)."""
     expansions = [cocycle.delta_expansion(u) for u in basis]
     size = len(basis)
-    return [[gromov_bilinear(cocycle, expansions[a], expansions[b], method=method)
+    return [[gromov_bilinear(cocycle, expansions[a], expansions[b])
              for b in range(size)] for a in range(size)]
 
 
@@ -494,13 +492,13 @@ FAMILIES = tuple(COCYCLE_FAMILIES)
 
 def conditional_negativity_check(psi, sample: Sequence, t_grid: Sequence[float],
                                  group: GroupDescriptor | None = None,
-                                 seed: int = 0, direct_trials: int = 200) -> dict:
+                                 seed: int = 0) -> dict:
     """Certify conditional negativity of a length function on a sample.
 
     For each ``t`` the kernel ``K[a, b] = exp(-t psi(a^{-1} b))`` must be
     positive semidefinite (Schoenberg); we report its minimum eigenvalue and
     PASS iff all stay above ``-1e-10``.  The defining inequality is also
-    checked directly on random mean-zero real vectors.
+    checked directly on 200 random mean-zero real vectors.
 
     ``psi`` may be a :class:`LengthCocycle` or a callable (then ``group`` is
     required).
@@ -532,7 +530,7 @@ def conditional_negativity_check(psi, sample: Sequence, t_grid: Sequence[float],
         min_eigs[float(t)] = float(np.linalg.eigvalsh(kernel).min())
     rng = np.random.default_rng(seed)
     direct_max = -math.inf
-    for _ in range(direct_trials):
+    for _ in range(200):
         vec = rng.standard_normal(size)
         vec -= vec.mean()
         direct_max = max(direct_max, float(vec @ psi_matrix @ vec))

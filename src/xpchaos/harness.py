@@ -1008,6 +1008,13 @@ def _each(rows: Callable) -> Callable:
     return lambda draws: ((x, rows(x)) for x in draws)
 
 
+def _reads(params: dict, *names: str) -> None:
+    """Refuse the params of a scan that its experiment does not read."""
+    if unread := sorted(set(params) - set(names)):
+        raise ValueError(f"the experiment does not read the params {unread}; "
+                         f"it reads {list(names)}")
+
+
 def _p(params: dict, default: float) -> float:
     return _check_p(float(params.get("p", default)))
 
@@ -1020,6 +1027,9 @@ def _naor_ps(params: dict) -> list[float]:
 def _ks(params: dict) -> list[int]:
     return _check_ks([int(k) for k in params.get("ks", [params.get("k", 1)])], int(params["n"]))
 
+
+#: the params from which ``_naor_family`` builds the group and the cocycle
+_FAMILY_PARAMS = ("family", "n", "modulus", "bound", "weights", "cocycle")
 
 #: truncation family -> (cocycle family whose record builds the group, fixed modulus)
 _TRUNCATION_FAMILIES = {"hypercube": ("cyclic_word", 2), "cyclic": ("cyclic_word", None),
@@ -1051,6 +1061,7 @@ def _load_element(witness: dict) -> tuple[GroupAlgebraElement, LengthCocycle]:
 
 
 def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
+    _reads(params, *_FAMILY_PARAMS, "derivative", "p", "ps", "k", "ks")
     group, cocycle, derivative = _naor_family(params)
     ps = _naor_inputs(group, _naor_ps(params), derivative)
     ks = _ks(params)
@@ -1084,6 +1095,7 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
+    _reads(params, "n", "d", "p", "k", "ks")
     n, d, p, ks = int(params["n"]), int(params.get("d", 4)), _p(params, 4), _ks(params)
     trials = itertools.count()
 
@@ -1095,12 +1107,14 @@ def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
 
 
 def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
+    _reads(params, "n", "p", "k", "ks")
     n, p, ks = int(params["n"]), _p(params, 4), _ks(params)
     return (lambda rng: _complex_normal(rng, n), _each(lambda a: _rosenthal_rows(a, p, ks)),
             lambda a, row: _coeffs_witness(a, row.k, p))
 
 
 def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
+    _reads(params, *_FAMILY_PARAMS, "p")
     group, cocycle, _ = _naor_family(params)
     p = _p(params, 2)
     _plan(group, cocycle, _most_keys(group, cocycle, ensemble), [p], "riesz")
@@ -1139,6 +1153,7 @@ def _free_rows(f: GroupAlgebraElement) -> list[Row]:
 
 
 def _free_identities(params: dict, ensemble: EnsembleSpec, seed: int):
+    _reads(params, "rank", "modulus")
     modulus = params.get("modulus")
     name = "free_product_word" if modulus else "free_word"
     group = COCYCLE_FAMILIES[name].cli_group(int(params.get("rank", 2)), int(modulus or 0), 0)

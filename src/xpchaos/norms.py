@@ -2,8 +2,9 @@
 
 Finite abelian norms are normalized: the group carries its uniform
 probability measure.  Torus polynomial norms come in two independent routes,
-an exact even-p route through repeated coefficient convolutions and an
-oversampled-grid quadrature; they are cross-checked in the test suite.
+an exact even-p route, the trace of a coefficient-convolution power taken by
+meet in the middle (``_trace_power``), and an oversampled-grid quadrature;
+they are cross-checked in the test suite.
 Matrix (Schatten) norms use the unnormalized trace: the balanced-average
 inequalities are p-homogeneous in a common trace scaling, so the choice only
 rescales both sides identically.
@@ -58,17 +59,31 @@ def lp_norm_abelian(f: GroupAlgebraElement, p: float) -> float:
     return float(np.mean(values ** p) ** (1.0 / p))
 
 
-def _conv_power(h: GroupAlgebraElement, t: int) -> GroupAlgebraElement | None:
-    if t == 0:
-        return None
+def _conv_power(h: GroupAlgebraElement, t: int) -> GroupAlgebraElement:
     out = h
     for _ in range(t - 1):
         out = convolve(out, h)
     return out
 
 
-def lp_norm_torus_even(f: GroupAlgebraElement, p: float, oversample: int = 4) -> float:
-    """Exact even-p norm: the p-th power is the 0-coefficient of (f f*)^{*p/2}.
+def _trace_power(h: GroupAlgebraElement, q: int) -> float:
+    """tau(h^q) of a self-adjoint torus polynomial h and q >= 1, by meet in the middle:
+    the pairing of h^(q//2) with h^(q - q//2), refused when it is not real."""
+    if q == 1:
+        value = trace(h)
+    else:
+        right = _conv_power(h, q - q // 2)
+        left = right if q % 2 == 0 else _conv_power(h, q // 2)
+        value = sum(v * right.coeffs.get(tuple(-x for x in k), 0)
+                    for k, v in left.coeffs.items())
+    value = complex(value)
+    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
+        raise NumericalSanityError(f"even-p power has nonreal trace {value}")
+    return max(value.real, 0.0)
+
+
+def lp_norm_torus_even(f: GroupAlgebraElement, p: float) -> float:
+    """Exact even-p norm: the p-th power is tau((f f*)^(p/2)).
 
     Odd and non-integer exponents fall outside the convolution method and are
     routed to the grid quadrature.
@@ -77,23 +92,10 @@ def lp_norm_torus_even(f: GroupAlgebraElement, p: float, oversample: int = 4) ->
         raise ValueError("lp_norm_torus_even needs a torus polynomial")
     _check_p(p)
     if not _is_even(p):
-        return lp_norm_torus_grid(f, p, oversample)
+        return lp_norm_torus_grid(f, p)
     if not f.coeffs:
         return 0.0
-    p = int(p)
-    h = convolve(f, adjoint(f))
-    half = p // 2
-    left = _conv_power(h, half // 2)
-    right = _conv_power(h, half - half // 2)
-    if left is None:
-        value = trace(right)
-    else:
-        value = sum(v * right.coeffs.get(tuple(-x for x in k), 0)
-                    for k, v in left.coeffs.items())
-    value = complex(value)
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        raise NumericalSanityError(f"even-p power has nonreal trace {value}")
-    return float(max(value.real, 0.0) ** (1.0 / p))
+    return float(_trace_power(convolve(f, adjoint(f)), int(p) // 2) ** (1.0 / p))
 
 
 def _torus_grid_values(fs: Sequence[GroupAlgebraElement], oversample: int) -> np.ndarray:
@@ -140,12 +142,12 @@ def lp_norm_torus_refined(f: GroupAlgebraElement, p: float,
     return value, gap
 
 
-def lp_norm(f: GroupAlgebraElement, p: float, oversample: int = 4) -> float:
+def lp_norm(f: GroupAlgebraElement, p: float) -> float:
     """Norm dispatcher: abelian dual sums, exact even-p torus, grid fallback."""
     if f.group.kind == FINITE_ABELIAN:
         return lp_norm_abelian(f, p)
     if f.group.kind == TORUS:
-        return lp_norm_torus_even(f, p, oversample)
+        return lp_norm_torus_even(f, p)
     raise ValueError("Lp norms are not defined for free kinds here; "
                      "use the combinatorial operator-identity suite instead")
 
@@ -195,8 +197,7 @@ def psd_eigenvalues(gram: MatrixOperand) -> np.ndarray:
     return np.clip(eigs, 0.0, None)
 
 
-def square_function_norm(components: Sequence, p: float, side: str = "column",
-                         oversample: int = 4) -> float:
+def square_function_norm(components: Sequence, p: float, side: str = "column") -> float:
     """Norm of the square function (sum |x_l|^2)^(1/2) of a finite family.
 
     Abelian components reduce to the pointwise Euclidean norm followed by the
@@ -219,10 +220,9 @@ def square_function_norm(components: Sequence, p: float, side: str = "column",
         elif group.kind == TORUS and _is_even(p):
             square = sum((convolve(c, adjoint(c)) for c in components[1:]),
                          convolve(components[0], adjoint(components[0])))
-            value = complex(trace(_conv_power(square, int(p) // 2)))
-            return float(max(value.real, 0.0) ** (1.0 / p))
+            return float(_trace_power(square, int(p) // 2) ** (1.0 / p))
         elif group.kind == TORUS:
-            rows = _torus_grid_values(components, oversample)
+            rows = _torus_grid_values(components, 4)     # lp_norm_torus_grid's grid
         else:
             raise ValueError("square functions need abelian or matrix operands")
         pointwise = np.sqrt(np.sum(np.abs(rows) ** 2, axis=0))

@@ -13,34 +13,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cocycles import BasisVector, LengthCocycle
-from .groups import (FINITE_ABELIAN, GroupAlgebraElement, GroupDescriptor,
+from .groups import (FINITE_ABELIAN, PRUNE_TOL, GroupAlgebraElement, GroupDescriptor,
                      adjoint, is_mean_zero)
 
 TWO_PI_I = 2j * math.pi
-
-
-@dataclass(frozen=True)
-class MultiplierOp:
-    """A Fourier multiplier ``lambda(g) -> symbol(g) lambda(g)``."""
-
-    name: str
-    symbol: Callable[[object], complex]
-
-    def apply(self, f: GroupAlgebraElement) -> GroupAlgebraElement:
-        coeffs = {}
-        for key, value in f.coeffs.items():
-            scaled = value * self.symbol(key)
-            if abs(scaled) > 1e-14:
-                coeffs[key] = scaled
-        return GroupAlgebraElement(f.group, coeffs, _canonical=True)
-
-    def compose(self, other: "MultiplierOp") -> "MultiplierOp":
-        """Pointwise product of symbols; multipliers commute."""
-        return MultiplierOp(f"{self.name}*{other.name}",
-                            lambda key: self.symbol(key) * other.symbol(key))
-
-    def __call__(self, f: GroupAlgebraElement) -> GroupAlgebraElement:
-        return self.apply(f)
 
 
 @dataclass(frozen=True)
@@ -70,51 +46,47 @@ def _component_range(group: GroupDescriptor, j: int) -> None:
         raise ValueError(f"component {j} out of range [1, {group.n_components}]")
 
 
-def directional_derivative_op(cocycle: LengthCocycle, u: BasisVector) -> MultiplierOp:
-    cocycle.require_basis_vector(u)
-    return MultiplierOp(f"d[{u.to_id()}]",
-                        lambda key: TWO_PI_I * cocycle.pairing(key, u))
+def _multiply(f: GroupAlgebraElement,
+              symbol: Callable[[object], complex | bool]) -> GroupAlgebraElement:
+    """The multiplier ``lambda(g) -> symbol(g) lambda(g)``, dropping products of modulus
+    at most PRUNE_TOL.  A bool symbol is a 0/1 filter: it keeps or drops each coefficient
+    unchanged, where a product with 1.0 would round a signed zero part to +0.0."""
+    coeffs = {}
+    for key, value in f.coeffs.items():
+        scale = symbol(key)
+        if scale is True:
+            coeffs[key] = value
+        elif abs(scaled := value * scale) > PRUNE_TOL:
+            coeffs[key] = scaled
+    return GroupAlgebraElement(f.group, coeffs, _canonical=True)
 
 
 def directional_derivative(f: GroupAlgebraElement, u: BasisVector,
                            cocycle: LengthCocycle) -> GroupAlgebraElement:
     """The cocycle derivative: multiply the g-coefficient by 2*pi*i*<beta(g),u>."""
-    return directional_derivative_op(cocycle, u).apply(f)
+    cocycle.require_basis_vector(u)
+    return _multiply(f, lambda key: TWO_PI_I * cocycle.pairing(key, u))
 
 
-def gradient(f: GroupAlgebraElement, j: int, cocycle: LengthCocycle,
-             basis_filter: Callable[[BasisVector], bool] | None = None) -> GradientVector:
-    """All nonzero directional derivatives of ``f`` in the j-th basis slice.
-
-    ``basis_filter`` optionally restricts the slice to a second compatible
-    decomposition of the cocycle space.
-    """
+def gradient(f: GroupAlgebraElement, j: int, cocycle: LengthCocycle) -> GradientVector:
+    """All nonzero directional derivatives of ``f`` in the j-th basis slice."""
     _component_range(f.group, j)
     components = []
     for u in cocycle.basis_slice(j, f.coeffs.keys()):
-        if basis_filter is not None and not basis_filter(u):
-            continue
         df = directional_derivative(f, u, cocycle)
         if df.coeffs:
             components.append((u, df))
     return GradientVector(j=j, components=tuple(components))
 
 
-def _first_letter_symbol(j: int) -> Callable[[object], complex]:
-    return lambda word: 1.0 if (not word.is_identity and word.first_generator == j) else 0.0
-
-
-def absorbent_derivative_op(group: GroupDescriptor, j: int) -> MultiplierOp:
-    _component_range(group, j)
-    if group.is_abelian:
-        return MultiplierOp(f"absorb[{j}]", lambda key: 1.0 if key[j - 1] != 0 else 0.0)
-    return MultiplierOp(f"absorb[{j}]", _first_letter_symbol(j))
-
-
 def absorbent_derivative(f: GroupAlgebraElement, j: int) -> GroupAlgebraElement:
     """The idempotent derivative with symbol delta_{g_j != 0} (abelian kinds)
     or delta_{first letter on generator j} (free kinds)."""
-    return absorbent_derivative_op(f.group, j).apply(f)
+    _component_range(f.group, j)
+    if f.group.is_abelian:
+        return _multiply(f, lambda key: 1.0 if key[j - 1] != 0 else 0.0)
+    return _multiply(f, lambda word: 1.0 if (not word.is_identity
+                                             and word.first_generator == j) else 0.0)
 
 
 def walsh_derivative(f: GroupAlgebraElement, j: int) -> GroupAlgebraElement:
@@ -123,8 +95,7 @@ def walsh_derivative(f: GroupAlgebraElement, j: int) -> GroupAlgebraElement:
     if group.kind != FINITE_ABELIAN or any(m != 2 for m in group.moduli):
         raise ValueError("walsh_derivative needs a hypercube group")
     _component_range(group, j)
-    return MultiplierOp(f"walsh[{j}]",
-                        lambda key: 2.0 if key[j - 1] else 0.0).apply(f)
+    return _multiply(f, lambda key: 2.0 if key[j - 1] else 0.0)
 
 
 def laplacian_power(f: GroupAlgebraElement, gamma: float,
@@ -143,7 +114,7 @@ def laplacian_power(f: GroupAlgebraElement, gamma: float,
         psi = cocycle.psi(key)
         return float(psi) ** gamma if psi != 0 else 0.0
 
-    return MultiplierOp(f"laplacian^{gamma}", symbol).apply(f)
+    return _multiply(f, symbol)
 
 
 def heat_semigroup(f: GroupAlgebraElement, t: float,
@@ -151,18 +122,7 @@ def heat_semigroup(f: GroupAlgebraElement, t: float,
     """The Markov semigroup multiplier exp(-t psi(g))."""
     if t < 0:
         raise ValueError("the heat semigroup needs t >= 0")
-    return MultiplierOp(f"heat[{t}]",
-                        lambda key: math.exp(-t * float(cocycle.psi(key)))).apply(f)
-
-
-def riesz_transform_op(cocycle: LengthCocycle, u: BasisVector) -> MultiplierOp:
-    cocycle.require_basis_vector(u)
-
-    def symbol(key):
-        psi = cocycle.psi(key)
-        return TWO_PI_I * cocycle.pairing(key, u) / math.sqrt(float(psi)) if psi != 0 else 0.0
-
-    return MultiplierOp(f"riesz[{u.to_id()}]", symbol)
+    return _multiply(f, lambda key: math.exp(-t * float(cocycle.psi(key))))
 
 
 def riesz_transform(f: GroupAlgebraElement, u: BasisVector,
@@ -170,7 +130,9 @@ def riesz_transform(f: GroupAlgebraElement, u: BasisVector,
     """The Riesz transform with symbol 2*pi*i*<beta(g),u>/sqrt(psi(g))."""
     if not all(cocycle.psi(key) != 0 for key in f.coeffs):
         raise ValueError("riesz_transform needs a mean-zero input")
-    return riesz_transform_op(cocycle, u).apply(f)
+    cocycle.require_basis_vector(u)
+    return _multiply(f, lambda key: TWO_PI_I * cocycle.pairing(key, u)
+                     / math.sqrt(float(cocycle.psi(key))))
 
 
 def _validate_subset(group: GroupDescriptor, subset: Iterable[int]) -> frozenset[int]:
@@ -196,9 +158,7 @@ def truncate(f: GroupAlgebraElement, subset: Iterable[int]) -> GroupAlgebraEleme
     conditional expectation onto it.
     """
     subset = _validate_subset(f.group, subset)
-    coeffs = {k: v for k, v in f.coeffs.items()
-              if in_truncation_range(f.group, k, subset)}
-    return GroupAlgebraElement(f.group, coeffs, _canonical=True)
+    return _multiply(f, lambda key: in_truncation_range(f.group, key, subset))
 
 
 def adjoint_truncation(f: GroupAlgebraElement, subset: Iterable[int]) -> GroupAlgebraElement:
@@ -215,8 +175,7 @@ def project_AS(f: GroupAlgebraElement, subset: Iterable[int]) -> GroupAlgebraEle
     _require_free(f, "project_AS")
     _require_mean_zero(f, "project_AS")
     subset = _validate_subset(f.group, subset)
-    coeffs = {k: v for k, v in f.coeffs.items() if k.first_generator in subset}
-    return GroupAlgebraElement(f.group, coeffs, _canonical=True)
+    return _multiply(f, lambda word: word.first_generator in subset)
 
 
 def free_hilbert_transform(f: GroupAlgebraElement, signs: Sequence[int]) -> GroupAlgebraElement:
@@ -226,8 +185,7 @@ def free_hilbert_transform(f: GroupAlgebraElement, signs: Sequence[int]) -> Grou
     n = f.group.n_components
     if len(signs) != n or any(s not in (1, -1) for s in signs):
         raise ValueError(f"signs must be a vector of +-1 of length {n}")
-    coeffs = {k: signs[k.first_generator - 1] * v for k, v in f.coeffs.items()}
-    return GroupAlgebraElement(f.group, coeffs, _canonical=True)
+    return _multiply(f, lambda word: signs[word.first_generator - 1])
 
 
 def conditional_expectation_two_point(f: GroupAlgebraElement, j: int) -> GroupAlgebraElement:
@@ -241,5 +199,4 @@ def conditional_expectation_two_point(f: GroupAlgebraElement, j: int) -> GroupAl
         raise ValueError("needs an even cyclic product group")
     _component_range(group, j)
     m = group.moduli[j - 1] // 2
-    coeffs = {k: v for k, v in f.coeffs.items() if k[j - 1] in (0, m)}
-    return GroupAlgebraElement(group, coeffs, _canonical=True)
+    return _multiply(f, lambda key: key[j - 1] in (0, m))

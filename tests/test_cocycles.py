@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xpchaos import (GroupDescriptor, build_cocycle, completeness_defect,
-                     conditional_negativity_check, enumerate_words, gram_matrix,
+from xpchaos import (GroupAlgebraElement, GroupDescriptor, build_cocycle,
+                     completeness_defect, conditional_negativity_check,
+                     enumerate_words, gram_matrix,
                      gromov_bilinear, gromov_form, spectral_gap,
                      weighted_hypercube)
 from xpchaos import operators, words
@@ -391,9 +392,11 @@ class TestVectorsOutsideTheBasis:
         (weighted_hypercube([1.0, 2.0]), BasisVector("wcube", j=3)),
     ], ids=lambda x: x.to_id() if isinstance(x, BasisVector) else None)
     def test_refused_once_per_multiplier(self, cocycle, u):
-        for build in (operators.directional_derivative_op, operators.riesz_transform_op):
+        """Refused before any coefficient is read: the zero element has none."""
+        zero = GroupAlgebraElement.zero(cocycle.group)
+        for multiplier in (operators.directional_derivative, operators.riesz_transform):
             with pytest.raises(ValueError, match="basis"):
-                build(cocycle, u)
+                multiplier(zero, u, cocycle)
         with pytest.raises(ValueError, match="basis"):
             cocycle.delta_expansion(u)
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -369,9 +370,9 @@ class TestPlan:
                                   (EnsembleSpec("gaussian"), 31, 31),
                                   (EnsembleSpec("linear_span"), 10, 5),
                                   (EnsembleSpec("chaos_degree", degree=2), 15, 15)]:
-            for experiment in ("naor", "riesz_equivalence"):
+            for experiment, ps in (("naor", {"ps": [2, 4]}), ("riesz_equivalence", {"p": 2})):
                 keys.clear()
-                scan(experiment, spec, trials=2, family="hypercube", n=5, ps=[2, 4])
+                scan(experiment, spec, trials=2, family="hypercube", n=5, **ps)
                 assert keys == [most, drawn, drawn]
 
     def test_inclusion_odds_match_the_binomials_and_stop_at_the_cap(self):
@@ -1310,6 +1311,18 @@ class TestScan:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="valid"):
             scan("bogus", EnsembleSpec(), trials=1, seed=0)
+
+    @pytest.mark.parametrize("experiment, params", [
+        ("naor", {"n": 4, "kk": 3}),
+        ("rosenthal", {"n": 4, "d": 7}),
+        ("xp_linear", {"n": 3, "bound": 9}),
+        ("riesz_equivalence", {"n": 2, "derivative": "walsh"}),
+        ("free_identities", {"rank": 2, "p": 3}),
+    ])
+    def test_param_the_experiment_does_not_read_refused(self, experiment, params):
+        unread = [key for key in params if key not in ("n", "rank")]
+        with pytest.raises(ValueError, match=re.escape(f"does not read the params {unread}")):
+            scan(experiment, trials=1, **params)
 
     def test_linear_span_matches_scalar_model(self):
         rng = np.random.default_rng(12)

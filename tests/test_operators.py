@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from xpchaos import (GroupAlgebraElement, GroupDescriptor, build_cocycle,
                      enumerate_words)
 from xpchaos.cocycles import BasisVector
-from xpchaos.operators import (MultiplierOp, absorbent_derivative,
+from xpchaos.operators import (absorbent_derivative,
                                adjoint_truncation, conditional_expectation_two_point,
                                directional_derivative, free_hilbert_transform,
                                gradient, heat_semigroup, laplacian_power,
@@ -90,12 +90,6 @@ class TestGradient:
     def test_orthogonal_direction_empty(self, torus2):
         group, cocycle = torus2
         assert not gradient(lam(group, (2, 0)), 2, cocycle).components
-
-    def test_basis_filter_hook(self, torus2):
-        group, cocycle = torus2
-        grad = gradient(lam(group, (2, 0)), 1, cocycle,
-                        basis_filter=lambda u: u.ell == 1)
-        assert [u.ell for u, _ in grad.components] == [1]
 
 
 class TestAbsorbentDerivative:
@@ -449,19 +443,6 @@ class TestFreeProjections:
 
 
 class TestMultiplierComposition:
-    def test_symbols_multiply_and_commute(self, torus2):
-        group, cocycle = torus2
-        rng = np.random.default_rng(9)
-        keys = [(1, 0), (2, 1), (-1, 2), (3, -3)]
-        f = GroupAlgebraElement(group, dict(zip(keys, rng.standard_normal(4))))
-        heat = MultiplierOp("heat", lambda g: math.exp(-0.5 * cocycle.psi(g)))
-        power = MultiplierOp("power", lambda g: float(cocycle.psi(g)))
-        left = heat.compose(power).apply(f)
-        right = power.compose(heat).apply(f)
-        sequential = heat.apply(power.apply(f))
-        assert left.allclose(right, 1e-14)
-        assert left.allclose(sequential, 1e-14)
-
     def test_multiplier_pairs_commute(self, torus2):
         group, cocycle = torus2
         rng = np.random.default_rng(10)

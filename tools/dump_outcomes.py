@@ -1,0 +1,232 @@
+"""Print one compact JSON line per outcome of xpchaos, to show that two trees agree.
+
+Run from a source checkout, on each tree, and compare the outputs byte for byte::
+
+    python tools/dump_outcomes.py > before.jsonl     # on the parent tree
+    python tools/dump_outcomes.py > after.jsonl      # on the changed tree
+    cmp before.jsonl after.jsonl
+
+xpchaos is imported from the ``src/`` beside this script, so a copy of it run in
+another checkout dumps that checkout.  The records are scan reports with their
+witness re-evaluations, single-run reports with theirs, and the outputs of
+``xpchaos verify`` (every verb), ``apply`` (every op on a torus, Z_4^2, Z_2^3, F_2
+and Z_4*Z_4 element), ``norm`` and ``check cocycle`` (every family), with their
+exit codes.  ``runtime_ms`` is left out: it is the one field a rerun may change.
+Floats print with ``repr``, so equal lines mean bit-identical numbers, signed
+zeros included.  A run takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+# the tree's own sources come first, whatever xpchaos is installed
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor,  # noqa: E402
+                     build_cocycle, cli, naor_ratio, reevaluate_witness,
+                     riesz_equivalence_ratio, rosenthal_linear_ratio, scan,
+                     xp_linear_ratio)
+from xpchaos.words import ReducedWord  # noqa: E402
+
+SEEDS = (0, 1, 2)
+TRIALS = 4
+
+#: (experiment, ensemble, params): both routes of naor, xp_linear and rosenthal,
+#: every naor family and derivative, and the chaos_degree and linear_span draws
+SCANS = [
+    ("naor", EnsembleSpec("gaussian"), {"n": 10, "ps": [2, 4], "derivative": "walsh"}),
+    ("naor", EnsembleSpec("gaussian"), {"n": 10, "ps": [2, 4], "derivative": "absorbent"}),
+    *[("naor", EnsembleSpec("gaussian"), {"family": "torus", "n": 2, "bound": 2,
+                                          "ps": [2, 3, 6], "derivative": derivative})
+      for derivative in ("absorbent", "euclidean", "gradient")],
+    ("naor", EnsembleSpec("sparse", sparsity=6), {"n": 7, "ps": [2, 4, 6], "ks": [1, 3, 7]}),
+    ("naor", EnsembleSpec("sparse", sparsity=5), {"n": 4, "ps": [2, 4], "derivative": "walsh"}),
+    ("naor", EnsembleSpec("sparse", sparsity=6), {"family": "cyclic", "modulus": 6, "n": 3,
+                                                  "ps": [2, 3, 4], "ks": [1, 2]}),
+    ("naor", EnsembleSpec("gaussian"), {"family": "cyclic", "modulus": 4, "n": 2,
+                                        "ps": [3, 4], "derivative": "gradient"}),
+    ("naor", EnsembleSpec("sparse", sparsity=4), {"family": "torus", "n": 1, "bound": 3,
+                                                  "ps": [2, 4, 6]}),
+    ("naor", EnsembleSpec("chaos_degree", degree=2), {"n": 6, "p": 4, "ks": [2, 3]}),
+    ("naor", EnsembleSpec("linear_span"), {"family": "weighted_cube", "n": 3,
+                                           "weights": [1.0, 2.0, 0.5], "p": 4,
+                                           "derivative": "gradient"}),
+    ("xp_linear", None, {"n": 4, "p": 4, "ks": [1, 2, 4]}),
+    ("xp_linear", None, {"n": 4, "p": 3, "d": 3, "k": 2}),
+    ("xp_linear", None, {"n": 15, "p": 2, "d": 2, "ks": [15]}),
+    ("rosenthal", None, {"n": 6, "p": 4, "ks": [1, 3, 6]}),
+    ("rosenthal", None, {"n": 5, "p": 3, "k": 2}),
+    ("riesz_equivalence", None, {"family": "cyclic", "modulus": 4, "n": 2, "p": 4}),
+    ("riesz_equivalence", None, {"family": "torus", "n": 2, "bound": 1, "p": 3}),
+    ("free_identities", None, {"rank": 2, "modulus": 4}),
+    ("free_identities", None, {"rank": 3}),
+]
+
+#: verify argv lists, every verb at least once
+VERIFY = [
+    ["naor", "--n", "6", "--p", "3", "--k", "all"],
+    ["naor", "--n", "10", "--p", "4", "--k", "1..4"],
+    ["naor", "--n", "8", "--p", "4", "--ensemble", "sparse", "--sparsity", "5", "--k", "all"],
+    ["naor", "--n", "9", "--p", "4", "--ensemble", "chaos_degree", "--degree", "2"],
+    ["torus", "--n", "2", "--bound", "2", "--p", "3", "--k", "all"],
+    ["torus", "--n", "2", "--bound", "2", "--p", "4", "--derivative", "absorbent"],
+    ["ztorus", "--n", "4", "--modulus", "6", "--p", "4", "--k", "2"],
+    ["xp-linear", "--n", "5", "--p", "4", "--k", "all"],
+    ["rosenthal", "--n", "6", "--p", "4", "--k", "all"],
+    ["rosenthal", "--n", "5", "--p", "3", "--k", "2"],
+    ["riesz", "--n", "2", "--p", "4"],
+    ["riesz", "--family", "torus", "--n", "2", "--bound", "1", "--p", "3"],
+    ["riesz", "--family", "weighted_cube", "--n", "3", "--weights", "1,2,3", "--p", "4",
+     "--ensemble", "chaos_degree", "--degree", "4"],
+    ["free-identities", "--n", "3"],
+    ["free-identities", "--n", "2", "--modulus", "4"],
+]
+
+#: element name -> (group, coefficients): real coefficients among them, so a
+#: conjugated zero imaginary part (-0.0) passes through the operators
+ELEMENTS = {
+    "torus": (GroupDescriptor.torus(2, 2),
+              {(1, 0): 1.5, (-2, 1): 0.25 - 0.5j, (0, 2): -0.75j, (2, -2): 0.5 + 1j}),
+    "z4^2": (GroupDescriptor.finite_abelian([4, 4]),
+             {(0, 0): 0.5, (1, 0): -1.0, (2, 3): 0.5 + 0.25j, (3, 1): 1j}),
+    "z2^3": (GroupDescriptor.hypercube(3), {(1, 0, 0): 1.0, (1, 1, 0): -0.5, (0, 1, 1): 0.25j}),
+    "f2": (GroupDescriptor.free_group(2),
+           {ReducedWord(((1, 1),)): 1.0, ReducedWord(((2, -1), (1, 2))): -0.5 + 0.5j,
+            ReducedWord(((1, -1), (2, 1))): 0.75j}),
+    "z4*z4": (GroupDescriptor.free_product(2, 4),
+              {ReducedWord(((1, 1),)): -1.0, ReducedWord(((2, 2), (1, 3))): 0.5 - 0.25j,
+               ReducedWord(((1, 2), (2, 1))): 1j}),
+}
+
+#: check-cocycle options beyond --family
+CHECK_OPTIONS = {"odd_cyclic_word": ["--modulus", "5"], "weighted_cube": ["--weights", "1,2"],
+                 "euclidean": ["--bound", "2"]}
+
+
+def _without_runtime(report: dict) -> dict:
+    return {key: value for key, value in report.items() if key != "runtime_ms"}
+
+
+def _reported(report) -> dict:
+    return {"report": _without_runtime(report.to_json()),
+            "reevaluated": reevaluate_witness(report)}
+
+
+def _run(argv: list[str], out: Path | None = None) -> dict:
+    """``xpchaos argv``: its exit code, stdout and stderr, and the report it wrote."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv + (["--out", str(out)] if out else []))
+    result = {"exit": code, "stderr": stderr.getvalue()}
+    if out is None:
+        result["stdout"] = stdout.getvalue()
+    elif code == 0:
+        result["report"] = _without_runtime(json.loads(out.read_text()))
+    return result
+
+
+def _report_records():
+    rng = np.random.default_rng(7)
+    cube = GroupDescriptor.hypercube(5)
+    f = GroupAlgebraElement(cube, {(1, 0, 1, 0, 0): 1.0, (0, 1, 1, 1, 0): -0.5 + 0.25j,
+                                   (1, 1, 0, 0, 1): 0.75j})
+    torus = GroupDescriptor.torus(2, 2)
+    g = GroupAlgebraElement(torus, {(1, 0): 1.0, (-1, 2): 0.5j, (2, -1): -0.25 + 0.5j})
+    mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(5)]
+    coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    yield "naor_ratio walsh p=4", lambda: naor_ratio(
+        f, build_cocycle("cyclic_word", cube), 4, 2, "walsh")
+    yield "naor_ratio absorbent p=3", lambda: naor_ratio(
+        f, build_cocycle("cyclic_word", cube), 3, 3)
+    yield "naor_ratio torus euclidean p=3", lambda: naor_ratio(
+        g, build_cocycle("euclidean", torus), 3, 1, "euclidean")
+    yield "xp_linear_ratio p=4", lambda: xp_linear_ratio(mats, 4, 2)
+    yield "xp_linear_ratio p=3", lambda: xp_linear_ratio(mats, 3, 3)
+    yield "rosenthal_linear_ratio p=4", lambda: rosenthal_linear_ratio(coeffs, 4, 3)
+    yield "rosenthal_linear_ratio p=3", lambda: rosenthal_linear_ratio(coeffs, 3, 2)
+    yield "riesz_equivalence_ratio torus p=3", lambda: riesz_equivalence_ratio(
+        g, 3, build_cocycle("torus_word", torus))
+
+
+def _element_files(workdir: Path) -> dict[str, Path]:
+    paths = {}
+    for name, (group, coeffs) in ELEMENTS.items():
+        paths[name] = workdir / f"{name}.json"
+        paths[name].write_text(json.dumps(GroupAlgebraElement(group, coeffs).to_json()))
+    return paths
+
+
+def _apply_records(paths: dict[str, Path]):
+    for name, path in paths.items():
+        group, coeffs = ELEMENTS[name]
+        f = GroupAlgebraElement(group, coeffs)
+        cocycle = build_cocycle(cli._default_family(group), group)
+        basis = cocycle.basis_for_support(list(f.coeffs))
+        options = {"derivative": [["--u", u.to_id()] for u in (basis[0], basis[-1])],
+                   "riesz": [["--u", u.to_id()] for u in (basis[0], basis[-1])],
+                   "absorbent": [["--j", "1"], ["--j", "2"]],
+                   "laplacian": [["--gamma", "1"], ["--gamma", "-0.5"]],
+                   "heat": [["--t", "0.3"]],
+                   "truncate": [["--S", "1"], ["--S", "2"]],
+                   "adjoint-truncate": [["--S", "1"]],
+                   "project-as": [["--S", "2"]],
+                   "hilbert": [["--eps", "1,-1"]]}
+        for op in cli.APPLY_OPS:
+            for extra in options.get(op, [[]]):
+                argv = ["apply", "--op", op, "--in", str(path), *extra]
+                yield f"{name} {op} {' '.join(extra)}".strip(), lambda argv=argv: _run(argv)
+
+
+def _norm_records(paths: dict[str, Path]):
+    for name, p, method in (("z4^2", 3, "auto"), ("torus", 4, "auto"), ("torus", 4, "exact"),
+                            ("torus", 4, "grid"), ("torus", 3.5, "exact"),
+                            ("torus", 3.5, "grid"), ("torus", 2, "exact")):
+        argv = ["norm", "--in", str(paths[name]), "--p", str(p), "--method", method]
+        yield f"{name} p={p} {method}", lambda argv=argv: _run(argv)
+
+
+def records(workdir: Path):
+    """(kind, name, thunk) for every record, in print order."""
+    for experiment, ensemble, params in SCANS:
+        for seed in SEEDS:
+            yield "scan", f"{experiment} {params} {ensemble} seed={seed}", (
+                lambda e=experiment, s=seed, en=ensemble, pa=params: _reported(
+                    scan(e, en, trials=TRIALS, seed=s, **pa)))
+    for name, make in _report_records():
+        yield "report", name, lambda make=make: _reported(make())
+    for index, argv in enumerate(VERIFY):
+        yield "verify", " ".join(argv), lambda argv=argv, index=index: _run(
+            ["verify", *argv, "--trials", "5"], workdir / f"verify-{index}.json")
+    paths = _element_files(workdir)
+    for name, thunk in _apply_records(paths):
+        yield "apply", name, thunk
+    for name, thunk in _norm_records(paths):
+        yield "norm", name, thunk
+    for family in cli.FAMILIES:
+        argv = ["check", "cocycle", "--family", family, *CHECK_OPTIONS.get(family, [])]
+        yield "check", family, lambda argv=argv, family=family: _run(
+            argv, workdir / f"check-{family}.json")
+
+
+def line(kind: str, name: str, outcome) -> str:
+    return json.dumps({"kind": kind, "name": name, "outcome": outcome}, sort_keys=True,
+                      separators=(",", ":"))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, name, thunk in records(Path(tmp)):
+            print(line(kind, name, thunk()), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
