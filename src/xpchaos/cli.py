@@ -243,6 +243,8 @@ def _load_element(path: str) -> GroupAlgebraElement:
 
 
 def _cmd_norm(args: argparse.Namespace) -> int:
+    if args.oversample < 4:             # refused on every route, not only the grid's
+        raise ValueError(f"oversample must be >= 4, got {args.oversample}")
     f = _load_element(args.infile)
     p = float(args.p)
     payload = {"p": p, "method": args.method}

@@ -314,11 +314,29 @@ def _within_budget(size: int, what: str) -> None:
         raise ValueError(f"the profile's {what} need {size} bytes, above {LATTICE_MAX_BYTES = }")
 
 
-def _grouped_pairs(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) indices pairing each row i with the counts[i] rows from starts[i]
-    on, in order."""
-    left = np.repeat(np.arange(len(starts)), counts)
-    return left, np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+def _self_join(table: np.ndarray, values: np.ndarray, prefix: int,
+               pair_bytes: Callable[[int], int] | None = None):
+    """(rows, sums, left, right) of an int64 row ``table``: its distinct rows in
+    ascending order, the ``values`` of each summed in input order (bincount for
+    scalars, ``reduceat`` for matrices), and the ordered pairs (left, right) of
+    rows whose first ``prefix`` columns agree, by left row and then right row.
+    ``pair_bytes(pairs)``, when given, prices the pairs against LATTICE_MAX_BYTES
+    before any pair index is built."""
+    order = np.lexsort(table.T[::-1])   # stable: equal rows keep their input order
+    table, values = table[order], values[order]
+    new = np.concatenate(([True], (table[1:] != table[:-1]).any(axis=1)))
+    rows, labels = table[new], np.cumsum(new) - 1
+    sums = (np.bincount(labels, values.real) + 1j * np.bincount(labels, values.imag)
+            if values.ndim == 1 else np.add.reduceat(values, np.flatnonzero(new)))
+    heads = rows[:, :prefix]
+    edges = np.flatnonzero(np.concatenate(([True], (heads[1:] != heads[:-1]).any(axis=1), [True])))
+    counts = edges[1:] - edges[:-1]
+    if pair_bytes is not None:
+        _within_budget(pair_bytes(int(counts @ counts)), "joined key pairs")
+    sizes = np.repeat(counts, counts)           # each row pairs with every row of its group
+    left = np.repeat(np.arange(len(rows)), sizes)
+    shift = np.cumsum(sizes) - sizes - np.repeat(edges[:-1], counts)   # pair less partner index
+    return rows, sums, left, np.arange(len(left)) - shift[left]
 
 
 def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, p: float):
@@ -329,15 +347,16 @@ def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, 
 
     |E_S f|^p = (E_S f)^q conj(E_S f)^q, so mean_x |E_S f|^p sums
     w = Re(prod c_a conj prod c_b) over ordered q-tuples a, b of keys with equal
-    sums in the group whose supports (nonzero coordinates) lie in S.  Tuples with
-    the same sum, support union and support intersection (the orderings of one
-    multiset among them) are merged by adding their products before the join.  At
-    p = 2 only equal keys pair: the hypergeometric closure.
+    sums in the group whose supports (nonzero coordinates) lie in S.  The q-tuples
+    are rows (element, sum, packed support union, packed support intersection) of
+    ``_self_join``, which merges equal rows (the orderings of one multiset) by
+    adding their products and joins the rows of equal (element, sum).  At p = 2
+    only equal keys pair: the hypergeometric closure, with no join.
 
-    The tuples of a batch lead with their element's first bin of the union sums,
-    t (n + 1), so one sort, merge and join serve every element.  Each element's
-    tuples and pairs keep the order they have alone, and its sums are taken over
-    its own run of pairs, so they are the same bits alone or in any batch.
+    The element column is each element's first bin of the union sums, t (n + 1), so
+    one join serves every element of the batch.  Each element's tuples and pairs
+    keep the order they have alone, and its sums are taken over its own run of
+    pairs, so they are the same bits alone or in any batch.
     """
     trials, s, n = keys.shape
     q = int(p) // 2
@@ -358,31 +377,16 @@ def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, 
         w = (prods * prods.conj()).real
         union = inter = _BYTE_BITS[masks.reshape(tuples, width)].sum(axis=1)
         owner = np.repeat(offsets, s)
-    else:                               # rows sorted by (element, sum), so equal sums are adjacent
-        table = np.empty((trials, tuples // trials, n + 1 + 2 * width), dtype=np.int64)
-        table[:, :, 0] = offsets[:, None]
-        table[:, :, 1:n + 1] = sums
-        table[:, :, n + 1:n + 1 + width] = unions
-        table[:, :, n + 1 + width:] = inters
-        table = table.reshape(tuples, -1)
-        order = np.lexsort(table.T[::-1])
-        table = table[order]
-        new = np.ones(tuples, dtype=bool)
-        np.any(table[1:] != table[:-1], axis=1, out=new[1:])
-        labels = np.empty(tuples, dtype=np.intp)
-        labels[order] = np.cumsum(new) - 1
-        rows = table[new]
-        prods = np.bincount(labels, prods.real) + 1j * np.bincount(labels, prods.imag)
-        owners, unions, inters = rows[:, 0], rows[:, n + 1:n + 1 + width], rows[:, n + 1 + width:]
-        edges = np.flatnonzero(np.concatenate(
-            ([True], np.any(rows[1:, :n + 1] != rows[:-1, :n + 1], axis=1), [True])))
-        starts, counts = edges[:-1], edges[1:] - edges[:-1]
-        _within_budget(_pair_route_bytes(n, tuples, int(counts @ counts)), "joined key pairs")
-        left, right = _grouped_pairs(np.repeat(starts, counts), np.repeat(counts, counts))
+    else:
+        owners = np.repeat(offsets, tuples // trials).reshape(trials, -1, 1)
+        table = np.concatenate([owners, sums, unions, inters], axis=2).reshape(tuples, -1)
+        rows, prods, left, right = _self_join(table, prods, n + 1,
+                                              lambda pairs: _pair_route_bytes(n, tuples, pairs))
         w = (prods[left] * prods[right].conj()).real
+        unions, inters = rows[:, n + 1:n + 1 + width], rows[:, n + 1 + width:]
         union = _BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
         inter = _BYTE_BITS[inters[left] & inters[right]].sum(axis=1)
-        owner = owners[left]
+        owner = rows[left, 0]
     by_union = np.bincount(owner + union, w, minlength=trials * (n + 1))
     ends = np.searchsorted(owner, offsets[1:]).tolist() + [len(w)]
     runs = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
@@ -444,7 +448,7 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
     at most s^(2q - 1) pairs (a tuple and q - 1 keys of its partner fix the last
     key); summed over the ps, that bound must not exceed the prod(m_j + 1) entries
     of the grid's mean-extended tensor.  Key pairs count their largest q-tuple list
-    here and their joined pairs in ``_key_pairs``, once the sort has counted them;
+    here and their joined pairs in ``_self_join``, once its sort has counted them;
     ``nbytes`` prices both at the bound.  The grid counts its multiplier stack and
     mean-extended tensor (none at p = 2 alone or riesz).
     """
@@ -609,46 +613,35 @@ def _xp_route(n: int, p: float) -> str:
     return "pairs" if p in (2, 4) and n <= SIGN_ENUMERATION_CAP else "signs"
 
 
-def _gram_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, products) of the Gram factors x_a* x_b of a stack of n matrices, merged
-    by key and listed in ascending key order.  A key holds the parity mask of {a, b}
-    (bits a and b unless a = b) above the n bits of their union mask, so x_a* x_b
-    and x_b* x_a share one."""
-    n, _, d = mats.shape
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-    keys = (((bits[:, None] ^ bits) << n) | bits[:, None] | bits).ravel()
-    gram = (np.conj(np.swapaxes(mats, 1, 2))[:, None] @ mats).reshape(-1, d, d)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return keys[starts], np.add.reduceat(gram[order], starts)
-
-
 def _gram_pair_means(mats: np.ndarray, p: float) -> np.ndarray:
     """E_eps ||sum_{j in S} eps_j x_j||_p^p averaged over the k-subsets S, at index
     k - 1 for k = 1..n, at p = 2q for q = 1 or 2, from index words.
 
     ||X||_p^p = tr((X* X)^q) expands into words of q Gram factors x_a* x_b, and the
     sign average keeps the words in which every index occurs an even number of
-    times, so its union holds at most q indices.  A word is a merged Gram factor L
-    on the left and the identity (q = 1) or another merged factor R (q = 2) on the
-    right; they join when their parities are equal and add tr(L R) at the size of
-    their union, which a k-subset holds with the odds of ``_subset_means``.
+    times, so its union holds at most q indices.  A factor is a row (parity mask of
+    {a, b}, packed union mask), index a at bit a.  At q = 1 a word is one factor of
+    parity 0, x_a* x_a.  At q = 2 ``_self_join`` merges the factors of one row
+    (x_a* x_b and x_b* x_a) and joins those of equal parity, L and R, into words
+    tr(L R).  Each word adds its trace at the size of its union, which a k-subset
+    holds with the odds of ``_subset_means``.
     """
     n, rows, cols = mats.shape
     if rows < cols:             # the transposes: same singular values, smaller Gram factors
         mats = np.swapaxes(mats, 1, 2)
     q = int(p) // 2
-    left_keys, left = _gram_factors(mats)
-    right_keys, right = (left_keys, left) if q == 2 else \
-        (np.zeros(1, dtype=np.int64), np.eye(left.shape[-1], dtype=complex)[None])
-    parity = right_keys >> n
-    starts = np.searchsorted(parity, left_keys >> n)
-    counts = np.searchsorted(parity, left_keys >> n, side="right") - starts
-    li, ri = _grouped_pairs(starts, counts)
-    traces = np.einsum("pij,pji->p", left[li], right[ri]).real
-    unions = (left_keys[li] | right_keys[ri]) & ((1 << n) - 1)
-    sizes = _BYTE_BITS[unions.view(np.uint8).reshape(-1, 8)].sum(axis=1)
+    a, b = np.indices((n, n)).reshape(2, -1) if q == 2 else (np.arange(n),) * 2
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    shifts = 8 * np.arange(-(-n // 8) - 1, -1, -1)     # highest byte first: rows sort as masks
+    table = np.column_stack([bits[a] ^ bits[b], (bits[a] | bits[b])[:, None] >> shifts & 255])
+    gram = np.conj(np.swapaxes(mats[a], 1, 2)) @ mats[b]
+    if q == 1:
+        traces, unions = np.einsum("pii->p", gram).real, table[:, 1:]
+    else:
+        table, gram, left, right = _self_join(table, gram, 1)
+        traces = np.einsum("pij,pji->p", gram[left], gram[right]).real
+        unions = table[left, 1:] | table[right, 1:]
+    sizes = _BYTE_BITS[unions].sum(axis=1)
     return _subset_means(np.bincount(sizes, traces, minlength=n + 1), min(n, q))
 
 

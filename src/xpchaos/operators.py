@@ -103,8 +103,10 @@ def laplacian_power(f: GroupAlgebraElement, gamma: float,
     """The multiplier psi(g)**gamma, with 0**gamma := 0 for gamma > 0.
 
     Negative powers refuse non-mean-zero input rather than silently
-    projecting.
+    projecting.  A gamma that is not finite is refused.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"the Laplacian power needs a finite gamma, got {gamma}")
     if gamma < 0 and not all(cocycle.psi(key) != 0 for key in f.coeffs):
         raise ValueError("negative Laplacian powers need a mean-zero input")
     if gamma == 0:
@@ -120,8 +122,8 @@ def laplacian_power(f: GroupAlgebraElement, gamma: float,
 def heat_semigroup(f: GroupAlgebraElement, t: float,
                    cocycle: LengthCocycle) -> GroupAlgebraElement:
     """The Markov semigroup multiplier exp(-t psi(g))."""
-    if t < 0:
-        raise ValueError("the heat semigroup needs t >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"the heat semigroup needs a finite t >= 0, got {t}")
     return _multiply(f, lambda key: math.exp(-t * float(cocycle.psi(key))))
 
 

@@ -502,6 +502,25 @@ class TestNormAndApply:
         assert run([*command, "--in", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("f, p, oversample", [
+        (GroupAlgebraElement(GroupDescriptor.torus(1, 2), {(1,): 1.0, (-2,): 0.5}), "4", "-7"),
+        (GroupAlgebraElement.lam(GroupDescriptor.finite_abelian([4, 4]), (1, 0)), "3", "0"),
+    ], ids=["torus-exact", "z4^2"])
+    def test_norm_oversample_refused_on_every_route(self, tmp_path, capsys, f, p, oversample):
+        path = write_element(tmp_path / "f.json", f)
+        assert run(["norm", "--in", path, "--p", p, "--oversample", oversample]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("option", [["--op", "laplacian", "--gamma", "nan"],
+                                        ["--op", "laplacian", "--gamma", "inf"],
+                                        ["--op", "heat", "--t", "nan"],
+                                        ["--op", "heat", "--t", "inf"]],
+                             ids=["gamma-nan", "gamma-inf", "t-nan", "t-inf"])
+    def test_apply_non_finite_parameter_exit_code(self, tmp_path, capsys, option):
+        f = GroupAlgebraElement(GroupDescriptor.torus(1, 2), {(1,): 1.0, (-2,): 0.5})
+        assert run(["apply", *option, "--in", write_element(tmp_path / "f.json", f)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_norm_missing_file(self, tmp_path):
         assert run(["norm", "--in", str(tmp_path / "nope.json"), "--p", "2"]) == 2
 

@@ -163,6 +163,10 @@ def _no_fft(*args, **kwargs):
     raise AssertionError("an FFT ran before the input was checked")
 
 
+def _no_pairs(*args, **kwargs):
+    raise AssertionError("joined pairs were built before their bytes were checked")
+
+
 class TestNaorInputChecks:
     """Every input check runs before the dual evaluation does."""
 
@@ -339,8 +343,15 @@ class TestPlan:
         assert harness._pair_route_bytes(4, 16, 0) <= 16 * 3 ** 4 < budget
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 3 ** 4)
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
-        real_pairs = harness._grouped_pairs
-        monkeypatch.setattr(harness, "_grouped_pairs", _no_fft)
+        real_join = harness._self_join
+
+        def join_without_building_pairs(*args):
+            """The join with ``np.repeat``, which builds its pair indices, failing."""
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "repeat", _no_pairs)
+                return real_join(*args)
+
+        monkeypatch.setattr(harness, "_self_join", join_without_building_pairs)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="joined key pairs.*LATTICE_MAX_BYTES"):
@@ -349,7 +360,7 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        monkeypatch.setattr(harness, "_grouped_pairs", real_pairs)
+        monkeypatch.setattr(harness, "_self_join", real_join)
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", budget)
         assert _route_and_profile(f, cocycle, [4], [1], "walsh")[0] == "pairs"
 
@@ -895,6 +906,17 @@ class TestSignPairRoutes:
             scalar = rosenthal_linear_ratio(coeffs, p, k).lhs ** p
             assert xp[k][0] == pytest.approx(scalar, rel=1e-12)
             assert naor[k][0] == pytest.approx(scalar, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [6, 8])
+    def test_rosenthal_pairs_match_the_sign_enumeration(self, p):
+        """Above p = 4 the pair route's merges hold up to q! orderings of one multiset."""
+        rng = np.random.default_rng(43)
+        n = 6
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert harness._rosenthal_route(n, p) == "pairs"
+        for row in harness._rosenthal_rows(coeffs, p, range(1, n + 1)):
+            exact = harness._rosenthal_sign_mean(coeffs, p, row.k)
+            assert row.lhs ** p == pytest.approx(exact, rel=1e-12)
 
     def test_rosenthal_past_the_sign_cap_matches_the_fourth_moment(self):
         """For fixed S, E|sum_S eps_j a_j|^4 = 2 (sum |a|^2)^2 + |sum a^2|^2 - 2 sum |a|^4;

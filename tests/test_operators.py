@@ -215,6 +215,13 @@ class TestLaplacianPower:
         with pytest.raises(ValueError):
             laplacian_power(lam(group, (0, 0)) + lam(group, (1, 0)), -0.5, cocycle)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_refused(self, torus2, gamma):
+        """NaN symbols would be pruned (abs(nan) > tol is False) or written as NaN."""
+        group, cocycle = torus2
+        with pytest.raises(ValueError, match="finite gamma"):
+            laplacian_power(lam(group, (1, 0)) + lam(group, (-2, 0)), gamma, cocycle)
+
     def test_factorization_into_squared_derivatives(self, torus2):
         """Summing d_u twice over the basis gives -4 pi^2 times the Laplacian."""
         group, cocycle = torus2
@@ -257,6 +264,12 @@ class TestHeatSemigroup:
         group, cocycle = torus2
         with pytest.raises(ValueError):
             heat_semigroup(lam(group, (1, 0)), -1.0, cocycle)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_refused(self, torus2, t):
+        group, cocycle = torus2
+        with pytest.raises(ValueError, match="finite t"):
+            heat_semigroup(lam(group, (1, 0)) + lam(group, (-2, 0)), t, cocycle)
 
 
 class TestRieszTransform:

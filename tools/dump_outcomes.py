@@ -40,7 +40,9 @@ SEEDS = (0, 1, 2)
 TRIALS = 4
 
 #: (experiment, ensemble, params): both routes of naor, xp_linear and rosenthal,
-#: every naor family and derivative, and the chaos_degree and linear_span draws
+#: their pair routes at every even p they take (naor and rosenthal up to p = 8,
+#: xp_linear at p = 2 and 4 on one- and two-byte index masks), every naor family
+#: and derivative, and the chaos_degree and linear_span draws
 SCANS = [
     ("naor", EnsembleSpec("gaussian"), {"n": 10, "ps": [2, 4], "derivative": "walsh"}),
     ("naor", EnsembleSpec("gaussian"), {"n": 10, "ps": [2, 4], "derivative": "absorbent"}),
@@ -55,14 +57,18 @@ SCANS = [
                                         "ps": [3, 4], "derivative": "gradient"}),
     ("naor", EnsembleSpec("sparse", sparsity=4), {"family": "torus", "n": 1, "bound": 3,
                                                   "ps": [2, 4, 6]}),
+    ("naor", EnsembleSpec("sparse", sparsity=6), {"n": 12, "ps": [8], "ks": [1, 6, 12]}),
     ("naor", EnsembleSpec("chaos_degree", degree=2), {"n": 6, "p": 4, "ks": [2, 3]}),
     ("naor", EnsembleSpec("linear_span"), {"family": "weighted_cube", "n": 3,
                                            "weights": [1.0, 2.0, 0.5], "p": 4,
                                            "derivative": "gradient"}),
     ("xp_linear", None, {"n": 4, "p": 4, "ks": [1, 2, 4]}),
+    ("xp_linear", None, {"n": 11, "p": 4, "d": 2, "ks": [1, 5, 11]}),
+    *[("xp_linear", None, {"n": n, "p": 2, "d": 3, "ks": [1, 3, n]}) for n in (5, 9, 14)],
     ("xp_linear", None, {"n": 4, "p": 3, "d": 3, "k": 2}),
     ("xp_linear", None, {"n": 15, "p": 2, "d": 2, "ks": [15]}),
-    ("rosenthal", None, {"n": 6, "p": 4, "ks": [1, 3, 6]}),
+    *[("rosenthal", None, {"n": n, "p": p, "ks": [1, 3, n]}) for n, p in ((10, 2), (6, 4), (6, 6),
+                                                                           (9, 8))],
     ("rosenthal", None, {"n": 5, "p": 3, "k": 2}),
     ("riesz_equivalence", None, {"family": "cyclic", "modulus": 4, "n": 2, "p": 4}),
     ("riesz_equivalence", None, {"family": "torus", "n": 2, "bound": 1, "p": 3}),
@@ -142,6 +148,7 @@ def _report_records():
     g = GroupAlgebraElement(torus, {(1, 0): 1.0, (-1, 2): 0.5j, (2, -1): -0.25 + 0.5j})
     mats = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(5)]
     coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    wide = [rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)) for _ in range(10)]
     yield "naor_ratio walsh p=4", lambda: naor_ratio(
         f, build_cocycle("cyclic_word", cube), 4, 2, "walsh")
     yield "naor_ratio absorbent p=3", lambda: naor_ratio(
@@ -150,6 +157,8 @@ def _report_records():
         g, build_cocycle("euclidean", torus), 3, 1, "euclidean")
     yield "xp_linear_ratio p=4", lambda: xp_linear_ratio(mats, 4, 2)
     yield "xp_linear_ratio p=3", lambda: xp_linear_ratio(mats, 3, 3)
+    for p in (2, 4):
+        yield f"xp_linear_ratio wide p={p}", lambda p=p: xp_linear_ratio(wide, p, 2)
     yield "rosenthal_linear_ratio p=4", lambda: rosenthal_linear_ratio(coeffs, 4, 3)
     yield "rosenthal_linear_ratio p=3", lambda: rosenthal_linear_ratio(coeffs, 3, 2)
     yield "riesz_equivalence_ratio torus p=3", lambda: riesz_equivalence_ratio(
