@@ -32,7 +32,8 @@ from .cocycles import (COCYCLE_FAMILIES, FAMILIES, BasisVector, build_cocycle,
                        gram_matrix)
 from .groups import (TORUS, GroupAlgebraElement, GroupDescriptor, adjoint,
                      project_mean_zero, random_group_elements)
-from .harness import DERIVATIVE_CHOICES, ENSEMBLE_KINDS, EnsembleSpec, scan
+from .harness import (DERIVATIVE_CHOICES, ENSEMBLE_KINDS, LATTICE_MAX_BYTES, EnsembleSpec,
+                      scan)
 from .norms import NumericalSanityError, lp_norm, lp_norm_torus_refined
 
 
@@ -200,8 +201,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if isinstance(opts.get("weights"), str):
         opts["weights"] = _parse_floats(opts["weights"])
     cocycle = _build_cli_cocycle(opts)
+    sample_size = int(opts.get("sample_size", 12))
+    # the Schoenberg check's float psi matrix spans the sample and the identity
+    matrix_bytes = 8 * (sample_size + 1) ** 2
+    if matrix_bytes > LATTICE_MAX_BYTES:
+        raise ValueError(f"a sample of {sample_size} needs a {matrix_bytes}-byte psi matrix, "
+                         f"above {LATTICE_MAX_BYTES = }")
     rng = np.random.default_rng(int(opts.get("seed", 0)))
-    sample = random_group_elements(cocycle.group, int(opts.get("sample_size", 12)), rng)
+    sample = random_group_elements(cocycle.group, sample_size, rng)
     t_grid = _parse_floats(str(opts.get("t", "0.1,1,10")))
     psd = conditional_negativity_check(cocycle, sample, t_grid, seed=int(opts.get("seed", 0)))
     gram_error = completeness_error = None

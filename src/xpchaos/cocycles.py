@@ -265,13 +265,26 @@ def _halve(value):
     return value / 2
 
 
+def _defining_table(cocycle: LengthCocycle, row_keys: Sequence, col_keys: Sequence) -> list[list]:
+    """The defining form (psi(g) + psi(h) - psi(g^{-1} h)) / 2 at every ordered
+    pair (g, h) of ``row_keys`` x ``col_keys``, exactly.
+
+    Each key is canonicalised once, and each distinct canonical key's length
+    and (for rows) inverse computed once; only psi(g^{-1} h) is per pair.
+    No symmetry psi(g^{-1}) = psi(g) is assumed.
+    """
+    group = cocycle.group
+    rows = [canonical_key(group, g) for g in row_keys]
+    cols = [canonical_key(group, h) for h in col_keys]
+    psi = {key: cocycle.psi(key) for key in dict.fromkeys(rows + cols)}
+    inverses = {g: element_inverse(group, g) for g in dict.fromkeys(rows)}
+    return [[_halve(psi[g] + psi[h] - cocycle.psi(element_product(group, inverses[g], h)))
+             for h in cols] for g in rows]
+
+
 def gromov_form_defining(cocycle: LengthCocycle, g, h):
     """(psi(g) + psi(h) - psi(g^{-1} h)) / 2, computed exactly."""
-    group = cocycle.group
-    g = canonical_key(group, g)
-    h = canonical_key(group, h)
-    gh = element_product(group, element_inverse(group, g), h)
-    return _halve(cocycle.psi(g) + cocycle.psi(h) - cocycle.psi(gh))
+    return _defining_table(cocycle, [g], [h])[0][0]
 
 
 def _cyclic_closed(a: int, b: int, q: int):
@@ -304,18 +317,43 @@ def gromov_form(cocycle: LengthCocycle, g, h, method: str = "closed"):
     return cocycle._spec.gromov(cocycle, canonical_key(group, g), canonical_key(group, h))
 
 
+def _bilinear_sum(terms_a, terms_b, table):
+    """sum of coeff_a * coeff_b * table[i][j] over (i, coeff_a) in ``terms_a`` and
+    (j, coeff_b) in ``terms_b``, in that order."""
+    return sum(coeff_a * coeff_b * table[i][j] for i, coeff_a in terms_a for j, coeff_b in terms_b)
+
+
 def gromov_bilinear(cocycle: LengthCocycle, expansion_a, expansion_b):
-    """Bilinear extension of the defining Gromov form to delta combinations."""
-    return sum(coeff_a * coeff_b * gromov_form_defining(cocycle, key_a, key_b)
-               for key_a, coeff_a in expansion_a for key_b, coeff_b in expansion_b)
+    """Bilinear extension of the defining Gromov form to delta combinations.
+
+    ``expansion_a`` and ``expansion_b`` are lists of (key, coefficient).  The
+    defining form is tabulated once over their |a| x |b| key pairs, and the
+    terms are summed a-major, each as coeff_a * coeff_b * form.
+    """
+    expansion_a, expansion_b = list(expansion_a), list(expansion_b)
+    table = _defining_table(cocycle, [key for key, _ in expansion_a],
+                            [key for key, _ in expansion_b])
+    return _bilinear_sum([(i, coeff) for i, (_, coeff) in enumerate(expansion_a)],
+                         [(j, coeff) for j, (_, coeff) in enumerate(expansion_b)], table)
 
 
 def gram_matrix(cocycle: LengthCocycle, basis: Sequence[BasisVector]):
-    """Gram matrix of basis vectors via their delta expansions (exact)."""
+    """Gram matrix of basis vectors via their delta expansions (exact).
+
+    The defining form is tabulated once over the K distinct keys of all the
+    expansions (K^2 group products; K is about the basis size, since each
+    vector's expansion shares keys with its neighbours').  Each entry then
+    sums its terms in :func:`gromov_bilinear`'s order, so every entry is
+    ``gromov_bilinear`` of the two expansions, value and type alike.
+    """
     expansions = [cocycle.delta_expansion(u) for u in basis]
-    size = len(basis)
-    return [[gromov_bilinear(cocycle, expansions[a], expansions[b])
-             for b in range(size)] for a in range(size)]
+    index: dict = {}
+    for expansion in expansions:
+        for key, _ in expansion:
+            index.setdefault(key, len(index))
+    table = _defining_table(cocycle, list(index), list(index))
+    terms = [[(index[key], coeff) for key, coeff in expansion] for expansion in expansions]
+    return [[_bilinear_sum(terms_a, terms_b, table) for terms_b in terms] for terms_a in terms]
 
 
 def completeness_defect(cocycle: LengthCocycle, g):
@@ -497,8 +535,10 @@ def conditional_negativity_check(psi, sample: Sequence, t_grid: Sequence[float],
 
     For each ``t`` the kernel ``K[a, b] = exp(-t psi(a^{-1} b))`` must be
     positive semidefinite (Schoenberg); we report its minimum eigenvalue and
-    PASS iff all stay above ``-1e-10``.  The defining inequality is also
-    checked directly on 200 random mean-zero real vectors.
+    PASS iff all stay above ``-1e-10``.  The matrix ``psi(a^{-1} b)`` takes
+    one inverse per row ``a``.  The defining inequality is also checked
+    directly, as ``v @ psi_matrix @ v`` one row at a time, on the rows of one
+    seeded ``(200, size)`` standard normal draw, each centred to mean zero.
 
     ``psi`` may be a :class:`LengthCocycle` or a callable (then ``group`` is
     required).
@@ -517,22 +557,19 @@ def conditional_negativity_check(psi, sample: Sequence, t_grid: Sequence[float],
     if identity not in sample:
         sample = [identity] + sample
     size = len(sample)
-    psi_matrix = np.empty((size, size))
-    for a in range(size):
-        for b in range(size):
-            step = element_product(group, element_inverse(group, sample[a]), sample[b])
-            psi_matrix[a, b] = float(psi_fn(step))
+    inverses = [element_inverse(group, g) for g in sample]
+    psi_matrix = np.array([[float(psi_fn(element_product(group, g_inv, h))) for h in sample]
+                           for g_inv in inverses])
     min_eigs = {}
     for t in t_grid:
         if t <= 0:
             raise ValueError("t grid must be positive")
         kernel = np.exp(-t * psi_matrix)
         min_eigs[float(t)] = float(np.linalg.eigvalsh(kernel).min())
-    rng = np.random.default_rng(seed)
+    vectors = np.random.default_rng(seed).standard_normal((200, size))
+    vectors -= vectors.mean(axis=1, keepdims=True)
     direct_max = -math.inf
-    for _ in range(200):
-        vec = rng.standard_normal(size)
-        vec -= vec.mean()
+    for vec in vectors:
         direct_max = max(direct_max, float(vec @ psi_matrix @ vec))
     passed = all(v >= PSD_EIG_TOL for v in min_eigs.values()) and direct_max <= 1e-10
     return {"kernel_min_eigenvalues": min_eigs, "direct_form_max": direct_max,

@@ -103,7 +103,8 @@ def laplacian_power(f: GroupAlgebraElement, gamma: float,
     """The multiplier psi(g)**gamma, with 0**gamma := 0 for gamma > 0.
 
     Negative powers refuse non-mean-zero input rather than silently
-    projecting.  A gamma that is not finite is refused.
+    projecting.  A gamma that is not finite, or at which some psi(g)**gamma
+    overflows a float, is refused.
     """
     if not math.isfinite(gamma):
         raise ValueError(f"the Laplacian power needs a finite gamma, got {gamma}")
@@ -114,7 +115,12 @@ def laplacian_power(f: GroupAlgebraElement, gamma: float,
 
     def symbol(key):
         psi = cocycle.psi(key)
-        return float(psi) ** gamma if psi != 0 else 0.0
+        if psi == 0:
+            return 0.0
+        try:
+            return float(psi) ** gamma
+        except OverflowError:
+            raise ValueError(f"psi({key}) ** gamma overflows a float at gamma = {gamma}") from None
 
     return _multiply(f, symbol)
 

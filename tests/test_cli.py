@@ -413,6 +413,21 @@ class TestCheck:
         assert run(["check", "cocycle", "--family", "bogus",
                     "--out", str(tmp_path / "c.json")]) == 2
 
+    def test_oversized_sample_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        """200000 elements need a 320 GB psi matrix: refused before the sample is drawn."""
+        monkeypatch.setattr(cli, "random_group_elements", _no_draw)
+        out = tmp_path / "cocycle.json"
+        tracemalloc.start()
+        try:
+            assert run(["check", "cocycle", "--family", "cyclic_word", "--n", "2",
+                        "--modulus", "4", "--sample-size", "200000", "--out", str(out)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert "psi matrix" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_options_cover_every_family(self):
         assert set(FAMILY_OPTIONS) == set(FAMILIES)
 
@@ -520,6 +535,14 @@ class TestNormAndApply:
         f = GroupAlgebraElement(GroupDescriptor.torus(1, 2), {(1,): 1.0, (-2,): 0.5})
         assert run(["apply", *option, "--in", write_element(tmp_path / "f.json", f)]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_apply_laplacian_overflow_exit_code(self, tmp_path, capsys):
+        """psi(-2) ** 1e308 overflows a float."""
+        f = GroupAlgebraElement(GroupDescriptor.torus(1, 2), {(1,): 1.0, (-2,): 0.5})
+        path = write_element(tmp_path / "f.json", f)
+        assert run(["apply", "--op", "laplacian", "--gamma", "1e308", "--in", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gamma" in captured.err
 
     def test_norm_missing_file(self, tmp_path):
         assert run(["norm", "--in", str(tmp_path / "nope.json"), "--p", "2"]) == 2
@@ -645,6 +668,10 @@ class TestNormAndApply:
         path = tmp_path / "f.json"
         path.write_text(json.dumps(GroupAlgebraElement.lam(group, (1,)).to_json()))
         assert run(["apply", "--op", "riesz", "--in", str(path)]) == 2
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("the sample was drawn")
 
 
 def _no_fft(*args, **kwargs):

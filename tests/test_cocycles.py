@@ -1,5 +1,6 @@
 """Length cocycles: Gromov forms, conditional negativity, bases, pairings."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ from xpchaos import (GroupAlgebraElement, GroupDescriptor, build_cocycle,
                      enumerate_words, gram_matrix,
                      gromov_bilinear, gromov_form, spectral_gap,
                      weighted_hypercube)
-from xpchaos import operators, words
+from xpchaos import cocycles, operators, words
 from xpchaos.cli import _build_cli_cocycle
-from xpchaos.cocycles import COCYCLE_FAMILIES, FAMILIES, BasisVector
+from xpchaos.cocycles import COCYCLE_FAMILIES, FAMILIES, BasisVector, gromov_form_defining
 from xpchaos.words import ReducedWord
 
 
@@ -337,6 +338,140 @@ class TestOrthonormalBases:
         assert not c.has_basis
         with pytest.raises(ValueError):
             c.basis_for_support([(1,)])
+
+
+def _pairwise_gram(cocycle, basis):
+    """The Gram matrix as a double loop of gromov_form_defining per key pair."""
+    expansions = [cocycle.delta_expansion(u) for u in basis]
+    return [[sum(coeff_a * coeff_b * gromov_form_defining(cocycle, key_a, key_b)
+                 for key_a, coeff_a in expansion_a for key_b, coeff_b in expansion_b)
+             for expansion_b in expansions] for expansion_a in expansions]
+
+
+def _formal(cocycle):
+    """``cocycle`` with its family's expansion applied to any vector of its tag:
+    a vector outside the basis (l + m on Z_2m, w g^m on Z_2m * Z_2m) expands
+    to the formal vector of the sign relation."""
+    cocycle.delta_expansion = functools.partial(cocycle._spec.delta_expansion, cocycle)
+    return cocycle
+
+
+def _counted(calls, fn, *args):
+    calls.append(args)
+    return fn(*args)
+
+
+def _sign_relation_vectors(modulus):
+    """u_w and the formal u_{w g^m} for each word w of length <= 2 on
+    Z_2m * Z_2m whose last exponent lies in [1, m - 1]."""
+    m = modulus // 2
+    out = []
+    for w in enumerate_words(2, 2, modulus=modulus):
+        if not w.is_identity and 1 <= w.blocks[-1][1] <= m - 1:
+            extension = words.concat(w, ReducedWord(((w.blocks[-1][0], m),)), modulus)
+            out += [BasisVector("free_prod", word=w), BasisVector("free_prod", word=extension)]
+    return out
+
+
+#: (cocycle, vectors) for every family with a basis; the last three are not
+#: orthonormal, since each holds vectors with Gram entry -1
+GRAM_CASES = {
+    "euclidean": lambda: (build_cocycle("euclidean", GroupDescriptor.torus(2, 4)),
+                          [BasisVector("euclidean", j=j) for j in (1, 2)]),
+    "torus_word": lambda: (torus_word(), [BasisVector("zword", j=j, ell=ell) for j in (1, 2)
+                                          for ell in (-3, -2, -1, 1, 2, 3)]),
+    "cyclic_word Z_6^2": lambda: (cyclic(6), [BasisVector("z2m", j=j, ell=ell)
+                                              for j in (1, 2) for ell in (1, 2, 3)]),
+    "cyclic_word Z_2^3": lambda: (cyclic(2, 3), [BasisVector("z2m", j=j, ell=1)
+                                                 for j in (1, 2, 3)]),
+    "free_word": lambda: (free(), [BasisVector("free", word=w) for w in enumerate_words(2, 2)
+                                   if not w.is_identity]),
+    "free_product_word": lambda: (free_product(4), [
+        BasisVector("free_prod", word=w) for w in enumerate_words(2, 2, modulus=4)
+        if not w.is_identity and 1 <= w.blocks[-1][1] <= 2]),
+    "weighted_cube": lambda: (weighted_hypercube([1.0, 2.0, 0.5, 3.0]),
+                              [BasisVector("wcube", j=j) for j in (1, 2, 3, 4)]),
+    "cyclic_word Z_4 formal": lambda: (_formal(cyclic(4, n=1)), [
+        BasisVector("z2m", j=1, ell=ell) for ell in (1, 2, 3, 4)]),
+    "free_product_word Z_4 formal": lambda: (_formal(free_product(4)),
+                                             _sign_relation_vectors(4)),
+    "free_product_word Z_6 formal": lambda: (_formal(free_product(6)),
+                                             _sign_relation_vectors(6)),
+}
+
+
+class TestGramTable:
+    """gram_matrix tabulates the defining form once over the distinct keys."""
+
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    def test_gram_equals_pairwise_defining_forms(self, case):
+        cocycle, basis = GRAM_CASES[case]()
+        gram, expected = gram_matrix(cocycle, basis), _pairwise_gram(cocycle, basis)
+        assert gram == expected
+        assert [[type(x) for x in row] for row in gram] == [[type(x) for x in row]
+                                                            for row in expected]
+        if case.endswith("formal"):
+            assert any(-1 in row for row in gram)
+        if cocycle.family == "weighted_cube":
+            assert all(type(x) is float for row in gram for x in row)
+
+    @pytest.mark.parametrize("case", ["torus_word", "cyclic_word Z_6^2", "free_word",
+                                      "free_product_word", "free_product_word Z_6 formal"])
+    def test_gram_takes_one_product_per_key_pair(self, monkeypatch, case):
+        cocycle, basis = GRAM_CASES[case]()
+        keys = {key for u in basis for key, _ in cocycle.delta_expansion(u)}
+        calls = []
+        monkeypatch.setattr(cocycles, "element_product", functools.partial(
+            _counted, calls, cocycles.element_product))
+        gram_matrix(cocycle, basis)
+        assert 0 < len(calls) <= len(keys) ** 2
+
+    def test_negativity_takes_one_inverse_per_row(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cocycles, "element_inverse", functools.partial(
+            _counted, calls, cocycles.element_inverse))
+        sample = list(enumerate_words(2, 2))
+        report = conditional_negativity_check(free(), sample, [1.0])
+        assert report["passed"] and len(calls) == report["sample_size"] == len(sample)
+
+
+class TestNegativityGolden:
+    """conditional_negativity_check on samples of the benchmark's four families
+    (t = 0.1, 1, 10, seed 5), pinned bit for bit: one inverse per row and one
+    (200, size) draw give the numbers of a psi matrix filled entry by entry and
+    of 200 draws of one vector each."""
+
+    CASES = {
+        "torus_word": (GroupDescriptor.torus(2, 3),
+                       [(1, 2), (-3, 0), (2, -1), (0, 3), (-1, -2), (3, 3), (1, -3)],
+                       [0.1118219615300716, 0.863569217763135, 0.9999999979388475],
+                       -4.498521729582623),
+        "cyclic_word": (GroupDescriptor.finite_abelian([6, 6]),
+                        [(1, 2), (5, 0), (3, 3), (2, 4), (0, 1), (4, 5)],
+                        [0.030575549244293735, 0.5371918985479279, 0.9999357958341344],
+                        -0.243904920812039),
+        "free_word": (GroupDescriptor.free_group(2),
+                      [((1, 1), (2, -1)), ((2, 2),), ((1, -1), (2, 1), (1, 1)), ((2, -1),),
+                       ((1, 2), (2, 1))],
+                      [0.06667198281171882, 0.6099853165119632, 0.9999546000701441],
+                      -1.7375748371074196),
+        "free_product_word": (GroupDescriptor.free_product(2, 4),
+                              [((1, 1), (2, 3)), ((2, 2),), ((1, 3), (2, 1), (1, 2)),
+                               ((2, 1), (1, 1)), ((1, 2),)],
+                              [0.1129378934559009, 0.8017198800326516, 0.9999999967813996],
+                              -2.126846660810876),
+    }
+
+    @pytest.mark.parametrize("family", sorted(CASES))
+    def test_values(self, family):
+        group, sample, eigenvalues, direct = self.CASES[family]
+        if family.startswith("free"):
+            sample = [ReducedWord(blocks) for blocks in sample]
+        report = conditional_negativity_check(build_cocycle(family, group), sample,
+                                              (0.1, 1.0, 10.0), seed=5)
+        assert report["kernel_min_eigenvalues"] == dict(zip((0.1, 1.0, 10.0), eigenvalues))
+        assert report["direct_form_max"] == direct
+        assert report["sample_size"] == len(sample) + 1 and report["passed"]
 
 
 class TestBasisVectorIds:

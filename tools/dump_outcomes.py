@@ -11,7 +11,11 @@ another checkout dumps that checkout.  The records are scan reports with their
 witness re-evaluations, single-run reports with theirs, and the outputs of
 ``xpchaos verify`` (every verb), ``apply`` (every op on a torus, Z_4^2, Z_2^3, F_2
 and Z_4*Z_4 element), ``norm`` and ``check cocycle`` (every family), with their
-exit codes.  ``runtime_ms`` is left out: it is the one field a rerun may change.
+exit codes, and the cocycle certificates: ``gram_matrix`` on the acceptance
+battery's slices and on one basis with formal vectors, the sign-relation
+``gromov_bilinear`` pairs, and ``conditional_negativity_check`` on the battery's
+nine cocycles at seeds 0-2, each value by ``repr`` so that types show too.
+``runtime_ms`` is left out: it is the one field a rerun may change.
 Floats print with ``repr``, so equal lines mean bit-identical numbers, signed
 zeros included.  A run takes a few seconds.
 """
@@ -19,6 +23,7 @@ zeros included.  A run takes a few seconds.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -31,9 +36,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor,  # noqa: E402
-                     build_cocycle, cli, naor_ratio, reevaluate_witness,
-                     riesz_equivalence_ratio, rosenthal_linear_ratio, scan,
-                     xp_linear_ratio)
+                     acceptance, build_cocycle, cli, conditional_negativity_check,
+                     gram_matrix, gromov_bilinear, naor_ratio, random_group_elements,
+                     reevaluate_witness, riesz_equivalence_ratio, rosenthal_linear_ratio,
+                     scan, words, xp_linear_ratio)
+from xpchaos.cocycles import BasisVector  # noqa: E402
 from xpchaos.words import ReducedWord  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -202,6 +209,42 @@ def _norm_records(paths: dict[str, Path]):
         yield f"{name} p={p} {method}", lambda argv=argv: _run(argv)
 
 
+def _sign_relation_pairs(modulus: int):
+    """(w, w g^m) for the words w of length <= 2 on Z_2m * Z_2m whose last
+    exponent lies in [1, m - 1], so that the extension stays reduced."""
+    m = modulus // 2
+    for w in words.enumerate_words(2, 2, modulus=modulus):
+        if not w.is_identity and 1 <= w.blocks[-1][1] <= m - 1:
+            yield w, words.concat(w, ReducedWord(((w.blocks[-1][0], m),)), modulus)
+
+
+def _cocycle_records():
+    for cocycle, basis, _ in acceptance._enumerated_slices():
+        yield f"gram {cocycle.family} {cocycle.group.to_json()}", (
+            lambda c=cocycle, b=basis: {"gram": repr(gram_matrix(c, b))})
+    # the family's expansion without the basis check, so that each w g^m
+    # enters as the formal vector of the sign relation: not an ONB
+    formal = build_cocycle("free_product_word", GroupDescriptor.free_product(2, 6))
+    formal.delta_expansion = functools.partial(formal._spec.delta_expansion, formal)
+    vectors = [BasisVector("free_prod", word=w) for pair in _sign_relation_pairs(6) for w in pair]
+    yield "gram free_product_word Z_6*Z_6 formal", lambda: {
+        "gram": repr(gram_matrix(formal, vectors))}
+    for modulus in (2, 4, 6):
+        cocycle = build_cocycle("free_product_word", GroupDescriptor.free_product(2, modulus))
+        for w, extended in _sign_relation_pairs(modulus):
+            u_w = [(w, 1), (words.predecessor(w, modulus), -1)]
+            u_ext = [(extended, 1), (words.predecessor(extended, modulus), -1)]
+            yield f"bilinear 2m={modulus} {w}", lambda c=cocycle, a=u_w, b=u_ext: {
+                "bilinear": repr(gromov_bilinear(c, a, b))}
+    for cocycle in acceptance._builtin_cocycles():
+        for seed in SEEDS:
+            def thunk(c=cocycle, seed=seed):
+                sample = random_group_elements(c.group, 12, np.random.default_rng(seed))
+                report = conditional_negativity_check(c, sample, (0.1, 1.0, 10.0), seed=seed)
+                return {key: repr(value) for key, value in report.items()}
+            yield f"negativity {cocycle.family} {cocycle.group.to_json()} seed={seed}", thunk
+
+
 def records(workdir: Path):
     """(kind, name, thunk) for every record, in print order."""
     for experiment, ensemble, params in SCANS:
@@ -223,6 +266,8 @@ def records(workdir: Path):
         argv = ["check", "cocycle", "--family", family, *CHECK_OPTIONS.get(family, [])]
         yield "check", family, lambda argv=argv, family=family: _run(
             argv, workdir / f"check-{family}.json")
+    for name, thunk in _cocycle_records():
+        yield "cocycle", name, thunk
 
 
 def line(kind: str, name: str, outcome) -> str:
