@@ -31,7 +31,7 @@ from .cocycles import COCYCLE_FAMILIES, LengthCocycle, build_cocycle
 from .groups import (FINITE_ABELIAN, PRUNE_TOL, TORUS, GroupAlgebraElement, GroupDescriptor,
                      coefficient_tensor, element_inverse, is_mean_zero, key_box)
 from .norms import (SIGN_BLOCK_ROWS, _check_p, half_sign_patterns, schatten_powers,
-                    sign_average_power, sign_combinations)
+                    sign_average_power, sign_block_bytes, sign_powers)
 
 SIGN_ENUMERATION_CAP = 14
 MONTE_CARLO_SIGNS = 2 ** 14
@@ -594,7 +594,7 @@ def _subset_sign_averages(mats: np.ndarray, p: float, k: int) -> np.ndarray:
     """Exact E_eps ||sum_{j in S} eps_j x_j||_p^p for every k-subset S, in order."""
     signs = half_sign_patterns(k)
     return np.concatenate([
-        schatten_powers(sign_combinations(signs, mats[block]), p).mean(axis=1)
+        sign_powers(signs, mats[block], p).mean(axis=1)
         for block in _subset_blocks(len(mats), k, len(signs))])
 
 
@@ -606,11 +606,26 @@ def _xp_route(n: int, p: float) -> str:
     """"pairs" or "signs": the route of an xp_linear profile, from (n, p) alone.
 
     Index words take p = 2 and 4 at n <= SIGN_ENUMERATION_CAP: one Gram factor a
-    side, at most n^2 of them, timed faster than the sign tables at every n there,
-    k = 1 included.  From p = 6 on a side needs two or more factors, timed slower
-    than the sign tables at small k, so larger p keeps the sign tables (README).
+    side, at most n^2 of them, timed faster than the sign tables' plane kernel at
+    every n there, k = 1 included (n = 14, d = 2: 0.26 ms against 3.5 ms).  From
+    p = 6 on a side needs two or more factors; a prototype of them was timed slower
+    than the sign tables at small k, which the plane kernel has made faster at
+    n = 14, so larger p keeps the sign tables (README).
     """
     return "pairs" if p in (2, 4) and n <= SIGN_ENUMERATION_CAP else "signs"
+
+
+def _xp_route_bytes(n: int, rows: int, cols: int, p: float) -> int:
+    """At most the bytes that an xp_linear profile of n rows x cols matrices forms on
+    its route.  Each of the pair route's n^q Gram factors gathers two index matrices
+    and forms a factor on the smaller side, of which the join holds at most three
+    copies.  The sign route forms one block of ``sign_powers`` at a time, and a sign
+    table of at most MONTE_CARLO_SIGNS rows of n signs with two arrays of its size
+    (the draw's indices, or the bits of ``sign_patterns``)."""
+    if _xp_route(n, p) == "signs":
+        return sign_block_bytes(rows, cols, p) + 24 * MONTE_CARLO_SIGNS * n
+    side = min(rows, cols)
+    return 16 * n ** (int(p) // 2) * side * (2 * max(rows, cols) + 3 * side)
 
 
 def _gram_pair_means(mats: np.ndarray, p: float) -> np.ndarray:
@@ -656,7 +671,9 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
     exhaustive up to 14 signs and Monte Carlo beyond, and the full n-sign average
     is computed once for every k.  Draw order: the full average is the first draw
     from ``default_rng(seed)``; each k above the cap restarts its per-subset draws
-    from the state after it, so a row depends only on (xs, p, k, seed).
+    from the state after it, so a row depends only on (xs, p, k, seed).  The route's
+    arrays (``_xp_route_bytes``) are priced against LATTICE_MAX_BYTES before any
+    is formed.
     """
     _check_p(p)
     if p < 2:
@@ -666,6 +683,8 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
     _check_ks(ks, n)
     if not np.any(mats):
         raise ValueError("the matrix tuple must be nonzero")
+    _within_budget(_xp_route_bytes(n, mats.shape[1], mats.shape[2], p),
+                   f"{_xp_route(n, p)} route arrays")
     norm_sum = float(np.sum(schatten_powers(mats, p)))
     # a k-subset average is sampled only when the full n-sign one is (k <= n)
     monte_carlo = n > SIGN_ENUMERATION_CAP
@@ -1090,6 +1109,8 @@ def _trial_seed(seed: int, trial: int) -> int:
 def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads(params, "n", "d", "p", "k", "ks")
     n, d, p, ks = int(params["n"]), int(params.get("d", 4)), _p(params, 4), _ks(params)
+    _within_budget(16 * n * d * d, "sample matrices")
+    _within_budget(_xp_route_bytes(n, d, d, p), f"{_xp_route(n, p)} route arrays")
     trials = itertools.count()
 
     def sample(rng):

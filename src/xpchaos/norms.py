@@ -7,7 +7,9 @@ meet in the middle (``_trace_power``), and an oversampled-grid quadrature;
 they are cross-checked in the test suite.
 Matrix (Schatten) norms use the unnormalized trace: the balanced-average
 inequalities are p-homogeneous in a common trace scaling, so the choice only
-rescales both sides identically.
+rescales both sides identically.  Sign averages of matrix tuples take the
+powers of every sign combination from one kernel on real planes with the sign
+axis last (``sign_powers``).
 """
 
 from __future__ import annotations
@@ -158,13 +160,21 @@ def _squared_moduli(stack: np.ndarray) -> np.ndarray:
             + np.einsum("...ij,...ij->...", stack.imag, stack.imag))
 
 
+def _gram_powers(gram: np.ndarray, q: int) -> np.ndarray:
+    """tr(G^q) for each Hermitian matrix G of a stack, as the trace of
+    G^(q//2) G^(q - q//2); at q = 2 that is the squared Frobenius norm of G."""
+    half = np.linalg.matrix_power(gram, q // 2)
+    if q % 2:
+        return np.einsum("...ij,...ji->...", half, half @ gram).real
+    return _squared_moduli(half)
+
+
 def schatten_powers(stack: np.ndarray, p: float) -> np.ndarray:
     """||x||_p^p = sum_i s_i(x)^p for each matrix x of a stack (..., m, n).
 
     p = 2 is the sum of squared moduli.  At an even p = 2q the power is
-    tr(G^q) for the smaller Gram matrix G of x, taken as the trace of
-    G^(q//2) G^(q - q//2), so no SVD runs; at p = 4 that is the squared
-    Frobenius norm of G.  Other p use the batched SVD.
+    tr(G^q) for the smaller Gram matrix G of x (``_gram_powers``), so no SVD
+    runs.  Other p use the batched SVD.
     """
     _check_p(p)
     stack = np.asarray(stack, dtype=complex)
@@ -173,12 +183,7 @@ def schatten_powers(stack: np.ndarray, p: float) -> np.ndarray:
     if _is_even(p):
         if stack.shape[-2] < stack.shape[-1]:
             stack = np.swapaxes(stack, -2, -1)     # same singular values
-        gram = np.conj(np.swapaxes(stack, -2, -1)) @ stack
-        q = int(p) // 2
-        half = np.linalg.matrix_power(gram, q // 2)
-        if q % 2:
-            return np.einsum("...ij,...ji->...", half, half @ gram).real
-        return _squared_moduli(half)
+        return _gram_powers(np.conj(np.swapaxes(stack, -2, -1)) @ stack, int(p) // 2)
     singular_values = np.linalg.svd(stack, compute_uv=False)
     return np.sum(singular_values ** p, axis=-1)
 
@@ -255,22 +260,85 @@ def half_sign_patterns(n: int) -> np.ndarray:
     return sign_patterns(n)[: 2 ** (n - 1)]
 
 
-def sign_combinations(signs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_j eps_j x_j for each row eps of ``signs``, over stacks (..., k, m, n).
+def sign_planes(signs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_j eps_j x_j for each row eps of ``signs``, over stacks (..., k, m, n),
+    as real planes of shape (m, n, 2, ..., rows).
 
-    The result has shape (..., rows, m, n).  The signs are real, so the
-    contraction is one real matrix product on the (re, im) view of the
-    matrices.
+    Entry (i, j, 0) holds the real parts of the (i, j) entries of every sign
+    combination and (i, j, 1) their imaginary parts, each a contiguous run over
+    the stack and sign axes, which come last.  The signs are real, so the planes
+    are one gemm: the flattened (re, im) view of the matrices, transposed, times
+    ``signs.T``.
     """
     mats = np.ascontiguousarray(mats, dtype=complex)
-    flat = mats.reshape(*mats.shape[:-2], -1).view(np.float64)
-    return (signs @ flat).view(complex).reshape(
-        *mats.shape[:-3], len(signs), *mats.shape[-2:])
+    *batch, k, m, n = mats.shape
+    flat = np.moveaxis(mats.reshape(*batch, k, m * n).view(np.float64), -1, 0)
+    return (flat.reshape(-1, k) @ signs.T).reshape(m, n, 2, *batch, len(signs))
+
+
+def _gram_entries(planes: np.ndarray):
+    """The entries a <= b of the Gram matrix x* x of every l x s matrix x held in
+    ``planes`` (l, s, 2, ...): (a, b, real part, imaginary part), each formed
+    elementwise over the contiguous trailing axes; the imaginary part is None on
+    the diagonal, where it vanishes."""
+    re, im = planes[:, :, 0], planes[:, :, 1]
+    for a in range(planes.shape[1]):
+        yield a, a, np.einsum("lc...,lc...->...", planes[:, a], planes[:, a]), None
+        for b in range(a + 1, planes.shape[1]):
+            yield (a, b, np.einsum("lc...,lc...->...", planes[:, a], planes[:, b]),
+                   np.einsum("l...,l...->...", re[:, a], im[:, b])
+                   - np.einsum("l...,l...->...", im[:, a], re[:, b]))
+
+
+def sign_powers(signs: np.ndarray, mats: np.ndarray, p: float) -> np.ndarray:
+    """||sum_j eps_j x_j||_p^p for each row eps of ``signs``, over stacks
+    (..., k, m, n), with shape (..., rows), taken from :func:`sign_planes` by the
+    rules of :func:`schatten_powers`.
+
+    p = 2 is the sum of the squared planes.  At an even p = 2q the Hermitian Gram
+    entries on the smaller side come from ``_gram_entries``: at q = 2 the power is
+    the squared Frobenius norm of the Gram matrix, summed from its entries; from
+    q = 3 on the entries fill a Gram stack for ``_gram_powers``.  Other p rebuild
+    the matrices for the batched SVD.  The powers equal the SVD sums to about
+    1e-15 relative, the rounding of the Gram entries.
+    """
+    _check_p(p)
+    planes = sign_planes(signs, mats)
+    if p == 2:
+        flat = planes.reshape(-1, *planes.shape[3:])
+        return np.einsum("e...,e...->...", flat, flat)
+    if not _is_even(p):
+        return schatten_powers(np.moveaxis(planes[:, :, 0] + 1j * planes[:, :, 1],
+                                           (0, 1), (-2, -1)), p)
+    if planes.shape[0] < planes.shape[1]:
+        planes = planes.swapaxes(0, 1)             # same singular values
+    q = int(p) // 2
+    if q == 2:
+        total = np.zeros(planes.shape[3:])
+        for _, _, re, im in _gram_entries(planes):
+            total += re * re if im is None else 2 * (re * re + im * im)
+        return total
+    side = planes.shape[1]
+    gram = np.empty((side, side, *planes.shape[3:]), dtype=complex)
+    for a, b, re, im in _gram_entries(planes):
+        gram[a, b] = re if im is None else re + 1j * im
+        gram[b, a] = gram[a, b].conj()
+    return _gram_powers(np.ascontiguousarray(np.moveaxis(gram, (0, 1), (-2, -1))), q)
+
+
+def sign_block_bytes(rows: int, cols: int, p: float) -> int:
+    """At most the bytes of one block of SIGN_BLOCK_ROWS sign rows of
+    ``sign_powers`` on rows x cols matrices: its planes, the gathered matrices and
+    gemm input (together no larger than the planes), sixteen floats a sign row,
+    and away from p = 2 and 4 four stacks of the planes' size more (the Gram stack
+    and its powers, or the matrices rebuilt for the SVD and their copies)."""
+    return SIGN_BLOCK_ROWS * (16 * rows * cols * (2 if p in (2, 4) else 6) + 128)
 
 
 def sign_average_power(mats: np.ndarray, p: float, signs: np.ndarray) -> float:
-    """Mean of ||sum_j eps_j x_j||_p^p over the rows eps of ``signs``, in row blocks."""
-    powers = [schatten_powers(sign_combinations(signs[lo:lo + SIGN_BLOCK_ROWS], mats), p)
+    """Mean of ||sum_j eps_j x_j||_p^p over the rows eps of ``signs``, by
+    :func:`sign_powers` on blocks of SIGN_BLOCK_ROWS rows."""
+    powers = [sign_powers(signs[lo:lo + SIGN_BLOCK_ROWS], mats, p)
               for lo in range(0, len(signs), SIGN_BLOCK_ROWS)]
     return float(np.mean(np.concatenate(powers)))
 

@@ -845,6 +845,98 @@ class TestXpLinearProfile:
         assert all(np.array_equal(a, b) for a, b in zip(witness_mats, drawn[winner]))
 
 
+def _golden_tuples():
+    """Three tuples drawn in one order from one generator: 16 4x4, 8 3x3, 16 2x3."""
+    rng = np.random.default_rng(2024)
+
+    def draw(n, rows, cols):
+        return [(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+                / np.sqrt(2) for _ in range(n)]
+    return draw(16, 4, 4), draw(8, 3, 3), draw(16, 2, 3)
+
+
+class TestSignRouteGolden:
+    """Profiles taken before the sign kernel moved to planes.  The Monte Carlo rows
+    pin the sign draws, the n = 8, p = 6 rows the exhaustive route."""
+
+    CASES = [
+        (0, 2, [2, 16], 5, {2: (31.757675264689663, 63.56782709319274),
+                            16: (254.2448724490418, 508.5426167455419)}),
+        (0, 4, [16], 5, {16: (32118.383869844794, 34131.2222576132)}),
+        (1, 6, [1, 4, 8], None, {1: (465.9805320928582, 892.2201316306932),
+                                 4: (27718.310289566496, 29143.256498792874),
+                                 8: (218234.67496337154, 221962.5192201144)}),
+        (2, 4, [16], 3, {16: (9472.014708130975, 10143.816574961445)}),
+    ]
+
+    @pytest.mark.parametrize("tuple_index, p, ks, seed, expected", CASES)
+    def test_profile(self, tuple_index, p, ks, seed, expected):
+        mats = _golden_tuples()[tuple_index]
+        profile = xp_linear_profile(mats, p, ks, seed=seed)
+        for k, (lhs, rhs) in expected.items():
+            assert profile[k][:2] == pytest.approx((lhs, rhs), rel=1e-13, abs=0)
+            assert profile[k][2] == (len(mats) > 14)
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("the refused profile drew its sample or its signs")
+
+
+class TestXpLinearBudget:
+    """The sample, the pair route's Gram factors and the sign route's blocks are priced
+    against LATTICE_MAX_BYTES before anything is drawn."""
+
+    @pytest.mark.parametrize("argv, what", [
+        (["--n", "15", "--d", "400", "--p", "4", "--k", "1"], "signs route arrays"),
+        (["--n", "14", "--d", "1000", "--p", "4"], "pairs route arrays"),
+        (["--n", "2", "--d", "20000"], "sample matrices")])
+    def test_oversized_verify_exits_2_before_any_draw(self, argv, what, monkeypatch, capsys):
+        from xpchaos import cli
+        monkeypatch.setattr(harness, "_complex_normal", _no_draw)
+        monkeypatch.setattr(harness, "_random_signs", _no_draw)
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify", "xp-linear", *argv, "--trials", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert re.search(f"{what}.*LATTICE_MAX_BYTES", capsys.readouterr().err)
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("n, p", [(16, 4), (16, 3), (4, 6), (4, 4), (4, 2)])
+    def test_profile_refused_one_byte_below_its_price(self, n, p, monkeypatch):
+        rng = np.random.default_rng(31)
+        mats = [rng.standard_normal((3, 2)) for _ in range(n)]
+        price = harness._xp_route_bytes(n, 3, 2, p)
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", price - 1)
+        monkeypatch.setattr(harness, "_random_signs", _no_draw)
+        with pytest.raises(ValueError, match="route arrays.*LATTICE_MAX_BYTES"):
+            xp_linear_profile(mats, p, [1], seed=0)
+        monkeypatch.undo()
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", price)
+        assert xp_linear_profile(mats, p, [1], seed=0)[1][0] > 0
+
+    @pytest.mark.parametrize("p", [1.5, 2, 3, 4, 6])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (2, 5), (5, 2)])
+    def test_price_bounds_the_traced_peak(self, p, shape):
+        """Both routes, exhaustive and Monte Carlo: the peak of a profile over its
+        input stays below its price and 64 KiB of small tables."""
+        rng = np.random.default_rng(32)
+        for n, ks in ((13, [1, 4, 13]), (15, [2, 15]), (3, [1, 3])):
+            mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    for _ in range(n)]
+            tracemalloc.start()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    xp_linear_profile(mats, p, ks, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= harness._xp_route_bytes(n, *shape, p) + 2 ** 16
+
+
 def _forced_xp_profile(monkeypatch, route, mats, p, ks):
     monkeypatch.setattr(harness, "_xp_route", lambda n, p: route)
     return xp_linear_profile(mats, p, ks, seed=0)

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xpchaos import GroupAlgebraElement, GroupDescriptor, adjoint
+from xpchaos import GroupAlgebraElement, GroupDescriptor, adjoint, norms
 from xpchaos.norms import (NumericalSanityError, half_sign_patterns, khintchine_ratio,
                            lp_norm, lp_norm_abelian, lp_norm_torus_even,
                            lp_norm_torus_grid, lp_norm_torus_refined, psd_eigenvalues,
                            schatten_norm, schatten_powers, sign_average_power,
-                           sign_combinations, sign_patterns, square_function_norm)
+                           sign_patterns, sign_planes, sign_powers, square_function_norm)
 from xpchaos.operators import truncate
 from xpchaos.words import ReducedWord
 
@@ -318,8 +318,39 @@ class TestKhintchineRatio:
         rng = np.random.default_rng(13)
         mats = rng.standard_normal((2, 4, 3, 2)) + 1j * rng.standard_normal((2, 4, 3, 2))
         signs = sign_patterns(4)
-        combos = sign_combinations(signs, mats)
-        assert combos.shape == (2, 16, 3, 2)
+        planes = sign_planes(signs, mats)
+        assert planes.shape == (3, 2, 2, 2, 16) and planes.flags.c_contiguous
+        combos = np.moveaxis(planes[:, :, 0] + 1j * planes[:, :, 1], (0, 1), (-2, -1))
         for b in range(2):
             np.testing.assert_allclose(combos[b], np.tensordot(signs, mats[b], axes=1),
                                        rtol=0, atol=1e-14)
+
+    def test_golden_values(self):
+        """Taken before the sign kernel moved to planes, on 2^6 and 2^7 sign rows."""
+        rng = np.random.default_rng(2024)
+        xs = [(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2)
+              for _ in range(8)]
+        assert khintchine_ratio(xs, 4) == pytest.approx(1.6004405836515077, rel=1e-13)
+        assert khintchine_ratio(xs, 6) == pytest.approx(2.8328217252340426, rel=1e-13)
+        assert khintchine_ratio(xs[:7], 3) == pytest.approx(1.2268269246168781, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2), (1, 3)])
+def test_sign_kernel_equals_svd_sums(p, shape, monkeypatch):
+    """The plane kernel against one SVD per sign combination, with blocks of 5 rows,
+    on one tuple and on a stack of subset tuples."""
+    monkeypatch.setattr(norms, "SIGN_BLOCK_ROWS", 5)
+    rng = np.random.default_rng(14)
+    mats = rng.standard_normal((5, *shape)) + 1j * rng.standard_normal((5, *shape))
+
+    def svd_sums(combos):
+        return np.sum(np.linalg.svd(combos, compute_uv=False) ** p, axis=-1)
+
+    signs = sign_patterns(5)                    # 32 rows: seven blocks
+    assert sign_average_power(mats, p, signs) == pytest.approx(
+        np.mean(svd_sums(np.tensordot(signs, mats, axes=1))), rel=1e-12, abs=0)
+    stacks = mats[np.array(list(itertools.combinations(range(5), 3)))]
+    half = half_sign_patterns(3)
+    np.testing.assert_allclose(sign_powers(half, stacks, p),
+                               svd_sums(np.einsum("rk,skij->srij", half, stacks)), rtol=1e-12)

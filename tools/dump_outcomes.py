@@ -14,7 +14,8 @@ and Z_4*Z_4 element), ``norm`` and ``check cocycle`` (every family), with their
 exit codes, and the cocycle certificates: ``gram_matrix`` on the acceptance
 battery's slices and on one basis with formal vectors, the sign-relation
 ``gromov_bilinear`` pairs, and ``conditional_negativity_check`` on the battery's
-nine cocycles at seeds 0-2, each value by ``repr`` so that types show too.
+nine cocycles at seeds 0-2, each value by ``repr`` so that types show too, and
+``khintchine_ratio`` on square and rectangular tuples at p = 2, 3, 4, 6 and 8.
 ``runtime_ms`` is left out: it is the one field a rerun may change.
 Floats print with ``repr``, so equal lines mean bit-identical numbers, signed
 zeros included.  A run takes a few seconds.
@@ -37,9 +38,9 @@ import numpy as np  # noqa: E402
 
 from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor,  # noqa: E402
                      acceptance, build_cocycle, cli, conditional_negativity_check,
-                     gram_matrix, gromov_bilinear, naor_ratio, random_group_elements,
-                     reevaluate_witness, riesz_equivalence_ratio, rosenthal_linear_ratio,
-                     scan, words, xp_linear_ratio)
+                     gram_matrix, gromov_bilinear, khintchine_ratio, naor_ratio,
+                     random_group_elements, reevaluate_witness, riesz_equivalence_ratio,
+                     rosenthal_linear_ratio, scan, words, xp_linear_ratio)
 from xpchaos.cocycles import BasisVector  # noqa: E402
 from xpchaos.words import ReducedWord  # noqa: E402
 
@@ -48,8 +49,9 @@ TRIALS = 4
 
 #: (experiment, ensemble, params): both routes of naor, xp_linear and rosenthal,
 #: their pair routes at every even p they take (naor and rosenthal up to p = 8,
-#: xp_linear at p = 2 and 4 on one- and two-byte index masks), every naor family
-#: and derivative, and the chaos_degree and linear_span draws
+#: xp_linear at p = 2 and 4 on one- and two-byte index masks), xp_linear's sign
+#: tables at p = 6 and its Monte Carlo shapes of the matrix-signs benchmark, every
+#: naor family and derivative, and the chaos_degree and linear_span draws
 SCANS = [
     ("naor", EnsembleSpec("gaussian"), {"n": 10, "ps": [2, 4], "derivative": "walsh"}),
     ("naor", EnsembleSpec("gaussian"), {"n": 10, "ps": [2, 4], "derivative": "absorbent"}),
@@ -74,6 +76,9 @@ SCANS = [
     *[("xp_linear", None, {"n": n, "p": 2, "d": 3, "ks": [1, 3, n]}) for n in (5, 9, 14)],
     ("xp_linear", None, {"n": 4, "p": 3, "d": 3, "k": 2}),
     ("xp_linear", None, {"n": 15, "p": 2, "d": 2, "ks": [15]}),
+    ("xp_linear", None, {"n": 16, "p": 4, "d": 4, "ks": [16]}),
+    ("xp_linear", None, {"n": 16, "p": 2, "d": 4, "ks": [2, 16]}),
+    ("xp_linear", None, {"n": 8, "p": 6, "d": 3, "ks": [1, 4, 8]}),
     *[("rosenthal", None, {"n": n, "p": p, "ks": [1, 3, n]}) for n, p in ((10, 2), (6, 4), (6, 6),
                                                                            (9, 8))],
     ("rosenthal", None, {"n": 5, "p": 3, "k": 2}),
@@ -166,6 +171,8 @@ def _report_records():
     yield "xp_linear_ratio p=3", lambda: xp_linear_ratio(mats, 3, 3)
     for p in (2, 4):
         yield f"xp_linear_ratio wide p={p}", lambda p=p: xp_linear_ratio(wide, p, 2)
+    tall = [rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)) for _ in range(16)]
+    yield "xp_linear_ratio tall monte carlo p=4", lambda: xp_linear_ratio(tall, 4, 16, seed=3)
     yield "rosenthal_linear_ratio p=4", lambda: rosenthal_linear_ratio(coeffs, 4, 3)
     yield "rosenthal_linear_ratio p=3", lambda: rosenthal_linear_ratio(coeffs, 3, 2)
     yield "riesz_equivalence_ratio torus p=3", lambda: riesz_equivalence_ratio(
@@ -245,6 +252,15 @@ def _cocycle_records():
             yield f"negativity {cocycle.family} {cocycle.group.to_json()} seed={seed}", thunk
 
 
+def _khintchine_records():
+    rng = np.random.default_rng(11)
+    for n, shape in ((1, (3, 3)), (5, (3, 3)), (8, (2, 4)), (7, (4, 2))):
+        xs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(n)]
+        for p in (2, 3, 4, 6, 8):
+            yield f"n={n} {shape} p={p}", lambda xs=xs, p=p: {
+                "ratio": repr(khintchine_ratio(xs, p))}
+
+
 def records(workdir: Path):
     """(kind, name, thunk) for every record, in print order."""
     for experiment, ensemble, params in SCANS:
@@ -268,6 +284,8 @@ def records(workdir: Path):
             argv, workdir / f"check-{family}.json")
     for name, thunk in _cocycle_records():
         yield "cocycle", name, thunk
+    for name, thunk in _khintchine_records():
+        yield "khintchine", name, thunk
 
 
 def line(kind: str, name: str, outcome) -> str:
