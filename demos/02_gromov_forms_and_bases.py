@@ -13,7 +13,8 @@ import numpy as np
 
 from xpchaos import (GroupDescriptor, build_cocycle, completeness_defect,
                      conditional_negativity_check, enumerate_words,
-                     gram_matrix, gromov_form, weighted_hypercube)
+                     gram_matrix, gromov_form, gromov_form_defining,
+                     weighted_hypercube)
 from xpchaos.cocycles import BasisVector
 from xpchaos.groups import random_group_elements
 
@@ -22,12 +23,12 @@ from xpchaos.groups import random_group_elements
 word = build_cocycle("torus_word", GroupDescriptor.torus(2, 5))
 g, h = (2, 0), (3, 0)
 print("word-length Gromov form on Z^2:",
-      gromov_form(word, g, h), "=", gromov_form(word, g, h, method="defining"))
+      gromov_form(word, g, h), "=", gromov_form_defining(word, g, h))
 
 free_product = build_cocycle("free_product_word", GroupDescriptor.free_product(2, 4))
 sample = list(enumerate_words(2, 3, modulus=4))
 mismatches = sum(
-    gromov_form(free_product, a, b) != gromov_form(free_product, a, b, method="defining")
+    gromov_form(free_product, a, b) != gromov_form_defining(free_product, a, b)
     for a, b in itertools.product(sample, repeat=2))
 print(f"free product Z_4 * Z_4: {len(sample)**2} pairs, {mismatches} mismatches")
 

@@ -15,19 +15,19 @@ from .words import (ReducedWord, EMPTY_WORD, reduce, word_length, inverse,
                     concat, leq_free, predecessor, meet, derivative_set_member,
                     enumerate_words)
 from .cocycles import (BasisVector, LengthCocycle, build_cocycle,
-                       weighted_hypercube, gromov_form, gromov_bilinear,
-                       gram_matrix, completeness_defect,
-                       conditional_negativity_check, spectral_gap)
+                       weighted_hypercube, gromov_form, gromov_form_defining,
+                       gromov_bilinear, gram_matrix, completeness_defect,
+                       conditional_negativity_check)
 from .operators import (GradientVector, directional_derivative,
                         gradient, absorbent_derivative, walsh_derivative,
                         laplacian_power, heat_semigroup, riesz_transform,
                         truncate, adjoint_truncation, project_AS,
-                        free_hilbert_transform, conditional_expectation_two_point)
+                        free_hilbert_transform)
 from .norms import (MatrixOperand, NumericalSanityError, lp_norm,
                     lp_norm_abelian, lp_norm_torus_even, lp_norm_torus_grid,
                     schatten_norm, schatten_powers, square_function_norm,
                     khintchine_ratio, sign_patterns)
-from .harness import (SigmaModel, RatioReport, EnsembleSpec, naor_ratio,
+from .harness import (RatioReport, EnsembleSpec, naor_ratio,
                       naor_profile, xp_linear_profile, xp_linear_ratio,
                       rosenthal_linear_ratio,
                       moment_checks, riesz_equivalence_ratio, scan,

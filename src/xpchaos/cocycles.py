@@ -169,8 +169,8 @@ class LengthCocycle:
                 raise ValueError(f"{self.family} takes no weights")
         elif self.weights is None or len(self.weights) != len(self.group.moduli):
             raise ValueError(f"{self.family} needs one weight per coordinate")
-        elif any(a <= 0 for a in self.weights):
-            raise ValueError("weights must be positive")
+        elif not all(0 < a < math.inf for a in self.weights):     # NaN fails both
+            raise ValueError(f"weights must be positive and finite, got {self.weights}")
 
     # -- length -----------------------------------------------------------
 
@@ -303,16 +303,9 @@ def _cyclic_closed(a: int, b: int, q: int):
     return min(lo, q - hi, max(0, Fraction(2 * (m - hi + lo) + 1, 2)))
 
 
-def gromov_form(cocycle: LengthCocycle, g, h, method: str = "closed"):
-    """The Gromov form <delta_g, delta_h> of a built-in length function.
-
-    ``method='closed'`` uses the per-family closed form; ``method='defining'``
-    evaluates (psi(g)+psi(h)-psi(g^{-1}h))/2.  Both agree exactly.
-    """
-    if method == "defining":
-        return gromov_form_defining(cocycle, g, h)
-    if method != "closed":
-        raise ValueError(f"unknown method {method!r}")
+def gromov_form(cocycle: LengthCocycle, g, h):
+    """The Gromov form <delta_g, delta_h> of a built-in length function, by the
+    per-family closed form; it agrees exactly with :func:`gromov_form_defining`."""
     group = cocycle.group
     return cocycle._spec.gromov(cocycle, canonical_key(group, g), canonical_key(group, h))
 
@@ -562,8 +555,8 @@ def conditional_negativity_check(psi, sample: Sequence, t_grid: Sequence[float],
                            for g_inv in inverses])
     min_eigs = {}
     for t in t_grid:
-        if t <= 0:
-            raise ValueError("t grid must be positive")
+        if not 0 < t < math.inf:                       # NaN fails both
+            raise ValueError(f"t grid must be positive and finite, got t = {t}")
         kernel = np.exp(-t * psi_matrix)
         min_eigs[float(t)] = float(np.linalg.eigvalsh(kernel).min())
     vectors = np.random.default_rng(seed).standard_normal((200, size))
@@ -575,18 +568,3 @@ def conditional_negativity_check(psi, sample: Sequence, t_grid: Sequence[float],
     return {"kernel_min_eigenvalues": min_eigs, "direct_form_max": direct_max,
             "sample_size": size, "passed": passed}
 
-
-def spectral_gap(cocycle: LengthCocycle, sample: Sequence | None = None):
-    """The spectral gap; for built-ins the exact group-wide formula value.
-
-    When a sample is supplied it must contain at least one element of nonzero
-    length, and the sample minimum is checked against the formula value.
-    """
-    if sample is not None:
-        lengths = [cocycle.psi(g) for g in sample]
-        nonzero = [v for v in lengths if v != 0]
-        if not nonzero:
-            raise ValueError("sample has no element of nonzero length")
-        if min(nonzero) < cocycle.gap:
-            raise ValueError("sample contradicts the formula gap")
-    return cocycle.gap

@@ -220,10 +220,6 @@ class GroupAlgebraElement:
         """The scaled unitary ``coeff * lambda(key)``."""
         return cls(group, {key: coeff})
 
-    @property
-    def support_size(self) -> int:
-        return len(self.coeffs)
-
     def items(self):
         return self.coeffs.items()
 

@@ -48,49 +48,6 @@ DERIVATIVE_CHOICES = ("walsh", "euclidean", "absorbent", "gradient")
 ENSEMBLE_KINDS = ("gaussian", "sparse", "chaos_degree", "linear_span")
 
 
-@dataclass(frozen=True)
-class SigmaModel:
-    """The product of the n-sign space with uniform k-subsets of [n]."""
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-
-    def subsets(self) -> list[tuple[int, ...]]:
-        return list(itertools.combinations(range(1, self.n + 1), self.k))
-
-    @property
-    def num_subsets(self) -> int:
-        return math.comb(self.n, self.k)
-
-    def atoms(self):
-        """All (eps, S) atoms, each of weight 1 / (2^n * C(n, k))."""
-        for eps in itertools.product((1, -1), repeat=self.n):
-            for subset in self.subsets():
-                yield eps, subset
-
-    def sigma(self, j: int, eps, subset) -> int:
-        """sigma_j(eps, S) = eps_j * delta_{j in S}."""
-        return eps[j - 1] if j in subset else 0
-
-    def sigma_moment(self, j: int, p: float) -> Fraction:
-        """||sigma_j||_p^p by explicit enumeration (|eps_j|^p = 1)."""
-        hits = sum(1 for subset in self.subsets() if j in subset)
-        return Fraction(hits, self.num_subsets)
-
-    def square_function_moment(self, p: float):
-        """||(sum_j sigma_j^2)^(1/2)||_p^p by explicit enumeration."""
-        exact = float(p).is_integer() and int(p) % 2 == 0
-        total = 0 if exact else 0.0
-        for subset in self.subsets():
-            size = len(subset)
-            total += size ** (int(p) // 2) if exact else float(size) ** (p / 2)
-        return Fraction(total, self.num_subsets) if exact else total / self.num_subsets
-
-
 @dataclass
 class RatioReport:
     """One experiment outcome with a reproducible witness."""
@@ -496,14 +453,22 @@ def _naor_inputs(group: GroupDescriptor, ps: Sequence[float], derivative: str) -
     return [_check_p(p) for p in ps]
 
 
+def _check_float_range(p: float, positive: Sequence[float], rest: Sequence[float] = ()) -> None:
+    """Refuse a p at which the sides of a row leave the float range (a huge p overflows
+    or underflows |.|^p): a side of ``positive``, whose exact value is positive, reads 0,
+    or a side of ``positive`` or ``rest`` is not finite."""
+    if not (min(positive) > 0 and math.isfinite(sum(positive) + sum(rest))):
+        raise ValueError(f"at p = {p} the sides leave the float range "
+                         f"(a positive side of 0 or a side not finite)")
+
+
 def _naor_rows(fs: Sequence[GroupAlgebraElement], plans: Sequence[Plan],
                cocycle: LengthCocycle, ps: Sequence[float], ks: Sequence[int],
                derivative: str):
     """Each element of a batch with its rows, by p and then k as listed, on its plan's
     route: the elements on key pairs share ``_pair_terms``, those on the grid run one
     at a time.  A torus row on the grid names its points per axis.  A p whose sides
-    leave the float range (a huge p overflows or underflows |.|^p) is refused, in one
-    check per (element, p)."""
+    leave the float range is refused, in one check per (element, p)."""
     group = fs[0].group
     n = group.n_components
     ks_sorted = tuple(sorted(set(ks)))
@@ -520,9 +485,7 @@ def _naor_rows(fs: Sequence[GroupAlgebraElement], plans: Sequence[Plan],
                 f, cocycle, ps, ks_sorted, derivative, plan.grid):
             lhs = [by_k[k] for k in ks]
             rhs = [(k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm for k in ks]
-            if not (min(rhs) > 0 and math.isfinite(sum(lhs) + sum(rhs))):
-                raise ValueError(f"at p = {p} the sides leave the float range "
-                                 f"(an rhs of 0 or a side not finite)")
+            _check_float_range(p, rhs, lhs)        # an lhs may be 0: E_S f = 0 for every S
             rows += [Row(a / b, a, b, a / b, p=p, k=k, extra=extra)
                      for k, a, b in zip(ks, lhs, rhs)]
         yield f, rows
@@ -715,6 +678,7 @@ def _xp_rows(mats: Sequence[np.ndarray], p: float, ks: Sequence[int],
     """The rows of ``xp_linear_profile``, one per k, each naming the route."""
     extra = {"route": _xp_route(len(mats), p)}
     profile = xp_linear_profile(mats, p, ks, seed)
+    _check_float_range(p, [side for lhs, rhs, _ in profile.values() for side in (lhs, rhs)])
     return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=mc, extra=extra)
             for k in ks for lhs, rhs, mc in [profile[k]]]
 
@@ -797,6 +761,7 @@ def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[R
         lhs = mean ** (1.0 / p)
         kn = k / n
         rhs = (kn * power_sum) ** (1.0 / p) + math.sqrt(kn * square_sum)
+        _check_float_range(p, [lhs, rhs])
         lhs_over_rhs, rhs_over_lhs = float(lhs / rhs), float(rhs / lhs)
         spread = max(lhs_over_rhs, rhs_over_lhs)
         rows.append(Row(spread, float(lhs), float(rhs), lhs_over_rhs, k=k,
@@ -822,12 +787,19 @@ def rosenthal_linear_ratio(a: Sequence[complex], p: float, k: int) -> RatioRepor
 
 
 def moment_checks(n: int, k: int, p: float) -> dict:
-    """Exact moments of the sign-subset variables by enumeration."""
-    model = SigmaModel(n, k)
-    sigma_moments = [model.sigma_moment(j, p) for j in range(1, n + 1)]
+    """Exact moments of the sign-subset variables sigma_j(eps, S) = eps_j 1_{j in S}
+    by enumeration of the uniform k-subsets S of [n] (|eps_j|^p = 1)."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    sigma_moments = [Fraction(sum(j in subset for subset in subsets), len(subsets))
+                     for j in range(1, n + 1)]
     expected_sigma = Fraction(k, n)
-    square_moment = model.square_function_moment(p)
     even = float(p).is_integer() and int(p) % 2 == 0
+    total = 0 if even else 0.0
+    for subset in subsets:
+        total += len(subset) ** (int(p) // 2) if even else float(len(subset)) ** (p / 2)
+    square_moment = Fraction(total, len(subsets)) if even else total / len(subsets)
     expected_square = k ** (int(p) // 2) if even else float(k) ** (p / 2)
     passed = all(m == expected_sigma for m in sigma_moments) and square_moment == expected_square
     return {"n": n, "k": k, "p": p,
@@ -856,6 +828,7 @@ def _riesz_rows(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float) -> lis
     sides = [float(np.mean(sum(squares[side::2]) ** (p / 2))) ** (1 / p) for side in (0, 1)]
     lhs = float(np.mean(_abs_power(values, p))) ** (1 / p)
     rhs = max(sides) / (2 * math.pi)
+    _check_float_range(p, [lhs, rhs])
     ratio, inverse = lhs / rhs, rhs / lhs
     spread = max(ratio, inverse)
     return [Row(spread, lhs, rhs, ratio,
@@ -1061,10 +1034,7 @@ def _naor_family(params: dict) -> tuple[GroupDescriptor, LengthCocycle, str]:
         weights = [1.0] * group.n_components
     cocycle = build_cocycle(params.get("cocycle", name) if family == "torus" else name, group,
                             weights)
-    derivative = params.get("derivative", "absorbent")
-    if derivative not in DERIVATIVE_CHOICES:
-        raise ValueError(f"unknown derivative choice {derivative!r}")
-    return group, cocycle, derivative
+    return group, cocycle, params.get("derivative", "absorbent")
 
 
 def _load_element(witness: dict) -> tuple[GroupAlgebraElement, LengthCocycle]:

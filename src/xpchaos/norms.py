@@ -30,6 +30,9 @@ MatrixOperand = np.ndarray
 GRID_REFINE_TOL = 1e-8
 GRID_REFINE_MAX_POINTS = 2 ** 22
 
+#: most coefficient products of the exact even-p torus route (``_trace_power``)
+TRACE_POWER_MAX_PRODUCTS = 2 ** 26
+
 #: sign rows contracted per numpy batch in sign averages; bounds their
 #: working set without changing their values
 SIGN_BLOCK_ROWS = 2 ** 13
@@ -50,6 +53,14 @@ def _is_even(p: float) -> bool:
     return p >= 2 and p == int(p) and int(p) % 2 == 0
 
 
+def _root(power, p: float) -> float:
+    """power^(1/p), the norm of a nonzero input, refused when power is 0 or not finite."""
+    if not 0 < power < math.inf:                   # NaN fails both
+        raise ValueError(f"at p = {p} the norm leaves the float range "
+                         f"(its p-th power reads {power})")
+    return float(power ** (1.0 / p))
+
+
 def lp_norm_abelian(f: GroupAlgebraElement, p: float) -> float:
     """((1/|G^|) sum_x |f(x)|^p)^(1/p) through the dual evaluation."""
     _check_p(p)
@@ -57,8 +68,7 @@ def lp_norm_abelian(f: GroupAlgebraElement, p: float) -> float:
         raise ValueError("lp_norm_abelian needs a finite abelian group")
     if not f.coeffs:
         return 0.0
-    values = np.abs(evaluate_on_dual(f).values)
-    return float(np.mean(values ** p) ** (1.0 / p))
+    return _root(np.mean(np.abs(evaluate_on_dual(f).values) ** p), p)
 
 
 def _conv_power(h: GroupAlgebraElement, t: int) -> GroupAlgebraElement:
@@ -68,13 +78,23 @@ def _conv_power(h: GroupAlgebraElement, t: int) -> GroupAlgebraElement:
     return out
 
 
-def _trace_power(h: GroupAlgebraElement, q: int) -> float:
-    """tau(h^q) of a self-adjoint torus polynomial h and q >= 1, by meet in the middle:
-    the pairing of h^(q//2) with h^(q - q//2), refused when it is not real."""
+def _trace_power(xs: Sequence[GroupAlgebraElement], p: float) -> float:
+    """tau(h^q) of h = sum_l x_l x_l* (torus polynomials of bound B) at an even p = 2q,
+    by meet in the middle: h^(q//2) paired with h^(q - q//2), refused when not real.
+    Before any convolution, p is refused above TRACE_POWER_MAX_PRODUCTS coefficient
+    products: each step to h^t multiplies at most its key box, (4Bt + 1)^rank keys."""
+    q, bound = int(p) // 2, max(x.group.bound for x in xs)
+    top = q - q // 2
+    steps = q - 2 if q % 2 else top - 1            # h^(q//2) too at an odd q
+    if steps * ((4 * bound * top + 1) * (4 * bound + 1)) ** xs[0].group.rank \
+            > TRACE_POWER_MAX_PRODUCTS:
+        raise ValueError(f"at p = {p} the exact trace power takes more than "
+                         f"{TRACE_POWER_MAX_PRODUCTS = } coefficient products")
+    h = sum((convolve(x, adjoint(x)) for x in xs[1:]), convolve(xs[0], adjoint(xs[0])))
     if q == 1:
         value = trace(h)
     else:
-        right = _conv_power(h, q - q // 2)
+        right = _conv_power(h, top)
         left = right if q % 2 == 0 else _conv_power(h, q // 2)
         value = sum(v * right.coeffs.get(tuple(-x for x in k), 0)
                     for k, v in left.coeffs.items())
@@ -88,7 +108,7 @@ def lp_norm_torus_even(f: GroupAlgebraElement, p: float) -> float:
     """Exact even-p norm: the p-th power is tau((f f*)^(p/2)).
 
     Odd and non-integer exponents fall outside the convolution method and are
-    routed to the grid quadrature.
+    routed to the grid quadrature.  ``_trace_power`` and ``_root`` refuse a p out of reach.
     """
     if f.group.kind != TORUS:
         raise ValueError("lp_norm_torus_even needs a torus polynomial")
@@ -97,7 +117,7 @@ def lp_norm_torus_even(f: GroupAlgebraElement, p: float) -> float:
         return lp_norm_torus_grid(f, p)
     if not f.coeffs:
         return 0.0
-    return float(_trace_power(convolve(f, adjoint(f)), int(p) // 2) ** (1.0 / p))
+    return _root(_trace_power([f], p), p)
 
 
 def _torus_grid_values(fs: Sequence[GroupAlgebraElement], oversample: int) -> np.ndarray:
@@ -124,8 +144,7 @@ def lp_norm_torus_grid(f: GroupAlgebraElement, p: float, oversample: int = 4) ->
         raise ValueError("lp_norm_torus_grid needs a torus polynomial")
     if not f.coeffs:
         return 0.0
-    values = np.abs(_torus_grid_values([f], oversample)[0])
-    return float(np.mean(values ** p) ** (1.0 / p))
+    return _root(np.mean(np.abs(_torus_grid_values([f], oversample)[0]) ** p), p)
 
 
 def lp_norm_torus_refined(f: GroupAlgebraElement, p: float,
@@ -223,9 +242,7 @@ def square_function_norm(components: Sequence, p: float, side: str = "column") -
         if group.kind == FINITE_ABELIAN:
             rows = np.stack([evaluate_on_dual(c).values for c in components])
         elif group.kind == TORUS and _is_even(p):
-            square = sum((convolve(c, adjoint(c)) for c in components[1:]),
-                         convolve(components[0], adjoint(components[0])))
-            return float(_trace_power(square, int(p) // 2) ** (1.0 / p))
+            return float(_trace_power(components, p) ** (1.0 / p))
         elif group.kind == TORUS:
             rows = _torus_grid_values(components, 4)     # lp_norm_torus_grid's grid
         else:

@@ -195,16 +195,3 @@ def free_hilbert_transform(f: GroupAlgebraElement, signs: Sequence[int]) -> Grou
         raise ValueError(f"signs must be a vector of +-1 of length {n}")
     return _multiply(f, lambda word: signs[word.first_generator - 1])
 
-
-def conditional_expectation_two_point(f: GroupAlgebraElement, j: int) -> GroupAlgebraElement:
-    """Coefficient filter onto g_j in {0, m} for an even cyclic product.
-
-    Appears only in the decomposition of the absorbent derivative into edge
-    derivatives.
-    """
-    group = f.group
-    if group.kind != FINITE_ABELIAN or any(m % 2 for m in group.moduli):
-        raise ValueError("needs an even cyclic product group")
-    _component_range(group, j)
-    m = group.moduli[j - 1] // 2
-    return _multiply(f, lambda key: key[j - 1] in (0, m))

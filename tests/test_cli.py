@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -19,6 +20,10 @@ from xpchaos.cocycles import FAMILIES, BasisVector
 from xpchaos.groups import GroupAlgebraElement, GroupDescriptor, adjoint
 from xpchaos.norms import lp_norm_torus_grid, lp_norm_torus_refined
 from xpchaos.words import ReducedWord
+
+
+#: the rank-1, bound-2 torus element 1 lambda(1) + (0.5 + 0.1i) lambda(-2)
+TWO_KEY_TORUS = GroupAlgebraElement(GroupDescriptor.torus(1, 2), {(1,): 1.0, (-2,): 0.5 + 0.1j})
 
 
 def run(args):
@@ -97,6 +102,27 @@ class TestVerify:
             assert run(["verify", *args, "--ensemble", "sparse", "--sparsity", "1",
                         "--trials", "3", "--out", str(out)]) == 2
         assert f"at p = {float(args[args.index('--p') + 1])}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["rosenthal", "--n", "3", "--p", "1e308"],
+        ["xp-linear", "--n", "3", "--p", "999"],
+        ["riesz", "--n", "2", "--p", "1000"]],
+        ids=["rosenthal", "xp-linear", "riesz"])
+    def test_every_experiment_refuses_sides_past_the_float_range(self, tmp_path, capsys, args):
+        """A sign mean under- or overflows, or both sides overflow to inf."""
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(["verify", *args, "--trials", "2", "--out", str(out)]) == 2
+        assert f"at p = {float(args[-1])} the sides leave" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_weight_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["verify", "riesz", "--family", "weighted_cube", "--n", "2",
+                    "--weights", "nan,1", "--trials", "2", "--out", str(out)]) == 2
+        assert "weights must be positive and finite, got (nan, 1.0)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_large_p_inside_the_float_range_runs(self, tmp_path):
@@ -428,6 +454,17 @@ class TestCheck:
         assert "psi matrix" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, named", [
+        (["--family", "weighted_cube", "--n", "2", "--weights", "inf,1"], "got (inf, 1.0)"),
+        (["--family", "weighted_cube", "--n", "2", "--weights", "nan,1"], "got (nan, 1.0)"),
+        (["--t", "nan"], "t = nan"), (["--t", "0.1,inf"], "t = inf")],
+        ids=["weight-inf", "weight-nan", "t-nan", "t-inf"])
+    def test_non_finite_weight_or_time_exit_code(self, tmp_path, capsys, option, named):
+        out = tmp_path / "cocycle.json"
+        assert run(["check", "cocycle", *option, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_options_cover_every_family(self):
         assert set(FAMILY_OPTIONS) == set(FAMILIES)
 
@@ -543,6 +580,41 @@ class TestNormAndApply:
         assert run(["apply", "--op", "laplacian", "--gamma", "1e308", "--in", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "gamma" in captured.err
+
+    @pytest.mark.parametrize("f, p, method, power", [
+        (TWO_KEY_TORUS, "2048", "auto", "nan"),
+        (GroupAlgebraElement(GroupDescriptor.finite_abelian([4, 4]),
+                             {(1, 0): 1.0, (2, 3): 0.5 - 0.25j, (3, 1): 2.0}),
+         "2000", "auto", "inf"),
+        (TWO_KEY_TORUS, "3000", "grid", "inf"),
+        (GroupAlgebraElement(GroupDescriptor.torus(1, 2), {(1,): 1e-3}), "1e5", "grid", "0.0")],
+        ids=["torus-exact-nan", "z4^2-inf", "torus-grid-inf", "torus-grid-underflow"])
+    def test_norm_past_the_float_range_exit_code(self, tmp_path, capsys, f, p, method, power):
+        path = write_element(tmp_path / "f.json", f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(["norm", "--in", path, "--p", p, "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at p = {float(p)} the norm leaves the float range " \
+               f"(its p-th power reads {power})" in captured.err
+
+    @pytest.mark.parametrize("p", ["4096", "1e308"])
+    def test_norm_trace_power_priced_before_any_convolution(self, tmp_path, capsys,
+                                                             monkeypatch, p):
+        """1e308 is an even float: its trace power would take 2.5e307 convolutions."""
+        def no_convolution(*args):
+            raise AssertionError("convolved before the price was checked")
+
+        monkeypatch.setattr(norms, "convolve", no_convolution)
+        monkeypatch.setattr(groups, "convolve", no_convolution)
+        path = write_element(tmp_path / "f.json", TWO_KEY_TORUS)
+        start = time.perf_counter()
+        assert run(["norm", "--in", path, "--p", p]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at p = {float(p)} the exact trace power takes more than" in captured.err
 
     def test_norm_missing_file(self, tmp_path):
         assert run(["norm", "--in", str(tmp_path / "nope.json"), "--p", "2"]) == 2

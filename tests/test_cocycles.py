@@ -10,9 +10,9 @@ import pytest
 from xpchaos import (GroupAlgebraElement, GroupDescriptor, build_cocycle,
                      completeness_defect, conditional_negativity_check,
                      enumerate_words, gram_matrix,
-                     gromov_bilinear, gromov_form, spectral_gap,
+                     gromov_bilinear, gromov_form,
                      weighted_hypercube)
-from xpchaos import cocycles, operators, words
+from xpchaos import cocycles, groups, operators, words
 from xpchaos.cli import _build_cli_cocycle
 from xpchaos.cocycles import COCYCLE_FAMILIES, FAMILIES, BasisVector, gromov_form_defining
 from xpchaos.words import ReducedWord
@@ -43,25 +43,25 @@ class TestGromovForm:
     def test_zn_word_opposite_signs(self):
         c = torus_word()
         assert gromov_form(c, (1, 0), (-1, 0)) == 0
-        assert gromov_form(c, (1, 0), (-1, 0), method="defining") == 0
+        assert gromov_form_defining(c, (1, 0), (-1, 0)) == 0
 
     def test_z4_antipodal_pair(self):
         c = cyclic(4, n=1)
         assert gromov_form(c, (1,), (3,)) == 0
-        assert gromov_form(c, (1,), (3,), method="defining") == 0
+        assert gromov_form_defining(c, (1,), (3,)) == 0
 
     def test_euclidean_is_dot_product(self):
         c = build_cocycle("euclidean", GroupDescriptor.torus(2, 6))
         for g, h in itertools.product(itertools.product(range(-3, 4), repeat=2), repeat=2):
             assert gromov_form(c, g, h) == sum(x * y for x, y in zip(g, h))
-            assert gromov_form(c, g, h, method="defining") == gromov_form(c, g, h)
+            assert gromov_form_defining(c, g, h) == gromov_form(c, g, h)
 
     @pytest.mark.parametrize("modulus", [2, 4, 6])
     def test_cyclic_closed_equals_defining(self, modulus):
         c = cyclic(modulus)
         box = list(itertools.product(range(modulus), repeat=2))
         for g, h in itertools.product(box, repeat=2):
-            assert gromov_form(c, g, h) == gromov_form(c, g, h, method="defining")
+            assert gromov_form(c, g, h) == gromov_form_defining(c, g, h)
 
     @pytest.mark.parametrize("modulus", [3, 5, 7, 9])
     def test_odd_cyclic_closed_equals_defining_with_halves(self, modulus):
@@ -71,7 +71,7 @@ class TestGromovForm:
         seen_half = False
         for g, h in itertools.product(box, repeat=2):
             value = gromov_form(c, g, h)
-            assert value == gromov_form(c, g, h, method="defining")
+            assert value == gromov_form_defining(c, g, h)
             if isinstance(value, Fraction):
                 seen_half = True
         assert seen_half  # the odd case genuinely produces half-integers
@@ -80,19 +80,19 @@ class TestGromovForm:
         c = free()
         sample = list(enumerate_words(2, 3))
         for g, h in itertools.product(sample, repeat=2):
-            assert gromov_form(c, g, h) == gromov_form(c, g, h, method="defining")
+            assert gromov_form(c, g, h) == gromov_form_defining(c, g, h)
 
     @pytest.mark.parametrize("modulus", [4, 6, 8])
     def test_free_product_closed_equals_defining(self, modulus):
         c = free_product(modulus)
         sample = list(enumerate_words(2, 3, modulus=modulus))
         for g, h in itertools.product(sample, repeat=2):
-            assert gromov_form(c, g, h) == gromov_form(c, g, h, method="defining")
+            assert gromov_form(c, g, h) == gromov_form_defining(c, g, h)
 
     def test_weighted_cube(self):
         c = weighted_hypercube([1.0, 2.0])
         assert gromov_form(c, (1, 1), (1, 0)) == pytest.approx(4.0)
-        assert gromov_form(c, (1, 1), (1, 0), method="defining") == pytest.approx(4.0)
+        assert gromov_form_defining(c, (1, 1), (1, 0)) == pytest.approx(4.0)
 
 
 class TestConditionalNegativity:
@@ -197,15 +197,17 @@ class TestPairing:
 
 class TestSpectralGap:
     def test_formula_values(self):
-        assert spectral_gap(build_cocycle("euclidean", GroupDescriptor.torus(3, 2))) == 1
-        assert spectral_gap(cyclic(6)) == 1
-        assert spectral_gap(weighted_hypercube([2.0, 0.25, 1.0])) == pytest.approx(1.0)
+        assert build_cocycle("euclidean", GroupDescriptor.torus(3, 2)).gap == 1
+        assert cyclic(6).gap == 1
+        assert weighted_hypercube([2.0, 0.25, 1.0]).gap == pytest.approx(1.0)
 
     def test_sample_validation(self):
-        c = cyclic(4)
-        assert spectral_gap(c, [(0, 0), (1, 0)]) == 1
-        with pytest.raises(ValueError):
-            spectral_gap(c, [(0, 0)])
+        """The gap is the least nonzero length over the whole key box."""
+        for cocycle in (cyclic(4), cyclic(6), cyclic(2, n=3), torus_word(2, 2),
+                        weighted_hypercube([2.0, 0.25, 1.0])):
+            shape, low = groups.key_box(cocycle.group)
+            box = itertools.product(*(range(low, low + m) for m in shape))
+            assert min(v for g in box if (v := cocycle.psi(g)) != 0) == cocycle.gap
 
 
 class TestWeightedHypercube:

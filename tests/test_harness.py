@@ -23,7 +23,7 @@ from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor, adjoint
                      schatten_norm, xp_linear_profile, xp_linear_ratio)
 from xpchaos import groups, norms
 from xpchaos.cocycles import BasisVector, LengthCocycle
-from xpchaos.harness import LATTICE_MAX_BYTES, SigmaModel
+from xpchaos.harness import LATTICE_MAX_BYTES
 from xpchaos.norms import square_function_norm
 from xpchaos.words import ReducedWord
 
@@ -1089,6 +1089,12 @@ class TestRosenthal:
         with pytest.raises(ValueError, match="nonzero"):
             rosenthal_linear_ratio([0, 0, 0], 4, 2)
 
+    def test_underflowed_lhs_refused(self):
+        """|sum_j eps_j a_j|^p underflows to an lhs of 0, while the rhs keeps its
+        square-function term; the exact lhs is positive."""
+        with pytest.raises(ValueError, match="at p = 100000.0 the sides leave the float range"):
+            rosenthal_linear_ratio([1e-3, 2e-3, -1e-3], 1e5, 2)
+
     def test_zero_witness_fails_to_reevaluate(self):
         report = scan("rosenthal", trials=1, seed=0, n=3, p=4, ks=[2]).to_json()
         report["witness"]["coeffs"] = [{"re": 0.0, "im": 0.0}] * 3
@@ -1114,23 +1120,34 @@ class TestMoments:
         assert report["square_moment"] == 1
 
     def test_sigma_model_validation(self):
-        with pytest.raises(ValueError):
-            SigmaModel(3, 4)
-        assert SigmaModel(4, 2).num_subsets == 6
+        for n, k in ((3, 4), (3, 0), (1, 2)):
+            with pytest.raises(ValueError, match=f"need 1 <= k <= n, got k={k}, n={n}"):
+                moment_checks(n, k, 4)
 
     def test_moments_against_atom_enumeration(self):
-        """Cross-check the subset-only computation on the full (eps, S) space."""
-        model = SigmaModel(4, 2)
-        atoms = list(model.atoms())
-        assert len(atoms) == 2 ** 4 * 6
-        for p in (2, 4):
-            brute = Fraction(sum(abs(model.sigma(1, eps, subset)) ** p
-                                 for eps, subset in atoms), len(atoms))
-            assert brute == model.sigma_moment(1, p)
-            brute_square = Fraction(
-                sum(sum(model.sigma(j, eps, subset) ** 2 for j in range(1, 5)) ** (p // 2)
-                    for eps, subset in atoms), len(atoms))
-            assert brute_square == model.square_function_moment(p)
+        """Cross-check the subset-only computation on the full (eps, S) space, where
+        sigma_j(eps, S) = eps_j 1_{j in S} and every atom weighs 1 / (2^n C(n, k))."""
+        def sigma(j, eps, subset):
+            return eps[j - 1] if j in subset else 0
+
+        for n, k in ((4, 2), (3, 1), (5, 3), (4, 4)):
+            atoms = [(eps, subset) for eps in itertools.product((1, -1), repeat=n)
+                     for subset in itertools.combinations(range(1, n + 1), k)]
+            for p in (2, 4, 6):
+                report = moment_checks(n, k, p)
+                for j in range(1, n + 1):
+                    brute = Fraction(sum(abs(sigma(j, eps, subset)) ** p
+                                         for eps, subset in atoms), len(atoms))
+                    assert brute == report["sigma_expected"]
+                assert report["sigma_moment"] == report["sigma_expected"] and report["passed"]
+                brute_square = Fraction(
+                    sum(sum(sigma(j, eps, subset) ** 2 for j in range(1, n + 1)) ** (p // 2)
+                        for eps, subset in atoms), len(atoms))
+                assert brute_square == report["square_moment"] == report["square_expected"]
+            brute_square = sum(sum(sigma(j, eps, subset) ** 2 for j in range(1, n + 1)) ** 1.5
+                               for eps, subset in atoms) / len(atoms)
+            assert moment_checks(n, k, 3)["square_moment"] == pytest.approx(brute_square,
+                                                                             rel=1e-14)
 
 
 class TestRieszEquivalence:
@@ -1748,8 +1765,9 @@ class TestFamilyRecords:
         (dict(family="cyclic", n=2, weights=[1, 2]), "takes no weights"),
         (dict(family="weighted_cube", n=2, weights=[1]), "one weight per coordinate")])
     def test_naor_family_refusals(self, params, error):
+        """Each is refused when the scan binds its params, before any draw."""
         with pytest.raises(ValueError, match=error):
-            harness._naor_family(params)
+            scan("naor", trials=1, **params)
 
     @pytest.mark.parametrize("params, group, family", [
         (dict(rank=3, modulus=None), GroupDescriptor.free_group(3), "free_word"),
@@ -1815,9 +1833,9 @@ class TestEnsembles:
         group, cocycle = hypercube_pair(5)
         full = sample_element(group, cocycle, EnsembleSpec("gaussian"), rng)
         assert (0,) * 5 not in full.coeffs
-        assert full.support_size == 2 ** 5 - 1
+        assert len(full.coeffs) == 2 ** 5 - 1
         sparse = sample_element(group, cocycle, EnsembleSpec("sparse", sparsity=4), rng)
-        assert sparse.support_size == 4
+        assert len(sparse.coeffs) == 4
         low = sample_element(group, cocycle, EnsembleSpec("chaos_degree", degree=2), rng)
         assert all(sum(key) <= 2 for key in low.coeffs)
         linear = sample_element(group, cocycle, EnsembleSpec("linear_span"), rng)
@@ -1828,7 +1846,7 @@ class TestEnsembles:
         cocycle = build_cocycle("free_product_word", group)
         rng = np.random.default_rng(15)
         f = sample_element(group, cocycle, EnsembleSpec(sparsity=5, word_length=3), rng)
-        assert f.support_size == 5
+        assert len(f.coeffs) == 5
         assert all(not w.is_identity for w in f.coeffs)
 
     def test_unknown_kind_rejected_on_construction(self):
@@ -1846,4 +1864,4 @@ class TestEnsembles:
         cocycle = build_cocycle("free_word", group)
         rng = np.random.default_rng(16)
         f = sample_element(group, cocycle, EnsembleSpec(sparsity=50, word_length=1), rng)
-        assert 0 < f.support_size <= 50
+        assert 0 < len(f.coeffs) <= 50

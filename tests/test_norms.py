@@ -133,6 +133,30 @@ class TestTorusNorms:
         with pytest.raises(ValueError):
             lp_norm_torus_grid(f, 2, oversample=2)
 
+    @pytest.mark.parametrize("rank, bound, p", [(1, 2, 8), (1, 3, 14), (2, 1, 10), (2, 2, 6),
+                                                (3, 1, 8), (2, 1, 18)])
+    def test_trace_power_price_bounds_its_products(self, monkeypatch, rank, bound, p):
+        """A budget one below the products the convolutions of the trace power take
+        (after h = f f*) refuses the same norm."""
+        rng = np.random.default_rng(rank * 10 + bound)
+        keys = list(itertools.product(range(-bound, bound + 1), repeat=rank))
+        f = GroupAlgebraElement(GroupDescriptor.torus(rank, bound),
+                                dict(zip(keys, rng.standard_normal(len(keys)) + 0j)))
+        products = []
+        convolve = norms.convolve
+        monkeypatch.setattr(norms, "convolve", lambda a, b: products.append(
+            len(a.coeffs) * len(b.coeffs)) or convolve(a, b))
+        lp_norm_torus_even(f, p)
+        monkeypatch.setattr(norms, "TRACE_POWER_MAX_PRODUCTS", sum(products[1:]) - 1)
+        with pytest.raises(ValueError, match=f"at p = {p} the exact trace power"):
+            lp_norm_torus_even(f, p)
+
+    def test_norm_past_the_float_range_refused(self):
+        """lp_norm's callers get the refusal of a p-th power that overflowed."""
+        f = GroupAlgebraElement(GroupDescriptor.finite_abelian([4]), {(1,): 2.0})
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="reads inf"):
+            lp_norm(f, 1100)
+
     def test_free_kind_rejected(self):
         f = GroupAlgebraElement.lam(GroupDescriptor.free_group(2), ReducedWord(((1, 1),)))
         with pytest.raises(ValueError, match="combinatorial"):

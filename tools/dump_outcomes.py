@@ -13,9 +13,10 @@ witness re-evaluations, single-run reports with theirs, and the outputs of
 and Z_4*Z_4 element), ``norm`` and ``check cocycle`` (every family), with their
 exit codes, and the cocycle certificates: ``gram_matrix`` on the acceptance
 battery's slices and on one basis with formal vectors, the sign-relation
-``gromov_bilinear`` pairs, and ``conditional_negativity_check`` on the battery's
-nine cocycles at seeds 0-2, each value by ``repr`` so that types show too, and
-``khintchine_ratio`` on square and rectangular tuples at p = 2, 3, 4, 6 and 8.
+``gromov_bilinear`` pairs, ``conditional_negativity_check`` at seeds 0-2 and the
+spectral gap of the battery's nine cocycles, each value by ``repr`` so that types
+show too, ``khintchine_ratio`` on square and rectangular tuples at p = 2, 3, 4, 6
+and 8, and ``moment_checks`` for every n <= 10 and k, and its refusal of k = n + 1.
 ``runtime_ms`` is left out: it is the one field a rerun may change.
 Floats print with ``repr``, so equal lines mean bit-identical numbers, signed
 zeros included.  A run takes a few seconds.
@@ -38,14 +39,16 @@ import numpy as np  # noqa: E402
 
 from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor,  # noqa: E402
                      acceptance, build_cocycle, cli, conditional_negativity_check,
-                     gram_matrix, gromov_bilinear, khintchine_ratio, naor_ratio,
-                     random_group_elements, reevaluate_witness, riesz_equivalence_ratio,
-                     rosenthal_linear_ratio, scan, words, xp_linear_ratio)
+                     gram_matrix, gromov_bilinear, khintchine_ratio, moment_checks,
+                     naor_ratio, random_group_elements, reevaluate_witness,
+                     riesz_equivalence_ratio, rosenthal_linear_ratio, scan, words,
+                     xp_linear_ratio)
 from xpchaos.cocycles import BasisVector  # noqa: E402
 from xpchaos.words import ReducedWord  # noqa: E402
 
 SEEDS = (0, 1, 2)
 TRIALS = 4
+MOMENT_PS = (1, 1.5, 2, 2.5, 3, 4, 6, 8)
 
 #: (experiment, ensemble, params): both routes of naor, xp_linear and rosenthal,
 #: their pair routes at every even p they take (naor and rosenthal up to p = 8,
@@ -250,6 +253,8 @@ def _cocycle_records():
                 report = conditional_negativity_check(c, sample, (0.1, 1.0, 10.0), seed=seed)
                 return {key: repr(value) for key, value in report.items()}
             yield f"negativity {cocycle.family} {cocycle.group.to_json()} seed={seed}", thunk
+        yield f"gap {cocycle.family} {cocycle.group.to_json()}", lambda c=cocycle: {
+            "gap": repr(c.gap)}
 
 
 def _khintchine_records():
@@ -259,6 +264,22 @@ def _khintchine_records():
         for p in (2, 3, 4, 6, 8):
             yield f"n={n} {shape} p={p}", lambda xs=xs, p=p: {
                 "ratio": repr(khintchine_ratio(xs, p))}
+
+
+def _moments(n: int, k: int, p: float) -> dict:
+    try:
+        report = moment_checks(n, k, p)
+    except ValueError as exc:
+        return {"error": str(exc)}
+    return {key: repr(value) for key, value in report.items()}
+
+
+def _moment_records():
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            for p in MOMENT_PS:
+                yield f"n={n} k={k} p={p}", lambda n=n, k=k, p=p: _moments(n, k, p)
+        yield f"n={n} k={n + 1} p=4", lambda n=n: _moments(n, n + 1, 4)
 
 
 def records(workdir: Path):
@@ -286,6 +307,8 @@ def records(workdir: Path):
         yield "cocycle", name, thunk
     for name, thunk in _khintchine_records():
         yield "khintchine", name, thunk
+    for name, thunk in _moment_records():
+        yield "moment", name, thunk
 
 
 def line(kind: str, name: str, outcome) -> str:
