@@ -73,12 +73,28 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def _load_config(path: str | None) -> dict:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _load_config(path: str | None, command: str, keys: list[str]) -> dict:
+    """The JSON object of a config file, refused when it sets a key that ``command``
+    does not read (one of ``keys``), or a value that is not null, a number or a
+    string (or, for weights, a list of numbers)."""
     if not path:
         return {}
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ValueError(f"{command} does not read the config keys {unknown}; it reads {keys}")
+    for key, value in data.items():
+        if not (value is None or isinstance(value, str) or _is_number(value)
+                or (key == "weights" and isinstance(value, list) and all(map(_is_number, value)))):
+            raise ValueError(f"the config key {key!r} must be a number or a string"
+                             f"{' (or a list of numbers)' if key == 'weights' else ''}, "
+                             f"got {value!r}")
     return data
 
 
@@ -153,9 +169,8 @@ def _experiment_params(verb: str, opts: dict) -> tuple[str, dict]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    opts = _resolve(args, config, [*_PARAM_FLAGS, "trials", "seed", "ensemble", "sparsity",
-                                   "degree"])
+    keys = [*_PARAM_FLAGS, "trials", "seed", "ensemble", "sparsity", "degree"]
+    opts = _resolve(args, _load_config(args.config, f"verify {args.experiment}", keys), keys)
     if isinstance(opts.get("weights"), str):
         opts["weights"] = _parse_floats(opts["weights"])
     experiment, params = _experiment_params(args.experiment, opts)
@@ -195,9 +210,8 @@ def _build_cli_cocycle(opts: dict):
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.target != "cocycle":
         raise ValueError("only 'check cocycle' is supported")
-    config = _load_config(args.config)
-    opts = _resolve(args, config, ["family", "n", "modulus", "bound", "weights",
-                                   "sample_size", "t", "seed"])
+    keys = ["family", "n", "modulus", "bound", "weights", "sample_size", "t", "seed"]
+    opts = _resolve(args, _load_config(args.config, "check cocycle", keys), keys)
     if isinstance(opts.get("weights"), str):
         opts["weights"] = _parse_floats(opts["weights"])
     cocycle = _build_cli_cocycle(opts)
@@ -405,7 +419,7 @@ def main(argv=None) -> int:
     except NumericalSanityError as exc:
         print(f"numerical sanity failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:     # OSError: a file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -283,9 +283,17 @@ class GroupAlgebraElement:
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupAlgebraElement":
         """Load :meth:`to_json` output.  Entries whose keys name one group element
-        add up, as in the constructor; abelian keys are decoded as one array."""
-        group = GroupDescriptor.from_json(data["group"])
-        entries = data["coeffs"]
+        add up, as in the constructor; abelian keys are decoded as one array.  A
+        document of another shape is refused, naming the field at fault."""
+        if not isinstance(data, dict):
+            raise ValueError(f"an element must be a JSON object, got {type(data).__name__}")
+        group, entries = data.get("group"), data.get("coeffs")
+        if not isinstance(group, dict):
+            raise ValueError(f"the element's group must be a JSON object, got {group!r}")
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValueError(f"the element's coeffs must be a list of JSON objects, "
+                             f"got {entries!r}")
+        group = GroupDescriptor.from_json(group)
         if group.is_free_kind:
             keys = [canonical_key(group, ReducedWord.from_json(entry["word"]))
                     for entry in entries]

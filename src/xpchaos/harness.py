@@ -31,7 +31,7 @@ from .cocycles import COCYCLE_FAMILIES, LengthCocycle, build_cocycle
 from .groups import (FINITE_ABELIAN, PRUNE_TOL, TORUS, GroupAlgebraElement, GroupDescriptor,
                      coefficient_tensor, element_inverse, is_mean_zero, key_box)
 from .norms import (SIGN_BLOCK_ROWS, _check_p, half_sign_patterns, schatten_powers,
-                    sign_average_power, sign_block_bytes, sign_powers)
+                    sign_block_bytes, sign_powers)
 
 SIGN_ENUMERATION_CAP = 14
 MONTE_CARLO_SIGNS = 2 ** 14
@@ -259,9 +259,9 @@ def _subset_means(by_union: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _pair_route_bytes(n: int, tuples: int, pairs: int) -> int:
-    """Bytes of the pair route on n coordinates: a q-tuple holds its element's index, its
-    sum, packed support union and intersection and a product; a joined pair 2 indices,
-    its element's index, a weight and 4 packed masks."""
+    """Bytes of the pair route on n coordinates: a q-tuple (a multiset of keys) holds
+    its element's index, its sum, packed support union and intersection and a product;
+    a joined pair 2 indices, its element's index, a weight and 4 packed masks."""
     width = -(-n // 8)
     return 8 * (tuples * (n + 2 * width + 3) + pairs * (5 + 4 * width))
 
@@ -296,6 +296,53 @@ def _self_join(table: np.ndarray, values: np.ndarray, prefix: int,
     return rows, sums, left, np.arange(len(left)) - shift[left]
 
 
+@functools.lru_cache(maxsize=16)
+def _multisets(s: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C(s + q - 1, q) multisets of q of the indices 0..s-1 as non-decreasing rows
+    in lexicographic order, and the q!/prod m_i! orderings of each (m_i the
+    multiplicities of its indices), both read-only: shared by every caller through
+    the cache.  Each step appends to every row each index from its last one on."""
+    rows = np.arange(s)[:, None]
+    run = ties = np.ones(s, dtype=np.int64)     # place in the run of equal indices; prod m_i!
+    for _ in range(q - 1):
+        last = rows[:, -1]
+        counts = s - last
+        following = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - last, counts)
+        run = np.where(following == np.repeat(last, counts), np.repeat(run, counts) + 1, 1)
+        ties = np.repeat(ties, counts) * run
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), following])
+    orderings = math.factorial(q) / ties
+    rows.flags.writeable = orderings.flags.writeable = False
+    return rows, orderings
+
+
+def _multiset_table(keys: np.ndarray, coeffs: np.ndarray, masks: np.ndarray,
+                    moduli: np.ndarray | None, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (element, sum, packed support union, packed support intersection) of
+    the q-multisets of each element's keys, and their products times their orderings.
+    The products take one factor at a time, in key order, so an element's are the same
+    bits alone or in any batch."""
+    trials, s, n = keys.shape
+    index, orderings = _multisets(s, q)
+    sum_end, union_end = n + 1, n + 1 + masks.shape[2]
+    rows = np.empty((trials, s, union_end + masks.shape[2]), dtype=np.int64)   # each key's row
+    rows[..., 0] = np.arange(0, trials * sum_end, sum_end)[:, None]
+    rows[..., 1:sum_end] = keys
+    rows[..., sum_end:union_end] = rows[..., union_end:] = masks
+    table, prods = rows[:, index[:, 0]], coeffs[:, index[:, 0]]
+    sums, unions, inters = (table[..., 1:sum_end], table[..., sum_end:union_end],
+                            table[..., union_end:])
+    for column in index.T[1:]:
+        other = rows[:, column]
+        sums += other[..., 1:sum_end]
+        unions |= other[..., sum_end:union_end]
+        inters &= other[..., union_end:]
+        prods = prods * coeffs[:, column]
+    if moduli is not None:
+        sums %= moduli
+    return table.reshape(-1, table.shape[2]), (prods * orderings).ravel()
+
+
 def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, p: float):
     """(w summed by support union size 0..n, sum w |intersection|, sum w) of each
     element of a batch at an even p = 2q, one row per element.  Element t is
@@ -304,11 +351,13 @@ def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, 
 
     |E_S f|^p = (E_S f)^q conj(E_S f)^q, so mean_x |E_S f|^p sums
     w = Re(prod c_a conj prod c_b) over ordered q-tuples a, b of keys with equal
-    sums in the group whose supports (nonzero coordinates) lie in S.  The q-tuples
-    are rows (element, sum, packed support union, packed support intersection) of
-    ``_self_join``, which merges equal rows (the orderings of one multiset) by
-    adding their products and joins the rows of equal (element, sum).  At p = 2
-    only equal keys pair: the hypergeometric closure, with no join.
+    sums in the group whose supports (nonzero coordinates) lie in S.  The orderings
+    of one multiset share its sum, supports and product, so the tuples are the
+    C(s + q - 1, q) multisets of ``_multiset_table``, each product times its number of
+    orderings.  ``_self_join`` merges the multisets of equal rows (element, sum, packed
+    support union and intersection) by adding their products and joins the rows of
+    equal (element, sum).  At p = 2 only equal keys pair: the hypergeometric closure,
+    with no join.
 
     The element column is each element's first bin of the union sums, t (n + 1), so
     one join serves every element of the batch.  Each element's tuples and pairs
@@ -319,26 +368,17 @@ def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, 
     q = int(p) // 2
     masks = np.packbits(keys != 0, axis=2).astype(np.int64)
     width = masks.shape[2]
-    sums, prods, unions, inters = keys, coeffs, masks, masks
-    for _ in range(q - 1):              # extend every tuple by every key of its element
-        sums = (sums[:, :, None] + keys[:, None]).reshape(trials, -1, n)
-        if moduli is not None:
-            sums %= moduli
-        prods = (prods[:, :, None] * coeffs[:, None]).reshape(trials, -1)
-        unions = (unions[:, :, None] | masks[:, None]).reshape(trials, -1, width)
-        inters = (inters[:, :, None] & masks[:, None]).reshape(trials, -1, width)
-    tuples = prods.size
-    prods = prods.ravel()
     offsets = np.arange(0, trials * (n + 1), n + 1)    # each element's first bin of by_union
     if q == 1:                          # distinct keys: each pairs with itself alone
+        prods = coeffs.ravel()
         w = (prods * prods.conj()).real
-        union = inter = _BYTE_BITS[masks.reshape(tuples, width)].sum(axis=1)
+        union = inter = _BYTE_BITS[masks.reshape(-1, width)].sum(axis=1)
         owner = np.repeat(offsets, s)
     else:
-        owners = np.repeat(offsets, tuples // trials).reshape(trials, -1, 1)
-        table = np.concatenate([owners, sums, unions, inters], axis=2).reshape(tuples, -1)
-        rows, prods, left, right = _self_join(table, prods, n + 1,
-                                              lambda pairs: _pair_route_bytes(n, tuples, pairs))
+        tuples = trials * math.comb(s + q - 1, q)
+        rows, prods, left, right = _self_join(
+            *_multiset_table(keys, coeffs, masks, moduli, q), n + 1,
+            lambda pairs: _pair_route_bytes(n, tuples, pairs))
         w = (prods[left] * prods[right].conj()).real
         unions, inters = rows[:, n + 1:n + 1 + width], rows[:, n + 1 + width:]
         union = _BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
@@ -351,11 +391,23 @@ def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, 
             [float(w[run].sum()) for run in runs])
 
 
+def _stored_items(f: GroupAlgebraElement) -> tuple[list, list]:
+    """f's keys and coefficients in the order ``to_json`` stores them: keys sorted, as
+    most draws already are."""
+    keys = list(f.coeffs)
+    ordered = sorted(keys)
+    if ordered == keys:
+        return keys, list(f.coeffs.values())
+    return ordered, [f.coeffs[key] for key in ordered]
+
+
 def _pair_terms(fs: Sequence[GroupAlgebraElement], ps: Sequence[float], ks: tuple[int, ...],
                 derivative: str) -> list[list[tuple]]:
     """[(p, lhs by k, derivative sum, ||f||_p^p) for each even p] for each element of
     ``fs`` (one group), walsh or absorbent, from ``_key_pairs``: no grid and no
     subset lattice.  Elements with as many keys share one ``_key_pairs`` call per p.
+    Each element's keys go in the order ``to_json`` stores them, so a witness replays
+    its products bit for bit (under FMA a complex product depends on its order).
 
     A k-subset holds the union U of a pair's supports with probability
     C(n - |U|, k - |U|) / C(n, k).  Each coordinate of U lies in at least two of
@@ -371,9 +423,9 @@ def _pair_terms(fs: Sequence[GroupAlgebraElement], ps: Sequence[float], ks: tupl
         by_size.setdefault(len(f.coeffs), []).append(i)
     out: list[list[tuple]] = [[] for _ in fs]
     for members in by_size.values():
-        keys = np.array([list(fs[i].coeffs) for i in members], dtype=np.int64)
-        keys = keys.reshape(len(members), -1, n)
-        coeffs = np.array([list(fs[i].coeffs.values()) for i in members], dtype=complex)
+        key_lists, coeff_lists = zip(*(_stored_items(fs[i]) for i in members))
+        keys = np.array(key_lists, dtype=np.int64).reshape(len(members), -1, n)
+        coeffs = np.array(coeff_lists, dtype=complex)
         widest = np.count_nonzero(keys, axis=2).max(axis=1).tolist()
         for p in ps:
             by_union, projections, full_norms = _key_pairs(keys, coeffs, moduli, p)
@@ -401,13 +453,14 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
 
     Key pairs need a walsh or absorbent derivative and every p even, p = 2q with
     q <= SIGN_ENUMERATION_CAP tuple steps (one key's tuples never grow, so no cost
-    bound stops a large q).  At p = 2q they list s^q q-tuples of the s keys and join
-    at most s^(2q - 1) pairs (a tuple and q - 1 keys of its partner fix the last
-    key); summed over the ps, that bound must not exceed the prod(m_j + 1) entries
-    of the grid's mean-extended tensor.  Key pairs count their largest q-tuple list
-    here and their joined pairs in ``_self_join``, once its sort has counted them;
-    ``nbytes`` prices both at the bound.  The grid counts its multiplier stack and
-    mean-extended tensor (none at p = 2 alone or riesz).
+    bound stops a large q).  The route rule counts s^q ordered q-tuples of the s keys
+    and at most s^(2q - 1) joined pairs (a tuple and q - 1 keys of its partner fix
+    the last key); summed over the ps, that must not exceed the prod(m_j + 1) entries
+    of the grid's mean-extended tensor.  The pairs route lists only the
+    C(s + q - 1, q) multisets, so its bytes count those: its largest multiset list
+    here, and its joined pairs in ``_self_join`` once its sort has counted them;
+    ``nbytes`` prices both, the pairs at the bound s^(2q - 1).  The grid counts its
+    multiplier stack and mean-extended tensor (none at p = 2 alone or riesz).
     """
     if not group.is_abelian:
         raise ValueError(f"dual evaluations need an abelian group, got {group.kind}")
@@ -418,8 +471,9 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
             max(steps) <= SIGN_ENUMERATION_CAP and \
             sum(keys ** q + keys ** (2 * q - 1) for q in steps) <= entries:
         n, q = group.n_components, max(steps)
-        _within_budget(_pair_route_bytes(n, keys ** q, 0), "key tuples")
-        return Plan("pairs", grid, _pair_route_bytes(n, keys ** q, keys ** (2 * q - 1)))
+        tuples = math.comb(keys + q - 1, q)
+        _within_budget(_pair_route_bytes(n, tuples, 0), "key tuples")
+        return Plan("pairs", grid, _pair_route_bytes(n, tuples, keys ** (2 * q - 1)))
     rows = sum(len(basis) for _, basis in _symbol_blocks(cocycle, derivative)[1])
     extended = set(ps) != {2} and derivative != "riesz"
     nbytes = 16 * (rows * math.prod(grid) + (entries if extended else 0))
@@ -468,7 +522,8 @@ def _naor_rows(fs: Sequence[GroupAlgebraElement], plans: Sequence[Plan],
     """Each element of a batch with its rows, by p and then k as listed, on its plan's
     route: the elements on key pairs share ``_pair_terms``, those on the grid run one
     at a time.  A torus row on the grid names its points per axis.  A p whose sides
-    leave the float range is refused, in one check per (element, p)."""
+    leave the float range is refused, in one check per (element, p), so the grid's
+    powers that overflow on the way raise no numpy warning."""
     group = fs[0].group
     n = group.n_components
     ks_sorted = tuple(sorted(set(ks)))
@@ -480,9 +535,11 @@ def _naor_rows(fs: Sequence[GroupAlgebraElement], plans: Sequence[Plan],
         extra = {"route": plan.route}
         if plan.route == "grid" and group.kind == TORUS:
             extra["grid"] = plan.grid[0]
+        if i not in terms:
+            with np.errstate(over="ignore"):
+                terms[i] = list(_grid_terms(f, cocycle, ps, ks_sorted, derivative, plan.grid))
         rows = []
-        for p, by_k, deriv_sum, full_norm in terms[i] if i in terms else _grid_terms(
-                f, cocycle, ps, ks_sorted, derivative, plan.grid):
+        for p, by_k, deriv_sum, full_norm in terms.pop(i):
             lhs = [by_k[k] for k in ks]
             rhs = [(k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm for k in ks]
             _check_float_range(p, rhs, lhs)        # an lhs may be 0: E_S f = 0 for every S
@@ -554,15 +611,23 @@ def _subset_blocks(n: int, k: int, rows: int):
 
 
 def _subset_sign_averages(mats: np.ndarray, p: float, k: int) -> np.ndarray:
-    """Exact E_eps ||sum_{j in S} eps_j x_j||_p^p for every k-subset S, in order."""
+    """Exact E_eps ||sum_{j in S} eps_j x_j||_p^p for every k-subset S, in order.  A
+    sign table longer than SIGN_BLOCK_ROWS is taken SIGN_BLOCK_ROWS rows at a time."""
     signs = half_sign_patterns(k)
+    parts = [signs[lo:lo + SIGN_BLOCK_ROWS] for lo in range(0, len(signs), SIGN_BLOCK_ROWS)]
     return np.concatenate([
-        sign_powers(signs, mats[block], p).mean(axis=1)
+        np.concatenate([sign_powers(part, mats[block], p) for part in parts], axis=1).mean(axis=1)
         for block in _subset_blocks(len(mats), k, len(signs))])
 
 
-def _random_signs(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.choice((1.0, -1.0), size=(MONTE_CARLO_SIGNS, n))
+def _monte_carlo_average(mats: np.ndarray, p: float, rng: np.random.Generator) -> float:
+    """Mean of ||sum_j eps_j x_j||_p^p over MONTE_CARLO_SIGNS rows of random signs.
+    The rows are drawn from ``rng`` SIGN_BLOCK_ROWS at a time, each block as
+    ``sign_powers`` takes it; the rows, the mean and the state left in ``rng`` are
+    those of one draw of all the rows."""
+    powers = [sign_powers(rng.choice((1.0, -1.0), size=(SIGN_BLOCK_ROWS, len(mats))), mats, p)
+              for _ in range(MONTE_CARLO_SIGNS // SIGN_BLOCK_ROWS)]
+    return float(np.mean(np.concatenate(powers)))
 
 
 def _xp_route(n: int, p: float) -> str:
@@ -582,11 +647,15 @@ def _xp_route_bytes(n: int, rows: int, cols: int, p: float) -> int:
     """At most the bytes that an xp_linear profile of n rows x cols matrices forms on
     its route.  Each of the pair route's n^q Gram factors gathers two index matrices
     and forms a factor on the smaller side, of which the join holds at most three
-    copies.  The sign route forms one block of ``sign_powers`` at a time, and a sign
-    table of at most MONTE_CARLO_SIGNS rows of n signs with two arrays of its size
-    (the draw's indices, or the bits of ``sign_patterns``)."""
+    copies.  The sign route forms one block of ``sign_powers`` at a time, and the larger
+    of its longest sign table, 2^c rows of c = min(n, SIGN_ENUMERATION_CAP) signs, with
+    two arrays of its size (the bits of ``sign_patterns``), and above the cap one
+    block of SIGN_BLOCK_ROWS drawn rows of n signs with the draw's indices and the
+    powers of all MONTE_CARLO_SIGNS rows."""
     if _xp_route(n, p) == "signs":
-        return sign_block_bytes(rows, cols, p) + 24 * MONTE_CARLO_SIGNS * n
+        exhaustive = min(n, SIGN_ENUMERATION_CAP)
+        drawn = SIGN_BLOCK_ROWS * n + MONTE_CARLO_SIGNS if n > SIGN_ENUMERATION_CAP else 0
+        return sign_block_bytes(rows, cols, p) + 24 * max(2 ** exhaustive * exhaustive, drawn)
     side = min(rows, cols)
     return 16 * n ** (int(p) // 2) * side * (2 * max(rows, cols) + 3 * side)
 
@@ -657,7 +726,7 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
     else:
         rng = np.random.default_rng(seed)
         if monte_carlo:
-            full_avg = sign_average_power(mats, p, _random_signs(rng, n))
+            full_avg = _monte_carlo_average(mats, p, rng)
         else:
             full_avg = float(_subset_sign_averages(mats, p, n)[0])
         lhs = {}
@@ -667,7 +736,7 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
             else:
                 draws = copy.deepcopy(rng)
                 lhs[k] = float(np.mean([
-                    sign_average_power(mats[list(s)], p, _random_signs(draws, k))
+                    _monte_carlo_average(mats[list(s)], p, draws)
                     for s in itertools.combinations(range(n), k)]))
     return {k: (lhs[k], (k / n) * norm_sum + (k / n) ** (p / 2) * full_avg, monte_carlo)
             for k in ks}
@@ -677,7 +746,8 @@ def _xp_rows(mats: Sequence[np.ndarray], p: float, ks: Sequence[int],
              seed: int | None) -> list[Row]:
     """The rows of ``xp_linear_profile``, one per k, each naming the route."""
     extra = {"route": _xp_route(len(mats), p)}
-    profile = xp_linear_profile(mats, p, ks, seed)
+    with np.errstate(over="ignore"):                # sides past the float range are refused
+        profile = xp_linear_profile(mats, p, ks, seed)
     _check_float_range(p, [side for lhs, rhs, _ in profile.values() for side in (lhs, rhs)])
     return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=mc, extra=extra)
             for k in ks for lhs, rhs, mc in [profile[k]]]
@@ -718,12 +788,12 @@ def _rosenthal_route(n: int, p: float) -> str:
     """"pairs" or "signs": the route of a rosenthal profile, from (n, p) alone.
 
     Key pairs need an even p = 2q, at most SIGN_ENUMERATION_CAP tuple steps, and
-    room in LATTICE_MAX_BYTES for the n unit keys' n^q q-tuples and their at most
-    n^(2q - 1) joined pairs.
+    room in LATTICE_MAX_BYTES for the n unit keys' C(n + q - 1, q) multisets and
+    their at most n^(2q - 1) joined pairs.
     """
     q = int(p) // 2 if p >= 2 and p % 2 == 0 else 0
     fits = 1 <= q <= SIGN_ENUMERATION_CAP and \
-        _pair_route_bytes(n, n ** q, n ** (2 * q - 1)) <= LATTICE_MAX_BYTES
+        _pair_route_bytes(n, math.comb(n + q - 1, q), n ** (2 * q - 1)) <= LATTICE_MAX_BYTES
     return "pairs" if fits else "signs"
 
 
@@ -825,8 +895,9 @@ def _riesz_rows(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float) -> lis
     _require_mean_zero(f)
     _, values, stack, starts = _dual_stack(f, cocycle, "riesz", grid)
     squares = np.add.reduceat(_abs_power(stack, 2), starts)     # f and f* blocks alternate
-    sides = [float(np.mean(sum(squares[side::2]) ** (p / 2))) ** (1 / p) for side in (0, 1)]
-    lhs = float(np.mean(_abs_power(values, p))) ** (1 / p)
+    with np.errstate(over="ignore"):                            # refused below
+        sides = [float(np.mean(sum(squares[side::2]) ** (p / 2))) ** (1 / p) for side in (0, 1)]
+        lhs = float(np.mean(_abs_power(values, p))) ** (1 / p)
     rhs = max(sides) / (2 * math.pi)
     _check_float_range(p, [lhs, rhs])
     ratio, inverse = lhs / rhs, rhs / lhs

@@ -33,9 +33,10 @@ GRID_REFINE_MAX_POINTS = 2 ** 22
 #: most coefficient products of the exact even-p torus route (``_trace_power``)
 TRACE_POWER_MAX_PRODUCTS = 2 ** 26
 
-#: sign rows contracted per numpy batch in sign averages; bounds their
-#: working set without changing their values
-SIGN_BLOCK_ROWS = 2 ** 13
+#: sign rows contracted per numpy batch in sign averages (and drawn per block by
+#: the Monte Carlo ones); bounds their working set without changing their values.
+#: Of 2^10..2^13, 2^11 timed near the best at d = 4 and at d = 16 (README)
+SIGN_BLOCK_ROWS = 2 ** 11
 
 
 class NumericalSanityError(RuntimeError):
@@ -53,6 +54,13 @@ def _is_even(p: float) -> bool:
     return p >= 2 and p == int(p) and int(p) % 2 == 0
 
 
+def _mean_power(values: np.ndarray, p: float):
+    """mean |v|^p over ``values``; past the float range it reads inf or 0, which
+    ``_root`` refuses, so numpy's overflow warning is not raised."""
+    with np.errstate(over="ignore"):
+        return np.mean(np.abs(values) ** p)
+
+
 def _root(power, p: float) -> float:
     """power^(1/p), the norm of a nonzero input, refused when power is 0 or not finite."""
     if not 0 < power < math.inf:                   # NaN fails both
@@ -68,7 +76,7 @@ def lp_norm_abelian(f: GroupAlgebraElement, p: float) -> float:
         raise ValueError("lp_norm_abelian needs a finite abelian group")
     if not f.coeffs:
         return 0.0
-    return _root(np.mean(np.abs(evaluate_on_dual(f).values) ** p), p)
+    return _root(_mean_power(evaluate_on_dual(f).values, p), p)
 
 
 def _conv_power(h: GroupAlgebraElement, t: int) -> GroupAlgebraElement:
@@ -144,7 +152,7 @@ def lp_norm_torus_grid(f: GroupAlgebraElement, p: float, oversample: int = 4) ->
         raise ValueError("lp_norm_torus_grid needs a torus polynomial")
     if not f.coeffs:
         return 0.0
-    return _root(np.mean(np.abs(_torus_grid_values([f], oversample)[0]) ** p), p)
+    return _root(_mean_power(_torus_grid_values([f], oversample)[0], p), p)
 
 
 def lp_norm_torus_refined(f: GroupAlgebraElement, p: float,
@@ -227,7 +235,8 @@ def square_function_norm(components: Sequence, p: float, side: str = "column") -
     Abelian components reduce to the pointwise Euclidean norm followed by the
     Lp norm (row and column coincide).  Matrix components form sum x*x
     (column) or sum xx* (row) and take the Schatten norm of the PSD square
-    root.
+    root.  Every route ends in ``_root``: a family that is not zero is refused at
+    a p where its p-th power leaves the float range.
     """
     _check_p(p)
     if side not in ("column", "row"):
@@ -239,26 +248,28 @@ def square_function_norm(components: Sequence, p: float, side: str = "column") -
         if any(not isinstance(c, GroupAlgebraElement) for c in components):
             raise ValueError("mixed operand kinds")
         group = components[0].group
-        if group.kind == FINITE_ABELIAN:
-            rows = np.stack([evaluate_on_dual(c).values for c in components])
-        elif group.kind == TORUS and _is_even(p):
-            return float(_trace_power(components, p) ** (1.0 / p))
-        elif group.kind == TORUS:
-            rows = _torus_grid_values(components, 4)     # lp_norm_torus_grid's grid
-        else:
+        if group.kind not in (FINITE_ABELIAN, TORUS):
             raise ValueError("square functions need abelian or matrix operands")
-        pointwise = np.sqrt(np.sum(np.abs(rows) ** 2, axis=0))
-        return float(np.mean(pointwise ** p) ** (1.0 / p))
+        if not any(c.coeffs for c in components):
+            return 0.0
+        if group.kind == TORUS and _is_even(p):
+            return _root(_trace_power(components, p), p)
+        rows = (np.stack([evaluate_on_dual(c).values for c in components])
+                if group.kind == FINITE_ABELIAN
+                else _torus_grid_values(components, 4))     # lp_norm_torus_grid's grid
+        return _root(_mean_power(np.sqrt(np.sum(np.abs(rows) ** 2, axis=0)), p), p)
     mats = [np.asarray(c, dtype=complex) for c in components]
     shape = mats[0].shape
     if any(m.shape != shape for m in mats):
         raise ValueError("matrix components must share a common shape")
+    if not any(np.any(m) for m in mats):
+        return 0.0
     if side == "column":
         gram = sum(m.conj().T @ m for m in mats)
     else:
         gram = sum(m @ m.conj().T for m in mats)
-    eigs = psd_eigenvalues(gram)
-    return float(np.sum(eigs ** (p / 2.0)) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        return _root(np.sum(psd_eigenvalues(gram) ** (p / 2.0)), p)
 
 
 def sign_patterns(n: int) -> np.ndarray:

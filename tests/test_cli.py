@@ -118,6 +118,22 @@ class TestVerify:
         assert f"at p = {float(args[-1])} the sides leave" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["xp-linear", "--n", "3", "--p", "999"], ["riesz", "--n", "2", "--p", "1000"],
+        ["ztorus", "--n", "2", "--p", "3001"], ["torus", "--n", "2", "--p", "3001"]],
+        ids=["xp-linear", "riesz", "ztorus", "torus"])
+    def test_sides_past_the_float_range_print_only_the_error(self, tmp_path, args):
+        """The overflow of a power is refused with the sides; numpy's warning is not shown."""
+        env = {**os.environ, "PYTHONPATH": str(Path(xpchaos.__file__).parents[1]),
+               "PYTHONWARNINGS": "default"}
+        done = subprocess.run([sys.executable, "-m", "xpchaos", "verify", *args, "--trials", "2",
+                               "--out", str(tmp_path / "r.json")],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.splitlines() == [
+            f"error: at p = {float(args[-1])} the sides leave the float range "
+            f"(a positive side of 0 or a side not finite)"]
+
     def test_non_finite_weight_exit_code(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(["verify", "riesz", "--family", "weighted_cube", "--n", "2",
@@ -243,6 +259,27 @@ class TestVerify:
                     "--out", str(out2)]) == 0
         assert load(out2)["params"]["n"] == 5
 
+    @pytest.mark.parametrize("content, named", [
+        ({"bogus": 1, "n": 3}, "['bogus']"), ({"n": [3]}, "'n' must be a number"),
+        ({"trials": {"n": 1}}, "'trials' must be a number"), ({"seed": True}, "'seed'"),
+        ({"weights": [1, "a"]}, "'weights' must be")],
+        ids=["unknown-key", "list", "object", "bool", "weights"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, content, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        out = tmp_path / "r.json"
+        assert run(["verify", "naor", "--config", str(config), "--trials", "2",
+                    "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_weights_list_runs(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"family": "weighted_cube", "n": 2, "weights": [1, 2.5]}))
+        out = tmp_path / "r.json"
+        assert run(["verify", "riesz", "--config", str(config), "--trials", "2",
+                    "--out", str(out)]) == 0
+
     def test_unknown_ensemble_in_config_exit_code(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"ensemble": "bogus", "trials": 2}))
@@ -325,7 +362,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("args", [
         ["--n", "22", "--p", "3", "--sparsity", "6"],       # grid: the odd p
-        ["--n", "40", "--p", "4", "--sparsity", "2000"]],   # pairs: 4e6 key tuples
+        ["--n", "40", "--p", "4", "--sparsity", "3000"]],   # pairs: 4.5e6 key multisets
         ids=["grid", "pairs"])
     def test_each_route_refused_before_allocation(self, tmp_path, monkeypatch, args):
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
@@ -618,6 +655,37 @@ class TestNormAndApply:
 
     def test_norm_missing_file(self, tmp_path):
         assert run(["norm", "--in", str(tmp_path / "nope.json"), "--p", "2"]) == 2
+
+    @pytest.mark.parametrize("document, field", [
+        ({"group": {"kind": "finite_abelian", "moduli": [4]}, "coeffs": [[1, 0]]}, "coeffs"),
+        ({"group": {"kind": "finite_abelian", "moduli": [4]}, "coeffs": 5}, "coeffs"),
+        ({"group": "torus", "coeffs": []}, "group"),
+        ([], "element")], ids=["coeff-list", "coeffs-number", "group-string", "list"])
+    def test_norm_malformed_element_exit_code(self, tmp_path, capsys, document, field):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(document))
+        assert run(["norm", "--in", str(path), "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: the element's {field}" in captured.err \
+            or field == "element" and "error: an element must be a JSON object" in captured.err
+
+    def test_norm_of_a_directory_exit_code(self, tmp_path, capsys):
+        assert run(["norm", "--in", str(tmp_path), "--p", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Is a directory" in captured.err
+
+    def test_norm_past_the_float_range_prints_only_the_error(self, tmp_path):
+        """The overflow of |f|^p is refused by the norm; numpy's warning is not shown."""
+        f = GroupAlgebraElement(GroupDescriptor.finite_abelian([4, 4]),
+                                {(1, 0): 1.0, (2, 3): 0.5 - 0.25j, (3, 1): 2.0})
+        path = write_element(tmp_path / "f.json", f)
+        env = {**os.environ, "PYTHONPATH": str(Path(xpchaos.__file__).parents[1]),
+               "PYTHONWARNINGS": "default"}
+        done = subprocess.run([sys.executable, "-m", "xpchaos", "norm", "--in", path,
+                               "--p", "2000"], capture_output=True, text=True, env=env)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "error: at p = 2000.0 the norm leaves the float range (its p-th power reads inf)"]
 
     @pytest.mark.parametrize("method", ["auto", "exact", "grid"])
     @pytest.mark.parametrize("p", ["nan", "inf"])

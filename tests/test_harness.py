@@ -319,10 +319,11 @@ class TestPlan:
                 assert abs(lhs - mixed) <= 1e-12 * rhs
 
     def test_key_tuples_refused_before_allocation(self, monkeypatch):
-        """2000 keys at p = 4 take pairs on a hypercube n = 40; their 4e6 tuples do not fit."""
+        """3000 keys at p = 4 take pairs on a hypercube n = 40; their 4.5e6 multisets
+        of two keys do not fit."""
         group, cocycle = hypercube_pair(40)
         f = GroupAlgebraElement(group, {tuple(int(b) for b in np.binary_repr(i, 40)): 1.0
-                                        for i in range(1, 2001)})
+                                        for i in range(1, 3001)})
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
         tracemalloc.start()
         try:
@@ -656,6 +657,110 @@ def test_key_pairs_match_the_grid(case, n, derivative, sparsity, seed):
         assert pairs[2][0][k] == pytest.approx(closure, rel=1e-12)
 
 
+def _ordered_key_pairs(keys, coeffs, moduli, p):
+    """``harness._key_pairs`` at p = 2q >= 4 from all s^q ordered q-tuples of each
+    element's keys, extended one key at a time, with the orderings of one multiset
+    merged by the join: the reference for the multiset tuples."""
+    trials, s, n = keys.shape
+    q = int(p) // 2
+    masks = np.packbits(keys != 0, axis=2).astype(np.int64)
+    width = masks.shape[2]
+    sums, prods, unions, inters = keys, coeffs, masks, masks
+    for _ in range(q - 1):              # extend every tuple by every key of its element
+        sums = (sums[:, :, None] + keys[:, None]).reshape(trials, -1, n)
+        if moduli is not None:
+            sums %= moduli
+        prods = (prods[:, :, None] * coeffs[:, None]).reshape(trials, -1)
+        unions = (unions[:, :, None] | masks[:, None]).reshape(trials, -1, width)
+        inters = (inters[:, :, None] & masks[:, None]).reshape(trials, -1, width)
+    tuples = prods.size
+    offsets = np.arange(0, trials * (n + 1), n + 1)
+    owners = np.repeat(offsets, tuples // trials).reshape(trials, -1, 1)
+    table = np.concatenate([owners, sums, unions, inters], axis=2).reshape(tuples, -1)
+    rows, prods, left, right = harness._self_join(table, prods.ravel(), n + 1)
+    w = (prods[left] * prods[right].conj()).real
+    unions, inters = rows[:, n + 1:n + 1 + width], rows[:, n + 1 + width:]
+    union = harness._BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
+    inter = harness._BYTE_BITS[inters[left] & inters[right]].sum(axis=1)
+    owner = rows[left, 0]
+    by_union = np.bincount(owner + union, w, minlength=trials * (n + 1))
+    ends = np.searchsorted(owner, offsets[1:]).tolist() + [len(w)]
+    runs = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
+    return (by_union.reshape(trials, n + 1), [float(w[run] @ inter[run]) for run in runs],
+            [float(w[run].sum()) for run in runs])
+
+
+class TestMultisetPairs:
+    """Key pairs list each element's q-multisets of keys, not its s^q ordered q-tuples."""
+
+    @staticmethod
+    def _batch(case):
+        """(keys, coeffs, moduli) of a batch of three elements of five or six keys."""
+        rng = np.random.default_rng(71)
+        if case == "hypercube":
+            keys = rng.integers(0, 2, size=(3, 6, 7))
+            keys[:, :, 0] = 1                           # no zero key
+            moduli = np.full(7, 2)
+        elif case == "z6^3":                            # {1, 4} and {2, 3} (times (1, 1, 1))
+            keys = np.array([[(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (1, 2, 3)],
+                             [(5, 5, 5), (1, 1, 1), (4, 4, 4), (2, 0, 1), (3, 3, 3)],
+                             [(0, 1, 2), (0, 2, 4), (0, 3, 0), (0, 4, 2), (0, 5, 4)]])
+            moduli = np.full(3, 6)
+        else:                                           # torus rank 2, bound 2: no moduli
+            keys = np.array([[(1, 0), (-1, 2), (2, -2), (0, 1), (-2, -1)],
+                             [(1, 1), (-1, -1), (2, 0), (0, -2), (1, -1)],
+                             [(2, 2), (-2, 1), (1, 2), (0, 1), (-1, 0)]])
+            moduli = None
+        coeffs = rng.standard_normal(keys.shape[:2]) + 1j * rng.standard_normal(keys.shape[:2])
+        return keys.astype(np.int64), coeffs, moduli
+
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    @pytest.mark.parametrize("case", ["hypercube", "z6^3", "torus"])
+    def test_multisets_match_ordered_tuples(self, case, p):
+        keys, coeffs, moduli = self._batch(case)
+        by_union, projections, norms_ = harness._key_pairs(keys, coeffs, moduli, p)
+        ref_union, ref_projections, ref_norms = _ordered_key_pairs(keys, coeffs, moduli, p)
+        for t in range(len(keys)):
+            scale = ref_norms[t]
+            assert scale > 0
+            gap = np.abs(by_union[t] - ref_union[t]).max()
+            assert gap <= 1e-13 * np.abs(ref_union[t]).max()
+            assert abs(projections[t] - ref_projections[t]) <= 1e-13 * abs(ref_projections[t])
+            assert abs(norms_[t] - scale) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    def test_distinct_multisets_of_one_row_merge(self, p):
+        """On Z_6^3, {1, 4} and {2, 3} (times (1, 1, 1)) share their sum and supports."""
+        keys, coeffs, moduli = self._batch("z6^3")
+        masks = np.packbits(keys != 0, axis=2).astype(np.int64)
+        table, prods = harness._multiset_table(keys, coeffs, masks, moduli, int(p) // 2)
+        assert len(table) == 3 * math.comb(5 + p // 2 - 1, p // 2) == len(prods)
+        assert len(np.unique(table, axis=0)) < len(table)
+
+    @pytest.mark.parametrize("s, q", [(1, 3), (4, 1), (5, 2), (6, 3), (3, 4), (7, 5)])
+    def test_multisets_and_their_orderings(self, s, q):
+        rows, orderings = harness._multisets(s, q)
+        expected = list(itertools.combinations_with_replacement(range(s), q))
+        assert list(map(tuple, rows.tolist())) == expected
+        assert orderings.tolist() == [
+            math.factorial(q) / math.prod(math.factorial(row.count(i)) for i in set(row))
+            for row in expected]
+        assert sum(orderings) == s ** q
+        assert not rows.flags.writeable and not orderings.flags.writeable
+
+    @pytest.mark.parametrize("batch", [3, 1], ids=["batched", "alone"])
+    def test_linear_span_witness_replays_bit_for_bit(self, monkeypatch, batch):
+        """linear_span inserts its unit keys in another order than ``to_json`` stores
+        them; the pairs take them in the stored order, so the witness replays the
+        reported numbers bit for bit, whether its draw ran in a batch or alone."""
+        monkeypatch.setattr(harness, "SCAN_BATCH_DRAWS", batch)
+        report = scan("naor", EnsembleSpec("linear_span"), trials=3, seed=0, family="hypercube",
+                      n=100, ps=[4], ks=list(range(1, 101)), derivative="walsh").to_json()
+        assert report["extra"]["route"] == "pairs"
+        assert reevaluate_witness(json.loads(json.dumps(report))) == {
+            key: report[key] for key in ("lhs", "rhs", "ratio")}
+
+
 class TestXpLinear:
     def test_p2_closure(self):
         rng = np.random.default_rng(5)
@@ -878,6 +983,20 @@ class TestSignRouteGolden:
             assert profile[k][2] == (len(mats) > 14)
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 6])
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_streamed_sign_draws_match_one_table(n, p):
+    """The Monte Carlo average draws its signs block by block: the same average, bit for
+    bit, and the same generator state after it as one table of all the rows."""
+    rng = np.random.default_rng(40 + n)
+    mats = rng.standard_normal((n, 2, 3)) + 1j * rng.standard_normal((n, 2, 3))
+    streamed, whole = np.random.default_rng(n), np.random.default_rng(n)
+    table = whole.choice((1.0, -1.0), size=(2 ** 14, n))
+    assert harness._monte_carlo_average(mats, p, streamed) == \
+        norms.sign_average_power(mats, p, table)
+    assert streamed.bit_generator.state == whole.bit_generator.state
+
+
 def _no_draw(*args, **kwargs):
     raise AssertionError("the refused profile drew its sample or its signs")
 
@@ -893,7 +1012,7 @@ class TestXpLinearBudget:
     def test_oversized_verify_exits_2_before_any_draw(self, argv, what, monkeypatch, capsys):
         from xpchaos import cli
         monkeypatch.setattr(harness, "_complex_normal", _no_draw)
-        monkeypatch.setattr(harness, "_random_signs", _no_draw)
+        monkeypatch.setattr(harness, "_monte_carlo_average", _no_draw)
         tracemalloc.start()
         try:
             code = cli.main(["verify", "xp-linear", *argv, "--trials", "1"])
@@ -910,7 +1029,7 @@ class TestXpLinearBudget:
         mats = [rng.standard_normal((3, 2)) for _ in range(n)]
         price = harness._xp_route_bytes(n, 3, 2, p)
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", price - 1)
-        monkeypatch.setattr(harness, "_random_signs", _no_draw)
+        monkeypatch.setattr(harness, "_monte_carlo_average", _no_draw)
         with pytest.raises(ValueError, match="route arrays.*LATTICE_MAX_BYTES"):
             xp_linear_profile(mats, p, [1], seed=0)
         monkeypatch.undo()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,9 +153,11 @@ class TestTorusNorms:
             lp_norm_torus_even(f, p)
 
     def test_norm_past_the_float_range_refused(self):
-        """lp_norm's callers get the refusal of a p-th power that overflowed."""
+        """lp_norm's callers get the refusal of a p-th power that overflowed, and no
+        numpy overflow warning before it."""
         f = GroupAlgebraElement(GroupDescriptor.finite_abelian([4]), {(1,): 2.0})
-        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="reads inf"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="reads inf"):
+            warnings.simplefilter("error")
             lp_norm(f, 1100)
 
     def test_free_kind_rejected(self):
@@ -281,6 +284,29 @@ class TestSquareFunctionNorms:
             square_function_norm([f, np.eye(2)], 2)
         with pytest.raises(ValueError):
             square_function_norm([], 2)
+
+    @pytest.mark.parametrize("case, p, power", [
+        ("torus", 2048, "nan"), ("torus", 3001, "inf"), ("torus", 3001.5, "inf"),
+        ("z4^2", 2000, "inf"), ("matrix", 3000, "inf")])
+    def test_past_the_float_range_refused(self, case, p, power):
+        """Every route ends in the refusal of a p-th power that is not finite, with no
+        numpy warning before it; a zero family keeps its norm of 0."""
+        if case == "torus":
+            components = [GroupAlgebraElement(GroupDescriptor.torus(1, 2),
+                                              {(1,): 1.0, (-2,): 0.5 + 0.1j})]
+            zero = [GroupAlgebraElement(GroupDescriptor.torus(1, 2), {})]
+        elif case == "z4^2":
+            group = GroupDescriptor.finite_abelian([4, 4])
+            components = [GroupAlgebraElement(group, {(1, 0): 1.0, (2, 3): 0.5 - 0.25j,
+                                                      (3, 1): 2.0})]
+            zero = [GroupAlgebraElement(group, {})]
+        else:
+            components, zero = [np.diag([2.0, 1.0])], [np.zeros((2, 2))]
+        with warnings.catch_warnings(), \
+                pytest.raises(ValueError, match=f"its p-th power reads {power}"):
+            warnings.simplefilter("error")
+            square_function_norm(components, p)
+        assert square_function_norm(zero, p) == 0.0
 
     def test_psd_guard(self):
         bad = np.array([[1.0, 0.0], [0.0, -1.0]])
