@@ -31,7 +31,7 @@ from .cocycles import COCYCLE_FAMILIES, LengthCocycle, build_cocycle
 from .groups import (FINITE_ABELIAN, PRUNE_TOL, TORUS, GroupAlgebraElement, GroupDescriptor,
                      coefficient_tensor, element_inverse, is_mean_zero, key_box)
 from .norms import (SIGN_BLOCK_ROWS, _check_p, half_sign_patterns, schatten_powers,
-                    sign_block_bytes, sign_powers)
+                    sign_block_bytes, sign_block_powers, sign_row_blocks)
 
 SIGN_ENUMERATION_CAP = 14
 MONTE_CARLO_SIGNS = 2 ** 14
@@ -258,12 +258,17 @@ def _subset_means(by_union: np.ndarray, cap: int) -> np.ndarray:
     return _inclusion_odds(len(by_union) - 1, cap) @ by_union
 
 
-def _pair_route_bytes(n: int, tuples: int, pairs: int) -> int:
-    """Bytes of the pair route on n coordinates: a q-tuple (a multiset of keys) holds
-    its element's index, its sum, packed support union and intersection and a product;
-    a joined pair 2 indices, its element's index, a weight and 4 packed masks."""
+def _pair_route_bytes(n: int, q: int, tuples: int, pairs: int) -> int:
+    """Bytes of the pair route on n coordinates at p = 2q.  A q-tuple (a multiset of
+    keys) has a row of its element's index, its sum and packed support union and
+    intersection, which the tuple stage holds twice (the table and one gathered key
+    column in ``_multiset_table``, or the table and its sorted or distinct rows in
+    ``_self_join``), a byte a word of row comparisons, its q key indices and
+    orderings, and 7 words of products, sort order and labels; a joined pair holds
+    2 indices, its element's index, a weight and 4 packed masks."""
     width = -(-n // 8)
-    return 8 * (tuples * (n + 2 * width + 3) + pairs * (5 + 4 * width))
+    row = n + 1 + 2 * width
+    return 8 * (tuples * (2 * row + -(-row // 8) + q + 8) + pairs * (5 + 4 * width))
 
 
 def _within_budget(size: int, what: str) -> None:
@@ -277,12 +282,14 @@ def _self_join(table: np.ndarray, values: np.ndarray, prefix: int,
     ascending order, the ``values`` of each summed in input order (bincount for
     scalars, ``reduceat`` for matrices), and the ordered pairs (left, right) of
     rows whose first ``prefix`` columns agree, by left row and then right row.
-    ``pair_bytes(pairs)``, when given, prices the pairs against LATTICE_MAX_BYTES
-    before any pair index is built."""
+    ``table`` is sorted in place, so no more than it and its distinct rows are held
+    at once.  ``pair_bytes(pairs)``, when given, prices the pairs against
+    LATTICE_MAX_BYTES before any pair index is built."""
     order = np.lexsort(table.T[::-1])   # stable: equal rows keep their input order
-    table, values = table[order], values[order]
+    table[:] = table[order]             # in place: the unsorted rows are not kept
+    values = values[order]
     new = np.concatenate(([True], (table[1:] != table[:-1]).any(axis=1)))
-    rows, labels = table[new], np.cumsum(new) - 1
+    rows, labels = (table if new.all() else table[new]), np.cumsum(new) - 1
     sums = (np.bincount(labels, values.real) + 1j * np.bincount(labels, values.imag)
             if values.ndim == 1 else np.add.reduceat(values, np.flatnonzero(new)))
     heads = rows[:, :prefix]
@@ -329,11 +336,13 @@ def _multiset_table(keys: np.ndarray, coeffs: np.ndarray, masks: np.ndarray,
     rows[..., 0] = np.arange(0, trials * sum_end, sum_end)[:, None]
     rows[..., 1:sum_end] = keys
     rows[..., sum_end:union_end] = rows[..., union_end:] = masks
-    table, prods = rows[:, index[:, 0]], coeffs[:, index[:, 0]]
+    table = np.take(rows, index[:, 0], axis=1)     # C order, so the reshape below is a view
+    prods = np.take(coeffs, index[:, 0], axis=1)
     sums, unions, inters = (table[..., 1:sum_end], table[..., sum_end:union_end],
                             table[..., union_end:])
+    other = np.empty_like(table)        # one gathered key column at a time
     for column in index.T[1:]:
-        other = rows[:, column]
+        np.take(rows, column, axis=1, out=other, mode="clip")   # "raise" buffers a copy of out
         sums += other[..., 1:sum_end]
         unions |= other[..., sum_end:union_end]
         inters &= other[..., union_end:]
@@ -378,7 +387,7 @@ def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, 
         tuples = trials * math.comb(s + q - 1, q)
         rows, prods, left, right = _self_join(
             *_multiset_table(keys, coeffs, masks, moduli, q), n + 1,
-            lambda pairs: _pair_route_bytes(n, tuples, pairs))
+            lambda pairs: _pair_route_bytes(n, q, tuples, pairs))
         w = (prods[left] * prods[right].conj()).real
         unions, inters = rows[:, n + 1:n + 1 + width], rows[:, n + 1 + width:]
         union = _BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
@@ -391,14 +400,10 @@ def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, 
             [float(w[run].sum()) for run in runs])
 
 
-def _stored_items(f: GroupAlgebraElement) -> tuple[list, list]:
-    """f's keys and coefficients in the order ``to_json`` stores them: keys sorted, as
-    most draws already are."""
-    keys = list(f.coeffs)
-    ordered = sorted(keys)
-    if ordered == keys:
-        return keys, list(f.coeffs.values())
-    return ordered, [f.coeffs[key] for key in ordered]
+def _stored_items(f: GroupAlgebraElement) -> tuple[tuple, tuple]:
+    """f's keys and coefficients in the order ``to_json`` stores them, keys sorted (no
+    two are equal, so no coefficients are compared)."""
+    return tuple(zip(*sorted(f.coeffs.items())))
 
 
 def _pair_terms(fs: Sequence[GroupAlgebraElement], ps: Sequence[float], ks: tuple[int, ...],
@@ -457,10 +462,12 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
     and at most s^(2q - 1) joined pairs (a tuple and q - 1 keys of its partner fix
     the last key); summed over the ps, that must not exceed the prod(m_j + 1) entries
     of the grid's mean-extended tensor.  The pairs route lists only the
-    C(s + q - 1, q) multisets, so its bytes count those: its largest multiset list
-    here, and its joined pairs in ``_self_join`` once its sort has counted them;
-    ``nbytes`` prices both, the pairs at the bound s^(2q - 1).  The grid counts its
-    multiplier stack and mean-extended tensor (none at p = 2 alone or riesz).
+    C(s + q - 1, q) multisets, so its bytes count those: the tuple stage of its
+    largest multiset list here (two copies of its table, as ``_pair_route_bytes``
+    counts them), and its joined pairs in ``_self_join`` once its sort has counted
+    them; ``nbytes`` prices both, the pairs at the bound s^(2q - 1).  The grid
+    counts its multiplier stack and mean-extended tensor (none at p = 2 alone or
+    riesz).
     """
     if not group.is_abelian:
         raise ValueError(f"dual evaluations need an abelian group, got {group.kind}")
@@ -472,8 +479,8 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
             sum(keys ** q + keys ** (2 * q - 1) for q in steps) <= entries:
         n, q = group.n_components, max(steps)
         tuples = math.comb(keys + q - 1, q)
-        _within_budget(_pair_route_bytes(n, tuples, 0), "key tuples")
-        return Plan("pairs", grid, _pair_route_bytes(n, tuples, keys ** (2 * q - 1)))
+        _within_budget(_pair_route_bytes(n, q, tuples, 0), "key tuples")
+        return Plan("pairs", grid, _pair_route_bytes(n, q, tuples, keys ** (2 * q - 1)))
     rows = sum(len(basis) for _, basis in _symbol_blocks(cocycle, derivative)[1])
     extended = set(ps) != {2} and derivative != "riesz"
     nbytes = 16 * (rows * math.prod(grid) + (entries if extended else 0))
@@ -611,12 +618,10 @@ def _subset_blocks(n: int, k: int, rows: int):
 
 
 def _subset_sign_averages(mats: np.ndarray, p: float, k: int) -> np.ndarray:
-    """Exact E_eps ||sum_{j in S} eps_j x_j||_p^p for every k-subset S, in order.  A
-    sign table longer than SIGN_BLOCK_ROWS is taken SIGN_BLOCK_ROWS rows at a time."""
+    """Exact E_eps ||sum_{j in S} eps_j x_j||_p^p for every k-subset S, in order."""
     signs = half_sign_patterns(k)
-    parts = [signs[lo:lo + SIGN_BLOCK_ROWS] for lo in range(0, len(signs), SIGN_BLOCK_ROWS)]
     return np.concatenate([
-        np.concatenate([sign_powers(part, mats[block], p) for part in parts], axis=1).mean(axis=1)
+        sign_block_powers(sign_row_blocks(signs), mats[block], p).mean(axis=1)
         for block in _subset_blocks(len(mats), k, len(signs))])
 
 
@@ -625,9 +630,9 @@ def _monte_carlo_average(mats: np.ndarray, p: float, rng: np.random.Generator) -
     The rows are drawn from ``rng`` SIGN_BLOCK_ROWS at a time, each block as
     ``sign_powers`` takes it; the rows, the mean and the state left in ``rng`` are
     those of one draw of all the rows."""
-    powers = [sign_powers(rng.choice((1.0, -1.0), size=(SIGN_BLOCK_ROWS, len(mats))), mats, p)
-              for _ in range(MONTE_CARLO_SIGNS // SIGN_BLOCK_ROWS)]
-    return float(np.mean(np.concatenate(powers)))
+    blocks = (rng.choice((1.0, -1.0), size=(SIGN_BLOCK_ROWS, len(mats)))
+              for _ in range(MONTE_CARLO_SIGNS // SIGN_BLOCK_ROWS))
+    return float(np.mean(sign_block_powers(blocks, mats, p)))
 
 
 def _xp_route(n: int, p: float) -> str:
@@ -793,7 +798,7 @@ def _rosenthal_route(n: int, p: float) -> str:
     """
     q = int(p) // 2 if p >= 2 and p % 2 == 0 else 0
     fits = 1 <= q <= SIGN_ENUMERATION_CAP and \
-        _pair_route_bytes(n, math.comb(n + q - 1, q), n ** (2 * q - 1)) <= LATTICE_MAX_BYTES
+        _pair_route_bytes(n, q, math.comb(n + q - 1, q), n ** (2 * q - 1)) <= LATTICE_MAX_BYTES
     return "pairs" if fits else "signs"
 
 
@@ -968,16 +973,19 @@ def _mean_zero_keys(group: GroupDescriptor, family: str,
 
 def _most_keys(group: GroupDescriptor, cocycle: LengthCocycle, spec: EnsembleSpec) -> int:
     """The most keys an abelian draw of ``spec`` can hold: for chaos_degree the keys
-    of length at most the degree, refused when there are none."""
+    of length at most the degree, refused when there are none; for linear_span each
+    unit key and its inverse, one key where a component has modulus 2."""
     if spec.kind == "chaos_degree":
         lengths = _mean_zero_keys(group, cocycle.family, cocycle.weights)[1]
         if not (most := int(np.count_nonzero(lengths <= spec.degree))):
             raise ValueError(f"no key has a length of at most the degree {spec.degree}; "
                              f"the shortest nonzero length is {lengths.min():g}")
         return most
-    box = math.prod(key_box(group)[0]) - 1
-    return {"sparse": min(spec.sparsity, box), "linear_span": 2 * group.n_components}.get(
-        spec.kind, box)
+    shape = key_box(group)[0]
+    if spec.kind == "linear_span":
+        return sum(1 if m == 2 else 2 for m in shape)
+    box = math.prod(shape) - 1
+    return min(spec.sparsity, box) if spec.kind == "sparse" else box
 
 
 def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,

@@ -15,7 +15,7 @@ axis last (``sign_powers``).
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -363,12 +363,21 @@ def sign_block_bytes(rows: int, cols: int, p: float) -> int:
     return SIGN_BLOCK_ROWS * (16 * rows * cols * (2 if p in (2, 4) else 6) + 128)
 
 
+def sign_row_blocks(signs: np.ndarray) -> Iterator[np.ndarray]:
+    """``signs`` in blocks of SIGN_BLOCK_ROWS rows."""
+    return (signs[lo:lo + SIGN_BLOCK_ROWS] for lo in range(0, len(signs), SIGN_BLOCK_ROWS))
+
+
+def sign_block_powers(blocks: Iterable[np.ndarray], mats: np.ndarray, p: float) -> np.ndarray:
+    """:func:`sign_powers` of each block of sign rows in ``blocks``, in order, joined
+    along the rows axis (the last)."""
+    return np.concatenate([sign_powers(block, mats, p) for block in blocks], axis=-1)
+
+
 def sign_average_power(mats: np.ndarray, p: float, signs: np.ndarray) -> float:
     """Mean of ||sum_j eps_j x_j||_p^p over the rows eps of ``signs``, by
     :func:`sign_powers` on blocks of SIGN_BLOCK_ROWS rows."""
-    powers = [sign_powers(signs[lo:lo + SIGN_BLOCK_ROWS], mats, p)
-              for lo in range(0, len(signs), SIGN_BLOCK_ROWS)]
-    return float(np.mean(np.concatenate(powers)))
+    return float(np.mean(sign_block_powers(sign_row_blocks(signs), mats, p)))
 
 
 def khintchine_ratio(xs: Sequence[MatrixOperand], p: float) -> float:

@@ -362,8 +362,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("args", [
         ["--n", "22", "--p", "3", "--sparsity", "6"],       # grid: the odd p
+        ["--n", "40", "--p", "4", "--sparsity", "2000"],    # pairs: 2e6 key multisets
         ["--n", "40", "--p", "4", "--sparsity", "3000"]],   # pairs: 4.5e6 key multisets
-        ids=["grid", "pairs"])
+        ids=["grid", "pairs", "pairs-3000"])
     def test_each_route_refused_before_allocation(self, tmp_path, monkeypatch, args):
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
         out = tmp_path / "r.json"

@@ -319,11 +319,11 @@ class TestPlan:
                 assert abs(lhs - mixed) <= 1e-12 * rhs
 
     def test_key_tuples_refused_before_allocation(self, monkeypatch):
-        """3000 keys at p = 4 take pairs on a hypercube n = 40; their 4.5e6 multisets
-        of two keys do not fit."""
+        """2000 keys at p = 4 take pairs on a hypercube n = 40; the tuple stage of their
+        2e6 multisets of two keys does not fit."""
         group, cocycle = hypercube_pair(40)
         f = GroupAlgebraElement(group, {tuple(int(b) for b in np.binary_repr(i, 40)): 1.0
-                                        for i in range(1, 3001)})
+                                        for i in range(1, 2001)})
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
         tracemalloc.start()
         try:
@@ -335,14 +335,13 @@ class TestPlan:
         assert peak < 2 ** 20
 
     def test_joined_pairs_refused_before_they_are_built(self, monkeypatch):
-        """The 4 unit keys of a hypercube n = 4 at p = 4: 16 tuples fit a budget that
-        the grid fits (3^4 entries), and their 22 joined pairs do not."""
+        """The 4 unit keys of a hypercube n = 4 at p = 4: a budget that fits their 10
+        multisets of two keys does not fit their 22 joined pairs."""
         group, cocycle = hypercube_pair(4)
         f = GroupAlgebraElement(group, {tuple(int(i == j) for i in range(4)): 1.0 + j
                                         for j in range(4)})
-        budget = harness._pair_route_bytes(4, 16, 22)
-        assert harness._pair_route_bytes(4, 16, 0) <= 16 * 3 ** 4 < budget
-        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 3 ** 4)
+        budget = harness._pair_route_bytes(4, 2, 10, 22)
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", harness._pair_route_bytes(4, 2, 10, 0))
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
         real_join = harness._self_join
 
@@ -365,6 +364,57 @@ class TestPlan:
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", budget)
         assert _route_and_profile(f, cocycle, [4], [1], "walsh")[0] == "pairs"
 
+    @pytest.mark.parametrize("n, s, q, trials, modulus", [
+        (40, 300, 2, 1, 2), (20, 150, 2, 4, 2), (12, 6, 3, 64, 2), (10, 100, 2, 1, 3),
+        (40, 60, 3, 1, 2), (1, 12, 6, 1, 7)])
+    def test_tuple_price_bounds_the_traced_peak(self, monkeypatch, n, s, q, trials, modulus):
+        """The peak of ``_key_pairs`` up to the join's price check, and to its end, stays
+        below the tuples' price, and their pairs' price, and 256 KiB of ufunc buffers
+        and small tables."""
+        rng = np.random.default_rng(n + s + q)
+        keys = rng.integers(0, modulus, size=(trials, s, n)).astype(np.int64)
+        coeffs = rng.standard_normal((trials, s)) + 1j * rng.standard_normal((trials, s))
+        tuples = trials * math.comb(s + q - 1, q)
+        real_join, seen = harness._self_join, []
+
+        def join(table, values, prefix, pair_bytes):
+            def priced(pairs):
+                seen.append((pairs, tracemalloc.get_traced_memory()[1]))
+                return pair_bytes(pairs)
+            return real_join(table, values, prefix, priced)
+
+        monkeypatch.setattr(harness, "_self_join", join)
+        harness._multisets.cache_clear()
+        tracemalloc.start()
+        try:
+            harness._key_pairs(keys, coeffs, np.full(n, modulus), 2 * q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [(pairs, tuple_peak)] = seen
+        assert tuple_peak <= harness._pair_route_bytes(n, q, tuples, 0) + 2 ** 18
+        assert peak <= harness._pair_route_bytes(n, q, tuples, pairs) + 2 ** 18
+
+    @pytest.mark.parametrize("group", [
+        GroupDescriptor.hypercube(5), GroupDescriptor.finite_abelian((3, 3)),
+        GroupDescriptor.finite_abelian((2, 4, 6)), GroupDescriptor.torus(3, 2)],
+        ids=["hypercube", "z3^2", "z2-z4-z6", "torus"])
+    def test_linear_span_counts_its_keys(self, group):
+        """A unit key of modulus 2 is its own inverse, so a draw has one key there."""
+        spec = EnsembleSpec("linear_span")
+        f = harness.sample_element(group, None, spec, np.random.default_rng(0))
+        assert harness._most_keys(group, None, spec) == len(f.coeffs)
+
+    def test_wide_hypercube_linear_span_plans_pairs(self):
+        """The n keys of a linear_span draw on a hypercube n = 400 fit the pair route
+        at p = 4; 2n keys would not."""
+        group, cocycle = hypercube_pair(400)
+        keys = harness._most_keys(group, cocycle, EnsembleSpec("linear_span"))
+        assert keys == 400
+        assert harness._plan(group, cocycle, keys, [4], "walsh").route == "pairs"
+        with pytest.raises(ValueError, match="key tuples"):
+            harness._plan(group, cocycle, 2 * keys, [4], "walsh")
+
     def test_one_plan_per_profile(self, monkeypatch):
         """Profiles plan once with their key count; scans plan once more, when they
         bind, with the most keys the ensemble can draw."""
@@ -380,7 +430,7 @@ class TestPlan:
         for spec, most, drawn in [(EnsembleSpec("sparse", sparsity=3), 3, 3),
                                   (EnsembleSpec("sparse", sparsity=40), 31, 31),
                                   (EnsembleSpec("gaussian"), 31, 31),
-                                  (EnsembleSpec("linear_span"), 10, 5),
+                                  (EnsembleSpec("linear_span"), 5, 5),
                                   (EnsembleSpec("chaos_degree", degree=2), 15, 15)]:
             for experiment, ps in (("naor", {"ps": [2, 4]}), ("riesz_equivalence", {"p": 2})):
                 keys.clear()
@@ -1697,7 +1747,8 @@ class TestBatchedScans:
         whole = report()
         assert joins == [9, 9]
         joins.clear()
-        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 2 * harness._pair_route_bytes(7, 36, 216))
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES",
+                            2 * harness._pair_route_bytes(7, 2, 36, 216))
         assert report() == whole
         assert joins == [2, 2] * 4 + [1, 1]
         joins.clear()
