@@ -37,7 +37,7 @@ for p in (2, 4):
 scan_report = scan("naor", EnsembleSpec("sparse", sparsity=6), trials=200, seed=42,
                    n=8, ps=[2, 4], ks=list(range(1, 9)), derivative="absorbent",
                    family="hypercube")
-print(f"hypercube scan n=8: max ratio {scan_report.max_ratio:.4f} "
+print(f"hypercube scan n=8: max ratio {scan_report.ratio:.4f} "
       f"({scan_report.trials} trials, seed {scan_report.seed})")
 rerun = reevaluate_witness(scan_report)
 print("witness reproduces its ratio:",

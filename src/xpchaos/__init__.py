@@ -23,10 +23,9 @@ from .operators import (GradientVector, directional_derivative,
                         laplacian_power, heat_semigroup, riesz_transform,
                         truncate, adjoint_truncation, project_AS,
                         free_hilbert_transform)
-from .norms import (MatrixOperand, NumericalSanityError, lp_norm,
-                    lp_norm_abelian, lp_norm_torus_even, lp_norm_torus_grid,
-                    schatten_norm, schatten_powers, square_function_norm,
-                    khintchine_ratio, sign_patterns)
+from .norms import (NumericalSanityError, lp_norm, lp_norm_abelian,
+                    lp_norm_torus_even, lp_norm_torus_grid, schatten_norm,
+                    schatten_powers, square_function_norm, sign_patterns)
 from .harness import (RatioReport, EnsembleSpec, naor_ratio,
                       naor_profile, xp_linear_profile, xp_linear_ratio,
                       rosenthal_linear_ratio,

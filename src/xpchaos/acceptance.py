@@ -345,7 +345,7 @@ def _scan_series(family: str, ns, trials: int, extra_params: dict,
             p4 = report.extra["max_ratio_by_p"].get("4.0", 0.0)
             p4_max[n] = max(p4_max.get(n, 0.0), p4)
             rows.append({"family": family, "n": n, "derivative": derivative, "trials": trials,
-                         "max_ratio": report.max_ratio, "p4_max": p4,
+                         "max_ratio": report.ratio, "p4_max": p4,
                          "runtime_ms": runtime_ms})
     return rows, p4_max, failures
 

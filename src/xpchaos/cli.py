@@ -48,8 +48,7 @@ def _write_report(report: dict, out: str) -> None:
 
 
 def _write_csv(report: dict, path: str) -> None:
-    fields = ["experiment", "lhs", "rhs", "ratio", "max_ratio", "trials",
-              "seed", "monte_carlo", "config_hash"]
+    fields = ["experiment", "lhs", "rhs", "ratio", "trials", "seed", "monte_carlo", "config_hash"]
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fields)
         writer.writeheader()

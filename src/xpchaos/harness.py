@@ -57,7 +57,6 @@ class RatioReport:
     lhs: float
     rhs: float
     ratio: float
-    max_ratio: float
     witness: dict | None
     trials: int
     seed: int | None
@@ -74,8 +73,8 @@ def _report(experiment: str, params: dict, row: Row, start: float, witness: dict
     """The report of ``row``, a single run's outcome or a scan's winning row with the
     scan's summary, timed from ``start``."""
     return RatioReport(experiment, params, float(row.lhs), float(row.rhs), float(row.ratio),
-                       float(row.ratio), witness, trials, seed,
-                       1e3 * (time.perf_counter() - start), row.monte_carlo, dict(row.extra))
+                       witness, trials, seed, 1e3 * (time.perf_counter() - start),
+                       row.monte_carlo, dict(row.extra))
 
 
 # -- balanced truncation averages -------------------------------------------
@@ -994,7 +993,7 @@ def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
 
     Abelian gaussian and sparse draws take the key box's positions other than
     the identity's (the one key of length 0); chaos_degree draws read the keys'
-    lengths, found once per (group, family, weights).
+    lengths, found once per (group, family, weights); free kinds refuse these and linear_span.
     """
     if group.is_abelian:
         if spec.kind == "linear_span":      # each unit key, then its inverse if distinct
@@ -1020,6 +1019,8 @@ def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
                                            if abs(v) > PRUNE_TOL}, _canonical=True)
     # free kinds: random reduced walks; the pool may be smaller than the
     # requested sparsity for tiny ranks, so cap the draw attempts
+    if spec.kind in ("chaos_degree", "linear_span"):
+        raise ValueError(f"free draws read sparsity and word_length, not the kind {spec.kind!r}")
     from .groups import random_group_elements
     sites: dict = {}
     attempts = 0
@@ -1086,6 +1087,20 @@ def _p(params: dict, default: float) -> float:
 def _naor_ps(params: dict) -> list[float]:
     """The ps of a naor scan or report: its ``ps``, or its one ``p``."""
     return [float(p) for p in params.get("ps", [params.get("p", 4)])]
+
+
+def _count(params: dict, name: str, default: int | None = None) -> int:
+    """The integer param ``name`` (``default`` when left out), refused below 1."""
+    if (value := int(params[name] if default is None else params.get(name, default))) < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _reads_no_ensemble(experiment: str, ensemble: EnsembleSpec) -> None:
+    """Refuse an ensemble other than the default for an experiment whose draw reads none."""
+    if changed := [f"{item.name}={getattr(ensemble, item.name)!r}" for item in fields(ensemble)
+                   if getattr(ensemble, item.name) != item.default]:
+        raise ValueError(f"the {experiment} draw reads no ensemble field; got {', '.join(changed)}")
 
 
 def _ks(params: dict) -> list[int]:
@@ -1157,7 +1172,8 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads(params, "n", "d", "p", "k", "ks")
-    n, d, p, ks = int(params["n"]), int(params.get("d", 4)), _p(params, 4), _ks(params)
+    _reads_no_ensemble("xp_linear", ensemble)
+    n, d, p, ks = _count(params, "n"), _count(params, "d", 4), _p(params, 4), _ks(params)
     _within_budget(16 * n * d * d, "sample matrices")
     _within_budget(_xp_route_bytes(n, d, d, p), f"{_xp_route(n, p)} route arrays")
     trials = itertools.count()
@@ -1171,7 +1187,8 @@ def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
 
 def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads(params, "n", "p", "k", "ks")
-    n, p, ks = int(params["n"]), _p(params, 4), _ks(params)
+    _reads_no_ensemble("rosenthal", ensemble)
+    n, p, ks = _count(params, "n"), _p(params, 4), _ks(params)
     return (lambda rng: _complex_normal(rng, n), _each(lambda a: _rosenthal_rows(a, p, ks)),
             lambda a, row: _coeffs_witness(a, row.k, p))
 

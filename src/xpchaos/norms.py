@@ -4,7 +4,7 @@ Finite abelian norms are normalized: the group carries its uniform
 probability measure.  Torus polynomial norms come in two independent routes,
 an exact even-p route, the trace of a coefficient-convolution power taken by
 meet in the middle (``_trace_power``), and an oversampled-grid quadrature;
-they are cross-checked in the test suite.
+they are cross-checked in the test suite.  Square functions take the same routes.
 Matrix (Schatten) norms use the unnormalized trace: the balanced-average
 inequalities are p-homogeneous in a common trace scaling, so the choice only
 rescales both sides identically.  Sign averages of matrix tuples take the
@@ -22,9 +22,6 @@ import numpy as np
 from .groups import (FINITE_ABELIAN, TORUS, GroupAlgebraElement, adjoint,
                      coefficient_tensor, convolve, evaluate_on_dual, trace)
 
-#: dense complex matrices stand in for the finite-dimensional operands
-MatrixOperand = np.ndarray
-
 #: ``lp_norm_torus_refined`` doubles its grid until two successive norms agree
 #: to this relative gap, on grids of at most GRID_REFINE_MAX_POINTS points
 GRID_REFINE_TOL = 1e-8
@@ -40,13 +37,13 @@ SIGN_BLOCK_ROWS = 2 ** 11
 
 
 class NumericalSanityError(RuntimeError):
-    """A PSD structure was violated beyond tolerance; signals a bug."""
+    """A trace that must be real was not, beyond tolerance; signals a bug."""
 
 
-def _check_p(p: float, low: float = 1) -> float:
-    """p, refused when below ``low`` or not finite (NaN fails every ``>=``)."""
-    if not (math.isfinite(p) and p >= low):
-        raise ValueError(f"p must be finite and >= {low}, got {p}")
+def _check_p(p: float) -> float:
+    """p, refused when below 1 or not finite (NaN fails every ``>=``)."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     return p
 
 
@@ -215,61 +212,34 @@ def schatten_powers(stack: np.ndarray, p: float) -> np.ndarray:
     return np.sum(singular_values ** p, axis=-1)
 
 
-def schatten_norm(x: MatrixOperand, p: float) -> float:
+def schatten_norm(x: np.ndarray, p: float) -> float:
     """(sum_i s_i^p)^(1/p) over the singular values of a dense matrix."""
     return float(schatten_powers(x, p) ** (1.0 / p))
 
 
-def psd_eigenvalues(gram: MatrixOperand) -> np.ndarray:
-    """Eigenvalues of a PSD matrix, clamping roundoff negatives above -1e-12."""
-    eigs = np.linalg.eigvalsh(gram)
-    floor = -1e-12 * max(1.0, float(np.max(np.abs(eigs), initial=0.0)))
-    if eigs.min(initial=0.0) < floor:
-        raise NumericalSanityError(f"matrix is not PSD: min eigenvalue {eigs.min()}")
-    return np.clip(eigs, 0.0, None)
+def square_function_norm(components: Sequence[GroupAlgebraElement], p: float) -> float:
+    """Norm of the square function (sum |x_l|^2)^(1/2) of a finite abelian or torus family.
 
-
-def square_function_norm(components: Sequence, p: float, side: str = "column") -> float:
-    """Norm of the square function (sum |x_l|^2)^(1/2) of a finite family.
-
-    Abelian components reduce to the pointwise Euclidean norm followed by the
-    Lp norm (row and column coincide).  Matrix components form sum x*x
-    (column) or sum xx* (row) and take the Schatten norm of the PSD square
-    root.  Every route ends in ``_root``: a family that is not zero is refused at
-    a p where its p-th power leaves the float range.
+    The pointwise Euclidean norm of the family's values is followed by the Lp
+    norm: on the dual group, on ``lp_norm_torus_grid``'s grid, or at an even p
+    on the torus by the exact trace power of sum x_l x_l*.  A family that is not
+    zero is refused by ``_root`` at a p where its p-th power leaves the float range.
     """
     _check_p(p)
-    if side not in ("column", "row"):
-        raise ValueError(f"side must be 'column' or 'row', got {side!r}")
     components = list(components)
     if not components:
         raise ValueError("need at least one component")
-    if isinstance(components[0], GroupAlgebraElement):
-        if any(not isinstance(c, GroupAlgebraElement) for c in components):
-            raise ValueError("mixed operand kinds")
-        group = components[0].group
-        if group.kind not in (FINITE_ABELIAN, TORUS):
-            raise ValueError("square functions need abelian or matrix operands")
-        if not any(c.coeffs for c in components):
-            return 0.0
-        if group.kind == TORUS and _is_even(p):
-            return _root(_trace_power(components, p), p)
-        rows = (np.stack([evaluate_on_dual(c).values for c in components])
-                if group.kind == FINITE_ABELIAN
-                else _torus_grid_values(components, 4))     # lp_norm_torus_grid's grid
-        return _root(_mean_power(np.sqrt(np.sum(np.abs(rows) ** 2, axis=0)), p), p)
-    mats = [np.asarray(c, dtype=complex) for c in components]
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats):
-        raise ValueError("matrix components must share a common shape")
-    if not any(np.any(m) for m in mats):
+    if not all(isinstance(c, GroupAlgebraElement) and c.group.kind in (FINITE_ABELIAN, TORUS)
+               for c in components):
+        raise ValueError("square functions need abelian or torus group algebra elements")
+    if not any(c.coeffs for c in components):
         return 0.0
-    if side == "column":
-        gram = sum(m.conj().T @ m for m in mats)
-    else:
-        gram = sum(m @ m.conj().T for m in mats)
-    with np.errstate(over="ignore"):
-        return _root(np.sum(psd_eigenvalues(gram) ** (p / 2.0)), p)
+    if components[0].group.kind == TORUS and _is_even(p):
+        return _root(_trace_power(components, p), p)
+    rows = (np.stack([evaluate_on_dual(c).values for c in components])
+            if components[0].group.kind == FINITE_ABELIAN
+            else _torus_grid_values(components, 4))     # lp_norm_torus_grid's grid
+    return _root(_mean_power(np.sqrt(np.sum(np.abs(rows) ** 2, axis=0)), p), p)
 
 
 def sign_patterns(n: int) -> np.ndarray:
@@ -372,28 +342,3 @@ def sign_block_powers(blocks: Iterable[np.ndarray], mats: np.ndarray, p: float) 
     """:func:`sign_powers` of each block of sign rows in ``blocks``, in order, joined
     along the rows axis (the last)."""
     return np.concatenate([sign_powers(block, mats, p) for block in blocks], axis=-1)
-
-
-def sign_average_power(mats: np.ndarray, p: float, signs: np.ndarray) -> float:
-    """Mean of ||sum_j eps_j x_j||_p^p over the rows eps of ``signs``, by
-    :func:`sign_powers` on blocks of SIGN_BLOCK_ROWS rows."""
-    return float(np.mean(sign_block_powers(sign_row_blocks(signs), mats, p)))
-
-
-def khintchine_ratio(xs: Sequence[MatrixOperand], p: float) -> float:
-    """E_eps ||sum eps_j x_j||_p^p over max(column, row square function)^p.
-
-    Exhaustive over the 2^n sign vectors (the half with eps_1 = +1 suffices);
-    n is capped at 16.
-    """
-    _check_p(p, 2)
-    mats = [np.asarray(x, dtype=complex) for x in xs]
-    if len({m.shape for m in mats}) != 1:
-        raise ValueError("dimension mismatch between operands")
-    n = len(mats)
-    if n > 16:
-        raise ValueError("sign enumeration is capped at n = 16")
-    average = sign_average_power(np.stack(mats), p, half_sign_patterns(n))
-    denom = max(square_function_norm(mats, p, "column"),
-                square_function_norm(mats, p, "row"))
-    return float(average / denom ** p)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import xpchaos
-from xpchaos import build_cocycle, cli, groups, norms, operators
+from xpchaos import build_cocycle, cli, groups, harness, norms, operators
 from xpchaos.cli import APPLY_OPS, main
 from xpchaos.cocycles import FAMILIES, BasisVector
 from xpchaos.groups import GroupAlgebraElement, GroupDescriptor, adjoint
@@ -61,9 +61,10 @@ class TestVerify:
         assert report["experiment"] == "naor"
         assert report["trials"] == 10 and report["seed"] == 7
         assert report["ratio"] == report["lhs"] / report["rhs"]
-        for key in ("witness", "max_ratio", "runtime_ms", "monte_carlo",
-                    "artifact_version", "config_hash"):
+        for key in ("witness", "runtime_ms", "monte_carlo", "artifact_version",
+                    "config_hash"):
             assert key in report
+        assert "max_ratio" not in report
 
     def test_validation_exit_code(self, tmp_path):
         code = run(["verify", "naor", "--n", "6", "--k", "9", "--p", "4",
@@ -346,7 +347,47 @@ class TestVerify:
     def test_zero_matrices_exit_code(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(["verify", "xp-linear", "--n", "3", "--d", "0", "--out", str(out)]) == 2
-        assert "nonzero" in capsys.readouterr().err
+        assert "d must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, named", [
+        (["xp-linear", "--n", "0"], "n must be >= 1, got 0"),
+        (["xp-linear", "--d", "-2"], "d must be >= 1, got -2"),
+        (["rosenthal", "--n", "0"], "n must be >= 1, got 0"),
+        (["rosenthal", "--n", "-1", "--k", "1"], "n must be >= 1, got -1")])
+    def test_counts_below_one_exit_code(self, tmp_path, capsys, monkeypatch, args, named):
+        """n and d below 1 are refused by name before anything is drawn."""
+        monkeypatch.setattr(harness, "_complex_normal", _no_draw)
+        out = tmp_path / "r.json"
+        assert run(["verify", *args, "--trials", "2", "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, named", [
+        (["xp-linear", "--n", "3", "--ensemble", "sparse", "--sparsity", "1"],
+         "the xp_linear draw reads no ensemble field; got kind='sparse', sparsity=1"),
+        (["xp-linear", "--n", "3", "--degree", "3"],
+         "the xp_linear draw reads no ensemble field; got degree=3"),
+        (["rosenthal", "--n", "3", "--ensemble", "sparse", "--sparsity", "1"],
+         "the rosenthal draw reads no ensemble field; got kind='sparse', sparsity=1"),
+        (["free-identities", "--n", "3", "--ensemble", "chaos_degree", "--degree", "1"],
+         "read sparsity and word_length, not the kind 'chaos_degree'"),
+        (["free-identities", "--n", "2", "--ensemble", "linear_span"],
+         "read sparsity and word_length, not the kind 'linear_span'")],
+        ids=["xp-linear-sparse", "xp-linear-degree", "rosenthal-sparse",
+             "free-chaos-degree", "free-linear-span"])
+    def test_ensemble_the_draw_does_not_read_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                       args, named):
+        """An ensemble setting that the experiment's draw would not read is refused, by
+        field, before any draw; its default values, which every verb takes, run."""
+        monkeypatch.setattr(harness, "_complex_normal", _no_draw)
+        monkeypatch.setattr(groups, "random_group_elements", _no_draw)
+        out = tmp_path / "r.json"
+        assert run(["verify", *args, "--trials", "2", "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.undo()
+        assert run(["verify", args[0], "--n", "3", "--ensemble", "gaussian", "--sparsity", "8",
+                    "--degree", "2", "--trials", "2", "--out", str(out)]) == 0
 
     def test_sparse_naor_runs_past_the_grid(self, tmp_path):
         """Six keys on a hypercube n = 22 take key pairs, whose arrays fit the budget."""

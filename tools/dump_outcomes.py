@@ -8,15 +8,16 @@ Run from a source checkout, on each tree, and compare the outputs byte for byte:
 
 xpchaos is imported from the ``src/`` beside this script, so a copy of it run in
 another checkout dumps that checkout.  The records are scan reports with their
-witness re-evaluations, single-run reports with theirs, and the outputs of
-``xpchaos verify`` (every verb), ``apply`` (every op on a torus, Z_4^2, Z_2^3, F_2
-and Z_4*Z_4 element), ``norm`` and ``check cocycle`` (every family), with their
-exit codes, and the cocycle certificates: ``gram_matrix`` on the acceptance
-battery's slices and on one basis with formal vectors, the sign-relation
-``gromov_bilinear`` pairs, ``conditional_negativity_check`` at seeds 0-2 and the
-spectral gap of the battery's nine cocycles, each value by ``repr`` so that types
-show too, ``khintchine_ratio`` on square and rectangular tuples at p = 2, 3, 4, 6
-and 8, and ``moment_checks`` for every n <= 10 and k, and its refusal of k = n + 1.
+witness re-evaluations, single-run reports with theirs (``xp_linear_ratio`` on
+square, wide 2x4 and tall 3x2 and 4x2 tuples, the rectangular ones at p = 3, 6 and
+8 too), and the outputs of ``xpchaos verify`` (every verb), ``apply`` (every op on
+a torus, Z_4^2, Z_2^3, F_2 and Z_4*Z_4 element), ``norm`` and ``check cocycle``
+(every family), with their exit codes, and the cocycle certificates:
+``gram_matrix`` on the acceptance battery's slices and on one basis with formal
+vectors, the sign-relation ``gromov_bilinear`` pairs,
+``conditional_negativity_check`` at seeds 0-2 and the spectral gap of the
+battery's nine cocycles, each value by ``repr`` so that types show too, and
+``moment_checks`` for every n <= 10 and k, and its refusal of k = n + 1.
 ``runtime_ms`` is left out: it is the one field a rerun may change.
 Floats print with ``repr``, so equal lines mean bit-identical numbers, signed
 zeros included.  A run takes a few seconds.
@@ -39,7 +40,7 @@ import numpy as np  # noqa: E402
 
 from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor,  # noqa: E402
                      acceptance, build_cocycle, cli, conditional_negativity_check,
-                     gram_matrix, gromov_bilinear, khintchine_ratio, moment_checks,
+                     gram_matrix, gromov_bilinear, moment_checks,
                      naor_ratio, random_group_elements, reevaluate_witness,
                      riesz_equivalence_ratio, rosenthal_linear_ratio, scan, words,
                      xp_linear_ratio)
@@ -172,10 +173,13 @@ def _report_records():
         g, build_cocycle("euclidean", torus), 3, 1, "euclidean")
     yield "xp_linear_ratio p=4", lambda: xp_linear_ratio(mats, 4, 2)
     yield "xp_linear_ratio p=3", lambda: xp_linear_ratio(mats, 3, 3)
-    for p in (2, 4):
+    for p in (2, 3, 4, 6, 8):
         yield f"xp_linear_ratio wide p={p}", lambda p=p: xp_linear_ratio(wide, p, 2)
     tall = [rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)) for _ in range(16)]
     yield "xp_linear_ratio tall monte carlo p=4", lambda: xp_linear_ratio(tall, 4, 16, seed=3)
+    tall_4x2 = [rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)) for _ in range(8)]
+    for p in (3, 6, 8):
+        yield f"xp_linear_ratio tall 4x2 p={p}", lambda p=p: xp_linear_ratio(tall_4x2, p, 2)
     yield "rosenthal_linear_ratio p=4", lambda: rosenthal_linear_ratio(coeffs, 4, 3)
     yield "rosenthal_linear_ratio p=3", lambda: rosenthal_linear_ratio(coeffs, 3, 2)
     yield "riesz_equivalence_ratio torus p=3", lambda: riesz_equivalence_ratio(
@@ -257,15 +261,6 @@ def _cocycle_records():
             "gap": repr(c.gap)}
 
 
-def _khintchine_records():
-    rng = np.random.default_rng(11)
-    for n, shape in ((1, (3, 3)), (5, (3, 3)), (8, (2, 4)), (7, (4, 2))):
-        xs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(n)]
-        for p in (2, 3, 4, 6, 8):
-            yield f"n={n} {shape} p={p}", lambda xs=xs, p=p: {
-                "ratio": repr(khintchine_ratio(xs, p))}
-
-
 def _moments(n: int, k: int, p: float) -> dict:
     try:
         report = moment_checks(n, k, p)
@@ -305,8 +300,6 @@ def records(workdir: Path):
             argv, workdir / f"check-{family}.json")
     for name, thunk in _cocycle_records():
         yield "cocycle", name, thunk
-    for name, thunk in _khintchine_records():
-        yield "khintchine", name, thunk
     for name, thunk in _moment_records():
         yield "moment", name, thunk
 
