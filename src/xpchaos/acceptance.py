@@ -409,7 +409,7 @@ def criterion_even_p_grid_agreement() -> dict:
 
 def criterion_linear_model_consistency() -> dict:
     """The pair routes of naor's walsh lhs on the hypercube's linear span and of the
-    scalar model against the scalar model's exhaustive sign enumeration."""
+    scalar model against the exhaustive sign enumeration of the 1 x 1 matrices a_j."""
     rng = np.random.default_rng(23)
     failures = []
     n = 6
@@ -422,7 +422,7 @@ def criterion_linear_model_consistency() -> dict:
         for p in (2, 4):
             profile = naor_profile(f, cocycle, [p], list(range(1, n + 1)), "walsh")
             for k in range(1, n + 1):
-                signs = harness._rosenthal_sign_mean(coeffs, p, k)
+                signs = harness._sign_mean(coeffs[:, None, None], p, k, None)
                 gap = max(abs(profile[p][k][0] - signs),
                           abs(rosenthal_linear_ratio(coeffs, p, k).lhs ** p - signs))
                 if gap > 1e-10:

@@ -610,18 +610,23 @@ def _subset_blocks(n: int, k: int, rows: int):
     block times a sign table of ``rows`` rows stays near SIGN_BLOCK_ROWS rows;
     each block's indices are built only when it is reached.
     """
-    subsets = itertools.combinations(range(n), k)
+    indices = itertools.chain.from_iterable(itertools.combinations(range(n), k))
     step = max(1, SIGN_BLOCK_ROWS // rows)
-    while block := list(itertools.islice(subsets, step)):
-        yield np.array(block, dtype=np.intp)
+    while (block := np.fromiter(itertools.islice(indices, step * k), dtype=np.intp)).size:
+        yield block.reshape(-1, k)
 
 
-def _subset_sign_averages(mats: np.ndarray, p: float, k: int) -> np.ndarray:
-    """Exact E_eps ||sum_{j in S} eps_j x_j||_p^p for every k-subset S, in order."""
+def _sign_mean(mats: np.ndarray, p: float, k: int, rng: np.random.Generator | None) -> float:
+    """E_S E_eps ||sum_{j in S} eps_j x_j||_p^p over the k-subsets S of a stack (n, m, c):
+    exhaustive up to SIGN_ENUMERATION_CAP signs, and above it ``_monte_carlo_average``
+    of each subset in order, all drawn from ``rng`` one after the other."""
+    if k > SIGN_ENUMERATION_CAP:
+        return float(np.mean([_monte_carlo_average(mats[list(s)], p, rng)
+                              for s in itertools.combinations(range(len(mats)), k)]))
     signs = half_sign_patterns(k)
-    return np.concatenate([
+    return float(np.mean(np.concatenate([
         sign_block_powers(sign_row_blocks(signs), mats[block], p).mean(axis=1)
-        for block in _subset_blocks(len(mats), k, len(signs))])
+        for block in _subset_blocks(len(mats), k, len(signs))])))
 
 
 def _monte_carlo_average(mats: np.ndarray, p: float, rng: np.random.Generator) -> float:
@@ -703,56 +708,64 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
     lhs(k) averages E_eps ||sum_{j in S} eps_j x_j||_p^p over the k-subsets;
     rhs(k) is (k/n) sum_j ||x_j||_p^p + (k/n)^(p/2) E_eps ||sum_j eps_j x_j||_p^p.
     Where ``_xp_route`` takes index words (p = 2 or 4, n <= 14) every k and the full
-    n-sign average come from ``_gram_pair_means``.  Otherwise sign expectations are
-    exhaustive up to 14 signs and Monte Carlo beyond, and the full n-sign average
-    is computed once for every k.  Draw order: the full average is the first draw
-    from ``default_rng(seed)``; each k above the cap restarts its per-subset draws
-    from the state after it, so a row depends only on (xs, p, k, seed).  The route's
-    arrays (``_xp_route_bytes``) are priced against LATTICE_MAX_BYTES before any
-    is formed.
+    n-sign average come from ``_gram_pair_means``.  Otherwise each side is one
+    ``_sign_mean``: exhaustive up to 14 signs and Monte Carlo beyond.  On both
+    routes the full n-sign average is computed once, for every rhs and as the k = n
+    lhs.  Draw order: the full average is the first draw from ``default_rng(seed)``;
+    each other k above the cap restarts its per-subset draws from the state after
+    it, so a row depends only on (xs, p, k, seed).  Before any work the tuple is
+    refused unless it holds n >= 1 finite 2-D matrices of one shape, not all zero,
+    and the route's arrays (``_xp_route_bytes``) are priced against
+    LATTICE_MAX_BYTES; after it a p whose sides leave the float range is refused.
     """
     _check_p(p)
     if p < 2:
         warnings.warn("p < 2 is outside the theorem range; computing anyway")
-    mats = np.stack([np.asarray(x, dtype=complex) for x in xs])
+    mats = _matrix_tuple(xs)
     n = mats.shape[0]
     _check_ks(ks, n)
     if not np.any(mats):
         raise ValueError("the matrix tuple must be nonzero")
     _within_budget(_xp_route_bytes(n, mats.shape[1], mats.shape[2], p),
                    f"{_xp_route(n, p)} route arrays")
-    norm_sum = float(np.sum(schatten_powers(mats, p)))
-    # a k-subset average is sampled only when the full n-sign one is (k <= n)
-    monte_carlo = n > SIGN_ENUMERATION_CAP
-    if _xp_route(n, p) == "pairs":
-        means = _gram_pair_means(mats, p)
-        lhs, full_avg = {k: float(means[k - 1]) for k in ks}, float(means[-1])
-    else:
-        rng = np.random.default_rng(seed)
-        if monte_carlo:
-            full_avg = _monte_carlo_average(mats, p, rng)
+    # sides past the float range (inf, or NaN from inf - inf) are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sum = float(np.sum(schatten_powers(mats, p)))
+        if _xp_route(n, p) == "pairs":
+            means = _gram_pair_means(mats, p)
+            lhs, full_avg = {k: float(means[k - 1]) for k in ks}, float(means[-1])
         else:
-            full_avg = float(_subset_sign_averages(mats, p, n)[0])
-        lhs = {}
-        for k in ks:
-            if k <= SIGN_ENUMERATION_CAP:
-                lhs[k] = float(np.mean(_subset_sign_averages(mats, p, k)))
-            else:
-                draws = copy.deepcopy(rng)
-                lhs[k] = float(np.mean([
-                    _monte_carlo_average(mats[list(s)], p, draws)
-                    for s in itertools.combinations(range(n), k)]))
-    return {k: (lhs[k], (k / n) * norm_sum + (k / n) ** (p / 2) * full_avg, monte_carlo)
-            for k in ks}
+            rng = np.random.default_rng(seed)
+            full_avg = _sign_mean(mats, p, n, rng)
+            lhs = {k: full_avg if k == n else _sign_mean(mats, p, k, copy.deepcopy(rng))
+                   for k in ks}
+        profile = {k: (lhs[k], (k / n) * norm_sum + (k / n) ** (p / 2) * full_avg)
+                   for k in ks}
+    _check_float_range(p, [side for sides in profile.values() for side in sides])
+    # a k-subset average is sampled only when the full n-sign one is (k <= n)
+    return {k: (*sides, n > SIGN_ENUMERATION_CAP) for k, sides in profile.items()}
+
+
+def _matrix_tuple(xs: Sequence[np.ndarray]) -> np.ndarray:
+    """The tuple ``xs`` as one complex stack (n, rows, cols), refused unless it holds
+    n >= 1 finite 2-D matrices of one shape."""
+    arrays = [np.asarray(x, dtype=complex) for x in xs]
+    if not arrays:
+        raise ValueError("n must be >= 1, got 0")
+    if arrays[0].ndim != 2 or any(x.shape != arrays[0].shape for x in arrays):
+        raise ValueError(f"the x_j must be 2-D matrices of one shape, got the shapes "
+                         f"{sorted({x.shape for x in arrays})}")
+    mats = np.stack(arrays)
+    if not np.isfinite(mats).all():
+        raise ValueError("the matrix entries must be finite")
+    return mats
 
 
 def _xp_rows(mats: Sequence[np.ndarray], p: float, ks: Sequence[int],
              seed: int | None) -> list[Row]:
     """The rows of ``xp_linear_profile``, one per k, each naming the route."""
     extra = {"route": _xp_route(len(mats), p)}
-    with np.errstate(over="ignore"):                # sides past the float range are refused
-        profile = xp_linear_profile(mats, p, ks, seed)
-    _check_float_range(p, [side for lhs, rhs, _ in profile.values() for side in (lhs, rhs)])
+    profile = xp_linear_profile(mats, p, ks, seed)
     return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=mc, extra=extra)
             for k in ks for lhs, rhs, mc in [profile[k]]]
 
@@ -766,7 +779,7 @@ def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
     entropy and reports it.
     """
     start = time.perf_counter()
-    mats = np.stack([np.asarray(x, dtype=complex) for x in xs])
+    mats = _matrix_tuple(xs)
     if seed is None and len(mats) > SIGN_ENUMERATION_CAP:
         # a concrete seed in the report lets its witness re-evaluate exactly
         seed = int(np.random.SeedSequence().generate_state(1)[0])
@@ -801,38 +814,35 @@ def _rosenthal_route(n: int, p: float) -> str:
     return "pairs" if fits else "signs"
 
 
-def _rosenthal_sign_mean(coeffs: np.ndarray, p: float, k: int) -> float:
-    """E_S E_eps |sum_{j in S} eps_j a_j|^p over the k-subsets S, by exhaustive
-    (eps, S) enumeration."""
-    signs = half_sign_patterns(k)
-    means = []
-    for block in _subset_blocks(len(coeffs), k, len(signs)):
-        # |sum_j eps_j a_j|^2 from the real and imaginary parts separately
-        sq = (coeffs.real[block] @ signs.T) ** 2 + (coeffs.imag[block] @ signs.T) ** 2
-        means.append(np.mean(sq ** (p / 2), axis=1))
-    return sum(np.concatenate(means).tolist()) / math.comb(len(coeffs), k)  # in subset order
-
-
 def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[Row]:
     """The rows of the two-sided scalar model, one per k, scored by the larger of
     lhs/rhs and rhs/lhs.  On key pairs one ``_key_pairs`` call gives every k."""
     _check_p(p)
     coeffs = np.array([complex(x) for x in a])
     n = len(coeffs)
+    if not n:
+        raise ValueError("n must be >= 1, got 0")
+    if not np.isfinite(coeffs).all():
+        raise ValueError("the coefficients must be finite")
     _check_ks(ks, n)
     route = _rosenthal_route(n, p)
     if route == "signs" and max(ks) > SIGN_ENUMERATION_CAP:
         raise ValueError("exhaustive enumeration is capped at k = 14")
     if not np.any(coeffs):
         raise ValueError("the coefficient vector must be nonzero")
-    if route == "pairs":        # naor's walsh lhs of sum_j a_j r_j on the hypercube
-        by_union = _key_pairs(np.eye(n, dtype=np.int64)[None], coeffs[None], np.full(n, 2), p)[0]
-        means = _subset_means(by_union[0], min(n, int(p) // 2))
-    power_sum, square_sum = np.sum(np.abs(coeffs) ** p), float(np.sum(np.abs(coeffs) ** 2))
+    with np.errstate(over="ignore"):                # sides past the float range are refused
+        if route == "pairs":    # naor's walsh lhs of sum_j a_j r_j on the hypercube
+            by_union = _key_pairs(np.eye(n, dtype=np.int64)[None], coeffs[None],
+                                  np.full(n, 2), p)[0]
+            means = _subset_means(by_union[0], min(n, int(p) // 2)).tolist()
+            mean = {k: means[k - 1] for k in ks}
+        else:
+            mean = {k: _sign_mean(coeffs[:, None, None], p, k, None) for k in ks}
+        power_sum = np.sum(np.abs(coeffs) ** p)
+    square_sum = float(np.sum(np.abs(coeffs) ** 2))
     rows = []
     for k in ks:
-        mean = float(means[k - 1]) if route == "pairs" else _rosenthal_sign_mean(coeffs, p, k)
-        lhs = mean ** (1.0 / p)
+        lhs = mean[k] ** (1.0 / p)
         kn = k / n
         rhs = (kn * power_sum) ** (1.0 / p) + math.sqrt(kn * square_sum)
         _check_float_range(p, [lhs, rhs])
@@ -851,7 +861,8 @@ def _coeffs_witness(coeffs: Sequence[complex], k: int, p: float) -> dict:
 def rosenthal_linear_ratio(a: Sequence[complex], p: float, k: int) -> RatioReport:
     """Two-sided scalar model at one k.  The exact lhs comes from the unit keys'
     pairs at an even p (``_rosenthal_route``), with no cap on k, and otherwise by
-    exhaustive (eps, S) enumeration for k <= 14.  The ratio is lhs/rhs; ``extra``
+    xp_linear's exhaustive (eps, S) enumeration ``_sign_mean`` on the 1 x 1 matrices
+    a_j, for k <= 14.  The ratio is lhs/rhs; ``extra``
     holds it with rhs/lhs, the larger of the two and the route."""
     start = time.perf_counter()
     coeffs = [complex(x) for x in a]
@@ -1017,10 +1028,10 @@ def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
         values = _complex_normal(rng, len(keys)).tolist()
         return GroupAlgebraElement(group, {tuple(key): v for key, v in zip(keys, values)
                                            if abs(v) > PRUNE_TOL}, _canonical=True)
-    # free kinds: random reduced walks; the pool may be smaller than the
-    # requested sparsity for tiny ranks, so cap the draw attempts
-    if spec.kind in ("chaos_degree", "linear_span"):
-        raise ValueError(f"free draws read sparsity and word_length, not the kind {spec.kind!r}")
+    # free kinds: random reduced walks (``_draw_fields`` refuses the kinds they cannot
+    # take); the pool may be smaller than the requested sparsity for tiny ranks, so
+    # cap the draw attempts
+    _draw_fields(group, spec.kind)
     from .groups import random_group_elements
     sites: dict = {}
     attempts = 0
@@ -1096,11 +1107,32 @@ def _count(params: dict, name: str, default: int | None = None) -> int:
     return value
 
 
-def _reads_no_ensemble(experiment: str, ensemble: EnsembleSpec) -> None:
-    """Refuse an ensemble other than the default for an experiment whose draw reads none."""
-    if changed := [f"{item.name}={getattr(ensemble, item.name)!r}" for item in fields(ensemble)
-                   if getattr(ensemble, item.name) != item.default]:
-        raise ValueError(f"the {experiment} draw reads no ensemble field; got {', '.join(changed)}")
+def _draw_fields(group: GroupDescriptor, kind: str) -> tuple[str, ...]:
+    """The ensemble fields besides ``kind`` that a draw of that kind on ``group`` reads:
+    an abelian sparse draw its sparsity, chaos_degree its degree, gaussian and
+    linear_span none; a free draw its sparsity and word_length, refusing the kinds
+    it cannot draw."""
+    if group.is_abelian:
+        return {"sparse": ("sparsity",), "chaos_degree": ("degree",)}.get(kind, ())
+    if kind in ("chaos_degree", "linear_span"):
+        raise ValueError(f"free draws read sparsity and word_length, not the kind {kind!r}")
+    return ("sparsity", "word_length")
+
+
+def _reads_ensemble(experiment: str, ensemble: EnsembleSpec,
+                    group: GroupDescriptor | None = None) -> None:
+    """Refuse an ensemble field other than its default that the experiment's draw does
+    not read: a draw of elements of ``group`` reads its kind and ``_draw_fields``, and
+    a draw with no group (xp_linear's matrices, rosenthal's coefficients) none."""
+    if group is None:
+        reads, draw, what = (), experiment, "no ensemble field"
+    else:
+        reads = ("kind", *_draw_fields(group, ensemble.kind))
+        draw = f"{ensemble.kind} {experiment}"
+        what = f"{' and '.join(reads[1:]) or 'no field'} besides its kind"
+    if unread := [f"{item.name}={getattr(ensemble, item.name)!r}" for item in fields(ensemble)
+                  if item.name not in reads and getattr(ensemble, item.name) != item.default]:
+        raise ValueError(f"the {draw} draw reads {what}; got {', '.join(unread)}")
 
 
 def _ks(params: dict) -> list[int]:
@@ -1139,6 +1171,7 @@ def _load_element(witness: dict) -> tuple[GroupAlgebraElement, LengthCocycle]:
 def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads(params, *_FAMILY_PARAMS, "derivative", "p", "ps", "k", "ks")
     group, cocycle, derivative = _naor_family(params)
+    _reads_ensemble("naor", ensemble, group)
     ps = _naor_inputs(group, _naor_ps(params), derivative)
     ks = _ks(params)
     _plan(group, cocycle, _most_keys(group, cocycle, ensemble), ps, derivative)
@@ -1172,7 +1205,7 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads(params, "n", "d", "p", "k", "ks")
-    _reads_no_ensemble("xp_linear", ensemble)
+    _reads_ensemble("xp_linear", ensemble)
     n, d, p, ks = _count(params, "n"), _count(params, "d", 4), _p(params, 4), _ks(params)
     _within_budget(16 * n * d * d, "sample matrices")
     _within_budget(_xp_route_bytes(n, d, d, p), f"{_xp_route(n, p)} route arrays")
@@ -1187,7 +1220,7 @@ def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
 
 def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads(params, "n", "p", "k", "ks")
-    _reads_no_ensemble("rosenthal", ensemble)
+    _reads_ensemble("rosenthal", ensemble)
     n, p, ks = _count(params, "n"), _p(params, 4), _ks(params)
     return (lambda rng: _complex_normal(rng, n), _each(lambda a: _rosenthal_rows(a, p, ks)),
             lambda a, row: _coeffs_witness(a, row.k, p))
@@ -1196,6 +1229,7 @@ def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
 def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads(params, *_FAMILY_PARAMS, "p")
     group, cocycle, _ = _naor_family(params)
+    _reads_ensemble("riesz_equivalence", ensemble, group)
     p = _p(params, 2)
     _plan(group, cocycle, _most_keys(group, cocycle, ensemble), [p], "riesz")
     return (lambda rng: sample_element(group, cocycle, ensemble, rng),
@@ -1238,6 +1272,7 @@ def _free_identities(params: dict, ensemble: EnsembleSpec, seed: int):
     name = "free_product_word" if modulus else "free_word"
     group = COCYCLE_FAMILIES[name].cli_group(int(params.get("rank", 2)), int(modulus or 0), 0)
     cocycle = build_cocycle(name, group)
+    _reads_ensemble("free_identities", ensemble, group)
     return (lambda rng: sample_element(group, cocycle, ensemble, rng), _each(_free_rows),
             lambda f, row: {"f": f.to_json()})
 

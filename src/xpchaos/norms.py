@@ -270,7 +270,8 @@ def sign_planes(signs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """
     mats = np.ascontiguousarray(mats, dtype=complex)
     *batch, k, m, n = mats.shape
-    flat = np.moveaxis(mats.reshape(*batch, k, m * n).view(np.float64), -1, 0)
+    flat = mats.reshape(*batch, k, m * n).view(np.float64)
+    flat = flat.transpose(-1, *range(flat.ndim - 1))    # np.moveaxis, without its checks
     return (flat.reshape(-1, k) @ signs.T).reshape(m, n, 2, *batch, len(signs))
 
 
@@ -293,18 +294,19 @@ def sign_powers(signs: np.ndarray, mats: np.ndarray, p: float) -> np.ndarray:
     (..., k, m, n), with shape (..., rows), taken from :func:`sign_planes` by the
     rules of :func:`schatten_powers`.
 
-    p = 2 is the sum of the squared planes.  At an even p = 2q the Hermitian Gram
-    entries on the smaller side come from ``_gram_entries``: at q = 2 the power is
-    the squared Frobenius norm of the Gram matrix, summed from its entries; from
-    q = 3 on the entries fill a Gram stack for ``_gram_powers``.  Other p rebuild
-    the matrices for the batched SVD.  The powers equal the SVD sums to about
-    1e-15 relative, the rounding of the Gram entries.
+    p = 2 is the sum of the squared planes, and a rank-one stack (a row, a column
+    or 1 x 1) takes that sum to the p/2: its one singular value is its Frobenius norm.
+    At an even p = 2q the Hermitian Gram entries on the smaller side come from
+    ``_gram_entries``: at q = 2 the power is the squared Frobenius norm of the Gram
+    matrix, summed from its entries; from q = 3 on the entries fill a Gram stack for
+    ``_gram_powers``.  Other p rebuild the matrices for the batched SVD.  The powers
+    equal the SVD sums to about 1e-15 relative, the rounding of the Gram entries.
     """
     _check_p(p)
     planes = sign_planes(signs, mats)
-    if p == 2:
+    if p == 2 or min(planes.shape[:2]) == 1:
         flat = planes.reshape(-1, *planes.shape[3:])
-        return np.einsum("e...,e...->...", flat, flat)
+        return np.einsum("e...,e...->...", flat, flat) ** (p / 2)    # exact at p = 2
     if not _is_even(p):
         return schatten_powers(np.moveaxis(planes[:, :, 0] + 1j * planes[:, :, 1],
                                            (0, 1), (-2, -1)), p)

@@ -372,9 +372,22 @@ class TestVerify:
         (["free-identities", "--n", "3", "--ensemble", "chaos_degree", "--degree", "1"],
          "read sparsity and word_length, not the kind 'chaos_degree'"),
         (["free-identities", "--n", "2", "--ensemble", "linear_span"],
-         "read sparsity and word_length, not the kind 'linear_span'")],
+         "read sparsity and word_length, not the kind 'linear_span'"),
+        (["naor", "--n", "4", "--sparsity", "3"],
+         "the gaussian naor draw reads no field besides its kind; got sparsity=3"),
+        (["naor", "--n", "4", "--ensemble", "sparse", "--sparsity", "3", "--degree", "5"],
+         "the sparse naor draw reads sparsity besides its kind; got degree=5"),
+        (["naor", "--n", "4", "--ensemble", "chaos_degree", "--sparsity", "3"],
+         "the chaos_degree naor draw reads degree besides its kind; got sparsity=3"),
+        (["riesz", "--n", "2", "--ensemble", "linear_span", "--degree", "3"],
+         "the linear_span riesz_equivalence draw reads no field besides its kind; got degree=3"),
+        (["free-identities", "--n", "2", "--degree", "5"],
+         "the gaussian free_identities draw reads sparsity and word_length besides its kind; "
+         "got degree=5")],
         ids=["xp-linear-sparse", "xp-linear-degree", "rosenthal-sparse",
-             "free-chaos-degree", "free-linear-span"])
+             "free-chaos-degree", "free-linear-span", "naor-gaussian-sparsity",
+             "naor-sparse-degree", "naor-chaos-degree-sparsity", "riesz-linear-span-degree",
+             "free-degree"])
     def test_ensemble_the_draw_does_not_read_exit_code(self, tmp_path, capsys, monkeypatch,
                                                        args, named):
         """An ensemble setting that the experiment's draw would not read is refused, by
@@ -388,6 +401,19 @@ class TestVerify:
         monkeypatch.undo()
         assert run(["verify", args[0], "--n", "3", "--ensemble", "gaussian", "--sparsity", "8",
                     "--degree", "2", "--trials", "2", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("args", [
+        ["naor", "--n", "4", "--ensemble", "sparse", "--sparsity", "3"],
+        ["naor", "--n", "4", "--ensemble", "chaos_degree", "--degree", "3"],
+        ["riesz", "--n", "2", "--ensemble", "sparse", "--sparsity", "3"],
+        ["free-identities", "--n", "2", "--ensemble", "sparse", "--sparsity", "3"]])
+    def test_ensemble_fields_the_draw_reads_run(self, tmp_path, args):
+        """Each draw takes the fields it reads: sparse its sparsity, chaos_degree its
+        degree, a free draw its sparsity; the report records them."""
+        out = tmp_path / "r.json"
+        assert run(["verify", *args, "--trials", "2", "--out", str(out)]) == 0
+        ensemble = json.loads(out.read_text())["params"]["ensemble"]
+        assert ensemble[args[-2].lstrip("-")] == 3
 
     def test_sparse_naor_runs_past_the_grid(self, tmp_path):
         """Six keys on a hypercube n = 22 take key pairs, whose arrays fit the budget."""

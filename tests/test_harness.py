@@ -876,6 +876,35 @@ class TestXpLinear:
         with pytest.raises(ValueError, match="finite"):
             xp_linear_ratio([np.eye(2), np.eye(2)], math.nan, 1)
 
+    @pytest.mark.parametrize("xs, named", [
+        ([], "n must be >= 1, got 0"),
+        ([np.ones(3), np.ones(3)], r"2-D matrices of one shape, got the shapes \[\(3,\)\]"),
+        ([np.ones((2, 2, 2))] * 2, "2-D matrices of one shape"),
+        ([np.eye(2), np.eye(3)], "2-D matrices of one shape"),
+        ([np.eye(2), np.full((2, 2), np.nan)], "entries must be finite"),
+        ([np.eye(2), np.full((2, 2), np.inf)], "entries must be finite")],
+        ids=["empty", "vectors", "3-d", "shapes", "nan", "inf"])
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_bad_tuples_refused_by_name(self, xs, named, p):
+        """Refused before any work, with no numpy warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: xp_linear_ratio(xs, p, 1),
+                         lambda: xp_linear_profile(xs, p, [1])):
+                with pytest.raises(ValueError, match=named):
+                    call()
+
+    def test_profile_refuses_a_p_past_the_float_range(self):
+        """The public profile refuses such a p itself, naming it, with no overflow
+        warning, as the rows of every scan do."""
+        rng = np.random.default_rng(24)
+        mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ks in ([1], [1, 2]):
+                with pytest.raises(ValueError, match="at p = 2000.0 the sides leave the float"):
+                    xp_linear_profile(mats, 2000.0, ks)
+
 
 def _loop_schatten_power(x, p):
     return float(np.sum(np.linalg.svd(x, compute_uv=False) ** p))
@@ -930,7 +959,7 @@ class TestBatchedSignAveragesMatchLoops:
             report = xp_linear_ratio(mats, p, k)
             assert (report.lhs, report.rhs) == profile[k][:2]
 
-    @pytest.mark.parametrize("p", [2, 3, 4, 6])
+    @pytest.mark.parametrize("p", [1.5, 2, 2.5, 3, 4, 6])
     @pytest.mark.parametrize("n", [1, 5, 8])
     def test_rosenthal(self, n, p):
         rng = np.random.default_rng(200 + n)
@@ -964,6 +993,18 @@ class TestXpLinearProfile:
         implied = [(profile[k][1] - (k / 16) * norm_sum) / (k / 16) ** 2 for k in (2, 15, 16)]
         assert implied == pytest.approx([implied[0]] * 3, rel=1e-12)
         assert all(row[2] for row in profile.values())
+
+    @pytest.mark.parametrize("n, p, route", [(5, 4, "pairs"), (5, 3, "signs"),
+                                             (15, 4, "signs")])
+    def test_k_equal_n_lhs_is_the_full_average(self, n, p, route):
+        """The k = n lhs is the full n-sign average of the rhs, bit for bit, on the pair
+        route, the exhaustive sign route and the Monte Carlo one."""
+        rng = np.random.default_rng(22)
+        mats = rng.standard_normal((n, 2, 3)) + 1j * rng.standard_normal((n, 2, 3))
+        assert harness._xp_route(n, p) == route
+        lhs, rhs, monte_carlo = xp_linear_profile(mats, p, [1, n], seed=7)[n]
+        assert rhs == float(np.sum(norms.schatten_powers(mats, p))) + lhs
+        assert monte_carlo == (n > harness.SIGN_ENUMERATION_CAP)
 
     def test_scan_calls_the_profile_once_per_trial(self, monkeypatch):
         calls = []
@@ -1012,16 +1053,17 @@ def _golden_tuples():
 
 class TestSignRouteGolden:
     """Profiles taken before the sign kernel moved to planes.  The Monte Carlo rows
-    pin the sign draws, the n = 8, p = 6 rows the exhaustive route."""
+    pin the sign draws, the n = 8, p = 6 rows the exhaustive route.  The k = 16 lhs
+    goldens were retaken when that row became the full n-sign average of its rhs."""
 
     CASES = [
         (0, 2, [2, 16], 5, {2: (31.757675264689663, 63.56782709319274),
-                            16: (254.2448724490418, 508.5426167455419)}),
-        (0, 4, [16], 5, {16: (32118.383869844794, 34131.2222576132)}),
+                            16: (254.48121462802462, 508.5426167455419)}),
+        (0, 4, [16], 5, {16: (32119.69357477826, 34131.2222576132)}),
         (1, 6, [1, 4, 8], None, {1: (465.9805320928582, 892.2201316306932),
                                  4: (27718.310289566496, 29143.256498792874),
                                  8: (218234.67496337154, 221962.5192201144)}),
-        (2, 4, [16], 3, {16: (9472.014708130975, 10143.816574961445)}),
+        (2, 4, [16], 3, {16: (9518.80640761224, 10143.816574961445)}),
     ]
 
     @pytest.mark.parametrize("tuple_index, p, ks, seed, expected", CASES)
@@ -1176,7 +1218,7 @@ class TestSignPairRoutes:
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert harness._rosenthal_route(n, p) == "pairs"
         for row in harness._rosenthal_rows(coeffs, p, range(1, n + 1)):
-            exact = harness._rosenthal_sign_mean(coeffs, p, row.k)
+            exact = harness._sign_mean(coeffs[:, None, None], p, row.k, None)
             assert row.lhs ** p == pytest.approx(exact, rel=1e-12)
 
     def test_rosenthal_past_the_sign_cap_matches_the_fourth_moment(self):
@@ -1258,11 +1300,31 @@ class TestRosenthal:
         with pytest.raises(ValueError, match="nonzero"):
             rosenthal_linear_ratio([0, 0, 0], 4, 2)
 
+    @pytest.mark.parametrize("coeffs, named", [
+        ([], "n must be >= 1, got 0"),
+        ([1.0, math.nan, 2.0], "coefficients must be finite"),
+        ([1.0, complex(0, math.inf)], "coefficients must be finite")])
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_bad_coefficients_refused_by_name(self, coeffs, named, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                rosenthal_linear_ratio(coeffs, p, 1)
+
     def test_underflowed_lhs_refused(self):
         """|sum_j eps_j a_j|^p underflows to an lhs of 0, while the rhs keeps its
         square-function term; the exact lhs is positive."""
         with pytest.raises(ValueError, match="at p = 100000.0 the sides leave the float range"):
             rosenthal_linear_ratio([1e-3, 2e-3, -1e-3], 1e5, 2)
+
+    @pytest.mark.parametrize("p", [2001, 1e308])
+    def test_overflowing_p_refused_without_a_warning(self, p):
+        """|sum_j eps_j a_j|^p and sum |a_j|^p overflow on the sign route; the rows
+        refuse the p by name, and numpy's overflow warning is not raised first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the sides leave the float range"):
+                rosenthal_linear_ratio([3.0, -2.0, 1.5], p, 2)
 
     def test_zero_witness_fails_to_reevaluate(self):
         report = scan("rosenthal", trials=1, seed=0, n=3, p=4, ks=[2]).to_json()

@@ -1,8 +1,10 @@
 """Lp, Schatten, and square-function norms."""
 
+import decimal
 import itertools
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -369,3 +371,27 @@ def test_sign_kernel_equals_svd_sums(p, shape, monkeypatch):
     half = half_sign_patterns(3)
     np.testing.assert_allclose(sign_powers(half, stacks, p),
                                svd_sums(np.einsum("rk,skij->srij", half, stacks)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3, 4, 6, 8])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (3, 1)])
+def test_rank_one_sign_powers_equal_svd_powers(p, shape):
+    """A row, a column or a 1 x 1 stack has one singular value, its Frobenius norm, so
+    its powers are the squared planes to the p/2.  The rounding of the squared sum
+    grows p/2-fold in the power, so the bound is p times the float epsilon (below
+    1e-15 up to p = 4) against the exact power of each combination (40 decimal
+    digits), and twice that against one SVD per combination, whose singular value
+    is rounded too."""
+    rng = np.random.default_rng(15)
+    mats = rng.standard_normal((6, *shape)) + 1j * rng.standard_normal((6, *shape))
+    signs = sign_patterns(6)
+    planes = sign_planes(signs, mats)
+    combos = np.moveaxis(planes[:, :, 0] + 1j * planes[:, :, 1], (0, 1), (-2, -1))
+    powers = sign_powers(signs, mats, p)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        exact = [float(sum(Decimal(z.real) ** 2 + Decimal(z.imag) ** 2 for z in x.ravel())
+                       ** (Decimal(p) / 2)) for x in combos]
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(powers, exact, rtol=p * eps, atol=0)
+    svd = np.sum(np.linalg.svd(combos, compute_uv=False) ** p, axis=-1)
+    np.testing.assert_allclose(powers, svd, rtol=2 * p * eps, atol=0)

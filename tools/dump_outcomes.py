@@ -6,6 +6,9 @@ Run from a source checkout, on each tree, and compare the outputs byte for byte:
     python tools/dump_outcomes.py > after.jsonl      # on the changed tree
     cmp before.jsonl after.jsonl
 
+When one tree prints records the other does not, compare the records both print,
+matched by their ``kind`` and ``name``.
+
 xpchaos is imported from the ``src/`` beside this script, so a copy of it run in
 another checkout dumps that checkout.  The records are scan reports with their
 witness re-evaluations, single-run reports with theirs (``xp_linear_ratio`` on
@@ -54,8 +57,10 @@ MOMENT_PS = (1, 1.5, 2, 2.5, 3, 4, 6, 8)
 #: (experiment, ensemble, params): both routes of naor, xp_linear and rosenthal,
 #: their pair routes at every even p they take (naor and rosenthal up to p = 8,
 #: xp_linear at p = 2 and 4 on one- and two-byte index masks), xp_linear's sign
-#: tables at p = 6 and its Monte Carlo shapes of the matrix-signs benchmark, every
-#: naor family and derivative, and the chaos_degree and linear_span draws
+#: tables at p = 6 and on 1 x 1 tuples at p = 3 and 6, its Monte Carlo shapes of the
+#: matrix-signs benchmark and a Monte Carlo k < n beside k = n, rosenthal's sign
+#: route at p = 1.5, 2.5 and 3, every naor family and derivative, and the
+#: chaos_degree and linear_span draws
 SCANS = [
     ("naor", EnsembleSpec("gaussian"), {"n": 10, "ps": [2, 4], "derivative": "walsh"}),
     ("naor", EnsembleSpec("gaussian"), {"n": 10, "ps": [2, 4], "derivative": "absorbent"}),
@@ -83,9 +88,12 @@ SCANS = [
     ("xp_linear", None, {"n": 16, "p": 4, "d": 4, "ks": [16]}),
     ("xp_linear", None, {"n": 16, "p": 2, "d": 4, "ks": [2, 16]}),
     ("xp_linear", None, {"n": 8, "p": 6, "d": 3, "ks": [1, 4, 8]}),
+    *[("xp_linear", None, {"n": 6, "p": p, "d": 1, "ks": [1, 3, 6]}) for p in (3, 6)],
+    ("xp_linear", None, {"n": 16, "p": 2, "d": 2, "ks": [15, 16]}),
     *[("rosenthal", None, {"n": n, "p": p, "ks": [1, 3, n]}) for n, p in ((10, 2), (6, 4), (6, 6),
                                                                            (9, 8))],
     ("rosenthal", None, {"n": 5, "p": 3, "k": 2}),
+    *[("rosenthal", None, {"n": 6, "p": p, "ks": list(range(1, 7))}) for p in (1.5, 2.5)],
     ("riesz_equivalence", None, {"family": "cyclic", "modulus": 4, "n": 2, "p": 4}),
     ("riesz_equivalence", None, {"family": "torus", "n": 2, "bound": 1, "p": 3}),
     ("free_identities", None, {"rank": 2, "modulus": 4}),
