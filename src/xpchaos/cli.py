@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -33,7 +34,7 @@ from .cocycles import (COCYCLE_FAMILIES, FAMILIES, BasisVector, build_cocycle,
 from .groups import (TORUS, GroupAlgebraElement, GroupDescriptor, adjoint,
                      project_mean_zero, random_group_elements)
 from .harness import (DERIVATIVE_CHOICES, ENSEMBLE_KINDS, LATTICE_MAX_BYTES, EnsembleSpec,
-                      scan)
+                      _count, scan)
 from .norms import NumericalSanityError, lp_norm, lp_norm_torus_refined
 
 
@@ -56,12 +57,16 @@ def _write_csv(report: dict, path: str) -> None:
 
 
 def _parse_k(text: str, n: int) -> list[int]:
+    """The ks of ``--k``: a value, ``a..b`` or ``all``, refused by name otherwise."""
     if text == "all":
         return list(range(1, n + 1))
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError:
+        raise ValueError(f"--k must be a value, a..b, or 'all'; got {text!r}") from None
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -198,8 +203,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _build_cli_cocycle(opts: dict):
     family = opts.get("family", "cyclic_word")
     record = cocycle_family(family)
-    n = int(opts.get("n", 2))
+    n = _count(opts, "n", 2)
     group = record.cli_group(n, int(opts.get("modulus", 4)), int(opts.get("bound", 3)))
+    if group.kind == TORUS:             # a torus of bound 0 holds the identity alone
+        _count(opts, "bound", 3)
     weights = opts.get("weights")
     if record.takes_weights:
         weights = weights or [1.0] * n
@@ -213,6 +220,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     opts = _resolve(args, _load_config(args.config, "check cocycle", keys), keys)
     if isinstance(opts.get("weights"), str):
         opts["weights"] = _parse_floats(opts["weights"])
+    if (seed := int(opts.get("seed", 0))) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     cocycle = _build_cli_cocycle(opts)
     sample_size = int(opts.get("sample_size", 12))
     # the Schoenberg check's float psi matrix spans the sample and the identity
@@ -220,10 +229,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if matrix_bytes > LATTICE_MAX_BYTES:
         raise ValueError(f"a sample of {sample_size} needs a {matrix_bytes}-byte psi matrix, "
                          f"above {LATTICE_MAX_BYTES = }")
-    rng = np.random.default_rng(int(opts.get("seed", 0)))
+    rng = np.random.default_rng(seed)
     sample = random_group_elements(cocycle.group, sample_size, rng)
     t_grid = _parse_floats(str(opts.get("t", "0.1,1,10")))
-    psd = conditional_negativity_check(cocycle, sample, t_grid, seed=int(opts.get("seed", 0)))
+    psd = conditional_negativity_check(cocycle, sample, t_grid, seed=seed)
     gram_error = completeness_error = None
     if cocycle.has_basis:
         support = [g for g in sample if cocycle.psi(g) != 0]
@@ -337,7 +346,10 @@ def _cmd_scan_suite(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing does not change it, and each call of
+    ``main`` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="xpchaos",
         description="Balanced Fourier-truncation inequality experiments on discrete groups")

@@ -269,15 +269,15 @@ class GroupAlgebraElement:
         return all(abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) <= tol for k in keys)
 
     def to_json(self) -> dict:
-        entries = []
-        for key in sorted(self.coeffs, key=_sort_key):
-            value = self.coeffs[key]
-            entry = {"re": value.real, "im": value.imag}
-            if isinstance(key, ReducedWord):
-                entry["word"] = key.to_json()
-            else:
-                entry["g"] = list(key)
-            entries.append(entry)
+        """The group and one entry per key, in sorted key order: abelian keys as
+        tuples, words by length and then blocks."""
+        coeffs = self.coeffs
+        if self.group.is_free_kind:
+            entries = [{"re": coeffs[key].real, "im": coeffs[key].imag, "word": key.to_json()}
+                       for key in sorted(coeffs, key=_sort_key)]
+        else:                           # no two keys are equal, so no values are compared
+            entries = [{"re": value.real, "im": value.imag, "g": list(key)}
+                       for key, value in sorted(coeffs.items())]
         return {"group": self.group.to_json(), "coeffs": entries}
 
     @classmethod
@@ -345,10 +345,8 @@ def _abelian_keys(group: GroupDescriptor, raw: list) -> list[tuple[int, ...]]:
     return list(map(tuple, keys.tolist()))
 
 
-def _sort_key(key):
-    if isinstance(key, ReducedWord):
-        return (len(key.blocks), key.blocks)
-    return key
+def _sort_key(word: ReducedWord):
+    return (len(word.blocks), word.blocks)
 
 
 def _join_group(a: GroupDescriptor, b: GroupDescriptor) -> GroupDescriptor:

@@ -185,6 +185,36 @@ def _dual_stack(f: GroupAlgebraElement, cocycle: LengthCocycle, derivative: str,
     return tensor, evaluated[0], evaluated[1:], starts
 
 
+@functools.lru_cache(maxsize=16)
+def _box_gather(group: GroupDescriptor, grid: tuple[int, ...]) -> tuple[tuple, np.ndarray]:
+    """The open mesh that gathers a tensor on ``grid`` over the key box in sorted key
+    order (key g at index g mod grid), and the support size (nonzero coordinates) of
+    each box key in that order, read-only: shared by every caller through the cache."""
+    shape, low = key_box(group)
+    axes = [np.arange(low, low + m) for m in shape]
+    mesh = np.ix_(*(axis % size for axis, size in zip(axes, grid)))
+    sizes = sum(np.ix_(*((axis != 0).astype(np.intp) for axis in axes))).ravel()
+    for array in (*mesh, sizes):
+        array.flags.writeable = False
+    return mesh, sizes
+
+
+def _tensor_closure(tensor: np.ndarray, group: GroupDescriptor, grid: tuple[int, ...],
+                    ks: tuple[int, ...]) -> tuple[dict[int, float], float]:
+    """(lhs by k, ||f||_2^2) at p = 2 from f's coefficient tensor on ``grid``: the
+    closure of ``_key_pairs`` at q = 1, where each key pairs with itself alone.
+    The nonzero coefficients are read in sorted key order, the order ``_pair_terms``
+    takes them in, so every sum adds the same values in the same order."""
+    mesh, sizes = _box_gather(group, grid)
+    values = tensor[mesh].ravel()
+    kept = np.flatnonzero(values)
+    values, sizes = values[kept], sizes[kept]
+    w = (values * values.conj()).real
+    by_union = np.bincount(sizes, w, minlength=group.n_components + 1)
+    means = _subset_means(by_union, int(sizes.max()))
+    return {k: float(means[k - 1]) for k in ks}, float(w.sum())
+
+
 def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
                 ks: tuple[int, ...], derivative: str, grid: tuple[int, ...]):
     """(p, lhs by k, derivative sum, ||f||_p^p) for each p, on an abelian group.
@@ -192,13 +222,13 @@ def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[flo
     All come from the one dual evaluation of ``_dual_stack`` on the planned
     ``grid``; the squared moduli of a multiplier stack are summed over a block
     before the power p/2.  The subset lattice's all-kept
-    corner is ||f||_p^p; at p = 2 the lhs and ||f||_2^2 are the key-pair closure of
-    ``_pair_terms``.  walsh/absorbent take each axis's values minus their mean
-    along it; f* has the conjugate values of f, so its absorbent half is the f
-    half.
+    corner is ||f||_p^p; at p = 2 the lhs and ||f||_2^2 are the key-pair closure,
+    read from the coefficient tensor by ``_tensor_closure``.  walsh/absorbent take
+    each axis's values minus their mean along it; f* has the conjugate values of f,
+    so its absorbent half is the f half.
     """
     n = f.group.n_components
-    _, values, stack, starts = _dual_stack(f, cocycle, derivative, grid)
+    tensor, values, stack, starts = _dual_stack(f, cocycle, derivative, grid)
     flips = starts is None
     extended = _extend_with_means(values) if set(ps) != {2} else None
     sums = dict.fromkeys(ps, 0.0)
@@ -211,7 +241,7 @@ def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[flo
         for block in blocks:
             sums[p] += float(np.mean(block ** (p // 2 if p % 2 == 0 else p / 2)))
         if p == 2:
-            _, lhs, _, full_norm = _pair_terms([f], [2], ks, derivative)[0][0]
+            lhs, full_norm = _tensor_closure(tensor, f.group, grid, ks)
         else:
             lattice = _power_lattice(extended, p).ravel()
             lhs = {k: float(np.mean(lattice[_lattice_index(n, k)])) for k in ks}
@@ -1004,7 +1034,7 @@ def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
 
     Abelian gaussian and sparse draws take the key box's positions other than
     the identity's (the one key of length 0); chaos_degree draws read the keys'
-    lengths, found once per (group, family, weights); free kinds refuse these and linear_span.
+    lengths, found once per (group, family, weights); free kinds draw gaussian alone.
     """
     if group.is_abelian:
         if spec.kind == "linear_span":      # each unit key, then its inverse if distinct
@@ -1028,8 +1058,8 @@ def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
         values = _complex_normal(rng, len(keys)).tolist()
         return GroupAlgebraElement(group, {tuple(key): v for key, v in zip(keys, values)
                                            if abs(v) > PRUNE_TOL}, _canonical=True)
-    # free kinds: random reduced walks (``_draw_fields`` refuses the kinds they cannot
-    # take); the pool may be smaller than the requested sparsity for tiny ranks, so
+    # free kinds: random reduced walks (``_draw_fields`` refuses every kind but
+    # gaussian); the pool may be smaller than the requested sparsity for tiny ranks, so
     # cap the draw attempts
     _draw_fields(group, spec.kind)
     from .groups import random_group_elements
@@ -1110,12 +1140,14 @@ def _count(params: dict, name: str, default: int | None = None) -> int:
 def _draw_fields(group: GroupDescriptor, kind: str) -> tuple[str, ...]:
     """The ensemble fields besides ``kind`` that a draw of that kind on ``group`` reads:
     an abelian sparse draw its sparsity, chaos_degree its degree, gaussian and
-    linear_span none; a free draw its sparsity and word_length, refusing the kinds
-    it cannot draw."""
+    linear_span none; a free draw, which is gaussian alone, its sparsity and
+    word_length."""
     if group.is_abelian:
         return {"sparse": ("sparsity",), "chaos_degree": ("degree",)}.get(kind, ())
-    if kind in ("chaos_degree", "linear_span"):
-        raise ValueError(f"free draws read sparsity and word_length, not the kind {kind!r}")
+    if kind != "gaussian":
+        raise ValueError(f"free draws take the kind 'gaussian' (sparsity reduced words of "
+                         f"length at most word_length, with gaussian coefficients): they "
+                         f"read sparsity and word_length, not the kind {kind!r}")
     return ("sparsity", "word_length")
 
 
@@ -1153,8 +1185,8 @@ def _naor_family(params: dict) -> tuple[GroupDescriptor, LengthCocycle, str]:
         raise ValueError(f"unknown truncation family {family!r}")
     name, modulus = _TRUNCATION_FAMILIES[family]
     record = COCYCLE_FAMILIES[name]
-    group = record.cli_group(int(params["n"]), modulus or int(params.get("modulus", 4)),
-                             int(params.get("bound", 2)))
+    bound = _count(params, "bound", 2) if family == "torus" else int(params.get("bound", 2))
+    group = record.cli_group(_count(params, "n"), modulus or int(params.get("modulus", 4)), bound)
     weights = params.get("weights")
     if record.takes_weights and weights is None:
         weights = [1.0] * group.n_components
@@ -1313,6 +1345,8 @@ def scan(experiment: str, ensemble: EnsembleSpec | None = None, trials: int = 10
     record = _experiment(experiment)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ensemble = ensemble or EnsembleSpec()
     start = time.perf_counter()
     sample, evaluate, witness = record.bind(params, ensemble, seed)

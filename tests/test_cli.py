@@ -383,11 +383,14 @@ class TestVerify:
          "the linear_span riesz_equivalence draw reads no field besides its kind; got degree=3"),
         (["free-identities", "--n", "2", "--degree", "5"],
          "the gaussian free_identities draw reads sparsity and word_length besides its kind; "
-         "got degree=5")],
+         "got degree=5"),
+        (["free-identities", "--n", "2", "--ensemble", "sparse", "--sparsity", "3"],
+         "free draws take the kind 'gaussian' (sparsity reduced words of length at most "
+         "word_length, with gaussian coefficients)")],
         ids=["xp-linear-sparse", "xp-linear-degree", "rosenthal-sparse",
              "free-chaos-degree", "free-linear-span", "naor-gaussian-sparsity",
              "naor-sparse-degree", "naor-chaos-degree-sparsity", "riesz-linear-span-degree",
-             "free-degree"])
+             "free-degree", "free-sparse"])
     def test_ensemble_the_draw_does_not_read_exit_code(self, tmp_path, capsys, monkeypatch,
                                                        args, named):
         """An ensemble setting that the experiment's draw would not read is refused, by
@@ -406,7 +409,7 @@ class TestVerify:
         ["naor", "--n", "4", "--ensemble", "sparse", "--sparsity", "3"],
         ["naor", "--n", "4", "--ensemble", "chaos_degree", "--degree", "3"],
         ["riesz", "--n", "2", "--ensemble", "sparse", "--sparsity", "3"],
-        ["free-identities", "--n", "2", "--ensemble", "sparse", "--sparsity", "3"]])
+        ["free-identities", "--n", "2", "--ensemble", "gaussian", "--sparsity", "3"]])
     def test_ensemble_fields_the_draw_reads_run(self, tmp_path, args):
         """Each draw takes the fields it reads: sparse its sparsity, chaos_degree its
         degree, a free draw its sparsity; the report records them."""
@@ -414,6 +417,36 @@ class TestVerify:
         assert run(["verify", *args, "--trials", "2", "--out", str(out)]) == 0
         ensemble = json.loads(out.read_text())["params"]["ensemble"]
         assert ensemble[args[-2].lstrip("-")] == 3
+
+    @pytest.mark.parametrize("args, named", [
+        (["verify", "naor", "--n", "0"], "n must be >= 1, got 0"),
+        (["verify", "ztorus", "--n", "0"], "n must be >= 1, got 0"),
+        (["verify", "riesz", "--n", "0"], "n must be >= 1, got 0"),
+        (["check", "cocycle", "--n", "0"], "n must be >= 1, got 0"),
+        (["verify", "torus", "--bound", "0"], "bound must be >= 1, got 0"),
+        (["verify", "riesz", "--family", "torus", "--bound", "0"], "bound must be >= 1, got 0"),
+        (["check", "cocycle", "--family", "torus_word", "--bound", "0"],
+         "bound must be >= 1, got 0"),
+        (["check", "cocycle", "--family", "euclidean", "--bound", "0"],
+         "bound must be >= 1, got 0"),
+        (["verify", "naor", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["check", "cocycle", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["verify", "naor", "--k", "1..x"], "--k must be a value, a..b, or 'all'; got '1..x'"),
+        (["verify", "naor", "--k", "2,3"], "--k must be a value, a..b, or 'all'; got '2,3'")],
+        ids=["naor-n", "ztorus-n", "riesz-n", "check-n", "torus-bound", "riesz-torus-bound",
+             "check-torus-bound", "check-euclidean-bound", "verify-seed", "check-seed",
+             "k-range", "k-list"])
+    def test_out_of_range_options_named_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                        args, named):
+        """An option out of its range is refused in its own words, with exit code 2,
+        before anything is drawn and with no report written."""
+        monkeypatch.setattr(harness, "_complex_normal", _no_draw)
+        monkeypatch.setattr(groups, "random_group_elements", _no_draw)
+        monkeypatch.setattr(cli, "random_group_elements", _no_draw)
+        out = tmp_path / "r.json"
+        assert run([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
 
     def test_sparse_naor_runs_past_the_grid(self, tmp_path):
         """Six keys on a hypercube n = 22 take key pairs, whose arrays fit the budget."""
@@ -507,6 +540,26 @@ class TestVerify:
         assert run(["verify", "rosenthal", "--p", p, "--trials", "2", "--out", str(out)]) == 2
         assert "p must be" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        """``main`` builds its parser once across calls of different verbs, and no
+        call's options reach a later one: a call without --csv writes no CSV, a left
+        out --seed is 0 again, and --out falls back to its default."""
+        monkeypatch.chdir(tmp_path)
+        cli.build_parser.cache_clear()
+        first = tmp_path / "first.json"
+        assert run(["verify", "naor", "--n", "3", "--trials", "2", "--seed", "7",
+                    "--out", str(first), "--csv", str(tmp_path / "first.csv")]) == 0
+        assert run(["norm", "--in", write_element(tmp_path / "f.json", TWO_KEY_TORUS),
+                    "--p", "4"]) == 0
+        assert run(["check", "cocycle", "--n", "2"]) == 0
+        assert run(["verify", "naor", "--n", "3", "--trials", "2"]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "cocycle.json", "f.json", "first.csv", "first.json", "report.json"]
+        assert (load(first)["seed"], load(tmp_path / "report.json")["seed"]) == (7, 0)
 
 
 class TestCheck:

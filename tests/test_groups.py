@@ -359,6 +359,30 @@ class TestSerialization:
         restored = GroupAlgebraElement.from_json(json.loads(json.dumps(f.to_json())))
         assert restored == f
 
+    @pytest.mark.parametrize("group, coeffs, entries", [
+        (GroupDescriptor.hypercube(3), {(1, 1, 0): -0.5, (0, 1, 1): 0.25j, (1, 0, 0): 1.0},
+         [{"re": 0.0, "im": 0.25, "g": [0, 1, 1]}, {"re": 1.0, "im": 0.0, "g": [1, 0, 0]},
+          {"re": -0.5, "im": 0.0, "g": [1, 1, 0]}]),
+        (GroupDescriptor.torus(2, 2),
+         {(1, 0): 1.5, (-2, 1): 0.25 - 0.5j, (0, 2): -0.75j, (-2, -1): 2, (0, -1): 1j},
+         [{"re": 2.0, "im": 0.0, "g": [-2, -1]}, {"re": 0.25, "im": -0.5, "g": [-2, 1]},
+          {"re": 0.0, "im": 1.0, "g": [0, -1]}, {"re": 0.0, "im": -0.75, "g": [0, 2]},
+          {"re": 1.5, "im": 0.0, "g": [1, 0]}]),
+        (GroupDescriptor.free_group(2),
+         {ReducedWord(((2, -1), (1, 2))): -0.5 + 0.5j, ReducedWord(((1, 1),)): 1.0,
+          ReducedWord(((1, -1), (2, 1))): 0.75j, ReducedWord(((2, 1),)): 2},
+         [{"re": 1.0, "im": 0.0, "word": [[1, 1]]}, {"re": 2.0, "im": 0.0, "word": [[2, 1]]},
+          {"re": 0.0, "im": 0.75, "word": [[1, -1], [2, 1]]},
+          {"re": -0.5, "im": 0.5, "word": [[2, -1], [1, 2]]}])],
+        ids=["hypercube", "torus", "f2"])
+    def test_entries_golden(self, group, coeffs, entries):
+        """Entries in sorted key order (abelian keys as tuples, so negative coordinates
+        first; words by length and then blocks), each with the fields re, im and its
+        key in that order."""
+        payload = GroupAlgebraElement(group, coeffs).to_json()
+        assert payload["coeffs"] == entries
+        assert [list(entry) for entry in payload["coeffs"]] == [list(entry) for entry in entries]
+
     def test_schema_shape(self):
         group = GroupDescriptor.hypercube(2)
         payload = GroupAlgebraElement(group, {(1, 0): 1.0}).to_json()

@@ -707,6 +707,24 @@ def test_key_pairs_match_the_grid(case, n, derivative, sparsity, seed):
         assert pairs[2][0][k] == pytest.approx(closure, rel=1e-12)
 
 
+@pytest.mark.parametrize("ps", [[2], [2, 3]])
+@pytest.mark.parametrize("group, family, derivative", [
+    (GroupDescriptor.hypercube(10), "cyclic_word", "walsh"),
+    (GroupDescriptor.finite_abelian([6] * 4), "cyclic_word", "absorbent"),
+    (GroupDescriptor.torus(2, 2), "torus_word", "euclidean")], ids=["hypercube", "z6^4", "torus"])
+def test_grid_closure_is_the_key_pair_closure(group, family, derivative, ps):
+    """The grid route's p = 2 lhs and ||f||_2^2, read from the coefficient tensor, are
+    those of ``_pair_terms`` bit for bit on gaussian draws."""
+    cocycle = build_cocycle(family, group)
+    ks = tuple(range(1, group.n_components + 1))
+    for seed in range(3):
+        f = sample_element(group, cocycle, EnsembleSpec("gaussian"), np.random.default_rng(seed))
+        p, lhs, _, full_norm = next(harness._grid_terms(f, cocycle, ps, ks, derivative,
+                                                        harness._grid_shape(group, ps)))
+        _, pair_lhs, _, pair_norm = harness._pair_terms([f], [2], ks, derivative)[0][0]
+        assert (p, lhs, full_norm) == (2, pair_lhs, pair_norm)
+
+
 def _ordered_key_pairs(keys, coeffs, moduli, p):
     """``harness._key_pairs`` at p = 2q >= 4 from all s^q ordered q-tuples of each
     element's keys, extended one key at a time, with the orderings of one multiset

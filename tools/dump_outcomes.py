@@ -13,9 +13,10 @@ xpchaos is imported from the ``src/`` beside this script, so a copy of it run in
 another checkout dumps that checkout.  The records are scan reports with their
 witness re-evaluations, single-run reports with theirs (``xp_linear_ratio`` on
 square, wide 2x4 and tall 3x2 and 4x2 tuples, the rectangular ones at p = 3, 6 and
-8 too), and the outputs of ``xpchaos verify`` (every verb), ``apply`` (every op on
-a torus, Z_4^2, Z_2^3, F_2 and Z_4*Z_4 element), ``norm`` and ``check cocycle``
-(every family), with their exit codes, and the cocycle certificates:
+8 too), and the outputs of ``xpchaos verify`` (every verb, and the six dense runs
+of the ``cube-dense`` benchmark), ``apply`` (every op on a torus, Z_4^2, Z_2^3, F_2
+and Z_4*Z_4 element), ``norm`` and ``check cocycle`` (every family), with their
+exit codes, and the cocycle certificates:
 ``gram_matrix`` on the acceptance battery's slices and on one basis with formal
 vectors, the sign-relation ``gromov_bilinear`` pairs,
 ``conditional_negativity_check`` at seeds 0-2 and the spectral gap of the
@@ -100,7 +101,8 @@ SCANS = [
     ("free_identities", None, {"rank": 3}),
 ]
 
-#: verify argv lists, every verb at least once
+#: verify argv lists, every verb at least once, and the six verify runs of the
+#: cube-dense benchmark; a list without --trials takes 5
 VERIFY = [
     ["naor", "--n", "6", "--p", "3", "--k", "all"],
     ["naor", "--n", "10", "--p", "4", "--k", "1..4"],
@@ -118,6 +120,9 @@ VERIFY = [
      "--ensemble", "chaos_degree", "--degree", "4"],
     ["free-identities", "--n", "3"],
     ["free-identities", "--n", "2", "--modulus", "4"],
+    *[[*verb, "--p", str(p), "--k", "all", "--ensemble", "gaussian", "--trials", "1"]
+      for verb in (["naor", "--n", "10"], ["ztorus", "--n", "4", "--modulus", "6"])
+      for p in (2, 4, 6)],
 ]
 
 #: element name -> (group, coefficients): real coefficients among them, so a
@@ -295,8 +300,9 @@ def records(workdir: Path):
     for name, make in _report_records():
         yield "report", name, lambda make=make: _reported(make())
     for index, argv in enumerate(VERIFY):
-        yield "verify", " ".join(argv), lambda argv=argv, index=index: _run(
-            ["verify", *argv, "--trials", "5"], workdir / f"verify-{index}.json")
+        trials = [] if "--trials" in argv else ["--trials", "5"]
+        yield "verify", " ".join(argv), lambda argv=argv + trials, index=index: _run(
+            ["verify", *argv], workdir / f"verify-{index}.json")
     paths = _element_files(workdir)
     for name, thunk in _apply_records(paths):
         yield "apply", name, thunk
