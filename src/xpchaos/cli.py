@@ -69,12 +69,13 @@ def _parse_k(text: str, n: int) -> list[int]:
         raise ValueError(f"--k must be a value, a..b, or 'all'; got {text!r}") from None
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+def _parse_list(text: str, option: str, kind: type = float) -> list:
+    """The comma-separated values of ``--option``, refused by name unless each is a ``kind``."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--{option} must be comma-separated "
+                         f"{'numbers' if kind is float else 'integers'}, got {text!r}") from None
 
 
 def _is_number(value) -> bool:
@@ -103,7 +104,8 @@ def _load_config(path: str | None, command: str, keys: list[str]) -> dict:
 
 
 def _resolve(args: argparse.Namespace, config: dict, keys: list[str]) -> dict:
-    """Config-file values overridden by explicitly passed flags."""
+    """Config-file values overridden by explicitly passed flags, weights given as a
+    string parsed to numbers."""
     resolved = {}
     for key in keys:
         flag_value = getattr(args, key.replace("-", "_"), None)
@@ -111,6 +113,8 @@ def _resolve(args: argparse.Namespace, config: dict, keys: list[str]) -> dict:
             resolved[key] = flag_value
         elif config.get(key) is not None:
             resolved[key] = config[key]
+    if isinstance(resolved.get("weights"), str):
+        resolved["weights"] = _parse_list(resolved["weights"], "weights")
     return resolved
 
 
@@ -175,8 +179,6 @@ def _experiment_params(verb: str, opts: dict) -> tuple[str, dict]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     keys = [*_PARAM_FLAGS, "trials", "seed", "ensemble", "sparsity", "degree"]
     opts = _resolve(args, _load_config(args.config, f"verify {args.experiment}", keys), keys)
-    if isinstance(opts.get("weights"), str):
-        opts["weights"] = _parse_floats(opts["weights"])
     experiment, params = _experiment_params(args.experiment, opts)
     trials = int(opts.get("trials", 100))
     seed = int(opts.get("seed", 0))
@@ -218,12 +220,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise ValueError("only 'check cocycle' is supported")
     keys = ["family", "n", "modulus", "bound", "weights", "sample_size", "t", "seed"]
     opts = _resolve(args, _load_config(args.config, "check cocycle", keys), keys)
-    if isinstance(opts.get("weights"), str):
-        opts["weights"] = _parse_floats(opts["weights"])
     if (seed := int(opts.get("seed", 0))) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    sample_size = _count(opts, "sample_size", 12)
+    t_grid = _parse_list(str(opts.get("t", "0.1,1,10")), "t")
     cocycle = _build_cli_cocycle(opts)
-    sample_size = int(opts.get("sample_size", 12))
     # the Schoenberg check's float psi matrix spans the sample and the identity
     matrix_bytes = 8 * (sample_size + 1) ** 2
     if matrix_bytes > LATTICE_MAX_BYTES:
@@ -231,7 +232,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                          f"above {LATTICE_MAX_BYTES = }")
     rng = np.random.default_rng(seed)
     sample = random_group_elements(cocycle.group, sample_size, rng)
-    t_grid = _parse_floats(str(opts.get("t", "0.1,1,10")))
     psd = conditional_negativity_check(cocycle, sample, t_grid, seed=seed)
     gram_error = completeness_error = None
     if cocycle.has_basis:
@@ -308,10 +308,12 @@ APPLY_OPS = {
     "walsh": (False, lambda f, a, c: operators.walsh_derivative(f, a.j)),
     "laplacian": (True, lambda f, a, c: operators.laplacian_power(f, a.gamma, c)),
     "heat": (True, lambda f, a, c: operators.heat_semigroup(f, a.t, c)),
-    "truncate": (False, lambda f, a, c: operators.truncate(f, _parse_ints(a.S))),
-    "adjoint-truncate": (False, lambda f, a, c: operators.adjoint_truncation(f, _parse_ints(a.S))),
-    "project-as": (False, lambda f, a, c: operators.project_AS(f, _parse_ints(a.S))),
-    "hilbert": (False, lambda f, a, c: operators.free_hilbert_transform(f, _parse_ints(a.eps))),
+    "truncate": (False, lambda f, a, c: operators.truncate(f, _parse_list(a.S, "S", int))),
+    "adjoint-truncate": (False, lambda f, a, c:
+                         operators.adjoint_truncation(f, _parse_list(a.S, "S", int))),
+    "project-as": (False, lambda f, a, c: operators.project_AS(f, _parse_list(a.S, "S", int))),
+    "hilbert": (False, lambda f, a, c:
+                operators.free_hilbert_transform(f, _parse_list(a.eps, "eps", int))),
     "adjoint": (False, lambda f, a, c: adjoint(f)),
     "mean-zero": (True, lambda f, a, c: project_mean_zero(f, c)),
 }
@@ -419,6 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output option whose directory does not exist, before any work."""
+    for option in ("out", "csv"):
+        if (path := getattr(args, option, None)) and not (parent := Path(path).parent).is_dir():
+            raise ValueError(f"--{option} {path!r}: the directory {str(parent)!r} does not exist")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -426,6 +435,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_outputs(args)
         return args.handler(args)
     except NumericalSanityError as exc:
         print(f"numerical sanity failure: {exc}", file=sys.stderr)

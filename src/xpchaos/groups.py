@@ -14,6 +14,7 @@ function, so concurrent use needs no coordination.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -29,6 +30,14 @@ FINITE_ABELIAN = "finite_abelian"
 TORUS = "torus"
 FREE_GROUP = "free_group"
 FREE_PRODUCT = "free_product"
+
+#: the fields each group kind carries besides its kind, in the order ``to_json`` stores them
+KIND_FIELDS = {FINITE_ABELIAN: ("moduli",), TORUS: ("rank", "bound"), FREE_GROUP: ("rank",),
+               FREE_PRODUCT: ("rank", "modulus")}
+
+#: what ``compatible`` compares, as one tuple: the kind and its fields but the torus bound
+_COMPARED = {kind: operator.attrgetter("kind", *(name for name in names if name != "bound"))
+             for kind, names in KIND_FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -109,11 +118,7 @@ class GroupDescriptor:
         return math.prod(self.moduli)
 
     def identity(self):
-        if self.kind == FINITE_ABELIAN:
-            return (0,) * len(self.moduli)
-        if self.kind == TORUS:
-            return (0,) * self.rank
-        return EMPTY_WORD
+        return (0,) * self.n_components if self.is_abelian else EMPTY_WORD
 
     def compatible(self, other: "GroupDescriptor") -> bool:
         """Whether elements of the two descriptors may be combined.
@@ -121,40 +126,30 @@ class GroupDescriptor:
         Torus descriptors compare by rank only: the frequency bound is storage
         metadata that grows under convolution.
         """
-        if self.kind != other.kind:
-            return False
-        if self.kind == FINITE_ABELIAN:
-            return self.moduli == other.moduli
-        if self.kind == TORUS:
-            return self.rank == other.rank
-        if self.kind == FREE_PRODUCT:
-            return self.rank == other.rank and self.modulus == other.modulus
-        return self.rank == other.rank
+        compared = _COMPARED[self.kind]
+        return compared(self) == compared(other)
 
     def to_json(self) -> dict:
-        if self.kind == FINITE_ABELIAN:
-            return {"kind": self.kind, "moduli": list(self.moduli)}
-        if self.kind == TORUS:
-            return {"kind": self.kind, "rank": self.rank, "bound": self.bound}
-        if self.kind == FREE_GROUP:
-            return {"kind": self.kind, "rank": self.rank}
-        return {"kind": self.kind, "rank": self.rank, "modulus": self.modulus}
+        data = {"kind": self.kind}
+        for name in KIND_FIELDS[self.kind]:
+            value = getattr(self, name)
+            data[name] = list(value) if name == "moduli" else value
+        return data
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupDescriptor":
         kind = data["kind"]
-        if kind == FINITE_ABELIAN:
-            if not isinstance(data["moduli"], list):
+        if not isinstance(kind, str) or kind not in KIND_FIELDS:
+            raise ValueError(f"unknown group kind {kind!r}")
+        values = {}
+        for name in KIND_FIELDS[kind]:
+            if name != "moduli":
+                values[name] = json_int(data[name], f"the {name}")
+            elif isinstance(data["moduli"], list):
+                values[name] = tuple(json_int(m, "a modulus") for m in data["moduli"])
+            else:
                 raise ValueError(f"moduli must be a list, got {data['moduli']!r}")
-            return cls.finite_abelian([json_int(m, "a modulus") for m in data["moduli"]])
-        if kind == TORUS:
-            return cls.torus(json_int(data["rank"], "the rank"), json_int(data["bound"], "the bound"))
-        if kind == FREE_GROUP:
-            return cls.free_group(json_int(data["rank"], "the rank"))
-        if kind == FREE_PRODUCT:
-            return cls.free_product(json_int(data["rank"], "the rank"),
-                                    json_int(data["modulus"], "the modulus"))
-        raise ValueError(f"unknown group kind {kind!r}")
+        return cls(kind, **values)
 
 
 def canonical_key(group: GroupDescriptor, key):

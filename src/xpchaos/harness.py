@@ -211,7 +211,7 @@ def _tensor_closure(tensor: np.ndarray, group: GroupDescriptor, grid: tuple[int,
     values, sizes = values[kept], sizes[kept]
     w = (values * values.conj()).real
     by_union = np.bincount(sizes, w, minlength=group.n_components + 1)
-    means = _subset_means(by_union, int(sizes.max()))
+    means = _subset_means(by_union)
     return {k: float(means[k - 1]) for k in ks}, float(w.sum())
 
 
@@ -265,9 +265,10 @@ _BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
 @functools.lru_cache(maxsize=64)
 def _inclusion_odds(n: int, cap: int) -> np.ndarray:
     """C(n - u, k - u) / C(n, k) at row k - 1 for k = 1..n and column u = 0..n: the
-    share of the k-subsets of [n] that hold a given u-set.  Columns past ``cap``, the
-    largest union a profile can form, stay 0.  Each entry is the correctly rounded
-    quotient of the falling factorials k!/(k - u)! and n!/(n - u)!, the same rational."""
+    share of the k-subsets of [n] that hold a given u-set.  Columns past ``cap`` stay
+    0, so the falling factorials run to the widest union alone.  Each entry is the
+    correctly rounded quotient of the falling factorials k!/(k - u)! and n!/(n - u)!,
+    the same rational whatever the cap."""
     odds = np.zeros((n, n + 1))
     for k in range(1, n + 1):
         falling_k = falling_n = 1
@@ -279,11 +280,14 @@ def _inclusion_odds(n: int, cap: int) -> np.ndarray:
     return odds
 
 
-def _subset_means(by_union: np.ndarray, cap: int) -> np.ndarray:
+def _subset_means(by_union: np.ndarray) -> np.ndarray:
     """The mean over the k-subsets S of the weights of ``by_union`` (summed by union
-    size 0..n) whose union lies in S, at index k - 1 for k = 1..n.  No union is wider
-    than ``cap``.  The table has one shape for every list of k, so a k's mean does
-    not depend on which other k are asked for."""
+    size 0..n) whose union lies in S, at index k - 1 for k = 1..n.  The odds run to
+    the highest nonzero bin: past it zero bins meet zero columns.  The table has one
+    shape for every list of k, so a k's mean does not depend on which other k are
+    asked for."""
+    nonzero = np.flatnonzero(by_union)
+    cap = int(nonzero[-1]) if len(nonzero) else 0
     return _inclusion_odds(len(by_union) - 1, cap) @ by_union
 
 
@@ -438,36 +442,28 @@ def _stored_items(f: GroupAlgebraElement) -> tuple[tuple, tuple]:
 def _pair_terms(fs: Sequence[GroupAlgebraElement], ps: Sequence[float], ks: tuple[int, ...],
                 derivative: str) -> list[list[tuple]]:
     """[(p, lhs by k, derivative sum, ||f||_p^p) for each even p] for each element of
-    ``fs`` (one group), walsh or absorbent, from ``_key_pairs``: no grid and no
-    subset lattice.  Elements with as many keys share one ``_key_pairs`` call per p.
-    Each element's keys go in the order ``to_json`` stores them, so a witness replays
-    its products bit for bit (under FMA a complex product depends on its order).
+    ``fs`` (one group, one key count), walsh or absorbent, from one ``_key_pairs``
+    call per p: no grid and no subset lattice.  Each element's keys go in the order
+    ``to_json`` stores them, so a witness replays its products bit for bit (under FMA
+    a complex product depends on its order).
 
     A k-subset holds the union U of a pair's supports with probability
-    C(n - |U|, k - |U|) / C(n, k).  Each coordinate of U lies in at least two of
-    the 2q supports (in one alone it would make the two sums differ), so no union
-    is wider than q times the widest support.  ||f||_p^p is sum w; P_j f keeps the
-    keys with g_j != 0, so sum_j ||P_j f||_p^p is sum w |intersection of the supports|.
+    C(n - |U|, k - |U|) / C(n, k).  ||f||_p^p is sum w; P_j f keeps the keys with
+    g_j != 0, so sum_j ||P_j f||_p^p is sum w |intersection of the supports|.
     """
     group = fs[0].group
     n = group.n_components
     moduli = np.array(group.moduli) if group.kind == FINITE_ABELIAN else None
-    by_size: dict[int, list[int]] = {}
-    for i, f in enumerate(fs):
-        by_size.setdefault(len(f.coeffs), []).append(i)
+    key_lists, coeff_lists = zip(*map(_stored_items, fs))
+    keys = np.array(key_lists, dtype=np.int64).reshape(len(fs), -1, n)
+    coeffs = np.array(coeff_lists, dtype=complex)
     out: list[list[tuple]] = [[] for _ in fs]
-    for members in by_size.values():
-        key_lists, coeff_lists = zip(*(_stored_items(fs[i]) for i in members))
-        keys = np.array(key_lists, dtype=np.int64).reshape(len(members), -1, n)
-        coeffs = np.array(coeff_lists, dtype=complex)
-        widest = np.count_nonzero(keys, axis=2).max(axis=1).tolist()
-        for p in ps:
-            by_union, projections, full_norms = _key_pairs(keys, coeffs, moduli, p)
-            factor = _derivative_factor(derivative, p)
-            for row, i in enumerate(members):
-                means = _subset_means(by_union[row], min(n, int(p) // 2 * widest[row]))
-                out[i].append((p, {k: float(means[k - 1]) for k in ks},
-                               factor * projections[row], full_norms[row]))
+    for p in ps:
+        by_union, projections, full_norms = _key_pairs(keys, coeffs, moduli, p)
+        factor = _derivative_factor(derivative, p)
+        for terms, bins, projection, full_norm in zip(out, by_union, projections, full_norms):
+            means = _subset_means(bins)
+            terms.append((p, {k: float(means[k - 1]) for k in ks}, factor * projection, full_norm))
     return out
 
 
@@ -552,30 +548,28 @@ def _check_float_range(p: float, positive: Sequence[float], rest: Sequence[float
                          f"(a positive side of 0 or a side not finite)")
 
 
-def _naor_rows(fs: Sequence[GroupAlgebraElement], plans: Sequence[Plan],
-               cocycle: LengthCocycle, ps: Sequence[float], ks: Sequence[int],
-               derivative: str):
-    """Each element of a batch with its rows, by p and then k as listed, on its plan's
-    route: the elements on key pairs share ``_pair_terms``, those on the grid run one
-    at a time.  A torus row on the grid names its points per axis.  A p whose sides
-    leave the float range is refused, in one check per (element, p), so the grid's
-    powers that overflow on the way raise no numpy warning."""
+def _naor_rows(fs: Sequence[GroupAlgebraElement], plan: Plan, cocycle: LengthCocycle,
+               ps: Sequence[float], ks: Sequence[int], derivative: str):
+    """Each element of a batch on one ``plan`` with its rows, by p and then k as
+    listed: the batch shares ``_pair_terms`` on key pairs, and on the grid each
+    element runs alone.  A torus row on the grid names its points per axis.  A p whose
+    sides leave the float range is refused, in one check per (element, p), so the
+    grid's powers that overflow on the way raise no numpy warning."""
     group = fs[0].group
     n = group.n_components
     ks_sorted = tuple(sorted(set(ks)))
-    paired = [i for i, plan in enumerate(plans) if plan.route == "pairs"]
-    terms = {}
-    if paired:
-        terms = dict(zip(paired, _pair_terms([fs[i] for i in paired], ps, ks_sorted, derivative)))
-    for i, (f, plan) in enumerate(zip(fs, plans)):
-        extra = {"route": plan.route}
-        if plan.route == "grid" and group.kind == TORUS:
+    extra = {"route": plan.route}
+    if plan.route == "pairs":
+        terms = _pair_terms(fs, ps, ks_sorted, derivative)
+    else:
+        if group.kind == TORUS:
             extra["grid"] = plan.grid[0]
-        if i not in terms:
-            with np.errstate(over="ignore"):
-                terms[i] = list(_grid_terms(f, cocycle, ps, ks_sorted, derivative, plan.grid))
+        with np.errstate(over="ignore"):
+            terms = [list(_grid_terms(f, cocycle, ps, ks_sorted, derivative, plan.grid))
+                     for f in fs]
+    for f, element_terms in zip(fs, terms):
         rows = []
-        for p, by_k, deriv_sum, full_norm in terms.pop(i):
+        for p, by_k, deriv_sum, full_norm in element_terms:
             lhs = [by_k[k] for k in ks]
             rhs = [(k / n) * deriv_sum + (k / n) ** (p / 2) * full_norm for k in ks]
             _check_float_range(p, rhs, lhs)        # an lhs may be 0: E_S f = 0 for every S
@@ -594,7 +588,7 @@ def _naor_one(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float
     plan = _plan(f.group, cocycle, len(f.coeffs), ps, derivative)
     _require_mean_zero(f)
     _check_ks(ks, f.group.n_components)
-    return next(_naor_rows([f], [plan], cocycle, ps if at is None else [at], ks, derivative))[1]
+    return next(_naor_rows([f], plan, cocycle, ps if at is None else [at], ks, derivative))[1]
 
 
 def naor_profile(f: GroupAlgebraElement, cocycle: LengthCocycle,
@@ -728,7 +722,7 @@ def _gram_pair_means(mats: np.ndarray, p: float) -> np.ndarray:
         traces = np.einsum("pij,pji->p", gram[left], gram[right]).real
         unions = table[left, 1:] | table[right, 1:]
     sizes = _BYTE_BITS[unions].sum(axis=1)
-    return _subset_means(np.bincount(sizes, traces, minlength=n + 1), min(n, q))
+    return _subset_means(np.bincount(sizes, traces, minlength=n + 1))
 
 
 def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
@@ -864,7 +858,7 @@ def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[R
         if route == "pairs":    # naor's walsh lhs of sum_j a_j r_j on the hypercube
             by_union = _key_pairs(np.eye(n, dtype=np.int64)[None], coeffs[None],
                                   np.full(n, 2), p)[0]
-            means = _subset_means(by_union[0], min(n, int(p) // 2)).tolist()
+            means = _subset_means(by_union[0]).tolist()
             mean = {k: means[k - 1] for k in ks}
         else:
             mean = {k: _sign_mean(coeffs[:, None, None], p, k, None) for k in ks}
@@ -1210,20 +1204,20 @@ def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
 
     def evaluate(draws):
         """Each draw with its rows: a batch is the run of at most SCAN_BATCH_DRAWS draws
-        whose planned bytes fit LATTICE_MAX_BYTES together."""
-        batch, plans, size = [], [], 0
+        of one plan and key count whose planned bytes fit LATTICE_MAX_BYTES together."""
+        batch, batch_plan = [], None
         for f in draws:
             plan = _plan(group, cocycle, len(f.coeffs), ps, derivative)
             _require_mean_zero(f)
-            if batch and (size + plan.nbytes > LATTICE_MAX_BYTES
+            if batch and ((plan, len(f.coeffs)) != (batch_plan, len(batch[0].coeffs))
+                          or (len(batch) + 1) * plan.nbytes > LATTICE_MAX_BYTES
                           or len(batch) == SCAN_BATCH_DRAWS):
-                yield from _naor_rows(batch, plans, cocycle, ps, ks, derivative)
-                batch, plans, size = [], [], 0
+                yield from _naor_rows(batch, batch_plan, cocycle, ps, ks, derivative)
+                batch = []
             batch.append(f)
-            plans.append(plan)
-            size += plan.nbytes
+            batch_plan = plan
         if batch:
-            yield from _naor_rows(batch, plans, cocycle, ps, ks, derivative)
+            yield from _naor_rows(batch, batch_plan, cocycle, ps, ks, derivative)
 
     return (lambda rng: sample_element(group, cocycle, ensemble, rng), evaluate,
             lambda f, row: _element_witness(f, cocycle, k=row.k, p=row.p,

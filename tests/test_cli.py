@@ -939,6 +939,58 @@ def _no_fft(*args, **kwargs):
     raise AssertionError("an FFT ran before the input was checked")
 
 
+@pytest.mark.parametrize("args, option", [
+    (["verify", "naor", "--n", "3", "--trials", "1", "--out", "{missing}"], "--out"),
+    (["verify", "naor", "--n", "3", "--trials", "1", "--out", "{written}", "--csv", "{missing}"],
+     "--csv"),
+    (["check", "cocycle", "--out", "{missing}"], "--out"),
+    (["apply", "--op", "adjoint", "--in", "{written}", "--out", "{missing}"], "--out"),
+    (["scan-suite", "--fast", "--out", "{missing}"], "--out")],
+    ids=["verify-out", "verify-csv", "check-out", "apply-out", "scan-suite-out"])
+def test_output_in_a_missing_directory_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               args, option):
+    """An output file in a directory that does not exist is refused by its option, with
+    exit code 2, before any scan, draw, criterion or input file is reached, and no file
+    is written (``{written}`` names a file that would be written, or read by apply)."""
+    for target, name in ((cli, "scan"), (cli, "run_all"), (cli, "random_group_elements"),
+                         (cli, "_load_element")):
+        monkeypatch.setattr(target, name, _no_draw)
+    missing, written = tmp_path / "missing" / "r.json", tmp_path / "r.json"
+    argv = [arg.format(missing=missing, written=written) for arg in args]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (f"error: {option} {str(missing)!r}: the directory "
+                                       f"{str(missing.parent)!r} does not exist\n")
+    assert not missing.parent.exists() and not written.exists()
+
+
+@pytest.mark.parametrize("args, named", [
+    (["check", "cocycle", "--t", ""], "--t must be comma-separated numbers, got ''"),
+    (["check", "cocycle", "--t", "a"], "--t must be comma-separated numbers, got 'a'"),
+    (["verify", "riesz", "--family", "weighted_cube", "--weights", "a"],
+     "--weights must be comma-separated numbers, got 'a'"),
+    (["check", "cocycle", "--weights", "a"], "--weights must be comma-separated numbers, got 'a'"),
+    (["apply", "--op", "truncate", "--S", "x", "--in", "{element}"],
+     "--S must be comma-separated integers, got 'x'"),
+    (["apply", "--op", "hilbert", "--eps", "x", "--in", "{element}"],
+     "--eps must be comma-separated integers, got 'x'"),
+    (["check", "cocycle", "--sample-size", "0"], "sample_size must be >= 1, got 0"),
+    (["check", "cocycle", "--sample-size", "-5"], "sample_size must be >= 1, got -5")],
+    ids=["t-empty", "t-letter", "verify-weights", "check-weights", "truncate-S", "hilbert-eps",
+         "sample-size-0", "sample-size-negative"])
+def test_malformed_option_values_named(tmp_path, capsys, monkeypatch, args, named):
+    """A malformed option value is refused in words that name the option and the form it
+    takes, with exit code 2, before anything is drawn and with no output written."""
+    monkeypatch.setattr(harness, "_complex_normal", _no_draw)
+    monkeypatch.setattr(groups, "random_group_elements", _no_draw)
+    monkeypatch.setattr(cli, "random_group_elements", _no_draw)
+    element = write_element(tmp_path / "f.json", GroupAlgebraElement.lam(
+        GroupDescriptor.free_group(2), ReducedWord(((1, 1), (2, -1)))))
+    out = tmp_path / "r.json"
+    assert run([*(arg.format(element=element) for arg in args), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not out.exists()
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(xpchaos.__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from xpchaos import (GroupAlgebraElement, GroupDescriptor, adjoint,
                      build_cocycle, convolve, evaluate_on_dual,
                      fourier_coefficients, project_mean_zero, trace)
-from xpchaos.groups import DualEvaluation, element_inverse, element_product, key_box
+from xpchaos.groups import (KIND_FIELDS, DualEvaluation, element_inverse, element_product,
+                            key_box)
 from xpchaos.norms import lp_norm, lp_norm_torus_grid
 from xpchaos.words import ReducedWord
 
@@ -512,3 +513,26 @@ class TestDescriptors:
         assert GroupDescriptor.torus(2, 1).compatible(GroupDescriptor.torus(2, 5))
         assert not GroupDescriptor.torus(2, 1).compatible(GroupDescriptor.torus(3, 1))
         assert not GroupDescriptor.hypercube(2).compatible(GroupDescriptor.finite_abelian([2, 4]))
+        assert GroupDescriptor.free_group(3).compatible(GroupDescriptor.free_group(3))
+        assert not GroupDescriptor.free_group(2).compatible(GroupDescriptor.free_group(3))
+        assert GroupDescriptor.free_product(2, 4).compatible(GroupDescriptor.free_product(2, 4))
+        assert not GroupDescriptor.free_product(2, 4).compatible(
+            GroupDescriptor.free_product(2, 6))
+        assert not GroupDescriptor.free_product(2, 4).compatible(
+            GroupDescriptor.free_product(3, 4))
+        kinds = [GroupDescriptor.finite_abelian([2, 2]), GroupDescriptor.torus(2, 2),
+                 GroupDescriptor.free_group(2), GroupDescriptor.free_product(2, 4)]
+        for a, b in itertools.product(kinds, repeat=2):
+            assert a.compatible(b) == (a is b)
+
+    def test_to_json_of_each_kind(self):
+        assert GroupDescriptor.finite_abelian([2, 4, 6]).to_json() == {
+            "kind": "finite_abelian", "moduli": [2, 4, 6]}
+        assert GroupDescriptor.torus(2, 3).to_json() == {"kind": "torus", "rank": 2, "bound": 3}
+        assert GroupDescriptor.free_group(3).to_json() == {"kind": "free_group", "rank": 3}
+        assert GroupDescriptor.free_product(2, 4).to_json() == {
+            "kind": "free_product", "rank": 2, "modulus": 4}
+        for group in (GroupDescriptor.finite_abelian([2, 4, 6]), GroupDescriptor.torus(2, 3),
+                      GroupDescriptor.free_group(3), GroupDescriptor.free_product(2, 4)):
+            assert list(group.to_json()) == ["kind", *KIND_FIELDS[group.kind]]
+            assert GroupDescriptor.from_json(group.to_json()) == group

@@ -444,6 +444,26 @@ class TestPlan:
                 math.comb(9 - u, k - u) / math.comb(9, k) if u <= min(k, 4) else 0.0
                 for u in range(10)]
 
+    @pytest.mark.parametrize("n", [1, 7, 40, 1000])
+    def test_subset_means_take_their_width_from_the_bins(self, n):
+        """The odds of ``_subset_means`` run to the highest nonzero bin: the same bits,
+        by ==, as the odds of every wider cap, on random bins with trailing zeros and on
+        a zero vector.  At n = 1000 the caps run from the top bin to 32 and then n, as
+        one table to cap 500 takes over half a second."""
+        rng = np.random.default_rng(n)
+        cases = [np.zeros(n + 1)]
+        for top in sorted({min(n, 3), n // 2, n} if n < 1000 else {0, 3, 17}):
+            bins = np.zeros(n + 1)
+            bins[:top + 1] = rng.standard_normal(top + 1)
+            if top > 1:
+                bins[top // 2] = 0.0        # a zero bin below the top
+            cases.append(bins)
+        for bins in cases:
+            top = int(max(np.flatnonzero(bins), default=0))
+            means = harness._subset_means(bins)
+            for cap in (range(top, n + 1) if n < 1000 else [*range(top, 33), n]):
+                assert (means == harness._inclusion_odds(n, cap) @ bins).all()
+
     def test_witness_reevaluates_on_the_route_its_report_names(self):
         """A gaussian scan plans the grid for ps [2, 4]; the witness's single p = 2 would
         plan key pairs, but re-evaluates on the grid to the reported numbers exactly."""
@@ -1866,6 +1886,36 @@ class TestBatchedScans:
         assert report.ratio == best
         assert (report.witness["f"], report.witness["p"], report.witness["k"]) == winner
         assert _same_numbers(report)
+
+    def test_each_batch_runs_one_plan(self, monkeypatch):
+        """The 2/6/3-key sampler of the test above, in runs of 2, 2, 6, 6, 3, 3 and 3 keys:
+        each ``_naor_rows`` call gets draws of one key count on one plan, a run of equal
+        draws shares a call, and the report is byte for byte that of batches of one."""
+        sizes = itertools.cycle([2, 2, 6, 6, 3, 3, 3])
+        real_sample, real_rows = harness.sample_element, harness._naor_rows
+        monkeypatch.setattr(harness, "sample_element", lambda group, cocycle, spec, rng:
+                            real_sample(group, cocycle, EnsembleSpec("sparse", sparsity=next(sizes)),
+                                        rng))
+        batches = []
+
+        def rows(fs, plan, *args):
+            batches.append(({len(f.coeffs) for f in fs}, plan.route, len(fs)))
+            return real_rows(fs, plan, *args)
+
+        monkeypatch.setattr(harness, "_naor_rows", rows)
+
+        def report():
+            data = scan("naor", EnsembleSpec("sparse", sparsity=6), trials=14, seed=8,
+                        family="hypercube", n=4, ps=[2, 4], ks=[1, 2, 3, 4],
+                        derivative="walsh").to_json()
+            data.pop("runtime_ms")
+            return json.dumps(data, sort_keys=True)
+
+        batched = report()
+        assert batches == [({2}, "pairs", 2), ({6}, "grid", 2), ({3}, "pairs", 3)] * 2
+        monkeypatch.setattr(harness, "SCAN_BATCH_DRAWS", 1)
+        assert report() == batched
+        assert len(batches) == 6 + 14 and all(size == 1 for *_, size in batches[6:])
 
 
 _SPARSE3, _GAUSSIAN = EnsembleSpec("sparse", sparsity=3), EnsembleSpec("gaussian")

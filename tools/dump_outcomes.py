@@ -11,7 +11,9 @@ matched by their ``kind`` and ``name``.
 
 xpchaos is imported from the ``src/`` beside this script, so a copy of it run in
 another checkout dumps that checkout.  The records are scan reports with their
-witness re-evaluations, single-run reports with theirs (``xp_linear_ratio`` on
+witness re-evaluations (``TRIALS`` draws each, within one batch, and one naor scan
+of 130 sparse draws, which runs in batches of 64, 64 and 2 at
+``SCAN_BATCH_DRAWS = 64``), single-run reports with theirs (``xp_linear_ratio`` on
 square, wide 2x4 and tall 3x2 and 4x2 tuples, the rectangular ones at p = 3, 6 and
 8 too), and the outputs of ``xpchaos verify`` (every verb, and the six dense runs
 of the ``cube-dense`` benchmark), ``apply`` (every op on a torus, Z_4^2, Z_2^3, F_2
@@ -100,6 +102,10 @@ SCANS = [
     ("free_identities", None, {"rank": 2, "modulus": 4}),
     ("free_identities", None, {"rank": 3}),
 ]
+
+#: (experiment, ensemble, params, trials) of the one scan longer than a batch of draws
+BATCHED_SCAN = ("naor", EnsembleSpec("sparse", sparsity=6),
+                {"n": 7, "ps": [2, 4], "ks": list(range(1, 8))}, 130)
 
 #: verify argv lists, every verb at least once, and the six verify runs of the
 #: cube-dense benchmark; a list without --trials takes 5
@@ -297,6 +303,9 @@ def records(workdir: Path):
             yield "scan", f"{experiment} {params} {ensemble} seed={seed}", (
                 lambda e=experiment, s=seed, en=ensemble, pa=params: _reported(
                     scan(e, en, trials=TRIALS, seed=s, **pa)))
+    experiment, ensemble, params, trials = BATCHED_SCAN
+    yield "scan", f"{experiment} {params} {ensemble} trials={trials}", lambda: _reported(
+        scan(experiment, ensemble, trials=trials, seed=0, **params))
     for name, make in _report_records():
         yield "report", name, lambda make=make: _reported(make())
     for index, argv in enumerate(VERIFY):
