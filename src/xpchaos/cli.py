@@ -422,9 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse an output option whose directory does not exist, before any work."""
+    """Refuse an empty output path (``Path("")`` is ".") or a missing directory, before any work."""
     for option in ("out", "csv"):
-        if (path := getattr(args, option, None)) and not (parent := Path(path).parent).is_dir():
+        if (path := getattr(args, option, None)) == "":
+            raise ValueError(f"--{option} '': an empty path names no file")
+        if path and not (parent := Path(path).parent).is_dir():
             raise ValueError(f"--{option} {path!r}: the directory {str(parent)!r} does not exist")
 
 

@@ -503,7 +503,7 @@ COCYCLE_FAMILIES: dict[str, CocycleFamily] = {
         pairing=lambda c, g, u: 1 if words.derivative_set_member(u.word, g,
                                                                    c.half_modulus) else 0),
     "weighted_cube": CocycleFamily(
-        fits=lambda group: group.kind == FINITE_ABELIAN and set(group.moduli) == {2},
+        fits=lambda group: group.is_hypercube,
         misfit="weighted_cube needs a hypercube group", takes_weights=True, cli_default=False,
         gap=lambda c: 4 * min(c.weights),
         cli_group=lambda n, modulus, bound: GroupDescriptor.hypercube(n), psi=_weighted_psi,

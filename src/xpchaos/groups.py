@@ -103,6 +103,10 @@ class GroupDescriptor:
         return self.kind in (FINITE_ABELIAN, TORUS)
 
     @property
+    def is_hypercube(self) -> bool:
+        return self.kind == FINITE_ABELIAN and set(self.moduli) == {2}
+
+    @property
     def is_free_kind(self) -> bool:
         return self.kind in (FREE_GROUP, FREE_PRODUCT)
 

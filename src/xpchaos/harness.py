@@ -35,6 +35,10 @@ from .norms import (SIGN_BLOCK_ROWS, _check_p, half_sign_patterns, schatten_powe
 
 SIGN_ENUMERATION_CAP = 14
 MONTE_CARLO_SIGNS = 2 ** 14
+#: most (eps, S) rows of a sign route's profile (``_check_sign_rows``): 4.1e6 rows
+#: (n = 16, k = 10) took 0.07 s on 1 x 1 matrices, 0.72 s on 4 x 4 at p = 4 and 16 s
+#: at p = 3 (2 CPUs); the tests, battery, dump and benchmark average <= 278768 rows
+SIGN_ROWS_MAX = 2 ** 22
 #: largest allocation of the route of a ``naor_profile`` or ``riesz_equivalence_ratio``
 #: call, as ``_plan`` and ``_pair_route_bytes`` count it
 LATTICE_MAX_BYTES = 2 ** 30
@@ -173,46 +177,16 @@ def _pairing_table(group: GroupDescriptor, family: str, weights: tuple[float, ..
 
 def _dual_stack(f: GroupAlgebraElement, cocycle: LengthCocycle, derivative: str,
                 grid: tuple[int, ...]):
-    """(coefficient tensor, values, multiplier stack, first row of each block) of f on
-    ``grid``: one batched ``ifftn`` evaluates f and, for a multiplier derivative
-    (euclidean, gradient, riesz), f times each symbol of ``_pairing_table``."""
+    """(values, multiplier stack, first row of each block) of f on ``grid``: one
+    batched ``ifftn`` evaluates f and, for a multiplier derivative (euclidean,
+    gradient, riesz), f times each symbol of ``_pairing_table``."""
     tensor = coefficient_tensor(f, grid)
     stack, starts = tensor[None], None
     if derivative not in ("walsh", "absorbent"):
         table, starts = _pairing_table(f.group, cocycle.family, cocycle.weights, derivative, grid)
         stack = np.concatenate([stack, table * (operators.TWO_PI_I * tensor)])
     evaluated = np.fft.ifftn(stack, axes=range(-len(grid), 0)) * math.prod(grid)
-    return tensor, evaluated[0], evaluated[1:], starts
-
-
-@functools.lru_cache(maxsize=16)
-def _box_gather(group: GroupDescriptor, grid: tuple[int, ...]) -> tuple[tuple, np.ndarray]:
-    """The open mesh that gathers a tensor on ``grid`` over the key box in sorted key
-    order (key g at index g mod grid), and the support size (nonzero coordinates) of
-    each box key in that order, read-only: shared by every caller through the cache."""
-    shape, low = key_box(group)
-    axes = [np.arange(low, low + m) for m in shape]
-    mesh = np.ix_(*(axis % size for axis, size in zip(axes, grid)))
-    sizes = sum(np.ix_(*((axis != 0).astype(np.intp) for axis in axes))).ravel()
-    for array in (*mesh, sizes):
-        array.flags.writeable = False
-    return mesh, sizes
-
-
-def _tensor_closure(tensor: np.ndarray, group: GroupDescriptor, grid: tuple[int, ...],
-                    ks: tuple[int, ...]) -> tuple[dict[int, float], float]:
-    """(lhs by k, ||f||_2^2) at p = 2 from f's coefficient tensor on ``grid``: the
-    closure of ``_key_pairs`` at q = 1, where each key pairs with itself alone.
-    The nonzero coefficients are read in sorted key order, the order ``_pair_terms``
-    takes them in, so every sum adds the same values in the same order."""
-    mesh, sizes = _box_gather(group, grid)
-    values = tensor[mesh].ravel()
-    kept = np.flatnonzero(values)
-    values, sizes = values[kept], sizes[kept]
-    w = (values * values.conj()).real
-    by_union = np.bincount(sizes, w, minlength=group.n_components + 1)
-    means = _subset_means(by_union)
-    return {k: float(means[k - 1]) for k in ks}, float(w.sum())
+    return evaluated[0], evaluated[1:], starts
 
 
 def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
@@ -221,14 +195,13 @@ def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[flo
 
     All come from the one dual evaluation of ``_dual_stack`` on the planned
     ``grid``; the squared moduli of a multiplier stack are summed over a block
-    before the power p/2.  The subset lattice's all-kept
-    corner is ||f||_p^p; at p = 2 the lhs and ||f||_2^2 are the key-pair closure,
-    read from the coefficient tensor by ``_tensor_closure``.  walsh/absorbent take
-    each axis's values minus their mean along it; f* has the conjugate values of f,
-    so its absorbent half is the f half.
+    before the power p/2.  The subset lattice's all-kept corner is ||f||_p^p; at
+    p = 2 the lhs and ||f||_2^2 are the join-free key closure of ``_pair_terms``.
+    walsh/absorbent take each axis's values minus their mean along it; f* has the
+    conjugate values of f, so its absorbent half is the f half.
     """
     n = f.group.n_components
-    tensor, values, stack, starts = _dual_stack(f, cocycle, derivative, grid)
+    values, stack, starts = _dual_stack(f, cocycle, derivative, grid)
     flips = starts is None
     extended = _extend_with_means(values) if set(ps) != {2} else None
     sums = dict.fromkeys(ps, 0.0)
@@ -241,7 +214,7 @@ def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[flo
         for block in blocks:
             sums[p] += float(np.mean(block ** (p // 2 if p % 2 == 0 else p / 2)))
         if p == 2:
-            lhs, full_norm = _tensor_closure(tensor, f.group, grid, ks)
+            [[(_, lhs, _, full_norm)]] = _pair_terms([f], [2], ks, derivative)
         else:
             lattice = _power_lattice(extended, p).ravel()
             lhs = {k: float(np.mean(lattice[_lattice_index(n, k)])) for k in ks}
@@ -485,14 +458,14 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
     q <= SIGN_ENUMERATION_CAP tuple steps (one key's tuples never grow, so no cost
     bound stops a large q).  The route rule counts s^q ordered q-tuples of the s keys
     and at most s^(2q - 1) joined pairs (a tuple and q - 1 keys of its partner fix
-    the last key); summed over the ps, that must not exceed the prod(m_j + 1) entries
-    of the grid's mean-extended tensor.  The pairs route lists only the
-    C(s + q - 1, q) multisets, so its bytes count those: the tuple stage of its
-    largest multiset list here (two copies of its table, as ``_pair_route_bytes``
-    counts them), and its joined pairs in ``_self_join`` once its sort has counted
-    them; ``nbytes`` prices both, the pairs at the bound s^(2q - 1).  The grid
-    counts its multiplier stack and mean-extended tensor (none at p = 2 alone or
-    riesz).
+    the last key) at each q > 1, as q = 1 joins nothing; summed over the ps, that
+    must not exceed the prod(m_j + 1) entries of the grid's mean-extended tensor.
+    The pairs route lists only the C(s + q - 1, q) multisets, so its bytes count
+    those: the tuple stage of its largest multiset list here (two copies of its
+    table, as ``_pair_route_bytes`` counts them), and its joined pairs in
+    ``_self_join`` once its sort has counted them; ``nbytes`` prices both, the pairs
+    at the bound s^(2q - 1).  The grid counts its multiplier stack and mean-extended
+    tensor (none at p = 2 alone or riesz).
     """
     if not group.is_abelian:
         raise ValueError(f"dual evaluations need an abelian group, got {group.kind}")
@@ -501,7 +474,7 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
     steps = [int(p) // 2 for p in set(ps)]
     if derivative in ("walsh", "absorbent") and not any(p % 2 for p in ps) and \
             max(steps) <= SIGN_ENUMERATION_CAP and \
-            sum(keys ** q + keys ** (2 * q - 1) for q in steps) <= entries:
+            sum(keys ** q + keys ** (2 * q - 1) for q in steps if q > 1) <= entries:
         n, q = group.n_components, max(steps)
         tuples = math.comb(keys + q - 1, q)
         _within_budget(_pair_route_bytes(n, q, tuples, 0), "key tuples")
@@ -532,7 +505,7 @@ def _naor_inputs(group: GroupDescriptor, ps: Sequence[float], derivative: str) -
     hypercube and an empty list of p have been refused."""
     if derivative not in DERIVATIVE_CHOICES:
         raise ValueError(f"unknown derivative choice {derivative!r}; valid: {DERIVATIVE_CHOICES}")
-    if derivative == "walsh" and (group.kind != FINITE_ABELIAN or set(group.moduli) != {2}):
+    if derivative == "walsh" and not group.is_hypercube:
         raise ValueError("the walsh derivative needs a hypercube group")
     if not ps:
         raise ValueError("the list of p is empty")
@@ -676,6 +649,21 @@ def _xp_route(n: int, p: float) -> str:
     return "pairs" if p in (2, 4) and n <= SIGN_ENUMERATION_CAP else "signs"
 
 
+def _check_sign_rows(n: int, ks: Sequence[int]) -> None:
+    """Refuse a sign route whose ks average more than SIGN_ROWS_MAX (eps, S) rows:
+    C(n, k) 2^(k - 1) at a k enumerated, C(n, k) MONTE_CARLO_SIGNS at a k drawn."""
+    rows = sum(math.comb(n, k) * (MONTE_CARLO_SIGNS if k > SIGN_ENUMERATION_CAP else 2 ** (k - 1))
+               for k in set(ks))
+    if rows > SIGN_ROWS_MAX:
+        raise ValueError(f"the signs route averages {rows} (eps, S) rows, above {SIGN_ROWS_MAX = }")
+
+
+def _check_xp_route(n: int, rows: int, cols: int, p: float, ks: Sequence[int]) -> None:
+    """Refuse an xp_linear profile's arrays past LATTICE_MAX_BYTES, its signs past SIGN_ROWS_MAX."""
+    _within_budget(_xp_route_bytes(n, rows, cols, p), f"{_xp_route(n, p)} route arrays")
+    _check_sign_rows(n, [*ks, n] if _xp_route(n, p) == "signs" else [])
+
+
 def _xp_route_bytes(n: int, rows: int, cols: int, p: float) -> int:
     """At most the bytes that an xp_linear profile of n rows x cols matrices forms on
     its route.  Each of the pair route's n^q Gram factors gathers two index matrices
@@ -700,27 +688,28 @@ def _gram_pair_means(mats: np.ndarray, p: float) -> np.ndarray:
     ||X||_p^p = tr((X* X)^q) expands into words of q Gram factors x_a* x_b, and the
     sign average keeps the words in which every index occurs an even number of
     times, so its union holds at most q indices.  A factor is a row (parity mask of
-    {a, b}, packed union mask), index a at bit a.  At q = 1 a word is one factor of
-    parity 0, x_a* x_a.  At q = 2 ``_self_join`` merges the factors of one row
-    (x_a* x_b and x_b* x_a) and joins those of equal parity, L and R, into words
-    tr(L R).  Each word adds its trace at the size of its union, which a k-subset
-    holds with the odds of ``_subset_means``.
+    {a, b}, union mask), packed as ``_key_pairs`` packs supports, highest index first
+    so rows sort as the numbers sum_a 2^a.  At q = 1 a word is one factor of parity 0,
+    x_a* x_a.  At q = 2 ``_self_join`` merges the factors of one row (x_a* x_b and
+    x_b* x_a) and joins those of equal parity, L and R, into words tr(L R).  Each
+    word adds its trace at the size of its union, which a k-subset holds with the
+    odds of ``_subset_means``.
     """
     n, rows, cols = mats.shape
     if rows < cols:             # the transposes: same singular values, smaller Gram factors
         mats = np.swapaxes(mats, 1, 2)
     q = int(p) // 2
     a, b = np.indices((n, n)).reshape(2, -1) if q == 2 else (np.arange(n),) * 2
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-    shifts = 8 * np.arange(-(-n // 8) - 1, -1, -1)     # highest byte first: rows sort as masks
-    table = np.column_stack([bits[a] ^ bits[b], (bits[a] | bits[b])[:, None] >> shifts & 255])
+    masks = np.packbits(np.eye(n, dtype=bool)[:, ::-1], axis=1)    # index a's bit
+    width = masks.shape[1]
+    table = np.concatenate([masks[a] ^ masks[b], masks[a] | masks[b]], axis=1).astype(np.int64)
     gram = np.conj(np.swapaxes(mats[a], 1, 2)) @ mats[b]
     if q == 1:
-        traces, unions = np.einsum("pii->p", gram).real, table[:, 1:]
+        traces, unions = np.einsum("pii->p", gram).real, table[:, width:]
     else:
-        table, gram, left, right = _self_join(table, gram, 1)
+        table, gram, left, right = _self_join(table, gram, width)
         traces = np.einsum("pij,pji->p", gram[left], gram[right]).real
-        unions = table[left, 1:] | table[right, 1:]
+        unions = table[left, width:] | table[right, width:]
     sizes = _BYTE_BITS[unions].sum(axis=1)
     return _subset_means(np.bincount(sizes, traces, minlength=n + 1))
 
@@ -739,8 +728,8 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
     each other k above the cap restarts its per-subset draws from the state after
     it, so a row depends only on (xs, p, k, seed).  Before any work the tuple is
     refused unless it holds n >= 1 finite 2-D matrices of one shape, not all zero,
-    and the route's arrays (``_xp_route_bytes``) are priced against
-    LATTICE_MAX_BYTES; after it a p whose sides leave the float range is refused.
+    and the route (``_check_xp_route``) is priced against LATTICE_MAX_BYTES and
+    SIGN_ROWS_MAX; after it a p whose sides leave the float range is refused.
     """
     _check_p(p)
     if p < 2:
@@ -750,8 +739,7 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
     _check_ks(ks, n)
     if not np.any(mats):
         raise ValueError("the matrix tuple must be nonzero")
-    _within_budget(_xp_route_bytes(n, mats.shape[1], mats.shape[2], p),
-                   f"{_xp_route(n, p)} route arrays")
+    _check_xp_route(n, mats.shape[1], mats.shape[2], p, ks)
     # sides past the float range (inf, or NaN from inf - inf) are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         norm_sum = float(np.sum(schatten_powers(mats, p)))
@@ -814,11 +802,8 @@ def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
 
 
 def _xp_witness(mats: Sequence[np.ndarray], k: int, p: float) -> dict:
-    return {"matrices": [_matrix_to_json(x) for x in mats], "k": k, "p": p}
-
-
-def _matrix_to_json(x: np.ndarray) -> dict:
-    return {"re": np.asarray(x).real.tolist(), "im": np.asarray(x).imag.tolist()}
+    return {"matrices": [{"re": np.asarray(x).real.tolist(), "im": np.asarray(x).imag.tolist()}
+                         for x in mats], "k": k, "p": p}
 
 
 def _matrix_from_json(data: dict) -> np.ndarray:
@@ -838,6 +823,15 @@ def _rosenthal_route(n: int, p: float) -> str:
     return "pairs" if fits else "signs"
 
 
+def _rosenthal_checked_route(n: int, p: float, ks: Sequence[int]) -> str:
+    """The route of a rosenthal profile, once signs past k = 14 or SIGN_ROWS_MAX are refused."""
+    route = _rosenthal_route(n, p)
+    if route == "signs" and max(ks) > SIGN_ENUMERATION_CAP:
+        raise ValueError("exhaustive enumeration is capped at k = 14")
+    _check_sign_rows(n, ks if route == "signs" else [])
+    return route
+
+
 def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[Row]:
     """The rows of the two-sided scalar model, one per k, scored by the larger of
     lhs/rhs and rhs/lhs.  On key pairs one ``_key_pairs`` call gives every k."""
@@ -849,9 +843,7 @@ def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[R
     if not np.isfinite(coeffs).all():
         raise ValueError("the coefficients must be finite")
     _check_ks(ks, n)
-    route = _rosenthal_route(n, p)
-    if route == "signs" and max(ks) > SIGN_ENUMERATION_CAP:
-        raise ValueError("exhaustive enumeration is capped at k = 14")
+    route = _rosenthal_checked_route(n, p, ks)
     if not np.any(coeffs):
         raise ValueError("the coefficient vector must be nonzero")
     with np.errstate(over="ignore"):                # sides past the float range are refused
@@ -932,7 +924,7 @@ def _riesz_rows(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float) -> lis
     """
     grid = _plan(f.group, cocycle, len(f.coeffs), [_check_p(p)], "riesz").grid
     _require_mean_zero(f)
-    _, values, stack, starts = _dual_stack(f, cocycle, "riesz", grid)
+    values, stack, starts = _dual_stack(f, cocycle, "riesz", grid)
     squares = np.add.reduceat(_abs_power(stack, 2), starts)     # f and f* blocks alternate
     with np.errstate(over="ignore"):                            # refused below
         sides = [float(np.mean(sum(squares[side::2]) ** (p / 2))) ** (1 / p) for side in (0, 1)]
@@ -1234,7 +1226,7 @@ def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads_ensemble("xp_linear", ensemble)
     n, d, p, ks = _count(params, "n"), _count(params, "d", 4), _p(params, 4), _ks(params)
     _within_budget(16 * n * d * d, "sample matrices")
-    _within_budget(_xp_route_bytes(n, d, d, p), f"{_xp_route(n, p)} route arrays")
+    _check_xp_route(n, d, d, p, ks)
     trials = itertools.count()
 
     def sample(rng):
@@ -1248,6 +1240,7 @@ def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads(params, "n", "p", "k", "ks")
     _reads_ensemble("rosenthal", ensemble)
     n, p, ks = _count(params, "n"), _p(params, 4), _ks(params)
+    _rosenthal_checked_route(n, p, ks)
     return (lambda rng: _complex_normal(rng, n), _each(lambda a: _rosenthal_rows(a, p, ks)),
             lambda a, row: _coeffs_witness(a, row.k, p))
 

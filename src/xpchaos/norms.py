@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .groups import (FINITE_ABELIAN, TORUS, GroupAlgebraElement, adjoint,
-                     coefficient_tensor, convolve, evaluate_on_dual, trace)
+                     coefficient_tensor, convolve, element_inverse, evaluate_on_dual, trace)
 
 #: ``lp_norm_torus_refined`` doubles its grid until two successive norms agree
 #: to this relative gap, on grids of at most GRID_REFINE_MAX_POINTS points
@@ -101,7 +101,7 @@ def _trace_power(xs: Sequence[GroupAlgebraElement], p: float) -> float:
     else:
         right = _conv_power(h, top)
         left = right if q % 2 == 0 else _conv_power(h, q // 2)
-        value = sum(v * right.coeffs.get(tuple(-x for x in k), 0)
+        value = sum(v * right.coeffs.get(element_inverse(h.group, k), 0)
                     for k, v in left.coeffs.items())
     value = complex(value)
     if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .cocycles import BasisVector, LengthCocycle
-from .groups import (FINITE_ABELIAN, PRUNE_TOL, GroupAlgebraElement, GroupDescriptor,
-                     adjoint, is_mean_zero)
+from .groups import PRUNE_TOL, GroupAlgebraElement, GroupDescriptor, adjoint, is_mean_zero
 
 TWO_PI_I = 2j * math.pi
 
@@ -92,7 +91,7 @@ def absorbent_derivative(f: GroupAlgebraElement, j: int) -> GroupAlgebraElement:
 def walsh_derivative(f: GroupAlgebraElement, j: int) -> GroupAlgebraElement:
     """The hypercube flip derivative, multiplier 2 on characters involving j."""
     group = f.group
-    if group.kind != FINITE_ABELIAN or any(m != 2 for m in group.moduli):
+    if not group.is_hypercube:
         raise ValueError("walsh_derivative needs a hypercube group")
     _component_range(group, j)
     return _multiply(f, lambda key: 2.0 if key[j - 1] else 0.0)

@@ -945,21 +945,32 @@ def _no_fft(*args, **kwargs):
      "--csv"),
     (["check", "cocycle", "--out", "{missing}"], "--out"),
     (["apply", "--op", "adjoint", "--in", "{written}", "--out", "{missing}"], "--out"),
-    (["scan-suite", "--fast", "--out", "{missing}"], "--out")],
-    ids=["verify-out", "verify-csv", "check-out", "apply-out", "scan-suite-out"])
+    (["scan-suite", "--fast", "--out", "{missing}"], "--out"),
+    (["verify", "naor", "--n", "3", "--trials", "1", "--out", ""], "--out"),
+    (["verify", "naor", "--n", "3", "--trials", "1", "--out", "{written}", "--csv", ""],
+     "--csv"),
+    (["check", "cocycle", "--out", ""], "--out"),
+    (["apply", "--op", "adjoint", "--in", "{written}", "--out", ""], "--out"),
+    (["scan-suite", "--fast", "--out", ""], "--out")],
+    ids=["verify-out", "verify-csv", "check-out", "apply-out", "scan-suite-out",
+         "verify-out-empty", "verify-csv-empty", "check-out-empty", "apply-out-empty",
+         "scan-suite-out-empty"])
 def test_output_in_a_missing_directory_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                                args, option):
-    """An output file in a directory that does not exist is refused by its option, with
-    exit code 2, before any scan, draw, criterion or input file is reached, and no file
-    is written (``{written}`` names a file that would be written, or read by apply)."""
+    """An output file in a directory that does not exist, or an empty output path, is
+    refused by its option, with exit code 2, before any scan, draw, criterion or input
+    file is reached, and no file is written (``{written}`` names a file that would be
+    written, or read by apply)."""
     for target, name in ((cli, "scan"), (cli, "run_all"), (cli, "random_group_elements"),
                          (cli, "_load_element")):
         monkeypatch.setattr(target, name, _no_draw)
     missing, written = tmp_path / "missing" / "r.json", tmp_path / "r.json"
     argv = [arg.format(missing=missing, written=written) for arg in args]
     assert run(argv) == 2
-    assert capsys.readouterr().err == (f"error: {option} {str(missing)!r}: the directory "
-                                       f"{str(missing.parent)!r} does not exist\n")
+    path = argv[argv.index(option) + 1]
+    reason = (f"the directory {str(missing.parent)!r} does not exist" if path else
+              "an empty path names no file")
+    assert capsys.readouterr().err == f"error: {option} {path!r}: {reason}\n"
     assert not missing.parent.exists() and not written.exists()
 
 

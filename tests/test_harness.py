@@ -231,14 +231,18 @@ class TestLatticeGuard:
         assert peak < 2 ** 20
 
     def test_p2_is_exempt_and_the_budget_is_the_extended_tensor(self, monkeypatch):
-        """Every key of Z_4^2 at coefficient 1 takes the grid: 2 * 15 > 5^2."""
+        """Every key of Z_4^2 at coefficient 1: at p = 2, which joins nothing, its 15
+        keys take key pairs, priced at 3480 bytes; at p = 3 the grid's budget is the
+        mean-extended tensor of 5^2 entries."""
         group = GroupDescriptor.finite_abelian([4, 4])
         cocycle = build_cocycle("cyclic_word", group)
         f = GroupAlgebraElement(group, {key: 1.0 for key in itertools.product(range(4), repeat=2)
                                         if any(key)})
-        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 5 ** 2 - 1)
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 3480)
+        assert harness._plan(group, cocycle, 15, [2], "absorbent") == ("pairs", (4, 4), 3480)
         route, profile = _route_and_profile(f, cocycle, [2], [1, 2], "absorbent")
-        assert route == "grid" and profile[2][1][0] == pytest.approx(3)
+        assert route == "pairs" and profile[2][1][0] == pytest.approx(3)
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 5 ** 2 - 1)
         with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
             naor_profile(f, cocycle, [3], [1], "absorbent")
         with pytest.raises(ValueError, match="LATTICE_MAX_BYTES"):
@@ -317,6 +321,18 @@ class TestPlan:
                 mixed = sum(odds * lhs8[j] for j, odds in law[k])
                 assert abs(rhs - expected) <= 1e-12 * expected
                 assert abs(lhs - mixed) <= 1e-12 * rhs
+
+    @pytest.mark.parametrize("group, family", [
+        (GroupDescriptor.finite_abelian([6] * 4), "cyclic_word"),
+        (GroupDescriptor.torus(2, 2), "torus_word")], ids=["z6^4", "torus"])
+    def test_p2_alone_takes_key_pairs_on_dense_elements(self, group, family, monkeypatch):
+        """At p = 2 each key pairs with itself alone, so no key count sends a walsh or
+        absorbent profile to the grid: here every key of the box but the identity."""
+        cocycle = build_cocycle(family, group)
+        f = sample_element(group, cocycle, EnsembleSpec("gaussian"), np.random.default_rng(3))
+        monkeypatch.setattr(np.fft, "ifftn", _no_fft)
+        assert harness._plan(group, cocycle, len(f.coeffs), [2], "absorbent").route == "pairs"
+        assert _route_and_profile(f, cocycle, [2], [1, 2], "absorbent")[0] == "pairs"
 
     def test_key_tuples_refused_before_allocation(self, monkeypatch):
         """2000 keys at p = 4 take pairs on a hypercube n = 40; the tuple stage of their
@@ -684,10 +700,12 @@ class TestAbelianProfileMatchesOperatorPath:
                     route = _route_and_profile(f, cocycle, ps, [1, 2], derivative)[0]
                     routes.append((group.kind, derivative, len(ps), route))
                     assert len(calls) == {"grid": 1, "pairs": 0}[route], (group, derivative, ps)
-        # only the gaussian hypercube n = 5 at p = 2 (31 keys, each pairing with itself)
-        # takes key pairs, for walsh and absorbent
+        # walsh and absorbent at p = 2 alone take key pairs on every element, whose keys
+        # each pair with themselves alone
         assert [r[:3] for r in routes if r[3] == "pairs"] == [
-            ("finite_abelian", "walsh", 1), ("finite_abelian", "absorbent", 1)]
+            ("finite_abelian", "walsh", 1), ("finite_abelian", "absorbent", 1),
+            ("finite_abelian", "absorbent", 1), ("torus", "absorbent", 1),
+            ("torus", "absorbent", 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1153,6 +1171,42 @@ class TestXpLinearBudget:
         assert re.search(f"{what}.*LATTICE_MAX_BYTES", capsys.readouterr().err)
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("argv", [
+        ["xp-linear", "--n", "30", "--p", "4", "--k", "15", "--d", "2"],
+        ["rosenthal", "--n", "40", "--p", "3", "--k", "12"]])
+    def test_unpriced_subset_loops_exit_2_before_any_draw(self, argv, monkeypatch, capsys):
+        """C(30, 15) Monte Carlo subsets and C(40, 12) exhaustive ones, each far past 20 s
+        of work, are refused by their count of (eps, S) rows before any draw."""
+        from xpchaos import cli
+        monkeypatch.setattr(harness, "_sign_mean", _no_draw)
+        monkeypatch.setattr(harness, "_complex_normal", _no_draw)
+        assert cli.main(["verify", *argv, "--trials", "1"]) == 2
+        assert re.search(r"signs route averages \d+ \(eps, S\) rows.*SIGN_ROWS_MAX",
+                         capsys.readouterr().err)
+
+    @pytest.mark.parametrize("n, p, ks, rows", [
+        (16, 3, [10], math.comb(16, 10) * 2 ** 9 + harness.MONTE_CARLO_SIGNS),
+        (16, 4, [2, 15], 120 * 2 + 16 * harness.MONTE_CARLO_SIGNS + harness.MONTE_CARLO_SIGNS),
+        (9, 6, [3, 9], math.comb(9, 3) * 4 + 2 ** 8)])
+    def test_sign_rows_refused_one_row_past_the_cap(self, n, p, ks, rows, monkeypatch):
+        """The count is C(n, k) 2^(k - 1) exhaustive and C(n, k) MONTE_CARLO_SIGNS drawn,
+        over the ks and the full n-sign average."""
+        mats = [np.eye(1) * (j + 1) for j in range(n)]
+        monkeypatch.setattr(harness, "SIGN_ROWS_MAX", rows - 1)
+        with pytest.raises(ValueError, match=f"averages {rows} .*SIGN_ROWS_MAX"):
+            xp_linear_profile(mats, p, ks, seed=0)
+        monkeypatch.setattr(harness, "SIGN_ROWS_MAX", rows)
+        monkeypatch.setattr(harness, "_sign_mean", lambda *args: 1.0)
+        assert xp_linear_profile(mats, p, ks, seed=0)[ks[0]][0] == 1.0
+
+    def test_rosenthal_sign_rows_count_only_its_ks(self, monkeypatch):
+        rows = math.comb(12, 4) * 2 ** 3 + math.comb(12, 6) * 2 ** 5
+        monkeypatch.setattr(harness, "SIGN_ROWS_MAX", rows - 1)
+        with pytest.raises(ValueError, match=f"averages {rows} "):
+            harness._rosenthal_rows(np.arange(1.0, 13.0), 3, [4, 6])
+        monkeypatch.setattr(harness, "SIGN_ROWS_MAX", rows)
+        assert len(harness._rosenthal_rows(np.arange(1.0, 13.0), 3, [4, 6])) == 2
+
     @pytest.mark.parametrize("n, p", [(16, 4), (16, 3), (4, 6), (4, 4), (4, 2)])
     def test_profile_refused_one_byte_below_its_price(self, n, p, monkeypatch):
         rng = np.random.default_rng(31)
@@ -1207,6 +1261,17 @@ class TestSignPairRoutes:
             assert pairs[k][0] == pytest.approx(signs[k][0], rel=1e-12, abs=0)
             assert pairs[k][1] == pytest.approx(signs[k][1], rel=1e-12, abs=0)
             assert not pairs[k][2] and not signs[k][2]
+
+    @pytest.mark.parametrize("n", [65, 100])
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_index_words_past_64_indices(self, n, p):
+        """The packed index masks count unions past an int64 word's 64 bits."""
+        rng = np.random.default_rng(n + p)
+        mats = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        means = harness._gram_pair_means(mats, p)
+        for k in (1, 2):
+            exact = harness._sign_mean(mats, p, k, None)
+            assert means[k - 1] == pytest.approx(exact, rel=1e-12, abs=0)
 
     def test_pairs_need_no_numpy_2_popcount(self, monkeypatch):
         """pyproject allows numpy 1.24, which has no np.bitwise_count."""

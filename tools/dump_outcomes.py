@@ -13,12 +13,14 @@ xpchaos is imported from the ``src/`` beside this script, so a copy of it run in
 another checkout dumps that checkout.  The records are scan reports with their
 witness re-evaluations (``TRIALS`` draws each, within one batch, and one naor scan
 of 130 sparse draws, which runs in batches of 64, 64 and 2 at
-``SCAN_BATCH_DRAWS = 64``), single-run reports with theirs (``xp_linear_ratio`` on
-square, wide 2x4 and tall 3x2 and 4x2 tuples, the rectangular ones at p = 3, 6 and
-8 too), and the outputs of ``xpchaos verify`` (every verb, and the six dense runs
-of the ``cube-dense`` benchmark), ``apply`` (every op on a torus, Z_4^2, Z_2^3, F_2
-and Z_4*Z_4 element), ``norm`` and ``check cocycle`` (every family), with their
-exit codes, and the cocycle certificates:
+``SCAN_BATCH_DRAWS = 64``; dense p = 2 scans on key pairs, on the grid alone under
+a multiplier derivative and on the grid beside p = 4), single-run reports with
+theirs (``xp_linear_ratio`` on square, wide 2x4 and tall 3x2 and 4x2 tuples, the
+rectangular ones at p = 3, 6 and 8 too), and the outputs of ``xpchaos verify``
+(every verb, and the six dense runs of the ``cube-dense`` benchmark), ``apply``
+(every op on a torus, Z_4^2, Z_2^3, F_2 and Z_4*Z_4 element), ``norm`` and
+``check cocycle`` (every family), with their exit codes, and the cocycle
+certificates:
 ``gram_matrix`` on the acceptance battery's slices and on one basis with formal
 vectors, the sign-relation ``gromov_bilinear`` pairs,
 ``conditional_negativity_check`` at seeds 0-2 and the spectral gap of the
@@ -62,8 +64,10 @@ MOMENT_PS = (1, 1.5, 2, 2.5, 3, 4, 6, 8)
 #: xp_linear at p = 2 and 4 on one- and two-byte index masks), xp_linear's sign
 #: tables at p = 6 and on 1 x 1 tuples at p = 3 and 6, its Monte Carlo shapes of the
 #: matrix-signs benchmark and a Monte Carlo k < n beside k = n, rosenthal's sign
-#: route at p = 1.5, 2.5 and 3, every naor family and derivative, and the
-#: chaos_degree and linear_span draws
+#: route at p = 1.5, 2.5 and 3, every naor family and derivative, the
+#: chaos_degree and linear_span draws, and p = 2 on dense elements: alone on key
+#: pairs (torus absorbent) and on the grid (torus gradient), and beside p = 4 on
+#: the grid (Z_6^4 absorbent)
 SCANS = [
     ("naor", EnsembleSpec("gaussian"), {"n": 10, "ps": [2, 4], "derivative": "walsh"}),
     ("naor", EnsembleSpec("gaussian"), {"n": 10, "ps": [2, 4], "derivative": "absorbent"}),
@@ -83,6 +87,11 @@ SCANS = [
     ("naor", EnsembleSpec("linear_span"), {"family": "weighted_cube", "n": 3,
                                            "weights": [1.0, 2.0, 0.5], "p": 4,
                                            "derivative": "gradient"}),
+    *[("naor", EnsembleSpec("gaussian"), {"family": "torus", "n": 2, "bound": 2, "ps": [2],
+                                          "derivative": derivative})
+      for derivative in ("absorbent", "gradient")],
+    ("naor", EnsembleSpec("gaussian"), {"family": "cyclic", "modulus": 6, "n": 4,
+                                        "ps": [2, 4]}),
     ("xp_linear", None, {"n": 4, "p": 4, "ks": [1, 2, 4]}),
     ("xp_linear", None, {"n": 11, "p": 4, "d": 2, "ks": [1, 5, 11]}),
     *[("xp_linear", None, {"n": n, "p": 2, "d": 3, "ks": [1, 3, n]}) for n in (5, 9, 14)],
