@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -199,13 +199,9 @@ class GroupAlgebraElement:
             object.__setattr__(self, "group", group)
             object.__setattr__(self, "coeffs", dict(coeffs))
             return
-        acc: dict = {}
-        for key, value in coeffs.items():
-            key = canonical_key(group, key)
-            acc[key] = acc.get(key, 0) + complex(value)
-        acc = {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coeffs", acc)
+        object.__setattr__(self, "coeffs", _summed(
+            (canonical_key(group, key), complex(value)) for key, value in coeffs.items()))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupAlgebraElement is immutable")
@@ -219,19 +215,12 @@ class GroupAlgebraElement:
         """The scaled unitary ``coeff * lambda(key)``."""
         return cls(group, {key: coeff})
 
-    def items(self):
-        return self.coeffs.items()
-
     def coefficient(self, key) -> complex:
         return self.coeffs.get(canonical_key(self.group, key), 0j)
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        group = _join_group(self.group, other.group)
-        acc = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            acc[key] = acc.get(key, 0) + value
-        return GroupAlgebraElement(group, {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL},
-                                   _canonical=True)
+        return GroupAlgebraElement(_join_group(self.group, other.group),
+                                   _summed(other.coeffs.items(), self.coeffs), _canonical=True)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + (-1.0) * other
@@ -246,10 +235,7 @@ class GroupAlgebraElement:
 
     def __rmul__(self, scalar) -> "GroupAlgebraElement":
         scalar = complex(scalar)
-        if scalar == 0:
-            return GroupAlgebraElement.zero(self.group)
-        coeffs = {k: scalar * v for k, v in self.coeffs.items() if abs(scalar * v) > PRUNE_TOL}
-        return GroupAlgebraElement(self.group, coeffs, _canonical=True)
+        return _multiply(self, lambda key: scalar)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GroupAlgebraElement)
@@ -262,10 +248,7 @@ class GroupAlgebraElement:
         return f"<GroupAlgebraElement {self.group.kind} {{{terms}{more}}}>"
 
     def allclose(self, other: "GroupAlgebraElement", tol: float = 1e-10) -> bool:
-        if not self.group.compatible(other.group):
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(abs(self.coeffs.get(k, 0) - other.coeffs.get(k, 0)) <= tol for k in keys)
+        return self.group.compatible(other.group) and _distance(self, other) <= tol
 
     def to_json(self) -> dict:
         """The group and one entry per key, in sorted key order: abelian keys as
@@ -298,10 +281,38 @@ class GroupAlgebraElement:
                     for entry in entries]
         else:
             keys = _abelian_keys(group, [entry["g"] for entry in entries])
-        acc: dict = {}
-        for key, value in zip(keys, _json_values(entries)):
-            acc[key] = acc.get(key, 0) + value
-        return cls(group, {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}, _canonical=True)
+        return cls(group, _summed(zip(keys, _json_values(entries))), _canonical=True)
+
+
+def _summed(terms: Iterable[tuple], start: Mapping = ()) -> dict:
+    """The coefficient map of ``start`` with the (key, value) ``terms`` added key by key,
+    in order (a new key's value is added to 0, so a -0.0 part reads +0.0), less every
+    sum of modulus at most PRUNE_TOL."""
+    acc = dict(start)
+    for key, value in terms:
+        acc[key] = acc.get(key, 0) + value
+    return {key: value for key, value in acc.items() if abs(value) > PRUNE_TOL}
+
+
+def _multiply(f: GroupAlgebraElement,
+              symbol: Callable[[object], complex | bool]) -> GroupAlgebraElement:
+    """The multiplier ``lambda(g) -> symbol(g) lambda(g)``, dropping products of modulus
+    at most PRUNE_TOL.  A bool symbol is a 0/1 filter: it keeps or drops each coefficient
+    unchanged, where a product with 1.0 would round a signed zero part to +0.0."""
+    coeffs = {}
+    for key, value in f.coeffs.items():
+        scale = symbol(key)
+        if scale is True:
+            coeffs[key] = value
+        elif abs(scaled := value * scale) > PRUNE_TOL:
+            coeffs[key] = scaled
+    return GroupAlgebraElement(f.group, coeffs, _canonical=True)
+
+
+def _distance(a: GroupAlgebraElement, b: GroupAlgebraElement) -> float:
+    """max_g |a(g) - b(g)| over the keys of either element, 0 when both are zero."""
+    x, y = a.coeffs, b.coeffs
+    return max([abs(x.get(key, 0) - y.get(key, 0)) for key in x | y], default=0.0)
 
 
 def _json_values(entries: list) -> list[complex]:
@@ -379,8 +390,14 @@ def evaluate_on_dual(f: GroupAlgebraElement) -> DualEvaluation:
     group = f.group
     if group.kind != FINITE_ABELIAN:
         raise ValueError(f"dual evaluation needs a finite abelian group, got {group.kind}")
-    values = np.fft.ifftn(coefficient_tensor(f, group.moduli)) * group.dual_size
-    return DualEvaluation(group, values.ravel())
+    return DualEvaluation(group, _grid_values(coefficient_tensor(f, group.moduli),
+                                              group.moduli).ravel())
+
+
+def _grid_values(tensors: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
+    """The values at the points x / grid of a stack of coefficient tensors on ``grid``
+    (the trailing axes): sum_g c_g exp(2 pi i <g, x / grid>), by one batched ifftn."""
+    return np.fft.ifftn(tensors, axes=range(-len(grid), 0)) * math.prod(grid)
 
 
 def coefficient_tensor(f: GroupAlgebraElement, grid: tuple[int, ...]) -> np.ndarray:
@@ -448,13 +465,9 @@ def convolve(f: GroupAlgebraElement, h: GroupAlgebraElement) -> GroupAlgebraElem
         group = GroupDescriptor.torus(group.rank, f.group.bound + h.group.bound)
     if group.is_abelian:
         return _convolve_dense(f, h, group)
-    acc: dict = {}
-    for a, va in f.coeffs.items():
-        for b, vb in h.coeffs.items():
-            key = words.concat(a, b, group.word_modulus)
-            acc[key] = acc.get(key, 0) + va * vb
-    return GroupAlgebraElement(group, {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL},
-                               _canonical=True)
+    return GroupAlgebraElement(group, _summed((words.concat(a, b, group.word_modulus), va * vb)
+                                              for a, va in f.coeffs.items()
+                                              for b, vb in h.coeffs.items()), _canonical=True)
 
 
 def adjoint(f: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -470,8 +483,7 @@ def trace(f: GroupAlgebraElement) -> complex:
 
 def project_mean_zero(f: GroupAlgebraElement, cocycle) -> GroupAlgebraElement:
     """Drop every coefficient at a group element with vanishing length."""
-    coeffs = {k: v for k, v in f.coeffs.items() if cocycle.psi(k) != 0}
-    return GroupAlgebraElement(f.group, coeffs, _canonical=True)
+    return _multiply(f, lambda key: cocycle.psi(key) != 0)
 
 
 def is_mean_zero(f: GroupAlgebraElement) -> bool:
@@ -488,11 +500,9 @@ def random_group_elements(group: GroupDescriptor, size: int, rng: np.random.Gene
     """
     out = []
     for _ in range(size):
-        if group.kind == FINITE_ABELIAN:
-            out.append(tuple(int(rng.integers(0, m)) for m in group.moduli))
-        elif group.kind == TORUS:
-            out.append(tuple(int(rng.integers(-group.bound, group.bound + 1))
-                             for _ in range(group.rank)))
+        if group.is_abelian:
+            shape, low = key_box(group)
+            out.append(tuple(int(rng.integers(low, low + m)) for m in shape))
         else:
             length = int(rng.integers(0, max_length + 1))
             blocks = []

@@ -29,7 +29,8 @@ import numpy as np
 from . import operators
 from .cocycles import COCYCLE_FAMILIES, LengthCocycle, build_cocycle
 from .groups import (FINITE_ABELIAN, PRUNE_TOL, TORUS, GroupAlgebraElement, GroupDescriptor,
-                     coefficient_tensor, element_inverse, is_mean_zero, key_box)
+                     _distance, _grid_values, coefficient_tensor, element_inverse, is_mean_zero,
+                     key_box)
 from .norms import (SIGN_BLOCK_ROWS, _check_p, half_sign_patterns, schatten_powers,
                     sign_block_bytes, sign_block_powers, sign_row_blocks)
 
@@ -185,7 +186,7 @@ def _dual_stack(f: GroupAlgebraElement, cocycle: LengthCocycle, derivative: str,
     if derivative not in ("walsh", "absorbent"):
         table, starts = _pairing_table(f.group, cocycle.family, cocycle.weights, derivative, grid)
         stack = np.concatenate([stack, table * (operators.TWO_PI_I * tensor)])
-    evaluated = np.fft.ifftn(stack, axes=range(-len(grid), 0)) * math.prod(grid)
+    evaluated = _grid_values(stack, grid)
     return evaluated[0], evaluated[1:], starts
 
 
@@ -271,8 +272,14 @@ def _pair_route_bytes(n: int, q: int, tuples: int, pairs: int) -> int:
     column in ``_multiset_table``, or the table and its sorted or distinct rows in
     ``_self_join``), a byte a word of row comparisons, its q key indices and
     orderings, and 7 words of products, sort order and labels; a joined pair holds
-    2 indices, its element's index, a weight and 4 packed masks."""
+    2 indices, its element's index, a weight and 4 packed masks.  At q = 1 nothing is
+    tabled or joined (each key pairs with itself alone): a key holds its n coordinates,
+    its packed support and that support's byte counts, its complex coefficient and
+    squared modulus (4 words), the 2 references that list its key and coefficient, and
+    4 words of union, owner, bin index and weight copy."""
     width = -(-n // 8)
+    if q == 1:
+        return 8 * tuples * (n + 2 * width + 10)
     row = n + 1 + 2 * width
     return 8 * (tuples * (2 * row + -(-row // 8) + q + 8) + pairs * (5 + 4 * width))
 
@@ -464,8 +471,9 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
     those: the tuple stage of its largest multiset list here (two copies of its
     table, as ``_pair_route_bytes`` counts them), and its joined pairs in
     ``_self_join`` once its sort has counted them; ``nbytes`` prices both, the pairs
-    at the bound s^(2q - 1).  The grid counts its multiplier stack and mean-extended
-    tensor (none at p = 2 alone or riesz).
+    at the bound s^(2q - 1).  At q = 1 both are the keys' own arrays, priced below any
+    larger q.  The grid counts its multiplier stack and mean-extended tensor (none at
+    p = 2 alone or riesz).
     """
     if not group.is_abelian:
         raise ValueError(f"dual evaluations need an abelian group, got {group.kind}")
@@ -815,12 +823,22 @@ def _rosenthal_route(n: int, p: float) -> str:
 
     Key pairs need an even p = 2q, at most SIGN_ENUMERATION_CAP tuple steps, and
     room in LATTICE_MAX_BYTES for the n unit keys' C(n + q - 1, q) multisets and
-    their at most n^(2q - 1) joined pairs.
+    their ``_unit_key_pairs`` joined pairs.
     """
     q = int(p) // 2 if p >= 2 and p % 2 == 0 else 0
-    fits = 1 <= q <= SIGN_ENUMERATION_CAP and \
-        _pair_route_bytes(n, q, math.comb(n + q - 1, q), n ** (2 * q - 1)) <= LATTICE_MAX_BYTES
+    fits = 1 <= q <= SIGN_ENUMERATION_CAP and _pair_route_bytes(
+        n, q, math.comb(n + q - 1, q), _unit_key_pairs(n, q)) <= LATTICE_MAX_BYTES
     return "pairs" if fits else "signs"
+
+
+def _unit_key_pairs(n: int, q: int) -> int:
+    """The pairs ``_self_join`` joins for the n unit keys of Z_2^n at p = 2q.  A multiset
+    whose t keys of odd multiplicity sum to a t-set has one distinct row for each j-set
+    of further keys of even multiplicity, 2j <= q - t (j >= 1 when t = 0), and the rows
+    of one sum pair with each other."""
+    return sum(math.comb(n, t) * sum(math.comb(n - t, j)
+                                     for j in range(t == 0, (q - t) // 2 + 1)) ** 2
+               for t in range(q % 2, min(q, n) + 1, 2))
 
 
 def _rosenthal_checked_route(n: int, p: float, ks: Sequence[int]) -> str:
@@ -1263,20 +1281,13 @@ def free_identity_deviation(f: GroupAlgebraElement) -> float:
     twice = operators.free_hilbert_transform(operators.free_hilbert_transform(f, signs), signs)
     total = sum((operators.absorbent_derivative(f, j) for j in range(2, n + 1)),
                 operators.absorbent_derivative(f, 1))
-    deviation = max(_element_distance(twice, f), _element_distance(total, f))
+    deviation = max(_distance(twice, f), _distance(total, f))
     for size in range(1, n + 1):
         subset = tuple(range(1, size + 1))
         direct = operators.truncate(f, subset)
         through = operators.truncate(operators.project_AS(f, subset), subset)
-        deviation = max(deviation, _element_distance(direct, through))
+        deviation = max(deviation, _distance(direct, through))
     return deviation
-
-
-def _element_distance(a: GroupAlgebraElement, b: GroupAlgebraElement) -> float:
-    keys = set(a.coeffs) | set(b.coeffs)
-    if not keys:
-        return 0.0
-    return max(abs(a.coeffs.get(k, 0) - b.coeffs.get(k, 0)) for k in keys)
 
 
 def _free_rows(f: GroupAlgebraElement) -> list[Row]:

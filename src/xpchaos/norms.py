@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .groups import (FINITE_ABELIAN, TORUS, GroupAlgebraElement, adjoint,
+from .groups import (FINITE_ABELIAN, TORUS, GroupAlgebraElement, _grid_values, adjoint,
                      coefficient_tensor, convolve, element_inverse, evaluate_on_dual, trace)
 
 #: ``lp_norm_torus_refined`` doubles its grid until two successive norms agree
@@ -125,17 +125,6 @@ def lp_norm_torus_even(f: GroupAlgebraElement, p: float) -> float:
     return _root(_trace_power([f], p), p)
 
 
-def _torus_grid_values(fs: Sequence[GroupAlgebraElement], oversample: int) -> np.ndarray:
-    """Evaluate torus polynomials on a common uniform grid (rows = inputs)."""
-    rank = fs[0].group.rank
-    bound = max(f.group.bound for f in fs)
-    grid = (oversample * (2 * bound + 1),) * rank
-    grids = np.empty((len(fs), math.prod(grid)), dtype=complex)
-    for row, f in enumerate(fs):
-        grids[row] = (np.fft.ifftn(coefficient_tensor(f, grid)) * math.prod(grid)).ravel()
-    return grids
-
-
 def lp_norm_torus_grid(f: GroupAlgebraElement, p: float, oversample: int = 4) -> float:
     """Riemann-sum norm on an oversampled uniform grid.
 
@@ -149,7 +138,8 @@ def lp_norm_torus_grid(f: GroupAlgebraElement, p: float, oversample: int = 4) ->
         raise ValueError("lp_norm_torus_grid needs a torus polynomial")
     if not f.coeffs:
         return 0.0
-    return _root(_mean_power(_torus_grid_values([f], oversample)[0], p), p)
+    grid = (oversample * (2 * f.group.bound + 1),) * f.group.rank
+    return _root(_mean_power(_grid_values(coefficient_tensor(f, grid), grid), p), p)
 
 
 def lp_norm_torus_refined(f: GroupAlgebraElement, p: float,
@@ -234,11 +224,12 @@ def square_function_norm(components: Sequence[GroupAlgebraElement], p: float) ->
         raise ValueError("square functions need abelian or torus group algebra elements")
     if not any(c.coeffs for c in components):
         return 0.0
-    if components[0].group.kind == TORUS and _is_even(p):
+    group = components[0].group
+    if group.kind == TORUS and _is_even(p):
         return _root(_trace_power(components, p), p)
-    rows = (np.stack([evaluate_on_dual(c).values for c in components])
-            if components[0].group.kind == FINITE_ABELIAN
-            else _torus_grid_values(components, 4))     # lp_norm_torus_grid's grid
+    grid = (group.moduli if group.kind == FINITE_ABELIAN      # or lp_norm_torus_grid's grid
+            else (4 * (2 * max(c.group.bound for c in components) + 1),) * group.rank)
+    rows = _grid_values(np.stack([coefficient_tensor(c, grid) for c in components]), grid)
     return _root(_mean_power(np.sqrt(np.sum(np.abs(rows) ** 2, axis=0)), p), p)
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cocycles import BasisVector, LengthCocycle
-from .groups import PRUNE_TOL, GroupAlgebraElement, GroupDescriptor, adjoint, is_mean_zero
+from .groups import GroupAlgebraElement, GroupDescriptor, _multiply, adjoint, is_mean_zero
 
 TWO_PI_I = 2j * math.pi
 
@@ -43,21 +43,6 @@ def _require_free(f: GroupAlgebraElement, what: str) -> None:
 def _component_range(group: GroupDescriptor, j: int) -> None:
     if not 1 <= j <= group.n_components:
         raise ValueError(f"component {j} out of range [1, {group.n_components}]")
-
-
-def _multiply(f: GroupAlgebraElement,
-              symbol: Callable[[object], complex | bool]) -> GroupAlgebraElement:
-    """The multiplier ``lambda(g) -> symbol(g) lambda(g)``, dropping products of modulus
-    at most PRUNE_TOL.  A bool symbol is a 0/1 filter: it keeps or drops each coefficient
-    unchanged, where a product with 1.0 would round a signed zero part to +0.0."""
-    coeffs = {}
-    for key, value in f.coeffs.items():
-        scale = symbol(key)
-        if scale is True:
-            coeffs[key] = value
-        elif abs(scaled := value * scale) > PRUNE_TOL:
-            coeffs[key] = scaled
-    return GroupAlgebraElement(f.group, coeffs, _canonical=True)
 
 
 def directional_derivative(f: GroupAlgebraElement, u: BasisVector,

@@ -36,9 +36,6 @@ class ReducedWord:
             raise ValueError("the empty word has no first generator")
         return self.blocks[0][0]
 
-    def generators(self) -> set[int]:
-        return {i for i, _ in self.blocks}
-
     def to_json(self) -> list[list[int]]:
         return [[i, l] for i, l in self.blocks]
 

@@ -240,6 +240,12 @@ class TestVerify:
         for report, out in written:
             assert load(Path(out)) == report
 
+    def test_rosenthal_pairs_take_k_past_the_sign_cap(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["verify", "rosenthal", "--n", "30", "--p", "6", "--k", "20",
+                    "--trials", "1", "--out", str(out)]) == 0
+        assert load(out)["extra"]["route"] == "pairs"
+
     def test_csv_summary(self, tmp_path):
         out = tmp_path / "r.json"
         csv_path = tmp_path / "r.csv"

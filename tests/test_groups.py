@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from xpchaos import (GroupAlgebraElement, GroupDescriptor, adjoint,
                      build_cocycle, convolve, evaluate_on_dual,
-                     fourier_coefficients, project_mean_zero, trace)
-from xpchaos.groups import (KIND_FIELDS, DualEvaluation, element_inverse, element_product,
-                            key_box)
-from xpchaos.norms import lp_norm, lp_norm_torus_grid
+                     fourier_coefficients, norms, project_mean_zero, random_group_elements,
+                     trace)
+from xpchaos.groups import (KIND_FIELDS, DualEvaluation, coefficient_tensor, element_inverse,
+                            element_product, key_box)
+from xpchaos.norms import lp_norm, lp_norm_torus_grid, square_function_norm
 from xpchaos.words import ReducedWord
 
 
@@ -536,3 +537,125 @@ class TestDescriptors:
                       GroupDescriptor.free_group(3), GroupDescriptor.free_product(2, 4)):
             assert list(group.to_json()) == ["kind", *KIND_FIELDS[group.kind]]
             assert GroupDescriptor.from_json(group.to_json()) == group
+
+
+def _signed(f):
+    """f's coefficients by key as reprs, which tell a -0.0 part from a +0.0 one."""
+    return sorted((key, repr(value)) for key, value in f.coeffs.items())
+
+
+class TestSignedZerosAndPruning:
+    """Scalings, filters and sums keep each part's sign and prune at PRUNE_TOL exactly,
+    as the literal values pin.  The adjoint of a real element has -0.0 imaginary parts."""
+
+    group = GroupDescriptor.finite_abelian([4, 4])
+    f = GroupAlgebraElement(group, {(0, 0): 0.5, (1, 0): -1.0, (2, 3): 1.5, (3, 1): 1e-14,
+                                    (1, 1): 2e-14})
+    g = adjoint(f)
+
+    def test_the_adjoint_has_negative_zero_parts(self):
+        assert _signed(self.g) == [((0, 0), "(0.5-0j)"), ((2, 1), "(1.5-0j)"),
+                                   ((3, 0), "(-1-0j)"), ((3, 3), "(2e-14-0j)")]
+
+    @pytest.mark.parametrize("scalar, expected", [
+        (2.0, [((0, 0), "(1+0j)"), ((2, 1), "(3+0j)"), ((3, 0), "(-2-0j)"),
+               ((3, 3), "(4e-14+0j)")]),
+        (-1.0, [((0, 0), "(-0.5+0j)"), ((2, 1), "(-1.5+0j)"), ((3, 0), "(1+0j)"),
+                ((3, 3), "(-2e-14+0j)")]),
+        (1.5e-14, [((2, 1), "(2.25e-14+0j)"), ((3, 0), "(-1.5e-14-0j)")]),
+        (0.5j, [((0, 0), "0.25j"), ((2, 1), "0.75j"), ((3, 0), "-0.5j")]),
+        (0, [])])
+    def test_scaling(self, scalar, expected):
+        assert _signed(scalar * self.g) == expected
+
+    def test_sums_start_from_the_left_side(self):
+        """A key of the right side alone is added to 0, so its -0.0 part reads +0.0."""
+        h = adjoint(GroupAlgebraElement(self.group, {(1, 0): 0.25, (2, 2): -0.75}))
+        assert _signed(self.g + h) == [((0, 0), "(0.5-0j)"), ((2, 1), "(1.5-0j)"),
+                                       ((2, 2), "(-0.75+0j)"), ((3, 0), "(-0.75-0j)"),
+                                       ((3, 3), "(2e-14-0j)")]
+        assert _signed(h + self.g) == [((0, 0), "(0.5+0j)"), ((2, 1), "(1.5+0j)"),
+                                       ((2, 2), "(-0.75-0j)"), ((3, 0), "(-0.75-0j)"),
+                                       ((3, 3), "(2e-14+0j)")]
+
+    def test_sums_prune_cancellations(self):
+        assert (self.g - self.g).coeffs == {}
+        near = GroupAlgebraElement(self.group, {(1, 0): 1.0 + 5e-15, (0, 0): -0.5})
+        assert _signed(self.g + near) == [((1, 0), "(1.000000000000005+0j)"),
+                                          ((2, 1), "(1.5-0j)"), ((3, 0), "(-1-0j)"),
+                                          ((3, 3), "(2e-14-0j)")]
+
+    def test_project_mean_zero_keeps_the_parts_it_passes(self):
+        cocycle = build_cocycle("cyclic_word", self.group)
+        assert _signed(project_mean_zero(self.g, cocycle)) == [
+            ((2, 1), "(1.5-0j)"), ((3, 0), "(-1-0j)"), ((3, 3), "(2e-14-0j)")]
+
+
+class TestAllclose:
+    """``allclose`` holds exactly when the largest coefficient gap is at most tol."""
+
+    @staticmethod
+    def _holds_up_to(a, b, distance):
+        for x, y in ((a, b), (b, a)):
+            assert x.allclose(y, tol=distance)
+            assert not x.allclose(y, tol=np.nextafter(distance, 0)) or distance == 0
+
+    def test_zero_elements(self):
+        zero = GroupAlgebraElement.zero(GroupDescriptor.hypercube(3))
+        self._holds_up_to(zero, zero, 0.0)
+
+    def test_disjoint_keys(self):
+        group = GroupDescriptor.finite_abelian([3, 3])
+        a = GroupAlgebraElement(group, {(1, 0): 0.5})
+        b = GroupAlgebraElement(group, {(0, 1): -0.75j, (2, 2): 0.25})
+        self._holds_up_to(a, b, 0.75)
+        self._holds_up_to(a, GroupAlgebraElement.zero(group), 0.5)
+
+    def test_torus_elements_of_different_bounds(self):
+        a = GroupAlgebraElement(GroupDescriptor.torus(2, 1), {(1, 0): 1.0})
+        b = GroupAlgebraElement(GroupDescriptor.torus(2, 3), {(1, 0): 1.0 + 1e-11,
+                                                             (3, -3): 2e-11j})
+        self._holds_up_to(a, b, 2e-11)
+
+    def test_incompatible_groups_are_never_close(self):
+        a = GroupAlgebraElement.zero(GroupDescriptor.hypercube(2))
+        assert not a.allclose(GroupAlgebraElement.zero(GroupDescriptor.finite_abelian([4, 4])))
+
+
+@pytest.mark.parametrize("group", [
+    GroupDescriptor.hypercube(10), GroupDescriptor.finite_abelian([6] * 4),
+    GroupDescriptor.torus(2, 3), GroupDescriptor.torus(3, 2)],
+    ids=["hypercube-10", "z6^4", "torus-2", "torus-3"])
+def test_a_batch_on_the_grid_is_each_element_alone(group):
+    """One ifftn over a stack of coefficient tensors gives each element's transform
+    alone bit for bit, so the dual evaluation, the torus grid norm and the square
+    function, which read the stack, read the per-element values."""
+    rng = np.random.default_rng(8)
+    shape, low = key_box(group)
+    keys = list(itertools.product(*(range(low, low + m) for m in shape)))[1:]
+    fs = [GroupAlgebraElement(group, dict(zip(keys, rng.standard_normal(len(keys))
+                                              + 1j * rng.standard_normal(len(keys)))))
+          for _ in range(3)]
+    grid = group.moduli if group.kind == "finite_abelian" else \
+        (4 * (2 * group.bound + 1),) * group.rank
+    stack = np.stack([coefficient_tensor(f, grid) for f in fs])
+    batch = np.fft.ifftn(stack, axes=range(-len(grid), 0)) * math.prod(grid)
+    alone = [(np.fft.ifftn(coefficient_tensor(f, grid)) * math.prod(grid)).ravel() for f in fs]
+    for row, values, f in zip(batch, alone, fs):
+        assert (row.ravel() == values).all()
+        if group.kind == "finite_abelian":
+            assert (evaluate_on_dual(f).values == values).all()
+        else:
+            assert lp_norm_torus_grid(f, 3) == norms._root(norms._mean_power(values, 3), 3)
+    moduli = np.sqrt(np.sum(np.abs(np.stack(alone)) ** 2, axis=0))
+    assert square_function_norm(fs, 3) == norms._root(norms._mean_power(moduli, 3), 3)
+
+
+def test_abelian_draws_are_the_box_draws():
+    """Each coordinate is one ``rng.integers`` call over the key box, so a seed draws
+    these exact keys."""
+    draw = random_group_elements(GroupDescriptor.torus(2, 3), 4, np.random.default_rng(0))
+    assert draw == [(2, 1), (0, -2), (-1, -3), (-3, -3)]
+    draw = random_group_elements(GroupDescriptor.finite_abelian([3, 5]), 4,
+                                 np.random.default_rng(0))
+    assert draw == [(2, 3), (1, 1), (0, 0), (0, 0)]

@@ -232,14 +232,14 @@ class TestLatticeGuard:
 
     def test_p2_is_exempt_and_the_budget_is_the_extended_tensor(self, monkeypatch):
         """Every key of Z_4^2 at coefficient 1: at p = 2, which joins nothing, its 15
-        keys take key pairs, priced at 3480 bytes; at p = 3 the grid's budget is the
-        mean-extended tensor of 5^2 entries."""
+        keys take key pairs, priced at 8 (n + 2 + 10) = 112 bytes a key; at p = 3 the
+        grid's budget is the mean-extended tensor of 5^2 entries."""
         group = GroupDescriptor.finite_abelian([4, 4])
         cocycle = build_cocycle("cyclic_word", group)
         f = GroupAlgebraElement(group, {key: 1.0 for key in itertools.product(range(4), repeat=2)
                                         if any(key)})
-        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 3480)
-        assert harness._plan(group, cocycle, 15, [2], "absorbent") == ("pairs", (4, 4), 3480)
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 1680)
+        assert harness._plan(group, cocycle, 15, [2], "absorbent") == ("pairs", (4, 4), 1680)
         route, profile = _route_and_profile(f, cocycle, [2], [1, 2], "absorbent")
         assert route == "pairs" and profile[2][1][0] == pytest.approx(3)
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 5 ** 2 - 1)
@@ -249,6 +249,36 @@ class TestLatticeGuard:
             scan("naor", trials=1, family="cyclic", n=2, modulus=4, ps=[3], ks=[1])
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 16 * 5 ** 2)
         naor_profile(f, cocycle, [3], [1], "absorbent")
+
+    def test_p2_prices_the_keys_it_allocates(self):
+        """At p = 2 every key of a hypercube n = 21 fits, about 0.62 GB of key arrays;
+        n = 22 does not."""
+        group, cocycle = hypercube_pair(21)
+        plan = harness._plan(group, cocycle, 2 ** 21 - 1, [2], "absorbent")
+        assert plan.route == "pairs" and plan.nbytes == 8 * (2 ** 21 - 1) * (21 + 6 + 10)
+        group, cocycle = hypercube_pair(22)
+        with pytest.raises(ValueError, match="key tuples.*LATTICE_MAX_BYTES"):
+            harness._plan(group, cocycle, 2 ** 22 - 1, [2], "walsh")
+
+    @pytest.mark.parametrize("group, trials", [
+        (GroupDescriptor.hypercube(12), 1), (GroupDescriptor.hypercube(9), 8),
+        (GroupDescriptor.finite_abelian([6] * 4), 2), (GroupDescriptor.torus(2, 6), 1)],
+        ids=["hypercube-12", "hypercube-9-batch", "z6^4", "torus"])
+    def test_p2_price_bounds_the_traced_peak(self, group, trials):
+        """The peak of ``_pair_terms`` at p = 2 on a batch of every-key draws stays below
+        its price and 256 KiB of ufunc buffers and small tables."""
+        cocycle = build_cocycle("torus_word" if group.kind == "torus" else "cyclic_word", group)
+        rng = np.random.default_rng(trials)
+        fs = [sample_element(group, cocycle, EnsembleSpec("gaussian"), rng)
+              for _ in range(trials)]
+        n, keys = group.n_components, len(fs[0].coeffs)
+        tracemalloc.start()
+        try:
+            harness._pair_terms(fs, [2], tuple(range(1, n + 1)), "absorbent")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness._pair_route_bytes(n, 1, trials * keys, 0) + 2 ** 18
 
     def test_every_lattice_up_to_n14_fits(self):
         assert 16 * 3 ** 14 <= LATTICE_MAX_BYTES < 16 * 3 ** 22
@@ -1292,9 +1322,36 @@ class TestSignPairRoutes:
 
     @pytest.mark.parametrize("n, p, route", [
         (14, 2, "pairs"), (14, 6, "pairs"), (40, 4, "pairs"), (14, 3, "signs"),
-        (14, 2.5, "signs"), (1, 2e300, "signs"), (200, 8, "signs")])
+        (14, 2.5, "signs"), (1, 2e300, "signs"), (200, 8, "signs"), (30, 6, "pairs"),
+        (14, 8, "pairs"), (14, 20, "signs")])
     def test_rosenthal_route_rule(self, n, p, route):
         assert harness._rosenthal_route(n, p) == route
+
+    @pytest.mark.parametrize("q", range(1, 8))
+    def test_unit_key_pairs_are_the_joined_pairs(self, q):
+        """The count that prices rosenthal's join is the number of pairs ``_self_join``
+        joins for the unit keys of Z_2^n, n = 1..12."""
+        for n in range(1, 13):
+            keys = np.eye(n, dtype=np.int64)[None]
+            masks = np.packbits(keys != 0, axis=2).astype(np.int64)
+            if q == 1:
+                joined = n              # each key pairs with itself alone
+            else:
+                table, prods = harness._multiset_table(keys, np.ones((1, n), complex), masks,
+                                                       np.full(n, 2), q)
+                joined = len(harness._self_join(table, prods, n + 1)[2])
+            assert harness._unit_key_pairs(n, q) == joined
+
+    @pytest.mark.parametrize("n, p", [(30, 6), (14, 8)])
+    def test_rosenthal_pairs_past_the_pair_bound(self, n, p):
+        """Inputs whose joined pairs the bound n^(2q - 1) priced past the budget take
+        key pairs and match the sign enumeration."""
+        rng = np.random.default_rng(n + p)
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for row in harness._rosenthal_rows(coeffs, p, [1, 2, 3]):
+            exact = harness._sign_mean(coeffs[:, None, None], p, row.k, None)
+            assert row.extra["route"] == "pairs"
+            assert row.lhs ** p == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("p", [2, 4])
     def test_scalar_matrices_match_rosenthal_and_naor(self, p):

@@ -20,8 +20,8 @@ def test_one_record_of_each_kind_dumps_one_line_twice(tmp_path):
     first = {}
     for kind, name, thunk in dump.records(tmp_path):
         first.setdefault(kind, (name, thunk))
-    assert set(first) == {"scan", "report", "verify", "apply", "norm", "check", "cocycle",
-                          "moment"}
+    assert set(first) == {"scan", "report", "verify", "apply", "norm", "algebra", "check",
+                          "cocycle", "moment"}
     for kind, (name, thunk) in first.items():
         line = dump.line(kind, name, thunk())
         assert "\n" not in line

@@ -19,7 +19,12 @@ theirs (``xp_linear_ratio`` on square, wide 2x4 and tall 3x2 and 4x2 tuples, the
 rectangular ones at p = 3, 6 and 8 too), and the outputs of ``xpchaos verify``
 (every verb, and the six dense runs of the ``cube-dense`` benchmark), ``apply``
 (every op on a torus, Z_4^2, Z_2^3, F_2 and Z_4*Z_4 element), ``norm`` and
-``check cocycle`` (every family), with their exit codes, and the cocycle
+``check cocycle`` (every family), with their exit codes, the group algebra's own
+arithmetic on every element of ``ELEMENTS`` (``+``, ``-``, negation, complex
+scalings that prune none, some and all of its coefficients, and the free kinds'
+convolutions ``f f`` and ``f f*``), the ``fourier_coefficients(evaluate_on_dual(f))``
+round trip on Z_4^2 and Z_2^3, ``square_function_norm`` on Z_4^2 and on the rank-2
+torus at p = 3 and 4, ``lp_norm_torus_grid`` at oversample 4 and 8, and the cocycle
 certificates:
 ``gram_matrix`` on the acceptance battery's slices and on one basis with formal
 vectors, the sign-relation ``gromov_bilinear`` pairs,
@@ -47,10 +52,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from xpchaos import (EnsembleSpec, GroupAlgebraElement, GroupDescriptor,  # noqa: E402
-                     acceptance, build_cocycle, cli, conditional_negativity_check,
-                     gram_matrix, gromov_bilinear, moment_checks,
-                     naor_ratio, random_group_elements, reevaluate_witness,
-                     riesz_equivalence_ratio, rosenthal_linear_ratio, scan, words,
+                     acceptance, adjoint, build_cocycle, cli, conditional_negativity_check,
+                     convolve, evaluate_on_dual, fourier_coefficients, gram_matrix,
+                     gromov_bilinear, lp_norm_torus_grid, moment_checks, naor_ratio,
+                     random_group_elements, reevaluate_witness, riesz_equivalence_ratio,
+                     rosenthal_linear_ratio, scan, square_function_norm, words,
                      xp_linear_ratio)
 from xpchaos.cocycles import BasisVector  # noqa: E402
 from xpchaos.words import ReducedWord  # noqa: E402
@@ -61,6 +67,7 @@ MOMENT_PS = (1, 1.5, 2, 2.5, 3, 4, 6, 8)
 
 #: (experiment, ensemble, params): both routes of naor, xp_linear and rosenthal,
 #: their pair routes at every even p they take (naor and rosenthal up to p = 8,
+#: rosenthal at (n, p) = (14, 8) and (30, 6) too,
 #: xp_linear at p = 2 and 4 on one- and two-byte index masks), xp_linear's sign
 #: tables at p = 6 and on 1 x 1 tuples at p = 3 and 6, its Monte Carlo shapes of the
 #: matrix-signs benchmark and a Monte Carlo k < n beside k = n, rosenthal's sign
@@ -105,6 +112,8 @@ SCANS = [
     *[("rosenthal", None, {"n": n, "p": p, "ks": [1, 3, n]}) for n, p in ((10, 2), (6, 4), (6, 6),
                                                                            (9, 8))],
     ("rosenthal", None, {"n": 5, "p": 3, "k": 2}),
+    ("rosenthal", None, {"n": 14, "p": 8, "ks": [1, 3, 14]}),
+    ("rosenthal", None, {"n": 30, "p": 6, "ks": [1, 2, 3]}),
     *[("rosenthal", None, {"n": 6, "p": p, "ks": list(range(1, 7))}) for p in (1.5, 2.5)],
     ("riesz_equivalence", None, {"family": "cyclic", "modulus": 4, "n": 2, "p": 4}),
     ("riesz_equivalence", None, {"family": "torus", "n": 2, "bound": 1, "p": 3}),
@@ -243,6 +252,41 @@ def _apply_records(paths: dict[str, Path]):
                 yield f"{name} {op} {' '.join(extra)}".strip(), lambda argv=argv: _run(argv)
 
 
+def _algebra_records():
+    """The arithmetic, free convolutions, dual round trips and grid norms of ``ELEMENTS``,
+    elements as their JSON and numbers by ``repr``."""
+    elements = {name: GroupAlgebraElement(group, coeffs)
+                for name, (group, coeffs) in ELEMENTS.items()}
+    for name, f in elements.items():
+        star = adjoint(f)
+        for label, make in (("f + f*", lambda f=f, g=star: f + g),
+                            ("f* + f", lambda f=f, g=star: g + f),
+                            ("f - f*", lambda f=f, g=star: f - g),
+                            ("f - f", lambda f=f: f - f),
+                            ("-f", lambda f=f: -f),
+                            ("0.5j f", lambda f=f: 0.5j * f),
+                            ("f (-2)", lambda f=f: f * -2),
+                            ("2e-14 f", lambda f=f: 2e-14 * f),
+                            ("1e-15 f", lambda f=f: 1e-15 * f)):
+            yield f"{name} {label}", lambda make=make: make().to_json()
+        if f.group.is_free_kind:
+            yield f"{name} f f", lambda f=f: convolve(f, f).to_json()
+            yield f"{name} f f*", lambda f=f, g=star: convolve(f, g).to_json()
+        if f.group.kind == "finite_abelian":
+            yield f"{name} dual round trip", lambda f=f: fourier_coefficients(
+                evaluate_on_dual(f)).to_json()
+    z4, torus = elements["z4^2"], elements["torus"]
+    wide = GroupAlgebraElement(GroupDescriptor.torus(2, 1), {(1, -1): 0.5, (0, 1): -0.25j})
+    for p in (3, 4):
+        yield f"square function z4^2 p={p}", lambda p=p: repr(
+            square_function_norm([z4, adjoint(z4), 0.5j * z4], p))
+        yield f"square function torus p={p}", lambda p=p: repr(
+            square_function_norm([torus, wide], p))
+        for oversample in (4, 8):
+            yield f"torus grid p={p} oversample={oversample}", lambda p=p, o=oversample: repr(
+                lp_norm_torus_grid(torus, p, o))
+
+
 def _norm_records(paths: dict[str, Path]):
     for name, p, method in (("z4^2", 3, "auto"), ("torus", 4, "auto"), ("torus", 4, "exact"),
                             ("torus", 4, "grid"), ("torus", 3.5, "exact"),
@@ -326,6 +370,8 @@ def records(workdir: Path):
         yield "apply", name, thunk
     for name, thunk in _norm_records(paths):
         yield "norm", name, thunk
+    for name, thunk in _algebra_records():
+        yield "algebra", name, thunk
     for family in cli.FAMILIES:
         argv = ["check", "cocycle", "--family", family, *CHECK_OPTIONS.get(family, [])]
         yield "check", family, lambda argv=argv, family=family: _run(
