@@ -270,7 +270,7 @@ def _pair_route_bytes(n: int, q: int, tuples: int, pairs: int) -> int:
     keys) has a row of its element's index, its sum and packed support union and
     intersection, which the tuple stage holds twice (the table and one gathered key
     column in ``_multiset_table``, or the table and its sorted or distinct rows in
-    ``_self_join``), a byte a word of row comparisons, its q key indices and
+    ``_join_plan``), a byte a word of row comparisons, its q key indices and
     orderings, and 7 words of products, sort order and labels; a joined pair holds
     2 indices, its element's index, a weight and 4 packed masks.  At q = 1 nothing is
     tabled or joined (each key pairs with itself alone): a key holds its n coordinates,
@@ -289,22 +289,19 @@ def _within_budget(size: int, what: str) -> None:
         raise ValueError(f"the profile's {what} need {size} bytes, above {LATTICE_MAX_BYTES = }")
 
 
-def _self_join(table: np.ndarray, values: np.ndarray, prefix: int,
-               pair_bytes: Callable[[int], int] | None = None):
-    """(rows, sums, left, right) of an int64 row ``table``: its distinct rows in
-    ascending order, the ``values`` of each summed in input order (bincount for
-    scalars, ``reduceat`` for matrices), and the ordered pairs (left, right) of
-    rows whose first ``prefix`` columns agree, by left row and then right row.
-    ``table`` is sorted in place, so no more than it and its distinct rows are held
-    at once.  ``pair_bytes(pairs)``, when given, prices the pairs against
-    LATTICE_MAX_BYTES before any pair index is built."""
+def _join_plan(table: np.ndarray, prefix: int, pair_bytes: Callable[[int], int] | None = None):
+    """(rows, order, labels, left, right) of an int64 row ``table``: its distinct rows
+    in ascending order, the stable order that sorts it, the distinct row of each sorted
+    row, and the ordered pairs (left, right) of rows whose first ``prefix`` columns
+    agree, by left row and then right row.  A value of each input row is summed per
+    distinct row in input order from ``values[order]`` and ``labels``.  ``table`` is
+    sorted in place, so no more than it and its distinct rows are held at once.
+    ``pair_bytes(pairs)``, when given, prices the pairs against LATTICE_MAX_BYTES
+    before any pair index is built."""
     order = np.lexsort(table.T[::-1])   # stable: equal rows keep their input order
     table[:] = table[order]             # in place: the unsorted rows are not kept
-    values = values[order]
     new = np.concatenate(([True], (table[1:] != table[:-1]).any(axis=1)))
     rows, labels = (table if new.all() else table[new]), np.cumsum(new) - 1
-    sums = (np.bincount(labels, values.real) + 1j * np.bincount(labels, values.imag)
-            if values.ndim == 1 else np.add.reduceat(values, np.flatnonzero(new)))
     heads = rows[:, :prefix]
     edges = np.flatnonzero(np.concatenate(([True], (heads[1:] != heads[:-1]).any(axis=1), [True])))
     counts = edges[1:] - edges[:-1]
@@ -313,15 +310,23 @@ def _self_join(table: np.ndarray, values: np.ndarray, prefix: int,
     sizes = np.repeat(counts, counts)           # each row pairs with every row of its group
     left = np.repeat(np.arange(len(rows)), sizes)
     shift = np.cumsum(sizes) - sizes - np.repeat(edges[:-1], counts)   # pair less partner index
-    return rows, sums, left, np.arange(len(left)) - shift[left]
+    return rows, order, labels, left, np.arange(len(left)) - shift[left]
+
+
+def _frozen(arrays):
+    """``arrays`` with each array in it made read-only: shared by every caller through a cache."""
+    for array in arrays:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return arrays
 
 
 @functools.lru_cache(maxsize=16)
 def _multisets(s: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The C(s + q - 1, q) multisets of q of the indices 0..s-1 as non-decreasing rows
     in lexicographic order, and the q!/prod m_i! orderings of each (m_i the
-    multiplicities of its indices), both read-only: shared by every caller through
-    the cache.  Each step appends to every row each index from its last one on."""
+    multiplicities of its indices), both read-only.  Each step appends to every row
+    each index from its last one on."""
     rows = np.arange(s)[:, None]
     run = ties = np.ones(s, dtype=np.int64)     # place in the run of equal indices; prod m_i!
     for _ in range(q - 1):
@@ -331,26 +336,20 @@ def _multisets(s: int, q: int) -> tuple[np.ndarray, np.ndarray]:
         run = np.where(following == np.repeat(last, counts), np.repeat(run, counts) + 1, 1)
         ties = np.repeat(ties, counts) * run
         rows = np.column_stack([np.repeat(rows, counts, axis=0), following])
-    orderings = math.factorial(q) / ties
-    rows.flags.writeable = orderings.flags.writeable = False
-    return rows, orderings
+    return _frozen((rows, math.factorial(q) / ties))
 
 
-def _multiset_table(keys: np.ndarray, coeffs: np.ndarray, masks: np.ndarray,
-                    moduli: np.ndarray | None, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _multiset_table(keys: np.ndarray, masks: np.ndarray, moduli: np.ndarray | None,
+                    index: np.ndarray) -> np.ndarray:
     """The rows (element, sum, packed support union, packed support intersection) of
-    the q-multisets of each element's keys, and their products times their orderings.
-    The products take one factor at a time, in key order, so an element's are the same
-    bits alone or in any batch."""
+    the multisets ``index`` of each element's keys."""
     trials, s, n = keys.shape
-    index, orderings = _multisets(s, q)
     sum_end, union_end = n + 1, n + 1 + masks.shape[2]
     rows = np.empty((trials, s, union_end + masks.shape[2]), dtype=np.int64)   # each key's row
     rows[..., 0] = np.arange(0, trials * sum_end, sum_end)[:, None]
     rows[..., 1:sum_end] = keys
     rows[..., sum_end:union_end] = rows[..., union_end:] = masks
     table = np.take(rows, index[:, 0], axis=1)     # C order, so the reshape below is a view
-    prods = np.take(coeffs, index[:, 0], axis=1)
     sums, unions, inters = (table[..., 1:sum_end], table[..., sum_end:union_end],
                             table[..., union_end:])
     other = np.empty_like(table)        # one gathered key column at a time
@@ -359,10 +358,80 @@ def _multiset_table(keys: np.ndarray, coeffs: np.ndarray, masks: np.ndarray,
         sums += other[..., 1:sum_end]
         unions |= other[..., sum_end:union_end]
         inters &= other[..., union_end:]
-        prods = prods * coeffs[:, column]
     if moduli is not None:
         sums %= moduli
-    return table.reshape(-1, table.shape[2]), (prods * orderings).ravel()
+    return table.reshape(-1, table.shape[2])
+
+
+class PairPlan(NamedTuple):
+    """What ``_key_pairs`` makes of a batch's keys whatever their coefficients.  At
+    q >= 2: the q-multisets of each element's keys (``_multisets``) and their
+    orderings, and ``_join_plan``'s sort order, labels and joined pairs of their rows;
+    at q = 1, which joins nothing, each key pairs with itself alone and these are
+    None.  For each pair: its element's first bin of the union sums plus its union
+    size, and its intersection size; the shape (elements, n + 1) of the union sums,
+    and each element's run of pairs."""
+
+    index: np.ndarray | None
+    orderings: np.ndarray | None
+    order: np.ndarray | None
+    labels: np.ndarray | None
+    left: np.ndarray | None
+    right: np.ndarray | None
+    bins: np.ndarray
+    inter: np.ndarray
+    shape: tuple[int, int]
+    runs: tuple[slice, ...]
+
+
+def _pair_plan(keys: np.ndarray, moduli: np.ndarray | None, q: int,
+               pair_bytes: Callable[[int], int] | None = None) -> PairPlan:
+    """The plan of ``_key_pairs`` at p = 2q for the s int64 ``keys[t]`` of each element
+    t (one row per key, taken mod ``moduli`` unless None); ``pair_bytes`` prices the
+    joined pairs as in ``_join_plan``.  The element column of a multiset's row is its
+    element's first bin of the union sums, t (n + 1), so one join serves every element
+    of the batch, and each element's multisets and pairs keep the order they have alone."""
+    trials, s, n = keys.shape
+    masks = np.packbits(keys != 0, axis=2).astype(np.int64)
+    width = masks.shape[2]
+    offsets = np.arange(0, trials * (n + 1), n + 1)    # each element's first bin of by_union
+    if q == 1:                          # distinct keys: each pairs with itself alone
+        index = orderings = order = labels = left = right = None
+        union = inter = _BYTE_BITS[masks.reshape(-1, width)].sum(axis=1)
+        owner = np.repeat(offsets, s)
+    else:
+        index, orderings = _multisets(s, q)
+        rows, order, labels, left, right = _join_plan(
+            _multiset_table(keys, masks, moduli, index), n + 1, pair_bytes)
+        unions, inters = rows[:, n + 1:n + 1 + width], rows[:, n + 1 + width:]
+        union = _BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
+        inter = _BYTE_BITS[inters[left] & inters[right]].sum(axis=1)
+        owner = rows[left, 0]
+    ends = np.searchsorted(owner, offsets[1:]).tolist() + [len(owner)]
+    return PairPlan(index, orderings, order, labels, left, right, owner + union, inter,
+                    (trials, n + 1), tuple(map(slice, [0] + ends[:-1], ends)))
+
+
+def _pair_sums(plan: PairPlan, coeffs: np.ndarray):
+    """(w summed by support union size 0..n, sum w |intersection|, sum w) of each
+    element of ``plan``'s batch with the complex ``coeffs[t]`` of its keys.
+
+    A multiset's product takes one factor at a time, in key order, times its
+    orderings, and the products of one distinct row are summed in input order, so an
+    element's sums are the same bits alone or in any batch and on any plan of its keys."""
+    if plan.order is None:
+        prods = coeffs.ravel()
+        w = (prods * prods.conj()).real
+    else:
+        prods = np.take(coeffs, plan.index[:, 0], axis=1)
+        for column in plan.index.T[1:]:
+            prods = prods * coeffs[:, column]
+        values = (prods * plan.orderings).ravel()[plan.order]
+        sums = np.bincount(plan.labels, values.real) + 1j * np.bincount(plan.labels, values.imag)
+        w = (sums[plan.left] * sums[plan.right].conj()).real
+    by_union = np.bincount(plan.bins, w, minlength=math.prod(plan.shape))
+    return (by_union.reshape(plan.shape), [float(w[run] @ plan.inter[run]) for run in plan.runs],
+            [float(w[run].sum()) for run in plan.runs])
 
 
 def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, p: float):
@@ -376,41 +445,17 @@ def _key_pairs(keys: np.ndarray, coeffs: np.ndarray, moduli: np.ndarray | None, 
     sums in the group whose supports (nonzero coordinates) lie in S.  The orderings
     of one multiset share its sum, supports and product, so the tuples are the
     C(s + q - 1, q) multisets of ``_multiset_table``, each product times its number of
-    orderings.  ``_self_join`` merges the multisets of equal rows (element, sum, packed
-    support union and intersection) by adding their products and joins the rows of
+    orderings.  The join merges the multisets of equal rows (element, sum, packed
+    support union and intersection) by adding their products and pairs the rows of
     equal (element, sum).  At p = 2 only equal keys pair: the hypergeometric closure,
-    with no join.
-
-    The element column is each element's first bin of the union sums, t (n + 1), so
-    one join serves every element of the batch.  Each element's tuples and pairs
-    keep the order they have alone, and its sums are taken over its own run of
-    pairs, so they are the same bits alone or in any batch.
+    with no join.  The keys' plan (``_pair_plan``) is built for this call and priced
+    against LATTICE_MAX_BYTES before its pairs are; ``_pair_sums`` applies it.
     """
     trials, s, n = keys.shape
     q = int(p) // 2
-    masks = np.packbits(keys != 0, axis=2).astype(np.int64)
-    width = masks.shape[2]
-    offsets = np.arange(0, trials * (n + 1), n + 1)    # each element's first bin of by_union
-    if q == 1:                          # distinct keys: each pairs with itself alone
-        prods = coeffs.ravel()
-        w = (prods * prods.conj()).real
-        union = inter = _BYTE_BITS[masks.reshape(-1, width)].sum(axis=1)
-        owner = np.repeat(offsets, s)
-    else:
-        tuples = trials * math.comb(s + q - 1, q)
-        rows, prods, left, right = _self_join(
-            *_multiset_table(keys, coeffs, masks, moduli, q), n + 1,
-            lambda pairs: _pair_route_bytes(n, q, tuples, pairs))
-        w = (prods[left] * prods[right].conj()).real
-        unions, inters = rows[:, n + 1:n + 1 + width], rows[:, n + 1 + width:]
-        union = _BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
-        inter = _BYTE_BITS[inters[left] & inters[right]].sum(axis=1)
-        owner = rows[left, 0]
-    by_union = np.bincount(owner + union, w, minlength=trials * (n + 1))
-    ends = np.searchsorted(owner, offsets[1:]).tolist() + [len(w)]
-    runs = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
-    return (by_union.reshape(trials, n + 1), [float(w[run] @ inter[run]) for run in runs],
-            [float(w[run].sum()) for run in runs])
+    tuples = trials * math.comb(s + q - 1, q)
+    return _pair_sums(_pair_plan(keys, moduli, q,
+                                 lambda pairs: _pair_route_bytes(n, q, tuples, pairs)), coeffs)
 
 
 def _stored_items(f: GroupAlgebraElement) -> tuple[tuple, tuple]:
@@ -470,7 +515,7 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
     The pairs route lists only the C(s + q - 1, q) multisets, so its bytes count
     those: the tuple stage of its largest multiset list here (two copies of its
     table, as ``_pair_route_bytes`` counts them), and its joined pairs in
-    ``_self_join`` once its sort has counted them; ``nbytes`` prices both, the pairs
+    ``_join_plan`` once its sort has counted them; ``nbytes`` prices both, the pairs
     at the bound s^(2q - 1).  At q = 1 both are the keys' own arrays, priced below any
     larger q.  The grid counts its multiplier stack and mean-extended tensor (none at
     p = 2 alone or riesz).
@@ -689,36 +734,48 @@ def _xp_route_bytes(n: int, rows: int, cols: int, p: float) -> int:
     return 16 * n ** (int(p) // 2) * side * (2 * max(rows, cols) + 3 * side)
 
 
+@functools.lru_cache(maxsize=1)
+def _index_words(n: int) -> tuple[np.ndarray, ...]:
+    """The q = 2 index words of ``_gram_pair_means`` on n indices, read-only: shared by
+    every profile of that n through the cache (``_check_xp_route`` has priced them).
+    The Gram factors' indices a and b, the join's sort order of their rows and the
+    ``reduceat`` start of each distinct row, the joined pairs (left, right) of distinct
+    rows and the size of each pair's union.  A factor's row is (parity mask of {a, b},
+    union mask), packed as ``_key_pairs`` packs supports, highest index first so rows
+    sort as the numbers sum_a 2^a."""
+    a, b = np.indices((n, n)).reshape(2, -1)
+    masks = np.packbits(np.eye(n, dtype=bool)[:, ::-1], axis=1)    # index a's bit
+    width = masks.shape[1]
+    table = np.concatenate([masks[a] ^ masks[b], masks[a] | masks[b]], axis=1).astype(np.int64)
+    rows, order, labels, left, right = _join_plan(table, width)
+    starts = np.searchsorted(labels, np.arange(len(rows)))
+    sizes = _BYTE_BITS[rows[left, width:] | rows[right, width:]].sum(axis=1)
+    return _frozen((a, b, order, starts, left, right, sizes))
+
+
 def _gram_pair_means(mats: np.ndarray, p: float) -> np.ndarray:
     """E_eps ||sum_{j in S} eps_j x_j||_p^p averaged over the k-subsets S, at index
     k - 1 for k = 1..n, at p = 2q for q = 1 or 2, from index words.
 
     ||X||_p^p = tr((X* X)^q) expands into words of q Gram factors x_a* x_b, and the
     sign average keeps the words in which every index occurs an even number of
-    times, so its union holds at most q indices.  A factor is a row (parity mask of
-    {a, b}, union mask), packed as ``_key_pairs`` packs supports, highest index first
-    so rows sort as the numbers sum_a 2^a.  At q = 1 a word is one factor of parity 0,
-    x_a* x_a.  At q = 2 ``_self_join`` merges the factors of one row (x_a* x_b and
-    x_b* x_a) and joins those of equal parity, L and R, into words tr(L R).  Each
-    word adds its trace at the size of its union, which a k-subset holds with the
-    odds of ``_subset_means``.
+    times, so its union holds at most q indices.  At q = 1 a word is one factor
+    x_a* x_a, of union {a}.  At q = 2 the join of ``_index_words`` merges the factors
+    of one row (x_a* x_b and x_b* x_a) and pairs those of equal parity, L and R, into
+    words tr(L R).  Each word adds its trace at the size of its union, which a
+    k-subset holds with the odds of ``_subset_means``.
     """
     n, rows, cols = mats.shape
     if rows < cols:             # the transposes: same singular values, smaller Gram factors
         mats = np.swapaxes(mats, 1, 2)
-    q = int(p) // 2
-    a, b = np.indices((n, n)).reshape(2, -1) if q == 2 else (np.arange(n),) * 2
-    masks = np.packbits(np.eye(n, dtype=bool)[:, ::-1], axis=1)    # index a's bit
-    width = masks.shape[1]
-    table = np.concatenate([masks[a] ^ masks[b], masks[a] | masks[b]], axis=1).astype(np.int64)
-    gram = np.conj(np.swapaxes(mats[a], 1, 2)) @ mats[b]
-    if q == 1:
-        traces, unions = np.einsum("pii->p", gram).real, table[:, width:]
+    if int(p) // 2 == 1:
+        a = np.arange(n)
+        traces = np.einsum("pii->p", np.conj(np.swapaxes(mats[a], 1, 2)) @ mats[a]).real
+        sizes = np.ones(n, dtype=np.intp)
     else:
-        table, gram, left, right = _self_join(table, gram, width)
+        a, b, order, starts, left, right, sizes = _index_words(n)
+        gram = np.add.reduceat((np.conj(np.swapaxes(mats[a], 1, 2)) @ mats[b])[order], starts)
         traces = np.einsum("pij,pji->p", gram[left], gram[right]).real
-        unions = table[left, width:] | table[right, width:]
-    sizes = _BYTE_BITS[unions].sum(axis=1)
     return _subset_means(np.bincount(sizes, traces, minlength=n + 1))
 
 
@@ -832,13 +889,21 @@ def _rosenthal_route(n: int, p: float) -> str:
 
 
 def _unit_key_pairs(n: int, q: int) -> int:
-    """The pairs ``_self_join`` joins for the n unit keys of Z_2^n at p = 2q.  A multiset
+    """The pairs ``_join_plan`` joins for the n unit keys of Z_2^n at p = 2q.  A multiset
     whose t keys of odd multiplicity sum to a t-set has one distinct row for each j-set
     of further keys of even multiplicity, 2j <= q - t (j >= 1 when t = 0), and the rows
     of one sum pair with each other."""
     return sum(math.comb(n, t) * sum(math.comb(n - t, j)
                                      for j in range(t == 0, (q - t) // 2 + 1)) ** 2
                for t in range(q % 2, min(q, n) + 1, 2))
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_key_plan(n: int, q: int) -> PairPlan:
+    """The pair plan of the n unit keys of Z_2^n at p = 2q, read-only: shared by every
+    rosenthal profile of that (n, q) through the cache (``_rosenthal_route`` has
+    priced it)."""
+    return _frozen(_pair_plan(np.eye(n, dtype=np.int64)[None], np.full(n, 2), q))
 
 
 def _rosenthal_checked_route(n: int, p: float, ks: Sequence[int]) -> str:
@@ -852,7 +917,8 @@ def _rosenthal_checked_route(n: int, p: float, ks: Sequence[int]) -> str:
 
 def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[Row]:
     """The rows of the two-sided scalar model, one per k, scored by the larger of
-    lhs/rhs and rhs/lhs.  On key pairs one ``_key_pairs`` call gives every k."""
+    lhs/rhs and rhs/lhs.  On key pairs one ``_pair_sums`` call on the unit keys' plan
+    gives every k."""
     _check_p(p)
     coeffs = np.array([complex(x) for x in a])
     n = len(coeffs)
@@ -866,8 +932,10 @@ def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[R
         raise ValueError("the coefficient vector must be nonzero")
     with np.errstate(over="ignore"):                # sides past the float range are refused
         if route == "pairs":    # naor's walsh lhs of sum_j a_j r_j on the hypercube
-            by_union = _key_pairs(np.eye(n, dtype=np.int64)[None], coeffs[None],
-                                  np.full(n, 2), p)[0]
+            q = int(p) // 2     # q = 1 joins nothing: its plan, built each call, evicts none
+            plan = _unit_key_plan(n, q) if q > 1 else _pair_plan(np.eye(n, dtype=np.int64)[None],
+                                                                 None, q)
+            by_union = _pair_sums(plan, coeffs[None])[0]
             means = _subset_means(by_union[0]).tolist()
             mean = {k: means[k - 1] for k in ks}
         else:
@@ -1030,6 +1098,47 @@ def _most_keys(group: GroupDescriptor, cocycle: LengthCocycle, spec: EnsembleSpe
         return sum(1 if m == 2 else 2 for m in shape)
     box = math.prod(shape) - 1
     return min(spec.sparsity, box) if spec.kind == "sparse" else box
+
+
+def _draw_bytes(group: GroupDescriptor, spec: EnsembleSpec, keys: int) -> int:
+    """At most the bytes ``sample_element`` holds while it builds an abelian draw of
+    ``keys`` keys of ``spec``, at its peak, when the element copies its dict.  A key
+    holds its box index, its n coordinates twice (its list and its tuple), the list's
+    and the tuple's headers (7 and 5 words), its slot in the list of keys, its complex
+    coefficient and that one's slot (5 words), and an entry of each of two dicts (at
+    most 7.5 words each): 34 + 2n words.  A coordinate outside CPython's shared small
+    ints [-5, 256] is an int object of its own (4 words).  A linear_span draw builds
+    each unit key and its inverse as tuples before the element takes its own (2n
+    words a key), a sparse draw of more than 1/50 of the box lists the whole box
+    (numpy's ``Generator.choice``), and a chaos_degree draw masks each key of nonzero
+    length (a byte each)."""
+    shape, low = key_box(group)
+    n, box = len(shape), math.prod(shape)
+    own_ints = sum(low < -5 or low + m - 1 > 256 for m in shape)
+    extra = {"linear_span": 16 * n * keys, "sparse": 8 * box if keys > box // 50 else 0,
+             "chaos_degree": box}
+    return 8 * keys * (34 + 2 * n + 4 * own_ints) + extra.get(spec.kind, 0)
+
+
+def _check_draw_budget(group: GroupDescriptor, cocycle: LengthCocycle, spec: EnsembleSpec,
+                       ps: Sequence[float], derivative: str) -> None:
+    """Refuse a naor or riesz scan, before any draw, whose largest draw and the route
+    planned for it would not fit LATTICE_MAX_BYTES together: the draw as it peaks
+    (``_draw_bytes``), beside the route as ``_plan`` prices it before it runs (the
+    grid's tensors, or the key tuples of the largest p).  A linear_span draw on a
+    hypercube holds the n unit keys, so its joined pairs are counted exactly
+    (``_unit_key_pairs``) and priced first."""
+    keys = _most_keys(group, cocycle, spec)
+    plan = _plan(group, cocycle, keys, ps, derivative)
+    route = plan.nbytes
+    if plan.route == "pairs":
+        n, q = group.n_components, max(int(p) // 2 for p in ps)
+        pairs = _unit_key_pairs(n, q) if spec.kind == "linear_span" and group.is_hypercube else 0
+        route = _pair_route_bytes(n, q, math.comb(keys + q - 1, q), pairs)
+        if pairs:
+            _within_budget(route, "joined key pairs")
+    _within_budget(_draw_bytes(group, spec, keys) + route,
+                   f"{spec.kind} draw and {plan.route} route")
 
 
 def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
@@ -1210,7 +1319,7 @@ def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads_ensemble("naor", ensemble, group)
     ps = _naor_inputs(group, _naor_ps(params), derivative)
     ks = _ks(params)
-    _plan(group, cocycle, _most_keys(group, cocycle, ensemble), ps, derivative)
+    _check_draw_budget(group, cocycle, ensemble, ps, derivative)
 
     def evaluate(draws):
         """Each draw with its rows: a batch is the run of at most SCAN_BATCH_DRAWS draws
@@ -1268,7 +1377,7 @@ def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
     group, cocycle, _ = _naor_family(params)
     _reads_ensemble("riesz_equivalence", ensemble, group)
     p = _p(params, 2)
-    _plan(group, cocycle, _most_keys(group, cocycle, ensemble), [p], "riesz")
+    _check_draw_budget(group, cocycle, ensemble, [p], "riesz")
     return (lambda rng: sample_element(group, cocycle, ensemble, rng),
             _each(lambda f: _riesz_rows(f, cocycle, p)),
             lambda f, row: _element_witness(f, cocycle, p=p))

@@ -389,7 +389,7 @@ class TestPlan:
         budget = harness._pair_route_bytes(4, 2, 10, 22)
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", harness._pair_route_bytes(4, 2, 10, 0))
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
-        real_join = harness._self_join
+        real_join = harness._join_plan
 
         def join_without_building_pairs(*args):
             """The join with ``np.repeat``, which builds its pair indices, failing."""
@@ -397,7 +397,7 @@ class TestPlan:
                 patch.setattr(np, "repeat", _no_pairs)
                 return real_join(*args)
 
-        monkeypatch.setattr(harness, "_self_join", join_without_building_pairs)
+        monkeypatch.setattr(harness, "_join_plan", join_without_building_pairs)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="joined key pairs.*LATTICE_MAX_BYTES"):
@@ -406,7 +406,7 @@ class TestPlan:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        monkeypatch.setattr(harness, "_self_join", real_join)
+        monkeypatch.setattr(harness, "_join_plan", real_join)
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", budget)
         assert _route_and_profile(f, cocycle, [4], [1], "walsh")[0] == "pairs"
 
@@ -421,15 +421,15 @@ class TestPlan:
         keys = rng.integers(0, modulus, size=(trials, s, n)).astype(np.int64)
         coeffs = rng.standard_normal((trials, s)) + 1j * rng.standard_normal((trials, s))
         tuples = trials * math.comb(s + q - 1, q)
-        real_join, seen = harness._self_join, []
+        real_join, seen = harness._join_plan, []
 
-        def join(table, values, prefix, pair_bytes):
+        def join(table, prefix, pair_bytes):
             def priced(pairs):
                 seen.append((pairs, tracemalloc.get_traced_memory()[1]))
                 return pair_bytes(pairs)
-            return real_join(table, values, prefix, priced)
+            return real_join(table, prefix, priced)
 
-        monkeypatch.setattr(harness, "_self_join", join)
+        monkeypatch.setattr(harness, "_join_plan", join)
         harness._multisets.cache_clear()
         tracemalloc.start()
         try:
@@ -460,6 +460,60 @@ class TestPlan:
         assert harness._plan(group, cocycle, keys, [4], "walsh").route == "pairs"
         with pytest.raises(ValueError, match="key tuples"):
             harness._plan(group, cocycle, 2 * keys, [4], "walsh")
+
+    @pytest.mark.parametrize("group, spec", [
+        (GroupDescriptor.hypercube(12), EnsembleSpec("gaussian")),
+        (GroupDescriptor.hypercube(16), EnsembleSpec("gaussian")),
+        (GroupDescriptor.finite_abelian([6] * 6), EnsembleSpec("gaussian")),
+        (GroupDescriptor.finite_abelian([300, 300]), EnsembleSpec("gaussian")),
+        (GroupDescriptor.torus(2, 100), EnsembleSpec("gaussian")),
+        (GroupDescriptor.torus(6, 3), EnsembleSpec("gaussian")),
+        (GroupDescriptor.hypercube(14), EnsembleSpec("sparse", sparsity=1000)),
+        (GroupDescriptor.hypercube(14), EnsembleSpec("chaos_degree", degree=9)),
+        (GroupDescriptor.hypercube(400), EnsembleSpec("linear_span")),
+        (GroupDescriptor.torus(30, 7), EnsembleSpec("linear_span"))],
+        ids=["cube-12", "cube-16", "z6^6", "z300^2", "torus-2-100", "torus-6-3", "sparse",
+             "chaos", "span-cube-400", "span-torus"])
+    def test_draw_price_bounds_the_traced_peak(self, group, spec):
+        """The peak of one abelian draw stays below its price and 64 KiB of small tables."""
+        cocycle = build_cocycle("torus_word" if group.kind == "torus" else "cyclic_word", group)
+        keys = harness._most_keys(group, cocycle, spec)
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            f = sample_element(group, cocycle, spec, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(f.coeffs) <= keys
+        assert peak <= harness._draw_bytes(group, spec, keys) + 2 ** 16
+
+    @pytest.mark.parametrize("argv, what", [
+        (["--n", "21", "--p", "2"], "gaussian draw and pairs route"),
+        (["--n", "400", "--p", "4", "--ensemble", "linear_span", "--derivative", "walsh"],
+         "joined key pairs")], ids=["gaussian-21", "linear-span-400"])
+    def test_scans_refused_before_any_draw(self, argv, what, monkeypatch, capsys):
+        """Every key of a hypercube n = 21 peaks near 1.3 GB as a draw, beside 0.62 GB
+        of p = 2 route; the 400 unit keys' 239800 joined pairs at p = 4 need 1.08 GB."""
+        from xpchaos import cli
+        monkeypatch.setattr(harness, "_complex_normal", _no_draw)
+        monkeypatch.setattr(harness, "_join_plan", _no_draw)
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify", "naor", *argv, "--trials", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert re.search(f"{what} need .*LATTICE_MAX_BYTES", capsys.readouterr().err)
+        assert peak < 2 ** 20
+
+    def test_draw_and_route_fit_below_the_refused_sizes(self):
+        """Hypercube n = 20 at p = 2 and the 300 unit keys at p = 4 still plan."""
+        for n, ps, spec in ((20, [2.0], EnsembleSpec("gaussian")),
+                            (300, [4.0], EnsembleSpec("linear_span"))):
+            group, cocycle = hypercube_pair(n)
+            harness._check_draw_budget(group, cocycle, spec, ps, "walsh")
 
     def test_one_plan_per_profile(self, monkeypatch):
         """Profiles plan once with their key count; scans plan once more, when they
@@ -813,7 +867,9 @@ def _ordered_key_pairs(keys, coeffs, moduli, p):
     offsets = np.arange(0, trials * (n + 1), n + 1)
     owners = np.repeat(offsets, tuples // trials).reshape(trials, -1, 1)
     table = np.concatenate([owners, sums, unions, inters], axis=2).reshape(tuples, -1)
-    rows, prods, left, right = harness._self_join(table, prods.ravel(), n + 1)
+    values = prods.ravel()
+    rows, order, labels, left, right = harness._join_plan(table, n + 1)
+    prods = np.bincount(labels, values[order].real) + 1j * np.bincount(labels, values[order].imag)
     w = (prods[left] * prods[right].conj()).real
     unions, inters = rows[:, n + 1:n + 1 + width], rows[:, n + 1 + width:]
     union = harness._BYTE_BITS[unions[left] | unions[right]].sum(axis=1)
@@ -869,8 +925,8 @@ class TestMultisetPairs:
         """On Z_6^3, {1, 4} and {2, 3} (times (1, 1, 1)) share their sum and supports."""
         keys, coeffs, moduli = self._batch("z6^3")
         masks = np.packbits(keys != 0, axis=2).astype(np.int64)
-        table, prods = harness._multiset_table(keys, coeffs, masks, moduli, int(p) // 2)
-        assert len(table) == 3 * math.comb(5 + p // 2 - 1, p // 2) == len(prods)
+        table = harness._multiset_table(keys, masks, moduli, harness._multisets(5, p // 2)[0])
+        assert len(table) == 3 * math.comb(5 + p // 2 - 1, p // 2)
         assert len(np.unique(table, axis=0)) < len(table)
 
     @pytest.mark.parametrize("s, q", [(1, 3), (4, 1), (5, 2), (6, 3), (3, 4), (7, 5)])
@@ -1329,18 +1385,11 @@ class TestSignPairRoutes:
 
     @pytest.mark.parametrize("q", range(1, 8))
     def test_unit_key_pairs_are_the_joined_pairs(self, q):
-        """The count that prices rosenthal's join is the number of pairs ``_self_join``
-        joins for the unit keys of Z_2^n, n = 1..12."""
+        """The count that prices rosenthal's join is the number of pairs its plan joins
+        for the unit keys of Z_2^n, n = 1..12 (at q = 1 each key with itself alone)."""
         for n in range(1, 13):
-            keys = np.eye(n, dtype=np.int64)[None]
-            masks = np.packbits(keys != 0, axis=2).astype(np.int64)
-            if q == 1:
-                joined = n              # each key pairs with itself alone
-            else:
-                table, prods = harness._multiset_table(keys, np.ones((1, n), complex), masks,
-                                                       np.full(n, 2), q)
-                joined = len(harness._self_join(table, prods, n + 1)[2])
-            assert harness._unit_key_pairs(n, q) == joined
+            plan = harness._pair_plan(np.eye(n, dtype=np.int64)[None], np.full(n, 2), q)
+            assert harness._unit_key_pairs(n, q) == len(plan.bins)
 
     @pytest.mark.parametrize("n, p", [(30, 6), (14, 8)])
     def test_rosenthal_pairs_past_the_pair_bound(self, n, p):
@@ -1433,6 +1482,117 @@ class TestSignPairRoutes:
             assert harness._rosenthal_rows(coeffs, p, [k]) == [together[k]]
             assert xp_linear_profile(mats, p, [k])[k] == profile[k]
             assert xp_linear_profile(mats, p, [k, 1])[k] == profile[k]
+
+
+def _gram_pair_means_per_call(mats, p):
+    """``harness._gram_pair_means`` with its index words built and joined for the call,
+    the values summed in the join: the reference for the cached index words."""
+    n, rows, cols = mats.shape
+    if rows < cols:
+        mats = np.swapaxes(mats, 1, 2)
+    q = int(p) // 2
+    a, b = np.indices((n, n)).reshape(2, -1) if q == 2 else (np.arange(n),) * 2
+    masks = np.packbits(np.eye(n, dtype=bool)[:, ::-1], axis=1)
+    width = masks.shape[1]
+    table = np.concatenate([masks[a] ^ masks[b], masks[a] | masks[b]], axis=1).astype(np.int64)
+    gram = np.conj(np.swapaxes(mats[a], 1, 2)) @ mats[b]
+    if q == 1:
+        traces, unions = np.einsum("pii->p", gram).real, table[:, width:]
+    else:
+        table, order, labels, left, right = harness._join_plan(table, width)
+        gram = np.add.reduceat(gram[order], np.flatnonzero(np.diff(labels, prepend=-1)))
+        traces = np.einsum("pij,pji->p", gram[left], gram[right]).real
+        unions = table[left, width:] | table[right, width:]
+    sizes = harness._BYTE_BITS[unions].sum(axis=1)
+    return harness._subset_means(np.bincount(sizes, traces, minlength=n + 1))
+
+
+def _fail_join(*args, **kwargs):
+    raise AssertionError("a cached plan was joined again")
+
+
+class TestCachedPlans:
+    """Rosenthal's unit-key pairs and xp_linear's index words are planned once per
+    (n, q) or n, read-only, and applied with the same arithmetic as a per-call join."""
+
+    @staticmethod
+    def _coeffs(n, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+
+    @pytest.mark.parametrize("q", range(2, 8))
+    def test_unit_key_plan_matches_the_per_call_join(self, q):
+        """Bit for bit, n = 1..15 and (30, 3); the (n, q) of more than 2^20 joined pairs
+        (n >= 12 at q = 7, n = 15 at q = 6) are left out, as each holds over 130 MB."""
+        for n in [*range(1, 16), 30] if q == 3 else range(1, 16):
+            if harness._unit_key_pairs(n, q) > 2 ** 20:
+                continue
+            coeffs = self._coeffs(n, 10 * n + q)
+            cached = harness._pair_sums(harness._unit_key_plan(n, q), coeffs)
+            per_call = harness._key_pairs(np.eye(n, dtype=np.int64)[None], coeffs,
+                                          np.full(n, 2), 2 * q)
+            assert np.array_equal(cached[0], per_call[0])
+            assert cached[1:] == per_call[1:]
+        harness._unit_key_plan.cache_clear()
+
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+    def test_index_words_match_the_per_call_join(self, p, shape):
+        for n in [*range(1, 15), 65, 100]:
+            rng = np.random.default_rng(n + p)
+            mats = rng.standard_normal((n, *shape)) + 1j * rng.standard_normal((n, *shape))
+            assert np.array_equal(harness._gram_pair_means(mats, p),
+                                  _gram_pair_means_per_call(mats, p))
+        harness._index_words.cache_clear()
+
+    def test_a_second_call_joins_nothing(self, monkeypatch):
+        coeffs = self._coeffs(14, 0)[0]
+        mats = np.random.default_rng(1).standard_normal((14, 3, 3))
+        rows = harness._rosenthal_rows(coeffs, 6, [1, 7, 14])
+        profile = xp_linear_profile(mats, 4, [1, 7, 14])
+        monkeypatch.setattr(harness, "_join_plan", _fail_join)
+        monkeypatch.setattr(np, "lexsort", _fail_join)
+        assert harness._rosenthal_rows(coeffs, 6, [1, 7, 14]) == rows
+        assert xp_linear_profile(mats, 4, [1, 7, 14]) == profile
+
+    def test_interleaved_keys_reproduce_their_values(self):
+        """One slot per plan kind: each (n, q) or n evicts the last and is rebuilt."""
+        cases = [(n, p, self._coeffs(n, n + p)[0]) for n, p in ((14, 6), (10, 4), (14, 8))]
+        first = [harness._rosenthal_rows(c, p, [1, 3, n]) for n, p, c in cases]
+        mats = {n: np.random.default_rng(n).standard_normal((n, 2, 2)) for n in (9, 14)}
+        words = {n: harness._gram_pair_means(m, 4) for n, m in mats.items()}
+        for _ in range(2):
+            for (n, p, c), rows in zip(cases, first):
+                assert harness._rosenthal_rows(c, p, [1, 3, n]) == rows
+                for m, x in mats.items():
+                    assert np.array_equal(harness._gram_pair_means(x, 4), words[m])
+        assert harness._unit_key_plan.cache_info().currsize == 1
+        assert harness._index_words.cache_info().currsize == 1
+
+    def test_cached_arrays_are_read_only(self):
+        plans = [*harness._unit_key_plan(9, 3), *harness._index_words(9)]
+        arrays = [array for array in plans if isinstance(array, np.ndarray)]
+        assert len(arrays) == 8 + 7
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_a_cached_key_is_still_refused_past_the_budget(self, monkeypatch):
+        """Pricing runs before the cache is read: below a cached (n, q)'s price rosenthal
+        takes the sign route, which refuses k = 20, and xp_linear refuses its route."""
+        coeffs = self._coeffs(30, 3)[0]
+        assert harness._rosenthal_rows(coeffs, 6, [20])[0].extra["route"] == "pairs"
+        mats = np.random.default_rng(2).standard_normal((14, 2, 2))
+        xp_linear_profile(mats, 4, [1])
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", harness._pair_route_bytes(
+            30, 3, math.comb(32, 3), harness._unit_key_pairs(30, 3)) - 1)
+        with pytest.raises(ValueError, match="capped at k = 14"):
+            harness._rosenthal_rows(coeffs, 6, [20])
+        assert harness._rosenthal_rows(coeffs, 6, [2])[0].extra["route"] == "signs"
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", harness._xp_route_bytes(14, 2, 2, 4) - 1)
+        with pytest.raises(ValueError, match="pairs route arrays.*LATTICE_MAX_BYTES"):
+            xp_linear_profile(mats, 4, [1])
 
 
 class TestRosenthal:

@@ -68,7 +68,9 @@ MOMENT_PS = (1, 1.5, 2, 2.5, 3, 4, 6, 8)
 #: (experiment, ensemble, params): both routes of naor, xp_linear and rosenthal,
 #: their pair routes at every even p they take (naor and rosenthal up to p = 8,
 #: rosenthal at (n, p) = (14, 8) and (30, 6) too,
-#: xp_linear at p = 2 and 4 on one- and two-byte index masks), xp_linear's sign
+#: xp_linear at p = 2 and 4 on one- and two-byte index masks, and rosenthal at
+#: (14, 6) and xp_linear at (n, p, d) = (14, 4, 4) with every k, whose cached plans
+#: serve every trial, seed and witness replay), xp_linear's sign
 #: tables at p = 6 and on 1 x 1 tuples at p = 3 and 6, its Monte Carlo shapes of the
 #: matrix-signs benchmark and a Monte Carlo k < n beside k = n, rosenthal's sign
 #: route at p = 1.5, 2.5 and 3, every naor family and derivative, the
@@ -114,6 +116,8 @@ SCANS = [
     ("rosenthal", None, {"n": 5, "p": 3, "k": 2}),
     ("rosenthal", None, {"n": 14, "p": 8, "ks": [1, 3, 14]}),
     ("rosenthal", None, {"n": 30, "p": 6, "ks": [1, 2, 3]}),
+    ("rosenthal", None, {"n": 14, "p": 6, "ks": list(range(1, 15))}),
+    ("xp_linear", None, {"n": 14, "p": 4, "d": 4, "ks": list(range(1, 15))}),
     *[("rosenthal", None, {"n": 6, "p": p, "ks": list(range(1, 7))}) for p in (1.5, 2.5)],
     ("riesz_equivalence", None, {"family": "cyclic", "modulus": 4, "n": 2, "p": 4}),
     ("riesz_equivalence", None, {"family": "torus", "n": 2, "bound": 1, "p": 3}),
