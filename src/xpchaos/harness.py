@@ -20,6 +20,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -43,9 +44,14 @@ SIGN_ROWS_MAX = 2 ** 22
 #: largest allocation of the route of a ``naor_profile`` or ``riesz_equivalence_ratio``
 #: call, as ``_plan`` and ``_pair_route_bytes`` count it
 LATTICE_MAX_BYTES = 2 ** 30
-#: most draws a naor scan evaluates as one batch: on 6-key hypercube n = 10 draws, a
-#: batch of a few dozen is as fast per draw as any larger one, whose memory keeps growing
+#: most draws a naor or riesz scan evaluates as one batch: on 6-key hypercube n = 10
+#: draws, a batch of a few dozen is as fast per draw as any larger one, whose memory
+#: keeps growing
 SCAN_BATCH_DRAWS = 64
+#: most planned bytes of a grid batch (a draw past it runs alone): on a hypercube n = 10
+#: gaussian scan, whose draws plan 0.9 MB each, batches of 64 ran slower than one draw
+#: at a time and batches of 8 faster
+GRID_BATCH_BYTES = 2 ** 23
 #: relative margin by which a later scan row must beat the best score to replace it
 SCORE_TIE_RTOL = 1e-12
 
@@ -93,27 +99,30 @@ def _abs_power(z: np.ndarray, p: float) -> np.ndarray:
 
 
 def _extend_with_means(values: np.ndarray) -> np.ndarray:
-    """The value tensor with each axis extended by its mean along that axis.
+    """A batch of value tensors (batch axis first) with each later axis extended by
+    its mean along that axis.
 
     E_S f averages the values over the axes outside S, so the extended tensor
     holds every E_S f: index m_j on axis j means "coordinate averaged out".
-    Means are sums of slices, as numpy reduces short axes slowly.
+    Means are sums of slices in axis order, as numpy reduces short axes slowly.
     """
-    for axis, m in enumerate(values.shape):
-        values = np.concatenate([values, sum(np.split(values, m, axis=axis)) / m], axis=axis)
+    for axis in range(1, values.ndim):
+        mean = sum(np.moveaxis(values, axis, 0)) / values.shape[axis]
+        values = np.concatenate([values, np.expand_dims(mean, axis)], axis=axis)
     return values
 
 
 def _power_lattice(extended: np.ndarray, p: float) -> np.ndarray:
-    """mean_x |E_S f(x)|^p for ALL subsets S at once, indexed by the indicator of S.
+    """mean_x |E_S f(x)|^p for ALL subsets S at once, indexed by the batch element and
+    then the indicator of S.
 
-    Each axis of the extended tensor is reduced to the pair (dropped, kept),
-    averaging |.|^p over kept coordinates.
+    Each axis after the batch axis of the extended tensors is reduced to the pair
+    (dropped, kept), averaging |.|^p over kept coordinates.
     """
     powers = _abs_power(extended, p)
-    for axis, size in enumerate(extended.shape):
-        *kept, dropped = np.split(powers, size, axis=axis)
-        powers = np.concatenate([dropped, sum(kept) / (size - 1)], axis=axis)
+    for axis in range(1, extended.ndim):
+        *kept, dropped = np.moveaxis(powers, axis, 0)
+        powers = np.stack([dropped, sum(kept) / len(kept)], axis=axis)
     return powers
 
 
@@ -176,51 +185,78 @@ def _pairing_table(group: GroupDescriptor, family: str, weights: tuple[float, ..
     return table, starts
 
 
-def _dual_stack(f: GroupAlgebraElement, cocycle: LengthCocycle, derivative: str,
+@functools.lru_cache(maxsize=16)
+def _multiplier_rows(group: GroupDescriptor, family: str, weights: tuple[float, ...] | None,
+                     derivative: str) -> int:
+    """The rows of a multiplier stack, ``_pairing_table``'s rows on any grid."""
+    blocks = _symbol_blocks(LengthCocycle(family, group, weights), derivative)[1]
+    return sum(len(basis) for _, basis in blocks)
+
+
+def _element_means(arrays: np.ndarray) -> list[float]:
+    """The mean of each element's contiguous sub-array of a batch (batch axis first) as
+    ``np.mean`` of that sub-array alone takes it, its sum over every axis at once over
+    its size, without ``np.mean``'s per-call overhead."""
+    return [float(np.add.reduce(array, axis=None)) / array.size for array in arrays]
+
+
+def _dual_stack(fs: Sequence[GroupAlgebraElement], cocycle: LengthCocycle, derivative: str,
                 grid: tuple[int, ...]):
-    """(values, multiplier stack, first row of each block) of f on ``grid``: one
-    batched ``ifftn`` evaluates f and, for a multiplier derivative (euclidean,
+    """(values, multiplier stack, first row of each block) of a batch on ``grid``, the
+    batch axis after the stack axis: values (B, *grid) and stack (rows, B, *grid).  One
+    batched ``ifftn`` evaluates each f and, for a multiplier derivative (euclidean,
     gradient, riesz), f times each symbol of ``_pairing_table``."""
-    tensor = coefficient_tensor(f, grid)
-    stack, starts = tensor[None], None
+    tensors = np.stack([coefficient_tensor(f, grid) for f in fs])
+    stack, starts = tensors[None], None
     if derivative not in ("walsh", "absorbent"):
-        table, starts = _pairing_table(f.group, cocycle.family, cocycle.weights, derivative, grid)
-        stack = np.concatenate([stack, table * (operators.TWO_PI_I * tensor)])
+        table, starts = _pairing_table(fs[0].group, cocycle.family, cocycle.weights, derivative,
+                                       grid)
+        stack = np.concatenate([stack, table[:, None] * (operators.TWO_PI_I * tensors)])
     evaluated = _grid_values(stack, grid)
     return evaluated[0], evaluated[1:], starts
 
 
-def _grid_terms(f: GroupAlgebraElement, cocycle: LengthCocycle, ps: Sequence[float],
-                ks: tuple[int, ...], derivative: str, grid: tuple[int, ...]):
-    """(p, lhs by k, derivative sum, ||f||_p^p) for each p, on an abelian group.
+def _grid_terms(fs: Sequence[GroupAlgebraElement], cocycle: LengthCocycle, ps: Sequence[float],
+                ks: tuple[int, ...], derivative: str,
+                grid: tuple[int, ...]) -> list[list[tuple]]:
+    """[(p, lhs by k, derivative sum, ||f||_p^p) for each p] for each element of a batch
+    on an abelian group, as ``_pair_terms`` lists them.
 
     All come from the one dual evaluation of ``_dual_stack`` on the planned
     ``grid``; the squared moduli of a multiplier stack are summed over a block
     before the power p/2.  The subset lattice's all-kept corner is ||f||_p^p; at
     p = 2 the lhs and ||f||_2^2 are the join-free key closure of ``_pair_terms``.
     walsh/absorbent take each axis's values minus their mean along it; f* has the
-    conjugate values of f, so its absorbent half is the f half.
+    conjugate values of f, so its absorbent half is the f half.  Each element's
+    powers are a contiguous sub-array and each mean its own, so an element's terms
+    are the same bits alone or in any batch.
     """
-    n = f.group.n_components
-    values, stack, starts = _dual_stack(f, cocycle, derivative, grid)
+    n = fs[0].group.n_components
+    values, stack, starts = _dual_stack(fs, cocycle, derivative, grid)
     flips = starts is None
     extended = _extend_with_means(values) if set(ps) != {2} else None
-    sums = dict.fromkeys(ps, 0.0)
-    for axis in range(n if flips else 0):
+    sums = {p: np.zeros(len(fs)) for p in ps}
+    for axis in range(1, n + 1 if flips else 1):
         flipped = values - values.mean(axis=axis, keepdims=True)
         for p in ps:
-            sums[p] += float(np.mean(_abs_power(flipped, p)))
+            sums[p] += _element_means(_abs_power(flipped, p))
     blocks = [] if flips else np.add.reduceat(_abs_power(stack, 2), starts)
+    closures = _pair_terms(fs, [2], ks, derivative) if 2 in ps else None
+    out: list[list[tuple]] = [[] for _ in fs]
     for p in ps:
         for block in blocks:
-            sums[p] += float(np.mean(block ** (p // 2 if p % 2 == 0 else p / 2)))
+            sums[p] += _element_means(block ** (p // 2 if p % 2 == 0 else p / 2))
         if p == 2:
-            [[(_, lhs, _, full_norm)]] = _pair_terms([f], [2], ks, derivative)
+            lhs_norms = [(lhs, full_norm) for [(_, lhs, _, full_norm)] in closures]
         else:
-            lattice = _power_lattice(extended, p).ravel()
-            lhs = {k: float(np.mean(lattice[_lattice_index(n, k)])) for k in ks}
-            full_norm = float(lattice[-1])
-        yield p, lhs, _derivative_factor(derivative, p) * sums[p], full_norm
+            lattice = _power_lattice(extended, p).reshape(len(fs), -1)
+            by_k = {k: _element_means(lattice[:, _lattice_index(n, k)]) for k in ks}
+            lhs_norms = [({k: by_k[k][t] for k in ks}, float(lattice[t, -1]))
+                         for t in range(len(fs))]
+        factor = _derivative_factor(derivative, p)
+        for terms, (lhs, full_norm), deriv_sum in zip(out, lhs_norms, sums[p].tolist()):
+            terms.append((p, lhs, factor * deriv_sum, full_norm))
+    return out
 
 
 def _derivative_factor(derivative: str, p: float) -> float:
@@ -285,8 +321,11 @@ def _pair_route_bytes(n: int, q: int, tuples: int, pairs: int) -> int:
 
 
 def _within_budget(size: int, what: str) -> None:
+    """Refuse ``size`` bytes past LATTICE_MAX_BYTES, a size past 10^18 in two digits (a
+    huge p sizes a torus grid in hundreds of digits)."""
     if size > LATTICE_MAX_BYTES:
-        raise ValueError(f"the profile's {what} need {size} bytes, above {LATTICE_MAX_BYTES = }")
+        text = f"{size}" if size <= 10 ** 18 else f"{Decimal(size):.2g}"
+        raise ValueError(f"the profile's {what} need {text} bytes, above {LATTICE_MAX_BYTES = }")
 
 
 def _join_plan(table: np.ndarray, prefix: int, pair_bytes: Callable[[int], int] | None = None):
@@ -532,7 +571,7 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
         tuples = math.comb(keys + q - 1, q)
         _within_budget(_pair_route_bytes(n, q, tuples, 0), "key tuples")
         return Plan("pairs", grid, _pair_route_bytes(n, q, tuples, keys ** (2 * q - 1)))
-    rows = sum(len(basis) for _, basis in _symbol_blocks(cocycle, derivative)[1])
+    rows = _multiplier_rows(group, cocycle.family, cocycle.weights, derivative)
     extended = set(ps) != {2} and derivative != "riesz"
     nbytes = 16 * (rows * math.prod(grid) + (entries if extended else 0))
     _within_budget(nbytes, "grid tensors")
@@ -577,10 +616,11 @@ def _check_float_range(p: float, positive: Sequence[float], rest: Sequence[float
 def _naor_rows(fs: Sequence[GroupAlgebraElement], plan: Plan, cocycle: LengthCocycle,
                ps: Sequence[float], ks: Sequence[int], derivative: str):
     """Each element of a batch on one ``plan`` with its rows, by p and then k as
-    listed: the batch shares ``_pair_terms`` on key pairs, and on the grid each
-    element runs alone.  A torus row on the grid names its points per axis.  A p whose
-    sides leave the float range is refused, in one check per (element, p), so the
-    grid's powers that overflow on the way raise no numpy warning."""
+    listed: the batch shares one ``_pair_terms`` call on key pairs and one
+    ``_grid_terms`` call on the grid.  A torus row on the grid names its points per
+    axis.  A p whose sides leave the float range is refused, in one check per
+    (element, p), so the grid's powers that overflow on the way raise no numpy
+    warning."""
     group = fs[0].group
     n = group.n_components
     ks_sorted = tuple(sorted(set(ks)))
@@ -591,8 +631,7 @@ def _naor_rows(fs: Sequence[GroupAlgebraElement], plan: Plan, cocycle: LengthCoc
         if group.kind == TORUS:
             extra["grid"] = plan.grid[0]
         with np.errstate(over="ignore"):
-            terms = [list(_grid_terms(f, cocycle, ps, ks_sorted, derivative, plan.grid))
-                     for f in fs]
+            terms = _grid_terms(fs, cocycle, ps, ks_sorted, derivative, plan.grid)
     for f, element_terms in zip(fs, terms):
         rows = []
         for p, by_k, deriv_sum, full_norm in element_terms:
@@ -1000,27 +1039,36 @@ def moment_checks(n: int, k: int, p: float) -> dict:
 # -- Riesz transform norm equivalence ----------------------------------------
 
 
-def _riesz_rows(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float) -> list[Row]:
-    """The one row of ``riesz_equivalence_ratio``, scored by the larger of the ratio
-    and its inverse.
+def _riesz_rows(fs: Sequence[GroupAlgebraElement], plan: Plan, cocycle: LengthCocycle,
+                p: float):
+    """Each element of a batch on one ``plan`` with the one row of
+    ``riesz_equivalence_ratio``, scored by the larger of the ratio and its inverse.
 
-    f and every R_u f and R_u f* (the column and row square functions) come from
-    one batched dual evaluation on the grid of ``_grid_shape``.  The symbol
+    f and every R_u f and R_u f* (the column and row square functions) of the whole
+    batch come from one batched dual evaluation on the planned grid.  The symbol
     normalization sum_u |symbol(g)|^2 = 4 pi^2 makes the quotient 1 at p = 2.
     """
-    grid = _plan(f.group, cocycle, len(f.coeffs), [_check_p(p)], "riesz").grid
-    _require_mean_zero(f)
-    values, stack, starts = _dual_stack(f, cocycle, "riesz", grid)
+    values, stack, starts = _dual_stack(fs, cocycle, "riesz", plan.grid)
     squares = np.add.reduceat(_abs_power(stack, 2), starts)     # f and f* blocks alternate
     with np.errstate(over="ignore"):                            # refused below
-        sides = [float(np.mean(sum(squares[side::2]) ** (p / 2))) ** (1 / p) for side in (0, 1)]
-        lhs = float(np.mean(_abs_power(values, p))) ** (1 / p)
-    rhs = max(sides) / (2 * math.pi)
-    _check_float_range(p, [lhs, rhs])
-    ratio, inverse = lhs / rhs, rhs / lhs
-    spread = max(ratio, inverse)
-    return [Row(spread, lhs, rhs, ratio,
-                extra={"inverse_ratio": inverse, "two_sided_spread": spread})]
+        column_means, row_means = (_element_means(sum(squares[side::2]) ** (p / 2))
+                                   for side in (0, 1))
+        value_means = _element_means(_abs_power(values, p))
+    for f, column, row, value in zip(fs, column_means, row_means, value_means):
+        lhs = value ** (1 / p)
+        rhs = max(column ** (1 / p), row ** (1 / p)) / (2 * math.pi)
+        _check_float_range(p, [lhs, rhs])
+        ratio, inverse = lhs / rhs, rhs / lhs
+        spread = max(ratio, inverse)
+        yield f, [Row(spread, lhs, rhs, ratio,
+                      extra={"inverse_ratio": inverse, "two_sided_spread": spread})]
+
+
+def _riesz_one(f: GroupAlgebraElement, cocycle: LengthCocycle, p: float) -> list[Row]:
+    """The row of one element, as a batch of one."""
+    plan = _plan(f.group, cocycle, len(f.coeffs), [_check_p(p)], "riesz")
+    _require_mean_zero(f)
+    return next(_riesz_rows([f], plan, cocycle, p))[1]
 
 
 def riesz_equivalence_ratio(f: GroupAlgebraElement, p: float,
@@ -1028,7 +1076,7 @@ def riesz_equivalence_ratio(f: GroupAlgebraElement, p: float,
     """||f||_p against the Riesz square function, normalized by 2*pi.  ``extra``
     holds the inverse ratio and the larger of the two."""
     start = time.perf_counter()
-    (row,) = _riesz_rows(f, cocycle, p)
+    (row,) = _riesz_one(f, cocycle, p)
     params = {"experiment_family": cocycle.family, "n": f.group.n_components, "p": p}
     return _report("riesz_equivalence", params, row, start, _element_witness(f, cocycle, p=p))
 
@@ -1185,8 +1233,9 @@ def sample_element(group: GroupDescriptor, cocycle: LengthCocycle,
             sites[word] = None
     if not sites:
         raise ValueError("could not draw any nonidentity word for the ensemble")
-    coeffs = dict(zip(sites.keys(), _complex_normal(rng, len(sites))))
-    return GroupAlgebraElement(group, coeffs)
+    values = _complex_normal(rng, len(sites)).tolist()      # each word comes out reduced
+    return GroupAlgebraElement(group, {word: v for word, v in zip(sites, values)
+                                       if abs(v) > PRUNE_TOL}, _canonical=True)
 
 
 # -- scan driver ---------------------------------------------------------------
@@ -1225,6 +1274,32 @@ class Experiment:
 def _each(rows: Callable) -> Callable:
     """``evaluate`` of an experiment that takes its inputs one at a time."""
     return lambda draws: ((x, rows(x)) for x in draws)
+
+
+def _batched(plan: Callable, rows: Callable) -> Callable:
+    """``evaluate`` of an experiment that takes its inputs in batches: ``plan(x)`` plans
+    each mean-zero element and ``rows(batch, plan)`` yields each element of a batch
+    with its rows.  A batch is the run of at most SCAN_BATCH_DRAWS draws of one plan and
+    key count whose planned bytes fit LATTICE_MAX_BYTES together, and on the grid
+    GRID_BATCH_BYTES too (a draw past it alone is a batch of one)."""
+    def evaluate(draws):
+        batch, batch_plan = [], None
+        for f in draws:
+            f_plan = plan(f)
+            _require_mean_zero(f)
+            most = (min(LATTICE_MAX_BYTES, GRID_BATCH_BYTES) if f_plan.route == "grid"
+                    else LATTICE_MAX_BYTES)
+            if batch and ((f_plan, len(f.coeffs)) != (batch_plan, len(batch[0].coeffs))
+                          or (len(batch) + 1) * f_plan.nbytes > most
+                          or len(batch) == SCAN_BATCH_DRAWS):
+                yield from rows(batch, batch_plan)
+                batch = []
+            batch.append(f)
+            batch_plan = f_plan
+        if batch:
+            yield from rows(batch, batch_plan)
+
+    return evaluate
 
 
 def _reads(params: dict, *names: str) -> None:
@@ -1321,24 +1396,9 @@ def _naor(params: dict, ensemble: EnsembleSpec, seed: int):
     ks = _ks(params)
     _check_draw_budget(group, cocycle, ensemble, ps, derivative)
 
-    def evaluate(draws):
-        """Each draw with its rows: a batch is the run of at most SCAN_BATCH_DRAWS draws
-        of one plan and key count whose planned bytes fit LATTICE_MAX_BYTES together."""
-        batch, batch_plan = [], None
-        for f in draws:
-            plan = _plan(group, cocycle, len(f.coeffs), ps, derivative)
-            _require_mean_zero(f)
-            if batch and ((plan, len(f.coeffs)) != (batch_plan, len(batch[0].coeffs))
-                          or (len(batch) + 1) * plan.nbytes > LATTICE_MAX_BYTES
-                          or len(batch) == SCAN_BATCH_DRAWS):
-                yield from _naor_rows(batch, batch_plan, cocycle, ps, ks, derivative)
-                batch = []
-            batch.append(f)
-            batch_plan = plan
-        if batch:
-            yield from _naor_rows(batch, batch_plan, cocycle, ps, ks, derivative)
-
-    return (lambda rng: sample_element(group, cocycle, ensemble, rng), evaluate,
+    return (lambda rng: sample_element(group, cocycle, ensemble, rng),
+            _batched(lambda f: _plan(group, cocycle, len(f.coeffs), ps, derivative),
+                     lambda fs, plan: _naor_rows(fs, plan, cocycle, ps, ks, derivative)),
             lambda f, row: _element_witness(f, cocycle, k=row.k, p=row.p,
                                             derivative=derivative))
 
@@ -1379,7 +1439,8 @@ def _riesz(params: dict, ensemble: EnsembleSpec, seed: int):
     p = _p(params, 2)
     _check_draw_budget(group, cocycle, ensemble, [p], "riesz")
     return (lambda rng: sample_element(group, cocycle, ensemble, rng),
-            _each(lambda f: _riesz_rows(f, cocycle, p)),
+            _batched(lambda f: _plan(group, cocycle, len(f.coeffs), [p], "riesz"),
+                     lambda fs, plan: _riesz_rows(fs, plan, cocycle, p)),
             lambda f, row: _element_witness(f, cocycle, p=p))
 
 
@@ -1427,7 +1488,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "rosenthal": Experiment(_rosenthal, lambda r: _rosenthal_rows(
         [complex(z["re"], z["im"]) for z in r["witness"]["coeffs"]], r["witness"]["p"],
         [r["witness"]["k"]])[0]),
-    "riesz_equivalence": Experiment(_riesz, lambda r: _riesz_rows(
+    "riesz_equivalence": Experiment(_riesz, lambda r: _riesz_one(
         *_load_element(w := r["witness"]), w["p"])[0]),
     "free_identities": Experiment(_free_identities, lambda r: _free_rows(
         GroupAlgebraElement.from_json(r["witness"]["f"]))[0]),

@@ -90,6 +90,17 @@ class TestVerify:
                     "--trials", "1", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_huge_grid_size_reads_in_two_digits(self, tmp_path, capsys):
+        """At p = 1e300 a bound-1 torus grid needs a byte count of some 600 digits: it
+        is refused by its arrays' name and a size in two significant digits."""
+        out = tmp_path / "r.json"
+        assert run(["verify", "torus", "--n", "2", "--bound", "1", "--p", "1e300",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the profile's grid tensors need 4.8e+601 bytes, above "
+            f"LATTICE_MAX_BYTES = {xpchaos.harness.LATTICE_MAX_BYTES}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         ["naor", "--n", "3", "--p", "1500", "--derivative", "walsh"],
         ["naor", "--n", "3", "--p", "1500", "--derivative", "absorbent"],

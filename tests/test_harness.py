@@ -334,7 +334,7 @@ class TestPlan:
                             np.random.default_rng(n))
         ps = [2, 4, 6]
         grid = {p: terms for p, *terms in harness._grid_terms(
-            f8, small_cocycle, ps, tuple(range(1, 9)), derivative, small.moduli)}
+            [f8], small_cocycle, ps, tuple(range(1, 9)), derivative, small.moduli)[0]}
         group, cocycle = hypercube_pair(n)
         f = GroupAlgebraElement(group, {key + (0,) * (n - 8): c for key, c in f8.coeffs.items()})
         monkeypatch.setattr(np.fft, "ifftn", _no_fft)
@@ -613,14 +613,14 @@ class TestPlan:
                       n=2, bound=2, ps=[2, 3, 6], ks=[1, 2], derivative="absorbent").to_json()
         calls, ffts = [], []
         real_terms, real_ifftn = harness._grid_terms, np.fft.ifftn
-        monkeypatch.setattr(harness, "_grid_terms", lambda f, cocycle, ps, ks, derivative, grid:
-                            calls.append((list(ps), ks, grid))
-                            or real_terms(f, cocycle, ps, ks, derivative, grid))
+        monkeypatch.setattr(harness, "_grid_terms", lambda fs, cocycle, ps, ks, derivative, grid:
+                            calls.append((len(fs), list(ps), ks, grid))
+                            or real_terms(fs, cocycle, ps, ks, derivative, grid))
         monkeypatch.setattr(np.fft, "ifftn", lambda *args, **kwargs:
                             ffts.append(1) or real_ifftn(*args, **kwargs))
         assert reevaluate_witness(report) == {key: report[key] for key in ("lhs", "rhs", "ratio")}
         assert report["extra"]["grid"] == 20
-        assert calls == [([report["witness"]["p"]], (report["witness"]["k"],), (20, 20))]
+        assert calls == [(1, [report["witness"]["p"]], (report["witness"]["k"],), (20, 20))]
         assert len(ffts) == 1
 
     @pytest.mark.parametrize("experiment, params, key, named", [
@@ -813,8 +813,8 @@ def test_key_pairs_match_the_grid(case, n, derivative, sparsity, seed):
     f = sample_element(group, cocycle, EnsembleSpec("sparse", sparsity=sparsity), rng)
     m = group.n_components
     ks, ps = tuple(range(1, m + 1)), [2, 4, 6]
-    grid = {p: terms for p, *terms in harness._grid_terms(f, cocycle, ps, ks, derivative,
-                                                          harness._grid_shape(group, ps))}
+    grid = {p: terms for p, *terms in harness._grid_terms([f], cocycle, ps, ks, derivative,
+                                                          harness._grid_shape(group, ps))[0]}
     pairs = {p: terms for p, *terms in harness._pair_terms([f], ps, ks, derivative)[0]}
     for p in ps:
         (grid_lhs, grid_deriv, grid_norm), (lhs, deriv, norm) = grid[p], pairs[p]
@@ -841,8 +841,8 @@ def test_grid_closure_is_the_key_pair_closure(group, family, derivative, ps):
     ks = tuple(range(1, group.n_components + 1))
     for seed in range(3):
         f = sample_element(group, cocycle, EnsembleSpec("gaussian"), np.random.default_rng(seed))
-        p, lhs, _, full_norm = next(harness._grid_terms(f, cocycle, ps, ks, derivative,
-                                                        harness._grid_shape(group, ps)))
+        p, lhs, _, full_norm = harness._grid_terms([f], cocycle, ps, ks, derivative,
+                                                   harness._grid_shape(group, ps))[0][0]
         _, pair_lhs, _, pair_norm = harness._pair_terms([f], [2], ks, derivative)[0][0]
         assert (p, lhs, full_norm) == (2, pair_lhs, pair_norm)
 
@@ -2201,6 +2201,145 @@ class TestBatchedScans:
 
 
 _SPARSE3, _GAUSSIAN = EnsembleSpec("sparse", sparsity=3), EnsembleSpec("gaussian")
+
+
+def _scan_json(experiment, spec, trials, seed, **params):
+    data = scan(experiment, spec, trials=trials, seed=seed, **params).to_json()
+    data.pop("runtime_ms")
+    return json.dumps(data, sort_keys=True)
+
+
+def _draws(group, cocycle, spec, count, seed):
+    rng = np.random.default_rng(seed)
+    return [sample_element(group, cocycle, spec, rng) for _ in range(count)]
+
+
+#: (group, cocycle family, derivative) of the grid batches against single elements
+GRID_BATCH_CASES = [
+    (GroupDescriptor.hypercube(4), "cyclic_word", "walsh"),
+    (GroupDescriptor.hypercube(4), "cyclic_word", "absorbent"),
+    (GroupDescriptor.finite_abelian([6, 6]), "cyclic_word", "absorbent"),
+    (GroupDescriptor.torus(2, 2), "torus_word", "euclidean"),
+    (GroupDescriptor.torus(2, 2), "torus_word", "gradient")]
+
+#: (family params, p) of the riesz batches against single elements
+RIESZ_BATCH_CASES = [
+    (dict(family="cyclic", modulus=4, n=2), 4), (dict(family="torus", n=2, bound=1), 3),
+    (dict(family="torus", n=2, bound=1), 4),
+    (dict(family="weighted_cube", n=3, weights=[1.0, 2.0, 0.5]), 3)]
+
+
+class TestGridBatches:
+    """The grid route evaluates a batch of draws as one stack, with the numbers of
+    each draw alone."""
+
+    @pytest.mark.parametrize("ps", [[2], [3], [3.5], [4], [6], [2, 3, 3.5, 4, 6]], ids=str)
+    @pytest.mark.parametrize("group, family, derivative", GRID_BATCH_CASES,
+                             ids=["cube4-walsh", "cube4-absorbent", "z6^2", "torus-euclidean",
+                                  "torus-gradient"])
+    def test_naor_batch_rows_equal_each_element_alone(self, group, family, derivative, ps):
+        cocycle = build_cocycle(family, group)
+        fs = _draws(group, cocycle, EnsembleSpec("gaussian"), 5, 17)
+        plan = harness.Plan("grid", harness._grid_shape(group, ps), 0)
+        ks = list(range(1, group.n_components + 1))
+        batch = list(harness._naor_rows(fs, plan, cocycle, ps, ks, derivative))
+        assert [f for f, _ in batch] == fs
+        for f, rows in batch:
+            assert rows == next(harness._naor_rows([f], plan, cocycle, ps, ks, derivative))[1]
+
+    @pytest.mark.parametrize("params, p", RIESZ_BATCH_CASES, ids=["z4^2", "torus-p3", "torus-p4",
+                                                                  "weighted-cube"])
+    def test_riesz_batch_rows_equal_each_element_alone(self, params, p):
+        group, cocycle, _ = harness._naor_family(params)
+        spec = EnsembleSpec("chaos_degree", degree=4) if "weights" in params else _GAUSSIAN
+        fs = _draws(group, cocycle, spec, 6, 23)
+        plan = harness._plan(group, cocycle, len(fs[0].coeffs), [p], "riesz")
+        batch = list(harness._riesz_rows(fs, plan, cocycle, p))
+        assert [f for f, _ in batch] == fs
+        for f, rows in batch:
+            assert rows == harness._riesz_one(f, cocycle, p)
+
+    @pytest.mark.parametrize("experiment, spec, params", [
+        ("naor", EnsembleSpec("sparse", sparsity=6), dict(n=4, ps=[2, 4], derivative="walsh")),
+        ("naor", EnsembleSpec("sparse", sparsity=6), dict(n=4, ps=[2, 4],
+                                                          derivative="absorbent")),
+        ("naor", _GAUSSIAN, dict(family="torus", n=2, bound=3, ps=[3, 4],
+                                 derivative="euclidean")),
+        ("riesz_equivalence", None, dict(family="cyclic", modulus=4, n=2, p=4)),
+        ("riesz_equivalence", None, dict(family="torus", n=2, bound=1, p=3))],
+        ids=["cube4-walsh", "cube4-absorbent", "torus", "riesz-z4^2", "riesz-torus"])
+    def test_scans_do_not_depend_on_the_batch_cap(self, monkeypatch, experiment, spec, params):
+        """Batches of 64, 64 and 2 draws, and of one draw each, give the same report."""
+        monkeypatch.setattr(harness, "SCAN_BATCH_DRAWS", 64)
+        batched = _scan_json(experiment, spec, 130, 0, **params)
+        monkeypatch.setattr(harness, "SCAN_BATCH_DRAWS", 1)
+        assert _scan_json(experiment, spec, 130, 0, **params) == batched
+
+    @pytest.mark.parametrize("experiment, params", [
+        ("naor", dict(n=4, ps=[2, 4], derivative="walsh")),
+        ("naor", dict(family="torus", n=2, bound=2, ps=[3], derivative="gradient")),
+        ("riesz_equivalence", dict(family="cyclic", modulus=4, n=2, p=4))])
+    def test_one_ifftn_per_grid_batch(self, monkeypatch, experiment, params):
+        """130 draws run in batches of 64, 64 and 2, each one ``ifftn`` of its stack
+        (batch axis second), and the witness's replay one more of one draw."""
+        batches = []
+        real_ifftn = np.fft.ifftn
+        monkeypatch.setattr(np.fft, "ifftn", lambda *args, **kwargs:
+                            batches.append(args[0].shape[1]) or real_ifftn(*args, **kwargs))
+        report = scan(experiment, _GAUSSIAN, trials=130, seed=2, **params)
+        assert batches == [64, 64, 2]
+        assert _same_numbers(report)
+        assert batches == [64, 64, 2, 1]
+
+    def test_riesz_batches_cut_by_the_byte_budget(self, monkeypatch):
+        """A budget of four draws' planned bytes splits ten riesz draws into batches of
+        4, 4 and 2, and a grid batch budget of three into 3, 3, 3 and 1, with the same
+        report."""
+        params = dict(family="cyclic", modulus=4, n=2, p=4)
+        whole = _scan_json("riesz_equivalence", None, 10, 3, **params)
+        group, cocycle, _ = harness._naor_family(params)
+        plan = harness._plan(group, cocycle, 15, [4], "riesz")
+        sizes = []
+        real_rows = harness._riesz_rows
+        monkeypatch.setattr(harness, "_riesz_rows", lambda fs, *args:
+                            sizes.append(len(fs)) or real_rows(fs, *args))
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", 4 * plan.nbytes)
+        assert _scan_json("riesz_equivalence", None, 10, 3, **params) == whole
+        assert sizes == [4, 4, 2]
+        sizes.clear()
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", LATTICE_MAX_BYTES)
+        monkeypatch.setattr(harness, "GRID_BATCH_BYTES", 3 * plan.nbytes)
+        assert _scan_json("riesz_equivalence", None, 10, 3, **params) == whole
+        assert sizes == [3, 3, 3, 1]
+
+    def test_large_grid_draws_run_in_small_batches(self, monkeypatch):
+        """A hypercube n = 10 gaussian draw plans 16 * 3^10 bytes of grid tensors, so
+        GRID_BATCH_BYTES holds a few of them in a batch and not SCAN_BATCH_DRAWS."""
+        group, cocycle = hypercube_pair(10)
+        plan = harness._plan(group, cocycle, 1023, [2, 4], "walsh")
+        assert (plan.route, plan.nbytes) == ("grid", 16 * 3 ** 10)
+        sizes = []
+        real_rows = harness._naor_rows
+        monkeypatch.setattr(harness, "_naor_rows", lambda fs, *args:
+                            sizes.append(len(fs)) or real_rows(fs, *args))
+        scan("naor", _GAUSSIAN, trials=10, seed=1, n=10, ps=[2, 4], ks=[1, 5],
+             derivative="walsh")
+        most = harness.GRID_BATCH_BYTES // plan.nbytes
+        assert 1 < most < harness.SCAN_BATCH_DRAWS
+        assert sizes == [most] * (10 // most) + [10 % most] * (10 % most > 0)
+
+    def test_plans_read_the_multiplier_rows_once(self, monkeypatch):
+        """``_plan`` runs on every draw; the rows of a multiplier stack come from a
+        cache, not from the cocycle's basis slices."""
+        group = GroupDescriptor.torus(2, 2)
+        cocycle = build_cocycle("torus_word", group)
+        first = harness._plan(group, cocycle, 24, [4], "gradient")
+        monkeypatch.setattr(harness, "_symbol_blocks", lambda *args: pytest.fail("rebuilt"))
+        assert harness._plan(group, cocycle, 24, [4], "gradient") == first
+        rows = harness._pairing_table(group, "torus_word", None, "gradient", first.grid)[0]
+        assert first.nbytes == 16 * (len(rows) * 81 + 100)
+
+
 _CUBE4 = dict(family="hypercube", n=4, ps=[2, 4], ks=[1, 2, 3, 4])
 
 #: (experiment, ensemble, params, route, torus grid, sha256 prefix of the witness's
@@ -2440,6 +2579,20 @@ class TestEnsembles:
     def test_sizes_below_one_rejected_on_construction(self, size, value):
         with pytest.raises(ValueError, match=f"{size} must be >= 1, got {value}"):
             EnsembleSpec("sparse", **{size: value})
+
+    @pytest.mark.parametrize("group", [GroupDescriptor.free_group(2),
+                                       GroupDescriptor.free_product(3, 4)], ids=["f2", "z4*3"])
+    def test_free_draws_are_built_canonical(self, group):
+        """A free draw's words come out reduced, so the element built from them as they
+        are is the one that reduces every key again."""
+        cocycle = build_cocycle("free_word" if group.kind == "free_group" else
+                                "free_product_word", group)
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            f = sample_element(group, cocycle, EnsembleSpec(sparsity=6, word_length=4), rng)
+            rebuilt = GroupAlgebraElement(group, f.coeffs)
+            assert list(rebuilt.coeffs.items()) == list(f.coeffs.items())
+            assert all(type(v) is complex for v in f.coeffs.values())
 
     def test_free_ensemble_small_pool_terminates(self):
         group = GroupDescriptor.free_group(1)

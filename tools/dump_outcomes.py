@@ -11,10 +11,11 @@ matched by their ``kind`` and ``name``.
 
 xpchaos is imported from the ``src/`` beside this script, so a copy of it run in
 another checkout dumps that checkout.  The records are scan reports with their
-witness re-evaluations (``TRIALS`` draws each, within one batch, and one naor scan
-of 130 sparse draws, which runs in batches of 64, 64 and 2 at
-``SCAN_BATCH_DRAWS = 64``; dense p = 2 scans on key pairs, on the grid alone under
-a multiplier derivative and on the grid beside p = 4), single-run reports with
+witness re-evaluations (``TRIALS`` draws each, within one batch, and scans of 130
+draws, which run in batches of 64, 64 and 2 at ``SCAN_BATCH_DRAWS = 64``: naor on key
+pairs, on the hypercube n = 4 grid and on the torus grid with a multiplier stack, and
+riesz on Z_4^2 and the bound-1 torus; dense p = 2 scans on key pairs, on the grid
+alone under a multiplier derivative and on the grid beside p = 4), single-run reports with
 theirs (``xp_linear_ratio`` on square, wide 2x4 and tall 3x2 and 4x2 tuples, the
 rectangular ones at p = 3, 6 and 8 too), and the outputs of ``xpchaos verify``
 (every verb, and the six dense runs of the ``cube-dense`` benchmark), ``apply``
@@ -125,9 +126,19 @@ SCANS = [
     ("free_identities", None, {"rank": 3}),
 ]
 
-#: (experiment, ensemble, params, trials) of the one scan longer than a batch of draws
-BATCHED_SCAN = ("naor", EnsembleSpec("sparse", sparsity=6),
-                {"n": 7, "ps": [2, 4], "ks": list(range(1, 8))}, 130)
+#: (experiment, ensemble, params) of the scans of BATCHED_TRIALS draws, longer than a
+#: batch: naor on key pairs, naor on the grid with and without a multiplier stack,
+#: and riesz on Z_4^2 and the bound-1 torus
+BATCHED_SCANS = [
+    ("naor", EnsembleSpec("sparse", sparsity=6), {"n": 7, "ps": [2, 4], "ks": list(range(1, 8))}),
+    *[("naor", EnsembleSpec("sparse", sparsity=6), {"n": 4, "ps": [2, 4], "derivative": derivative})
+      for derivative in ("walsh", "absorbent")],
+    ("naor", EnsembleSpec("gaussian"), {"family": "torus", "n": 2, "bound": 3, "ps": [3, 4],
+                                        "derivative": "euclidean"}),
+    ("riesz_equivalence", None, {"family": "cyclic", "modulus": 4, "n": 2, "p": 4}),
+    ("riesz_equivalence", None, {"family": "torus", "n": 2, "bound": 1, "p": 3}),
+]
+BATCHED_TRIALS = 130
 
 #: verify argv lists, every verb at least once, and the six verify runs of the
 #: cube-dense benchmark; a list without --trials takes 5
@@ -360,9 +371,10 @@ def records(workdir: Path):
             yield "scan", f"{experiment} {params} {ensemble} seed={seed}", (
                 lambda e=experiment, s=seed, en=ensemble, pa=params: _reported(
                     scan(e, en, trials=TRIALS, seed=s, **pa)))
-    experiment, ensemble, params, trials = BATCHED_SCAN
-    yield "scan", f"{experiment} {params} {ensemble} trials={trials}", lambda: _reported(
-        scan(experiment, ensemble, trials=trials, seed=0, **params))
+    for experiment, ensemble, params in BATCHED_SCANS:
+        yield "scan", f"{experiment} {params} {ensemble} trials={BATCHED_TRIALS}", (
+            lambda e=experiment, en=ensemble, pa=params: _reported(
+                scan(e, en, trials=BATCHED_TRIALS, seed=0, **pa)))
     for name, make in _report_records():
         yield "report", name, lambda make=make: _reported(make())
     for index, argv in enumerate(VERIFY):
