@@ -34,7 +34,7 @@ from .cocycles import (COCYCLE_FAMILIES, FAMILIES, BasisVector, build_cocycle,
 from .groups import (TORUS, GroupAlgebraElement, GroupDescriptor, adjoint,
                      project_mean_zero, random_group_elements)
 from .harness import (DERIVATIVE_CHOICES, ENSEMBLE_KINDS, LATTICE_MAX_BYTES, EnsembleSpec,
-                      _count, scan)
+                      _count, _integer, scan)
 from .norms import NumericalSanityError, lp_norm, lp_norm_torus_refined
 
 
@@ -171,7 +171,8 @@ def _experiment_params(verb: str, opts: dict) -> tuple[str, dict]:
         elif key == "weights" and value is None:
             continue
         elif default is not None:
-            value = type(default)(value)
+            value = (_integer(value, _PARAM_OPTIONS.get(key, key)) if isinstance(default, int)
+                     else type(default)(value))
         params[key] = value
     return experiment, params
 
@@ -180,11 +181,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     keys = [*_PARAM_FLAGS, "trials", "seed", "ensemble", "sparsity", "degree"]
     opts = _resolve(args, _load_config(args.config, f"verify {args.experiment}", keys), keys)
     experiment, params = _experiment_params(args.experiment, opts)
-    trials = int(opts.get("trials", 100))
-    seed = int(opts.get("seed", 0))
+    trials = _integer(opts.get("trials", 100), "trials")
+    seed = _integer(opts.get("seed", 0), "seed")
     ensemble = EnsembleSpec(kind=opts.get("ensemble", "gaussian"),
-                            sparsity=int(opts.get("sparsity", 8)),
-                            degree=int(opts.get("degree", 2)))
+                            sparsity=_integer(opts.get("sparsity", 8), "sparsity"),
+                            degree=_integer(opts.get("degree", 2), "degree"))
     report = scan(experiment, ensemble, trials=trials, seed=seed, **params)
     payload = report.to_json()
     payload["artifact_version"] = __version__
@@ -206,7 +207,8 @@ def _build_cli_cocycle(opts: dict):
     family = opts.get("family", "cyclic_word")
     record = cocycle_family(family)
     n = _count(opts, "n", 2)
-    group = record.cli_group(n, int(opts.get("modulus", 4)), int(opts.get("bound", 3)))
+    group = record.cli_group(n, _integer(opts.get("modulus", 4), "modulus"),
+                             _integer(opts.get("bound", 3), "bound"))
     if group.kind == TORUS:             # a torus of bound 0 holds the identity alone
         _count(opts, "bound", 3)
     weights = opts.get("weights")
@@ -220,7 +222,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         raise ValueError("only 'check cocycle' is supported")
     keys = ["family", "n", "modulus", "bound", "weights", "sample_size", "t", "seed"]
     opts = _resolve(args, _load_config(args.config, "check cocycle", keys), keys)
-    if (seed := int(opts.get("seed", 0))) < 0:
+    if (seed := _integer(opts.get("seed", 0), "seed")) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     sample_size = _count(opts, "sample_size", 12)
     t_grid = _parse_list(str(opts.get("t", "0.1,1,10")), "t")

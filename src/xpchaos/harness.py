@@ -13,10 +13,12 @@ suite asserts only the analytically exact p = 2 closures.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import itertools
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field, fields
@@ -129,10 +131,8 @@ def _power_lattice(extended: np.ndarray, p: float) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _lattice_index(n: int, k: int) -> np.ndarray:
     """Flat lattice index of each k-subset of [n], in order; j in S sets bit 2^(n-j)."""
-    index = np.array([sum(1 << (n - 1 - j) for j in subset)
-                      for subset in itertools.combinations(range(n), k)], dtype=np.intp)
-    index.flags.writeable = False       # shared by every caller through the cache
-    return index
+    return _frozen(np.array([sum(1 << (n - 1 - j) for j in subset)
+                             for subset in itertools.combinations(range(n), k)], dtype=np.intp))
 
 
 def _grid_shape(group: GroupDescriptor, ps: Sequence[float]) -> tuple[int, ...]:
@@ -147,21 +147,25 @@ def _grid_shape(group: GroupDescriptor, ps: Sequence[float]) -> tuple[int, ...]:
     return (max(sides, default=2 * group.bound + 1),) * group.rank
 
 
-def _symbol_blocks(cocycle: LengthCocycle, derivative: str):
-    """(symbol cocycle, [(sign, basis slice)]) of a multiplier stack, in summation
-    order: euclidean takes e_j of f for each j; gradient and riesz take slice j of
-    ``cocycle`` for f (sign 1) and f* (sign -1: D_u f* is minus the conjugate of the
-    multiplier <beta(-g), u> applied to f), over the key box's corners, which pair
+@functools.lru_cache(maxsize=16)
+def _symbol_blocks(group: GroupDescriptor, family: str, weights: tuple[float, ...] | None,
+                   derivative: str):
+    """(symbol cocycle, ((sign, basis slice), ...)) of a multiplier stack, in summation
+    order, built once for ``_pairing_table`` on every grid and ``_plan``'s row count:
+    euclidean takes e_j of f for each j; gradient and riesz take slice j of the
+    family's cocycle for f (sign 1) and f* (sign -1: D_u f* is minus the conjugate of
+    the multiplier <beta(-g), u> applied to f), over the key box's corners, which pair
     with every vector that any key of the box pairs with."""
+    cocycle = LengthCocycle(family, group, weights)
     if derivative not in ("euclidean", "gradient", "riesz"):
-        return cocycle, []
+        return cocycle, ()
     if derivative == "euclidean":
-        cocycle = build_cocycle("euclidean", cocycle.group)
-    shape, low = key_box(cocycle.group)
+        cocycle = build_cocycle("euclidean", group)
+    shape, low = key_box(group)
     corners = [(low,) * len(shape), tuple(low + m - 1 for m in shape)]
-    return cocycle, [(sign, basis) for j in range(1, len(shape) + 1)
-                     for sign in ((1,) if derivative == "euclidean" else (1, -1))
-                     if (basis := cocycle.basis_slice(j, corners))]
+    return cocycle, tuple((sign, tuple(basis)) for j in range(1, len(shape) + 1)
+                          for sign in ((1,) if derivative == "euclidean" else (1, -1))
+                          if (basis := cocycle.basis_slice(j, corners)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -169,7 +173,7 @@ def _pairing_table(group: GroupDescriptor, family: str, weights: tuple[float, ..
                    derivative: str, grid: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """<beta(sign * g), u>, over sqrt(psi(g)) for riesz, at index g mod grid for each
     (sign, u) of ``_symbol_blocks``, and the first row of each block."""
-    cocycle, blocks = _symbol_blocks(LengthCocycle(family, group, weights), derivative)
+    cocycle, blocks = _symbol_blocks(group, family, weights, derivative)
     shape, low = key_box(group)
     keys = list(itertools.product(*(range(low, low + m) for m in shape)))
     symbols = np.array([
@@ -180,17 +184,7 @@ def _pairing_table(group: GroupDescriptor, family: str, weights: tuple[float, ..
         symbols[:, flat] /= np.sqrt(lengths)      # keys of length 0 pair to 0
     table = np.zeros((len(symbols), *grid))
     table[(slice(None), *np.array(keys).T)] = symbols
-    starts = np.cumsum([0] + [len(basis) for _, basis in blocks[:-1]])
-    table.flags.writeable = starts.flags.writeable = False
-    return table, starts
-
-
-@functools.lru_cache(maxsize=16)
-def _multiplier_rows(group: GroupDescriptor, family: str, weights: tuple[float, ...] | None,
-                     derivative: str) -> int:
-    """The rows of a multiplier stack, ``_pairing_table``'s rows on any grid."""
-    blocks = _symbol_blocks(LengthCocycle(family, group, weights), derivative)[1]
-    return sum(len(basis) for _, basis in blocks)
+    return _frozen((table, np.cumsum([0] + [len(basis) for _, basis in blocks[:-1]])))
 
 
 def _element_means(arrays: np.ndarray) -> list[float]:
@@ -286,8 +280,7 @@ def _inclusion_odds(n: int, cap: int) -> np.ndarray:
             odds[k - 1, u] = falling_k / falling_n
             falling_k *= k - u
             falling_n *= n - u
-    odds.flags.writeable = False        # shared by every caller through the cache
-    return odds
+    return _frozen(odds)
 
 
 def _subset_means(by_union: np.ndarray) -> np.ndarray:
@@ -352,12 +345,13 @@ def _join_plan(table: np.ndarray, prefix: int, pair_bytes: Callable[[int], int] 
     return rows, order, labels, left, np.arange(len(left)) - shift[left]
 
 
-def _frozen(arrays):
-    """``arrays`` with each array in it made read-only: shared by every caller through a cache."""
-    for array in arrays:
+def _frozen(value):
+    """``value``, an array or a tuple, with each array in it made read-only: shared by
+    every caller through a cache."""
+    for array in value if isinstance(value, tuple) else (value,):
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
-    return arrays
+    return value
 
 
 @functools.lru_cache(maxsize=16)
@@ -532,8 +526,9 @@ def _pair_terms(fs: Sequence[GroupAlgebraElement], ps: Sequence[float], ks: tupl
 
 
 class Plan(NamedTuple):
-    """A naor (or riesz) profile's route, the grid the grid route evaluates on, and
-    the bytes its arrays need as ``_plan`` prices them."""
+    """A profile's route, the grid the grid route evaluates on (empty for the sign
+    models), and the bytes its arrays need as its planner prices them: ``_plan`` for
+    naor and riesz, ``_xp_plan`` and ``_rosenthal_plan`` for the sign models."""
 
     route: str
     grid: tuple[int, ...]
@@ -571,7 +566,8 @@ def _plan(group: GroupDescriptor, cocycle: LengthCocycle, keys: int, ps: Sequenc
         tuples = math.comb(keys + q - 1, q)
         _within_budget(_pair_route_bytes(n, q, tuples, 0), "key tuples")
         return Plan("pairs", grid, _pair_route_bytes(n, q, tuples, keys ** (2 * q - 1)))
-    rows = _multiplier_rows(group, cocycle.family, cocycle.weights, derivative)
+    rows = sum(len(basis) for _, basis in
+               _symbol_blocks(group, cocycle.family, cocycle.weights, derivative)[1])
     extended = set(ps) != {2} and derivative != "riesz"
     nbytes = 16 * (rows * math.prod(grid) + (entries if extended else 0))
     _within_budget(nbytes, "grid tensors")
@@ -728,19 +724,6 @@ def _monte_carlo_average(mats: np.ndarray, p: float, rng: np.random.Generator) -
     return float(np.mean(sign_block_powers(blocks, mats, p)))
 
 
-def _xp_route(n: int, p: float) -> str:
-    """"pairs" or "signs": the route of an xp_linear profile, from (n, p) alone.
-
-    Index words take p = 2 and 4 at n <= SIGN_ENUMERATION_CAP: one Gram factor a
-    side, at most n^2 of them, timed faster than the sign tables' plane kernel at
-    every n there, k = 1 included (n = 14, d = 2: 0.26 ms against 3.5 ms).  From
-    p = 6 on a side needs two or more factors; a prototype of them was timed slower
-    than the sign tables at small k, which the plane kernel has made faster at
-    n = 14, so larger p keeps the sign tables (README).
-    """
-    return "pairs" if p in (2, 4) and n <= SIGN_ENUMERATION_CAP else "signs"
-
-
 def _check_sign_rows(n: int, ks: Sequence[int]) -> None:
     """Refuse a sign route whose ks average more than SIGN_ROWS_MAX (eps, S) rows:
     C(n, k) 2^(k - 1) at a k enumerated, C(n, k) MONTE_CARLO_SIGNS at a k drawn."""
@@ -750,33 +733,43 @@ def _check_sign_rows(n: int, ks: Sequence[int]) -> None:
         raise ValueError(f"the signs route averages {rows} (eps, S) rows, above {SIGN_ROWS_MAX = }")
 
 
-def _check_xp_route(n: int, rows: int, cols: int, p: float, ks: Sequence[int]) -> None:
-    """Refuse an xp_linear profile's arrays past LATTICE_MAX_BYTES, its signs past SIGN_ROWS_MAX."""
-    _within_budget(_xp_route_bytes(n, rows, cols, p), f"{_xp_route(n, p)} route arrays")
-    _check_sign_rows(n, [*ks, n] if _xp_route(n, p) == "signs" else [])
+def _xp_plan(n: int, rows: int, cols: int, p: float, ks: Sequence[int]) -> Plan:
+    """The plan of an xp_linear profile of n rows x cols matrices at the ``ks``, once
+    its arrays are known to fit LATTICE_MAX_BYTES and its signs SIGN_ROWS_MAX.
 
+    Index words ("pairs") take p = 2 and 4 at n <= SIGN_ENUMERATION_CAP: one Gram
+    factor a side, at most n^2 of them, timed faster than the sign tables' plane
+    kernel at every n there, k = 1 included (n = 14, d = 2: 0.26 ms against 3.5 ms).
+    From p = 6 on a side needs two or more factors; a prototype of them was timed
+    slower than the sign tables at small k, which the plane kernel has made faster at
+    n = 14, so larger p keeps the sign tables, "signs" (README).
 
-def _xp_route_bytes(n: int, rows: int, cols: int, p: float) -> int:
-    """At most the bytes that an xp_linear profile of n rows x cols matrices forms on
-    its route.  Each of the pair route's n^q Gram factors gathers two index matrices
-    and forms a factor on the smaller side, of which the join holds at most three
-    copies.  The sign route forms one block of ``sign_powers`` at a time, and the larger
-    of its longest sign table, 2^c rows of c = min(n, SIGN_ENUMERATION_CAP) signs, with
-    two arrays of its size (the bits of ``sign_patterns``), and above the cap one
-    block of SIGN_BLOCK_ROWS drawn rows of n signs with the draw's indices and the
-    powers of all MONTE_CARLO_SIGNS rows."""
-    if _xp_route(n, p) == "signs":
+    ``nbytes`` is at most the bytes the route forms.  Each of the n^q Gram factors
+    gathers two index matrices and forms a factor on the smaller side, of which the
+    join holds at most three copies.  The sign route forms one block of
+    ``sign_powers`` at a time, and the larger of its longest sign table, 2^c rows of
+    c = min(n, SIGN_ENUMERATION_CAP) signs, with two arrays of its size (the bits of
+    ``sign_patterns``), and above the cap one block of SIGN_BLOCK_ROWS drawn rows of
+    n signs with the draw's indices and the powers of all MONTE_CARLO_SIGNS rows.  The
+    sign route's (eps, S) rows count the ks and the full n-sign average.
+    """
+    if p in (2, 4) and n <= SIGN_ENUMERATION_CAP:
+        side = min(rows, cols)
+        plan = Plan("pairs", (), 16 * n ** (int(p) // 2) * side * (2 * max(rows, cols) + 3 * side))
+    else:
         exhaustive = min(n, SIGN_ENUMERATION_CAP)
         drawn = SIGN_BLOCK_ROWS * n + MONTE_CARLO_SIGNS if n > SIGN_ENUMERATION_CAP else 0
-        return sign_block_bytes(rows, cols, p) + 24 * max(2 ** exhaustive * exhaustive, drawn)
-    side = min(rows, cols)
-    return 16 * n ** (int(p) // 2) * side * (2 * max(rows, cols) + 3 * side)
+        plan = Plan("signs", (), sign_block_bytes(rows, cols, p)
+                    + 24 * max(2 ** exhaustive * exhaustive, drawn))
+    _within_budget(plan.nbytes, f"{plan.route} route arrays")
+    _check_sign_rows(n, [*ks, n] if plan.route == "signs" else [])
+    return plan
 
 
 @functools.lru_cache(maxsize=1)
 def _index_words(n: int) -> tuple[np.ndarray, ...]:
     """The q = 2 index words of ``_gram_pair_means`` on n indices, read-only: shared by
-    every profile of that n through the cache (``_check_xp_route`` has priced them).
+    every profile of that n through the cache (``_xp_plan`` has priced them).
     The Gram factors' indices a and b, the join's sort order of their rows and the
     ``reduceat`` start of each distinct row, the joined pairs (left, right) of distinct
     rows and the size of each pair's union.  A factor's row is (parity mask of {a, b},
@@ -824,7 +817,7 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
 
     lhs(k) averages E_eps ||sum_{j in S} eps_j x_j||_p^p over the k-subsets;
     rhs(k) is (k/n) sum_j ||x_j||_p^p + (k/n)^(p/2) E_eps ||sum_j eps_j x_j||_p^p.
-    Where ``_xp_route`` takes index words (p = 2 or 4, n <= 14) every k and the full
+    Where ``_xp_plan`` takes index words (p = 2 or 4, n <= 14) every k and the full
     n-sign average come from ``_gram_pair_means``.  Otherwise each side is one
     ``_sign_mean``: exhaustive up to 14 signs and Monte Carlo beyond.  On both
     routes the full n-sign average is computed once, for every rhs and as the k = n
@@ -832,9 +825,15 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
     each other k above the cap restarts its per-subset draws from the state after
     it, so a row depends only on (xs, p, k, seed).  Before any work the tuple is
     refused unless it holds n >= 1 finite 2-D matrices of one shape, not all zero,
-    and the route (``_check_xp_route``) is priced against LATTICE_MAX_BYTES and
+    and the route (``_xp_plan``) is priced against LATTICE_MAX_BYTES and
     SIGN_ROWS_MAX; after it a p whose sides leave the float range is refused.
     """
+    return {row.k: (row.lhs, row.rhs, row.monte_carlo) for row in _xp_rows(xs, p, ks, seed)}
+
+
+def _xp_rows(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
+             seed: int | None) -> list[Row]:
+    """The rows of ``xp_linear_profile``, one per k, each naming the route its plan takes."""
     _check_p(p)
     if p < 2:
         warnings.warn("p < 2 is outside the theorem range; computing anyway")
@@ -843,11 +842,11 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
     _check_ks(ks, n)
     if not np.any(mats):
         raise ValueError("the matrix tuple must be nonzero")
-    _check_xp_route(n, mats.shape[1], mats.shape[2], p, ks)
+    plan = _xp_plan(n, mats.shape[1], mats.shape[2], p, ks)
     # sides past the float range (inf, or NaN from inf - inf) are refused below
     with np.errstate(over="ignore", invalid="ignore"):
         norm_sum = float(np.sum(schatten_powers(mats, p)))
-        if _xp_route(n, p) == "pairs":
+        if plan.route == "pairs":
             means = _gram_pair_means(mats, p)
             lhs, full_avg = {k: float(means[k - 1]) for k in ks}, float(means[-1])
         else:
@@ -858,8 +857,10 @@ def xp_linear_profile(xs: Sequence[np.ndarray], p: float, ks: Sequence[int],
         profile = {k: (lhs[k], (k / n) * norm_sum + (k / n) ** (p / 2) * full_avg)
                    for k in ks}
     _check_float_range(p, [side for sides in profile.values() for side in sides])
+    extra = {"route": plan.route}
     # a k-subset average is sampled only when the full n-sign one is (k <= n)
-    return {k: (*sides, n > SIGN_ENUMERATION_CAP) for k, sides in profile.items()}
+    return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=n > SIGN_ENUMERATION_CAP,
+                extra=extra) for k in ks for lhs, rhs in [profile[k]]]
 
 
 def _matrix_tuple(xs: Sequence[np.ndarray]) -> np.ndarray:
@@ -875,15 +876,6 @@ def _matrix_tuple(xs: Sequence[np.ndarray]) -> np.ndarray:
     if not np.isfinite(mats).all():
         raise ValueError("the matrix entries must be finite")
     return mats
-
-
-def _xp_rows(mats: Sequence[np.ndarray], p: float, ks: Sequence[int],
-             seed: int | None) -> list[Row]:
-    """The rows of ``xp_linear_profile``, one per k, each naming the route."""
-    extra = {"route": _xp_route(len(mats), p)}
-    profile = xp_linear_profile(mats, p, ks, seed)
-    return [Row(lhs / rhs, lhs, rhs, lhs / rhs, k=k, monte_carlo=mc, extra=extra)
-            for k in ks for lhs, rhs, mc in [profile[k]]]
 
 
 def xp_linear_ratio(xs: Sequence[np.ndarray], p: float, k: int,
@@ -914,17 +906,23 @@ def _matrix_from_json(data: dict) -> np.ndarray:
     return np.array(data["re"]) + 1j * np.array(data["im"])
 
 
-def _rosenthal_route(n: int, p: float) -> str:
-    """"pairs" or "signs": the route of a rosenthal profile, from (n, p) alone.
+def _rosenthal_plan(n: int, p: float, ks: Sequence[int]) -> Plan:
+    """The plan of a rosenthal profile of n coefficients at the ``ks``.
 
     Key pairs need an even p = 2q, at most SIGN_ENUMERATION_CAP tuple steps, and
     room in LATTICE_MAX_BYTES for the n unit keys' C(n + q - 1, q) multisets and
-    their ``_unit_key_pairs`` joined pairs.
+    their ``_unit_key_pairs`` joined pairs.  Otherwise the signs, priced by their
+    (eps, S) rows alone (``nbytes`` 0), are refused past k = 14 or SIGN_ROWS_MAX.
     """
     q = int(p) // 2 if p >= 2 and p % 2 == 0 else 0
-    fits = 1 <= q <= SIGN_ENUMERATION_CAP and _pair_route_bytes(
-        n, q, math.comb(n + q - 1, q), _unit_key_pairs(n, q)) <= LATTICE_MAX_BYTES
-    return "pairs" if fits else "signs"
+    if 1 <= q <= SIGN_ENUMERATION_CAP:
+        nbytes = _pair_route_bytes(n, q, math.comb(n + q - 1, q), _unit_key_pairs(n, q))
+        if nbytes <= LATTICE_MAX_BYTES:
+            return Plan("pairs", (), nbytes)
+    if max(ks) > SIGN_ENUMERATION_CAP:
+        raise ValueError("exhaustive enumeration is capped at k = 14")
+    _check_sign_rows(n, ks)
+    return Plan("signs", (), 0)
 
 
 def _unit_key_pairs(n: int, q: int) -> int:
@@ -937,21 +935,12 @@ def _unit_key_pairs(n: int, q: int) -> int:
                for t in range(q % 2, min(q, n) + 1, 2))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)     # two slots: scans alternate p = 2 and 6 on one n
 def _unit_key_plan(n: int, q: int) -> PairPlan:
     """The pair plan of the n unit keys of Z_2^n at p = 2q, read-only: shared by every
-    rosenthal profile of that (n, q) through the cache (``_rosenthal_route`` has
+    rosenthal profile of that (n, q) through the cache (``_rosenthal_plan`` has
     priced it)."""
     return _frozen(_pair_plan(np.eye(n, dtype=np.int64)[None], np.full(n, 2), q))
-
-
-def _rosenthal_checked_route(n: int, p: float, ks: Sequence[int]) -> str:
-    """The route of a rosenthal profile, once signs past k = 14 or SIGN_ROWS_MAX are refused."""
-    route = _rosenthal_route(n, p)
-    if route == "signs" and max(ks) > SIGN_ENUMERATION_CAP:
-        raise ValueError("exhaustive enumeration is capped at k = 14")
-    _check_sign_rows(n, ks if route == "signs" else [])
-    return route
 
 
 def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[Row]:
@@ -966,15 +955,12 @@ def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[R
     if not np.isfinite(coeffs).all():
         raise ValueError("the coefficients must be finite")
     _check_ks(ks, n)
-    route = _rosenthal_checked_route(n, p, ks)
+    plan = _rosenthal_plan(n, p, ks)
     if not np.any(coeffs):
         raise ValueError("the coefficient vector must be nonzero")
     with np.errstate(over="ignore"):                # sides past the float range are refused
-        if route == "pairs":    # naor's walsh lhs of sum_j a_j r_j on the hypercube
-            q = int(p) // 2     # q = 1 joins nothing: its plan, built each call, evicts none
-            plan = _unit_key_plan(n, q) if q > 1 else _pair_plan(np.eye(n, dtype=np.int64)[None],
-                                                                 None, q)
-            by_union = _pair_sums(plan, coeffs[None])[0]
+        if plan.route == "pairs":   # naor's walsh lhs of sum_j a_j r_j on the hypercube
+            by_union = _pair_sums(_unit_key_plan(n, int(p) // 2), coeffs[None])[0]
             means = _subset_means(by_union[0]).tolist()
             mean = {k: means[k - 1] for k in ks}
         else:
@@ -991,7 +977,7 @@ def _rosenthal_rows(a: Sequence[complex], p: float, ks: Sequence[int]) -> list[R
         spread = max(lhs_over_rhs, rhs_over_lhs)
         rows.append(Row(spread, float(lhs), float(rhs), lhs_over_rhs, k=k,
                         extra={"lhs_over_rhs": lhs_over_rhs, "rhs_over_lhs": rhs_over_lhs,
-                               "two_sided_spread": spread, "route": route}))
+                               "two_sided_spread": spread, "route": plan.route}))
     return rows
 
 
@@ -1001,7 +987,7 @@ def _coeffs_witness(coeffs: Sequence[complex], k: int, p: float) -> dict:
 
 def rosenthal_linear_ratio(a: Sequence[complex], p: float, k: int) -> RatioReport:
     """Two-sided scalar model at one k.  The exact lhs comes from the unit keys'
-    pairs at an even p (``_rosenthal_route``), with no cap on k, and otherwise by
+    pairs at an even p (``_rosenthal_plan``), with no cap on k, and otherwise by
     xp_linear's exhaustive (eps, S) enumeration ``_sign_mean`` on the 1 x 1 matrices
     a_j, for k <= 14.  The ratio is lhs/rhs; ``extra``
     holds it with rhs/lhs, the larger of the two and the route."""
@@ -1126,9 +1112,7 @@ def _mean_zero_keys(group: GroupDescriptor, family: str,
     lengths = np.fromiter((cocycle.psi(key) for key in keys), dtype=float,
                           count=math.prod(shape))
     flat = np.flatnonzero(lengths)
-    lengths = lengths[flat]
-    flat.flags.writeable = lengths.flags.writeable = False
-    return flat, lengths
+    return _frozen((flat, lengths[flat]))
 
 
 def _most_keys(group: GroupDescriptor, cocycle: LengthCocycle, spec: EnsembleSpec) -> int:
@@ -1318,9 +1302,18 @@ def _naor_ps(params: dict) -> list[float]:
     return [float(p) for p in params.get("ps", [params.get("p", 4)])]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` of the integer param ``name``: an int, or a string of one as a config
+    file may hold, refused by name rather than truncated (a bool, 2.5, inf, NaN)."""
+    with contextlib.suppress(TypeError, ValueError):
+        if not isinstance(value, (bool, np.bool_)):
+            return int(value) if isinstance(value, str) else operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _count(params: dict, name: str, default: int | None = None) -> int:
     """The integer param ``name`` (``default`` when left out), refused below 1."""
-    if (value := int(params[name] if default is None else params.get(name, default))) < 1:
+    if (value := _integer(params.get(name, default), name)) < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value
 
@@ -1356,7 +1349,8 @@ def _reads_ensemble(experiment: str, ensemble: EnsembleSpec,
 
 
 def _ks(params: dict) -> list[int]:
-    return _check_ks([int(k) for k in params.get("ks", [params.get("k", 1)])], int(params["n"]))
+    return _check_ks([_integer(k, "k") for k in params.get("ks", [params.get("k", 1)])],
+                     _integer(params["n"], "n"))
 
 
 #: the params from which ``_naor_family`` builds the group and the cocycle
@@ -1373,8 +1367,10 @@ def _naor_family(params: dict) -> tuple[GroupDescriptor, LengthCocycle, str]:
         raise ValueError(f"unknown truncation family {family!r}")
     name, modulus = _TRUNCATION_FAMILIES[family]
     record = COCYCLE_FAMILIES[name]
-    bound = _count(params, "bound", 2) if family == "torus" else int(params.get("bound", 2))
-    group = record.cli_group(_count(params, "n"), modulus or int(params.get("modulus", 4)), bound)
+    bound = (_count(params, "bound", 2) if family == "torus" else
+             _integer(params.get("bound", 2), "bound"))
+    group = record.cli_group(_count(params, "n"),
+                             modulus or _integer(params.get("modulus", 4), "modulus"), bound)
     weights = params.get("weights")
     if record.takes_weights and weights is None:
         weights = [1.0] * group.n_components
@@ -1413,7 +1409,7 @@ def _xp_linear(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads_ensemble("xp_linear", ensemble)
     n, d, p, ks = _count(params, "n"), _count(params, "d", 4), _p(params, 4), _ks(params)
     _within_budget(16 * n * d * d, "sample matrices")
-    _check_xp_route(n, d, d, p, ks)
+    _xp_plan(n, d, d, p, ks)
     trials = itertools.count()
 
     def sample(rng):
@@ -1427,7 +1423,7 @@ def _rosenthal(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads(params, "n", "p", "k", "ks")
     _reads_ensemble("rosenthal", ensemble)
     n, p, ks = _count(params, "n"), _p(params, 4), _ks(params)
-    _rosenthal_checked_route(n, p, ks)
+    _rosenthal_plan(n, p, ks)
     return (lambda rng: _complex_normal(rng, n), _each(lambda a: _rosenthal_rows(a, p, ks)),
             lambda a, row: _coeffs_witness(a, row.k, p))
 
@@ -1470,7 +1466,8 @@ def _free_identities(params: dict, ensemble: EnsembleSpec, seed: int):
     _reads(params, "rank", "modulus")
     modulus = params.get("modulus")
     name = "free_product_word" if modulus else "free_word"
-    group = COCYCLE_FAMILIES[name].cli_group(int(params.get("rank", 2)), int(modulus or 0), 0)
+    group = COCYCLE_FAMILIES[name].cli_group(_integer(params.get("rank", 2), "rank"),
+                                             _integer(modulus or 0, "modulus"), 0)
     cocycle = build_cocycle(name, group)
     _reads_ensemble("free_identities", ensemble, group)
     return (lambda rng: sample_element(group, cocycle, ensemble, rng), _each(_free_rows),

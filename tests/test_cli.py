@@ -291,6 +291,43 @@ class TestVerify:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb, text, named", [
+        ("naor", '{"n": 2.5}', "n must be an integer, got 2.5"),
+        ("naor", '{"trials": 2.9, "seed": 1}', "trials must be an integer, got 2.9"),
+        ("naor", '{"trials": 2, "seed": 1.5}', "seed must be an integer, got 1.5"),
+        ("naor", '{"trials": 1e400}', "trials must be an integer, got inf"),
+        ("naor", '{"n": NaN}', "n must be an integer, got nan"),
+        ("naor", '{"ensemble": "sparse", "sparsity": 2.5}', "sparsity must be an integer, got 2.5"),
+        ("naor", '{"ensemble": "chaos_degree", "degree": "2.5"}',
+         "degree must be an integer, got '2.5'"),
+        ("ztorus", '{"modulus": 4.5}', "modulus must be an integer, got 4.5"),
+        ("torus", '{"bound": 2.5}', "bound must be an integer, got 2.5"),
+        ("xp-linear", '{"d": 2.5}', "d must be an integer, got 2.5"),
+        ("rosenthal", '{"n": 1e400}', "n must be an integer, got inf"),
+        ("free-identities", '{"n": 2.5}', "n must be an integer, got 2.5"),
+        ("free-identities", '{"modulus": 4.5}', "modulus must be an integer, got 4.5")])
+    def test_config_integer_not_an_integer_exit_code(self, tmp_path, capsys, verb, text, named):
+        """Refused by name with exit code 2, not truncated to another run (n = 2.5 ran
+        n = 2) or crashed (inf overflowed, NaN went unnamed)."""
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "r.json"
+        assert run(["verify", verb, "--config", str(config), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_integer_strings_run_as_integers(self, tmp_path):
+        reports = []
+        for name, value in (("ints", 3), ("strings", "3")):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"n": value, "trials": value, "seed": value,
+                                          "ensemble": "sparse", "sparsity": value}))
+            out = tmp_path / f"{name}-report.json"
+            assert run(["verify", "naor", "--config", str(config), "--out", str(out)]) == 0
+            reports.append({key: v for key, v in load(out).items() if key != "runtime_ms"})
+        assert reports[0] == reports[1]
+        assert (reports[0]["params"]["n"], reports[0]["trials"], reports[0]["seed"]) == (3, 3, 3)
+
     def test_config_weights_list_runs(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"family": "weighted_cube", "n": 2, "weights": [1, 2.5]}))
@@ -639,6 +676,34 @@ class TestCheck:
         assert run(["check", "cocycle", *option, "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("content, named", [
+        ({"sample_size": 3.7, "n": 2.2}, "sample_size must be an integer, got 3.7"),
+        ({"n": 2.2}, "n must be an integer, got 2.2"),
+        ({"seed": 0.5}, "seed must be an integer, got 0.5"),
+        ({"modulus": 4.5}, "modulus must be an integer, got 4.5"),
+        ({"family": "torus_word", "bound": 2.5}, "bound must be an integer, got 2.5"),
+        ({"sample_size": "3.7"}, "sample_size must be an integer, got '3.7'")])
+    def test_config_integer_not_an_integer_exit_code(self, tmp_path, capsys, content, named):
+        """Refused by name: sample_size 3.7 and n 2.2 certified 3 samples on Z_4^2."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        out = tmp_path / "cocycle.json"
+        assert run(["check", "cocycle", "--config", str(config), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_integer_strings_run_as_integers(self, tmp_path):
+        reports = []
+        for name, value in (("ints", 3), ("strings", "3")):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"n": value, "sample_size": value, "seed": value,
+                                          "modulus": 2 * int(value)}))
+            out = tmp_path / f"{name}-cocycle.json"
+            assert run(["check", "cocycle", "--config", str(config), "--out", str(out)]) == 0
+            reports.append(load(out))
+        assert reports[0] == reports[1]
+        assert reports[0]["group"]["moduli"] == [6, 6, 6]
 
     def test_options_cover_every_family(self):
         assert set(FAMILY_OPTIONS) == set(FAMILIES)

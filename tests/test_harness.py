@@ -1143,32 +1143,32 @@ class TestXpLinearProfile:
         route, the exhaustive sign route and the Monte Carlo one."""
         rng = np.random.default_rng(22)
         mats = rng.standard_normal((n, 2, 3)) + 1j * rng.standard_normal((n, 2, 3))
-        assert harness._xp_route(n, p) == route
+        assert harness._xp_plan(n, 2, 3, p, [1, n]).route == route
         lhs, rhs, monte_carlo = xp_linear_profile(mats, p, [1, n], seed=7)[n]
         assert rhs == float(np.sum(norms.schatten_powers(mats, p))) + lhs
         assert monte_carlo == (n > harness.SIGN_ENUMERATION_CAP)
 
     def test_scan_calls_the_profile_once_per_trial(self, monkeypatch):
         calls = []
-        original = harness.xp_linear_profile
+        original = harness._xp_rows
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(harness, "xp_linear_profile", counting)
+        monkeypatch.setattr(harness, "_xp_rows", counting)
         scan("xp_linear", trials=2, seed=4, n=4, d=2, p=4, ks=[1, 2, 4])
         assert len(calls) == 2 and all(list(c[2]) == [1, 2, 4] for c in calls)
 
     def test_monte_carlo_scan_draws_new_signs_per_trial(self, monkeypatch):
         seeds = []
-        original = harness.xp_linear_profile
+        original = harness._xp_rows
 
         def recording(mats, p, ks, seed):
             seeds.append(seed)
             return original(mats, p, ks, seed)
 
-        monkeypatch.setattr(harness, "xp_linear_profile", recording)
+        monkeypatch.setattr(harness, "_xp_rows", recording)
         n, d, seed = 16, 2, 9
         report = scan("xp_linear", trials=3, seed=seed, n=n, d=d, p=4, ks=[16])
         assert report.monte_carlo
@@ -1297,7 +1297,7 @@ class TestXpLinearBudget:
     def test_profile_refused_one_byte_below_its_price(self, n, p, monkeypatch):
         rng = np.random.default_rng(31)
         mats = [rng.standard_normal((3, 2)) for _ in range(n)]
-        price = harness._xp_route_bytes(n, 3, 2, p)
+        price = harness._xp_plan(n, 3, 2, p, [1]).nbytes
         monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", price - 1)
         monkeypatch.setattr(harness, "_monte_carlo_average", _no_draw)
         with pytest.raises(ValueError, match="route arrays.*LATTICE_MAX_BYTES"):
@@ -1323,11 +1323,11 @@ class TestXpLinearBudget:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= harness._xp_route_bytes(n, *shape, p) + 2 ** 16
+            assert peak <= harness._xp_plan(n, *shape, p, ks).nbytes + 2 ** 16
 
 
 def _forced_xp_profile(monkeypatch, route, mats, p, ks):
-    monkeypatch.setattr(harness, "_xp_route", lambda n, p: route)
+    monkeypatch.setattr(harness, "_xp_plan", lambda *args: harness.Plan(route, (), 0))
     return xp_linear_profile(mats, p, ks, seed=0)
 
 
@@ -1363,7 +1363,7 @@ class TestSignPairRoutes:
         """pyproject allows numpy 1.24, which has no np.bitwise_count."""
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         c = np.arange(1.0, 6.0)
-        assert harness._xp_route(len(c), 4) == "pairs"
+        assert harness._xp_plan(len(c), 2, 2, 4, [5]).route == "pairs"
         # ||sum eps_j c_j I_2||_4^4 = 2 (sum eps_j c_j)^4, of mean 2 (3 (sum c^2)^2 - 2 sum c^4)
         lhs = xp_linear_profile([z * np.eye(2) for z in c], 4, [5])[5][0]
         assert lhs == pytest.approx(2 * (3 * np.sum(c ** 2) ** 2 - 2 * np.sum(c ** 4)), rel=1e-12)
@@ -1374,14 +1374,14 @@ class TestSignPairRoutes:
         (14, 3, "signs"), (14, 4.5, "signs"), (15, 4, "signs"), (16, 2, "signs")])
     def test_xp_route_rule(self, n, p, route):
         """Index words at p = 2 and 4 for every n up to the sign cap, sign tables else."""
-        assert harness._xp_route(n, p) == route
+        assert harness._xp_plan(n, 2, 2, p, [1]).route == route
 
     @pytest.mark.parametrize("n, p, route", [
         (14, 2, "pairs"), (14, 6, "pairs"), (40, 4, "pairs"), (14, 3, "signs"),
         (14, 2.5, "signs"), (1, 2e300, "signs"), (200, 8, "signs"), (30, 6, "pairs"),
         (14, 8, "pairs"), (14, 20, "signs")])
     def test_rosenthal_route_rule(self, n, p, route):
-        assert harness._rosenthal_route(n, p) == route
+        assert harness._rosenthal_plan(n, p, [1]).route == route
 
     @pytest.mark.parametrize("q", range(1, 8))
     def test_unit_key_pairs_are_the_joined_pairs(self, q):
@@ -1425,7 +1425,7 @@ class TestSignPairRoutes:
         rng = np.random.default_rng(43)
         n = 6
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert harness._rosenthal_route(n, p) == "pairs"
+        assert harness._rosenthal_plan(n, p, [1]).route == "pairs"
         for row in harness._rosenthal_rows(coeffs, p, range(1, n + 1)):
             exact = harness._sign_mean(coeffs[:, None, None], p, row.k, None)
             assert row.lhs ** p == pytest.approx(exact, rel=1e-12)
@@ -1445,7 +1445,7 @@ class TestSignPairRoutes:
 
         moment = (2 * averaged(squares, squares) + averaged(a * a, (a * a).conj()).real
                   - 2 * single * fourth.sum())
-        assert harness._rosenthal_route(n, 4) == "pairs"
+        assert harness._rosenthal_plan(n, 4, [k]).route == "pairs"
         assert rosenthal_linear_ratio(a, 4, k).lhs ** 4 == pytest.approx(moment, rel=1e-12)
         with pytest.raises(ValueError, match="capped at k = 14"):
             rosenthal_linear_ratio(a, 3, k)
@@ -1556,7 +1556,8 @@ class TestCachedPlans:
         assert xp_linear_profile(mats, 4, [1, 7, 14]) == profile
 
     def test_interleaved_keys_reproduce_their_values(self):
-        """One slot per plan kind: each (n, q) or n evicts the last and is rebuilt."""
+        """Two slots for unit-key plans and one for index words: three (n, q) in turn,
+        or two n, evict each other and are rebuilt."""
         cases = [(n, p, self._coeffs(n, n + p)[0]) for n, p in ((14, 6), (10, 4), (14, 8))]
         first = [harness._rosenthal_rows(c, p, [1, 3, n]) for n, p, c in cases]
         mats = {n: np.random.default_rng(n).standard_normal((n, 2, 2)) for n in (9, 14)}
@@ -1566,13 +1567,19 @@ class TestCachedPlans:
                 assert harness._rosenthal_rows(c, p, [1, 3, n]) == rows
                 for m, x in mats.items():
                     assert np.array_equal(harness._gram_pair_means(x, 4), words[m])
-        assert harness._unit_key_plan.cache_info().currsize == 1
+        assert harness._unit_key_plan.cache_info().currsize == 2
         assert harness._index_words.cache_info().currsize == 1
 
     def test_cached_arrays_are_read_only(self):
+        """The plans here, and every other cache of arrays, all frozen by ``_frozen``."""
         plans = [*harness._unit_key_plan(9, 3), *harness._index_words(9)]
         arrays = [array for array in plans if isinstance(array, np.ndarray)]
         assert len(arrays) == 8 + 7
+        torus = GroupDescriptor.torus(2, 2)
+        arrays += [harness._lattice_index(5, 2), harness._inclusion_odds(6, 3),
+                   *harness._pairing_table(torus, "torus_word", None, "gradient", (9, 9)),
+                   *harness._mean_zero_keys(torus, "torus_word", None),
+                   *harness._unit_key_plan(9, 1)[6:8]]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -1590,9 +1597,67 @@ class TestCachedPlans:
         with pytest.raises(ValueError, match="capped at k = 14"):
             harness._rosenthal_rows(coeffs, 6, [20])
         assert harness._rosenthal_rows(coeffs, 6, [2])[0].extra["route"] == "signs"
-        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES", harness._xp_route_bytes(14, 2, 2, 4) - 1)
+        monkeypatch.setattr(harness, "LATTICE_MAX_BYTES",
+                            harness._xp_plan(14, 2, 2, 4, [1]).nbytes - 1)
         with pytest.raises(ValueError, match="pairs route arrays.*LATTICE_MAX_BYTES"):
             xp_linear_profile(mats, 4, [1])
+
+    def test_interleaved_p2_and_p6_plans_are_built_once(self, monkeypatch):
+        """Scans alternate p = 2 and 6 on one n: each unit-key plan, q = 1 included, is
+        built once, and the rows equal those of a plan built for the call."""
+        n, ks = 14, [1, 7, 14]
+        coeffs = self._coeffs(n, 8)[0]
+        harness._unit_key_plan.cache_clear()
+        built = []
+        real_plan = harness._pair_plan
+        monkeypatch.setattr(harness, "_pair_plan",
+                            lambda *args: built.append(args[2]) or real_plan(*args))
+        rows = [harness._rosenthal_rows(coeffs, p, ks) for p in (2, 6, 2, 6, 2, 6)]
+        assert built == [1, 3]
+        monkeypatch.setattr(harness, "_unit_key_plan", harness._unit_key_plan.__wrapped__)
+        uncached = {p: harness._rosenthal_rows(coeffs, p, ks) for p in (2, 6)}
+        assert built == [1, 3, 1, 3]
+        assert rows == [uncached[p] for p in (2, 6, 2, 6, 2, 6)]
+
+
+class TestSignPlanners:
+    """Each sign model decides its route in one planner: once when a scan binds, before
+    any draw, and once per profile after it."""
+
+    @pytest.mark.parametrize("experiment, planner, params, draws", [
+        ("xp_linear", "_xp_plan", dict(n=5, d=2, p=4, ks=[1, 5]), 5),
+        ("xp_linear", "_xp_plan", dict(n=4, d=2, p=3, ks=[2]), 4),
+        ("rosenthal", "_rosenthal_plan", dict(n=6, p=6, ks=[1, 6]), 1),
+        ("rosenthal", "_rosenthal_plan", dict(n=6, p=3, ks=[2]), 1)])
+    def test_planner_runs_once_per_profile_and_once_at_bind(self, experiment, planner, params,
+                                                            draws, monkeypatch):
+        events = []
+        real_planner, real_draw = getattr(harness, planner), harness._complex_normal
+        monkeypatch.setattr(harness, planner,
+                            lambda *args: events.append("plan") or real_planner(*args))
+        monkeypatch.setattr(harness, "_complex_normal",
+                            lambda *args: events.append("draw") or real_draw(*args))
+        report = scan(experiment, trials=3, seed=2, **params)
+        assert events == ["plan"] + (["draw"] * draws + ["plan"]) * 3
+        events.clear()
+        reevaluate_witness(report)
+        assert events == ["plan"]
+
+    @pytest.mark.parametrize("experiment, params, planner, message", [
+        ("xp_linear", dict(n=15, d=200, p=4, k=1), "_xp_plan", "signs route arrays"),
+        ("xp_linear", dict(n=30, d=2, p=4, k=15), "_xp_plan", "signs route averages"),
+        ("rosenthal", dict(n=15, p=3, k=15), "_rosenthal_plan", "capped at k = 14"),
+        ("rosenthal", dict(n=40, p=3, k=12), "_rosenthal_plan", "signs route averages")])
+    def test_refused_at_bind_before_any_draw(self, experiment, params, planner, message,
+                                             monkeypatch):
+        calls = []
+        real_planner = getattr(harness, planner)
+        monkeypatch.setattr(harness, planner, lambda *args: calls.append(args) or
+                            real_planner(*args))
+        monkeypatch.setattr(harness, "_complex_normal", _no_draw)
+        with pytest.raises(ValueError, match=message):
+            scan(experiment, trials=2, seed=0, **params)
+        assert len(calls) == 1
 
 
 class TestRosenthal:
@@ -2329,15 +2394,23 @@ class TestGridBatches:
         assert sizes == [most] * (10 // most) + [10 % most] * (10 % most > 0)
 
     def test_plans_read_the_multiplier_rows_once(self, monkeypatch):
-        """``_plan`` runs on every draw; the rows of a multiplier stack come from a
-        cache, not from the cocycle's basis slices."""
+        """``_plan`` runs on every draw and ``_pairing_table`` once per grid; the rows of
+        a multiplier stack come from one cache of symbol blocks per (group, family,
+        weights, derivative), not from the cocycle's basis slices."""
         group = GroupDescriptor.torus(2, 2)
         cocycle = build_cocycle("torus_word", group)
+        harness._symbol_blocks.cache_clear()
+        harness._pairing_table.cache_clear()
         first = harness._plan(group, cocycle, 24, [4], "gradient")
-        monkeypatch.setattr(harness, "_symbol_blocks", lambda *args: pytest.fail("rebuilt"))
+        monkeypatch.setattr(type(cocycle), "basis_slice", lambda *args: pytest.fail("rebuilt"))
         assert harness._plan(group, cocycle, 24, [4], "gradient") == first
         rows = harness._pairing_table(group, "torus_word", None, "gradient", first.grid)[0]
         assert first.nbytes == 16 * (len(rows) * 81 + 100)
+        other = harness._grid_shape(group, [3])
+        assert other != first.grid
+        assert len(harness._pairing_table(group, "torus_word", None, "gradient", other)[0]) == \
+            len(rows)
+        assert harness._symbol_blocks.cache_info().misses == 1
 
 
 _CUBE4 = dict(family="hypercube", n=4, ps=[2, 4], ks=[1, 2, 3, 4])
@@ -2489,6 +2562,36 @@ class TestFamilyRecords:
         """Each is refused when the scan binds its params, before any draw."""
         with pytest.raises(ValueError, match=error):
             scan("naor", trials=1, **params)
+
+    @pytest.mark.parametrize("experiment, params, named", [
+        ("naor", dict(n=2.5), "n must be an integer, got 2.5"),
+        ("naor", dict(n=3, ks=[1, 1.7]), "k must be an integer, got 1.7"),
+        ("naor", dict(n=3, k=True), "k must be an integer, got True"),
+        ("naor", dict(family="cyclic", n=2, modulus=4.5), "modulus must be an integer, got 4.5"),
+        ("naor", dict(family="cyclic", n=2, bound=2.5), "bound must be an integer, got 2.5"),
+        ("naor", dict(family="torus", n=2, bound=2.5), "bound must be an integer, got 2.5"),
+        ("riesz_equivalence", dict(n=np.float64(2.0)), "n must be an integer"),
+        ("xp_linear", dict(n=3, d=2.5), "d must be an integer, got 2.5"),
+        ("xp_linear", dict(n=math.inf), "n must be an integer, got inf"),
+        ("rosenthal", dict(n=math.nan), "n must be an integer, got nan"),
+        ("rosenthal", dict(n=True), "n must be an integer, got True"),
+        ("rosenthal", dict(n="2.5"), "n must be an integer, got '2.5'"),
+        ("free_identities", dict(rank=2.5), "rank must be an integer, got 2.5"),
+        ("free_identities", dict(rank=2, modulus=4.5), "modulus must be an integer, got 4.5")])
+    def test_integer_params_refused_by_name(self, experiment, params, named, monkeypatch):
+        """A fraction, inf, NaN or a bool is refused by name when the scan binds, rather
+        than truncated to a run of other params than the report names."""
+        monkeypatch.setattr(harness, "sample_element", _no_draw)
+        monkeypatch.setattr(harness, "_complex_normal", _no_draw)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            scan(experiment, trials=1, **params)
+
+    def test_integer_params_take_numpy_ints_and_integer_strings(self):
+        expected = scan("naor", trials=2, seed=3, n=3, ks=[1, 2], modulus=4, family="cyclic")
+        for n, ks, modulus in ((np.int64(3), [np.int32(1), 2], np.int8(4)), ("3", ["1", "2"], "4")):
+            report = scan("naor", trials=2, seed=3, n=n, ks=ks, modulus=modulus, family="cyclic")
+            assert (report.lhs, report.rhs, report.witness) == \
+                (expected.lhs, expected.rhs, expected.witness)
 
     @pytest.mark.parametrize("params, group, family", [
         (dict(rank=3, modulus=None), GroupDescriptor.free_group(3), "free_word"),

@@ -28,3 +28,20 @@ def test_one_record_of_each_kind_dumps_one_line_twice(tmp_path):
         outcome = json.loads(line)["outcome"]
         assert "runtime_ms" not in outcome.get("report", {})
         assert line == dump.line(kind, name, thunk())
+
+
+def test_sign_model_scans_report_the_route_their_planner_picks():
+    """Every xp_linear and rosenthal scan of the dump names in ``extra["route"]`` the
+    route of ``_xp_plan`` or ``_rosenthal_plan``; the scans cover both routes of each."""
+    from xpchaos import harness, scan
+    routes = set()
+    for experiment, _, params in _dump_module().SCANS:
+        if experiment not in ("xp_linear", "rosenthal"):
+            continue
+        n, p, ks = params["n"], params.get("p", 4), params.get("ks", [params.get("k", 1)])
+        d = params.get("d", 4)
+        plan = (harness._xp_plan(n, d, d, p, ks) if experiment == "xp_linear" else
+                harness._rosenthal_plan(n, p, ks))
+        assert scan(experiment, trials=1, seed=0, **params).extra["route"] == plan.route
+        routes.add((experiment, plan.route))
+    assert routes == {(e, r) for e in ("xp_linear", "rosenthal") for r in ("pairs", "signs")}

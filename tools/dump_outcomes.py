@@ -140,8 +140,9 @@ BATCHED_SCANS = [
 ]
 BATCHED_TRIALS = 130
 
-#: verify argv lists, every verb at least once, and the six verify runs of the
-#: cube-dense benchmark; a list without --trials takes 5
+#: verify argv lists, every verb at least once, the six verify runs of the
+#: cube-dense benchmark, and five sign-model runs that their planners refuse (the
+#: sign rows, the sign arrays, the cap at k = 14); a list without --trials takes 5
 VERIFY = [
     ["naor", "--n", "6", "--p", "3", "--k", "all"],
     ["naor", "--n", "10", "--p", "4", "--k", "1..4"],
@@ -162,6 +163,11 @@ VERIFY = [
     *[[*verb, "--p", str(p), "--k", "all", "--ensemble", "gaussian", "--trials", "1"]
       for verb in (["naor", "--n", "10"], ["ztorus", "--n", "4", "--modulus", "6"])
       for p in (2, 4, 6)],
+    ["xp-linear", "--n", "30", "--k", "15", "--p", "4", "--d", "2"],
+    ["xp-linear", "--n", "15", "--p", "4", "--d", "200", "--k", "1"],
+    ["rosenthal", "--n", "40", "--p", "3", "--k", "12"],
+    ["rosenthal", "--n", "15", "--p", "3", "--k", "15"],
+    ["rosenthal", "--n", "400", "--p", "30", "--k", "3"],
 ]
 
 #: element name -> (group, coefficients): real coefficients among them, so a
